@@ -174,7 +174,8 @@ def cmd_evaluate(args) -> int:
     dataset = load_dataset(args.dataset, task)
     backend = build_backend(cfg, extra, args.mock_script)
     report, bad = evaluate(Candidate(prompt=prompt), dataset, backend,
-                           objective=cfg.objective, model=cfg.model, seed=cfg.seed)
+                           objective=cfg.objective, model=cfg.model, seed=cfg.seed,
+                           cls_average=cfg.cls_average)
     out = report.as_dict()
     out["bad_case_count"] = len(bad)
     print(json.dumps(out, indent=2))

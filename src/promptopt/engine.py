@@ -1,7 +1,12 @@
 """Training loop: candidate initialization, per-iteration operator
 application and evaluation, top-k retention with simulated-annealing
 survivors, matrix updates via the configured optimizer, convergence
-detection, checkpoints, and reports."""
+detection, checkpoints, and reports.
+
+Both optimizers share one edit pipeline. Every pair of an iteration edits
+the same base candidate, so an iteration makes at most two backend round
+trips: one batch with every pair's operator requests in pair order, then
+one batch that evaluates every edited candidate."""
 
 from __future__ import annotations
 
@@ -20,6 +25,8 @@ import numpy as np
 from . import operators as ops
 from .backend import Backend, GenerationResponse
 from .errors import (
+    AuthError,
+    BackendError,
     ConfigError,
     EmptyDataset,
     KTooLarge,
@@ -28,10 +35,11 @@ from .errors import (
     RetrieverUnavailable,
     SectionSetMismatch,
 )
-from .evaluation import BadCase, ExampleRecord, evaluate
+from .evaluation import BadCase, ExampleRecord, evaluate, evaluate_many
 from .matrix import (
     GradientObservation,
     SelectionPair,
+    TransitionMatrix,
     init_uniform,
     save_matrix,
     select_pairs,
@@ -39,8 +47,9 @@ from .matrix import (
 from .msgd import msgd_update, norm_delta
 from .msgd_rl import (
     ExperienceStore,
+    apply_sarsa_updates,
     load_experience,
-    rl_epoch,
+    rl_epoch,  # noqa: F401  not called here; perfbench/tracer.py patches this name
     save_experience,
 )
 from .prompt_model import (
@@ -121,6 +130,8 @@ class RunConfig:
                 raise ConfigError("unknown operator %r" % op)
         if self.task not in ("NER", "CLS", "MRC"):
             raise ConfigError("task must be NER/CLS/MRC")
+        if self.cls_average not in ("micro", "macro"):
+            raise ConfigError("cls_average must be micro or macro")
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -208,7 +219,8 @@ def initialize_candidates(template: MetaPrompt, backend: Backend, beam_init: int
     """Seed the candidate pool: generate beam_init variant bodies per
     editable section (refine at elevated temperature) and assemble the i-th
     candidate from the i-th variant of every section. Duplicate fingerprints
-    are collapsed with a warning."""
+    are collapsed with a warning. `evaluate_fn` scores the whole pool and
+    returns it scored."""
     base = Candidate(prompt=template)
     if beam_init == 1:
         pool = [base]
@@ -253,8 +265,27 @@ def initialize_candidates(template: MetaPrompt, backend: Backend, beam_init: int
         )
     pool = list(deduped.values())
     if evaluate_fn is not None:
-        pool = [evaluate_fn(c) for c in pool]
+        pool = evaluate_fn(pool)
     return pool
+
+
+def update_matrix(m: TransitionMatrix, observations: Sequence[GradientObservation],
+                  cfg: RunConfig) -> TransitionMatrix:
+    """The configured optimizer's update for one iteration's observations:
+    one msgd update per observation, in pair order, or one Sarsa epoch."""
+    if cfg.optimizer == "msgd_rl":
+        return apply_sarsa_updates(
+            m, observations, cfg.sarsa_alpha, cfg.sarsa_gamma, reward_mode=cfg.reward_mode,
+        )
+    for obs in observations:
+        if obs.score_prev > 0:
+            norm = norm_delta(obs.score_prev, obs.score_cur)
+        else:
+            # zero baseline: fall back to the absolute score change
+            norm = obs.gradient
+        m = msgd_update(m, obs.pair, norm, alpha=cfg.learning_rate_alpha,
+                        mode=cfg.msgd_update_mode)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -301,26 +332,30 @@ class _Trainer:
         n = max(1, int(round(len(examples) * self.cfg.eval_fraction)))
         return examples[:n]
 
-    def _evaluate(self, cand: Candidate, iteration: int, examples=None) -> Candidate:
-        examples = examples if examples is not None else self.train_set
-        report, bad = evaluate(
-            cand, examples, self.backend, objective=self.cfg.objective,
-            seed=self.cfg.seed + iteration, model=self.cfg.model,
+    def _evaluate(self, cands: Sequence[Candidate], iteration: int) -> list[Candidate]:
+        """Score candidates on the training set in one batch; remember each
+        one's report and bad cases for the operators of later iterations."""
+        results = evaluate_many(
+            cands, self.train_set, self.backend, objective=self.cfg.objective,
+            cls_average=self.cfg.cls_average, seed=self.cfg.seed + iteration,
+            model=self.cfg.model,
         )
-        scored = cand.with_score(iteration, {
-            "precision": report.precision,
-            "recall": report.recall,
-            "f1": report.f1,
-        })
-        self.bad_cases[scored.fingerprint] = bad
-        self.reports_by_fp[scored.fingerprint] = report
-        return scored
+        out = []
+        for cand, (report, bad) in zip(cands, results):
+            scored = cand.with_score(iteration, {
+                "precision": report.precision,
+                "recall": report.recall,
+                "f1": report.f1,
+            })
+            self.bad_cases[scored.fingerprint] = bad
+            self.reports_by_fp[scored.fingerprint] = report
+            out.append(scored)
+        return out
 
-    def _apply_pair(self, pair: SelectionPair, base: Candidate, iteration: int,
-                    pool: Sequence[Candidate], pair_index: int) -> Optional[Candidate]:
-        section = base.prompt.section_by_id(pair.section)
-        ctx = ops.OperatorContext(
-            target_section=section,
+    def _context(self, pair: SelectionPair, base: Candidate, iteration: int,
+                 pool: Sequence[Candidate], pair_index: int) -> ops.OperatorContext:
+        return ops.OperatorContext(
+            target_section=base.prompt.section_by_id(pair.section),
             prompt=base.prompt,
             sibling_candidates=tuple(pool),
             bad_cases=tuple(self.bad_cases.get(base.fingerprint, ())),
@@ -334,11 +369,21 @@ class _Trainer:
             few_shot_k=self.cfg.few_shot_k,
             few_shot_strategy=self.cfg.few_shot_strategy,
         )
+
+    @staticmethod
+    def _plan(pair: SelectionPair, ctx: ops.OperatorContext):
+        """The operator's plan, with missing context counted as a no-op."""
         try:
-            edit = ops.apply_operator(pair.operator, ctx, self.backend)
+            return ops.plan_operator(pair.operator, ctx)
         except (MissingContext, SectionSetMismatch, EmptyDataset,
                 KTooLarge, RetrieverUnavailable, NonEditableSection):
-            return None
+            return ops.NOOP
+
+    @staticmethod
+    def _edited(base: Candidate, edit: ops.EditResult, pair: SelectionPair,
+                iteration: int) -> Optional[Candidate]:
+        """The candidate an edit of the base makes, or None when the prompt
+        does not change."""
         if edit.kind == "noop":
             return None
         if edit.kind == "body":
@@ -349,9 +394,7 @@ class _Trainer:
             new_prompt = edit.new_prompt
         if new_prompt.fingerprint() == base.prompt.fingerprint():
             return None
-        return replace(
-            base, prompt=new_prompt,
-        ).with_edit(iteration, pair.section, pair.operator)
+        return replace(base, prompt=new_prompt).with_edit(iteration, pair.section, pair.operator)
 
     def run(self) -> tuple[Candidate, RunReport, ExperienceStore]:
         cfg = self.cfg
@@ -360,7 +403,7 @@ class _Trainer:
         pool = initialize_candidates(
             self.template, self.backend, cfg.beam_init, cfg.seed,
             model=cfg.model, temperature=max(cfg.operator_temperature, 0.9),
-            evaluate_fn=lambda c: self._evaluate(c, 0),
+            evaluate_fn=lambda cands: self._evaluate(cands, 0),
         )
         stall = 0
         prev_best = max(_latest(c, cfg.objective) for c in pool)
@@ -386,7 +429,7 @@ class _Trainer:
         if self.test_set:
             test_report, _ = evaluate(
                 best_cand, self.test_set, self.backend, objective=cfg.objective,
-                seed=cfg.seed, model=cfg.model,
+                seed=cfg.seed, model=cfg.model, cls_average=cfg.cls_average,
             )
             self.report.final_test_objective = test_report.objective_value()
         self.report.usage = self.backend.usage.snapshot()
@@ -402,56 +445,52 @@ class _Trainer:
         base = max(pool, key=lambda c: (_latest(c, cfg.objective), -len(c.lineage)))
         base_score = _latest(base, cfg.objective)
         n_pairs = min(cfg.effective_pairs_per_epoch(), int(self.eligible.sum()))
-        new_candidates: list[Candidate] = []
-        observations: list[GradientObservation] = []
+        pairs = select_pairs(self.matrix, n_pairs, self.rng, eligible=self.eligible)
+        contexts = [self._context(pair, base, iteration, pool, k)
+                    for k, pair in enumerate(pairs)]
+        plans = [self._plan(pair, ctx) for pair, ctx in zip(pairs, contexts)]
 
-        if cfg.optimizer == "msgd":
-            pairs = select_pairs(self.matrix, n_pairs, self.rng, eligible=self.eligible)
-            for k, pair in enumerate(pairs):
-                cand = self._apply_pair(pair, base, iteration, pool, k)
-                if cand is None:
-                    observations.append(GradientObservation(pair, base_score, base_score))
+        # round trip 1: every backend operator's requests, in pair order
+        reqs = [req for plan in plans if isinstance(plan, tuple) for req in plan]
+        replies = self.backend.generate_batch(reqs) if reqs else []
+        edits: list[tuple[SelectionPair, Optional[Candidate]]] = []
+        failed = []
+        at = 0
+        for pair, ctx, plan in zip(pairs, contexts, plans):
+            if isinstance(plan, tuple):
+                own = replies[at:at + len(plan)]
+                at += len(plan)
+                try:
+                    plan = ops.finish_operator(pair.operator, ctx, own)
+                except AuthError:
+                    raise
+                except BackendError as e:
+                    # infrastructure noise, not prompt quality: no observation
+                    log.warning("operator %s on %s failed: %s", pair.operator, pair.section, e)
+                    failed.append({"section": pair.section, "operator": pair.operator,
+                                   "error": type(e).__name__})
                     continue
-                cand = self._evaluate(cand, iteration)
-                cur = _latest(cand, cfg.objective)
-                observations.append(GradientObservation(pair, base_score, cur))
+            edits.append((pair, self._edited(base, plan, pair, iteration)))
+
+        # round trip 2: every edited candidate, in pair order
+        scored = iter(self._evaluate([c for _, c in edits if c is not None], iteration))
+        observations: list[GradientObservation] = []
+        new_candidates: list[Candidate] = []
+        for pair, cand in edits:
+            cur = base_score  # a no-op edit cannot move the score
+            if cand is not None:
+                cand = next(scored)
                 new_candidates.append(cand)
-            for obs in observations:
-                if obs.score_prev > 0:
-                    norm = norm_delta(obs.score_prev, obs.score_cur)
-                else:
-                    # zero baseline: fall back to the absolute score change
-                    norm = obs.gradient
-                self.matrix = msgd_update(
-                    self.matrix, obs.pair, norm,
-                    alpha=cfg.learning_rate_alpha, mode=cfg.msgd_update_mode,
-                )
-        else:
-            holder: dict[str, Candidate] = {}
-
-            def apply_hook(pair, _k=[0]):
-                cand = self._apply_pair(pair, base, iteration, pool, _k[0])
-                _k[0] += 1
-                return cand
-
-            def eval_hook(cand):
-                scored = self._evaluate(cand, iteration)
-                holder[scored.fingerprint] = scored
-                return _latest(scored, cfg.objective)
-
-            self.matrix, observations, edited = rl_epoch(
-                self.matrix, base_score, n_pairs, self.rng,
-                apply_hook, eval_hook,
-                sarsa_alpha=cfg.sarsa_alpha, sarsa_gamma=cfg.sarsa_gamma,
-                eligible=self.eligible, reward_mode=cfg.reward_mode,
-            )
-            new_candidates = [holder[c.fingerprint] for c in edited
-                              if c.fingerprint in holder]
+                cur = _latest(cand, cfg.objective)
+            observations.append(GradientObservation(pair, base_score, cur))
+        if observations:
+            self.matrix = update_matrix(self.matrix, observations, cfg)
 
         self.epochs_trained += 1
-        merged: dict[str, Candidate] = {}
-        for cand in pool + new_candidates:
-            merged.setdefault(cand.fingerprint, cand)
+        # a prompt already in the pool keeps its pool entry; one reached by
+        # several edits of this iteration keeps the last of them
+        merged = {c.fingerprint: c for c in new_candidates}
+        merged.update((c.fingerprint, c) for c in pool)
         temperature = cfg.anneal_temperature_start * (
             cfg.anneal_temperature_decay ** (iteration - 1)
         )
@@ -469,6 +508,7 @@ class _Trainer:
                  "gradient": o.gradient}
                 for o in observations
             ],
+            "failed": failed,
             "pool_size": len(pool),
         })
         return pool

@@ -3,8 +3,8 @@
 operator.
 
 Tasks: NER (span-level exact match, half-open character spans), CLS
-(single-label classification, micro-averaged overall), MRC (SQuAD-style
-token-level F1 averaged over examples).
+(single-label classification, micro- or macro-averaged overall), MRC
+(SQuAD-style token-level F1 averaged over examples).
 """
 
 from __future__ import annotations
@@ -329,20 +329,36 @@ DIAGNOSIS_TEMPLATE = (
 )
 
 
-def evaluate(candidate: Candidate, examples: Sequence[ExampleRecord], backend: Backend,
-             objective: str = "f1", bad_case_cap: int = 20, seed: int = 0,
-             model: str = "default", diagnose: bool = False,
-             ) -> tuple[MetricReport, list[BadCase]]:
-    """Render the candidate prompt over every example, batch-generate, parse,
-    score, and collect a seeded uniform sample of failures as bad cases."""
+def evaluate_many(candidates: Sequence[Candidate], examples: Sequence[ExampleRecord],
+                  backend: Backend, objective: str = "f1", cls_average: str = "micro",
+                  bad_case_cap: int = 20, seed: int = 0, model: str = "default",
+                  ) -> list[tuple[MetricReport, list[BadCase]]]:
+    """Score every candidate on the same examples with one backend batch of
+    len(candidates) x len(examples) requests in (candidate, example) order.
+    Each candidate's report and bad cases are what `evaluate` would give it
+    alone."""
     if not examples:
         raise EmptyDataset("cannot evaluate on an empty dataset")
-    task = examples[0].task
+    if not candidates:
+        return []
     reqs = [
-        user_request(render(candidate.prompt, ex.input), model=model)
-        for ex in examples
+        user_request(render(cand.prompt, ex.input), model=model)
+        for cand in candidates for ex in examples
     ]
     results = backend.generate_batch(reqs)
+    n = len(examples)
+    return [
+        _score_results(examples, results[i * n:(i + 1) * n], objective, cls_average,
+                       bad_case_cap, seed)
+        for i in range(len(candidates))
+    ]
+
+
+def _score_results(examples, results, objective, cls_average, bad_case_cap, seed,
+                   ) -> tuple[MetricReport, list[BadCase]]:
+    """Parse and score one candidate's replies, and collect a seeded uniform
+    sample of its failures as bad cases."""
+    task = examples[0].task
     gold = {}
     predictions = {}
     failures = []
@@ -355,12 +371,26 @@ def evaluate(candidate: Candidate, examples: Sequence[ExampleRecord], backend: B
         predictions[ex.id] = pred
         if not _is_correct(task, ex.gold, pred):
             failures.append(BadCase(ex.id, ex.gold, pred))
-    report = score(task, gold, predictions, objective=objective)
+    report = score(task, gold, predictions, objective=objective, cls_average=cls_average)
     rng = random.Random(seed)
     if len(failures) > bad_case_cap:
         bad_cases = rng.sample(failures, bad_case_cap)
     else:
         bad_cases = list(failures)
+    return report, bad_cases
+
+
+def evaluate(candidate: Candidate, examples: Sequence[ExampleRecord], backend: Backend,
+             objective: str = "f1", bad_case_cap: int = 20, seed: int = 0,
+             model: str = "default", diagnose: bool = False, cls_average: str = "micro",
+             ) -> tuple[MetricReport, list[BadCase]]:
+    """Render the candidate prompt over every example, batch-generate, parse,
+    score, and collect a seeded uniform sample of failures as bad cases: the
+    one-candidate case of `evaluate_many`."""
+    report, bad_cases = evaluate_many(
+        [candidate], examples, backend, objective=objective, cls_average=cls_average,
+        bad_case_cap=bad_case_cap, seed=seed, model=model,
+    )[0]
     if diagnose and bad_cases:
         _diagnose(bad_cases, {ex.id: ex for ex in examples}, backend, model)
     return report, bad_cases

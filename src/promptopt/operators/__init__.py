@@ -1,9 +1,11 @@
 """Prompt-edit operator catalog.
 
-Template-backed operators build a chat request from a text template and
-parse a JSON response; local operators (cot, few_shot, repeat_instructions,
-merge in deterministic mode, self_consistency) transform sections without a
-model call. New template operators can be added by dropping a template file
+An operator runs in two steps. `plan_operator` either finishes a local
+operator (cot, few_shot, repeat_instructions, merge in deterministic mode)
+without a model call, or returns the requests a backend operator needs;
+`finish_operator` turns their replies into an edit. Template-backed
+operators build a chat request from a text template and parse a JSON
+response. New template operators can be added by dropping a template file
 and a manifest entry, no code changes needed.
 """
 
@@ -13,10 +15,12 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
-from ..backend import Backend, GenerationRequest, GenerationResponse, user_request
+from ..backend import Backend, BatchItem, GenerationRequest, GenerationResponse, user_request
 from ..errors import (
+    AuthError,
+    BackendError,
     EmptyDataset,
     IdenticalParents,
     KTooLarge,
@@ -47,19 +51,11 @@ OPERATOR_IDS = (
     "rag",
 )
 
-# operators that replace the target section's body via a single LLM call
-BODY_EDIT_LLM_OPS = ("rewrite", "refine", "reflect", "short_instruction", "rag",
-                     "diff_evolution")
-# operators that never contact the backend
-LOCAL_OPS = ("cot", "few_shot", "repeat_instructions")
-
 COT_SCAFFOLD = (
     "Work step by step: first restate what this part of the task requires, "
     "then reason through the input against each requirement, and only then "
     "produce the answer."
 )
-
-DEFAULT_OPERATORS = OPERATOR_IDS
 
 
 def load_registry(manifest_path=None) -> dict[str, str]:
@@ -107,7 +103,7 @@ class ToyRetriever(Retriever):
             overlap = sum(1 for t in doc_tokens if t in set(q_tokens))
             scored.append((-overlap, idx, doc))
         scored.sort()
-        return [doc for neg, _, doc in scored[:k] if -neg > 0 or True][:k]
+        return [doc for _, _, doc in scored[:k]]
 
 
 @dataclass(frozen=True)
@@ -456,11 +452,12 @@ class EditResult:
 NOOP = EditResult(kind="noop")
 
 
-def apply_operator(op: str, ctx: OperatorContext, backend: Optional[Backend] = None,
-                   consistency_samples: int = 3) -> EditResult:
-    """Run one operator end to end. LLM-backed operators build a request,
-    call the backend, and parse; local operators transform directly.
-    Unparseable responses come back as a no-op."""
+def plan_operator(op: str, ctx: OperatorContext,
+                  consistency_samples: int = 3) -> Union[EditResult, tuple[GenerationRequest, ...]]:
+    """First step of an operator. A local operator comes back finished, as
+    an EditResult; a backend operator comes back as the requests it needs
+    (one, or `consistency_samples` for self_consistency), whose replies go
+    to `finish_operator`."""
     if op not in OPERATOR_IDS:
         raise UnknownOperator(op)
     section = ctx.target_section
@@ -484,30 +481,39 @@ def apply_operator(op: str, ctx: OperatorContext, backend: Optional[Backend] = N
         merged = merge_deterministic(ctx.sibling_candidates, ctx.objective)
         return EditResult("prompt", new_prompt=merged)
     if op == "self_consistency":
-        if backend is None:
-            raise MissingContext("self_consistency needs a backend to sample bodies")
-        req = build_request("refine", ctx)
+        return (build_request("refine", ctx),) * consistency_samples
+    try:
+        return (build_request(op, ctx),)
+    except IdenticalParents:
+        return NOOP
+
+
+def finish_operator(op: str, ctx: OperatorContext,
+                    replies: Sequence[BatchItem]) -> EditResult:
+    """Second step of a backend operator: turn the replies to the requests
+    `plan_operator` returned, in the same order, into an edit. Unparseable
+    replies come back as a no-op. A failed reply is raised when it is an
+    AuthError, or when no reply arrived at all."""
+    errors = [r for r in replies if isinstance(r, BackendError)]
+    for err in errors:
+        if isinstance(err, AuthError):
+            raise err
+    texts = [r.text for r in replies if isinstance(r, GenerationResponse)]
+    if errors and not texts:
+        raise errors[0]
+    section = ctx.target_section
+
+    if op == "self_consistency":
         bodies = []
-        raw_last = ""
-        for res in backend.generate_batch([req] * consistency_samples):
-            if isinstance(res, GenerationResponse):
-                raw_last = res.text
-                outcome = parse_operator_response("refine", res.text, section.name)
-                if outcome.parse_ok:
-                    bodies.append(outcome.new_body)
+        for text in texts:
+            outcome = parse_operator_response("refine", text, section.name)
+            if outcome.parse_ok:
+                bodies.append(outcome.new_body)
         if not bodies:
             return NOOP
         return EditResult("body", section_id=section.id, new_body=self_consistency(bodies))
 
-    # template-backed single-call operators
-    if backend is None:
-        raise MissingContext("operator %r needs a backend" % op)
-    try:
-        req = build_request(op, ctx)
-    except IdenticalParents:
-        return NOOP
-    res = backend.generate(req)
-    outcome = parse_operator_response(op, res.text, section.name)
+    outcome = parse_operator_response(op, texts[0], section.name)
     if not outcome.parse_ok:
         return NOOP
     if op == "define_sort":
@@ -520,3 +526,16 @@ def apply_operator(op: str, ctx: OperatorContext, backend: Optional[Backend] = N
     if outcome.new_body == section.body:
         return NOOP
     return EditResult("body", section_id=section.id, new_body=outcome.new_body)
+
+
+def apply_operator(op: str, ctx: OperatorContext, backend: Optional[Backend] = None,
+                   consistency_samples: int = 3) -> EditResult:
+    """Run one operator end to end: plan it, send a backend operator's
+    requests as one batch, and finish it. Unparseable responses come back
+    as a no-op."""
+    planned = plan_operator(op, ctx, consistency_samples)
+    if isinstance(planned, EditResult):
+        return planned
+    if backend is None:
+        raise MissingContext("operator %r needs a backend" % op)
+    return finish_operator(op, ctx, backend.generate_batch(planned))

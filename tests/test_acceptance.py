@@ -2,6 +2,7 @@
 when its checks hold. Run with `pytest tests/test_acceptance.py -s` to see the
 per-criterion summary."""
 
+import hashlib
 import json
 import random
 import time
@@ -313,7 +314,8 @@ class _HashOracle(MockBackend):
 
     def generate(self, req):
         text = req.messages[-1][1]
-        digest = hash((self.salt, text)) & 0xFFFF
+        key = ("%s\x1f%s" % (self.salt, text)).encode("utf-8")
+        digest = int.from_bytes(hashlib.sha256(key).digest()[:2], "big")
         if "optimization method" in text:  # a section-edit request
             out = json.dumps({"s0": "variant %d of the instruction" % digest})
         else:

@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from promptopt.backend import MockBackend
+from promptopt.backend import GenerationResponse, MockBackend
 from promptopt.engine import (
     RunConfig,
     config_from_dict,
@@ -13,10 +14,11 @@ from promptopt.engine import (
     run_id_for,
     train,
 )
-from promptopt.errors import ConfigError
+from promptopt.errors import AuthError, BackendTimeout, ConfigError
 from promptopt.evaluation import ExampleRecord
 from promptopt.matrix import load_matrix
 from promptopt.msgd_rl import ExperienceStore, read_experience, save_experience
+from promptopt.operators import COT_SCAFFOLD
 from promptopt.prompt_model import Candidate, candidate_from_dict
 
 from conftest import body_json, make_prompt
@@ -304,6 +306,174 @@ class TestTrain:
             "iter_%03d" % len(report.iterations)) / "matrix.json"
         m = load_matrix(last)
         assert np.array_equal(m.q, store.matrix.q)
+
+
+# the refine template names its target section here; evaluation prompts never
+# contain it
+OPERATOR_TARGET = re.compile(r"Below is a (\S+) of a Prompt")
+
+
+class Recording(MockBackend):
+    """Records every backend call. Operator requests get a numbered body;
+    evaluation requests get the example's label, wrong for `wrong_ids`."""
+
+    def __init__(self, examples, wrong_ids=()):
+        super().__init__([])
+        self.examples = examples
+        self.wrong_ids = set(wrong_ids)
+        self.calls = []  # ("batch" | "single", [(request text, reply text)])
+        self.variants = 0
+
+    def _reply(self, text):
+        if OPERATOR_TARGET.search(text):
+            self.variants += 1
+            out = json.dumps({"body": "variant %03d" % self.variants})
+        else:
+            ex = next(ex for ex in self.examples if ex.input in text)
+            label = ex.gold if ex.id not in self.wrong_ids else "B" if ex.gold == "A" else "A"
+            out = json.dumps({"label": label})
+        res = GenerationResponse(text=out)
+        self.usage.add(res)
+        return res
+
+    def generate(self, req):
+        res = self._reply(req.messages[-1][1])
+        self.calls.append(("single", [(req.messages[-1][1], res.text)]))
+        return res
+
+    def generate_batch(self, reqs):
+        out = [self._reply(r.messages[-1][1]) for r in reqs]
+        self.calls.append(("batch", [(r.messages[-1][1], o.text)
+                                     for r, o in zip(reqs, out)]))
+        return out
+
+
+REQUESTS_PER_PAIR = {"refine": 1, "self_consistency": 3, "cot": 0}
+
+
+class TestRoundTrips:
+    def _check_eval_batch(self, call, examples):
+        kind, items = call
+        assert kind == "batch" and items and len(items) % len(examples) == 0
+        blocks = [items[i:i + len(examples)] for i in range(0, len(items), len(examples))]
+        for block in blocks:  # (candidate, example) order
+            for ex, (text, _) in zip(examples, block):
+                assert ex.input in text
+        return [block[0][0] for block in blocks]
+
+    @pytest.mark.parametrize("optimizer", ["msgd", "msgd_rl"])
+    def test_two_round_trips_per_iteration(self, tmp_path, optimizer):
+        data = cls_dataset(6)
+        template = make_prompt(
+            ["Classify the item as A or B.", "Answer with one label.",
+             'Return JSON: {"label": ""}'],
+            editable=[True, True, False],
+        )
+        cfg = small_config(iterations=3, beam_init=2, optimizer=optimizer, pairs_per_epoch=3,
+                           operators=("refine", "self_consistency", "cot"),
+                           output_dir=str(tmp_path))
+        backend = Recording(data, wrong_ids={"00"})
+        _, report, _ = train(cfg, data, data, template, backend)
+        calls = backend.calls
+        assert all(kind == "batch" for kind, _ in calls)
+
+        # initialization: the refine batch, then one evaluation batch
+        assert [OPERATOR_TARGET.search(t).group(1) for t, _ in calls[0][1]] == \
+            ["s0", "s0", "s1", "s1"]
+        assert len(self._check_eval_batch(calls[1], data)) == 2
+        at = 2
+        for row in report.iterations:
+            pairs = [(s["section"], s["operator"]) for s in row["selections"]]
+            assert len(pairs) == 3 and not row["failed"]
+            # every operator request of the iteration, in pair order
+            want = [sec for sec, op in pairs for _ in range(REQUESTS_PER_PAIR[op])]
+            replies = iter(calls[at][1])
+            assert [OPERATOR_TARGET.search(t).group(1) for t, _ in calls[at][1]] == want
+            at += 1
+            # then every edited candidate in one batch, in pair order
+            prompts = self._check_eval_batch(calls[at], data)
+            at += 1
+            assert len(prompts) == len(pairs)
+            for (sec, op), prompt in zip(pairs, prompts):
+                own = [next(replies)[1] for _ in range(REQUESTS_PER_PAIR[op])]
+                if op == "cot":
+                    assert COT_SCAFFOLD in prompt
+                else:
+                    assert any(json.loads(r)["body"] in prompt for r in own)
+        # the test set, in one batch
+        assert len(self._check_eval_batch(calls[at], data)) == 1
+        assert at + 1 == len(calls)
+
+
+class FailingOperators(MockBackend):
+    """Fails every operator request with `error`; evaluation requests are
+    answered from the script."""
+
+    def __init__(self, script, error=BackendTimeout):
+        super().__init__(script)
+        self.error = error
+
+    def generate(self, req):
+        if OPERATOR_TARGET.search(req.messages[-1][1]):
+            raise self.error("operator backend down")
+        return super().generate(req)
+
+
+class TestOperatorFailure:
+    @pytest.mark.parametrize("optimizer", ["msgd", "msgd_rl"])
+    def test_failed_pair_is_skipped(self, tmp_path, optimizer):
+        data = cls_dataset(8)
+        cfg = small_config(iterations=2, optimizer=optimizer, pairs_per_epoch=4,
+                           operators=("refine", "cot"), output_dir=str(tmp_path))
+        backend = FailingOperators(oracle_script(data, wrong_ids={"00"}))
+        _, report, store = train(cfg, data, data, base_template(), backend)
+        assert len(report.iterations) == 2
+        for row in report.iterations:
+            assert sorted((f["section"], f["operator"], f["error"]) for f in row["failed"]) == [
+                ("s0", "refine", "BackendTimeout"), ("s1", "refine", "BackendTimeout")]
+            assert [s["operator"] for s in row["selections"]] == ["cot", "cot"]
+        q = store.matrix.q
+        assert np.all(q[:, store.matrix.operators.index("refine")] == 1.0 / 6)
+        if optimizer == "msgd_rl":
+            assert np.all(q[:2, store.matrix.operators.index("cot")] != 1.0 / 6)
+
+    def test_iteration_with_every_pair_failed(self, tmp_path):
+        data = cls_dataset(8)
+        cfg = small_config(iterations=2, optimizer="msgd_rl", pairs_per_epoch=2,
+                           operators=("refine",), output_dir=str(tmp_path))
+        backend = FailingOperators(oracle_script(data, wrong_ids={"00"}))
+        _, report, store = train(cfg, data, data, base_template(), backend)
+        assert [len(row["failed"]) for row in report.iterations] == [2, 2]
+        assert all(row["selections"] == [] for row in report.iterations)
+        assert np.all(store.matrix.q == 1.0 / 3)
+
+    def test_auth_error_ends_run(self, tmp_path):
+        data = cls_dataset(8)
+        cfg = small_config(iterations=2, operators=("refine",), output_dir=str(tmp_path))
+        backend = FailingOperators(oracle_script(data, wrong_ids={"00"}), error=AuthError)
+        with pytest.raises(AuthError):
+            train(cfg, data, data, base_template(), backend)
+
+
+class TestClsAverage:
+    def test_macro_run_differs_from_micro(self, tmp_path):
+        # 18 A and 2 B, and the model always answers A
+        data = [ExampleRecord("%02d" % i, "CLS", "item %02d please" % i, "B" if i < 2 else "A")
+                for i in range(20)]
+        script = [{"match": {"contains": "please"}, "response": json.dumps({"label": "A"})},
+                  {"response": "pass"}]
+        scores = {}
+        for average in ("micro", "macro"):
+            cfg = small_config(iterations=1, cls_average=average,
+                               output_dir=str(tmp_path / average))
+            _, report, _ = train(cfg, data, data, base_template(), MockBackend(script))
+            scores[average] = (report.iterations[0]["best"], report.final_test_objective)
+        assert scores["micro"] == (pytest.approx(0.9), pytest.approx(0.9))
+        assert scores["macro"] == (pytest.approx(0.9 / 1.9), pytest.approx(0.9 / 1.9))
+
+    def test_unknown_average_rejected(self):
+        with pytest.raises(ConfigError):
+            small_config(cls_average="weighted").validate()
 
 
 def load_matrix_like(sections, operators, dominant):

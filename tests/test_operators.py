@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from promptopt.backend import MockBackend
+from promptopt.backend import GenerationResponse, MockBackend
 from promptopt.errors import (
+    AuthError,
+    BackendTimeout,
     EmptyDataset,
     IdenticalParents,
     KTooLarge,
@@ -23,9 +25,11 @@ from promptopt.operators import (
     build_request,
     cot_scaffold,
     few_shot_sample,
+    finish_operator,
     load_registry,
     merge_deterministic,
     parse_operator_response,
+    plan_operator,
     repeat_instructions,
     self_consistency,
 )
@@ -442,3 +446,31 @@ class TestApplyOperator:
     def test_llm_op_without_backend(self):
         with pytest.raises(MissingContext):
             apply_operator("refine", ctx_for(section()))
+
+
+class TestPlanAndFinish:
+    def test_local_operator_is_finished_by_plan(self):
+        edit = plan_operator("cot", ctx_for(section(body="Classify.")))
+        assert edit.kind == "body" and COT_SCAFFOLD in edit.new_body
+
+    def test_self_consistency_plans_identical_samples(self):
+        sec = section()
+        reqs = plan_operator("self_consistency", ctx_for(sec))
+        assert reqs == (build_request("refine", ctx_for(sec)),) * 3
+
+    def test_self_consistency_skips_failed_samples(self):
+        sec = section()
+        replies = [GenerationResponse(body_json(sec.name, "abc")), BackendTimeout("slow"),
+                   GenerationResponse(body_json(sec.name, "abc"))]
+        assert finish_operator("self_consistency", ctx_for(sec), replies).new_body == "abc"
+
+    def test_no_reply_arrived_raises(self):
+        for op, n in (("refine", 1), ("self_consistency", 3)):
+            with pytest.raises(BackendTimeout):
+                finish_operator(op, ctx_for(section()), [BackendTimeout("slow")] * n)
+
+    def test_auth_error_raises(self):
+        sec = section()
+        replies = [GenerationResponse(body_json(sec.name, "abc")), AuthError("401")]
+        with pytest.raises(AuthError):
+            finish_operator("self_consistency", ctx_for(sec), replies)
