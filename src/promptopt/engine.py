@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import logging
 import math
@@ -36,6 +37,7 @@ from .errors import (
     SectionSetMismatch,
 )
 from .evaluation import BadCase, ExampleRecord, evaluate, evaluate_many
+from .fileio import write_text_atomic
 from .matrix import (
     GradientObservation,
     SelectionPair,
@@ -522,25 +524,23 @@ class _Trainer:
 
     def _write_report(self):
         _write_json(self.run_dir / "report.json", self.report.to_dict())
-        with open(self.run_dir / "report.csv", "w", newline="", encoding="utf-8") as fh:
-            op_ids = list(self.cfg.effective_operators())
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "best", "mean"] + ["count_%s" % o for o in op_ids])
-            for row in self.report.iterations:
-                counts = {o: 0 for o in op_ids}
-                for sel in row["selections"]:
-                    counts[sel["operator"]] += 1
-                writer.writerow(
-                    [row["iteration"], "%.6f" % row["best"], "%.6f" % row["mean"]]
-                    + [counts[o] for o in op_ids]
-                )
+        op_ids = list(self.cfg.effective_operators())
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["iteration", "best", "mean"] + ["count_%s" % o for o in op_ids])
+        for row in self.report.iterations:
+            counts = {o: 0 for o in op_ids}
+            for sel in row["selections"]:
+                counts[sel["operator"]] += 1
+            writer.writerow(
+                [row["iteration"], "%.6f" % row["best"], "%.6f" % row["mean"]]
+                + [counts[o] for o in op_ids]
+            )
+        write_text_atomic(self.run_dir / "report.csv", buf.getvalue())
 
 
 def _write_json(path, doc):
-    Path(path).write_text(
-        json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
-        encoding="utf-8", newline="\n",
-    )
+    write_text_atomic(path, json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def train(cfg: RunConfig, train_set: Sequence[ExampleRecord],

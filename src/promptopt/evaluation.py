@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .backend import Backend, GenerationResponse, user_request
-from .errors import AlignmentError, EmptyDataset, OutOfRange
+from .errors import AlignmentError, AuthError, EmptyDataset, OutOfRange
 from .jsontools import extract_first_json
 from .prompt_model import Candidate, render
 
@@ -47,7 +47,9 @@ class ExampleRecord:
     id: str
     task: str  # NER | CLS | MRC
     input: str
-    gold: object  # NER: {label: frozenset[(start, end)]}; CLS: label; MRC: answer string
+    # NER: {label: frozenset[(start, end)]}; CLS: label; MRC: the answer
+    # string, or a tuple of every gold answer when there are several
+    gold: object
 
     def __post_init__(self):
         if self.task == "NER":
@@ -181,19 +183,27 @@ def score(task: str, gold: Mapping[str, object], predictions: Mapping[str, objec
     raise ValueError("unknown task %r" % task)
 
 
+_NO_SPANS: frozenset = frozenset()
+
+
+def _span_set(spans):
+    """`spans` itself when it is already a set, else its distinct spans."""
+    return spans if isinstance(spans, (set, frozenset)) else frozenset(spans)
+
+
 def _score_ner(gold, predictions, objective) -> MetricReport:
     counts: dict[str, list[int]] = {}  # label -> [tp, fp, fn]
     for ex_id, gold_map in gold.items():
         pred = predictions[ex_id]
         pred_map = pred if isinstance(pred, dict) else {}
-        labels = set(gold_map) | set(pred_map)
-        for label in labels:
-            g = set(gold_map.get(label, ()))
-            p = set(pred_map.get(label, ()))
+        for label in gold_map.keys() | pred_map.keys():
+            g = _span_set(gold_map.get(label, _NO_SPANS))
+            p = _span_set(pred_map.get(label, _NO_SPANS))
+            tp = len(g & p)
             c = counts.setdefault(label, [0, 0, 0])
-            c[0] += len(g & p)
-            c[1] += len(p - g)
-            c[2] += len(g - p)
+            c[0] += tp
+            c[1] += len(p) - tp
+            c[2] += len(g) - tp
     per_label = {}
     tot_tp = tot_fp = tot_fn = 0
     for label, (tp, fp, fn) in counts.items():
@@ -264,12 +274,20 @@ def _mrc_prf(gold_text: str, pred_text: str) -> tuple[float, float, float]:
     return prec, rec, f1
 
 
+def _mrc_best_prf(gold, pred_text: str) -> tuple[float, float, float]:
+    """Token P/R/F1 against the gold answer, or against the gold answer with
+    the highest F1 when `gold` is a sequence of answers (SQuAD)."""
+    if isinstance(gold, str):
+        return _mrc_prf(gold, pred_text)
+    return max((_mrc_prf(g, pred_text) for g in gold), key=lambda prf: prf[2])
+
+
 def _score_mrc(gold, predictions, objective) -> MetricReport:
     ps, rs, fs = [], [], []
     for ex_id, g in gold.items():
         pred = predictions[ex_id]
         pred_text = pred if isinstance(pred, str) else ""
-        p, r, f = _mrc_prf(g, pred_text)
+        p, r, f = _mrc_best_prf(g, pred_text)
         ps.append(p)
         rs.append(r)
         fs.append(f)
@@ -287,7 +305,8 @@ def load_dataset(path, task: str, inclusive_end: bool = False) -> list[ExampleRe
     """Read a JSONL dataset. NER lines use the nested
     {"label": {"<type>": {"<mention>": [[start, end]]}}} layout (half-open
     spans; pass inclusive_end=True for raw Cluener files); CLS lines are
-    {"text", "label"}; MRC lines are {"context", "question", "answers"}."""
+    {"text", "label"}; MRC lines are {"context", "question", "answers"}, and
+    every entry of "answers" is kept as gold."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh):
@@ -309,8 +328,8 @@ def load_dataset(path, task: str, inclusive_end: bool = False) -> list[ExampleRe
             elif task == "CLS":
                 records.append(ExampleRecord(ex_id, "CLS", doc["text"], doc["label"]))
             elif task == "MRC":
-                answers = doc.get("answers") or []
-                gold = answers[0] if answers else ""
+                answers = doc.get("answers") or [""]
+                gold = answers[0] if len(answers) == 1 else tuple(answers)
                 text = "Question: %s\nContext: %s" % (doc["question"], doc["context"])
                 records.append(ExampleRecord(ex_id, "MRC", text, gold))
             else:
@@ -321,14 +340,6 @@ def load_dataset(path, task: str, inclusive_end: bool = False) -> list[ExampleRe
 # ---------------------------------------------------------------------------
 # candidate evaluation
 
-DIAGNOSIS_TEMPLATE = (
-    "A prompt produced a wrong answer.\n"
-    "Input:\n{input}\n\nExpected:\n{expected}\n\nPredicted:\n{predicted}\n\n"
-    'Briefly explain the likely cause of the error. Return the result directly '
-    'in JSON format: {{"reason": ""}}'
-)
-
-
 def evaluate_many(candidates: Sequence[Candidate], examples: Sequence[ExampleRecord],
                   backend: Backend, objective: str = "f1", cls_average: str = "micro",
                   bad_case_cap: int = 20, seed: int = 0, model: str = "default",
@@ -336,7 +347,8 @@ def evaluate_many(candidates: Sequence[Candidate], examples: Sequence[ExampleRec
     """Score every candidate on the same examples with one backend batch of
     len(candidates) x len(examples) requests in (candidate, example) order.
     Each candidate's report and bad cases are what `evaluate` would give it
-    alone."""
+    alone. A failed request scores as a format failure, except an AuthError,
+    which is raised: the first one in the batch ends the evaluation."""
     if not examples:
         raise EmptyDataset("cannot evaluate on an empty dataset")
     if not candidates:
@@ -366,6 +378,8 @@ def _score_results(examples, results, objective, cls_average, bad_case_cap, seed
         gold[ex.id] = ex.gold
         if isinstance(res, GenerationResponse):
             pred = parse_prediction(task, res.text)
+        elif isinstance(res, AuthError):
+            raise res  # no later request can succeed: end the run
         else:
             pred = FORMAT_FAILURE
         predictions[ex.id] = pred
@@ -382,18 +396,15 @@ def _score_results(examples, results, objective, cls_average, bad_case_cap, seed
 
 def evaluate(candidate: Candidate, examples: Sequence[ExampleRecord], backend: Backend,
              objective: str = "f1", bad_case_cap: int = 20, seed: int = 0,
-             model: str = "default", diagnose: bool = False, cls_average: str = "micro",
+             model: str = "default", cls_average: str = "micro",
              ) -> tuple[MetricReport, list[BadCase]]:
     """Render the candidate prompt over every example, batch-generate, parse,
     score, and collect a seeded uniform sample of failures as bad cases: the
     one-candidate case of `evaluate_many`."""
-    report, bad_cases = evaluate_many(
+    return evaluate_many(
         [candidate], examples, backend, objective=objective, cls_average=cls_average,
         bad_case_cap=bad_case_cap, seed=seed, model=model,
     )[0]
-    if diagnose and bad_cases:
-        _diagnose(bad_cases, {ex.id: ex for ex in examples}, backend, model)
-    return report, bad_cases
 
 
 def _is_correct(task: str, gold, pred) -> bool:
@@ -404,31 +415,5 @@ def _is_correct(task: str, gold, pred) -> bool:
         p = {k: frozenset(v) for k, v in pred.items() if v}
         return g == p
     if task == "MRC":
-        return _mrc_prf(gold, pred if isinstance(pred, str) else "")[2] == 1.0
+        return _mrc_best_prf(gold, pred if isinstance(pred, str) else "")[2] == 1.0
     return gold == pred
-
-
-def _diagnose(bad_cases: list[BadCase], examples, backend: Backend, model: str):
-    reqs = []
-    for bc in bad_cases:
-        ex = examples[bc.example_id]
-        text = DIAGNOSIS_TEMPLATE.format(
-            input=ex.input, expected=_show(bc.expected), predicted=_show(bc.predicted)
-        )
-        reqs.append(user_request(text, model=model))
-    for bc, res in zip(bad_cases, backend.generate_batch(reqs)):
-        if isinstance(res, GenerationResponse):
-            doc = extract_first_json(res.text)
-            if isinstance(doc, dict) and isinstance(doc.get("reason"), str):
-                bc.reason = doc["reason"]
-
-
-def _show(answer) -> str:
-    if answer is FORMAT_FAILURE:
-        return "<unparseable output>"
-    if isinstance(answer, dict):
-        return json.dumps(
-            {k: sorted(list(map(list, v))) for k, v in answer.items()},
-            ensure_ascii=False, sort_keys=True,
-        )
-    return str(answer)

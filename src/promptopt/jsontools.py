@@ -3,46 +3,28 @@
 from __future__ import annotations
 
 import json
+import re
 from typing import Any, Optional
+
+_DECODER = json.JSONDecoder()
+_OPENER = re.compile(r"[{\[]")
 
 
 def extract_first_json(text: str) -> Optional[Any]:
-    """Return the first parseable JSON object or array embedded in `text`,
-    or None. Scans for balanced braces/brackets so surrounding prose and
-    ```json fences are ignored."""
-    for start, opener, closer in _candidate_spans(text):
-        depth = 0
-        in_string = False
-        escape = False
-        for i in range(start, len(text)):
-            c = text[i]
-            if in_string:
-                if escape:
-                    escape = False
-                elif c == "\\":
-                    escape = True
-                elif c == '"':
-                    in_string = False
-                continue
-            if c == '"':
-                in_string = True
-            elif c == opener:
-                depth += 1
-            elif c == closer:
-                depth -= 1
-                if depth == 0:
-                    chunk = text[start : i + 1]
-                    try:
-                        return json.loads(chunk)
-                    except json.JSONDecodeError:
-                        break
-        # unbalanced or invalid: try the next opener
+    """Return the first JSON object or array embedded in `text` that decodes,
+    or None. Decoding is tried at each `{` or `[` in turn, so surrounding
+    prose and ```json fences are ignored."""
+    match = _OPENER.search(text)
+    end = None
+    while match is not None:
+        start = match.start()
+        try:
+            return _DECODER.raw_decode(text, start)[0]
+        except (json.JSONDecodeError, RecursionError):
+            pass  # invalid, unclosed or nested too deep here
+        if end is None:
+            # no value starts after the last closer, so a long unclosed run
+            # such as "[" * 4000 ends the search at once
+            end = max(text.rfind("}"), text.rfind("]"))
+        match = _OPENER.search(text, start + 1, end)
     return None
-
-
-def _candidate_spans(text):
-    for i, c in enumerate(text):
-        if c == "{":
-            yield i, "{", "}"
-        elif c == "[":
-            yield i, "[", "]"

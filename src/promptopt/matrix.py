@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CountTooLarge, EmptyAxis, MissingLogits, ZeroMass
+from .fileio import write_text_atomic
 
 Q_FLOOR = 1e-4
 
@@ -149,9 +150,7 @@ def matrix_from_dict(doc: dict) -> TransitionMatrix:
 
 
 def save_matrix(m: TransitionMatrix, path):
-    Path(path).write_text(
-        json.dumps(matrix_to_dict(m), indent=2) + "\n", encoding="utf-8", newline="\n"
-    )
+    write_text_atomic(path, json.dumps(matrix_to_dict(m), indent=2) + "\n")
 
 
 def load_matrix(path) -> TransitionMatrix:

@@ -24,6 +24,7 @@ from .errors import (
     InvalidHyperparameter,
     VersionMismatch,
 )
+from .fileio import write_text_atomic
 from .matrix import (
     Q_FLOOR,
     GradientObservation,
@@ -157,9 +158,7 @@ def save_experience(store: ExperienceStore, path) -> None:
         "created_at": store.created_at,
         "updated_at": store.updated_at,
     }
-    Path(path).write_text(
-        json.dumps(doc, indent=2) + "\n", encoding="utf-8", newline="\n"
-    )
+    write_text_atomic(path, json.dumps(doc, indent=2) + "\n")
 
 
 def read_experience(path) -> ExperienceStore:

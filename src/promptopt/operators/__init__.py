@@ -319,7 +319,9 @@ def _format_example(ex: ExampleRecord) -> str:
         }
         gold = json.dumps(doc, ensure_ascii=False)
     else:
-        gold = json.dumps({"answer": ex.gold}, ensure_ascii=False)
+        # an example with several gold answers shows the first
+        answer = ex.gold if isinstance(ex.gold, str) else ex.gold[0]
+        gold = json.dumps({"answer": answer}, ensure_ascii=False)
     return "Input: %s\nOutput: %s" % (ex.input, gold)
 
 

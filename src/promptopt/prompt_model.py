@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -84,6 +85,17 @@ class MetaPrompt:
         """Section bodies joined in position order, placeholder intact."""
         return SECTION_SEPARATOR.join(s.body for s in self.ordered_sections())
 
+    @cached_property
+    def _split_at_placeholder(self) -> tuple[int, str, str]:
+        """(placeholder count, skeleton before it, skeleton after it), worked
+        out once per prompt; the halves are empty unless the count is 1."""
+        skeleton = self.skeleton()
+        n = skeleton.count(self.input_placeholder)
+        if n != 1:
+            return n, "", ""
+        at = skeleton.find(self.input_placeholder)
+        return 1, skeleton[:at], skeleton[at + len(self.input_placeholder):]
+
     def fingerprint(self) -> str:
         canon = json.dumps(
             [s.body for s in self.ordered_sections()], ensure_ascii=False
@@ -94,8 +106,7 @@ class MetaPrompt:
 def render(prompt: MetaPrompt, input_text: str) -> str:
     """Concatenate section bodies in position order and substitute the input
     placeholder. Pure function of (prompt, input_text)."""
-    skeleton = prompt.skeleton()
-    n = skeleton.count(prompt.input_placeholder)
+    n, head, tail = prompt._split_at_placeholder
     if n == 0:
         raise MissingPlaceholder(
             "placeholder %r not found in prompt" % prompt.input_placeholder
@@ -104,7 +115,7 @@ def render(prompt: MetaPrompt, input_text: str) -> str:
         raise DuplicatePlaceholder(
             "placeholder %r occurs %d times" % (prompt.input_placeholder, n)
         )
-    return skeleton.replace(prompt.input_placeholder, input_text)
+    return head + input_text + tail
 
 
 def reorder(prompt: MetaPrompt, new_order: Sequence[str]) -> MetaPrompt:

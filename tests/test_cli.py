@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from promptopt import cli
+from promptopt.backend import MockBackend
 from promptopt.cli import main
+from promptopt.errors import AuthError
 from promptopt.msgd_rl import read_experience
 from promptopt.prompt_model import load_template, save_template
 
@@ -137,6 +140,18 @@ class TestTrain:
         main(["train", "--config", str(workspace / "config.json"), "--seed", "9"])
         second = json.loads(capsys.readouterr().out)["run_dir"]
         assert first != second
+
+    def test_auth_error_in_evaluation_exits_2(self, workspace, monkeypatch, capsys):
+        class RevokedKey(MockBackend):
+            def generate(self, req):
+                if "please" in req.messages[-1][1]:  # in every evaluation request only
+                    raise AuthError("HTTP 401")
+                return super().generate(req)
+
+        monkeypatch.setattr(cli, "build_backend",
+                            lambda *args: RevokedKey.from_file(workspace / "mock.json"))
+        assert main(["--json", "train", "--config", str(workspace / "config.json")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "AuthError"
 
     def test_config_without_template(self, workspace, capsys):
         doc = json.loads((workspace / "config.json").read_text())

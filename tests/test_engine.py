@@ -419,6 +419,20 @@ class FailingOperators(MockBackend):
         return super().generate(req)
 
 
+class FailingEvaluations(MockBackend):
+    """Fails every evaluation request with `error`; operator requests are
+    answered from the script."""
+
+    def __init__(self, script, error=AuthError):
+        super().__init__(script)
+        self.error = error
+
+    def generate(self, req):
+        if not OPERATOR_TARGET.search(req.messages[-1][1]):
+            raise self.error("key revoked")
+        return super().generate(req)
+
+
 class TestOperatorFailure:
     @pytest.mark.parametrize("optimizer", ["msgd", "msgd_rl"])
     def test_failed_pair_is_skipped(self, tmp_path, optimizer):
@@ -451,6 +465,14 @@ class TestOperatorFailure:
         data = cls_dataset(8)
         cfg = small_config(iterations=2, operators=("refine",), output_dir=str(tmp_path))
         backend = FailingOperators(oracle_script(data, wrong_ids={"00"}), error=AuthError)
+        with pytest.raises(AuthError):
+            train(cfg, data, data, base_template(), backend)
+
+    @pytest.mark.parametrize("optimizer", ["msgd", "msgd_rl"])
+    def test_auth_error_in_evaluation_ends_run(self, tmp_path, optimizer):
+        data = cls_dataset(8)
+        cfg = small_config(iterations=2, optimizer=optimizer, output_dir=str(tmp_path))
+        backend = FailingEvaluations(oracle_script(data, wrong_ids={"00"}))
         with pytest.raises(AuthError):
             train(cfg, data, data, base_template(), backend)
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from promptopt.backend import MockBackend
-from promptopt.errors import AlignmentError, EmptyDataset, OutOfRange
+from promptopt.errors import AlignmentError, AuthError, BackendTimeout, EmptyDataset, OutOfRange
 from promptopt.evaluation import (
     FORMAT_FAILURE,
     ExampleRecord,
@@ -120,6 +120,24 @@ class TestScoreNER:
         # tp + fn equals gold span count
         assert tot[0] + tot[2] == 3
 
+    def test_span_collection_types_agree(self):
+        def listed(spans):  # a list, with one span repeated
+            return sorted(spans) + sorted(spans)[:1]
+
+        def converted(doc, kind):
+            return {ex_id: {lbl: kind(spans) for lbl, spans in m.items()}
+                    if isinstance(m, dict) else m for ex_id, m in doc.items()}
+
+        rng = random.Random(77)
+        for _ in range(200):
+            gold, preds = random_ner_instance(rng)
+            reports = []
+            for kind in (listed, set, frozenset):
+                r = score("NER", converted(gold, kind), converted(preds, kind))
+                reports.append((r.as_dict(), {k: (m.tp, m.fp, m.fn)
+                                              for k, m in r.per_label.items()}))
+            assert reports[0] == reports[1] == reports[2]
+
 
 class TestScoreMRC:
     def test_exact_match(self):
@@ -138,6 +156,13 @@ class TestScoreMRC:
     def test_averaged_over_examples(self):
         rep = score("MRC", {"1": "a", "2": "b"}, {"1": "a", "2": "c"})
         assert rep.f1 == pytest.approx(0.5)
+
+    def test_best_of_several_gold_answers(self):
+        gold = {"1": ("the red car", "a bicycle"), "2": ("red apple pie", "apple pie crust")}
+        rep = score("MRC", gold, {"1": "A bicycle.", "2": "apple pie"})
+        # example 2: p = 1 against both answers, r = 2/3, so f1 = 0.8
+        assert rep.f1 == pytest.approx((1.0 + 0.8) / 2)
+        assert rep.recall == pytest.approx((1.0 + 2 / 3) / 2)
 
 
 def brute_force_ner(gold, preds):
@@ -277,6 +302,19 @@ class TestLoadDataset:
         assert rec.gold == "yes"
         assert "q?" in rec.input and "ctx" in rec.input
 
+    def test_mrc_keeps_every_answer(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps({"id": "q1", "context": "ctx", "question": "q?",
+                                    "answers": ["the red car", "a bicycle"]}), encoding="utf-8")
+        records = load_dataset(path, "MRC")
+        assert records[0].gold == ("the red car", "a bicycle")
+        # the reply matches only answers[1]
+        backend = MockBackend([{"response": json.dumps({"answer": "a bicycle"})}])
+        candidate = Candidate(prompt=make_prompt(["Answer."], placeholder_in=0))
+        rep, bad = evaluate(candidate, records, backend)
+        assert rep.f1 == 1.0
+        assert bad == []
+
     def test_bad_span_rejected(self):
         with pytest.raises(ValueError):
             ExampleRecord("1", "NER", "ab", {"x": frozenset({(0, 5)})})
@@ -321,3 +359,25 @@ class TestEvaluate:
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
             evaluate(self._candidate(), [], MockBackend([]))
+
+    @staticmethod
+    def _failing_on(needle, error, cls_examples):
+        class FailingOn(MockBackend):
+            def generate(self, req):
+                if needle in req.messages[-1][1]:
+                    raise error("backend failed on %s" % needle)
+                return super().generate(req)
+
+        return FailingOn([{"match": {"contains": ex.input}, "response":
+                           json.dumps({"label": ex.gold})} for ex in cls_examples])
+
+    def test_backend_error_scores_as_miss(self, cls_examples):
+        backend = self._failing_on("text 3", BackendTimeout, cls_examples)
+        rep, bad = evaluate(self._candidate(), cls_examples, backend)
+        assert (rep.precision, rep.recall) == (1.0, pytest.approx(0.9))
+        assert [(b.example_id, b.predicted) for b in bad] == [("3", FORMAT_FAILURE)]
+
+    def test_auth_error_is_raised(self, cls_examples):
+        backend = self._failing_on("text 3", AuthError, cls_examples)
+        with pytest.raises(AuthError):
+            evaluate(self._candidate(), cls_examples, backend)

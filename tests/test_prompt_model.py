@@ -200,6 +200,30 @@ class TestInvariants:
                 if sid != target:
                     assert after[sid] == before[sid]
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_render_matches_skeleton_replace(self, data):
+        # bodies may hold the placeholder zero, one or several times; each
+        # prompt, edited or reordered, is rendered twice with each input
+        body = st.text(alphabet="ab{}I\n", max_size=6) | st.sampled_from(
+            ["{{Input}}", "x {{Input}} y", "{{Input}}{{Input}}", "{{Inp", "ut}}"])
+        n = data.draw(st.integers(1, 4))
+        ids = ["s%d" % i for i in range(n)]
+        p = make_prompt([data.draw(body) for _ in range(n)],
+                        placeholder_in=data.draw(st.integers(0, n - 1)))
+        for _ in range(data.draw(st.integers(1, 4))):
+            count = p.skeleton().count(p.input_placeholder)
+            for text in (data.draw(st.text(max_size=8)), "{{Input}}") * 2:
+                if count == 1:
+                    assert render(p, text) == p.skeleton().replace(p.input_placeholder, text)
+                else:
+                    with pytest.raises(MissingPlaceholder if count == 0 else DuplicatePlaceholder):
+                        render(p, text)
+            if data.draw(st.booleans()):
+                p = p.with_body(data.draw(st.sampled_from(ids)), data.draw(body))
+            else:
+                p = reorder(p, data.draw(st.permutations(ids)))
+
     def test_fingerprint_collision_free(self):
         seen = set()
         for i in range(10_000):
