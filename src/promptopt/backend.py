@@ -5,6 +5,7 @@ execution and run-level token accounting."""
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import os
@@ -14,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
+from urllib.parse import urlsplit
 
 from .errors import (
     AuthError,
@@ -73,6 +75,8 @@ class RetryPolicy:
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        if not self.base_backoff_ms >= 0:
+            raise ValueError("base_backoff_ms must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -86,6 +90,18 @@ class BackendConfig:
     def __post_init__(self):
         if self.max_parallel < 1:
             raise ValueError("max_parallel must be >= 1")
+        if not self.timeout_ms > 0:
+            raise ValueError("timeout_ms must be > 0")
+        url = urlsplit(self.base_url)
+        if url.scheme not in ("http", "https"):
+            raise ValueError("base_url %r must start with http:// or https://"
+                             % self.base_url)
+        if not url.hostname:
+            raise ValueError("base_url %r has no host" % self.base_url)
+        try:
+            url.port  # raises on a port that is not a number in 0-65535
+        except ValueError as e:
+            raise ValueError("base_url %r: %s" % (self.base_url, e)) from None
 
 
 class UsageCounter:
@@ -150,8 +166,14 @@ class Backend:
 
 
 class HttpBackend(Backend):
-    """POSTs to {base_url}/chat/completions with bearer auth; retries 429/5xx
-    and timeouts with exponential backoff."""
+    """POSTs to {base_url}/chat/completions with bearer auth; retries 429/5xx,
+    timeouts and connection failures with exponential backoff.
+
+    Each attempt opens its own connection and closes it once the whole reply
+    is read. The client closes first, so a server that answers that close
+    with a reset leaves no TIME_WAIT socket behind; a reused connection
+    would stall on a server that writes headers and body in two sends with
+    Nagle's algorithm on."""
 
     RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 
@@ -159,21 +181,35 @@ class HttpBackend(Backend):
         self.config = config
         self.max_parallel = config.max_parallel
         self.usage = UsageCounter()
+        url = urlsplit(config.base_url)
+        self._connection_class = (
+            http.client.HTTPSConnection if url.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._host, self._port = url.hostname, url.port
+        self._path = url.path.rstrip("/") + "/chat/completions"
 
     def _api_key(self) -> str:
         key = os.environ.get(self.config.api_key_env_name, "")
         return key
 
-    def generate(self, req: GenerationRequest) -> GenerationResponse:
-        import requests
+    def _post(self, body: bytes, headers: dict) -> tuple[int, bytes]:
+        conn = self._connection_class(self._host, self._port,
+                                      timeout=self.config.timeout_ms / 1000.0)
+        try:
+            conn.request("POST", self._path, body=body, headers=headers)
+            resp = conn.getresponse()
+            return resp.status, resp.read()
+        finally:
+            conn.close()
 
-        url = self.config.base_url.rstrip("/") + "/chat/completions"
-        body = {
+    def generate(self, req: GenerationRequest) -> GenerationResponse:
+        body = json.dumps({
             "model": req.model,
             "messages": [{"role": r, "content": c} for r, c in req.messages],
             "temperature": req.temperature,
             "max_tokens": req.max_tokens,
-        }
+        }).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         key = self._api_key()
         if key:
@@ -186,31 +222,29 @@ class HttpBackend(Backend):
             if attempt:
                 time.sleep(policy.base_backoff_ms * (2 ** (attempt - 1)) / 1000.0)
             try:
-                resp = requests.post(
-                    url, json=body, headers=headers,
-                    timeout=self.config.timeout_ms / 1000.0,
-                )
-            except requests.Timeout:
+                status, data = self._post(body, headers)
+            except TimeoutError:  # socket.timeout is an alias since Python 3.10
                 last_err = BackendTimeout("request timed out (attempt %d)" % (attempt + 1))
                 continue
-            except requests.RequestException as e:
-                last_err = BackendError(str(e))
+            except (OSError, http.client.HTTPException) as e:
+                last_err = BackendError("%s: %s" % (type(e).__name__, e))
                 continue
-            if resp.status_code in (401, 403):
-                raise AuthError("HTTP %d from %s" % (resp.status_code, url))
-            if resp.status_code in self.RETRYABLE_STATUS:
+            if status in (401, 403):
+                raise AuthError("HTTP %d from %s" % (status, self.config.base_url))
+            if status in self.RETRYABLE_STATUS:
                 last_err = RateLimitedExhausted(
-                    "HTTP %d after %d attempts" % (resp.status_code, attempt + 1)
+                    "HTTP %d after %d attempts" % (status, attempt + 1)
                 )
                 continue
-            if resp.status_code != 200:
-                raise BackendError("HTTP %d: %s" % (resp.status_code, resp.text[:500]))
-            return self._parse(resp, start)
+            if status != 200:
+                raise BackendError("HTTP %d: %s" % (
+                    status, data[:500].decode("utf-8", "replace")))
+            return self._parse(data, start)
         raise last_err if last_err is not None else BackendError("retries exhausted")
 
-    def _parse(self, resp, start) -> GenerationResponse:
+    def _parse(self, data: bytes, start) -> GenerationResponse:
         try:
-            doc = resp.json()
+            doc = json.loads(data)
             text = doc["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as e:
             raise MalformedResponse("cannot parse completion: %s" % e)

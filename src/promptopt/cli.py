@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import shutil
@@ -79,23 +80,42 @@ def split_config(doc: dict) -> tuple[RunConfig, dict]:
 
 
 def build_backend(cfg: RunConfig, extra: dict, mock_script=None):
+    """The run's backend; settings it cannot use raise ConfigError before any
+    request is sent."""
     script_path = mock_script or extra.get("mock_script")
-    if script_path:
-        max_parallel = (extra.get("backend") or {}).get("max_parallel", 8)
-        return MockBackend.from_file(script_path, max_parallel=max_parallel)
     b = extra.get("backend") or {}
-    retry = b.get("retry") or {}
-    backend_cfg = BackendConfig(
-        base_url=b.get("base_url", "http://localhost:8000/v1"),
-        api_key_env_name=b.get("api_key_env_name", "PROMPTFLOW_API_KEY"),
-        max_parallel=b.get("max_parallel", 8),
-        retry=RetryPolicy(
-            max_attempts=retry.get("max_attempts", 3),
-            base_backoff_ms=retry.get("base_backoff_ms", 250.0),
-        ),
-        timeout_ms=b.get("timeout_ms", 60_000.0),
-    )
+    try:
+        if script_path:
+            return MockBackend.from_file(script_path,
+                                         max_parallel=b.get("max_parallel", 8))
+        retry = b.get("retry") or {}
+        backend_cfg = BackendConfig(
+            base_url=b.get("base_url", "http://localhost:8000/v1"),
+            api_key_env_name=b.get("api_key_env_name", "PROMPTFLOW_API_KEY"),
+            max_parallel=b.get("max_parallel", 8),
+            retry=RetryPolicy(
+                max_attempts=retry.get("max_attempts", 3),
+                base_backoff_ms=retry.get("base_backoff_ms", 250.0),
+            ),
+            timeout_ms=b.get("timeout_ms", 60_000.0),
+        )
+    except (ValueError, TypeError) as e:
+        raise ConfigError("backend: %s" % e) from None
     return HttpBackend(backend_cfg)
+
+
+def _inputs_digest(paths) -> str:
+    """sha256 over the bytes of each input file in order; an empty path stands
+    for an input the run does not have."""
+    h = hashlib.sha256()
+    for path in paths:
+        if not path:
+            h.update(b"-\n")
+            continue
+        data = Path(path).read_bytes()
+        h.update(b"%d\n" % len(data))
+        h.update(data)
+    return h.hexdigest()
 
 
 def _emit_error(err: Exception, as_json: bool):
@@ -137,7 +157,8 @@ def cmd_init(args) -> int:
 
 def cmd_validate_config(args) -> int:
     doc = load_config(args.config, args.set, args.seed)
-    split_config(doc)
+    cfg, extra = split_config(doc)
+    build_backend(cfg, extra, args.mock_script)
     print("config OK")
     return 0
 
@@ -152,8 +173,11 @@ def cmd_train(args) -> int:
     train_set = load_dataset(extra["train_data"], cfg.task)
     test_set = load_dataset(extra["test_data"], cfg.task) if extra.get("test_data") else []
     backend = build_backend(cfg, extra, args.mock_script)
-    best, report, _store = train(cfg, train_set, test_set, template, backend)
-    run_dir = Path(cfg.output_dir) / run_id_for(cfg)
+    inputs = _inputs_digest([extra["template"], extra["train_data"], extra.get("test_data"),
+                             args.mock_script or extra.get("mock_script")])
+    run_dir = Path(cfg.output_dir) / run_id_for(cfg, inputs=inputs)
+    best, report, _store = train(cfg, train_set, test_set, template, backend,
+                                 run_dir=run_dir)
     summary = {
         "run_dir": str(run_dir),
         "iterations_run": len(report.iterations),

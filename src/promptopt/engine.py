@@ -153,8 +153,14 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return doc
 
 
-def run_id_for(cfg: RunConfig) -> str:
-    canon = json.dumps(config_to_dict(cfg), sort_keys=True)
+def run_id_for(cfg: RunConfig, inputs: Optional[str] = None) -> str:
+    """12 hex digits naming the run directory. `inputs` is a digest of the
+    run's input files, so runs that differ only in their data get their own
+    directory; without it the id depends on the config alone."""
+    doc = config_to_dict(cfg)
+    if inputs is not None:
+        doc = {"config": doc, "inputs": inputs}
+    canon = json.dumps(doc, sort_keys=True)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 

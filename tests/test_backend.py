@@ -1,7 +1,11 @@
+import contextlib
+import gc
 import json
+import socket
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import warnings
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 
@@ -14,7 +18,14 @@ from promptopt.backend import (
     RetryPolicy,
     user_request,
 )
-from promptopt.errors import AuthError, ScriptExhausted
+from promptopt.errors import (
+    AuthError,
+    BackendError,
+    BackendTimeout,
+    MalformedResponse,
+    RateLimitedExhausted,
+    ScriptExhausted,
+)
 
 
 def req(text, **kw):
@@ -93,6 +104,26 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             BackendConfig(max_parallel=0)
 
+    @pytest.mark.parametrize("base_url", [
+        "localhost:8000/v1", "ftp://localhost/v1", "http:///v1",
+        "http://localhost:99999/v1", "http://localhost:port/v1",
+    ])
+    def test_unusable_base_url_rejected(self, base_url):
+        with pytest.raises(ValueError):
+            BackendConfig(base_url=base_url)
+
+    @pytest.mark.parametrize("base_url", [
+        "http://localhost:8000/v1", "https://api.example.com/v1/", "http://[::1]:8000",
+    ])
+    def test_usable_base_url_accepted(self, base_url):
+        BackendConfig(base_url=base_url)
+
+    def test_timeout_and_backoff_validation(self):
+        with pytest.raises(ValueError):
+            BackendConfig(timeout_ms=0)
+        with pytest.raises(ValueError):
+            RetryPolicy(base_backoff_ms=-1.0)
+
 
 class _StubHandler(BaseHTTPRequestHandler):
     # class-level script: list of (status, body) consumed per request
@@ -129,6 +160,7 @@ def stub_server():
     thread.start()
     yield server, _StubHandler
     server.shutdown()
+    server.server_close()
 
 
 def _http_backend(server, attempts=3):
@@ -189,6 +221,150 @@ class TestHttpBackend:
             {"role": "system", "content": "be brief"},
             {"role": "user", "content": "hi"},
         ]
+
+
+OK_REPLY = json.dumps({
+    "choices": [{"message": {"content": "ok"}}],
+    "usage": {"prompt_tokens": 1, "completion_tokens": 1},
+}).encode()
+
+
+class _QuietServer(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        pass  # a stalled handler writes to a socket the client has closed
+
+
+def _handler(reply, log, keep_alive=False):
+    """A handler that appends each request's path and headers to `log` and
+    answers with `reply()` -> (status, body bytes)."""
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+        timeout = 5  # a client that never closes ends the handler, not the test
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            log.append((self.path, dict(self.headers)))
+            status, data = reply()
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args):
+            pass
+
+    return Handler
+
+
+@contextlib.contextmanager
+def _serving(handler):
+    server = _QuietServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield "http://127.0.0.1:%d" % server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()  # joins the handler threads
+        thread.join(5)
+        assert not thread.is_alive()
+
+
+def _backend(base_url, attempts=3, timeout_ms=5000, max_parallel=8):
+    return HttpBackend(BackendConfig(
+        base_url=base_url, max_parallel=max_parallel, timeout_ms=timeout_ms,
+        retry=RetryPolicy(max_attempts=attempts, base_backoff_ms=1.0),
+    ))
+
+
+class TestHttpFailurePaths:
+    def test_stall_times_out_after_every_attempt(self):
+        release, log = threading.Event(), []
+
+        def stall():
+            release.wait(5)
+            return 200, OK_REPLY
+
+        with _serving(_handler(stall, log)) as url:
+            try:
+                with pytest.raises(BackendTimeout):
+                    _backend(url, attempts=3, timeout_ms=100).generate(req("slow"))
+            finally:
+                release.set()
+        assert len(log) == 3
+
+    def test_closed_port_is_a_batch_item(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        backend = _backend("http://127.0.0.1:%d/v1" % port, attempts=2)
+        out = backend.generate_batch([req("a"), req("b")])
+        assert [type(item) for item in out] == [BackendError, BackendError]
+        assert backend.usage.requests == 0
+
+    def test_503_on_every_attempt(self):
+        log = []
+        with _serving(_handler(lambda: (503, b"{}"), log)) as url:
+            with pytest.raises(RateLimitedExhausted):
+                _backend(url, attempts=3).generate(req("busy"))
+        assert len(log) == 3
+
+    def test_200_with_non_json_body(self):
+        with _serving(_handler(lambda: (200, b"<html>oops</html>"), [])) as url:
+            with pytest.raises(MalformedResponse):
+                _backend(url).generate(req("x"))
+
+    def test_400_carries_body_snippet_without_retry(self):
+        log = []
+        reply = (400, b'{"error": "max_tokens is too large"}')
+        with _serving(_handler(lambda: reply, log)) as url:
+            with pytest.raises(BackendError) as info:
+                _backend(url).generate(req("x"))
+        assert type(info.value) is BackendError
+        assert "HTTP 400" in str(info.value)
+        assert "max_tokens is too large" in str(info.value)
+        assert len(log) == 1
+
+    @pytest.mark.parametrize("prefix, path", [
+        ("", "/chat/completions"),
+        ("/", "/chat/completions"),
+        ("/proxy/v1", "/proxy/v1/chat/completions"),
+        ("/proxy/v1/", "/proxy/v1/chat/completions"),
+    ])
+    def test_path_prefix_is_kept(self, prefix, path):
+        log = []
+        with _serving(_handler(lambda: (200, OK_REPLY), log)) as url:
+            assert _backend(url + prefix).generate(req("x")).text == "ok"
+        assert [p for p, _ in log] == [path]
+
+    def test_one_connection_per_request_closed_by_client(self):
+        lock = threading.Lock()
+        conns = {"opened": 0, "closed_by_client": 0}
+        log = []
+
+        class Counting(_handler(lambda: (200, OK_REPLY), log, keep_alive=True)):
+            def handle(self):
+                with lock:
+                    conns["opened"] += 1
+                super().handle()
+                if not self.raw_requestline:  # EOF before a next request
+                    with lock:
+                        conns["closed_by_client"] += 1
+
+        n = 24
+        with warnings.catch_warnings(record=True) as caught:
+            # record, not "error": a warning raised in __del__ cannot propagate
+            warnings.simplefilter("always", ResourceWarning)
+            with _serving(Counting) as url:
+                out = _backend(url, max_parallel=4).generate_batch(
+                    [req(str(i)) for i in range(n)])
+            gc.collect()
+        assert [r.text for r in out] == ["ok"] * n
+        assert conns == {"opened": n, "closed_by_client": n}
+        assert all(h.get("Connection", "").lower() != "close" for _, h in log)
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestBoundedParallelism:

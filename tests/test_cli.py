@@ -153,6 +153,43 @@ class TestTrain:
         assert main(["--json", "train", "--config", str(workspace / "config.json")]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "AuthError"
 
+    def test_runs_with_different_train_files_keep_their_dirs(self, workspace, capsys):
+        config = str(workspace / "config.json")
+        assert main(["train", "--config", config]) == 0
+        first = json.loads(capsys.readouterr().out)["run_dir"]
+        lines = cls_lines(8)
+        (workspace / "train.jsonl").write_text(
+            "\n".join(json.dumps(d) for d in lines) + "\n")
+        assert main(["train", "--config", config]) == 0
+        second = json.loads(capsys.readouterr().out)["run_dir"]
+        assert main(["train", "--config", config]) == 0
+        again = json.loads(capsys.readouterr().out)["run_dir"]
+        assert first != second == again
+        reports = sorted((workspace / "runs").glob("*/report.json"))
+        assert sorted(str(p.parent) for p in reports) == sorted([first, second])
+
+    @pytest.mark.parametrize("backend, needle", [
+        ({"base_url": "localhost:8000/v1"}, "base_url"),
+        ({"max_parallel": 0}, "max_parallel"),
+        ({"timeout_ms": "fast"}, "backend: "),
+    ])
+    def test_unusable_backend_exits_one_before_any_request(self, workspace, monkeypatch,
+                                                           capsys, backend, needle):
+        def no_request(self, req):
+            raise AssertionError("request sent")
+
+        monkeypatch.setattr(cli.HttpBackend, "generate", no_request)
+        args = ["train", "--config", str(workspace / "config.json"),
+                "--set", "mock_script=null", "--set", "backend=" + json.dumps(backend)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
+        assert main(["--json"] + args) == 1
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "ConfigError" and needle in doc["message"]
+        assert main(["validate-config"] + args[1:]) == 1
+        assert not (workspace / "runs").exists()
+
     def test_config_without_template(self, workspace, capsys):
         doc = json.loads((workspace / "config.json").read_text())
         del doc["template"]

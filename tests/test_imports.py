@@ -1,0 +1,50 @@
+"""The program runs on the standard library and numpy: no promptopt module
+may pull in `requests` or `urllib3`."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import promptopt
+
+BANNED = {"requests", "urllib3"}
+PACKAGE = Path(promptopt.__file__).resolve().parent
+
+IMPORT_ALL = """
+import importlib, json, pkgutil, sys
+import promptopt
+names = [m.name for m in pkgutil.walk_packages(promptopt.__path__, "promptopt.")]
+for name in names:
+    importlib.import_module(name)
+print(json.dumps({"modules": names, "loaded": sorted(sys.modules)}))
+"""
+
+
+def test_importing_every_module_loads_neither():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_ALL], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert {"promptopt.backend", "promptopt.cli", "promptopt.engine"} <= set(doc["modules"])
+    assert BANNED.isdisjoint(doc["loaded"])
+
+
+def test_no_import_statement_names_either():
+    # also catches an import inside a function, which importing the module
+    # does not run
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += ["%s: %s" % (path.name, n) for n in names
+                      if n.split(".")[0] in BANNED]
+    assert found == []
