@@ -270,7 +270,7 @@ class MockBackend(Backend):
     FIFO). Hash and contains entries are reusable; fallback entries are
     consumed once each. When fallback entries run out the last one is
     replayed so long runs stay deterministic (or ScriptExhausted is raised if
-    `strict` is set).
+    `strict` is set). A script of any other shape raises ValueError.
     """
 
     def __init__(self, script: Sequence[dict] = (), strict: bool = False,
@@ -283,9 +283,18 @@ class MockBackend(Backend):
         self._contains: list[tuple[str, str]] = []
         self._fifo: list[str] = []
         self._fifo_pos = 0
-        for entry in script:
+        if not isinstance(script, (list, tuple)):
+            raise ValueError("mock script must be a list of entries, not %s"
+                             % type(script).__name__)
+        for i, entry in enumerate(script):
+            if not isinstance(entry, dict):
+                raise ValueError("mock script entry %d is not an object" % i)
             match = entry.get("match", {}) or {}
-            response = entry["response"]
+            if not isinstance(match, dict):
+                raise ValueError("mock script entry %d: \"match\" is not an object" % i)
+            response = entry.get("response")
+            if not isinstance(response, str):
+                raise ValueError("mock script entry %d: \"response\" must be a string" % i)
             if "hash" in match:
                 self._by_hash[match["hash"]] = response
             elif "contains" in match:

@@ -166,8 +166,9 @@ def cmd_validate_config(args) -> int:
 def cmd_train(args) -> int:
     doc = load_config(args.config, args.set, args.seed)
     cfg, extra = split_config(doc)
-    if "template" not in extra:
-        raise ConfigError("config must set 'template'")
+    for key in ("template", "train_data"):
+        if key not in extra:
+            raise ConfigError("config must set %r" % key)
     template = load_template(extra["template"], task_kind=cfg.task,
                              labels=extra.get("labels", []))
     train_set = load_dataset(extra["train_data"], cfg.task)

@@ -33,7 +33,6 @@ from .errors import (
     KTooLarge,
     MissingContext,
     NonEditableSection,
-    RetrieverUnavailable,
     SectionSetMismatch,
 )
 from .evaluation import BadCase, ExampleRecord, evaluate, evaluate_many
@@ -102,9 +101,7 @@ class RunConfig:
         return 5 if self.optimizer == "msgd_rl" else 2
 
     def effective_operators(self) -> tuple[str, ...]:
-        if self.operators:
-            return tuple(self.operators)
-        return tuple(o for o in ops.OPERATOR_IDS if o != "rag")
+        return tuple(self.operators) or ops.OPERATOR_IDS
 
     def validate(self) -> None:
         if self.iterations < 1:
@@ -301,11 +298,10 @@ def update_matrix(m: TransitionMatrix, observations: Sequence[GradientObservatio
 
 class _Trainer:
     def __init__(self, cfg: RunConfig, train_set, test_set, template: MetaPrompt,
-                 backend: Backend, retriever=None, run_dir=None):
+                 backend: Backend, run_dir=None):
         cfg.validate()
         self.cfg = cfg
         self.backend = backend
-        self.retriever = retriever
         self.template = template
         self.rng = np.random.default_rng(cfg.seed)
         self.train_set = self._slice(train_set)
@@ -327,9 +323,6 @@ class _Trainer:
         for i, sid in enumerate(sections):
             if sid in editable_ids:
                 mask[i, :] = True
-        if retriever is None and "rag" in operators:
-            j = operators.index("rag")
-            mask[:, j] = False
         self.eligible = mask
         self.epochs_trained = 0
 
@@ -368,7 +361,6 @@ class _Trainer:
             sibling_candidates=tuple(pool),
             bad_cases=tuple(self.bad_cases.get(base.fingerprint, ())),
             dataset=tuple(self.train_set),
-            retriever=self.retriever,
             rng_seed=self.cfg.seed * 1_000_003 + iteration * 101 + pair_index,
             model=self.cfg.model,
             temperature=self.cfg.operator_temperature,
@@ -384,7 +376,7 @@ class _Trainer:
         try:
             return ops.plan_operator(pair.operator, ctx)
         except (MissingContext, SectionSetMismatch, EmptyDataset,
-                KTooLarge, RetrieverUnavailable, NonEditableSection):
+                KTooLarge, NonEditableSection):
             return ops.NOOP
 
     @staticmethod
@@ -551,9 +543,8 @@ def _write_json(path, doc):
 
 def train(cfg: RunConfig, train_set: Sequence[ExampleRecord],
           test_set: Sequence[ExampleRecord], template: MetaPrompt,
-          backend: Backend, retriever=None, run_dir=None,
+          backend: Backend, run_dir=None,
           ) -> tuple[Candidate, RunReport, ExperienceStore]:
     """Run the full optimization loop and return the best candidate, the run
     report, and the learned experience."""
-    return _Trainer(cfg, train_set, test_set, template, backend,
-                    retriever=retriever, run_dir=run_dir).run()
+    return _Trainer(cfg, train_set, test_set, template, backend, run_dir=run_dir).run()

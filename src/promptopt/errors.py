@@ -39,10 +39,6 @@ class SectionSetMismatch(PromptOptError):
     pass
 
 
-class RetrieverUnavailable(PromptOptError):
-    pass
-
-
 class EmptyDataset(PromptOptError):
     pass
 
@@ -99,10 +95,6 @@ class EmptyAxis(PromptOptError):
 
 
 class ZeroMass(PromptOptError):
-    pass
-
-
-class MissingLogits(PromptOptError):
     pass
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .backend import Backend, GenerationResponse, user_request
-from .errors import AlignmentError, AuthError, EmptyDataset, OutOfRange
+from .errors import AlignmentError, AuthError, CorruptFile, EmptyDataset, OutOfRange
 from .jsontools import extract_first_json
 from .prompt_model import Candidate, render
 
@@ -306,35 +306,55 @@ def load_dataset(path, task: str, inclusive_end: bool = False) -> list[ExampleRe
     {"label": {"<type>": {"<mention>": [[start, end]]}}} layout (half-open
     spans; pass inclusive_end=True for raw Cluener files); CLS lines are
     {"text", "label"}; MRC lines are {"context", "question", "answers"}, and
-    every entry of "answers" is kept as gold."""
+    every entry of "answers" is kept as gold. A file that is not UTF-8, or a
+    line that is not a JSON object of that layout, raises CorruptFile naming
+    the file and the line."""
+    if task not in ("NER", "CLS", "MRC"):
+        raise ValueError("unknown task %r" % task)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as e:
+        raise CorruptFile("%s: not UTF-8 text (%s)" % (path, e)) from None
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
+    for lineno, line in enumerate(lines):
+        line = line.strip()
+        if not line:
+            continue
+        where = "%s line %d" % (path, lineno + 1)
+        try:
             doc = json.loads(line)
-            ex_id = str(doc.get("id", lineno))
-            if task == "NER":
-                text = doc["text"]
-                gold = {}
-                for label, mentions in (doc.get("label") or {}).items():
-                    spans = set()
-                    for _, span_list in mentions.items():
-                        for s, e in span_list:
-                            spans.add((s, e + 1) if inclusive_end else (s, e))
-                    gold[label] = frozenset(spans)
-                records.append(ExampleRecord(ex_id, "NER", text, gold))
-            elif task == "CLS":
-                records.append(ExampleRecord(ex_id, "CLS", doc["text"], doc["label"]))
-            elif task == "MRC":
-                answers = doc.get("answers") or [""]
-                gold = answers[0] if len(answers) == 1 else tuple(answers)
-                text = "Question: %s\nContext: %s" % (doc["question"], doc["context"])
-                records.append(ExampleRecord(ex_id, "MRC", text, gold))
-            else:
-                raise ValueError("unknown task %r" % task)
+        except json.JSONDecodeError:
+            raise CorruptFile("%s: not valid JSON" % where) from None
+        if not isinstance(doc, dict):
+            raise CorruptFile("%s: not a JSON object" % where)
+        try:
+            records.append(_record(doc, task, str(doc.get("id", lineno)), inclusive_end))
+        except KeyError as e:
+            raise CorruptFile("%s: missing field %s" % (where, e)) from None
+        except (AttributeError, TypeError, ValueError) as e:
+            raise CorruptFile("%s: %s" % (where, e)) from None
     return records
+
+
+def _record(doc: dict, task: str, ex_id: str, inclusive_end: bool) -> ExampleRecord:
+    if task == "NER":
+        gold = {}
+        for label, mentions in (doc.get("label") or {}).items():
+            spans = set()
+            for _, span_list in mentions.items():
+                for s, e in span_list:
+                    spans.add((s, e + 1) if inclusive_end else (s, e))
+            gold[label] = frozenset(spans)
+        return ExampleRecord(ex_id, "NER", doc["text"], gold)
+    if task == "CLS":
+        return ExampleRecord(ex_id, "CLS", doc["text"], doc["label"])
+    answers = doc.get("answers") or [""]
+    if not isinstance(answers, list) or not all(isinstance(a, str) for a in answers):
+        raise ValueError('"answers" must be a list of strings')
+    gold = answers[0] if len(answers) == 1 else tuple(answers)
+    text = "Question: %s\nContext: %s" % (doc["question"], doc["context"])
+    return ExampleRecord(ex_id, "MRC", text, gold)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,6 @@
 
 The table holds nonnegative values Q[section, operator]; normalizing the
 whole table gives the probability of picking operator j to edit section i.
-An optional logits table supports softmax-based selection instead of
-value-proportional selection.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CountTooLarge, EmptyAxis, MissingLogits, ZeroMass
+from .errors import CountTooLarge, EmptyAxis, ZeroMass
 from .fileio import write_text_atomic
 
 Q_FLOOR = 1e-4
@@ -26,7 +24,6 @@ class TransitionMatrix:
     sections: tuple[str, ...]
     operators: tuple[str, ...]
     q: np.ndarray  # shape (len(sections), len(operators)), nonnegative
-    logits: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=np.float64)
@@ -51,19 +48,13 @@ class TransitionMatrix:
         self.q[i, j] = value
 
     def copy(self) -> "TransitionMatrix":
-        return TransitionMatrix(
-            self.sections,
-            self.operators,
-            self.q.copy(),
-            None if self.logits is None else self.logits.copy(),
-        )
+        return TransitionMatrix(self.sections, self.operators, self.q.copy())
 
 
 @dataclass(frozen=True)
 class SelectionPair:
     section: str
     operator: str
-    q_at_selection: float
 
 
 @dataclass(frozen=True)
@@ -87,30 +78,22 @@ def init_uniform(sections: Sequence[str], operators: Sequence[str]) -> Transitio
     return TransitionMatrix(tuple(sections), tuple(operators), q)
 
 
-def selection_distribution(m: TransitionMatrix, mode: str = "value_proportional") -> np.ndarray:
+def selection_distribution(m: TransitionMatrix) -> np.ndarray:
     """Probability of each (section, operator) cell: the q table normalized
-    by its sum, or a whole-matrix softmax of the logits."""
-    if mode == "value_proportional":
-        total = m.q.sum()
-        if total <= 0:
-            raise ZeroMass("matrix sum is zero; cannot normalize")
-        return m.q / total
-    if mode == "softmax_logits":
-        if m.logits is None:
-            raise MissingLogits("matrix has no logits table")
-        z = np.exp(m.logits - m.logits.max())
-        return z / z.sum()
-    raise ValueError("unknown mode %r" % mode)
+    by its sum."""
+    total = m.q.sum()
+    if total <= 0:
+        raise ZeroMass("matrix sum is zero; cannot normalize")
+    return m.q / total
 
 
 def select_pairs(m: TransitionMatrix, count: int, rng: np.random.Generator,
-                 eligible: Optional[np.ndarray] = None,
-                 mode: str = "value_proportional") -> list[SelectionPair]:
+                 eligible: Optional[np.ndarray] = None) -> list[SelectionPair]:
     """Sample `count` distinct cells without replacement, each draw
     proportional to the current distribution restricted to the remaining
     cells. `eligible` is an optional boolean mask (e.g. editable sections
     only)."""
-    probs = selection_distribution(m, mode=mode).copy()
+    probs = selection_distribution(m).copy()
     if eligible is not None:
         probs = np.where(eligible, probs, 0.0)
     flat = probs.ravel()
@@ -127,9 +110,7 @@ def select_pairs(m: TransitionMatrix, count: int, rng: np.random.Generator,
         idx = int(rng.choice(len(weights), p=weights / total))
         weights[idx] = 0.0
         i, j = divmod(idx, n_ops)
-        chosen.append(
-            SelectionPair(m.sections[i], m.operators[j], float(m.q[i, j]))
-        )
+        chosen.append(SelectionPair(m.sections[i], m.operators[j]))
     return chosen
 
 

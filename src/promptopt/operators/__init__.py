@@ -1,12 +1,13 @@
 """Prompt-edit operator catalog.
 
 An operator runs in two steps. `plan_operator` either finishes a local
-operator (cot, few_shot, repeat_instructions, merge in deterministic mode)
-without a model call, or returns the requests a backend operator needs;
-`finish_operator` turns their replies into an edit. Template-backed
-operators build a chat request from a text template and parse a JSON
-response. New template operators can be added by dropping a template file
-and a manifest entry, no code changes needed.
+operator (cot, few_shot, repeat_instructions, merge) without a model call,
+or returns the requests a backend operator needs; `finish_operator` turns
+their replies into an edit. Template-backed operators build a chat request
+from a text template and parse a JSON response. The manifest maps each of
+them to its template file; a new operator needs its id in `OPERATOR_IDS`
+(`load_registry` rejects any other) and its own branch in `build_request`
+when the template takes more than the section's name and body.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from ..errors import (
     KTooLarge,
     MissingContext,
     NonEditableSection,
-    RetrieverUnavailable,
     SectionSetMismatch,
     UnknownOperator,
 )
@@ -48,8 +48,10 @@ OPERATOR_IDS = (
     "short_instruction",
     "self_consistency",
     "repeat_instructions",
-    "rag",
 )
+
+# self_consistency asks refine this many times and keeps the most typical body
+CONSISTENCY_SAMPLES = 3
 
 COT_SCAFFOLD = (
     "Work step by step: first restate what this part of the task requires, "
@@ -81,31 +83,6 @@ def _registry() -> dict[str, str]:
     return _REGISTRY
 
 
-class Retriever:
-    """Interface for RAG knowledge sources."""
-
-    def retrieve(self, query: str, k: int) -> list[str]:
-        raise NotImplementedError
-
-
-class ToyRetriever(Retriever):
-    """In-memory corpus ranked by whitespace-token overlap with the query;
-    ties broken by document index."""
-
-    def __init__(self, corpus: Sequence[str]):
-        self.corpus = list(corpus)
-
-    def retrieve(self, query: str, k: int) -> list[str]:
-        q_tokens = query.split()
-        scored = []
-        for idx, doc in enumerate(self.corpus):
-            doc_tokens = doc.split()
-            overlap = sum(1 for t in doc_tokens if t in set(q_tokens))
-            scored.append((-overlap, idx, doc))
-        scored.sort()
-        return [doc for _, _, doc in scored[:k]]
-
-
 @dataclass(frozen=True)
 class OperatorContext:
     target_section: Section
@@ -113,7 +90,6 @@ class OperatorContext:
     sibling_candidates: tuple[Candidate, ...] = ()
     bad_cases: tuple = ()
     dataset: tuple[ExampleRecord, ...] = ()
-    retriever: Optional[Retriever] = None
     rng_seed: int = 0
     model: str = "default"
     temperature: float = 0.7
@@ -127,7 +103,6 @@ class OperatorContext:
 class OperatorOutcome:
     new_body: Optional[str] = None
     new_order: Optional[tuple[str, ...]] = None
-    raw_response: str = ""
     parse_ok: bool = False
 
 
@@ -138,7 +113,7 @@ def _fill(template: str, **subs) -> str:
     return out
 
 
-def _parent_list(parents: Sequence[Candidate], section_id: str, objective: str) -> tuple[list, str]:
+def _parent_list(parents: Sequence[Candidate], section_id: str, objective: str) -> str:
     """Parents sorted by descending score with their target-section bodies,
     rendered as a numbered block."""
     def key(c: Candidate):
@@ -152,7 +127,7 @@ def _parent_list(parents: Sequence[Candidate], section_id: str, objective: str) 
         s = cand.latest_score(objective)
         score_text = "unscored" if s is None else "%.5f" % s
         lines.append("Variant %d (score %s):\n%s" % (i, score_text, body))
-    return ordered, "\n\n".join(lines)
+    return "\n\n".join(lines)
 
 
 def build_request(op: str, ctx: OperatorContext) -> GenerationRequest:
@@ -174,14 +149,13 @@ def build_request(op: str, ctx: OperatorContext) -> GenerationRequest:
             raise MissingContext("reflect requires at least one bad case")
         reasons = [bc.reason or _default_reason(bc) for bc in ctx.bad_cases]
         subs["Bad_Case_Reason_List"] = json.dumps(reasons, ensure_ascii=False)
-    elif op in ("diff_evolution", "merge"):
+    elif op == "diff_evolution":
         if len(ctx.sibling_candidates) < 2:
-            raise MissingContext("%s requires at least 2 sibling candidates" % op)
+            raise MissingContext("diff_evolution requires at least 2 sibling candidates")
         bodies = {c.prompt.section_by_id(section.id).body for c in ctx.sibling_candidates}
-        if op == "diff_evolution" and len(bodies) < 2:
+        if len(bodies) < 2:
             raise IdenticalParents("parents share the same %r body" % section.id)
-        _, block = _parent_list(ctx.sibling_candidates, section.id, ctx.objective)
-        subs["Parent_List"] = block
+        subs["Parent_List"] = _parent_list(ctx.sibling_candidates, section.id, ctx.objective)
     elif op == "define_sort":
         if ctx.prompt is None:
             raise MissingContext("define_sort needs the full prompt")
@@ -190,15 +164,9 @@ def build_request(op: str, ctx: OperatorContext) -> GenerationRequest:
             for s in ctx.prompt.ordered_sections()
         ]
         subs["Section_List"] = "\n".join(lines)
-    elif op == "rag":
-        if ctx.retriever is None:
-            raise RetrieverUnavailable("no retriever registered")
-        snippets = ctx.retriever.retrieve(section.body or section.name, 3)
-        subs["Snippet_List"] = "\n".join("- %s" % s for s in snippets) if snippets else "(none)"
 
     text = _fill(template, **subs)
-    temperature = 0.0 if op == "merge" else ctx.temperature
-    return user_request(text, model=ctx.model, temperature=temperature)
+    return user_request(text, model=ctx.model, temperature=ctx.temperature)
 
 
 def _default_reason(bc) -> str:
@@ -217,11 +185,11 @@ def parse_operator_response(op: str, raw: str, section_name: Optional[str] = Non
         elif isinstance(doc, dict) and isinstance(doc.get("order"), list):
             order = doc["order"]
         if order and all(isinstance(x, str) for x in order):
-            return OperatorOutcome(new_order=tuple(order), raw_response=raw, parse_ok=True)
-        return OperatorOutcome(raw_response=raw, parse_ok=False)
+            return OperatorOutcome(new_order=tuple(order), parse_ok=True)
+        return OperatorOutcome(parse_ok=False)
 
     if not isinstance(doc, dict):
-        return OperatorOutcome(raw_response=raw, parse_ok=False)
+        return OperatorOutcome(parse_ok=False)
     key = None
     if op == "reflect" and section_name is not None:
         key = "Improved %s description" % section_name
@@ -240,8 +208,8 @@ def parse_operator_response(op: str, raw: str, section_name: Optional[str] = Non
         if len(string_values) == 1:
             body = string_values[0]
     if body:
-        return OperatorOutcome(new_body=body, raw_response=raw, parse_ok=True)
-    return OperatorOutcome(raw_response=raw, parse_ok=False)
+        return OperatorOutcome(new_body=body, parse_ok=True)
+    return OperatorOutcome(parse_ok=False)
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +422,11 @@ class EditResult:
 NOOP = EditResult(kind="noop")
 
 
-def plan_operator(op: str, ctx: OperatorContext,
-                  consistency_samples: int = 3) -> Union[EditResult, tuple[GenerationRequest, ...]]:
+def plan_operator(op: str, ctx: OperatorContext) -> Union[EditResult, tuple[GenerationRequest, ...]]:
     """First step of an operator. A local operator comes back finished, as
     an EditResult; a backend operator comes back as the requests it needs
-    (one, or `consistency_samples` for self_consistency), whose replies go
-    to `finish_operator`."""
+    (one, or CONSISTENCY_SAMPLES for self_consistency), whose replies go to
+    `finish_operator`."""
     if op not in OPERATOR_IDS:
         raise UnknownOperator(op)
     section = ctx.target_section
@@ -483,7 +450,7 @@ def plan_operator(op: str, ctx: OperatorContext,
         merged = merge_deterministic(ctx.sibling_candidates, ctx.objective)
         return EditResult("prompt", new_prompt=merged)
     if op == "self_consistency":
-        return (build_request("refine", ctx),) * consistency_samples
+        return (build_request("refine", ctx),) * CONSISTENCY_SAMPLES
     try:
         return (build_request(op, ctx),)
     except IdenticalParents:
@@ -530,12 +497,11 @@ def finish_operator(op: str, ctx: OperatorContext,
     return EditResult("body", section_id=section.id, new_body=outcome.new_body)
 
 
-def apply_operator(op: str, ctx: OperatorContext, backend: Optional[Backend] = None,
-                   consistency_samples: int = 3) -> EditResult:
+def apply_operator(op: str, ctx: OperatorContext, backend: Optional[Backend] = None) -> EditResult:
     """Run one operator end to end: plan it, send a backend operator's
     requests as one batch, and finish it. Unparseable responses come back
     as a no-op."""
-    planned = plan_operator(op, ctx, consistency_samples)
+    planned = plan_operator(op, ctx)
     if isinstance(planned, EditResult):
         return planned
     if backend is None:

@@ -62,8 +62,8 @@ class TestCriterion1:
         assert norm_up == pytest.approx(0.03564, abs=1e-5)
         assert norm_down == pytest.approx(-0.03213, abs=1e-5)
 
-        m = msgd_update(m, SelectionPair("Address", "rewrite", 0.0625), norm_up, alpha=1.0)
-        m = msgd_update(m, SelectionPair("Book", "refine", 0.0625), norm_down, alpha=1.0)
+        m = msgd_update(m, SelectionPair("Address", "rewrite"), norm_up, alpha=1.0)
+        m = msgd_update(m, SelectionPair("Book", "refine"), norm_down, alpha=1.0)
         assert m.value("Address", "rewrite") == pytest.approx(0.0647, abs=5e-4)
         assert m.value("Book", "refine") == pytest.approx(0.0605, abs=5e-4)
 
@@ -95,7 +95,7 @@ class TestCriterion2:
             assert provisional_next_q(m.value(sec, op), g) == pytest.approx(want, abs=1e-3)
 
         obs = [
-            GradientObservation(SelectionPair(sec, op, m.value(sec, op)), prev, prev + g)
+            GradientObservation(SelectionPair(sec, op), prev, prev + g)
             for sec, op, prev, g in epoch
         ]
         out = apply_sarsa_updates(m, obs, sarsa_alpha=0.5, sarsa_gamma=0.5)

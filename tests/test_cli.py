@@ -197,6 +197,60 @@ class TestTrain:
         path.write_text(json.dumps(doc))
         assert main(["train", "--config", str(path)]) == 1
 
+    def test_config_without_train_data(self, workspace, capsys):
+        doc = json.loads((workspace / "config.json").read_text())
+        del doc["train_data"]
+        path = workspace / "bare.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error: config must set 'train_data'\n"
+
+    @pytest.mark.parametrize("script, needle", [
+        ([{"match": {}}], 'entry 0: "response" must be a string'),
+        ([{"response": "ok"}, {"response": 7}], 'entry 1: "response" must be a string'),
+        ([{"response": "ok"}, "pass"], "entry 1 is not an object"),
+        ([{"match": "pass", "response": "ok"}], 'entry 0: "match" is not an object'),
+        ({"response": "pass"}, "must be a list"),
+    ])
+    def test_malformed_mock_script_exits_one(self, workspace, capsys, script, needle):
+        (workspace / "mock.json").write_text(json.dumps(script))
+        for cmd in ("train", "validate-config"):
+            assert main([cmd, "--config", str(workspace / "config.json")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: backend: mock script ") and needle in err
+        assert not (workspace / "runs").exists()
+
+    def test_removed_rag_operator_exits_one_before_any_request(self, workspace, monkeypatch,
+                                                               capsys):
+        def no_request(self, req):
+            raise AssertionError("request sent")
+
+        monkeypatch.setattr(MockBackend, "generate", no_request)
+        for cmd in ("train", "validate-config"):
+            args = [cmd, "--config", str(workspace / "config.json"),
+                    "--set", 'operators=["refine", "rag"]']
+            assert main(args) == 1
+            assert capsys.readouterr().err == "error: unknown operator 'rag'\n"
+        assert not (workspace / "runs").exists()
+
+    @pytest.mark.parametrize("line, needle", [
+        ('{"text": "item 99", "label": "A"', "line 3: not valid JSON"),
+        ('{"label": "A"}', "line 3: missing field 'text'"),
+        ('["item 99", "A"]', "line 3: not a JSON object"),
+    ])
+    def test_malformed_dataset_line_exits_two(self, workspace, monkeypatch, capsys,
+                                              line, needle):
+        def no_request(self, req):
+            raise AssertionError("request sent")
+
+        monkeypatch.setattr(MockBackend, "generate", no_request)
+        lines = [json.dumps(d) for d in cls_lines(2)] + [line]
+        (workspace / "test.jsonl").write_text("\n".join(lines) + "\n")
+        assert main(["train", "--config", str(workspace / "config.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s " % (workspace / "test.jsonl")) and needle in err
+        assert not (workspace / "runs").exists()
+
 
 class TestEvaluate:
     def test_oracle_scores_clean_subset(self, workspace, capsys):
@@ -213,6 +267,20 @@ class TestEvaluate:
         out = json.loads(capsys.readouterr().out)
         assert out["f1"] == pytest.approx(1.0)
         assert out["bad_case_count"] == 0
+
+    def test_ner_span_past_the_text_exits_two(self, tmp_path, capsys):
+        save_template(make_prompt(["Find names.", "{{Input}}"]), tmp_path / "p.json")
+        rows = [{"text": "Anna went home", "label": {"name": {"Anna": [[0, 4]]}}},
+                {"text": "Bob", "label": {"name": {"Bob": [[0, 9]]}}}]
+        data = tmp_path / "d.jsonl"
+        data.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        (tmp_path / "mock.json").write_text(json.dumps([{"response": "{}"}]))
+        code = main(["evaluate", "--prompt", str(tmp_path / "p.json"),
+                     "--dataset", str(data), "--task", "NER",
+                     "--mock-script", str(tmp_path / "mock.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s line 2: bad span (0,9)" % data)
 
     def test_wrong_case_reported(self, workspace, capsys):
         code = main(["evaluate",

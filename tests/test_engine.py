@@ -11,14 +11,15 @@ from promptopt.engine import (
     config_to_dict,
     initialize_candidates,
     retain,
+    _Trainer,
     run_id_for,
     train,
 )
 from promptopt.errors import AuthError, BackendTimeout, ConfigError
 from promptopt.evaluation import ExampleRecord
-from promptopt.matrix import load_matrix
+from promptopt.matrix import TransitionMatrix, load_matrix
 from promptopt.msgd_rl import ExperienceStore, read_experience, save_experience
-from promptopt.operators import COT_SCAFFOLD
+from promptopt.operators import COT_SCAFFOLD, OPERATOR_IDS
 from promptopt.prompt_model import Candidate, candidate_from_dict
 
 from conftest import body_json, make_prompt
@@ -296,6 +297,24 @@ class TestTrain:
                              MockBackend(oracle_script(data, wrong_ids={"00"})))
         sel = report.iterations[0]["selections"][0]
         assert (sel["section"], sel["operator"]) == ("s0", "cot")
+
+    def test_experience_with_rag_column_loads_into_default_run(self, tmp_path):
+        # the operator vocabulary experience files were written with while
+        # the catalog still had "rag"
+        old_ops = ("rewrite", "refine", "reflect", "cot", "few_shot", "diff_evolution",
+                   "define_sort", "merge", "short_instruction", "self_consistency",
+                   "repeat_instructions", "rag")
+        sections = ("s0", "s1", "s2")
+        q = np.arange(1, 1 + len(sections) * len(old_ops), dtype=float).reshape(3, -1)
+        exp_path = tmp_path / "prior.json"
+        save_experience(ExperienceStore.new(TransitionMatrix(sections, old_ops, q), "CLS"),
+                        exp_path)
+        cfg = RunConfig(task="CLS", experience_in=str(exp_path), output_dir=str(tmp_path))
+        trainer = _Trainer(cfg, cls_dataset(4), [], base_template(), MockBackend([]))
+        m = trainer.matrix
+        assert m.sections == sections and m.operators == OPERATOR_IDS
+        for j, op in enumerate(OPERATOR_IDS):
+            assert np.array_equal(m.q[:, j], q[:, old_ops.index(op)])
 
     def test_matrix_checkpoint_matches_store(self, tmp_path):
         data = cls_dataset(8)

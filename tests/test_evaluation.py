@@ -4,7 +4,14 @@ import random
 import pytest
 
 from promptopt.backend import MockBackend
-from promptopt.errors import AlignmentError, AuthError, BackendTimeout, EmptyDataset, OutOfRange
+from promptopt.errors import (
+    AlignmentError,
+    AuthError,
+    BackendTimeout,
+    CorruptFile,
+    EmptyDataset,
+    OutOfRange,
+)
 from promptopt.evaluation import (
     FORMAT_FAILURE,
     ExampleRecord,
@@ -314,6 +321,33 @@ class TestLoadDataset:
         rep, bad = evaluate(candidate, records, backend)
         assert rep.f1 == 1.0
         assert bad == []
+
+    @pytest.mark.parametrize("task, line, needle", [
+        ("CLS", "not json", "line 2: not valid JSON"),
+        ("CLS", '{"text": "x"}', "line 2: missing field 'label'"),
+        ("CLS", "[1, 2]", "line 2: not a JSON object"),
+        ("MRC", '{"context": "c", "answers": ["a"]}', "line 2: missing field 'question'"),
+        ("MRC", '{"context": "c", "question": "q", "answers": "a"}',
+         'line 2: "answers" must be a list of strings'),
+        ("NER", '{"text": "ab", "label": {"x": {"ab": [[0, 5]]}}}', "line 2: bad span (0,5)"),
+        ("NER", '{"text": "ab", "label": {"x": {"ab": [[0]]}}}', "line 2: "),
+        ("NER", '{"text": "ab", "label": ["x"]}', "line 2: "),
+    ])
+    def test_malformed_line_names_file_and_line(self, tmp_path, task, line, needle):
+        good = {"CLS": {"text": "t", "label": "A"},
+                "MRC": {"context": "c", "question": "q", "answers": ["a"]},
+                "NER": {"text": "ab", "label": {}}}[task]
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(good) + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(CorruptFile) as err:
+            load_dataset(path, task)
+        assert str(err.value).startswith("%s line 2: " % path) and needle in str(err.value)
+
+    def test_not_utf8_names_file(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b'{"text": "caf\xe9", "label": "A"}\n')
+        with pytest.raises(CorruptFile, match="not UTF-8 text"):
+            load_dataset(path, "CLS")
 
     def test_bad_span_rejected(self):
         with pytest.raises(ValueError):

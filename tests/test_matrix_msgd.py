@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +7,6 @@ from promptopt.errors import (
     CountTooLarge,
     EmptyAxis,
     InvalidAlpha,
-    MissingLogits,
     ZeroBaseline,
     ZeroMass,
 )
@@ -56,12 +53,6 @@ class TestSelectionDistribution:
         p = selection_distribution(uniform)
         assert np.allclose(p, 0.0625)
 
-    def test_softmax_logits(self):
-        logits = np.array([[0.0, math.log(2)], [0.0, 0.0]])
-        m = TransitionMatrix(("a", "b"), ("x", "y"), np.full((2, 2), 0.25), logits)
-        p = selection_distribution(m, mode="softmax_logits")
-        assert np.allclose(p, np.array([[0.2, 0.4], [0.2, 0.2]]))
-
     def test_point_mass(self):
         q = np.zeros((2, 2))
         q[1, 0] = 0.3
@@ -74,16 +65,12 @@ class TestSelectionDistribution:
         with pytest.raises(ZeroMass):
             selection_distribution(m)
 
-    def test_missing_logits(self, uniform):
-        with pytest.raises(MissingLogits):
-            selection_distribution(uniform, mode="softmax_logits")
-
     def test_sums_to_one_after_random_updates(self, uniform):
         rng = np.random.default_rng(0)
         m = uniform
         for _ in range(200):
             i, j = rng.integers(0, 4, 2)
-            pair = SelectionPair(SECTIONS[i], OPERATORS[j], m.q[i, j])
+            pair = SelectionPair(SECTIONS[i], OPERATORS[j])
             m = msgd_update(m, pair, float(rng.uniform(-0.5, 0.5)))
             p = selection_distribution(m)
             assert abs(p.sum() - 1.0) < 1e-12
@@ -145,22 +132,22 @@ class TestNormDelta:
 
 class TestMsgdUpdate:
     def test_paper_up(self, uniform):
-        pair = SelectionPair("Address", "rewrite", 0.0625)
+        pair = SelectionPair("Address", "rewrite")
         m = msgd_update(uniform, pair, 0.03564, alpha=1.0)
         assert m.value("Address", "rewrite") == pytest.approx(0.0647, abs=5e-4)
 
     def test_paper_down(self, uniform):
-        pair = SelectionPair("Book", "refine", 0.0625)
+        pair = SelectionPair("Book", "refine")
         m = msgd_update(uniform, pair, -0.03213, alpha=1.0)
         assert m.value("Book", "refine") == pytest.approx(0.0605, abs=5e-4)
 
     def test_zero_norm_fixed_point(self, uniform):
-        pair = SelectionPair("Name", "cot", 0.0625)
+        pair = SelectionPair("Name", "cot")
         m = msgd_update(uniform, pair, 0.0, alpha=3.0)
         assert m.value("Name", "cot") == 0.0625
 
     def test_only_one_cell_changes(self, uniform):
-        pair = SelectionPair("Address", "rewrite", 0.0625)
+        pair = SelectionPair("Address", "rewrite")
         m = msgd_update(uniform, pair, 0.2)
         diff = m.q != uniform.q
         assert diff.sum() == 1 and diff[0, 0]
@@ -168,15 +155,15 @@ class TestMsgdUpdate:
 
     def test_invalid_alpha(self, uniform):
         with pytest.raises(InvalidAlpha):
-            msgd_update(uniform, SelectionPair("Address", "rewrite", 0.0625), 0.1, alpha=0)
+            msgd_update(uniform, SelectionPair("Address", "rewrite"), 0.1, alpha=0)
 
     def test_q_floor(self, uniform):
-        pair = SelectionPair("Address", "rewrite", 0.0625)
+        pair = SelectionPair("Address", "rewrite")
         m = msgd_update(uniform, pair, -1.5, alpha=1.0)
         assert m.value("Address", "rewrite") == 1e-4
 
     def test_additive_mode(self, uniform):
-        pair = SelectionPair("Address", "rewrite", 0.0625)
+        pair = SelectionPair("Address", "rewrite")
         m = msgd_update(uniform, pair, 0.01, alpha=2.0, mode="additive")
         assert m.value("Address", "rewrite") == pytest.approx(0.0825)
 
@@ -184,7 +171,7 @@ class TestMsgdUpdate:
     @settings(max_examples=50, deadline=None)
     def test_positive_norms_monotone(self, norms):
         m = init_uniform(SECTIONS, OPERATORS)
-        pair = SelectionPair("Book", "cot", 0.0625)
+        pair = SelectionPair("Book", "cot")
         prev = m.value("Book", "cot")
         for norm in norms:
             m = msgd_update(m, pair, norm)
@@ -193,14 +180,14 @@ class TestMsgdUpdate:
             prev = cur
 
     def test_argmax_invariant_under_rescale(self, uniform):
-        m = msgd_update(uniform, SelectionPair("Name", "reflect", 0.0625), 0.4)
+        m = msgd_update(uniform, SelectionPair("Name", "reflect"), 0.4)
         scaled = TransitionMatrix(m.sections, m.operators, m.q * 7.3)
         assert np.argmax(m.q) == np.argmax(scaled.q)
 
 
 class TestSnapshot:
     def test_round_trip(self, tmp_path, uniform):
-        m = msgd_update(uniform, SelectionPair("Address", "rewrite", 0.0625), 0.03564)
+        m = msgd_update(uniform, SelectionPair("Address", "rewrite"), 0.03564)
         path = tmp_path / "matrix.json"
         save_matrix(m, path)
         again = load_matrix(path)

@@ -58,7 +58,7 @@ def epoch_observations():
     out = []
     for section, op, prev, grad in EPOCH_OBS:
         out.append(GradientObservation(
-            SelectionPair(section, op, m.value(section, op)), prev, prev + grad))
+            SelectionPair(section, op), prev, prev + grad))
     return out
 
 
@@ -141,7 +141,7 @@ class TestApplySarsaUpdates:
 
     def test_identical_scores_move_to_discounted_self_target(self):
         m = init_uniform(SECTIONS, OPERATORS)
-        obs = [GradientObservation(SelectionPair("Book", "sort", 0.0625), 0.5, 0.5)]
+        obs = [GradientObservation(SelectionPair("Book", "sort"), 0.5, 0.5)]
         out = apply_sarsa_updates(m, obs, 0.5, 0.5)
         q = 0.0625
         # r = 0, q_next = q: q <- q + alpha (gamma - 1) q

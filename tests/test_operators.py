@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from promptopt.backend import GenerationResponse, MockBackend
+from promptopt import operators
+from promptopt.backend import GenerationRequest, GenerationResponse, MockBackend
 from promptopt.errors import (
     AuthError,
     BackendTimeout,
@@ -19,8 +20,9 @@ from promptopt.operators import (
     COT_SCAFFOLD,
     OPERATOR_IDS,
     NOOP,
+    TEMPLATE_DIR,
+    EditResult,
     OperatorContext,
-    ToyRetriever,
     apply_operator,
     build_request,
     cot_scaffold,
@@ -57,7 +59,7 @@ class TestRegistry:
         registry = load_registry()
         assert set(registry) == {
             "rewrite", "refine", "reflect", "short_instruction",
-            "define_sort", "diff_evolution", "merge", "rag",
+            "define_sort", "diff_evolution",
         }
         for text in registry.values():
             assert text.strip()
@@ -68,7 +70,50 @@ class TestRegistry:
             load_registry(tmp_path / "m.json")
 
     def test_catalog_size(self):
-        assert len(OPERATOR_IDS) == 12
+        assert len(OPERATOR_IDS) == 11
+
+
+class TestCatalogReachability:
+    """Every operator id and every template file is reached by `plan_operator`
+    from a context a training run can build."""
+
+    @pytest.fixture
+    def planned(self, cls_examples, monkeypatch):
+        # tag every template with its file name so each request shows which
+        # template it was built from
+        manifest = json.loads((TEMPLATE_DIR / "manifest.json").read_text(encoding="utf-8"))
+        tagged = {op: "<%s>\n%s" % (manifest[op], text) for op, text in load_registry().items()}
+        monkeypatch.setattr(operators, "_REGISTRY", tagged)
+        prompt = make_prompt(["Classify the item.", "Be careful.", 'Return {"label": ""}'],
+                             editable=[True, True, False])
+        siblings = (
+            Candidate(prompt=prompt).with_score(1, {"f1": 0.5}),
+            Candidate(prompt=prompt.with_body("s0", "Label the item.")).with_score(1, {"f1": 0.6}),
+        )
+        ctx = OperatorContext(
+            target_section=prompt.section_by_id("s0"), prompt=prompt,
+            sibling_candidates=siblings, bad_cases=(BadCase("0", "A", "B"),),
+            dataset=tuple(cls_examples),
+        )
+        return manifest, {op: plan_operator(op, ctx) for op in OPERATOR_IDS}
+
+    def test_every_operator_is_local_or_sends_requests(self, planned):
+        _, plans = planned
+        for op, plan in plans.items():
+            if isinstance(plan, EditResult):
+                assert plan.kind != "noop", op
+            else:
+                assert plan and all(isinstance(r, GenerationRequest) for r in plan), op
+
+    def test_every_template_file_is_in_the_manifest_and_reached(self, planned):
+        manifest, plans = planned
+        files = {p.name for p in TEMPLATE_DIR.iterdir()} - {"manifest.json"}
+        assert files == set(manifest.values())
+        reached = {
+            req.messages[-1][1].split("\n", 1)[0][1:-1]
+            for plan in plans.values() if isinstance(plan, tuple) for req in plan
+        }
+        assert reached == files
 
 
 class TestBuildRequest:
@@ -147,22 +192,7 @@ class TestBuildRequest:
         for sid in ("s0", "s1", "s2"):
             assert "id: %s" % sid in text
 
-    def test_rag_includes_snippets(self):
-        retriever = ToyRetriever(["stars and planets", "cooking pasta"])
-        req = build_request("rag", ctx_for(section(body="stars"), retriever=retriever))
-        assert "stars and planets" in req.messages[0][1]
-
-    def test_rag_without_retriever(self):
-        from promptopt.errors import RetrieverUnavailable
-
-        with pytest.raises(RetrieverUnavailable):
-            build_request("rag", ctx_for(section()))
-
-    def test_merge_request_is_greedy(self):
-        a = scored_candidate(["one", "{{Input}}"], 0.5)
-        b = scored_candidate(["two", "{{Input}}"], 0.6)
-        ctx = ctx_for(section("s0", "x"), sibling_candidates=(a, b), temperature=0.9)
-        assert build_request("merge", ctx).temperature == 0.0
+    def test_request_carries_context_temperature(self):
         assert build_request("refine", ctx_for(section(), temperature=0.9)).temperature == 0.9
 
     def test_deterministic(self):
@@ -325,21 +355,6 @@ class TestLocalOperators:
     def test_self_consistency_empty(self):
         with pytest.raises(MissingContext):
             self_consistency([])
-
-
-class TestToyRetriever:
-    def test_ranked_by_overlap(self):
-        r = ToyRetriever(["cats sleep a lot", "dogs bark", "cats and dogs play"])
-        out = r.retrieve("cats dogs", 2)
-        assert out[0] == "cats and dogs play"
-
-    def test_tie_broken_by_index(self):
-        r = ToyRetriever(["x y", "x z"])
-        assert r.retrieve("x", 2) == ["x y", "x z"]
-
-    def test_cardinality(self):
-        r = ToyRetriever(["a", "b", "c"])
-        assert len(r.retrieve("a b c", 2)) == 2
 
 
 class TestMergeDeterministic:
