@@ -4,9 +4,15 @@ survivors, matrix updates via the configured optimizer, convergence
 detection, checkpoints, and reports.
 
 Both optimizers share one edit pipeline. Every pair of an iteration edits
-the same base candidate, so an iteration makes at most two backend round
-trips: one batch with every pair's operator requests in pair order, then
-one batch that evaluates every edited candidate."""
+the same base candidate, so an iteration makes at most three backend round
+trips: one batch with every pair's operator requests in pair order, then the
+evaluation of the edited prompts not scored before. With at least two such
+prompts and a training set of at least RACE_PREFIX_DIVISOR * RACE_MIN_PREFIX
+examples, that evaluation is a race: one batch scores every prompt on the
+first quarter of the training set, and a second one finishes the better
+half on the rest (successive halving, as in ProTeGi and APE). Otherwise one
+batch scores them on the whole set. A prompt fully scored with no failed
+request is never sent again."""
 
 from __future__ import annotations
 
@@ -35,7 +41,14 @@ from .errors import (
     NonEditableSection,
     SectionSetMismatch,
 )
-from .evaluation import BadCase, ExampleRecord, evaluate, evaluate_many
+from .evaluation import (
+    BadCase,
+    ExampleRecord,
+    MetricReport,
+    evaluate,
+    predict_many,
+    report_predictions,
+)
 from .fileio import write_text_atomic
 from .matrix import (
     GradientObservation,
@@ -64,6 +77,10 @@ log = logging.getLogger(__name__)
 
 CONVERGENCE_EPS = 1e-4
 CONVERGENCE_WINDOW = 3
+# racing: the prefix is len(train_set) // RACE_PREFIX_DIVISOR examples, and a
+# prefix shorter than RACE_MIN_PREFIX ranks edits too noisily to race on
+RACE_PREFIX_DIVISOR = 4
+RACE_MIN_PREFIX = 25
 
 
 @dataclass
@@ -309,7 +326,15 @@ class _Trainer:
         self.run_dir = Path(run_dir) if run_dir else Path(cfg.output_dir) / run_id_for(cfg)
         self.report = RunReport()
         self.bad_cases: dict[str, list[BadCase]] = {}
-        self.reports_by_fp: dict = {}
+        self.reports_by_fp: dict[str, MetricReport] = {}
+        # fingerprints whose last full evaluation had no failed request: their
+        # report and bad cases stand, and they are never sent again
+        self.memo: set[str] = set()
+        prefix = len(self.train_set) // RACE_PREFIX_DIVISOR
+        self.prefix = prefix if prefix >= RACE_MIN_PREFIX else 0  # 0: no racing
+        # objective on train_set[:prefix] of every fully scored fingerprint
+        self.prefix_scores: dict[str, float] = {}
+        self.eval_requests = 0
         sections = tuple(s.id for s in template.ordered_sections())
         operators = cfg.effective_operators()
         if cfg.experience_in:
@@ -333,25 +358,75 @@ class _Trainer:
         n = max(1, int(round(len(examples) * self.cfg.eval_fraction)))
         return examples[:n]
 
+    def _predict(self, cands: Sequence[Candidate], examples) -> list[tuple[list, bool]]:
+        self.eval_requests += len(cands) * len(examples)
+        return predict_many(cands, examples, self.backend, model=self.cfg.model)
+
+    def _prefix_objective(self, predictions) -> float:
+        """The objective of predictions on train_set[:prefix]."""
+        k = self.prefix
+        report, _ = report_predictions(
+            self.train_set[:k], predictions[:k], objective=self.cfg.objective,
+            cls_average=self.cfg.cls_average, bad_case_cap=0,
+        )
+        return report.objective_value()
+
+    def _record(self, cand: Candidate, predictions, failed: bool, iteration: int,
+                prefix_score: Optional[float] = None) -> None:
+        """Keep a fully scored prompt's report, bad cases and prefix score,
+        and memoize it unless one of its requests failed: an outage is
+        measured again rather than frozen in."""
+        cfg = self.cfg
+        fp = cand.fingerprint
+        self.reports_by_fp[fp], self.bad_cases[fp] = report_predictions(
+            self.train_set, predictions, objective=cfg.objective,
+            cls_average=cfg.cls_average, seed=cfg.seed + iteration,
+        )
+        if self.prefix:
+            if prefix_score is None:
+                prefix_score = self._prefix_objective(predictions)
+            self.prefix_scores[fp] = prefix_score
+        if failed:
+            self.memo.discard(fp)
+        else:
+            self.memo.add(fp)
+
+    def _scored(self, cand: Candidate, iteration: int) -> Candidate:
+        report = self.reports_by_fp[cand.fingerprint]
+        return cand.with_score(iteration, {
+            "precision": report.precision,
+            "recall": report.recall,
+            "f1": report.f1,
+        })
+
     def _evaluate(self, cands: Sequence[Candidate], iteration: int) -> list[Candidate]:
         """Score candidates on the training set in one batch; remember each
         one's report and bad cases for the operators of later iterations."""
-        results = evaluate_many(
-            cands, self.train_set, self.backend, objective=self.cfg.objective,
-            cls_average=self.cfg.cls_average, seed=self.cfg.seed + iteration,
-            model=self.cfg.model,
-        )
-        out = []
-        for cand, (report, bad) in zip(cands, results):
-            scored = cand.with_score(iteration, {
-                "precision": report.precision,
-                "recall": report.recall,
-                "f1": report.f1,
-            })
-            self.bad_cases[scored.fingerprint] = bad
-            self.reports_by_fp[scored.fingerprint] = report
-            out.append(scored)
-        return out
+        for cand, (predictions, failed) in zip(cands, self._predict(cands, self.train_set)):
+            self._record(cand, predictions, failed, iteration)
+        return [self._scored(cand, iteration) for cand in cands]
+
+    def _race(self, cands: Sequence[Candidate], iteration: int) -> dict[str, float]:
+        """Score distinct, not yet scored candidates, given in pair order. With
+        racing on and at least two of them, one batch scores all of them on
+        the training-set prefix and a second batch finishes the better half,
+        ranked by prefix objective with ties going to the earlier pair, on
+        the rest. Returns the prefix objective of each candidate raced out;
+        every other one is fully scored and recorded."""
+        if not self.prefix or len(cands) < 2:
+            self._evaluate(cands, iteration)
+            return {}
+        k = self.prefix
+        heads = self._predict(cands, self.train_set[:k])
+        prefix_scores = [self._prefix_objective(preds) for preds, _ in heads]
+        ranked = sorted(range(len(cands)), key=lambda i: (-prefix_scores[i], i))
+        kept = sorted(ranked[:math.ceil(len(cands) / 2)])
+        tails = self._predict([cands[i] for i in kept], self.train_set[k:])
+        for i, (preds, failed) in zip(kept, tails):
+            head, head_failed = heads[i]
+            self._record(cands[i], head + preds, head_failed or failed, iteration,
+                         prefix_score=prefix_scores[i])
+        return {cands[i].fingerprint: prefix_scores[i] for i in ranked[len(kept):]}
 
     def _context(self, pair: SelectionPair, base: Candidate, iteration: int,
                  pool: Sequence[Candidate], pair_index: int) -> ops.OperatorContext:
@@ -472,17 +547,29 @@ class _Trainer:
                     continue
             edits.append((pair, self._edited(base, plan, pair, iteration)))
 
-        # round trip 2: every edited candidate, in pair order
-        scored = iter(self._evaluate([c for _, c in edits if c is not None], iteration))
+        # round trips 2 and 3: the edited prompts not scored before, once each
+        fresh: dict[str, Candidate] = {}
+        for _, cand in edits:
+            if cand is not None and cand.fingerprint not in self.memo:
+                fresh.setdefault(cand.fingerprint, cand)
+        eval_requests = self.eval_requests
+        losers = self._race(list(fresh.values()), iteration)
         observations: list[GradientObservation] = []
+        raced_out: list[bool] = []
         new_candidates: list[Candidate] = []
         for pair, cand in edits:
-            cur = base_score  # a no-op edit cannot move the score
-            if cand is not None:
-                cand = next(scored)
+            prev = cur = base_score  # a no-op edit cannot move the score
+            lost = cand is not None and cand.fingerprint in losers
+            if lost:
+                # compare like with like: both scores on the prefix
+                prev = self.prefix_scores[base.fingerprint]
+                cur = losers[cand.fingerprint]
+            elif cand is not None:
+                cand = self._scored(cand, iteration)
                 new_candidates.append(cand)
                 cur = _latest(cand, cfg.objective)
-            observations.append(GradientObservation(pair, base_score, cur))
+            observations.append(GradientObservation(pair, prev, cur))
+            raced_out.append(lost)
         if observations:
             self.matrix = update_matrix(self.matrix, observations, cfg)
 
@@ -505,10 +592,11 @@ class _Trainer:
             "mean": sum(scores) / len(scores),
             "selections": [
                 {"section": o.pair.section, "operator": o.pair.operator,
-                 "gradient": o.gradient}
-                for o in observations
+                 "gradient": o.gradient, "raced_out": out}
+                for o, out in zip(observations, raced_out)
             ],
             "failed": failed,
+            "eval_requests": self.eval_requests - eval_requests,
             "pool_size": len(pool),
         })
         return pool

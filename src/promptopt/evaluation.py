@@ -360,15 +360,13 @@ def _record(doc: dict, task: str, ex_id: str, inclusive_end: bool) -> ExampleRec
 # ---------------------------------------------------------------------------
 # candidate evaluation
 
-def evaluate_many(candidates: Sequence[Candidate], examples: Sequence[ExampleRecord],
-                  backend: Backend, objective: str = "f1", cls_average: str = "micro",
-                  bad_case_cap: int = 20, seed: int = 0, model: str = "default",
-                  ) -> list[tuple[MetricReport, list[BadCase]]]:
-    """Score every candidate on the same examples with one backend batch of
-    len(candidates) x len(examples) requests in (candidate, example) order.
-    Each candidate's report and bad cases are what `evaluate` would give it
-    alone. A failed request scores as a format failure, except an AuthError,
-    which is raised: the first one in the batch ends the evaluation."""
+def predict_many(candidates: Sequence[Candidate], examples: Sequence[ExampleRecord],
+                 backend: Backend, model: str = "default") -> list[tuple[list, bool]]:
+    """Send one backend batch of len(candidates) x len(examples) requests in
+    (candidate, example) order. Returns, for each candidate, its parsed
+    predictions in example order and whether any of its requests failed. A
+    failed request predicts a format failure, except an AuthError, which is
+    raised: the first one in the batch ends the evaluation."""
     if not examples:
         raise EmptyDataset("cannot evaluate on an empty dataset")
     if not candidates:
@@ -378,40 +376,62 @@ def evaluate_many(candidates: Sequence[Candidate], examples: Sequence[ExampleRec
         for cand in candidates for ex in examples
     ]
     results = backend.generate_batch(reqs)
+    task = examples[0].task
     n = len(examples)
-    return [
-        _score_results(examples, results[i * n:(i + 1) * n], objective, cls_average,
-                       bad_case_cap, seed)
-        for i in range(len(candidates))
-    ]
+    out = []
+    for i in range(len(candidates)):
+        predictions = []
+        failed = False
+        for res in results[i * n:(i + 1) * n]:
+            if isinstance(res, GenerationResponse):
+                predictions.append(parse_prediction(task, res.text))
+            elif isinstance(res, AuthError):
+                raise res  # no later request can succeed: end the run
+            else:
+                predictions.append(FORMAT_FAILURE)
+                failed = True
+        out.append((predictions, failed))
+    return out
 
 
-def _score_results(examples, results, objective, cls_average, bad_case_cap, seed,
-                   ) -> tuple[MetricReport, list[BadCase]]:
-    """Parse and score one candidate's replies, and collect a seeded uniform
-    sample of its failures as bad cases."""
+def report_predictions(examples: Sequence[ExampleRecord], predictions: Sequence,
+                       objective: str = "f1", cls_average: str = "micro",
+                       bad_case_cap: int = 20, seed: int = 0,
+                       ) -> tuple[MetricReport, list[BadCase]]:
+    """Score one candidate's predictions, aligned with `examples`, and
+    collect a seeded uniform sample of up to `bad_case_cap` of its failures
+    as bad cases (none are looked for when the cap is 0)."""
     task = examples[0].task
     gold = {}
-    predictions = {}
+    by_id = {}
     failures = []
-    for ex, res in zip(examples, results):
+    for ex, pred in zip(examples, predictions):
         gold[ex.id] = ex.gold
-        if isinstance(res, GenerationResponse):
-            pred = parse_prediction(task, res.text)
-        elif isinstance(res, AuthError):
-            raise res  # no later request can succeed: end the run
-        else:
-            pred = FORMAT_FAILURE
-        predictions[ex.id] = pred
-        if not _is_correct(task, ex.gold, pred):
+        by_id[ex.id] = pred
+        if bad_case_cap and not _is_correct(task, ex.gold, pred):
             failures.append(BadCase(ex.id, ex.gold, pred))
-    report = score(task, gold, predictions, objective=objective, cls_average=cls_average)
+    report = score(task, gold, by_id, objective=objective, cls_average=cls_average)
     rng = random.Random(seed)
     if len(failures) > bad_case_cap:
         bad_cases = rng.sample(failures, bad_case_cap)
     else:
         bad_cases = list(failures)
     return report, bad_cases
+
+
+def evaluate_many(candidates: Sequence[Candidate], examples: Sequence[ExampleRecord],
+                  backend: Backend, objective: str = "f1", cls_average: str = "micro",
+                  bad_case_cap: int = 20, seed: int = 0, model: str = "default",
+                  ) -> list[tuple[MetricReport, list[BadCase]]]:
+    """Score every candidate on the same examples with one backend batch of
+    len(candidates) x len(examples) requests in (candidate, example) order.
+    Each candidate's report and bad cases are what `evaluate` would give it
+    alone. A failed request scores as a format failure, except an AuthError,
+    which is raised: the first one in the batch ends the evaluation."""
+    return [
+        report_predictions(examples, predictions, objective, cls_average, bad_case_cap, seed)
+        for predictions, _ in predict_many(candidates, examples, backend, model=model)
+    ]
 
 
 def evaluate(candidate: Candidate, examples: Sequence[ExampleRecord], backend: Backend,

@@ -309,6 +309,24 @@ class TestReportAndExperience:
         csv_text = (workspace / "runs").glob("*/summary.csv")
         assert any(p.read_text().startswith("iteration,") for p in csv_text)
 
+    def test_report_counts_evaluation_requests_and_raced_out_edits(self, workspace, capsys):
+        lines = cls_lines(100)
+        data = "\n".join(json.dumps(d) for d in lines) + "\n"
+        (workspace / "train.jsonl").write_text(data)
+        (workspace / "mock.json").write_text(json.dumps(oracle_script(lines)))
+        assert main(["train", "--config", str(workspace / "config.json"),
+                     "--set", 'operators=["cot", "few_shot"]']) == 0
+        run_dir = json.loads(capsys.readouterr().out)["run_dir"]
+        assert main(["report", run_dir]) == 0
+        out = json.loads(capsys.readouterr().out)
+        rows = json.loads((workspace / run_dir / "report.json").read_text())["iterations"]
+        # two edits in the first iteration: both on the first quarter, one
+        # of them on the rest
+        assert [s["raced_out"] for s in rows[0]["selections"]] == [False, True]
+        assert rows[0]["eval_requests"] == 2 * 25 + 75
+        assert out["eval_requests"] == sum(r["eval_requests"] for r in rows)
+        assert out["raced_out"] == sum(s["raced_out"] for r in rows for s in r["selections"])
+
     def test_report_missing_dir(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "ghost")]) == 1
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -6,6 +7,8 @@ import pytest
 
 from promptopt.backend import GenerationResponse, MockBackend
 from promptopt.engine import (
+    RACE_MIN_PREFIX,
+    RACE_PREFIX_DIVISOR,
     RunConfig,
     config_from_dict,
     config_to_dict,
@@ -16,7 +19,7 @@ from promptopt.engine import (
     train,
 )
 from promptopt.errors import AuthError, BackendTimeout, ConfigError
-from promptopt.evaluation import ExampleRecord
+from promptopt.evaluation import ExampleRecord, evaluate, parse_prediction, report_predictions
 from promptopt.matrix import TransitionMatrix, load_matrix
 from promptopt.msgd_rl import ExperienceStore, read_experience, save_experience
 from promptopt.operators import COT_SCAFFOLD, OPERATOR_IDS
@@ -399,7 +402,8 @@ class TestRoundTrips:
         # initialization: the refine batch, then one evaluation batch
         assert [OPERATOR_TARGET.search(t).group(1) for t, _ in calls[0][1]] == \
             ["s0", "s0", "s1", "s1"]
-        assert len(self._check_eval_batch(calls[1], data)) == 2
+        scored = set(self._check_eval_batch(calls[1], data))
+        assert len(scored) == 2
         at = 2
         for row in report.iterations:
             pairs = [(s["section"], s["operator"]) for s in row["selections"]]
@@ -409,16 +413,25 @@ class TestRoundTrips:
             replies = iter(calls[at][1])
             assert [OPERATOR_TARGET.search(t).group(1) for t, _ in calls[at][1]] == want
             at += 1
-            # then every edited candidate in one batch, in pair order
+            # then every edited prompt not scored before in one batch, once
+            # each, in pair order
             prompts = self._check_eval_batch(calls[at], data)
             at += 1
-            assert len(prompts) == len(pairs)
-            for (sec, op), prompt in zip(pairs, prompts):
+            assert len(set(prompts)) == len(prompts) and not scored & set(prompts)
+            fresh = iter(prompts)
+            prompt = next(fresh, None)
+            for sec, op in pairs:
                 own = [next(replies)[1] for _ in range(REQUESTS_PER_PAIR[op])]
                 if op == "cot":
-                    assert COT_SCAFFOLD in prompt
+                    if prompt is None or COT_SCAFFOLD not in prompt:
+                        # the same cot edit of the same base: scored before
+                        assert any(COT_SCAFFOLD in p for p in scored)
+                        continue
                 else:
                     assert any(json.loads(r)["body"] in prompt for r in own)
+                prompt = next(fresh, None)
+            assert prompt is None
+            scored.update(prompts)
         # the test set, in one batch
         assert len(self._check_eval_batch(calls[at], data)) == 1
         assert at + 1 == len(calls)
@@ -494,6 +507,166 @@ class TestOperatorFailure:
         backend = FailingEvaluations(oracle_script(data, wrong_ids={"00"}))
         with pytest.raises(AuthError):
             train(cfg, data, data, base_template(), backend)
+
+
+class Graded(MockBackend):
+    """Records every batch. Operator requests get a numbered body. Whether an
+    evaluation reply is right depends on a hash of the prompt and the example
+    id, so edits differ in score, except that a prompt with the cot scaffold
+    is always wrong. The first evaluation request of a cot prompt fails with
+    BackendTimeout when `cot_fails_once`."""
+
+    def __init__(self, examples, cot_fails_once=False):
+        super().__init__([])
+        self.examples = examples
+        self.calls = []  # [(request text, reply text or None)] per batch
+        self.variants = 0
+        self.cot_fails_once = cot_fails_once
+
+    def _reply(self, text):
+        if OPERATOR_TARGET.search(text):
+            self.variants += 1
+            return json.dumps({"body": "variant %03d" % self.variants})
+        ex = next(ex for ex in self.examples if ex.input in text)
+        if COT_SCAFFOLD in text:
+            if self.cot_fails_once:
+                self.cot_fails_once = False
+                return None
+            wrong = True
+        else:
+            key = text.replace(ex.input, "{{Input}}") + ex.id
+            wrong = int(hashlib.sha256(key.encode()).hexdigest(), 16) % 3 == 0
+        label = "B" if (ex.gold == "A") == wrong else "A"
+        return json.dumps({"label": label})
+
+    def generate_batch(self, reqs):
+        replies = [self._reply(r.messages[-1][1]) for r in reqs]
+        self.calls.append([(r.messages[-1][1], t) for r, t in zip(reqs, replies)])
+        out = []
+        for text in replies:
+            if text is None:
+                out.append(BackendTimeout("slow"))
+            else:
+                out.append(GenerationResponse(text=text))
+                self.usage.add(out[-1])
+        return out
+
+
+def eval_blocks(call, examples):
+    """The (prompt skeleton, predictions) of each candidate of an evaluation
+    batch, checking (candidate, example) order."""
+    assert call and len(call) % len(examples) == 0
+    out = []
+    for at in range(0, len(call), len(examples)):
+        block = call[at:at + len(examples)]
+        for ex, (text, _) in zip(examples, block):
+            assert ex.input in text
+        skeleton = block[0][0].replace(examples[0].input, "{{Input}}")
+        assert all(text.replace(ex.input, "{{Input}}") == skeleton
+                   for ex, (text, _) in zip(examples, block))
+        out.append((skeleton, [parse_prediction("CLS", r) for _, r in block]))
+    return out
+
+
+def f1_of(examples, predictions):
+    return report_predictions(examples, predictions, bad_case_cap=0)[0].f1
+
+
+class TestRacing:
+    def _trainer(self, tmp_path, data, backend, pairs=4):
+        cfg = small_config(iterations=1, top_k=3, anneal_count=0, pairs_per_epoch=pairs,
+                           operators=("refine", "rewrite"), output_dir=str(tmp_path))
+        trainer = _Trainer(cfg, data, [], base_template(), backend)
+        pool = trainer._evaluate([Candidate(prompt=base_template())], 0)
+        return trainer, pool
+
+    @pytest.mark.parametrize("pairs", [3, 4])
+    def test_prefix_then_the_better_half(self, tmp_path, pairs):
+        data = cls_dataset(100)
+        k = len(data) // RACE_PREFIX_DIVISOR
+        assert k == RACE_MIN_PREFIX
+        backend = Graded(data)
+        trainer, pool = self._trainer(tmp_path, data, backend, pairs)
+        [(_, base_preds)] = eval_blocks(backend.calls[0], data)
+        base_prefix = f1_of(data[:k], base_preds[:k])
+        del backend.calls[:]
+        new_pool = trainer._iteration(1, pool)
+        row = trainer.report.iterations[0]
+
+        # three round trips: operators, every edit on the prefix, the kept
+        # edits on the rest
+        operator_call, head_call, tail_call = backend.calls
+        assert len(operator_call) == pairs
+        assert all(OPERATOR_TARGET.search(text) for text, _ in operator_call)
+        heads = eval_blocks(head_call, data[:k])
+        tails = eval_blocks(tail_call, data[k:])
+        assert len(heads) == len(row["selections"]) == pairs
+        assert len(set(s for s, _ in heads)) == pairs
+        scores = [f1_of(data[:k], preds) for _, preds in heads]
+        ranked = sorted(range(pairs), key=lambda i: (-scores[i], i))
+        kept, dropped = sorted(ranked[:2]), ranked[2:]  # ceil(pairs / 2) kept
+        assert [s for s, _ in tails] == [heads[i][0] for i in kept]
+        assert row["eval_requests"] == pairs * k + 2 * (len(data) - k)
+
+        in_pool = {c.prompt.skeleton(): c for c in new_pool}
+        assert len(new_pool) == 3 and len(trainer.reports_by_fp) == 3
+        for i, sel in enumerate(row["selections"]):
+            skeleton = heads[i][0]
+            assert sel["raced_out"] == (i in dropped)
+            if i in dropped:
+                assert skeleton not in in_pool
+                assert sel["gradient"] == scores[i] - base_prefix
+                continue
+            cand = in_pool[skeleton]
+            report, bad = evaluate(cand, data, Graded(data), seed=1)
+            assert trainer.reports_by_fp[cand.fingerprint] == report
+            assert trainer.bad_cases[cand.fingerprint] == bad
+            assert cand.latest_score("f1") == report.f1
+            assert sel["gradient"] == report.f1 - pool[0].latest_score("f1")
+
+    def test_short_training_set_does_not_race(self, tmp_path):
+        data = cls_dataset(99)
+        backend = Graded(data)
+        trainer, pool = self._trainer(tmp_path, data, backend)
+        del backend.calls[:]
+        trainer._iteration(1, pool)
+        row = trainer.report.iterations[0]
+        operator_call, eval_call = backend.calls
+        assert len(operator_call) == 4
+        assert len(eval_blocks(eval_call, data)) == 4
+        assert [s["raced_out"] for s in row["selections"]] == [False] * 4
+        assert row["eval_requests"] == 4 * len(data)
+
+
+class TestScoreMemo:
+    def _run(self, tmp_path, backend, data, iterations):
+        template = make_prompt(["Classify the item as A or B.", 'Return JSON: {"label": ""}'],
+                               editable=[True, False], placeholder_in=0)
+        # cot always scores 0, so the template stays the base and the cot
+        # prompt is evicted, then made again by the next iteration
+        cfg = small_config(iterations=iterations, top_k=1, anneal_count=0, pairs_per_epoch=1,
+                           operators=("cot",), output_dir=str(tmp_path))
+        _, report, _ = train(cfg, data, [], template, backend)
+        return report
+
+    def test_hit_sends_no_request(self, tmp_path):
+        data = cls_dataset(100)
+        backend = Graded(data)
+        report = self._run(tmp_path, backend, data, iterations=2)
+        assert [len(call) for call in backend.calls] == [100, 100]
+        assert [row["eval_requests"] for row in report.iterations] == [100, 0]
+        first, second = (row["selections"] for row in report.iterations)
+        assert first == second and first[0]["gradient"] < 0
+
+    def test_failed_evaluation_is_sent_again(self, tmp_path):
+        data = cls_dataset(100)
+        backend = Graded(data, cot_fails_once=True)
+        report = self._run(tmp_path, backend, data, iterations=3)
+        # the cot prompt's first evaluation lost a request to a timeout, so
+        # it is measured again; the second one had no failure and stands
+        assert [len(call) for call in backend.calls] == [100, 100, 100]
+        assert sum(reply is None for _, reply in backend.calls[1]) == 1
+        assert [row["eval_requests"] for row in report.iterations] == [100, 100, 0]
 
 
 class TestClsAverage:

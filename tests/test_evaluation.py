@@ -16,9 +16,12 @@ from promptopt.evaluation import (
     FORMAT_FAILURE,
     ExampleRecord,
     evaluate,
+    evaluate_many,
     load_dataset,
     loss,
     parse_prediction,
+    predict_many,
+    report_predictions,
     score,
 )
 from promptopt.prompt_model import Candidate
@@ -410,6 +413,18 @@ class TestEvaluate:
         rep, bad = evaluate(self._candidate(), cls_examples, backend)
         assert (rep.precision, rep.recall) == (1.0, pytest.approx(0.9))
         assert [(b.example_id, b.predicted) for b in bad] == [("3", FORMAT_FAILURE)]
+
+    def test_predictions_flag_the_candidate_with_a_failed_request(self, cls_examples):
+        backend = self._failing_on("Label the text.\ntext 3", BackendTimeout, cls_examples)
+        cands = [self._candidate(),
+                 Candidate(prompt=make_prompt(["Label the text."], placeholder_in=0))]
+        predicted = predict_many(cands, cls_examples, backend)
+        assert [failed for _, failed in predicted] == [False, True]
+        assert predicted[0][0] == [ex.gold for ex in cls_examples]
+        assert predicted[1][0][3] is FORMAT_FAILURE
+        # the two steps give what one evaluation gives
+        assert [report_predictions(cls_examples, preds, seed=5) for preds, _ in predicted] \
+            == evaluate_many(cands, cls_examples, backend, seed=5)
 
     def test_auth_error_is_raised(self, cls_examples):
         backend = self._failing_on("text 3", AuthError, cls_examples)

@@ -151,6 +151,24 @@ class TestDeepNesting:
     def test_unclosed(self, text, expected):
         assert same(extract_first_json(text), expected)
 
+    def test_few_decodes_overflow(self, monkeypatch):
+        import promptopt.jsontools as jsontools
+
+        class Counting(json.JSONDecoder):
+            overflows = 0
+
+            def raw_decode(self, s, idx=0):
+                try:
+                    return super().raw_decode(s, idx)
+                except RecursionError:
+                    Counting.overflows += 1
+                    raise
+
+        monkeypatch.setattr(jsontools, "_DECODER", Counting())
+        assert extract_first_json("[" * 4000 + "]") == []
+        # a binary search over the run, not one overflow per opener
+        assert 0 < Counting.overflows < 40
+
     def test_too_deep_to_decode_gives_a_later_value(self):
         text = "[" * 3000 + "]" * 3000
         with pytest.raises(RecursionError):
