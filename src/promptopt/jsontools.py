@@ -29,7 +29,7 @@ def extract_first_json(text: str) -> Optional[Any]:
             # run: binary-search for the first one that does not, rather than
             # decode to the recursion limit at each of them. Every decode is
             # tried from this frame, so the limit is the same for all.
-            lo, nxt = start, start + 1
+            lo = start
             while nxt < len(text) and text[nxt] == "[":
                 nxt += 1
             while nxt - lo > 1:
