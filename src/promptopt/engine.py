@@ -6,13 +6,12 @@ detection, checkpoints, and reports.
 Both optimizers share one edit pipeline. Every pair of an iteration edits
 the same base candidate, so an iteration makes at most three backend round
 trips: one batch with every pair's operator requests in pair order, then the
-evaluation of the edited prompts not scored before. With at least two such
-prompts and a training set of at least RACE_PREFIX_DIVISOR * RACE_MIN_PREFIX
-examples, that evaluation is a race: one batch scores every prompt on the
-first quarter of the training set, and a second one finishes the better
-half on the rest (successive halving, as in ProTeGi and APE). Otherwise one
-batch scores them on the whole set. A prompt fully scored with no failed
-request is never sent again."""
+evaluation of the distinct edited prompts. With at least two of them and a
+training set of at least RACE_PREFIX_DIVISOR * RACE_MIN_PREFIX examples,
+that evaluation is a race: one batch scores every prompt on the first
+quarter of the training set, and a second one finishes the better half on
+the rest (successive halving, as in ProTeGi and APE). Otherwise one batch
+scores them on the whole set."""
 
 from __future__ import annotations
 
@@ -77,8 +76,10 @@ log = logging.getLogger(__name__)
 
 CONVERGENCE_EPS = 1e-4
 CONVERGENCE_WINDOW = 3
-# racing: the prefix is len(train_set) // RACE_PREFIX_DIVISOR examples, and a
-# prefix shorter than RACE_MIN_PREFIX ranks edits too noisily to race on
+# racing: the prefix is len(train_set) // RACE_PREFIX_DIVISOR examples. A
+# training set whose prefix is shorter than RACE_MIN_PREFIX keeps the single
+# full evaluation batch, so runs on under 100 examples send the batches they
+# sent before racing existed
 RACE_PREFIX_DIVISOR = 4
 RACE_MIN_PREFIX = 25
 
@@ -327,9 +328,6 @@ class _Trainer:
         self.report = RunReport()
         self.bad_cases: dict[str, list[BadCase]] = {}
         self.reports_by_fp: dict[str, MetricReport] = {}
-        # fingerprints whose last full evaluation had no failed request: their
-        # report and bad cases stand, and they are never sent again
-        self.memo: set[str] = set()
         prefix = len(self.train_set) // RACE_PREFIX_DIVISOR
         self.prefix = prefix if prefix >= RACE_MIN_PREFIX else 0  # 0: no racing
         # objective on train_set[:prefix] of every fully scored fingerprint
@@ -358,7 +356,7 @@ class _Trainer:
         n = max(1, int(round(len(examples) * self.cfg.eval_fraction)))
         return examples[:n]
 
-    def _predict(self, cands: Sequence[Candidate], examples) -> list[tuple[list, bool]]:
+    def _predict(self, cands: Sequence[Candidate], examples) -> list[list]:
         self.eval_requests += len(cands) * len(examples)
         return predict_many(cands, examples, self.backend, model=self.cfg.model)
 
@@ -371,11 +369,9 @@ class _Trainer:
         )
         return report.objective_value()
 
-    def _record(self, cand: Candidate, predictions, failed: bool, iteration: int,
+    def _record(self, cand: Candidate, predictions, iteration: int,
                 prefix_score: Optional[float] = None) -> None:
-        """Keep a fully scored prompt's report, bad cases and prefix score,
-        and memoize it unless one of its requests failed: an outage is
-        measured again rather than frozen in."""
+        """Keep a fully scored prompt's report, bad cases and prefix score."""
         cfg = self.cfg
         fp = cand.fingerprint
         self.reports_by_fp[fp], self.bad_cases[fp] = report_predictions(
@@ -386,10 +382,6 @@ class _Trainer:
             if prefix_score is None:
                 prefix_score = self._prefix_objective(predictions)
             self.prefix_scores[fp] = prefix_score
-        if failed:
-            self.memo.discard(fp)
-        else:
-            self.memo.add(fp)
 
     def _scored(self, cand: Candidate, iteration: int) -> Candidate:
         report = self.reports_by_fp[cand.fingerprint]
@@ -402,14 +394,14 @@ class _Trainer:
     def _evaluate(self, cands: Sequence[Candidate], iteration: int) -> list[Candidate]:
         """Score candidates on the training set in one batch; remember each
         one's report and bad cases for the operators of later iterations."""
-        for cand, (predictions, failed) in zip(cands, self._predict(cands, self.train_set)):
-            self._record(cand, predictions, failed, iteration)
+        for cand, predictions in zip(cands, self._predict(cands, self.train_set)):
+            self._record(cand, predictions, iteration)
         return [self._scored(cand, iteration) for cand in cands]
 
     def _race(self, cands: Sequence[Candidate], iteration: int) -> dict[str, float]:
-        """Score distinct, not yet scored candidates, given in pair order. With
-        racing on and at least two of them, one batch scores all of them on
-        the training-set prefix and a second batch finishes the better half,
+        """Score distinct candidates, given in pair order. With racing on and
+        at least two of them, one batch scores all of them on the
+        training-set prefix and a second batch finishes the better half,
         ranked by prefix objective with ties going to the earlier pair, on
         the rest. Returns the prefix objective of each candidate raced out;
         every other one is fully scored and recorded."""
@@ -418,13 +410,12 @@ class _Trainer:
             return {}
         k = self.prefix
         heads = self._predict(cands, self.train_set[:k])
-        prefix_scores = [self._prefix_objective(preds) for preds, _ in heads]
+        prefix_scores = [self._prefix_objective(preds) for preds in heads]
         ranked = sorted(range(len(cands)), key=lambda i: (-prefix_scores[i], i))
         kept = sorted(ranked[:math.ceil(len(cands) / 2)])
         tails = self._predict([cands[i] for i in kept], self.train_set[k:])
-        for i, (preds, failed) in zip(kept, tails):
-            head, head_failed = heads[i]
-            self._record(cands[i], head + preds, head_failed or failed, iteration,
+        for i, preds in zip(kept, tails):
+            self._record(cands[i], heads[i] + preds, iteration,
                          prefix_score=prefix_scores[i])
         return {cands[i].fingerprint: prefix_scores[i] for i in ranked[len(kept):]}
 
@@ -547,10 +538,10 @@ class _Trainer:
                     continue
             edits.append((pair, self._edited(base, plan, pair, iteration)))
 
-        # round trips 2 and 3: the edited prompts not scored before, once each
+        # round trips 2 and 3: the edited prompts, once each
         fresh: dict[str, Candidate] = {}
         for _, cand in edits:
-            if cand is not None and cand.fingerprint not in self.memo:
+            if cand is not None:
                 fresh.setdefault(cand.fingerprint, cand)
         eval_requests = self.eval_requests
         losers = self._race(list(fresh.values()), iteration)

@@ -361,12 +361,12 @@ def _record(doc: dict, task: str, ex_id: str, inclusive_end: bool) -> ExampleRec
 # candidate evaluation
 
 def predict_many(candidates: Sequence[Candidate], examples: Sequence[ExampleRecord],
-                 backend: Backend, model: str = "default") -> list[tuple[list, bool]]:
+                 backend: Backend, model: str = "default") -> list[list]:
     """Send one backend batch of len(candidates) x len(examples) requests in
     (candidate, example) order. Returns, for each candidate, its parsed
-    predictions in example order and whether any of its requests failed. A
-    failed request predicts a format failure, except an AuthError, which is
-    raised: the first one in the batch ends the evaluation."""
+    predictions in example order. A failed request predicts a format
+    failure, except an AuthError, which is raised: the first one in the
+    batch ends the evaluation."""
     if not examples:
         raise EmptyDataset("cannot evaluate on an empty dataset")
     if not candidates:
@@ -381,7 +381,6 @@ def predict_many(candidates: Sequence[Candidate], examples: Sequence[ExampleReco
     out = []
     for i in range(len(candidates)):
         predictions = []
-        failed = False
         for res in results[i * n:(i + 1) * n]:
             if isinstance(res, GenerationResponse):
                 predictions.append(parse_prediction(task, res.text))
@@ -389,8 +388,7 @@ def predict_many(candidates: Sequence[Candidate], examples: Sequence[ExampleReco
                 raise res  # no later request can succeed: end the run
             else:
                 predictions.append(FORMAT_FAILURE)
-                failed = True
-        out.append((predictions, failed))
+        out.append(predictions)
     return out
 
 
@@ -430,7 +428,7 @@ def evaluate_many(candidates: Sequence[Candidate], examples: Sequence[ExampleRec
     which is raised: the first one in the batch ends the evaluation."""
     return [
         report_predictions(examples, predictions, objective, cls_average, bad_case_cap, seed)
-        for predictions, _ in predict_many(candidates, examples, backend, model=model)
+        for predictions in predict_many(candidates, examples, backend, model=model)
     ]
 
 

@@ -402,8 +402,7 @@ class TestRoundTrips:
         # initialization: the refine batch, then one evaluation batch
         assert [OPERATOR_TARGET.search(t).group(1) for t, _ in calls[0][1]] == \
             ["s0", "s0", "s1", "s1"]
-        scored = set(self._check_eval_batch(calls[1], data))
-        assert len(scored) == 2
+        assert len(self._check_eval_batch(calls[1], data)) == 2
         at = 2
         for row in report.iterations:
             pairs = [(s["section"], s["operator"]) for s in row["selections"]]
@@ -413,25 +412,16 @@ class TestRoundTrips:
             replies = iter(calls[at][1])
             assert [OPERATOR_TARGET.search(t).group(1) for t, _ in calls[at][1]] == want
             at += 1
-            # then every edited prompt not scored before in one batch, once
-            # each, in pair order
+            # then every edited candidate in one batch, in pair order
             prompts = self._check_eval_batch(calls[at], data)
             at += 1
-            assert len(set(prompts)) == len(prompts) and not scored & set(prompts)
-            fresh = iter(prompts)
-            prompt = next(fresh, None)
-            for sec, op in pairs:
+            assert len(prompts) == len(pairs)
+            for (sec, op), prompt in zip(pairs, prompts):
                 own = [next(replies)[1] for _ in range(REQUESTS_PER_PAIR[op])]
                 if op == "cot":
-                    if prompt is None or COT_SCAFFOLD not in prompt:
-                        # the same cot edit of the same base: scored before
-                        assert any(COT_SCAFFOLD in p for p in scored)
-                        continue
+                    assert COT_SCAFFOLD in prompt
                 else:
                     assert any(json.loads(r)["body"] in prompt for r in own)
-                prompt = next(fresh, None)
-            assert prompt is None
-            scored.update(prompts)
         # the test set, in one batch
         assert len(self._check_eval_batch(calls[at], data)) == 1
         assert at + 1 == len(calls)
@@ -512,43 +502,30 @@ class TestOperatorFailure:
 class Graded(MockBackend):
     """Records every batch. Operator requests get a numbered body. Whether an
     evaluation reply is right depends on a hash of the prompt and the example
-    id, so edits differ in score, except that a prompt with the cot scaffold
-    is always wrong. The first evaluation request of a cot prompt fails with
-    BackendTimeout when `cot_fails_once`."""
+    id, so edits differ in score."""
 
-    def __init__(self, examples, cot_fails_once=False):
+    def __init__(self, examples):
         super().__init__([])
         self.examples = examples
-        self.calls = []  # [(request text, reply text or None)] per batch
+        self.calls = []  # [(request text, reply text)] per batch
         self.variants = 0
-        self.cot_fails_once = cot_fails_once
 
     def _reply(self, text):
         if OPERATOR_TARGET.search(text):
             self.variants += 1
             return json.dumps({"body": "variant %03d" % self.variants})
         ex = next(ex for ex in self.examples if ex.input in text)
-        if COT_SCAFFOLD in text:
-            if self.cot_fails_once:
-                self.cot_fails_once = False
-                return None
-            wrong = True
-        else:
-            key = text.replace(ex.input, "{{Input}}") + ex.id
-            wrong = int(hashlib.sha256(key.encode()).hexdigest(), 16) % 3 == 0
+        key = text.replace(ex.input, "{{Input}}") + ex.id
+        wrong = int(hashlib.sha256(key.encode()).hexdigest(), 16) % 3 == 0
         label = "B" if (ex.gold == "A") == wrong else "A"
         return json.dumps({"label": label})
 
     def generate_batch(self, reqs):
         replies = [self._reply(r.messages[-1][1]) for r in reqs]
         self.calls.append([(r.messages[-1][1], t) for r, t in zip(reqs, replies)])
-        out = []
-        for text in replies:
-            if text is None:
-                out.append(BackendTimeout("slow"))
-            else:
-                out.append(GenerationResponse(text=text))
-                self.usage.add(out[-1])
+        out = [GenerationResponse(text=text) for text in replies]
+        for res in out:
+            self.usage.add(res)
         return out
 
 
@@ -570,6 +547,16 @@ def eval_blocks(call, examples):
 
 def f1_of(examples, predictions):
     return report_predictions(examples, predictions, bad_case_cap=0)[0].f1
+
+
+class SameBody(Graded):
+    """Every operator request gets the same body, so refine and rewrite of
+    one section make one prompt."""
+
+    def _reply(self, text):
+        if OPERATOR_TARGET.search(text):
+            return json.dumps({"body": "one body"})
+        return super()._reply(text)
 
 
 class TestRacing:
@@ -637,36 +624,27 @@ class TestRacing:
         assert [s["raced_out"] for s in row["selections"]] == [False] * 4
         assert row["eval_requests"] == 4 * len(data)
 
-
-class TestScoreMemo:
-    def _run(self, tmp_path, backend, data, iterations):
-        template = make_prompt(["Classify the item as A or B.", 'Return JSON: {"label": ""}'],
-                               editable=[True, False], placeholder_in=0)
-        # cot always scores 0, so the template stays the base and the cot
-        # prompt is evicted, then made again by the next iteration
-        cfg = small_config(iterations=iterations, top_k=1, anneal_count=0, pairs_per_epoch=1,
-                           operators=("cot",), output_dir=str(tmp_path))
-        _, report, _ = train(cfg, data, [], template, backend)
-        return report
-
-    def test_hit_sends_no_request(self, tmp_path):
+    def test_pairs_that_make_the_same_prompt_share_its_evaluation(self, tmp_path):
         data = cls_dataset(100)
-        backend = Graded(data)
-        report = self._run(tmp_path, backend, data, iterations=2)
-        assert [len(call) for call in backend.calls] == [100, 100]
-        assert [row["eval_requests"] for row in report.iterations] == [100, 0]
-        first, second = (row["selections"] for row in report.iterations)
-        assert first == second and first[0]["gradient"] < 0
-
-    def test_failed_evaluation_is_sent_again(self, tmp_path):
-        data = cls_dataset(100)
-        backend = Graded(data, cot_fails_once=True)
-        report = self._run(tmp_path, backend, data, iterations=3)
-        # the cot prompt's first evaluation lost a request to a timeout, so
-        # it is measured again; the second one had no failure and stands
-        assert [len(call) for call in backend.calls] == [100, 100, 100]
-        assert sum(reply is None for _, reply in backend.calls[1]) == 1
-        assert [row["eval_requests"] for row in report.iterations] == [100, 100, 0]
+        k = len(data) // RACE_PREFIX_DIVISOR
+        backend = SameBody(data)
+        trainer, pool = self._trainer(tmp_path, data, backend)
+        del backend.calls[:]
+        trainer._iteration(1, pool)
+        row = trainer.report.iterations[0]
+        operator_call, head_call, tail_call = backend.calls
+        heads = eval_blocks(head_call, data[:k])
+        [(tail, _)] = eval_blocks(tail_call, data[k:])
+        assert len(heads) == 2
+        sections = [s["section"] for s in row["selections"]]
+        assert sorted(sections) == ["s0", "s0", "s1", "s1"]
+        # both pairs of a section share its prompt's fate and gradient
+        by_section = {}
+        for sel in row["selections"]:
+            by_section.setdefault(sel["section"], set()).add((sel["raced_out"], sel["gradient"]))
+        assert all(len(fates) == 1 for fates in by_section.values())
+        assert sorted(out for [(out, _)] in by_section.values()) == [False, True]
+        assert row["eval_requests"] == 2 * k + (len(data) - k)
 
 
 class TestClsAverage:

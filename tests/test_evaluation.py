@@ -414,16 +414,15 @@ class TestEvaluate:
         assert (rep.precision, rep.recall) == (1.0, pytest.approx(0.9))
         assert [(b.example_id, b.predicted) for b in bad] == [("3", FORMAT_FAILURE)]
 
-    def test_predictions_flag_the_candidate_with_a_failed_request(self, cls_examples):
+    def test_predictions_then_reports_equal_one_evaluation(self, cls_examples):
         backend = self._failing_on("Label the text.\ntext 3", BackendTimeout, cls_examples)
         cands = [self._candidate(),
                  Candidate(prompt=make_prompt(["Label the text."], placeholder_in=0))]
         predicted = predict_many(cands, cls_examples, backend)
-        assert [failed for _, failed in predicted] == [False, True]
-        assert predicted[0][0] == [ex.gold for ex in cls_examples]
-        assert predicted[1][0][3] is FORMAT_FAILURE
+        assert predicted[0] == [ex.gold for ex in cls_examples]
+        assert predicted[1][3] is FORMAT_FAILURE
         # the two steps give what one evaluation gives
-        assert [report_predictions(cls_examples, preds, seed=5) for preds, _ in predicted] \
+        assert [report_predictions(cls_examples, preds, seed=5) for preds in predicted] \
             == evaluate_many(cands, cls_examples, backend, seed=5)
 
     def test_auth_error_is_raised(self, cls_examples):
