@@ -11,7 +11,7 @@ training set of at least RACE_PREFIX_DIVISOR * RACE_MIN_PREFIX examples,
 that evaluation is a race: one batch scores every prompt on the first
 quarter of the training set, and a second one finishes the better half on
 the rest (successive halving, as in ProTeGi and APE). Otherwise one batch
-scores them on the whole set."""
+scores them on the whole set. The initial pool is never raced."""
 
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import operators as ops
-from .backend import Backend, GenerationResponse
+from .backend import Backend
 from .errors import (
     AuthError,
     BackendError,
@@ -142,9 +142,22 @@ class RunConfig:
             raise ConfigError("sarsa_alpha must be in (0, 1]")
         if not 0 <= self.sarsa_gamma <= 1:
             raise ConfigError("sarsa_gamma must be in [0, 1]")
-        for op in self.effective_operators():
+        if self.reward_mode not in ("mean", "per_pair"):
+            raise ConfigError("reward_mode must be mean or per_pair")
+        if self.msgd_update_mode not in ("multiplicative", "additive"):
+            raise ConfigError("msgd_update_mode must be multiplicative or additive")
+        if self.few_shot_strategy not in ("uniform", "stratified", "hard_case"):
+            raise ConfigError("few_shot_strategy must be uniform, stratified or hard_case")
+        if self.few_shot_k < 0:
+            raise ConfigError("few_shot_k must be >= 0")
+        if self.pairs_per_epoch < 0:
+            raise ConfigError("pairs_per_epoch must be >= 0")
+        operators = self.effective_operators()
+        for i, op in enumerate(operators):
             if op not in ops.OPERATOR_IDS:
                 raise ConfigError("unknown operator %r" % op)
+            if op in operators[:i]:
+                raise ConfigError("duplicate operator %r" % op)
         if self.task not in ("NER", "CLS", "MRC"):
             raise ConfigError("task must be NER/CLS/MRC")
         if self.cls_average not in ("micro", "macro"):
@@ -186,17 +199,14 @@ class RunReport:
     usage: dict = field(default_factory=dict)
     wall_clock_s: float = 0.0
 
-    def to_dict(self, include_timing: bool = False) -> dict:
+    def to_dict(self) -> dict:
         # wall clock is excluded from checkpoint files so identical runs
         # produce byte-identical artifacts
-        doc = {
+        return {
             "iterations": self.iterations,
             "final_test_objective": self.final_test_objective,
             "usage": self.usage,
         }
-        if include_timing:
-            doc["wall_clock_s"] = self.wall_clock_s
-        return doc
 
 
 # ---------------------------------------------------------------------------
@@ -237,47 +247,33 @@ def retain(candidates: Sequence[Candidate], top_k: int, anneal_count: int,
 
 def initialize_candidates(template: MetaPrompt, backend: Backend, beam_init: int,
                           seed: int, model: str = "default",
-                          temperature: float = 0.9,
-                          evaluate_fn=None) -> list[Candidate]:
+                          temperature: float = 0.9) -> list[Candidate]:
     """Seed the candidate pool: generate beam_init variant bodies per
     editable section (refine at elevated temperature) and assemble the i-th
-    candidate from the i-th variant of every section. Duplicate fingerprints
-    are collapsed with a warning. `evaluate_fn` scores the whole pool and
-    returns it scored."""
-    base = Candidate(prompt=template)
-    if beam_init == 1:
-        pool = [base]
-    else:
-        editable = template.editable_sections()
-        reqs = []
-        for section in editable:
-            ctx = ops.OperatorContext(
-                target_section=section, prompt=template, model=model,
-                temperature=temperature, rng_seed=seed,
-            )
-            req = ops.build_request("refine", ctx)
-            reqs.extend([req] * beam_init)
-        results = backend.generate_batch(reqs)
-        variants: dict[str, list[str]] = {}
-        idx = 0
-        for section in editable:
-            bodies = []
-            for _ in range(beam_init):
-                res = results[idx]
-                idx += 1
-                body = section.body
-                if isinstance(res, GenerationResponse):
-                    outcome = ops.parse_operator_response("refine", res.text, section.name)
-                    if outcome.parse_ok:
-                        body = outcome.new_body
-                bodies.append(body)
-            variants[section.id] = bodies
-        pool = []
-        for i in range(beam_init):
-            prompt = template
-            for section in editable:
-                prompt = prompt.with_body(section.id, variants[section.id][i])
-            pool.append(Candidate(prompt=prompt))
+    candidate from the i-th variant of every section. A variant whose reply
+    does not parse, or failed with a backend error, keeps the template's
+    body; an AuthError ends the run. Duplicate fingerprints are collapsed
+    with a warning."""
+    prompts = [template] * beam_init
+    if beam_init > 1:
+        contexts = [
+            ops.OperatorContext(target_section=section, prompt=template, model=model,
+                                temperature=temperature, rng_seed=seed)
+            for section in template.editable_sections()
+        ]
+        reqs = [req for ctx in contexts for req in ops.plan_operator("refine", ctx) * beam_init]
+        replies = iter(backend.generate_batch(reqs))
+        for ctx in contexts:
+            for i in range(beam_init):
+                try:
+                    edit = ops.finish_operator("refine", ctx, [next(replies)])
+                except AuthError:
+                    raise
+                except BackendError:
+                    continue
+                if edit.kind == "body":
+                    prompts[i] = prompts[i].with_body(edit.section_id, edit.new_body)
+    pool = [Candidate(prompt=prompt) for prompt in prompts]
     deduped: dict[str, Candidate] = {}
     for cand in pool:
         deduped.setdefault(cand.fingerprint, cand)
@@ -286,10 +282,7 @@ def initialize_candidates(template: MetaPrompt, backend: Backend, beam_init: int
             "initial pool collapsed from %d to %d distinct candidates",
             len(pool), len(deduped),
         )
-    pool = list(deduped.values())
-    if evaluate_fn is not None:
-        pool = evaluate_fn(pool)
-    return pool
+    return list(deduped.values())
 
 
 def update_matrix(m: TransitionMatrix, observations: Sequence[GradientObservation],
@@ -326,12 +319,11 @@ class _Trainer:
         self.test_set = list(test_set)
         self.run_dir = Path(run_dir) if run_dir else Path(cfg.output_dir) / run_id_for(cfg)
         self.report = RunReport()
-        self.bad_cases: dict[str, list[BadCase]] = {}
-        self.reports_by_fp: dict[str, MetricReport] = {}
-        prefix = len(self.train_set) // RACE_PREFIX_DIVISOR
-        self.prefix = prefix if prefix >= RACE_MIN_PREFIX else 0  # 0: no racing
-        # objective on train_set[:prefix] of every fully scored fingerprint
-        self.prefix_scores: dict[str, float] = {}
+        # every fully scored prompt by fingerprint: its report, its bad cases
+        # and, when the training set is long enough to race, its objective on
+        # train_set[:prefix]
+        self.scored: dict[str, tuple[MetricReport, list[BadCase], Optional[float]]] = {}
+        self.prefix = len(self.train_set) // RACE_PREFIX_DIVISOR
         self.eval_requests = 0
         sections = tuple(s.id for s in template.ordered_sections())
         operators = cfg.effective_operators()
@@ -360,78 +352,69 @@ class _Trainer:
         self.eval_requests += len(cands) * len(examples)
         return predict_many(cands, examples, self.backend, model=self.cfg.model)
 
-    def _prefix_objective(self, predictions) -> float:
-        """The objective of predictions on train_set[:prefix]."""
+    def _prefix_objective(self, predictions) -> Optional[float]:
+        """The objective of predictions on train_set[:prefix], or None when
+        the prefix is too short to race."""
         k = self.prefix
+        if k < RACE_MIN_PREFIX:
+            return None
         report, _ = report_predictions(
             self.train_set[:k], predictions[:k], objective=self.cfg.objective,
             cls_average=self.cfg.cls_average, bad_case_cap=0,
         )
         return report.objective_value()
 
-    def _record(self, cand: Candidate, predictions, iteration: int,
-                prefix_score: Optional[float] = None) -> None:
-        """Keep a fully scored prompt's report, bad cases and prefix score."""
-        cfg = self.cfg
-        fp = cand.fingerprint
-        self.reports_by_fp[fp], self.bad_cases[fp] = report_predictions(
-            self.train_set, predictions, objective=cfg.objective,
-            cls_average=cfg.cls_average, seed=cfg.seed + iteration,
-        )
-        if self.prefix:
-            if prefix_score is None:
-                prefix_score = self._prefix_objective(predictions)
-            self.prefix_scores[fp] = prefix_score
-
     def _scored(self, cand: Candidate, iteration: int) -> Candidate:
-        report = self.reports_by_fp[cand.fingerprint]
+        report = self.scored[cand.fingerprint][0]
         return cand.with_score(iteration, {
             "precision": report.precision,
             "recall": report.recall,
             "f1": report.f1,
         })
 
-    def _evaluate(self, cands: Sequence[Candidate], iteration: int) -> list[Candidate]:
-        """Score candidates on the training set in one batch; remember each
-        one's report and bad cases for the operators of later iterations."""
-        for cand, predictions in zip(cands, self._predict(cands, self.train_set)):
-            self._record(cand, predictions, iteration)
-        return [self._scored(cand, iteration) for cand in cands]
-
-    def _race(self, cands: Sequence[Candidate], iteration: int) -> dict[str, float]:
-        """Score distinct candidates, given in pair order. With racing on and
-        at least two of them, one batch scores all of them on the
-        training-set prefix and a second batch finishes the better half,
-        ranked by prefix objective with ties going to the earlier pair, on
-        the rest. Returns the prefix objective of each candidate raced out;
-        every other one is fully scored and recorded."""
-        if not self.prefix or len(cands) < 2:
-            self._evaluate(cands, iteration)
-            return {}
-        k = self.prefix
-        heads = self._predict(cands, self.train_set[:k])
-        prefix_scores = [self._prefix_objective(preds) for preds in heads]
-        ranked = sorted(range(len(cands)), key=lambda i: (-prefix_scores[i], i))
-        kept = sorted(ranked[:math.ceil(len(cands) / 2)])
-        tails = self._predict([cands[i] for i in kept], self.train_set[k:])
-        for i, preds in zip(kept, tails):
-            self._record(cands[i], heads[i] + preds, iteration,
-                         prefix_score=prefix_scores[i])
-        return {cands[i].fingerprint: prefix_scores[i] for i in ranked[len(kept):]}
+    def _score(self, cands: Sequence[Candidate], iteration: int) -> dict[str, float]:
+        """Score distinct candidates, given in pair order, on the training
+        set and record each fully scored one in `scored`. From iteration 1
+        on, with at least two candidates and a prefix of at least
+        RACE_MIN_PREFIX examples, they race: one batch scores every candidate
+        on the prefix and a second batch finishes the better half, ranked by
+        prefix objective with ties going to the earlier pair, on the rest.
+        Otherwise one batch scores them on the whole set. Returns the prefix
+        objective of each candidate raced out."""
+        cfg = self.cfg
+        races = iteration >= 1 and len(cands) >= 2 and self.prefix >= RACE_MIN_PREFIX
+        split = self.prefix if races else len(self.train_set)
+        heads = self._predict(cands, self.train_set[:split])
+        prefix_objectives = [self._prefix_objective(preds) for preds in heads]
+        kept = list(range(len(cands)))
+        tails = [[]] * len(cands)
+        if races:
+            ranked = sorted(kept, key=lambda i: (-prefix_objectives[i], i))
+            kept = sorted(ranked[:math.ceil(len(cands) / 2)])
+            tails = self._predict([cands[i] for i in kept], self.train_set[split:])
+        for i, tail in zip(kept, tails):
+            report, bad_cases = report_predictions(
+                self.train_set, heads[i] + tail, objective=cfg.objective,
+                cls_average=cfg.cls_average, seed=cfg.seed + iteration,
+            )
+            self.scored[cands[i].fingerprint] = (report, bad_cases, prefix_objectives[i])
+        return {cand.fingerprint: prefix_objectives[i]
+                for i, cand in enumerate(cands) if i not in kept}
 
     def _context(self, pair: SelectionPair, base: Candidate, iteration: int,
                  pool: Sequence[Candidate], pair_index: int) -> ops.OperatorContext:
+        report, bad_cases, _ = self.scored[base.fingerprint]
         return ops.OperatorContext(
             target_section=base.prompt.section_by_id(pair.section),
             prompt=base.prompt,
             sibling_candidates=tuple(pool),
-            bad_cases=tuple(self.bad_cases.get(base.fingerprint, ())),
+            bad_cases=tuple(bad_cases),
             dataset=tuple(self.train_set),
             rng_seed=self.cfg.seed * 1_000_003 + iteration * 101 + pair_index,
             model=self.cfg.model,
             temperature=self.cfg.operator_temperature,
             objective=self.cfg.objective,
-            metric_report=self.reports_by_fp.get(base.fingerprint),
+            metric_report=report,
             few_shot_k=self.cfg.few_shot_k,
             few_shot_strategy=self.cfg.few_shot_strategy,
         )
@@ -469,8 +452,9 @@ class _Trainer:
         pool = initialize_candidates(
             self.template, self.backend, cfg.beam_init, cfg.seed,
             model=cfg.model, temperature=max(cfg.operator_temperature, 0.9),
-            evaluate_fn=lambda cands: self._evaluate(cands, 0),
         )
+        self._score(pool, 0)
+        pool = [self._scored(cand, 0) for cand in pool]
         stall = 0
         prev_best = max(_latest(c, cfg.objective) for c in pool)
         stopped_early = False
@@ -544,7 +528,7 @@ class _Trainer:
             if cand is not None:
                 fresh.setdefault(cand.fingerprint, cand)
         eval_requests = self.eval_requests
-        losers = self._race(list(fresh.values()), iteration)
+        losers = self._score(list(fresh.values()), iteration)
         observations: list[GradientObservation] = []
         raced_out: list[bool] = []
         new_candidates: list[Candidate] = []
@@ -553,7 +537,7 @@ class _Trainer:
             lost = cand is not None and cand.fingerprint in losers
             if lost:
                 # compare like with like: both scores on the prefix
-                prev = self.prefix_scores[base.fingerprint]
+                prev = self.scored[base.fingerprint][2]
                 cur = losers[cand.fingerprint]
             elif cand is not None:
                 cand = self._scored(cand, iteration)

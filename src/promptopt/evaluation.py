@@ -417,32 +417,17 @@ def report_predictions(examples: Sequence[ExampleRecord], predictions: Sequence,
     return report, bad_cases
 
 
-def evaluate_many(candidates: Sequence[Candidate], examples: Sequence[ExampleRecord],
-                  backend: Backend, objective: str = "f1", cls_average: str = "micro",
-                  bad_case_cap: int = 20, seed: int = 0, model: str = "default",
-                  ) -> list[tuple[MetricReport, list[BadCase]]]:
-    """Score every candidate on the same examples with one backend batch of
-    len(candidates) x len(examples) requests in (candidate, example) order.
-    Each candidate's report and bad cases are what `evaluate` would give it
-    alone. A failed request scores as a format failure, except an AuthError,
-    which is raised: the first one in the batch ends the evaluation."""
-    return [
-        report_predictions(examples, predictions, objective, cls_average, bad_case_cap, seed)
-        for predictions in predict_many(candidates, examples, backend, model=model)
-    ]
-
-
 def evaluate(candidate: Candidate, examples: Sequence[ExampleRecord], backend: Backend,
              objective: str = "f1", bad_case_cap: int = 20, seed: int = 0,
              model: str = "default", cls_average: str = "micro",
              ) -> tuple[MetricReport, list[BadCase]]:
     """Render the candidate prompt over every example, batch-generate, parse,
-    score, and collect a seeded uniform sample of failures as bad cases: the
-    one-candidate case of `evaluate_many`."""
-    return evaluate_many(
-        [candidate], examples, backend, objective=objective, cls_average=cls_average,
-        bad_case_cap=bad_case_cap, seed=seed, model=model,
-    )[0]
+    score, and collect a seeded uniform sample of failures as bad cases. A
+    failed request scores as a format failure, except an AuthError, which is
+    raised."""
+    [predictions] = predict_many([candidate], examples, backend, model=model)
+    return report_predictions(examples, predictions, objective=objective,
+                              cls_average=cls_average, bad_case_cap=bad_case_cap, seed=seed)
 
 
 def _is_correct(task: str, gold, pred) -> bool:

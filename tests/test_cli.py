@@ -153,6 +153,28 @@ class TestTrain:
         assert main(["--json", "train", "--config", str(workspace / "config.json")]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "AuthError"
 
+    def test_auth_error_in_initialization_exits_2(self, workspace, monkeypatch, capsys):
+        batches = []
+
+        class RevokedForRefine(MockBackend):
+            def generate(self, req):
+                if '"Refine"' in req.messages[-1][1]:  # the refine template only
+                    raise AuthError("HTTP 401")
+                return super().generate(req)
+
+            def generate_batch(self, reqs):
+                batches.append(len(reqs))
+                return super().generate_batch(reqs)
+
+        monkeypatch.setattr(cli, "build_backend",
+                            lambda *args: RevokedForRefine.from_file(workspace / "mock.json"))
+        # the iterations would send no refine request of their own
+        assert main(["--json", "train", "--config", str(workspace / "config.json"),
+                     "--set", "beam_init=3", "--set", 'operators=["cot"]']) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "AuthError"
+        assert batches == [3 * 2]  # the init batch: beam_init per editable section
+        assert not list((workspace / "runs").glob("*/report.json"))
+
     def test_runs_with_different_train_files_keep_their_dirs(self, workspace, capsys):
         config = str(workspace / "config.json")
         assert main(["train", "--config", config]) == 0
@@ -231,6 +253,27 @@ class TestTrain:
                     "--set", 'operators=["refine", "rag"]']
             assert main(args) == 1
             assert capsys.readouterr().err == "error: unknown operator 'rag'\n"
+        assert not (workspace / "runs").exists()
+
+    @pytest.mark.parametrize("override, needle", [
+        ("reward_mode=per-pair", "reward_mode must be mean or per_pair"),
+        ("msgd_update_mode=exponential", "msgd_update_mode must be"),
+        ("few_shot_strategy=random", "few_shot_strategy must be"),
+        ('operators=["cot", "refine", "cot"]', "duplicate operator 'cot'"),
+        ("few_shot_k=-1", "few_shot_k must be >= 0"),
+        ("pairs_per_epoch=-1", "pairs_per_epoch must be >= 0"),
+    ])
+    def test_bad_config_value_exits_one_before_any_request(self, workspace, monkeypatch,
+                                                          capsys, override, needle):
+        def no_request(self, req):
+            raise AssertionError("request sent")
+
+        monkeypatch.setattr(MockBackend, "generate", no_request)
+        for cmd in ("train", "validate-config"):
+            assert main([cmd, "--config", str(workspace / "config.json"),
+                         "--set", override]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and needle in err
         assert not (workspace / "runs").exists()
 
     @pytest.mark.parametrize("line, needle", [

@@ -125,6 +125,15 @@ class TestRetain:
         assert out[0].fingerprint == short.fingerprint
 
 
+class OneTimedOutReply(MockBackend):
+    """Fails the second request of every batch with a timeout."""
+
+    def generate_batch(self, reqs):
+        out = super().generate_batch(reqs)
+        out[1] = BackendTimeout("variant timed out")
+        return out
+
+
 class TestInitializeCandidates:
     def test_beam_one_is_template(self):
         template = base_template()
@@ -161,11 +170,15 @@ class TestInitializeCandidates:
         import logging
 
         template = base_template()
-        with caplog.at_level(logging.WARNING):
-            pool = initialize_candidates(template, MockBackend([{"response": "pass"}]),
-                                         6, seed=0)
-        assert len(pool) == 1
-        assert any("collapsed" in r.message for r in caplog.records)
+        # a reply that failed keeps the template's body as an unparseable one does
+        for backend_cls in (MockBackend, OneTimedOutReply):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                pool = initialize_candidates(template, backend_cls([{"response": "pass"}]),
+                                             6, seed=0)
+            assert len(pool) == 1
+            assert pool[0].fingerprint == template.fingerprint()
+            assert any("collapsed" in r.message for r in caplog.records)
 
 
 class TestConfig:
@@ -564,8 +577,9 @@ class TestRacing:
         cfg = small_config(iterations=1, top_k=3, anneal_count=0, pairs_per_epoch=pairs,
                            operators=("refine", "rewrite"), output_dir=str(tmp_path))
         trainer = _Trainer(cfg, data, [], base_template(), backend)
-        pool = trainer._evaluate([Candidate(prompt=base_template())], 0)
-        return trainer, pool
+        pool = [Candidate(prompt=base_template())]
+        trainer._score(pool, 0)
+        return trainer, [trainer._scored(cand, 0) for cand in pool]
 
     @pytest.mark.parametrize("pairs", [3, 4])
     def test_prefix_then_the_better_half(self, tmp_path, pairs):
@@ -596,7 +610,7 @@ class TestRacing:
         assert row["eval_requests"] == pairs * k + 2 * (len(data) - k)
 
         in_pool = {c.prompt.skeleton(): c for c in new_pool}
-        assert len(new_pool) == 3 and len(trainer.reports_by_fp) == 3
+        assert len(new_pool) == 3 and len(trainer.scored) == 3
         for i, sel in enumerate(row["selections"]):
             skeleton = heads[i][0]
             assert sel["raced_out"] == (i in dropped)
@@ -606,10 +620,22 @@ class TestRacing:
                 continue
             cand = in_pool[skeleton]
             report, bad = evaluate(cand, data, Graded(data), seed=1)
-            assert trainer.reports_by_fp[cand.fingerprint] == report
-            assert trainer.bad_cases[cand.fingerprint] == bad
+            assert trainer.scored[cand.fingerprint] == (report, bad, scores[i])
             assert cand.latest_score("f1") == report.f1
             assert sel["gradient"] == report.f1 - pool[0].latest_score("f1")
+
+    def test_initial_pool_is_never_raced(self, tmp_path):
+        data = cls_dataset(100)
+        backend = Graded(data)
+        cfg = small_config(iterations=1, beam_init=4, operators=("cot",),
+                           output_dir=str(tmp_path))
+        train(cfg, data, [], base_template(), backend)
+        refine_call, pool_call = backend.calls[:2]
+        assert len(refine_call) == 4 * 2  # beam_init per editable section
+        assert all(OPERATOR_TARGET.search(text) for text, _ in refine_call)
+        # four distinct variants, each scored on the whole training set
+        assert len(pool_call) == 4 * len(data)
+        assert len({skeleton for skeleton, _ in eval_blocks(pool_call, data)}) == 4
 
     def test_short_training_set_does_not_race(self, tmp_path):
         data = cls_dataset(99)

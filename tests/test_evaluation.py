@@ -16,7 +16,6 @@ from promptopt.evaluation import (
     FORMAT_FAILURE,
     ExampleRecord,
     evaluate,
-    evaluate_many,
     load_dataset,
     loss,
     parse_prediction,
@@ -421,9 +420,9 @@ class TestEvaluate:
         predicted = predict_many(cands, cls_examples, backend)
         assert predicted[0] == [ex.gold for ex in cls_examples]
         assert predicted[1][3] is FORMAT_FAILURE
-        # the two steps give what one evaluation gives
+        # the two steps give what one evaluation of each candidate gives
         assert [report_predictions(cls_examples, preds, seed=5) for preds in predicted] \
-            == evaluate_many(cands, cls_examples, backend, seed=5)
+            == [evaluate(cand, cls_examples, backend, seed=5) for cand in cands]
 
     def test_auth_error_is_raised(self, cls_examples):
         backend = self._failing_on("text 3", AuthError, cls_examples)

@@ -48,3 +48,26 @@ def test_no_import_statement_names_either():
             found += ["%s: %s" % (path.name, n) for n in names
                       if n.split(".")[0] in BANNED]
     assert found == []
+
+
+def test_every_imported_name_is_used():
+    # the package __init__ re-exports the public names, and an import line
+    # marked `# noqa: F401` keeps its name on purpose
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == PACKAGE / "__init__.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append("%s: %s" % (path.relative_to(PACKAGE), name))
+    assert unused == []
