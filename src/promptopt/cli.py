@@ -12,15 +12,17 @@ import json
 import logging
 import shutil
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-from .backend import BackendConfig, HttpBackend, MockBackend, RetryPolicy
+from .backend import BackendConfig, HttpBackend, MockBackend
 from .engine import RunConfig, config_from_dict, config_to_dict, run_id_for, train
 from .errors import ConfigError, PromptOptError
 from .evaluation import evaluate, load_dataset
 from .matrix import load_matrix
 from .msgd_rl import ExperienceStore, read_experience, save_experience
 from .prompt_model import Candidate, load_template, save_template, scratch_prompt
+from .settings import from_fields
 
 log = logging.getLogger(__name__)
 
@@ -82,24 +84,12 @@ def split_config(doc: dict) -> tuple[RunConfig, dict]:
 def build_backend(cfg: RunConfig, extra: dict, mock_script=None):
     """The run's backend; settings it cannot use raise ConfigError before any
     request is sent."""
-    script_path = mock_script or extra.get("mock_script")
-    b = extra.get("backend") or {}
     try:
+        backend_cfg = from_fields(BackendConfig, extra.get("backend") or {})
+        script_path = mock_script or extra.get("mock_script")
         if script_path:
-            return MockBackend.from_file(script_path,
-                                         max_parallel=b.get("max_parallel", 8))
-        retry = b.get("retry") or {}
-        backend_cfg = BackendConfig(
-            base_url=b.get("base_url", "http://localhost:8000/v1"),
-            api_key_env_name=b.get("api_key_env_name", "PROMPTFLOW_API_KEY"),
-            max_parallel=b.get("max_parallel", 8),
-            retry=RetryPolicy(
-                max_attempts=retry.get("max_attempts", 3),
-                base_backoff_ms=retry.get("base_backoff_ms", 250.0),
-            ),
-            timeout_ms=b.get("timeout_ms", 60_000.0),
-        )
-    except (ValueError, TypeError) as e:
+            return MockBackend.from_file(script_path, max_parallel=backend_cfg.max_parallel)
+    except (ValueError, ConfigError) as e:
         raise ConfigError("backend: %s" % e) from None
     return HttpBackend(backend_cfg)
 
@@ -139,13 +129,7 @@ def cmd_init(args) -> int:
         "template": str(out / "template.json"),
         "train_data": "train.jsonl",
         "test_data": "test.jsonl",
-        "backend": {
-            "base_url": "http://localhost:8000/v1",
-            "api_key_env_name": "PROMPTFLOW_API_KEY",
-            "max_parallel": 8,
-            "retry": {"max_attempts": 3, "base_backoff_ms": 250.0},
-            "timeout_ms": 60000.0,
-        },
+        "backend": asdict(BackendConfig()),
         "mock_script": None,
     })
     (out / "config.json").write_text(

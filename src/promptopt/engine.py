@@ -30,16 +30,7 @@ import numpy as np
 
 from . import operators as ops
 from .backend import Backend
-from .errors import (
-    AuthError,
-    BackendError,
-    ConfigError,
-    EmptyDataset,
-    KTooLarge,
-    MissingContext,
-    NonEditableSection,
-    SectionSetMismatch,
-)
+from .errors import BackendError, ConfigError
 from .evaluation import (
     BadCase,
     ExampleRecord,
@@ -71,6 +62,7 @@ from .prompt_model import (
     candidate_to_dict,
     reorder,
 )
+from .settings import from_fields
 
 log = logging.getLogger(__name__)
 
@@ -165,14 +157,7 @@ class RunConfig:
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    known = {f.name for f in RunConfig.__dataclass_fields__.values()}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError("unknown config keys: %s" % sorted(unknown))
-    doc = dict(doc)
-    if "operators" in doc:
-        doc["operators"] = tuple(doc["operators"])
-    return RunConfig(**doc)
+    return from_fields(RunConfig, doc)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -256,23 +241,17 @@ def initialize_candidates(template: MetaPrompt, backend: Backend, beam_init: int
     with a warning."""
     prompts = [template] * beam_init
     if beam_init > 1:
-        contexts = [
-            ops.OperatorContext(target_section=section, prompt=template, model=model,
-                                temperature=temperature, rng_seed=seed)
+        jobs = [
+            ("refine", ops.OperatorContext(target_section=section, prompt=template, model=model,
+                                           temperature=temperature, rng_seed=seed))
             for section in template.editable_sections()
+            for _ in range(beam_init)
         ]
-        reqs = [req for ctx in contexts for req in ops.plan_operator("refine", ctx) * beam_init]
-        replies = iter(backend.generate_batch(reqs))
-        for ctx in contexts:
-            for i in range(beam_init):
-                try:
-                    edit = ops.finish_operator("refine", ctx, [next(replies)])
-                except AuthError:
-                    raise
-                except BackendError:
-                    continue
-                if edit.kind == "body":
-                    prompts[i] = prompts[i].with_body(edit.section_id, edit.new_body)
+        edits = ops.apply_operators(jobs, backend)
+        for k, edit in enumerate(edits):
+            if isinstance(edit, ops.EditResult) and edit.kind == "body":
+                i = k % beam_init
+                prompts[i] = prompts[i].with_body(edit.section_id, edit.new_body)
     pool = [Candidate(prompt=prompt) for prompt in prompts]
     deduped: dict[str, Candidate] = {}
     for cand in pool:
@@ -420,15 +399,6 @@ class _Trainer:
         )
 
     @staticmethod
-    def _plan(pair: SelectionPair, ctx: ops.OperatorContext):
-        """The operator's plan, with missing context counted as a no-op."""
-        try:
-            return ops.plan_operator(pair.operator, ctx)
-        except (MissingContext, SectionSetMismatch, EmptyDataset,
-                KTooLarge, NonEditableSection):
-            return ops.NOOP
-
-    @staticmethod
     def _edited(base: Candidate, edit: ops.EditResult, pair: SelectionPair,
                 iteration: int) -> Optional[Candidate]:
         """The candidate an edit of the base makes, or None when the prompt
@@ -496,31 +466,20 @@ class _Trainer:
         base_score = _latest(base, cfg.objective)
         n_pairs = min(cfg.effective_pairs_per_epoch(), int(self.eligible.sum()))
         pairs = select_pairs(self.matrix, n_pairs, self.rng, eligible=self.eligible)
-        contexts = [self._context(pair, base, iteration, pool, k)
-                    for k, pair in enumerate(pairs)]
-        plans = [self._plan(pair, ctx) for pair, ctx in zip(pairs, contexts)]
-
         # round trip 1: every backend operator's requests, in pair order
-        reqs = [req for plan in plans if isinstance(plan, tuple) for req in plan]
-        replies = self.backend.generate_batch(reqs) if reqs else []
+        results = ops.apply_operators(
+            [(pair.operator, self._context(pair, base, iteration, pool, k))
+             for k, pair in enumerate(pairs)], self.backend)
         edits: list[tuple[SelectionPair, Optional[Candidate]]] = []
         failed = []
-        at = 0
-        for pair, ctx, plan in zip(pairs, contexts, plans):
-            if isinstance(plan, tuple):
-                own = replies[at:at + len(plan)]
-                at += len(plan)
-                try:
-                    plan = ops.finish_operator(pair.operator, ctx, own)
-                except AuthError:
-                    raise
-                except BackendError as e:
-                    # infrastructure noise, not prompt quality: no observation
-                    log.warning("operator %s on %s failed: %s", pair.operator, pair.section, e)
-                    failed.append({"section": pair.section, "operator": pair.operator,
-                                   "error": type(e).__name__})
-                    continue
-            edits.append((pair, self._edited(base, plan, pair, iteration)))
+        for pair, result in zip(pairs, results):
+            if isinstance(result, BackendError):
+                # infrastructure noise, not prompt quality: no observation
+                log.warning("operator %s on %s failed: %s", pair.operator, pair.section, result)
+                failed.append({"section": pair.section, "operator": pair.operator,
+                               "error": type(result).__name__})
+            else:
+                edits.append((pair, self._edited(base, result, pair, iteration)))
 
         # round trips 2 and 3: the edited prompts, once each
         fresh: dict[str, Candidate] = {}

@@ -166,9 +166,9 @@ def parse_prediction(task: str, raw: str):
 # ---------------------------------------------------------------------------
 # scoring
 
-def score(task: str, gold: Mapping[str, object], predictions: Mapping[str, object],
+def score(task: str, gold: Mapping[object, object], predictions: Mapping[object, object],
           objective: str = "f1", cls_average: str = "micro") -> MetricReport:
-    """Compute the task metric over predictions aligned to gold by example id."""
+    """Compute the task metric over predictions aligned to gold by key."""
     if set(gold) != set(predictions):
         raise AlignmentError(
             "gold and prediction ids differ: %r vs %r"
@@ -398,17 +398,18 @@ def report_predictions(examples: Sequence[ExampleRecord], predictions: Sequence,
                        ) -> tuple[MetricReport, list[BadCase]]:
     """Score one candidate's predictions, aligned with `examples`, and
     collect a seeded uniform sample of up to `bad_case_cap` of its failures
-    as bad cases (none are looked for when the cap is 0)."""
+    as bad cases (none are looked for when the cap is 0). Examples are keyed
+    by position, so examples that share an id are all scored."""
     task = examples[0].task
     gold = {}
-    by_id = {}
+    by_position = {}
     failures = []
-    for ex, pred in zip(examples, predictions):
-        gold[ex.id] = ex.gold
-        by_id[ex.id] = pred
+    for i, (ex, pred) in enumerate(zip(examples, predictions)):
+        gold[i] = ex.gold
+        by_position[i] = pred
         if bad_case_cap and not _is_correct(task, ex.gold, pred):
             failures.append(BadCase(ex.id, ex.gold, pred))
-    report = score(task, gold, by_id, objective=objective, cls_average=cls_average)
+    report = score(task, gold, by_position, objective=objective, cls_average=cls_average)
     rng = random.Random(seed)
     if len(failures) > bad_case_cap:
         bad_cases = rng.sample(failures, bad_case_cap)

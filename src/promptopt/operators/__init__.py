@@ -2,12 +2,15 @@
 
 An operator runs in two steps. `plan_operator` either finishes a local
 operator (cot, few_shot, repeat_instructions, merge) without a model call,
-or returns the requests a backend operator needs; `finish_operator` turns
-their replies into an edit. Template-backed operators build a chat request
-from a text template and parse a JSON response. The manifest maps each of
-them to its template file; a new operator needs its id in `OPERATOR_IDS`
-(`load_registry` rejects any other) and its own branch in `build_request`
-when the template takes more than the section's name and body.
+or returns the requests a backend operator needs, and it alone makes an
+operator with missing context a no-op; `finish_operator` turns the replies
+into an edit. `apply_operators` runs many operators in one round trip, and
+`apply_operator` is its one-operator form. Template-backed operators build
+a chat request from a text template and parse a JSON response. The manifest
+maps each of them to its template file; a new operator needs its id in
+`OPERATOR_IDS` (`load_registry` rejects any other) and its own branch in
+`build_request` when the template takes more than the section's name and
+body.
 """
 
 from __future__ import annotations
@@ -422,38 +425,43 @@ class EditResult:
 NOOP = EditResult(kind="noop")
 
 
+# context an operator cannot work with makes it a no-op
+NO_CONTEXT = (MissingContext, IdenticalParents, SectionSetMismatch, EmptyDataset,
+              KTooLarge, NonEditableSection)
+
+
 def plan_operator(op: str, ctx: OperatorContext) -> Union[EditResult, tuple[GenerationRequest, ...]]:
     """First step of an operator. A local operator comes back finished, as
     an EditResult; a backend operator comes back as the requests it needs
     (one, or CONSISTENCY_SAMPLES for self_consistency), whose replies go to
-    `finish_operator`."""
+    `finish_operator`. Missing context (any of NO_CONTEXT) makes the operator
+    a no-op; an unknown operator id raises."""
     if op not in OPERATOR_IDS:
         raise UnknownOperator(op)
     section = ctx.target_section
-
-    if op == "cot":
-        return EditResult("body", section_id=section.id, new_body=cot_scaffold(section))
-    if op == "few_shot":
-        block = few_shot_sample(
-            tuple(ctx.dataset), ctx.few_shot_strategy, ctx.few_shot_k,
-            ctx.rng_seed, report=ctx.metric_report,
-        )
-        return EditResult("body", section_id=section.id, new_body=block)
-    if op == "repeat_instructions":
-        if ctx.prompt is None:
-            raise MissingContext("repeat_instructions needs the full prompt")
-        host_id, new_body = repeat_instructions(ctx.prompt, section)
-        if ctx.prompt.section_by_id(host_id).body == new_body:
-            return NOOP
-        return EditResult("body", section_id=host_id, new_body=new_body)
-    if op == "merge":
-        merged = merge_deterministic(ctx.sibling_candidates, ctx.objective)
-        return EditResult("prompt", new_prompt=merged)
-    if op == "self_consistency":
-        return (build_request("refine", ctx),) * CONSISTENCY_SAMPLES
     try:
+        if op == "cot":
+            return EditResult("body", section_id=section.id, new_body=cot_scaffold(section))
+        if op == "few_shot":
+            block = few_shot_sample(
+                tuple(ctx.dataset), ctx.few_shot_strategy, ctx.few_shot_k,
+                ctx.rng_seed, report=ctx.metric_report,
+            )
+            return EditResult("body", section_id=section.id, new_body=block)
+        if op == "repeat_instructions":
+            if ctx.prompt is None:
+                raise MissingContext("repeat_instructions needs the full prompt")
+            host_id, new_body = repeat_instructions(ctx.prompt, section)
+            if ctx.prompt.section_by_id(host_id).body == new_body:
+                return NOOP
+            return EditResult("body", section_id=host_id, new_body=new_body)
+        if op == "merge":
+            merged = merge_deterministic(ctx.sibling_candidates, ctx.objective)
+            return EditResult("prompt", new_prompt=merged)
+        if op == "self_consistency":
+            return (build_request("refine", ctx),) * CONSISTENCY_SAMPLES
         return (build_request(op, ctx),)
-    except IdenticalParents:
+    except NO_CONTEXT:
         return NOOP
 
 
@@ -497,13 +505,36 @@ def finish_operator(op: str, ctx: OperatorContext,
     return EditResult("body", section_id=section.id, new_body=outcome.new_body)
 
 
+def apply_operators(jobs: Sequence[tuple[str, OperatorContext]],
+                    backend: Optional[Backend]) -> list[Union[EditResult, BackendError]]:
+    """Run (operator id, context) jobs in one round trip: plan every job,
+    send the requests of all of them as one batch in job order (none when no
+    job needs a request), and finish each job with its own replies. A job
+    whose replies all failed comes back as its BackendError; an AuthError is
+    raised. Without a backend, a job that needs requests raises
+    MissingContext."""
+    plans = [plan_operator(op, ctx) for op, ctx in jobs]
+    reqs = [req for plan in plans if isinstance(plan, tuple) for req in plan]
+    if reqs and backend is None:
+        raise MissingContext("operators that send requests need a backend")
+    replies = iter(backend.generate_batch(reqs) if reqs else ())
+    results = []
+    for (op, ctx), plan in zip(jobs, plans):
+        if isinstance(plan, tuple):
+            try:
+                plan = finish_operator(op, ctx, [next(replies) for _ in plan])
+            except AuthError:
+                raise
+            except BackendError as e:
+                plan = e
+        results.append(plan)
+    return results
+
+
 def apply_operator(op: str, ctx: OperatorContext, backend: Optional[Backend] = None) -> EditResult:
-    """Run one operator end to end: plan it, send a backend operator's
-    requests as one batch, and finish it. Unparseable responses come back
-    as a no-op."""
-    planned = plan_operator(op, ctx)
-    if isinstance(planned, EditResult):
-        return planned
-    if backend is None:
-        raise MissingContext("operator %r needs a backend" % op)
-    return finish_operator(op, ctx, backend.generate_batch(planned))
+    """Run one operator end to end with `apply_operators`; a failed reply is
+    raised."""
+    [result] = apply_operators([(op, ctx)], backend)
+    if isinstance(result, BackendError):
+        raise result
+    return result

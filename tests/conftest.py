@@ -1,30 +1,7 @@
-import json
-
 import pytest
 
-from promptopt.backend import MockBackend
 from promptopt.evaluation import ExampleRecord
 from promptopt.prompt_model import MetaPrompt, Section
-
-
-def make_prompt(bodies, editable=None, placeholder_in=-1):
-    """Build a prompt whose sections are named s0..sN; the placeholder is
-    appended to the section at index `placeholder_in`."""
-    sections = []
-    n = len(bodies)
-    for i, body in enumerate(bodies):
-        if i == (placeholder_in % n):
-            body = body + "\n{{Input}}" if body else "{{Input}}"
-        sections.append(
-            Section(
-                id="s%d" % i,
-                name="s%d" % i,
-                body=body,
-                editable=True if editable is None else editable[i],
-                position=i,
-            )
-        )
-    return MetaPrompt(sections=tuple(sections))
 
 
 @pytest.fixture
@@ -50,17 +27,3 @@ def cls_examples():
         ExampleRecord(str(i), "CLS", "text %d" % i, "A" if i % 2 == 0 else "B")
         for i in range(10)
     ]
-
-
-def echo_backend(mapping=None, fifo=None):
-    """Mock backend from a {contains: response} mapping and/or FIFO list."""
-    script = []
-    for needle, response in (mapping or {}).items():
-        script.append({"match": {"contains": needle}, "response": response})
-    for response in fifo or []:
-        script.append({"response": response})
-    return MockBackend(script)
-
-
-def body_json(name, body):
-    return json.dumps({name: body}, ensure_ascii=False)

@@ -34,7 +34,7 @@ from promptopt.msgd_rl import (
 )
 from promptopt.evaluation import ExampleRecord
 
-from conftest import make_prompt
+from helpers import make_prompt
 
 SECTIONS = ("Address", "Book", "Name", "Company")
 OPERATORS = ("rewrite", "refine", "reflect", "cot")

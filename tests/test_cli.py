@@ -9,7 +9,7 @@ from promptopt.errors import AuthError
 from promptopt.msgd_rl import read_experience
 from promptopt.prompt_model import load_template, save_template
 
-from conftest import make_prompt
+from helpers import make_prompt
 
 
 def cls_lines(n=12):
@@ -194,6 +194,8 @@ class TestTrain:
         ({"base_url": "localhost:8000/v1"}, "base_url"),
         ({"max_parallel": 0}, "max_parallel"),
         ({"timeout_ms": "fast"}, "backend: "),
+        ({"max_paralel": 4}, "backend: unknown config keys: ['max_paralel']"),
+        ({"retry": {"max_attempt": 2}}, "backend: retry: unknown config keys"),
     ])
     def test_unusable_backend_exits_one_before_any_request(self, workspace, monkeypatch,
                                                            capsys, backend, needle):
@@ -262,6 +264,11 @@ class TestTrain:
         ('operators=["cot", "refine", "cot"]', "duplicate operator 'cot'"),
         ("few_shot_k=-1", "few_shot_k must be >= 0"),
         ("pairs_per_epoch=-1", "pairs_per_epoch must be >= 0"),
+        ("few_shot_k=abc", 'few_shot_k must be an integer, not "abc"'),
+        ("top_k=2.5", "top_k must be an integer, not 2.5"),
+        ("iterations=true", "iterations must be an integer, not true"),
+        ("learning_rate_alpha=true", "learning_rate_alpha must be a number"),
+        ('operators="refine"', 'operators must be a list of strings, not "refine"'),
     ])
     def test_bad_config_value_exits_one_before_any_request(self, workspace, monkeypatch,
                                                           capsys, override, needle):

@@ -25,7 +25,7 @@ from promptopt.msgd_rl import ExperienceStore, read_experience, save_experience
 from promptopt.operators import COT_SCAFFOLD, OPERATOR_IDS
 from promptopt.prompt_model import Candidate, candidate_from_dict
 
-from conftest import body_json, make_prompt
+from helpers import body_json, make_prompt
 
 
 def scored(body_tag, score, extra_lineage=0):

@@ -25,7 +25,7 @@ from promptopt.evaluation import (
 )
 from promptopt.prompt_model import Candidate
 
-from conftest import make_prompt
+from helpers import make_prompt
 
 
 class TestParsePrediction:
@@ -428,3 +428,27 @@ class TestEvaluate:
         backend = self._failing_on("text 3", AuthError, cls_examples)
         with pytest.raises(AuthError):
             evaluate(self._candidate(), cls_examples, backend)
+
+
+class TestRepeatedIds:
+    """Scoring keys examples by position: examples that share an id are all
+    scored, and bad cases keep their ids."""
+
+    def test_every_example_sharing_an_id_is_scored(self):
+        examples = [ExampleRecord(ex_id, "CLS", "text %d" % i, gold)
+                    for i, (ex_id, gold) in enumerate([("a", "A"), ("a", "B"),
+                                                       ("b", "A"), ("b", "B")])]
+        report, bad = report_predictions(examples, ["A"] * 4)
+        assert report.support == 4
+        assert report.f1 == pytest.approx(0.5)
+        assert [b.example_id for b in bad] == ["a", "b"]
+
+    def test_line_number_id_colliding_with_an_explicit_id(self, tmp_path):
+        path = tmp_path / "cls.jsonl"
+        path.write_text('{"text": "first", "label": "A"}\n'
+                        '{"id": "0", "text": "second", "label": "B"}\n')
+        examples = load_dataset(path, "CLS")
+        assert [ex.id for ex in examples] == ["0", "0"]
+        report, _ = report_predictions(examples, ["A", "A"])
+        assert report.support == 2
+        assert report.f1 == pytest.approx(0.5)

@@ -9,7 +9,7 @@ from promptopt.fileio import write_text_atomic
 from promptopt.matrix import init_uniform, save_matrix
 from promptopt.msgd_rl import ExperienceStore, save_experience
 
-from conftest import make_prompt
+from helpers import make_prompt
 
 OLD = "previous contents\n"
 

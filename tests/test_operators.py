@@ -24,6 +24,7 @@ from promptopt.operators import (
     EditResult,
     OperatorContext,
     apply_operator,
+    apply_operators,
     build_request,
     cot_scaffold,
     few_shot_sample,
@@ -37,7 +38,7 @@ from promptopt.operators import (
 )
 from promptopt.prompt_model import Candidate, Section
 
-from conftest import body_json, make_prompt
+from helpers import body_json, make_prompt
 
 
 def section(name="horoscope", body="Focus on astrology, horoscope analysis, constellation knowledge, etc.",
@@ -489,3 +490,112 @@ class TestPlanAndFinish:
         replies = [GenerationResponse(body_json(sec.name, "abc")), AuthError("401")]
         with pytest.raises(AuthError):
             finish_operator("self_consistency", ctx_for(sec), replies)
+
+
+class RecordingBackend(MockBackend):
+    """A mock that records every batch and fails the requests whose text
+    contains `failing` with `error`."""
+
+    def __init__(self, script, failing=None, error=BackendTimeout):
+        super().__init__(script)
+        self.batches = []
+        self.failing, self.error = failing, error
+
+    def generate_batch(self, reqs):
+        self.batches.append(list(reqs))
+        return super().generate_batch(reqs)
+
+    def generate(self, req):
+        if self.failing and self.failing in req.messages[-1][1]:
+            raise self.error("failed on %s" % self.failing)
+        return super().generate(req)
+
+
+class TestApplyOperators:
+    def test_local_and_backend_jobs_share_one_batch_in_job_order(self, cls_examples):
+        prompt = make_prompt(["Classify.", "", "{{Input}}"], editable=[True, True, False])
+        s0, s1 = prompt.section_by_id("s0"), prompt.section_by_id("s1")
+        jobs = [
+            ("cot", ctx_for(s0, prompt=prompt)),
+            ("refine", ctx_for(s1, prompt=prompt)),
+            ("few_shot", ctx_for(s1, prompt=prompt, dataset=tuple(cls_examples), few_shot_k=2)),
+            ("self_consistency", ctx_for(s0, prompt=prompt)),
+            ("reflect", ctx_for(s0, prompt=prompt)),  # no bad cases: a no-op
+        ]
+        backend = RecordingBackend([
+            {"match": {"contains": "Below is a s1 of"}, "response": body_json("s1", "s1 refined")},
+            {"match": {"contains": "Below is a s0 of"}, "response": body_json("s0", "s0 refined")},
+        ])
+        results = apply_operators(jobs, backend)
+        assert backend.batches == [list(plan_operator(*jobs[1]) + plan_operator(*jobs[3]))]
+        assert len(backend.batches[0]) == 1 + 3
+        assert [r.kind for r in results] == ["body", "body", "body", "body", "noop"]
+        assert COT_SCAFFOLD in results[0].new_body
+        assert (results[1].section_id, results[1].new_body) == ("s1", "s1 refined")
+        assert results[2].new_body.count("Input:") == 2
+        assert (results[3].section_id, results[3].new_body) == ("s0", "s0 refined")
+
+    def test_timed_out_slot_comes_back_as_its_error(self):
+        secs = [section(name, "%s body" % name) for name in ("alpha", "beta", "gamma")]
+        backend = RecordingBackend(
+            [{"match": {"contains": sec.body}, "response": body_json(sec.name, "new " + sec.name)}
+             for sec in secs],
+            failing="beta body",
+        )
+        results = apply_operators([("refine", ctx_for(sec)) for sec in secs], backend)
+        assert len(backend.batches) == 1 and len(backend.batches[0]) == 3
+        assert isinstance(results[1], BackendTimeout)
+        assert [results[0].new_body, results[2].new_body] == ["new alpha", "new gamma"]
+
+    def test_auth_error_reply_is_raised(self):
+        secs = [section(name, "%s body" % name) for name in ("alpha", "beta")]
+        backend = RecordingBackend(
+            [{"response": body_json("alpha", "new alpha")}], failing="beta body", error=AuthError,
+        )
+        with pytest.raises(AuthError):
+            apply_operators([("refine", ctx_for(sec)) for sec in secs], backend)
+        assert len(backend.batches) == 1
+
+    def test_jobs_without_requests_send_no_batch(self):
+        backend = RecordingBackend([])
+        ctx = ctx_for(section())
+        assert plan_operator("reflect", ctx) is NOOP
+        assert apply_operators([("reflect", ctx), ("cot", ctx)], backend)[0] is NOOP
+        assert apply_operators([], backend) == []
+        assert backend.batches == []
+
+    def test_apply_operator_raises_a_failed_reply(self):
+        backend = RecordingBackend([], failing="horoscope")
+        with pytest.raises(BackendTimeout):
+            apply_operator("refine", ctx_for(section()), backend)
+
+
+class TestNoOpRule:
+    """`plan_operator` makes every operator whose context it cannot use a
+    no-op, and sends nothing for it."""
+
+    @pytest.mark.parametrize("op, build", [
+        ("reflect", lambda ex: ctx_for(section())),  # MissingContext
+        ("diff_evolution", lambda ex: ctx_for(section("s0", "same"), sibling_candidates=(
+            scored_candidate(["same", "{{Input}}"], 0.5),
+            scored_candidate(["same", "{{Input}}"], 0.6)))),  # IdenticalParents
+        ("merge", lambda ex: ctx_for(section("s0", "x"), sibling_candidates=(
+            scored_candidate(["x", "{{Input}}"], 0.5),
+            scored_candidate(["x", "y", "{{Input}}"], 0.5)))),  # SectionSetMismatch
+        ("few_shot", lambda ex: ctx_for(section())),  # EmptyDataset
+        ("few_shot", lambda ex: ctx_for(section(), dataset=tuple(ex), few_shot_k=11)),  # KTooLarge
+        ("refine", lambda ex: ctx_for(section(editable=False))),  # NonEditableSection
+        ("self_consistency", lambda ex: ctx_for(section(editable=False))),
+    ])
+    def test_missing_context_is_a_noop(self, cls_examples, op, build):
+        ctx = build(cls_examples)
+        backend = RecordingBackend([])
+        assert plan_operator(op, ctx) is NOOP
+        assert apply_operators([(op, ctx)], backend) == [NOOP]
+        assert backend.batches == []
+
+    def test_unknown_operator_still_raises(self):
+        with pytest.raises(UnknownOperator):
+            plan_operator("sparkle", ctx_for(section()))
+        with pytest.raises(UnknownOperator):
+            apply_operators([("sparkle", ctx_for(section()))], RecordingBackend([]))

@@ -24,7 +24,7 @@ from promptopt.prompt_model import (
     scratch_prompt,
 )
 
-from conftest import make_prompt
+from helpers import make_prompt
 
 
 class TestRender:
