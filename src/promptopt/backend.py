@@ -261,16 +261,41 @@ class HttpBackend(Backend):
         return out
 
 
+_MATCH_KEYS = ("hash", "contains", "index")
+
+
+def _check_match(i: int, match: dict) -> None:
+    """Reject a mock script `match` that is not empty or exactly one of
+    {"hash": str}, {"contains": str} or {"index": int >= 0}, so a typo never
+    falls back to FIFO."""
+    unknown = sorted(set(match) - set(_MATCH_KEYS))
+    if unknown:
+        raise ValueError("mock script entry %d: unknown \"match\" key %s; use one of %s"
+                         % (i, ", ".join(unknown), ", ".join(_MATCH_KEYS)))
+    if len(match) > 1:
+        raise ValueError("mock script entry %d: \"match\" has %s; use only one"
+                         % (i, " and ".join(sorted(match))))
+    for key, value in match.items():
+        if key == "index":
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError("mock script entry %d: \"index\" must be a "
+                                 "non-negative integer" % i)
+        elif not isinstance(value, str):
+            raise ValueError("mock script entry %d: \"%s\" must be a string" % (i, key))
+
+
 class MockBackend(Backend):
     """Deterministic scripted backend.
 
     Script entries are {"match": {...}, "response": "..."} where match is one
     of {"hash": <sha256 of canonical messages>}, {"contains": <substring of
     the last message>}, or {"index": n} / {} (ordered fallback, consumed
-    FIFO). Hash and contains entries are reusable; fallback entries are
-    consumed once each. When fallback entries run out the last one is
-    replayed so long runs stay deterministic (or ScriptExhausted is raised if
-    `strict` is set). A script of any other shape raises ValueError.
+    FIFO; n is a non-negative integer the backend does not read). Hash and
+    contains entries are reusable; fallback entries are consumed once each.
+    When fallback entries run out the last one is replayed so long runs stay
+    deterministic (or ScriptExhausted is raised if `strict` is set). A script
+    of any other shape raises ValueError, as does a `match` with an unknown
+    key, with more than one key or with a value of the wrong type.
     """
 
     def __init__(self, script: Sequence[dict] = (), strict: bool = False,
@@ -295,6 +320,7 @@ class MockBackend(Backend):
             response = entry.get("response")
             if not isinstance(response, str):
                 raise ValueError("mock script entry %d: \"response\" must be a string" % i)
+            _check_match(i, match)
             if "hash" in match:
                 self._by_hash[match["hash"]] = response
             elif "contains" in match:

@@ -216,6 +216,7 @@ def cmd_report(args) -> int:
         "iterations": len(rows),
         "best": max((r["best"] for r in rows), default=None),
         "final_test_objective": doc.get("final_test_objective"),
+        "init_eval_requests": doc.get("init_eval_requests"),
         "eval_requests": sum(r.get("eval_requests", 0) for r in rows),
         "raced_out": sum(bool(s.get("raced_out")) for r in rows for s in r["selections"]),
         "summary_csv": str(out_csv),

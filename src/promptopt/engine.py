@@ -4,14 +4,14 @@ survivors, matrix updates via the configured optimizer, convergence
 detection, checkpoints, and reports.
 
 Both optimizers share one edit pipeline. Every pair of an iteration edits
-the same base candidate, so an iteration makes at most three backend round
+the same base candidate, so an iteration makes at most four backend round
 trips: one batch with every pair's operator requests in pair order, then the
-evaluation of the distinct edited prompts. With at least two of them and a
-training set of at least RACE_PREFIX_DIVISOR * RACE_MIN_PREFIX examples,
-that evaluation is a race: one batch scores every prompt on the first
-quarter of the training set, and a second one finishes the better half on
-the rest (successive halving, as in ProTeGi and APE). Otherwise one batch
-scores them on the whole set. The initial pool is never raced."""
+evaluation of the distinct edited prompts. Every scoring of a set of prompts,
+the initial pool's included, is a race when there are at least two of them
+and the training set has at least RACE_PREFIX_DIVISOR * RACE_MIN_PREFIX
+examples: successive halving (as in ProTeGi and APE) over three rungs, the
+first quarter of the training set, the first half, then the whole set, in at
+most three batches. Otherwise one batch scores them on the whole set."""
 
 from __future__ import annotations
 
@@ -68,10 +68,12 @@ log = logging.getLogger(__name__)
 
 CONVERGENCE_EPS = 1e-4
 CONVERGENCE_WINDOW = 3
-# racing: the prefix is len(train_set) // RACE_PREFIX_DIVISOR examples. A
-# training set whose prefix is shorter than RACE_MIN_PREFIX keeps the single
-# full evaluation batch, so runs on under 100 examples send the batches they
-# sent before racing existed
+# racing: the rungs are the first len(train_set) // RACE_PREFIX_DIVISOR
+# examples, then the first half, then the whole set, so the evaluation budget
+# doubles from one rung to the next as the field halves. A training set whose
+# first rung is shorter than RACE_MIN_PREFIX keeps the single full evaluation
+# batch, so runs on under 100 examples send the batches they sent before
+# racing existed
 RACE_PREFIX_DIVISOR = 4
 RACE_MIN_PREFIX = 25
 
@@ -182,6 +184,7 @@ class RunReport:
     iterations: list = field(default_factory=list)
     final_test_objective: Optional[float] = None
     usage: dict = field(default_factory=dict)
+    init_eval_requests: int = 0  # the requests that scored the initial pool
     wall_clock_s: float = 0.0
 
     def to_dict(self) -> dict:
@@ -191,6 +194,7 @@ class RunReport:
             "iterations": self.iterations,
             "final_test_objective": self.final_test_objective,
             "usage": self.usage,
+            "init_eval_requests": self.init_eval_requests,
         }
 
 
@@ -298,11 +302,12 @@ class _Trainer:
         self.test_set = list(test_set)
         self.run_dir = Path(run_dir) if run_dir else Path(cfg.output_dir) / run_id_for(cfg)
         self.report = RunReport()
+        n = len(self.train_set)
+        first = n // RACE_PREFIX_DIVISOR
+        self.rungs: tuple[int, ...] = (first, n // 2) if first >= RACE_MIN_PREFIX else ()
         # every fully scored prompt by fingerprint: its report, its bad cases
-        # and, when the training set is long enough to race, its objective on
-        # train_set[:prefix]
-        self.scored: dict[str, tuple[MetricReport, list[BadCase], Optional[float]]] = {}
-        self.prefix = len(self.train_set) // RACE_PREFIX_DIVISOR
+        # and its objective on train_set[:rung] for each rung
+        self.scored: dict[str, tuple[MetricReport, list[BadCase], tuple[float, ...]]] = {}
         self.eval_requests = 0
         sections = tuple(s.id for s in template.ordered_sections())
         operators = cfg.effective_operators()
@@ -331,18 +336,6 @@ class _Trainer:
         self.eval_requests += len(cands) * len(examples)
         return predict_many(cands, examples, self.backend, model=self.cfg.model)
 
-    def _prefix_objective(self, predictions) -> Optional[float]:
-        """The objective of predictions on train_set[:prefix], or None when
-        the prefix is too short to race."""
-        k = self.prefix
-        if k < RACE_MIN_PREFIX:
-            return None
-        report, _ = report_predictions(
-            self.train_set[:k], predictions[:k], objective=self.cfg.objective,
-            cls_average=self.cfg.cls_average, bad_case_cap=0,
-        )
-        return report.objective_value()
-
     def _scored(self, cand: Candidate, iteration: int) -> Candidate:
         report = self.scored[cand.fingerprint][0]
         return cand.with_score(iteration, {
@@ -351,34 +344,49 @@ class _Trainer:
             "f1": report.f1,
         })
 
-    def _score(self, cands: Sequence[Candidate], iteration: int) -> dict[str, float]:
+    def _score(self, cands: Sequence[Candidate], iteration: int) -> dict[str, tuple[int, float]]:
         """Score distinct candidates, given in pair order, on the training
-        set and record each fully scored one in `scored`. From iteration 1
-        on, with at least two candidates and a prefix of at least
-        RACE_MIN_PREFIX examples, they race: one batch scores every candidate
-        on the prefix and a second batch finishes the better half, ranked by
-        prefix objective with ties going to the earlier pair, on the rest.
-        Otherwise one batch scores them on the whole set. Returns the prefix
-        objective of each candidate raced out."""
+        set and record each one that finishes in `scored`. With at least two
+        candidates and a training set long enough to have rungs, they race:
+        at each rung every live candidate is scored on the examples it has
+        not seen, and ceil(k / 2) of the k live ones, ranked by objective on
+        the rung's prefix with ties going to the earlier pair, go on. Once
+        one is left it is finished on the rest of the set in one batch.
+        Otherwise one batch scores them on the whole set. Returns the rung
+        index and the rung objective of each candidate raced out."""
         cfg = self.cfg
-        races = iteration >= 1 and len(cands) >= 2 and self.prefix >= RACE_MIN_PREFIX
-        split = self.prefix if races else len(self.train_set)
-        heads = self._predict(cands, self.train_set[:split])
-        prefix_objectives = [self._prefix_objective(preds) for preds in heads]
-        kept = list(range(len(cands)))
-        tails = [[]] * len(cands)
-        if races:
-            ranked = sorted(kept, key=lambda i: (-prefix_objectives[i], i))
-            kept = sorted(ranked[:math.ceil(len(cands) / 2)])
-            tails = self._predict([cands[i] for i in kept], self.train_set[split:])
-        for i, tail in zip(kept, tails):
+        live = list(range(len(cands)))
+        predictions = [[] for _ in cands]
+        objectives = [[] for _ in cands]  # per rung, as the race computes them
+        losers = {}
+        seen = 0
+        for r, cut in enumerate(self.rungs if len(cands) >= 2 else ()):
+            batch = self._predict([cands[i] for i in live], self.train_set[seen:cut])
+            for i, preds in zip(live, batch):
+                predictions[i] += preds
+                objectives[i].append(report_predictions(
+                    self.train_set[:cut], predictions[i], objective=cfg.objective,
+                    cls_average=cfg.cls_average, bad_case_cap=0,
+                )[0].objective_value())
+            seen = cut
+            ranked = sorted(live, key=lambda i: (-objectives[i][r], i))
+            live = sorted(ranked[:math.ceil(len(live) / 2)])
+            for i in ranked[len(live):]:
+                losers[cands[i].fingerprint] = (r, objectives[i][r])
+            if len(live) == 1:
+                break
+        tails = self._predict([cands[i] for i in live], self.train_set[seen:])
+        for i, tail in zip(live, tails):
+            # the rungs this candidate skipped come from the same pass as its
+            # full report
             report, bad_cases = report_predictions(
-                self.train_set, heads[i] + tail, objective=cfg.objective,
+                self.train_set, predictions[i] + tail, objective=cfg.objective,
                 cls_average=cfg.cls_average, seed=cfg.seed + iteration,
+                cuts=self.rungs[len(objectives[i]):],
             )
-            self.scored[cands[i].fingerprint] = (report, bad_cases, prefix_objectives[i])
-        return {cand.fingerprint: prefix_objectives[i]
-                for i, cand in enumerate(cands) if i not in kept}
+            self.scored[cands[i].fingerprint] = (
+                report, bad_cases, tuple(objectives[i]) + report.prefix_objectives)
+        return losers
 
     def _context(self, pair: SelectionPair, base: Candidate, iteration: int,
                  pool: Sequence[Candidate], pair_index: int) -> ops.OperatorContext:
@@ -424,7 +432,8 @@ class _Trainer:
             model=cfg.model, temperature=max(cfg.operator_temperature, 0.9),
         )
         self._score(pool, 0)
-        pool = [self._scored(cand, 0) for cand in pool]
+        pool = [self._scored(cand, 0) for cand in pool if cand.fingerprint in self.scored]
+        self.report.init_eval_requests = self.eval_requests
         stall = 0
         prev_best = max(_latest(c, cfg.objective) for c in pool)
         stopped_early = False
@@ -481,7 +490,7 @@ class _Trainer:
             else:
                 edits.append((pair, self._edited(base, result, pair, iteration)))
 
-        # round trips 2 and 3: the edited prompts, once each
+        # round trips 2 to 4: the edited prompts, once each
         fresh: dict[str, Candidate] = {}
         for _, cand in edits:
             if cand is not None:
@@ -489,21 +498,27 @@ class _Trainer:
         eval_requests = self.eval_requests
         losers = self._score(list(fresh.values()), iteration)
         observations: list[GradientObservation] = []
-        raced_out: list[bool] = []
+        selections = []
         new_candidates: list[Candidate] = []
         for pair, cand in edits:
             prev = cur = base_score  # a no-op edit cannot move the score
             lost = cand is not None and cand.fingerprint in losers
+            scored_on = 0  # the training examples behind the gradient
             if lost:
-                # compare like with like: both scores on the prefix
-                prev = self.scored[base.fingerprint][2]
-                cur = losers[cand.fingerprint]
+                # compare like with like: both scores on the rung's prefix
+                r, cur = losers[cand.fingerprint]
+                prev = self.scored[base.fingerprint][2][r]
+                scored_on = self.rungs[r]
             elif cand is not None:
                 cand = self._scored(cand, iteration)
                 new_candidates.append(cand)
                 cur = _latest(cand, cfg.objective)
-            observations.append(GradientObservation(pair, prev, cur))
-            raced_out.append(lost)
+                scored_on = len(self.train_set)
+            obs = GradientObservation(pair, prev, cur)
+            observations.append(obs)
+            selections.append({"section": pair.section, "operator": pair.operator,
+                               "gradient": obs.gradient, "raced_out": lost,
+                               "scored_on": scored_on})
         if observations:
             self.matrix = update_matrix(self.matrix, observations, cfg)
 
@@ -524,11 +539,7 @@ class _Trainer:
             "iteration": iteration,
             "best": max(scores),
             "mean": sum(scores) / len(scores),
-            "selections": [
-                {"section": o.pair.section, "operator": o.pair.operator,
-                 "gradient": o.gradient, "raced_out": out}
-                for o, out in zip(observations, raced_out)
-            ],
+            "selections": selections,
             "failed": failed,
             "eval_requests": self.eval_requests - eval_requests,
             "pool_size": len(pool),

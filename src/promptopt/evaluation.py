@@ -13,7 +13,7 @@ import json
 import logging
 import random
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .backend import Backend, GenerationResponse, user_request
@@ -80,6 +80,10 @@ class MetricReport:
     per_label: Mapping[str, LabelMetrics]
     support: int
     objective: str = "f1"
+    # the objective on the first c examples for each cut c the report was
+    # scored with; it describes prefixes, not the scored set, so two reports
+    # of the same set compare equal whatever cuts they were asked for
+    prefix_objectives: tuple[float, ...] = field(default=(), compare=False)
 
     def objective_value(self) -> float:
         return getattr(self, self.objective)
@@ -167,20 +171,34 @@ def parse_prediction(task: str, raw: str):
 # scoring
 
 def score(task: str, gold: Mapping[object, object], predictions: Mapping[object, object],
-          objective: str = "f1", cls_average: str = "micro") -> MetricReport:
-    """Compute the task metric over predictions aligned to gold by key."""
+          objective: str = "f1", cls_average: str = "micro",
+          cuts: Sequence[int] = ()) -> MetricReport:
+    """Compute the task metric over predictions aligned to gold by key. For
+    each of the ascending `cuts` c, the same pass also records the objective
+    on the first c examples of `gold` in its `prefix_objectives`."""
     if set(gold) != set(predictions):
         raise AlignmentError(
             "gold and prediction ids differ: %r vs %r"
             % (sorted(gold)[:5], sorted(predictions)[:5])
         )
     if task == "NER":
-        return _score_ner(gold, predictions, objective)
+        return _score_ner(gold, predictions, objective, cuts)
     if task == "CLS":
-        return _score_cls(gold, predictions, objective, average=cls_average)
+        return _score_cls(gold, predictions, objective, cuts, average=cls_average)
     if task == "MRC":
-        return _score_mrc(gold, predictions, objective)
+        return _score_mrc(gold, predictions, objective, cuts)
     raise ValueError("unknown task %r" % task)
+
+
+_OBJECTIVE_INDEX = {"precision": 0, "recall": 1, "f1": 2}
+
+
+def _runs(gold: Mapping, cuts: Sequence[int]) -> list[list]:
+    """The items of `gold` in order, split into runs that end at each cut
+    and then at the end."""
+    items = list(gold.items())
+    bounds = [0, *cuts, len(items)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 _NO_SPANS: frozenset = frozenset()
@@ -191,59 +209,76 @@ def _span_set(spans):
     return spans if isinstance(spans, (set, frozenset)) else frozenset(spans)
 
 
-def _score_ner(gold, predictions, objective) -> MetricReport:
+def _micro(counts) -> tuple[int, int, int]:
+    """Total (tp, fp, fn) over per-label [tp, fp, fn] counts."""
+    tp = fp = fn = 0
+    for c in counts.values():
+        tp += c[0]
+        fp += c[1]
+        fn += c[2]
+    return tp, fp, fn
+
+
+def _per_label(counts) -> dict[str, LabelMetrics]:
+    return {label: LabelMetrics(*_prf(tp, fp, fn), support=tp + fn, tp=tp, fp=fp, fn=fn)
+            for label, (tp, fp, fn) in counts.items()}
+
+
+def _score_ner(gold, predictions, objective, cuts=()) -> MetricReport:
     counts: dict[str, list[int]] = {}  # label -> [tp, fp, fn]
-    for ex_id, gold_map in gold.items():
-        pred = predictions[ex_id]
-        pred_map = pred if isinstance(pred, dict) else {}
-        for label in gold_map.keys() | pred_map.keys():
-            g = _span_set(gold_map.get(label, _NO_SPANS))
-            p = _span_set(pred_map.get(label, _NO_SPANS))
-            tp = len(g & p)
-            c = counts.setdefault(label, [0, 0, 0])
-            c[0] += tp
-            c[1] += len(p) - tp
-            c[2] += len(g) - tp
-    per_label = {}
-    tot_tp = tot_fp = tot_fn = 0
-    for label, (tp, fp, fn) in counts.items():
-        p, r, f = _prf(tp, fp, fn)
-        per_label[label] = LabelMetrics(p, r, f, support=tp + fn, tp=tp, fp=fp, fn=fn)
-        tot_tp += tp
-        tot_fp += fp
-        tot_fn += fn
+    at_cuts = []
+    for k, run in enumerate(_runs(gold, cuts)):
+        if k:
+            at_cuts.append(_prf(*_micro(counts))[_OBJECTIVE_INDEX[objective]])
+        for ex_id, gold_map in run:
+            pred = predictions[ex_id]
+            pred_map = pred if isinstance(pred, dict) else {}
+            for label in gold_map.keys() | pred_map.keys():
+                g = _span_set(gold_map.get(label, _NO_SPANS))
+                p = _span_set(pred_map.get(label, _NO_SPANS))
+                tp = len(g & p)
+                c = counts.setdefault(label, [0, 0, 0])
+                c[0] += tp
+                c[1] += len(p) - tp
+                c[2] += len(g) - tp
+    tot_tp, tot_fp, tot_fn = _micro(counts)
     p, r, f = _prf(tot_tp, tot_fp, tot_fn)
-    return MetricReport(p, r, f, per_label, support=tot_tp + tot_fn, objective=objective)
+    return MetricReport(p, r, f, _per_label(counts), support=tot_tp + tot_fn,
+                        objective=objective, prefix_objectives=tuple(at_cuts))
 
 
-def _score_cls(gold, predictions, objective, average="micro") -> MetricReport:
+def _cls_overall(counts, average) -> tuple[float, float, float]:
+    """Overall P/R/F1 of per-label counts. Only labels seen so far (with a
+    nonzero count) take part, so the value on a prefix is the value of
+    scoring that prefix alone."""
+    if average == "macro":
+        seen = [_prf(*c) for c in counts.values() if any(c)]
+        if seen:
+            return tuple(sum(m[j] for m in seen) / len(seen) for j in range(3))
+    return _prf(*_micro(counts))
+
+
+def _score_cls(gold, predictions, objective, cuts=(), average="micro") -> MetricReport:
     labels = sorted({g for g in gold.values()} | {
         p for p in predictions.values() if isinstance(p, str)
     })
     counts = {label: [0, 0, 0] for label in labels}
-    for ex_id, g in gold.items():
-        p = predictions[ex_id]
-        if p == g:
-            counts[g][0] += 1
-        else:
-            counts[g][2] += 1
-            if isinstance(p, str) and p in counts:
-                counts[p][1] += 1
-    per_label = {}
-    tot_tp = tot_fp = tot_fn = 0
-    for label, (tp, fp, fn) in counts.items():
-        p, r, f = _prf(tp, fp, fn)
-        per_label[label] = LabelMetrics(p, r, f, support=tp + fn, tp=tp, fp=fp, fn=fn)
-        tot_tp += tp
-        tot_fp += fp
-        tot_fn += fn
-    if average == "macro" and per_label:
-        p = sum(m.precision for m in per_label.values()) / len(per_label)
-        r = sum(m.recall for m in per_label.values()) / len(per_label)
-        f = sum(m.f1 for m in per_label.values()) / len(per_label)
-    else:
-        p, r, f = _prf(tot_tp, tot_fp, tot_fn)
-    return MetricReport(p, r, f, per_label, support=tot_tp + tot_fn, objective=objective)
+    at_cuts = []
+    for k, run in enumerate(_runs(gold, cuts)):
+        if k:
+            at_cuts.append(_cls_overall(counts, average)[_OBJECTIVE_INDEX[objective]])
+        for ex_id, g in run:
+            p = predictions[ex_id]
+            if p == g:
+                counts[g][0] += 1
+            else:
+                counts[g][2] += 1
+                if isinstance(p, str) and p in counts:
+                    counts[p][1] += 1
+    tot_tp, _, tot_fn = _micro(counts)
+    p, r, f = _cls_overall(counts, average)
+    return MetricReport(p, r, f, _per_label(counts), support=tot_tp + tot_fn,
+                        objective=objective, prefix_objectives=tuple(at_cuts))
 
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
@@ -282,20 +317,25 @@ def _mrc_best_prf(gold, pred_text: str) -> tuple[float, float, float]:
     return max((_mrc_prf(g, pred_text) for g in gold), key=lambda prf: prf[2])
 
 
-def _score_mrc(gold, predictions, objective) -> MetricReport:
+def _score_mrc(gold, predictions, objective, cuts=()) -> MetricReport:
     ps, rs, fs = [], [], []
-    for ex_id, g in gold.items():
-        pred = predictions[ex_id]
-        pred_text = pred if isinstance(pred, str) else ""
-        p, r, f = _mrc_best_prf(g, pred_text)
-        ps.append(p)
-        rs.append(r)
-        fs.append(f)
+    at_cuts = []
+    for k, run in enumerate(_runs(gold, cuts)):
+        if k:
+            values = (ps, rs, fs)[_OBJECTIVE_INDEX[objective]]
+            at_cuts.append(sum(values) / len(values) if values else 0.0)
+        for ex_id, g in run:
+            pred = predictions[ex_id]
+            p, r, f = _mrc_best_prf(g, pred if isinstance(pred, str) else "")
+            ps.append(p)
+            rs.append(r)
+            fs.append(f)
     n = len(ps)
     p = sum(ps) / n if n else 0.0
     r = sum(rs) / n if n else 0.0
     f = sum(fs) / n if n else 0.0
-    return MetricReport(p, r, f, per_label={}, support=n, objective=objective)
+    return MetricReport(p, r, f, per_label={}, support=n, objective=objective,
+                        prefix_objectives=tuple(at_cuts))
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +434,14 @@ def predict_many(candidates: Sequence[Candidate], examples: Sequence[ExampleReco
 
 def report_predictions(examples: Sequence[ExampleRecord], predictions: Sequence,
                        objective: str = "f1", cls_average: str = "micro",
-                       bad_case_cap: int = 20, seed: int = 0,
+                       bad_case_cap: int = 20, seed: int = 0, cuts: Sequence[int] = (),
                        ) -> tuple[MetricReport, list[BadCase]]:
     """Score one candidate's predictions, aligned with `examples`, and
     collect a seeded uniform sample of up to `bad_case_cap` of its failures
     as bad cases (none are looked for when the cap is 0). Examples are keyed
-    by position, so examples that share an id are all scored."""
+    by position, so examples that share an id are all scored. The report's
+    `prefix_objectives` holds the objective on examples[:c] for each of the
+    ascending `cuts` c, from the same pass."""
     task = examples[0].task
     gold = {}
     by_position = {}
@@ -409,7 +451,8 @@ def report_predictions(examples: Sequence[ExampleRecord], predictions: Sequence,
         by_position[i] = pred
         if bad_case_cap and not _is_correct(task, ex.gold, pred):
             failures.append(BadCase(ex.id, ex.gold, pred))
-    report = score(task, gold, by_position, objective=objective, cls_average=cls_average)
+    report = score(task, gold, by_position, objective=objective, cls_average=cls_average,
+                   cuts=cuts)
     rng = random.Random(seed)
     if len(failures) > bad_case_cap:
         bad_cases = rng.sample(failures, bad_case_cap)

@@ -77,6 +77,25 @@ class TestMockBackend:
         assert out[1].text == "y"
         assert isinstance(out[2], ScriptExhausted)
 
+    @pytest.mark.parametrize("match, needle", [
+        ({"contains": 5}, 'entry 0: "contains" must be a string'),
+        ({"hash": ["abc"]}, 'entry 0: "hash" must be a string'),
+        ({"index": -1}, 'entry 0: "index" must be a non-negative integer'),
+        ({"index": "0"}, 'entry 0: "index" must be a non-negative integer'),
+        ({"index": True}, 'entry 0: "index" must be a non-negative integer'),
+        ({"contain": "x"}, 'entry 0: unknown "match" key contain'),
+        ({"contains": "x", "hash": "y"}, '"match" has contains and hash; use only one'),
+    ])
+    def test_malformed_match_rejected(self, match, needle):
+        with pytest.raises(ValueError) as err:
+            MockBackend([{"match": match, "response": "x"}])
+        assert needle in str(err.value)
+
+    def test_index_entries_are_fifo(self):
+        backend = MockBackend([{"match": {"index": 0}, "response": "a"},
+                               {"match": {"index": 7}, "response": "b"}])
+        assert [backend.generate(req(t)).text for t in "xyz"] == ["a", "b", "b"]
+
     def test_usage_accounting(self):
         backend = MockBackend([{"response": "one two three"}])
         backend.generate_batch([req("a b"), req("c d e")])

@@ -235,6 +235,10 @@ class TestTrain:
         ([{"response": "ok"}, "pass"], "entry 1 is not an object"),
         ([{"match": "pass", "response": "ok"}], 'entry 0: "match" is not an object'),
         ({"response": "pass"}, "must be a list"),
+        ([{"response": "ok"}, {"match": {"contains": 5}, "response": "x"}],
+         'entry 1: "contains" must be a string'),
+        ([{"match": {"contain": "item"}, "response": "x"}], 'entry 0: unknown "match" key'),
+        ([{"match": {"index": -1}, "response": "x"}], 'entry 0: "index" must be'),
     ])
     def test_malformed_mock_script_exits_one(self, workspace, capsys, script, needle):
         (workspace / "mock.json").write_text(json.dumps(script))
@@ -376,6 +380,31 @@ class TestReportAndExperience:
         assert rows[0]["eval_requests"] == 2 * 25 + 75
         assert out["eval_requests"] == sum(r["eval_requests"] for r in rows)
         assert out["raced_out"] == sum(s["raced_out"] for r in rows for s in r["selections"])
+
+    def test_report_says_what_each_gradient_was_measured_on(self, workspace, capsys):
+        lines = cls_lines(100)
+        data = "\n".join(json.dumps(d) for d in lines) + "\n"
+        (workspace / "train.jsonl").write_text(data)
+        # four distinct initial variants: beam_init refine replies per editable
+        # section, served in order
+        variants = [{"response": json.dumps({name: "%s v%d" % (name, i)})}
+                    for name in ("s0", "s1") for i in range(4)]
+        script = oracle_script(lines, wrong_ids={"00"})
+        (workspace / "mock.json").write_text(json.dumps(script[:-1] + variants + script[-1:]))
+        assert main(["train", "--config", str(workspace / "config.json"),
+                     "--set", "beam_init=4", "--set", 'operators=["cot", "few_shot"]']) == 0
+        run_dir = json.loads(capsys.readouterr().out)["run_dir"]
+        assert main(["report", run_dir]) == 0
+        out = json.loads(capsys.readouterr().out)
+        doc = json.loads((workspace / run_dir / "report.json").read_text())
+        # the pool raced: 4 prompts on 25 examples, 2 on the next 25, 1 on 50
+        assert doc["init_eval_requests"] == out["init_eval_requests"] == 4 * 25 + 2 * 25 + 50
+        first = doc["iterations"][0]["selections"]
+        assert [(s["raced_out"], s["scored_on"]) for s in first] == [(False, 100), (True, 25)]
+        for row in doc["iterations"]:
+            for s in row["selections"]:
+                assert s["raced_out"] == (s["scored_on"] in (25, 50))
+                assert s["scored_on"] in (0, 25, 50, 100)
 
     def test_report_missing_dir(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "ghost")]) == 1

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptopt.backend import GenerationResponse, MockBackend
 from promptopt.engine import (
@@ -19,7 +21,13 @@ from promptopt.engine import (
     train,
 )
 from promptopt.errors import AuthError, BackendTimeout, ConfigError
-from promptopt.evaluation import ExampleRecord, evaluate, parse_prediction, report_predictions
+from promptopt.evaluation import (
+    ExampleRecord,
+    evaluate,
+    parse_prediction,
+    predict_many,
+    report_predictions,
+)
 from promptopt.matrix import TransitionMatrix, load_matrix
 from promptopt.msgd_rl import ExperienceStore, read_experience, save_experience
 from promptopt.operators import COT_SCAFFOLD, OPERATOR_IDS
@@ -512,6 +520,13 @@ class TestOperatorFailure:
             train(cfg, data, data, base_template(), backend)
 
 
+def graded_label(skeleton, ex):
+    """The label Graded answers for an example under a prompt skeleton (the
+    rendered prompt with the input put back as {{Input}})."""
+    wrong = int(hashlib.sha256((skeleton + ex.id).encode()).hexdigest(), 16) % 3 == 0
+    return "B" if (ex.gold == "A") == wrong else "A"
+
+
 class Graded(MockBackend):
     """Records every batch. Operator requests get a numbered body. Whether an
     evaluation reply is right depends on a hash of the prompt and the example
@@ -528,10 +543,7 @@ class Graded(MockBackend):
             self.variants += 1
             return json.dumps({"body": "variant %03d" % self.variants})
         ex = next(ex for ex in self.examples if ex.input in text)
-        key = text.replace(ex.input, "{{Input}}") + ex.id
-        wrong = int(hashlib.sha256(key.encode()).hexdigest(), 16) % 3 == 0
-        label = "B" if (ex.gold == "A") == wrong else "A"
-        return json.dumps({"label": label})
+        return json.dumps({"label": graded_label(text.replace(ex.input, "{{Input}}"), ex)})
 
     def generate_batch(self, reqs):
         replies = [self._reply(r.messages[-1][1]) for r in reqs]
@@ -572,70 +584,120 @@ class SameBody(Graded):
         return super()._reply(text)
 
 
+def halving_requests(k, n):
+    """The evaluation requests successive halving sends for k distinct
+    prompts on n training examples."""
+    q, h = n // RACE_PREFIX_DIVISOR, n // 2
+    if k < 2 or q < RACE_MIN_PREFIX:
+        return k * n
+    k1 = -(-k // 2)
+    if k1 == 1:
+        return k * q + (n - q)
+    return k * q + k1 * (h - q) + -(-k1 // 2) * (n - h)
+
+
 class TestRacing:
-    def _trainer(self, tmp_path, data, backend, pairs=4):
+    def _trainer(self, tmp_path, data, backend, pairs=4, operators=("refine", "rewrite")):
         cfg = small_config(iterations=1, top_k=3, anneal_count=0, pairs_per_epoch=pairs,
-                           operators=("refine", "rewrite"), output_dir=str(tmp_path))
+                           operators=operators, output_dir=str(tmp_path))
         trainer = _Trainer(cfg, data, [], base_template(), backend)
         pool = [Candidate(prompt=base_template())]
         trainer._score(pool, 0)
         return trainer, [trainer._scored(cand, 0) for cand in pool]
 
-    @pytest.mark.parametrize("pairs", [3, 4])
-    def test_prefix_then_the_better_half(self, tmp_path, pairs):
-        data = cls_dataset(100)
-        k = len(data) // RACE_PREFIX_DIVISOR
-        assert k == RACE_MIN_PREFIX
+    # live prompts at each rung, then the prompts finished on the rest
+    RUNG_SIZES = {2: [2, 1], 3: [3, 2, 1], 4: [4, 2, 1], 5: [5, 3, 2]}
+
+    @pytest.mark.parametrize("n", [100, 200])
+    @pytest.mark.parametrize("pairs", [2, 3, 4, 5])
+    def test_three_rungs(self, tmp_path, pairs, n):
+        data = cls_dataset(n)
+        rungs = (n // 4, n // 2)
         backend = Graded(data)
-        trainer, pool = self._trainer(tmp_path, data, backend, pairs)
-        [(_, base_preds)] = eval_blocks(backend.calls[0], data)
-        base_prefix = f1_of(data[:k], base_preds[:k])
+        trainer, pool = self._trainer(tmp_path, data, backend, pairs,
+                                      operators=("refine", "rewrite", "short_instruction"))
+        assert trainer.rungs == rungs and RACE_MIN_PREFIX == 25
+        [(base_skeleton, base_preds)] = eval_blocks(backend.calls[0], data)
+        base_rungs = tuple(f1_of(data[:c], base_preds[:c]) for c in rungs)
+        # a prompt scored alone gets its rung objectives from its full pass
+        assert trainer.scored[pool[0].fingerprint][2] == base_rungs
         del backend.calls[:]
         new_pool = trainer._iteration(1, pool)
         row = trainer.report.iterations[0]
 
-        # three round trips: operators, every edit on the prefix, the kept
-        # edits on the rest
-        operator_call, head_call, tail_call = backend.calls
+        operator_call, *eval_calls = backend.calls
         assert len(operator_call) == pairs
         assert all(OPERATOR_TARGET.search(text) for text, _ in operator_call)
-        heads = eval_blocks(head_call, data[:k])
-        tails = eval_blocks(tail_call, data[k:])
-        assert len(heads) == len(row["selections"]) == pairs
-        assert len(set(s for s, _ in heads)) == pairs
-        scores = [f1_of(data[:k], preds) for _, preds in heads]
-        ranked = sorted(range(pairs), key=lambda i: (-scores[i], i))
-        kept, dropped = sorted(ranked[:2]), ranked[2:]  # ceil(pairs / 2) kept
-        assert [s for s, _ in tails] == [heads[i][0] for i in kept]
-        assert row["eval_requests"] == pairs * k + 2 * (len(data) - k)
+        sizes = self.RUNG_SIZES[pairs]
+        bounds = [0, *rungs[:len(sizes) - 1], n]
+        assert len(eval_calls) == len(sizes)
+        batches = [eval_blocks(call, data[a:b])
+                   for call, a, b in zip(eval_calls, bounds, bounds[1:])]
+        assert [len(b) for b in batches] == sizes
+        assert row["eval_requests"] == sum(
+            k * (b - a) for k, a, b in zip(sizes, bounds, bounds[1:]))
+        assert row["eval_requests"] == halving_requests(pairs, n)
+
+        # replay the race from each edit's predictions on the whole set
+        skeletons = [s for s, _ in batches[0]]
+        assert len(set(skeletons)) == pairs and base_skeleton not in skeletons
+        full = [[graded_label(s, ex) for ex in data] for s in skeletons]
+        live, out = list(range(pairs)), {}
+        for r, (batch, cut) in enumerate(zip(batches[:-1], rungs)):
+            assert [s for s, _ in batch] == [skeletons[i] for i in live]
+            objs = {i: f1_of(data[:cut], full[i][:cut]) for i in live}
+            ranked = sorted(live, key=lambda i: (-objs[i], i))
+            live = sorted(ranked[:sizes[r + 1]])
+            out.update((i, (r, objs[i])) for i in ranked[sizes[r + 1]:])
+        assert [s for s, _ in batches[-1]] == [skeletons[i] for i in live]
 
         in_pool = {c.prompt.skeleton(): c for c in new_pool}
-        assert len(new_pool) == 3 and len(trainer.scored) == 3
+        assert len(trainer.scored) == 1 + len(live)
         for i, sel in enumerate(row["selections"]):
-            skeleton = heads[i][0]
-            assert sel["raced_out"] == (i in dropped)
-            if i in dropped:
-                assert skeleton not in in_pool
-                assert sel["gradient"] == scores[i] - base_prefix
+            assert sel["raced_out"] == (i in out)
+            if i in out:
+                r, objective = out[i]
+                assert skeletons[i] not in in_pool
+                assert sel["scored_on"] == rungs[r]
+                assert sel["gradient"] == objective - base_rungs[r]
                 continue
-            cand = in_pool[skeleton]
+            cand = in_pool[skeletons[i]]
             report, bad = evaluate(cand, data, Graded(data), seed=1)
-            assert trainer.scored[cand.fingerprint] == (report, bad, scores[i])
+            assert trainer.scored[cand.fingerprint] == (
+                report, bad, tuple(f1_of(data[:c], full[i][:c]) for c in rungs))
             assert cand.latest_score("f1") == report.f1
+            assert sel["scored_on"] == n
             assert sel["gradient"] == report.f1 - pool[0].latest_score("f1")
 
-    def test_initial_pool_is_never_raced(self, tmp_path):
+    def test_initial_pool_races(self, tmp_path, monkeypatch):
         data = cls_dataset(100)
         backend = Graded(data)
+        pools = []
+        iterate = _Trainer._iteration
+
+        def spy(self, iteration, pool):
+            pools.append(pool)
+            return iterate(self, iteration, pool)
+
+        monkeypatch.setattr(_Trainer, "_iteration", spy)
         cfg = small_config(iterations=1, beam_init=4, operators=("cot",),
                            output_dir=str(tmp_path))
-        train(cfg, data, [], base_template(), backend)
-        refine_call, pool_call = backend.calls[:2]
+        _, report, _ = train(cfg, data, [], base_template(), backend)
+        refine_call, *pool_calls = backend.calls[:4]
         assert len(refine_call) == 4 * 2  # beam_init per editable section
         assert all(OPERATOR_TARGET.search(text) for text, _ in refine_call)
-        # four distinct variants, each scored on the whole training set
-        assert len(pool_call) == 4 * len(data)
-        assert len({skeleton for skeleton, _ in eval_blocks(pool_call, data)}) == 4
+        # four distinct variants on the first quarter, two on the second,
+        # one on the second half
+        assert [len(call) for call in pool_calls] == [100, 50, 50]
+        first, _, last = [eval_blocks(call, examples) for call, examples in
+                          zip(pool_calls, [data[:25], data[25:50], data[50:]])]
+        assert len({skeleton for skeleton, _ in first}) == 4
+        assert report.init_eval_requests == halving_requests(4, 100) == 200
+        # only the finished prompt enters the pool
+        [(finished, _)] = last
+        [[cand]] = pools
+        assert cand.prompt.skeleton() == finished
+        assert cand.latest_score("f1") == evaluate(cand, data, Graded(data))[0].f1
 
     def test_short_training_set_does_not_race(self, tmp_path):
         data = cls_dataset(99)
@@ -671,6 +733,32 @@ class TestRacing:
         assert all(len(fates) == 1 for fates in by_section.values())
         assert sorted(out for [(out, _)] in by_section.values()) == [False, True]
         assert row["eval_requests"] == 2 * k + (len(data) - k)
+
+
+class TestScoreProperties:
+    @given(k=st.integers(1, 6), n=st.sampled_from([99, 100, 150, 200, 401]))
+    @settings(max_examples=25, deadline=None)
+    def test_successive_halving(self, k, n):
+        data = cls_dataset(n)
+        backend = Graded(data)
+        trainer = _Trainer(small_config(), data, [], base_template(), backend)
+        cands = [Candidate(prompt=make_prompt(
+            ["Classify variant %d as A or B." % j, "", 'Return JSON: {"label": ""}'],
+            editable=[True, True, False])) for j in range(k)]
+        losers = trainer._score(cands, 0)
+        assert trainer.eval_requests == halving_requests(k, n)
+        assert sum(len(call) for call in backend.calls) == halving_requests(k, n)
+        assert len(backend.calls) <= 3
+        assert len(trainer.scored) + len(losers) == k
+        assert set(trainer.scored).isdisjoint(losers)
+        for cand in cands:
+            if cand.fingerprint not in trainer.scored:
+                continue
+            report, bad, rung_objectives = trainer.scored[cand.fingerprint]
+            [predictions] = predict_many([cand], data, Graded(data))
+            assert (report, bad) == report_predictions(data, predictions, seed=0)
+            assert rung_objectives == tuple(f1_of(data[:c], predictions[:c])
+                                            for c in trainer.rungs)
 
 
 class TestClsAverage:

@@ -260,6 +260,31 @@ class TestOracleEquivalence:
             rep = score("CLS", gold, preds)
             assert (rep.precision, rep.recall, rep.f1) == brute_force_cls(gold, preds)
 
+    @pytest.mark.parametrize("task, average", [("NER", "micro"), ("CLS", "micro"),
+                                                ("CLS", "macro"), ("MRC", "micro")])
+    def test_prefix_objectives_equal_scoring_each_prefix(self, task, average):
+        rng = random.Random(7)
+        answers = ["the red cat", "a dog", "blue sky today", ""]
+        for _ in range(200):
+            if task == "NER":
+                gold, preds = random_ner_instance(rng)
+            elif task == "CLS":
+                gold, preds = random_cls_instance(rng)
+            else:
+                gold = {str(i): rng.choice(answers) for i in range(rng.randint(1, 12))}
+                preds = {i: rng.choice(answers + [FORMAT_FAILURE]) for i in gold}
+            ids = list(gold)
+            cuts = sorted(rng.sample(range(len(ids) + 1), min(3, len(ids) + 1)))
+            for objective in ("precision", "recall", "f1"):
+                rep = score(task, gold, preds, objective=objective, cls_average=average,
+                            cuts=cuts)
+                alone = [score(task, {i: gold[i] for i in ids[:c]}, {i: preds[i] for i in ids[:c]},
+                               objective=objective, cls_average=average).objective_value()
+                         for c in cuts]
+                assert rep.prefix_objectives == tuple(alone)
+                assert rep == score(task, gold, preds, objective=objective,
+                                    cls_average=average)
+
     def test_format_failure_monotonicity(self):
         rng = random.Random(99)
         for _ in range(200):
