@@ -37,6 +37,7 @@ from .evaluation import (
     MetricReport,
     evaluate,
     predict_many,
+    reply_memo,
     report_predictions,
 )
 from .fileio import write_text_atomic
@@ -308,6 +309,10 @@ class _Trainer:
         # every fully scored prompt by fingerprint: its report, its bad cases
         # and its objective on train_set[:rung] for each rung
         self.scored: dict[str, tuple[MetricReport, list[BadCase], tuple[float, ...]]] = {}
+        # the last reply to each training example and its prediction: most
+        # edits change few predictions, so most replies repeat and are not
+        # parsed again
+        self.replies = reply_memo(n)
         self.eval_requests = 0
         sections = tuple(s.id for s in template.ordered_sections())
         operators = cfg.effective_operators()
@@ -332,9 +337,13 @@ class _Trainer:
         n = max(1, int(round(len(examples) * self.cfg.eval_fraction)))
         return examples[:n]
 
-    def _predict(self, cands: Sequence[Candidate], examples) -> list[list]:
+    def _predict(self, cands: Sequence[Candidate], start: int,
+                 stop: Optional[int] = None) -> list[list]:
+        """Predictions of each candidate on train_set[start:stop]."""
+        examples = self.train_set[start:stop]
         self.eval_requests += len(cands) * len(examples)
-        return predict_many(cands, examples, self.backend, model=self.cfg.model)
+        return predict_many(cands, examples, self.backend, model=self.cfg.model,
+                            memo=self.replies[start:stop])
 
     def _scored(self, cand: Candidate, iteration: int) -> Candidate:
         report = self.scored[cand.fingerprint][0]
@@ -361,7 +370,7 @@ class _Trainer:
         losers = {}
         seen = 0
         for r, cut in enumerate(self.rungs if len(cands) >= 2 else ()):
-            batch = self._predict([cands[i] for i in live], self.train_set[seen:cut])
+            batch = self._predict([cands[i] for i in live], seen, cut)
             for i, preds in zip(live, batch):
                 predictions[i] += preds
                 objectives[i].append(report_predictions(
@@ -375,7 +384,7 @@ class _Trainer:
                 losers[cands[i].fingerprint] = (r, objectives[i][r])
             if len(live) == 1:
                 break
-        tails = self._predict([cands[i] for i in live], self.train_set[seen:])
+        tails = self._predict([cands[i] for i in live], seen)
         for i, tail in zip(live, tails):
             # the rungs this candidate skipped come from the same pass as its
             # full report
@@ -458,7 +467,7 @@ class _Trainer:
         if self.test_set:
             test_report, _ = evaluate(
                 best_cand, self.test_set, self.backend, objective=cfg.objective,
-                seed=cfg.seed, model=cfg.model, cls_average=cfg.cls_average,
+                bad_case_cap=0, seed=cfg.seed, model=cfg.model, cls_average=cfg.cls_average,
             )
             self.report.final_test_objective = test_report.objective_value()
         self.report.usage = self.backend.usage.snapshot()

@@ -5,6 +5,12 @@ operator.
 Tasks: NER (span-level exact match, half-open character spans), CLS
 (single-label classification, micro- or macro-averaged overall), MRC
 (SQuAD-style token-level F1 averaged over examples).
+
+`predict_many` parses replies through a memo of one slot per example, so a
+caller that keeps the memo (the trainer keeps one for its training set)
+parses an example's reply only when it differs from that example's previous
+reply. One scoring pass gives both the report and the examples that are not
+exactly right, from which the bad cases are sampled.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import logging
 import random
 import string
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .backend import Backend, GenerationResponse, user_request
 from .errors import AlignmentError, AuthError, CorruptFile, EmptyDataset, OutOfRange
@@ -150,20 +156,17 @@ def parse_prediction(task: str, raw: str):
     if task == "NER":
         if not isinstance(doc, dict):
             return FORMAT_FAILURE
-        out: dict[str, frozenset] = {}
         try:
-            for label, mentions in doc.items():
-                spans = set()
-                if not isinstance(mentions, dict):
-                    return FORMAT_FAILURE
-                for _, span_list in mentions.items():
-                    for span in span_list:
-                        s, e = int(span[0]), int(span[1])
-                        spans.add((s, e))
-                out[label] = frozenset(spans)
-        except (TypeError, ValueError, IndexError):
+            # frozenset of a set built in reply order, never of a list or a
+            # generator: a frozenset's iteration order depends on how it was
+            # built, and that order reaches reflect requests through the repr
+            # of a bad case's prediction
+            return {label: frozenset({(int(span[0]), int(span[1]))
+                                      for span_list in mentions.values() for span in span_list})
+                    for label, mentions in doc.items()}
+        except (AttributeError, TypeError, ValueError, LookupError):
+            # mentions that are not an object, or a span that is not a pair
             return FORMAT_FAILURE
-        return out
     raise ValueError("unknown task %r" % task)
 
 
@@ -172,21 +175,25 @@ def parse_prediction(task: str, raw: str):
 
 def score(task: str, gold: Mapping[object, object], predictions: Mapping[object, object],
           objective: str = "f1", cls_average: str = "micro",
-          cuts: Sequence[int] = ()) -> MetricReport:
+          cuts: Sequence[int] = (), misses: Optional[list] = None) -> MetricReport:
     """Compute the task metric over predictions aligned to gold by key. For
     each of the ascending `cuts` c, the same pass also records the objective
-    on the first c examples of `gold` in its `prefix_objectives`."""
+    on the first c examples of `gold` in its `prefix_objectives`. When
+    `misses` is a list, the same pass appends to it, in `gold` order, the key
+    of every example whose prediction is not exactly right: a format failure,
+    a CLS label other than gold, NER spans other than gold (a label with no
+    spans counts as absent), or an MRC answer with token F1 below 1."""
     if set(gold) != set(predictions):
         raise AlignmentError(
             "gold and prediction ids differ: %r vs %r"
             % (sorted(gold)[:5], sorted(predictions)[:5])
         )
     if task == "NER":
-        return _score_ner(gold, predictions, objective, cuts)
+        return _score_ner(gold, predictions, objective, cuts, misses)
     if task == "CLS":
-        return _score_cls(gold, predictions, objective, cuts, average=cls_average)
+        return _score_cls(gold, predictions, objective, cuts, misses, average=cls_average)
     if task == "MRC":
-        return _score_mrc(gold, predictions, objective, cuts)
+        return _score_mrc(gold, predictions, objective, cuts, misses)
     raise ValueError("unknown task %r" % task)
 
 
@@ -224,7 +231,7 @@ def _per_label(counts) -> dict[str, LabelMetrics]:
             for label, (tp, fp, fn) in counts.items()}
 
 
-def _score_ner(gold, predictions, objective, cuts=()) -> MetricReport:
+def _score_ner(gold, predictions, objective, cuts=(), misses=None) -> MetricReport:
     counts: dict[str, list[int]] = {}  # label -> [tp, fp, fn]
     at_cuts = []
     for k, run in enumerate(_runs(gold, cuts)):
@@ -232,15 +239,21 @@ def _score_ner(gold, predictions, objective, cuts=()) -> MetricReport:
             at_cuts.append(_prf(*_micro(counts))[_OBJECTIVE_INDEX[objective]])
         for ex_id, gold_map in run:
             pred = predictions[ex_id]
-            pred_map = pred if isinstance(pred, dict) else {}
+            right = isinstance(pred, dict)
+            pred_map = pred if right else {}
             for label in gold_map.keys() | pred_map.keys():
                 g = _span_set(gold_map.get(label, _NO_SPANS))
                 p = _span_set(pred_map.get(label, _NO_SPANS))
                 tp = len(g & p)
+                fp, fn = len(p) - tp, len(g) - tp
                 c = counts.setdefault(label, [0, 0, 0])
                 c[0] += tp
-                c[1] += len(p) - tp
-                c[2] += len(g) - tp
+                c[1] += fp
+                c[2] += fn
+                if fp or fn:
+                    right = False
+            if not right and misses is not None:
+                misses.append(ex_id)
     tot_tp, tot_fp, tot_fn = _micro(counts)
     p, r, f = _prf(tot_tp, tot_fp, tot_fn)
     return MetricReport(p, r, f, _per_label(counts), support=tot_tp + tot_fn,
@@ -258,7 +271,8 @@ def _cls_overall(counts, average) -> tuple[float, float, float]:
     return _prf(*_micro(counts))
 
 
-def _score_cls(gold, predictions, objective, cuts=(), average="micro") -> MetricReport:
+def _score_cls(gold, predictions, objective, cuts=(), misses=None,
+               average="micro") -> MetricReport:
     labels = sorted({g for g in gold.values()} | {
         p for p in predictions.values() if isinstance(p, str)
     })
@@ -275,6 +289,8 @@ def _score_cls(gold, predictions, objective, cuts=(), average="micro") -> Metric
                 counts[g][2] += 1
                 if isinstance(p, str) and p in counts:
                     counts[p][1] += 1
+                if misses is not None:
+                    misses.append(ex_id)
     tot_tp, _, tot_fn = _micro(counts)
     p, r, f = _cls_overall(counts, average)
     return MetricReport(p, r, f, _per_label(counts), support=tot_tp + tot_fn,
@@ -317,7 +333,7 @@ def _mrc_best_prf(gold, pred_text: str) -> tuple[float, float, float]:
     return max((_mrc_prf(g, pred_text) for g in gold), key=lambda prf: prf[2])
 
 
-def _score_mrc(gold, predictions, objective, cuts=()) -> MetricReport:
+def _score_mrc(gold, predictions, objective, cuts=(), misses=None) -> MetricReport:
     ps, rs, fs = [], [], []
     at_cuts = []
     for k, run in enumerate(_runs(gold, cuts)):
@@ -327,6 +343,8 @@ def _score_mrc(gold, predictions, objective, cuts=()) -> MetricReport:
         for ex_id, g in run:
             pred = predictions[ex_id]
             p, r, f = _mrc_best_prf(g, pred if isinstance(pred, str) else "")
+            if misses is not None and (f != 1.0 or pred is FORMAT_FAILURE):
+                misses.append(ex_id)
             ps.append(p)
             rs.append(r)
             fs.append(f)
@@ -400,13 +418,30 @@ def _record(doc: dict, task: str, ex_id: str, inclusive_end: bool) -> ExampleRec
 # ---------------------------------------------------------------------------
 # candidate evaluation
 
+_NO_REPLY = object()  # the text of a memo slot that holds no reply yet
+
+
+def reply_memo(n: int) -> list[list]:
+    """A parse memo for predict_many: n empty [reply text, prediction]
+    slots, one per example."""
+    return [[_NO_REPLY, None] for _ in range(n)]
+
+
 def predict_many(candidates: Sequence[Candidate], examples: Sequence[ExampleRecord],
-                 backend: Backend, model: str = "default") -> list[list]:
+                 backend: Backend, model: str = "default",
+                 memo: Optional[list[list]] = None) -> list[list]:
     """Send one backend batch of len(candidates) x len(examples) requests in
     (candidate, example) order. Returns, for each candidate, its parsed
     predictions in example order. A failed request predicts a format
     failure, except an AuthError, which is raised: the first one in the
-    batch ends the evaluation."""
+    batch ends the evaluation.
+
+    `memo` (see reply_memo; a fresh one when not given) holds one slot per
+    example. A reply equal to its example's slot text takes the slot's
+    prediction; any other reply is parsed and replaces the slot. Parsing is
+    a pure function of (task, text), so the memo changes no prediction, and
+    a caller that keeps one across calls parses each example's reply again
+    only when it changes."""
     if not examples:
         raise EmptyDataset("cannot evaluate on an empty dataset")
     if not candidates:
@@ -418,12 +453,16 @@ def predict_many(candidates: Sequence[Candidate], examples: Sequence[ExampleReco
     results = backend.generate_batch(reqs)
     task = examples[0].task
     n = len(examples)
+    slots = reply_memo(n) if memo is None else memo
     out = []
     for i in range(len(candidates)):
         predictions = []
-        for res in results[i * n:(i + 1) * n]:
+        for slot, res in zip(slots, results[i * n:(i + 1) * n]):
             if isinstance(res, GenerationResponse):
-                predictions.append(parse_prediction(task, res.text))
+                if slot[0] != res.text:
+                    slot[0] = res.text
+                    slot[1] = parse_prediction(task, res.text)
+                predictions.append(slot[1])
             elif isinstance(res, AuthError):
                 raise res  # no later request can succeed: end the run
             else:
@@ -445,20 +484,16 @@ def report_predictions(examples: Sequence[ExampleRecord], predictions: Sequence,
     task = examples[0].task
     gold = {}
     by_position = {}
-    failures = []
     for i, (ex, pred) in enumerate(zip(examples, predictions)):
         gold[i] = ex.gold
         by_position[i] = pred
-        if bad_case_cap and not _is_correct(task, ex.gold, pred):
-            failures.append(BadCase(ex.id, ex.gold, pred))
+    misses = [] if bad_case_cap else None
     report = score(task, gold, by_position, objective=objective, cls_average=cls_average,
-                   cuts=cuts)
-    rng = random.Random(seed)
-    if len(failures) > bad_case_cap:
-        bad_cases = rng.sample(failures, bad_case_cap)
-    else:
-        bad_cases = list(failures)
-    return report, bad_cases
+                   cuts=cuts, misses=misses)
+    if misses and len(misses) > bad_case_cap:
+        misses = random.Random(seed).sample(misses, bad_case_cap)
+    return report, [BadCase(examples[i].id, examples[i].gold, by_position[i])
+                    for i in misses or ()]
 
 
 def evaluate(candidate: Candidate, examples: Sequence[ExampleRecord], backend: Backend,
@@ -472,15 +507,3 @@ def evaluate(candidate: Candidate, examples: Sequence[ExampleRecord], backend: B
     [predictions] = predict_many([candidate], examples, backend, model=model)
     return report_predictions(examples, predictions, objective=objective,
                               cls_average=cls_average, bad_case_cap=bad_case_cap, seed=seed)
-
-
-def _is_correct(task: str, gold, pred) -> bool:
-    if pred is FORMAT_FAILURE:
-        return False
-    if task == "NER":
-        g = {k: frozenset(v) for k, v in gold.items() if v}
-        p = {k: frozenset(v) for k, v in pred.items() if v}
-        return g == p
-    if task == "MRC":
-        return _mrc_best_prf(gold, pred if isinstance(pred, str) else "")[2] == 1.0
-    return gold == pred

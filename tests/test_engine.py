@@ -761,6 +761,49 @@ class TestScoreProperties:
                                             for c in trainer.rungs)
 
 
+class TestReplyMemo:
+    def test_a_run_parses_a_training_reply_only_when_it_changes(self, tmp_path, monkeypatch):
+        import promptopt.evaluation
+
+        calls = []
+        parse = promptopt.evaluation.parse_prediction
+
+        def counted(task, raw):
+            calls.append(raw)
+            return parse(task, raw)
+
+        monkeypatch.setattr(promptopt.evaluation, "parse_prediction", counted)
+        data = cls_dataset(110)
+        train_set, test_set = data[:100], data[100:]
+        backend = Graded(data)
+        cfg = small_config(iterations=3, beam_init=3, pairs_per_epoch=3,
+                           operators=("refine", "rewrite"), output_dir=str(tmp_path))
+        trainer = _Trainer(cfg, train_set, test_set, base_template(), backend)
+        trainer.run()
+
+        # replay the batches: a training example's reply is parsed when it
+        # differs from that example's previous reply in the run, and each
+        # test example's reply is parsed once
+        last, expected, eval_requests = {}, 0, 0
+        for call in backend.calls:
+            if OPERATOR_TARGET.search(call[0][0]):
+                continue
+            eval_requests += len(call)
+            for text, reply in call:
+                ex = next(ex for ex in data if ex.input in text)
+                if ex in test_set:
+                    expected += 1
+                elif last.get(ex.id) != reply:
+                    last[ex.id] = reply
+                    expected += 1
+        assert len(calls) == expected < eval_requests
+        # one slot per training example, holding its last reply
+        assert len(trainer.replies) == len(train_set) == len(last)
+        for ex, (text, prediction) in zip(train_set, trainer.replies):
+            assert text == last[ex.id]
+            assert prediction == parse(ex.task, text)
+
+
 class TestClsAverage:
     def test_macro_run_differs_from_micro(self, tmp_path):
         # 18 A and 2 B, and the model always answers A

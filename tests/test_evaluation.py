@@ -1,9 +1,13 @@
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from promptopt.backend import MockBackend
+import promptopt.evaluation
+from promptopt.backend import GenerationResponse, MockBackend
 from promptopt.errors import (
     AlignmentError,
     AuthError,
@@ -14,12 +18,15 @@ from promptopt.errors import (
 )
 from promptopt.evaluation import (
     FORMAT_FAILURE,
+    BadCase,
     ExampleRecord,
+    _mrc_best_prf,
     evaluate,
     load_dataset,
     loss,
     parse_prediction,
     predict_many,
+    reply_memo,
     report_predictions,
     score,
 )
@@ -53,6 +60,68 @@ class TestParsePrediction:
     def test_wrong_shape(self):
         assert parse_prediction("NER", '{"name": [1, 2]}') is FORMAT_FAILURE
         assert parse_prediction("CLS", '{"answer": 3}') is FORMAT_FAILURE
+
+    @pytest.mark.parametrize("raw", [
+        '{"name": null}',
+        '{"name": {"a": 3}}',
+        '{"name": {"a": [[1]]}}',
+        '{"name": {"a": [["x", 2]]}}',
+        '{"name": {"a": [{"start": 0, "end": 1}]}}',
+        '{"name": {"a": [[0, 1]]}, "other": "b"}',
+    ])
+    def test_ner_malformed_spans(self, raw):
+        assert parse_prediction("NER", raw) is FORMAT_FAILURE
+
+    def test_ner_empty_label(self):
+        assert parse_prediction("NER", '{"name": {}}') == {"name": frozenset()}
+
+
+def spans_added_in_reply_order(doc):
+    """The NER prediction of a reply as the span walk built it before it was
+    a comprehension: each label's spans added to a set one at a time, in
+    reply order, then frozen."""
+    out = {}
+    for label, mentions in doc.items():
+        spans = set()
+        for span_list in mentions.values():
+            for s, e in span_list:
+                spans.add((s, e))
+        out[label] = frozenset(spans)
+    return out
+
+
+class TestNerSpanLayout:
+    """A frozenset's iteration order, and so its repr, depends on how it was
+    built, and the repr of a bad case's prediction goes into reflect
+    requests. So parsing must lay the spans out as adding them one at a time
+    in reply order does."""
+
+    @staticmethod
+    def _reply(n, seed):
+        rng = random.Random(seed)
+        starts = [rng.randrange(0, 300) for _ in range(n)]
+        spans = [[s, s + rng.randrange(1, 6)] for s in starts]
+        spans += spans[: n // 3]  # repeated spans count once
+        mentions = {}
+        for k, span in enumerate(spans):
+            mentions.setdefault("m%d" % (k % 3), []).append(span)
+        return {"PER": mentions, "LOC": {"x": [[0, 1]]}}
+
+    def test_repr_matches_spans_added_in_reply_order(self):
+        for n, seed in itertools.product(range(1, 40), range(5)):
+            doc = self._reply(n, seed)
+            expected = spans_added_in_reply_order(doc)
+            raw = "```json\n%s\n```" % json.dumps(doc)
+            assert repr(parse_prediction("NER", raw)) == repr(expected)
+
+    def test_cases_tell_the_layouts_apart(self):
+        # the test above fails for a parser that freezes a list of the spans
+        differ = 0
+        for n in range(5, 8):
+            doc = self._reply(n, 0)
+            in_order = [tuple(span) for spans in doc["PER"].values() for span in spans]
+            differ += repr(frozenset(in_order)) != repr(spans_added_in_reply_order(doc)["PER"])
+        assert differ
 
 
 class TestLoss:
@@ -477,3 +546,190 @@ class TestRepeatedIds:
         report, _ = report_predictions(examples, ["A", "A"])
         assert report.support == 2
         assert report.f1 == pytest.approx(0.5)
+
+
+def second_pass_is_correct(task: str, gold, pred) -> bool:
+    """The per-example rule report_predictions applied in a second pass
+    before the scoring pass collected the misses, kept as the reference."""
+    if pred is FORMAT_FAILURE:
+        return False
+    if task == "NER":
+        g = {k: frozenset(v) for k, v in gold.items() if v}
+        p = {k: frozenset(v) for k, v in pred.items() if v}
+        return g == p
+    if task == "MRC":
+        return _mrc_best_prf(gold, pred if isinstance(pred, str) else "")[2] == 1.0
+    return gold == pred
+
+
+def reference_bad_cases(examples, predictions):
+    return [BadCase(ex.id, ex.gold, pred) for ex, pred in zip(examples, predictions)
+            if not second_pass_is_correct(ex.task, ex.gold, pred)]
+
+
+SPANS = st.frozensets(st.sampled_from([(0, 1), (0, 2), (1, 2), (2, 3)]), max_size=3)
+NER_LABELS = st.sampled_from(["PER", "LOC"])
+MRC_TEXT = st.sampled_from(["", "...", "a b", "b a", "a", "the a", "a, b!", "c"])
+GOLD = {
+    "NER": st.dictionaries(NER_LABELS, SPANS, max_size=2),
+    "CLS": st.sampled_from(["A", "B"]),
+    "MRC": st.one_of(MRC_TEXT, st.tuples(MRC_TEXT, MRC_TEXT)),
+}
+PREDICTION = {
+    "NER": st.dictionaries(NER_LABELS, SPANS, max_size=2),
+    "CLS": st.sampled_from(["A", "B", "C"]),
+    "MRC": MRC_TEXT,
+}
+
+
+@st.composite
+def scored_examples(draw):
+    task = draw(st.sampled_from(sorted(GOLD)))
+    pairs = draw(st.lists(st.tuples(
+        GOLD[task], st.one_of(st.just(FORMAT_FAILURE), PREDICTION[task])),
+        min_size=1, max_size=12))
+    examples = [ExampleRecord(str(i % 5), task, "text %d" % i, gold)
+                for i, (gold, _) in enumerate(pairs)]
+    return examples, [pred for _, pred in pairs]
+
+
+class TestBadCasesFromTheScoringPass:
+    """report_predictions takes its bad cases from the misses `score`
+    collects; they must be the examples the old second pass found."""
+
+    @pytest.mark.parametrize("task, gold, pred, bad", [
+        # empty gold and a format failure: a bad case
+        ("NER", {}, FORMAT_FAILURE, True),
+        # a label with an empty span list is the same as no label
+        ("NER", {}, {"PER": frozenset()}, False),
+        ("NER", {"PER": frozenset({(0, 1)})}, {"PER": frozenset({(0, 1)}),
+                                               "LOC": frozenset()}, False),
+        ("NER", {"PER": frozenset({(0, 1)})}, {"LOC": frozenset({(0, 1)})}, True),
+        # a format failure against a gold answer with no tokens: a bad case
+        ("MRC", "...", FORMAT_FAILURE, True),
+        ("MRC", "...", "", False),
+        ("MRC", ("x y", "y"), "Y!", False),
+        ("CLS", "A", FORMAT_FAILURE, True),
+        ("CLS", "A", "A", False),
+    ])
+    def test_edge_cases(self, task, gold, pred, bad):
+        assert second_pass_is_correct(task, gold, pred) is not bad
+        examples = [ExampleRecord("e", task, "some text", gold)]
+        _, bad_cases = report_predictions(examples, [pred])
+        assert bad_cases == ([BadCase("e", gold, pred)] if bad else [])
+
+    @given(scored_examples(), st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_same_bad_cases_as_the_old_rule(self, case, seed):
+        examples, predictions = case
+        expected = reference_bad_cases(examples, predictions)
+        report, bad_cases = report_predictions(examples, predictions,
+                                               bad_case_cap=len(examples), seed=seed)
+        assert bad_cases == expected
+        # a cap below the number of misses samples them as before
+        _, sampled = report_predictions(examples, predictions, bad_case_cap=2, seed=seed)
+        if len(expected) > 2:
+            assert sampled == random.Random(seed).sample(expected, 2)
+        else:
+            assert sampled == expected
+        # collecting misses changes nothing in the report
+        assert report == report_predictions(examples, predictions, bad_case_cap=0)[0]
+
+    def test_score_lists_misses_in_gold_order(self):
+        gold = {"x": "A", "y": "B", "z": "A"}
+        misses = []
+        score("CLS", gold, {"z": "B", "x": "A", "y": FORMAT_FAILURE}, misses=misses)
+        assert misses == ["y", "z"]
+
+
+def count_parses(monkeypatch) -> list:
+    """Count calls of promptopt.evaluation.parse_prediction; returns the
+    list of (task, text) it was called with."""
+    calls = []
+    parse = promptopt.evaluation.parse_prediction
+
+    def counted(task, raw):
+        calls.append((task, raw))
+        return parse(task, raw)
+
+    monkeypatch.setattr(promptopt.evaluation, "parse_prediction", counted)
+    return calls
+
+
+class ByExample(MockBackend):
+    """Answers each example with one reply whatever the prompt, except where
+    `overrides` maps (prompt word, example input) to another reply."""
+
+    def __init__(self, examples, overrides=None):
+        super().__init__([])
+        self.examples = examples
+        self.overrides = overrides or {}
+
+    def _lookup(self, req):
+        text = req.messages[-1][1]
+        for (word, inp), reply in self.overrides.items():
+            if text.startswith(word) and text.endswith(inp):
+                return reply
+        ex = next(ex for ex in self.examples if text.endswith(ex.input))
+        return json.dumps({"label": ex.gold})
+
+
+def prompt_candidate(word):
+    return Candidate(prompt=make_prompt([word + " the text."], placeholder_in=0))
+
+
+class TestParseMemo:
+    def test_same_reply_under_two_prompts_is_parsed_once(self, cls_examples, monkeypatch):
+        calls = count_parses(monkeypatch)
+        backend = ByExample(cls_examples)
+        memo = reply_memo(len(cls_examples))
+        first = predict_many([prompt_candidate("Classify")], cls_examples, backend, memo=memo)
+        second = predict_many([prompt_candidate("Label")], cls_examples, backend, memo=memo)
+        assert first == second == [[ex.gold for ex in cls_examples]]
+        assert len(calls) == len(cls_examples)
+        # within one batch too, with a memo of its own
+        del calls[:]
+        predict_many([prompt_candidate("Classify"), prompt_candidate("Label")],
+                     cls_examples, backend)
+        assert len(calls) == len(cls_examples)
+
+    def test_a_changed_reply_is_parsed_again(self, cls_examples, monkeypatch):
+        calls = count_parses(monkeypatch)
+        ex = cls_examples[3]
+        changed = json.dumps({"label": "C"})
+        backend = ByExample(cls_examples, {("Label", ex.input): changed})
+        memo = reply_memo(len(cls_examples))
+        predictions = [predict_many([prompt_candidate(word)], cls_examples, backend, memo=memo)[0]
+                       for word in ("Classify", "Label", "Classify")]
+        assert [p[3] for p in predictions] == [ex.gold, "C", ex.gold]
+        assert all(p[:3] + p[4:] == [e.gold for e in cls_examples[:3] + cls_examples[4:]]
+                   for p in predictions)
+        # the other examples once, example 3 on each change
+        assert len(calls) == len(cls_examples) + 2
+        assert calls[-2:] == [("CLS", changed), ("CLS", json.dumps({"label": ex.gold}))]
+        assert memo[3] == [json.dumps({"label": ex.gold}), ex.gold]
+
+    @given(st.lists(st.lists(st.sampled_from([
+        '{"label": "A"}', '{"label": "B"}', 'Sure: {"label": "A"}', "no answer", "",
+        BackendTimeout("timed out")]), min_size=6, max_size=6), min_size=1, max_size=8),
+        st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_memoized_predictions_equal_parsing_every_reply(self, batches, n):
+        examples = [ExampleRecord(str(i), "CLS", "text %d" % i, "A") for i in range(n)]
+        k = 6 // n
+
+        class Scripted(MockBackend):
+            def generate_batch(self, reqs):
+                items = batches.pop(0)[:len(reqs)]
+                return [item if isinstance(item, Exception) else GenerationResponse(item)
+                        for item in items]
+
+        expected = [[[FORMAT_FAILURE if isinstance(item, Exception)
+                      else parse_prediction("CLS", item)
+                      for item in batch[c * n:(c + 1) * n]] for c in range(k)]
+                    for batch in batches]
+        backend = Scripted([])
+        memo = reply_memo(n)
+        cands = [prompt_candidate("Prompt %d:" % c) for c in range(k)]
+        for want in expected:
+            assert predict_many(cands, examples, backend, memo=memo) == want
