@@ -246,15 +246,20 @@ class HttpBackend(Backend):
         try:
             doc = json.loads(data)
             text = doc["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as e:
+            usage = doc.get("usage") or {}
+            prompt_tokens = int(usage.get("prompt_tokens", 0) or 0)
+            completion_tokens = int(usage.get("completion_tokens", 0) or 0)
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as e:
             raise MalformedResponse("cannot parse completion: %s" % e)
-        usage = doc.get("usage") or {}
+        if not isinstance(text, str):
+            raise MalformedResponse("completion content is %s, not a string"
+                                    % type(text).__name__)
         if not usage:
             log.warning("response missing usage fields; counting zero tokens")
         out = GenerationResponse(
             text=text,
-            prompt_tokens=int(usage.get("prompt_tokens", 0) or 0),
-            completion_tokens=int(usage.get("completion_tokens", 0) or 0),
+            prompt_tokens=prompt_tokens,
+            completion_tokens=completion_tokens,
             latency_ms=(time.monotonic() - start) * 1000.0,
         )
         self.usage.add(out)

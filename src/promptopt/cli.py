@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experience-export", help="export a run's learned matrix")
     p.add_argument("--run-dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--task", default="CLS")
+    p.add_argument("--task", choices=["NER", "CLS", "MRC"], default="CLS")
     p.set_defaults(func=cmd_experience_export)
 
     p = sub.add_parser("experience-import", help="validate and install an experience file")

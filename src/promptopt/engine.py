@@ -11,7 +11,10 @@ the initial pool's included, is a race when there are at least two of them
 and the training set has at least RACE_PREFIX_DIVISOR * RACE_MIN_PREFIX
 examples: successive halving (as in ProTeGi and APE) over three rungs, the
 first quarter of the training set, the first half, then the whole set, in at
-most three batches. Otherwise one batch scores them on the whole set."""
+most three batches. Otherwise one batch scores them on the whole set. Each
+prompt's predictions go into one running tally as their batches return, each
+once, and its objective on a rung's prefix is read off the tally when the
+examples added reach that rung, whether it raced there or skipped it."""
 
 from __future__ import annotations
 
@@ -35,10 +38,11 @@ from .evaluation import (
     BadCase,
     ExampleRecord,
     MetricReport,
+    Tally,
     evaluate,
     predict_many,
     reply_memo,
-    report_predictions,
+    sample_bad_cases,
 )
 from .fileio import write_text_atomic
 from .matrix import (
@@ -362,21 +366,36 @@ class _Trainer:
         the rung's prefix with ties going to the earlier pair, go on. Once
         one is left it is finished on the rest of the set in one batch.
         Otherwise one batch scores them on the whole set. Returns the rung
-        index and the rung objective of each candidate raced out."""
+        index and the rung objective of each candidate raced out.
+
+        Each candidate has one tally, and each of its predictions is added
+        to it once, in runs that end at the rungs, so every rung objective,
+        raced or skipped, is read off the tally as its run ends."""
         cfg = self.cfg
         live = list(range(len(cands)))
+        # the examples' task, as `evaluate` scores; an empty set fails in _predict
+        task = self.train_set[0].task if self.train_set else cfg.task
+        tallies = [Tally(task, cfg.objective, cfg.cls_average) for _ in cands]
         predictions = [[] for _ in cands]
-        objectives = [[] for _ in cands]  # per rung, as the race computes them
+        objectives = [[] for _ in cands]  # on train_set[:rung], per rung reached
+
+        def add(i: int, preds: list) -> None:
+            start = len(predictions[i])
+            predictions[i] += preds
+            stop = len(predictions[i])
+            for cut in [c for c in self.rungs if start < c < stop] + [stop]:
+                tallies[i].add(zip(range(start, cut),
+                                   (ex.gold for ex in self.train_set[start:cut]),
+                                   predictions[i][start:cut]))
+                if cut in self.rungs:
+                    objectives[i].append(tallies[i].objective_value())
+                start = cut
+
         losers = {}
         seen = 0
         for r, cut in enumerate(self.rungs if len(cands) >= 2 else ()):
-            batch = self._predict([cands[i] for i in live], seen, cut)
-            for i, preds in zip(live, batch):
-                predictions[i] += preds
-                objectives[i].append(report_predictions(
-                    self.train_set[:cut], predictions[i], objective=cfg.objective,
-                    cls_average=cfg.cls_average, bad_case_cap=0,
-                )[0].objective_value())
+            for i, preds in zip(live, self._predict([cands[i] for i in live], seen, cut)):
+                add(i, preds)
             seen = cut
             ranked = sorted(live, key=lambda i: (-objectives[i][r], i))
             live = sorted(ranked[:math.ceil(len(live) / 2)])
@@ -384,17 +403,12 @@ class _Trainer:
                 losers[cands[i].fingerprint] = (r, objectives[i][r])
             if len(live) == 1:
                 break
-        tails = self._predict([cands[i] for i in live], seen)
-        for i, tail in zip(live, tails):
-            # the rungs this candidate skipped come from the same pass as its
-            # full report
-            report, bad_cases = report_predictions(
-                self.train_set, predictions[i] + tail, objective=cfg.objective,
-                cls_average=cfg.cls_average, seed=cfg.seed + iteration,
-                cuts=self.rungs[len(objectives[i]):],
-            )
+        for i, tail in zip(live, self._predict([cands[i] for i in live], seen)):
+            add(i, tail)
+            bad_cases = sample_bad_cases(self.train_set, predictions[i], tallies[i].misses,
+                                         seed=cfg.seed + iteration)
             self.scored[cands[i].fingerprint] = (
-                report, bad_cases, tuple(objectives[i]) + report.prefix_objectives)
+                tallies[i].report(), bad_cases, tuple(objectives[i]))
         return losers
 
     def _context(self, pair: SelectionPair, base: Candidate, iteration: int,

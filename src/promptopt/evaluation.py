@@ -9,8 +9,11 @@ Tasks: NER (span-level exact match, half-open character spans), CLS
 `predict_many` parses replies through a memo of one slot per example, so a
 caller that keeps the memo (the trainer keeps one for its training set)
 parses an example's reply only when it differs from that example's previous
-reply. One scoring pass gives both the report and the examples that are not
-exactly right, from which the bad cases are sampled.
+reply. Scoring is one `Tally` per prompt: examples are added in order, each
+scored once, and the score of everything added so far can be read at any
+point, which is the score of that prefix on its own. The same pass lists
+the examples that are not exactly right, from which the bad cases are
+sampled.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import json
 import logging
 import random
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .backend import Backend, GenerationResponse, user_request
@@ -86,10 +89,6 @@ class MetricReport:
     per_label: Mapping[str, LabelMetrics]
     support: int
     objective: str = "f1"
-    # the objective on the first c examples for each cut c the report was
-    # scored with; it describes prefixes, not the scored set, so two reports
-    # of the same set compare equal whatever cuts they were asked for
-    prefix_objectives: tuple[float, ...] = field(default=(), compare=False)
 
     def objective_value(self) -> float:
         return getattr(self, self.objective)
@@ -119,6 +118,9 @@ class BadCase:
     expected: object
     predicted: object
     reason: str = ""
+
+
+BAD_CASE_CAP = 20  # the bad cases kept per scored prompt, by default
 
 
 def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -173,41 +175,7 @@ def parse_prediction(task: str, raw: str):
 # ---------------------------------------------------------------------------
 # scoring
 
-def score(task: str, gold: Mapping[object, object], predictions: Mapping[object, object],
-          objective: str = "f1", cls_average: str = "micro",
-          cuts: Sequence[int] = (), misses: Optional[list] = None) -> MetricReport:
-    """Compute the task metric over predictions aligned to gold by key. For
-    each of the ascending `cuts` c, the same pass also records the objective
-    on the first c examples of `gold` in its `prefix_objectives`. When
-    `misses` is a list, the same pass appends to it, in `gold` order, the key
-    of every example whose prediction is not exactly right: a format failure,
-    a CLS label other than gold, NER spans other than gold (a label with no
-    spans counts as absent), or an MRC answer with token F1 below 1."""
-    if set(gold) != set(predictions):
-        raise AlignmentError(
-            "gold and prediction ids differ: %r vs %r"
-            % (sorted(gold)[:5], sorted(predictions)[:5])
-        )
-    if task == "NER":
-        return _score_ner(gold, predictions, objective, cuts, misses)
-    if task == "CLS":
-        return _score_cls(gold, predictions, objective, cuts, misses, average=cls_average)
-    if task == "MRC":
-        return _score_mrc(gold, predictions, objective, cuts, misses)
-    raise ValueError("unknown task %r" % task)
-
-
 _OBJECTIVE_INDEX = {"precision": 0, "recall": 1, "f1": 2}
-
-
-def _runs(gold: Mapping, cuts: Sequence[int]) -> list[list]:
-    """The items of `gold` in order, split into runs that end at each cut
-    and then at the end."""
-    items = list(gold.items())
-    bounds = [0, *cuts, len(items)]
-    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
 _NO_SPANS: frozenset = frozenset()
 
 
@@ -224,77 +192,6 @@ def _micro(counts) -> tuple[int, int, int]:
         fp += c[1]
         fn += c[2]
     return tp, fp, fn
-
-
-def _per_label(counts) -> dict[str, LabelMetrics]:
-    return {label: LabelMetrics(*_prf(tp, fp, fn), support=tp + fn, tp=tp, fp=fp, fn=fn)
-            for label, (tp, fp, fn) in counts.items()}
-
-
-def _score_ner(gold, predictions, objective, cuts=(), misses=None) -> MetricReport:
-    counts: dict[str, list[int]] = {}  # label -> [tp, fp, fn]
-    at_cuts = []
-    for k, run in enumerate(_runs(gold, cuts)):
-        if k:
-            at_cuts.append(_prf(*_micro(counts))[_OBJECTIVE_INDEX[objective]])
-        for ex_id, gold_map in run:
-            pred = predictions[ex_id]
-            right = isinstance(pred, dict)
-            pred_map = pred if right else {}
-            for label in gold_map.keys() | pred_map.keys():
-                g = _span_set(gold_map.get(label, _NO_SPANS))
-                p = _span_set(pred_map.get(label, _NO_SPANS))
-                tp = len(g & p)
-                fp, fn = len(p) - tp, len(g) - tp
-                c = counts.setdefault(label, [0, 0, 0])
-                c[0] += tp
-                c[1] += fp
-                c[2] += fn
-                if fp or fn:
-                    right = False
-            if not right and misses is not None:
-                misses.append(ex_id)
-    tot_tp, tot_fp, tot_fn = _micro(counts)
-    p, r, f = _prf(tot_tp, tot_fp, tot_fn)
-    return MetricReport(p, r, f, _per_label(counts), support=tot_tp + tot_fn,
-                        objective=objective, prefix_objectives=tuple(at_cuts))
-
-
-def _cls_overall(counts, average) -> tuple[float, float, float]:
-    """Overall P/R/F1 of per-label counts. Only labels seen so far (with a
-    nonzero count) take part, so the value on a prefix is the value of
-    scoring that prefix alone."""
-    if average == "macro":
-        seen = [_prf(*c) for c in counts.values() if any(c)]
-        if seen:
-            return tuple(sum(m[j] for m in seen) / len(seen) for j in range(3))
-    return _prf(*_micro(counts))
-
-
-def _score_cls(gold, predictions, objective, cuts=(), misses=None,
-               average="micro") -> MetricReport:
-    labels = sorted({g for g in gold.values()} | {
-        p for p in predictions.values() if isinstance(p, str)
-    })
-    counts = {label: [0, 0, 0] for label in labels}
-    at_cuts = []
-    for k, run in enumerate(_runs(gold, cuts)):
-        if k:
-            at_cuts.append(_cls_overall(counts, average)[_OBJECTIVE_INDEX[objective]])
-        for ex_id, g in run:
-            p = predictions[ex_id]
-            if p == g:
-                counts[g][0] += 1
-            else:
-                counts[g][2] += 1
-                if isinstance(p, str) and p in counts:
-                    counts[p][1] += 1
-                if misses is not None:
-                    misses.append(ex_id)
-    tot_tp, _, tot_fn = _micro(counts)
-    p, r, f = _cls_overall(counts, average)
-    return MetricReport(p, r, f, _per_label(counts), support=tot_tp + tot_fn,
-                        objective=objective, prefix_objectives=tuple(at_cuts))
 
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
@@ -333,27 +230,99 @@ def _mrc_best_prf(gold, pred_text: str) -> tuple[float, float, float]:
     return max((_mrc_prf(g, pred_text) for g in gold), key=lambda prf: prf[2])
 
 
-def _score_mrc(gold, predictions, objective, cuts=(), misses=None) -> MetricReport:
-    ps, rs, fs = [], [], []
-    at_cuts = []
-    for k, run in enumerate(_runs(gold, cuts)):
-        if k:
-            values = (ps, rs, fs)[_OBJECTIVE_INDEX[objective]]
-            at_cuts.append(sum(values) / len(values) if values else 0.0)
-        for ex_id, g in run:
-            pred = predictions[ex_id]
-            p, r, f = _mrc_best_prf(g, pred if isinstance(pred, str) else "")
-            if misses is not None and (f != 1.0 or pred is FORMAT_FAILURE):
-                misses.append(ex_id)
-            ps.append(p)
-            rs.append(r)
-            fs.append(f)
-    n = len(ps)
-    p = sum(ps) / n if n else 0.0
-    r = sum(rs) / n if n else 0.0
-    f = sum(fs) / n if n else 0.0
-    return MetricReport(p, r, f, per_label={}, support=n, objective=objective,
-                        prefix_objectives=tuple(at_cuts))
+class Tally:
+    """The running score of a task's examples, each scored once, as they are
+    added in order. At any point `objective_value` and `report` are what
+    scoring the examples added so far on their own would give, and `misses`
+    lists, in order, the key of every one of them whose prediction is not
+    exactly right: a format failure, a CLS label other than gold, NER spans
+    other than gold (a label with no spans counts as absent), or an MRC
+    answer with token F1 below 1."""
+
+    def __init__(self, task: str, objective: str = "f1", cls_average: str = "micro"):
+        if task not in ("NER", "CLS", "MRC"):
+            raise ValueError("unknown task %r" % task)
+        self.task = task
+        self.objective = objective
+        self.cls_average = cls_average
+        self.counts: dict[str, list[int]] = {}  # NER, CLS: label -> [tp, fp, fn]
+        self.prfs: list[tuple[float, float, float]] = []  # MRC: per example
+        self.misses: list = []
+
+    def add(self, items) -> None:
+        """Score (key, gold, prediction) triples, in order."""
+        counts, misses = self.counts, self.misses
+        if self.task == "NER":
+            for key, gold_map, pred in items:
+                right = isinstance(pred, dict)
+                pred_map = pred if right else {}
+                for label in gold_map.keys() | pred_map.keys():
+                    g = _span_set(gold_map.get(label, _NO_SPANS))
+                    p = _span_set(pred_map.get(label, _NO_SPANS))
+                    tp = len(g & p)
+                    fp, fn = len(p) - tp, len(g) - tp
+                    c = counts.setdefault(label, [0, 0, 0])
+                    c[0] += tp
+                    c[1] += fp
+                    c[2] += fn
+                    if fp or fn:
+                        right = False
+                if not right:
+                    misses.append(key)
+        elif self.task == "CLS":
+            for key, g, p in items:
+                c = counts.setdefault(g, [0, 0, 0])
+                if p == g:
+                    c[0] += 1
+                    continue
+                c[2] += 1
+                if isinstance(p, str):
+                    counts.setdefault(p, [0, 0, 0])[1] += 1
+                misses.append(key)
+        else:
+            for key, g, pred in items:
+                prf = _mrc_best_prf(g, pred if isinstance(pred, str) else "")
+                if prf[2] != 1.0 or pred is FORMAT_FAILURE:
+                    misses.append(key)
+                self.prfs.append(prf)
+
+    def _overall(self) -> tuple[float, float, float]:
+        if self.task == "MRC":
+            n = len(self.prfs)
+            return tuple(sum(prf[j] for prf in self.prfs) / n if n else 0.0 for j in range(3))
+        if self.task == "CLS" and self.cls_average == "macro" and self.counts:
+            # labels in sorted order, so the float sums do not depend on the
+            # order the labels were first seen in
+            seen = [_prf(*self.counts[label]) for label in sorted(self.counts)]
+            return tuple(sum(m[j] for m in seen) / len(seen) for j in range(3))
+        return _prf(*_micro(self.counts))
+
+    def objective_value(self) -> float:
+        return self._overall()[_OBJECTIVE_INDEX[self.objective]]
+
+    def report(self) -> MetricReport:
+        p, r, f = self._overall()
+        if self.task == "MRC":
+            return MetricReport(p, r, f, per_label={}, support=len(self.prfs),
+                                objective=self.objective)
+        tp, _, fn = _micro(self.counts)
+        per_label = {label: LabelMetrics(*_prf(*c), support=c[0] + c[2], tp=c[0], fp=c[1],
+                                         fn=c[2])
+                     for label, c in sorted(self.counts.items())}
+        return MetricReport(p, r, f, per_label, support=tp + fn, objective=self.objective)
+
+
+def score(task: str, gold: Mapping[object, object], predictions: Mapping[object, object],
+          objective: str = "f1", cls_average: str = "micro") -> MetricReport:
+    """Compute the task metric over predictions aligned to gold by key."""
+    if set(gold) != set(predictions):
+        raise AlignmentError(
+            "gold and prediction ids differ: %r vs %r"
+            % (sorted(gold)[:5], sorted(predictions)[:5])
+        )
+    tally = Tally(task, objective, cls_average)
+    tally.add((key, g, predictions[key]) for key, g in gold.items())
+    return tally.report()
 
 
 # ---------------------------------------------------------------------------
@@ -471,33 +440,32 @@ def predict_many(candidates: Sequence[Candidate], examples: Sequence[ExampleReco
     return out
 
 
+def sample_bad_cases(examples: Sequence[ExampleRecord], predictions: Sequence,
+                     misses: Sequence[int], cap: int = BAD_CASE_CAP,
+                     seed: int = 0) -> list[BadCase]:
+    """Bad cases for a seeded uniform sample of up to `cap` of the positions
+    in `misses`, which index both `examples` and `predictions`."""
+    if len(misses) > cap:
+        misses = random.Random(seed).sample(misses, cap)
+    return [BadCase(examples[i].id, examples[i].gold, predictions[i]) for i in misses]
+
+
 def report_predictions(examples: Sequence[ExampleRecord], predictions: Sequence,
                        objective: str = "f1", cls_average: str = "micro",
-                       bad_case_cap: int = 20, seed: int = 0, cuts: Sequence[int] = (),
+                       bad_case_cap: int = BAD_CASE_CAP, seed: int = 0,
                        ) -> tuple[MetricReport, list[BadCase]]:
     """Score one candidate's predictions, aligned with `examples`, and
     collect a seeded uniform sample of up to `bad_case_cap` of its failures
-    as bad cases (none are looked for when the cap is 0). Examples are keyed
-    by position, so examples that share an id are all scored. The report's
-    `prefix_objectives` holds the objective on examples[:c] for each of the
-    ascending `cuts` c, from the same pass."""
-    task = examples[0].task
-    gold = {}
-    by_position = {}
-    for i, (ex, pred) in enumerate(zip(examples, predictions)):
-        gold[i] = ex.gold
-        by_position[i] = pred
-    misses = [] if bad_case_cap else None
-    report = score(task, gold, by_position, objective=objective, cls_average=cls_average,
-                   cuts=cuts, misses=misses)
-    if misses and len(misses) > bad_case_cap:
-        misses = random.Random(seed).sample(misses, bad_case_cap)
-    return report, [BadCase(examples[i].id, examples[i].gold, by_position[i])
-                    for i in misses or ()]
+    as bad cases. Examples are keyed by position, so examples that share an
+    id are all scored."""
+    tally = Tally(examples[0].task, objective, cls_average)
+    tally.add(zip(range(len(examples)), (ex.gold for ex in examples), predictions))
+    return tally.report(), sample_bad_cases(examples, predictions, tally.misses,
+                                            bad_case_cap, seed)
 
 
 def evaluate(candidate: Candidate, examples: Sequence[ExampleRecord], backend: Backend,
-             objective: str = "f1", bad_case_cap: int = 20, seed: int = 0,
+             objective: str = "f1", bad_case_cap: int = BAD_CASE_CAP, seed: int = 0,
              model: str = "default", cls_average: str = "micro",
              ) -> tuple[MetricReport, list[BadCase]]:
     """Render the candidate prompt over every example, batch-generate, parse,

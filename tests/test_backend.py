@@ -223,6 +223,23 @@ class TestHttpBackend:
         out = backend.generate(req("x"))
         assert out.prompt_tokens == 0 and out.completion_tokens == 0
 
+    @pytest.mark.parametrize("payload", [
+        {"choices": [{"message": {"content": None}}]},
+        {"choices": [{"message": {"content": "ok"}}], "usage": "x"},
+        {"choices": [{"message": {"content": "ok"}}], "usage": {"prompt_tokens": "abc"}},
+    ])
+    def test_malformed_completion(self, stub_server, payload):
+        server, handler = stub_server
+        handler.script = [(200, payload), (200, payload)]
+        backend = _http_backend(server)
+        with pytest.raises(MalformedResponse):
+            backend.generate(req("x"))
+        # a batch item, not an exception that ends the batch
+        [item] = backend.generate_batch([req("y")])
+        assert isinstance(item, MalformedResponse)
+        assert len(handler.calls) == 2
+        assert backend.usage.requests == 0
+
     def test_wire_shape(self, stub_server):
         server, handler = stub_server
         backend = _http_backend(server)

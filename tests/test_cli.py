@@ -422,6 +422,15 @@ class TestReportAndExperience:
                      "--out", str(installed)]) == 0
         assert read_experience(installed).matrix.sections == store.matrix.sections
 
+    def test_experience_export_rejects_an_unknown_task(self, tmp_path, capsys):
+        exported = tmp_path / "exp.json"
+        with pytest.raises(SystemExit) as info:
+            main(["experience-export", "--run-dir", str(tmp_path), "--out", str(exported),
+                  "--task", "cls"])
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not exported.exists()
+
     def test_import_rejects_corrupt(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")

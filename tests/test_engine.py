@@ -23,6 +23,7 @@ from promptopt.engine import (
 from promptopt.errors import AuthError, BackendTimeout, ConfigError
 from promptopt.evaluation import (
     ExampleRecord,
+    Tally,
     evaluate,
     parse_prediction,
     predict_many,
@@ -759,6 +760,29 @@ class TestScoreProperties:
             assert (report, bad) == report_predictions(data, predictions, seed=0)
             assert rung_objectives == tuple(f1_of(data[:c], predictions[:c])
                                             for c in trainer.rungs)
+
+    @pytest.mark.parametrize("n", [99, 100, 200])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_each_prediction_is_scored_once(self, k, n, monkeypatch):
+        """No rung rescans a prefix: the (prompt, example) pairs fed to the
+        tallies are the requests sent, each once."""
+        fed = []
+        add = Tally.add
+
+        def counted(self, items):
+            items = list(items)
+            fed.extend((id(self), key) for key, _, _ in items)
+            return add(self, items)
+
+        monkeypatch.setattr(Tally, "add", counted)
+        data = cls_dataset(n)
+        trainer = _Trainer(small_config(), data, [], base_template(), Graded(data))
+        cands = [Candidate(prompt=make_prompt(
+            ["Classify variant %d as A or B." % j, "", 'Return JSON: {"label": ""}'],
+            editable=[True, True, False])) for j in range(k)]
+        trainer._score(cands, 0)
+        assert len(fed) == trainer.eval_requests == halving_requests(k, n)
+        assert len(set(fed)) == len(fed)
 
 
 class TestReplyMemo:

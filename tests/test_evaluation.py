@@ -20,6 +20,7 @@ from promptopt.evaluation import (
     FORMAT_FAILURE,
     BadCase,
     ExampleRecord,
+    Tally,
     _mrc_best_prf,
     evaluate,
     load_dataset,
@@ -332,6 +333,9 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("task, average", [("NER", "micro"), ("CLS", "micro"),
                                                 ("CLS", "macro"), ("MRC", "micro")])
     def test_prefix_objectives_equal_scoring_each_prefix(self, task, average):
+        """A tally fed in runs reads, after each run, what scoring the
+        prefix so far on its own gives, and ends with the report and misses
+        of one pass."""
         rng = random.Random(7)
         answers = ["the red cat", "a dog", "blue sky today", ""]
         for _ in range(200):
@@ -342,17 +346,26 @@ class TestOracleEquivalence:
             else:
                 gold = {str(i): rng.choice(answers) for i in range(rng.randint(1, 12))}
                 preds = {i: rng.choice(answers + [FORMAT_FAILURE]) for i in gold}
-            ids = list(gold)
-            cuts = sorted(rng.sample(range(len(ids) + 1), min(3, len(ids) + 1)))
+            items = [(i, gold[i], preds[i]) for i in gold]
+            # a run is empty where a cut is 0 or the end
+            cuts = sorted(rng.sample(range(len(items) + 1), min(3, len(items) + 1)))
+            bounds = [0, *cuts, len(items)]
             for objective in ("precision", "recall", "f1"):
-                rep = score(task, gold, preds, objective=objective, cls_average=average,
-                            cuts=cuts)
-                alone = [score(task, {i: gold[i] for i in ids[:c]}, {i: preds[i] for i in ids[:c]},
-                               objective=objective, cls_average=average).objective_value()
-                         for c in cuts]
-                assert rep.prefix_objectives == tuple(alone)
-                assert rep == score(task, gold, preds, objective=objective,
-                                    cls_average=average)
+                one_pass = Tally(task, objective, average)
+                one_pass.add(items)
+                tally = Tally(task, objective, average)
+                for a, b in zip(bounds, bounds[1:]):
+                    tally.add(iter(items[a:b]))
+                    prefix = [i for i, _, _ in items[:b]]
+                    alone = score(task, {i: gold[i] for i in prefix},
+                                  {i: preds[i] for i in prefix},
+                                  objective=objective, cls_average=average)
+                    assert tally.objective_value() == alone.objective_value()
+                    assert tally.report() == alone
+                    assert tally.misses == [i for i in one_pass.misses if i in prefix]
+                assert tally.report() == one_pass.report() == score(
+                    task, gold, preds, objective=objective, cls_average=average)
+                assert tally.misses == one_pass.misses
 
     def test_format_failure_monotonicity(self):
         rng = random.Random(99)
@@ -637,9 +650,10 @@ class TestBadCasesFromTheScoringPass:
 
     def test_score_lists_misses_in_gold_order(self):
         gold = {"x": "A", "y": "B", "z": "A"}
-        misses = []
-        score("CLS", gold, {"z": "B", "x": "A", "y": FORMAT_FAILURE}, misses=misses)
-        assert misses == ["y", "z"]
+        preds = {"z": "B", "x": "A", "y": FORMAT_FAILURE}
+        tally = Tally("CLS")
+        tally.add((key, g, preds[key]) for key, g in gold.items())
+        assert tally.misses == ["y", "z"]
 
 
 def count_parses(monkeypatch) -> list:
