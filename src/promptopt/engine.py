@@ -14,7 +14,9 @@ first quarter of the training set, the first half, then the whole set, in at
 most three batches. Otherwise one batch scores them on the whole set. Each
 prompt's predictions go into one running tally as their batches return, each
 once, and its objective on a rung's prefix is read off the tally when the
-examples added reach that rung, whether it raced there or skipped it."""
+examples added reach that rung, whether it raced there or skipped it. The
+tallies share one judgement per training example, so a repeated reply is
+neither parsed nor judged again."""
 
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ from .evaluation import (
     MetricReport,
     Tally,
     evaluate,
+    judgement_memo,
     predict_many,
     reply_memo,
     sample_bad_cases,
@@ -127,6 +130,10 @@ class RunConfig:
             raise ConfigError("top_k must be >= 1")
         if self.anneal_count < 0:
             raise ConfigError("anneal_count must be >= 0")
+        if not self.anneal_temperature_start > 0:
+            raise ConfigError("anneal_temperature_start must be positive")
+        if not 0 < self.anneal_temperature_decay <= 1:
+            raise ConfigError("anneal_temperature_decay must be in (0, 1]")
         if self.beam_init < 1:
             raise ConfigError("beam_init must be >= 1")
         if self.optimizer not in ("msgd", "msgd_rl"):
@@ -216,7 +223,9 @@ def retain(candidates: Sequence[Candidate], top_k: int, anneal_count: int,
            objective: str = "f1") -> list[Candidate]:
     """Keep the top_k candidates by objective plus up to anneal_count
     lower-scoring survivors sampled with weight exp((score - best)/T). The
-    best candidate always survives."""
+    best candidate always survives. When fewer weights than survivors to
+    draw are above zero (a temperature so small that they underflow), the
+    leading ones in rank order survive, the limit as T goes to 0."""
     if not candidates:
         return []
 
@@ -233,8 +242,12 @@ def retain(candidates: Sequence[Candidate], top_k: int, anneal_count: int,
             [math.exp((_latest(c, objective) - best_score) / t) for c in rest]
         )
         n_extra = min(anneal_count, len(rest))
-        probs = weights / weights.sum()
-        picked = rng.choice(len(rest), size=n_extra, replace=False, p=probs)
+        if np.count_nonzero(weights) < n_extra:
+            # the weights fall with rank, so the positive ones lead
+            picked = range(n_extra)
+        else:
+            picked = rng.choice(len(rest), size=n_extra, replace=False,
+                                p=weights / weights.sum())
         survivors.extend(rest[i] for i in sorted(picked))
     return survivors
 
@@ -317,6 +330,10 @@ class _Trainer:
         # edits change few predictions, so most replies repeat and are not
         # parsed again
         self.replies = reply_memo(n)
+        # the last prediction each training example was judged on and its
+        # judgement: a repeated reply repeats its prediction object, so it
+        # is not scored again either
+        self.judged = judgement_memo(n)
         self.eval_requests = 0
         sections = tuple(s.id for s in template.ordered_sections())
         operators = cfg.effective_operators()
@@ -375,7 +392,8 @@ class _Trainer:
         live = list(range(len(cands)))
         # the examples' task, as `evaluate` scores; an empty set fails in _predict
         task = self.train_set[0].task if self.train_set else cfg.task
-        tallies = [Tally(task, cfg.objective, cfg.cls_average) for _ in cands]
+        tallies = [Tally(task, cfg.objective, cfg.cls_average, memo=self.judged)
+                   for _ in cands]
         predictions = [[] for _ in cands]
         objectives = [[] for _ in cands]  # on train_set[:rung], per rung reached
 

@@ -9,11 +9,15 @@ Tasks: NER (span-level exact match, half-open character spans), CLS
 `predict_many` parses replies through a memo of one slot per example, so a
 caller that keeps the memo (the trainer keeps one for its training set)
 parses an example's reply only when it differs from that example's previous
-reply. Scoring is one `Tally` per prompt: examples are added in order, each
-scored once, and the score of everything added so far can be read at any
-point, which is the score of that prefix on its own. The same pass lists
-the examples that are not exactly right, from which the bad cases are
-sampled.
+reply, and a repeated reply gives the very same prediction object. Scoring
+is one `Tally` per prompt: examples are added in order, each scored once,
+and the score of everything added so far can be read at any point, which is
+the score of that prefix on its own. The same pass lists the examples that
+are not exactly right, from which the bad cases are sampled. Each example's
+judgement (its counts or token P/R/F1, and whether it is exactly right) is
+a pure function of its gold and its prediction, so tallies that share a
+judgement memo (the trainer keeps one beside its parse memo) judge an
+example again only when its prediction object changes.
 """
 
 from __future__ import annotations
@@ -179,11 +183,6 @@ _OBJECTIVE_INDEX = {"precision": 0, "recall": 1, "f1": 2}
 _NO_SPANS: frozenset = frozenset()
 
 
-def _span_set(spans):
-    """`spans` itself when it is already a set, else its distinct spans."""
-    return spans if isinstance(spans, (set, frozenset)) else frozenset(spans)
-
-
 def _micro(counts) -> tuple[int, int, int]:
     """Total (tp, fp, fn) over per-label [tp, fp, fn] counts."""
     tp = fp = fn = 0
@@ -230,6 +229,53 @@ def _mrc_best_prf(gold, pred_text: str) -> tuple[float, float, float]:
     return max((_mrc_prf(g, pred_text) for g in gold), key=lambda prf: prf[2])
 
 
+def _judge(task: str, gold, pred) -> tuple[bool, object]:
+    """One example's judgement: whether `pred` is exactly right (see Tally),
+    and what it adds to the score, the (label, tp, fp, fn) deltas for NER
+    and CLS or the (p, r, f) for MRC. A pure function of its arguments."""
+    if task == "NER":
+        right = isinstance(pred, dict)
+        pred_map = pred if right else {}
+        deltas = []
+        for label, g in gold.items():
+            p = pred_map.get(label, _NO_SPANS)
+            # spans given in a list count once each; parsed and loaded spans
+            # are already frozensets, and the class test spares the copy
+            if g.__class__ is not frozenset:
+                g = frozenset(g)
+            if p.__class__ is not frozenset:
+                p = frozenset(p)
+            tp = len(g & p)
+            fp, fn = len(p) - tp, len(g) - tp
+            deltas.append((label, tp, fp, fn))
+            if fp or fn:
+                right = False
+        for label, p in pred_map.items():
+            if label not in gold:
+                fp = len(p if p.__class__ is frozenset else frozenset(p))
+                deltas.append((label, 0, fp, 0))
+                if fp:
+                    right = False
+        return right, deltas
+    if task == "CLS":
+        if pred == gold:
+            return True, ((gold, 1, 0, 0),)
+        if isinstance(pred, str):
+            return False, ((gold, 0, 0, 1), (pred, 0, 1, 0))
+        return False, ((gold, 0, 0, 1),)
+    prf = _mrc_best_prf(gold, pred if isinstance(pred, str) else "")
+    return prf[2] == 1.0 and pred is not FORMAT_FAILURE, prf
+
+
+_NOT_JUDGED = object()  # the prediction of a judgement slot that holds none yet
+
+
+def judgement_memo(n: int) -> list[list]:
+    """A judgement memo for Tally: n empty [prediction, judgement] slots,
+    one per example key."""
+    return [[_NOT_JUDGED, None] for _ in range(n)]
+
+
 class Tally:
     """The running score of a task's examples, each scored once, as they are
     added in order. At any point `objective_value` and `report` are what
@@ -237,54 +283,53 @@ class Tally:
     lists, in order, the key of every one of them whose prediction is not
     exactly right: a format failure, a CLS label other than gold, NER spans
     other than gold (a label with no spans counts as absent), or an MRC
-    answer with token F1 below 1."""
+    answer with token F1 below 1.
 
-    def __init__(self, task: str, objective: str = "f1", cls_average: str = "micro"):
+    `memo` (see judgement_memo), when given, holds one slot per integer key
+    and may be shared by many tallies over the same examples. A prediction
+    that is the very object in its key's slot takes the slot's judgement;
+    any other is judged and replaces the slot. A judgement is a pure
+    function of (task, gold, prediction), and a key's gold never changes,
+    so the memo changes no score."""
+
+    def __init__(self, task: str, objective: str = "f1", cls_average: str = "micro",
+                 memo: Optional[list[list]] = None):
         if task not in ("NER", "CLS", "MRC"):
             raise ValueError("unknown task %r" % task)
         self.task = task
         self.objective = objective
         self.cls_average = cls_average
+        self.memo = memo
         self.counts: dict[str, list[int]] = {}  # NER, CLS: label -> [tp, fp, fn]
         self.prfs: list[tuple[float, float, float]] = []  # MRC: per example
         self.misses: list = []
 
     def add(self, items) -> None:
         """Score (key, gold, prediction) triples, in order."""
-        counts, misses = self.counts, self.misses
-        if self.task == "NER":
-            for key, gold_map, pred in items:
-                right = isinstance(pred, dict)
-                pred_map = pred if right else {}
-                for label in gold_map.keys() | pred_map.keys():
-                    g = _span_set(gold_map.get(label, _NO_SPANS))
-                    p = _span_set(pred_map.get(label, _NO_SPANS))
-                    tp = len(g & p)
-                    fp, fn = len(p) - tp, len(g) - tp
-                    c = counts.setdefault(label, [0, 0, 0])
+        task, memo, counts, prfs, misses = (self.task, self.memo, self.counts, self.prfs,
+                                            self.misses)
+        for key, gold, pred in items:
+            if memo is None:
+                right, scored = _judge(task, gold, pred)
+            else:
+                slot = memo[key]
+                if slot[0] is not pred:
+                    slot[0] = pred
+                    slot[1] = _judge(task, gold, pred)
+                right, scored = slot[1]
+            if not right:
+                misses.append(key)
+            if task == "MRC":
+                prfs.append(scored)
+                continue
+            for label, tp, fp, fn in scored:
+                c = counts.get(label)
+                if c is None:
+                    counts[label] = [tp, fp, fn]
+                else:
                     c[0] += tp
                     c[1] += fp
                     c[2] += fn
-                    if fp or fn:
-                        right = False
-                if not right:
-                    misses.append(key)
-        elif self.task == "CLS":
-            for key, g, p in items:
-                c = counts.setdefault(g, [0, 0, 0])
-                if p == g:
-                    c[0] += 1
-                    continue
-                c[2] += 1
-                if isinstance(p, str):
-                    counts.setdefault(p, [0, 0, 0])[1] += 1
-                misses.append(key)
-        else:
-            for key, g, pred in items:
-                prf = _mrc_best_prf(g, pred if isinstance(pred, str) else "")
-                if prf[2] != 1.0 or pred is FORMAT_FAILURE:
-                    misses.append(key)
-                self.prfs.append(prf)
 
     def _overall(self) -> tuple[float, float, float]:
         if self.task == "MRC":
@@ -334,8 +379,9 @@ def load_dataset(path, task: str, inclusive_end: bool = False) -> list[ExampleRe
     spans; pass inclusive_end=True for raw Cluener files); CLS lines are
     {"text", "label"}; MRC lines are {"context", "question", "answers"}, and
     every entry of "answers" is kept as gold. A file that is not UTF-8, or a
-    line that is not a JSON object of that layout, raises CorruptFile naming
-    the file and the line."""
+    line that is not a JSON object of that layout (text, question, context
+    and a CLS label must be strings), raises CorruptFile naming the file and
+    the line."""
     if task not in ("NER", "CLS", "MRC"):
         raise ValueError("unknown task %r" % task)
     try:
@@ -364,6 +410,13 @@ def load_dataset(path, task: str, inclusive_end: bool = False) -> list[ExampleRe
     return records
 
 
+def _string(doc: dict, key: str) -> str:
+    value = doc[key]
+    if not isinstance(value, str):
+        raise ValueError('"%s" must be a string, not %s' % (key, json.dumps(value)))
+    return value
+
+
 def _record(doc: dict, task: str, ex_id: str, inclusive_end: bool) -> ExampleRecord:
     if task == "NER":
         gold = {}
@@ -373,14 +426,14 @@ def _record(doc: dict, task: str, ex_id: str, inclusive_end: bool) -> ExampleRec
                 for s, e in span_list:
                     spans.add((s, e + 1) if inclusive_end else (s, e))
             gold[label] = frozenset(spans)
-        return ExampleRecord(ex_id, "NER", doc["text"], gold)
+        return ExampleRecord(ex_id, "NER", _string(doc, "text"), gold)
     if task == "CLS":
-        return ExampleRecord(ex_id, "CLS", doc["text"], doc["label"])
+        return ExampleRecord(ex_id, "CLS", _string(doc, "text"), _string(doc, "label"))
     answers = doc.get("answers") or [""]
     if not isinstance(answers, list) or not all(isinstance(a, str) for a in answers):
         raise ValueError('"answers" must be a list of strings')
     gold = answers[0] if len(answers) == 1 else tuple(answers)
-    text = "Question: %s\nContext: %s" % (doc["question"], doc["context"])
+    text = "Question: %s\nContext: %s" % (_string(doc, "question"), _string(doc, "context"))
     return ExampleRecord(ex_id, "MRC", text, gold)
 
 

@@ -273,6 +273,8 @@ class TestTrain:
         ("iterations=true", "iterations must be an integer, not true"),
         ("learning_rate_alpha=true", "learning_rate_alpha must be a number"),
         ('operators="refine"', 'operators must be a list of strings, not "refine"'),
+        ("anneal_temperature_start=0", "anneal_temperature_start must be positive"),
+        ("anneal_temperature_decay=0", "anneal_temperature_decay must be in (0, 1]"),
     ])
     def test_bad_config_value_exits_one_before_any_request(self, workspace, monkeypatch,
                                                           capsys, override, needle):
@@ -335,6 +337,17 @@ class TestEvaluate:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: %s line 2: bad span (0,9)" % data)
+
+    def test_non_string_label_exits_two(self, workspace, capsys):
+        lines = [json.dumps(d) for d in cls_lines(2)] + ['{"text": "item 99", "label": 7}']
+        data = workspace / "bad.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        code = main(["evaluate", "--prompt", str(workspace / "template.json"),
+                     "--dataset", str(data), "--task", "CLS",
+                     "--mock-script", str(workspace / "mock.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith('error: %s line 3: "label" must be a string, not 7' % data)
 
     def test_wrong_case_reported(self, workspace, capsys):
         code = main(["evaluate",

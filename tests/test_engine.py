@@ -24,6 +24,7 @@ from promptopt.errors import AuthError, BackendTimeout, ConfigError
 from promptopt.evaluation import (
     ExampleRecord,
     Tally,
+    _judge,
     evaluate,
     parse_prediction,
     predict_many,
@@ -126,6 +127,24 @@ class TestRetain:
                 hits += 1
         assert hits > 190
 
+    @pytest.mark.parametrize("temperature", [1e-4, 0.0])
+    def test_underflowing_weights_keep_the_next_best(self, temperature):
+        # every weight outside the top k underflows to 0: the T -> 0 limit
+        pool = [scored("c%d" % i, (i + 1) / 10) for i in range(9)]
+        for anneal_count in (1, 2, 3):
+            out = retain(pool, top_k=2, anneal_count=anneal_count, temperature=temperature,
+                         rng=np.random.default_rng(0))
+            assert [c.latest_score("f1") for c in out] == [0.9, 0.8, 0.7, 0.6, 0.5][
+                :2 + anneal_count]
+
+    def test_too_few_positive_weights_keep_the_leading_ones(self):
+        # one survivor candidate ties the best, so one weight stays 1
+        pool = [scored("a", 0.9), scored("b", 0.9), scored("c", 0.9), scored("d", 0.5),
+                scored("e", 0.4)]
+        out = retain(pool, top_k=2, anneal_count=2, temperature=1e-4,
+                     rng=np.random.default_rng(0))
+        assert [c.latest_score("f1") for c in out] == [0.9, 0.9, 0.9, 0.5]
+
     def test_lineage_breaks_score_ties(self):
         short = scored("a", 0.5)
         long = scored("b", 0.5, extra_lineage=3)
@@ -210,7 +229,9 @@ class TestConfig:
         for kw in (dict(top_k=0), dict(iterations=0), dict(optimizer="sgd"),
                    dict(eval_fraction=0.0), dict(objective="accuracy"),
                    dict(operators=("sparkle",)), dict(task="QA"),
-                   dict(sarsa_gamma=1.5)):
+                   dict(sarsa_gamma=1.5), dict(anneal_temperature_start=0),
+                   dict(anneal_temperature_start=-1), dict(anneal_temperature_decay=0),
+                   dict(anneal_temperature_decay=-2), dict(anneal_temperature_decay=1.5)):
             with pytest.raises(ConfigError):
                 small_config(**kw).validate()
 
@@ -826,6 +847,52 @@ class TestReplyMemo:
         for ex, (text, prediction) in zip(train_set, trainer.replies):
             assert text == last[ex.id]
             assert prediction == parse(ex.task, text)
+
+
+class TestJudgementMemo:
+    def test_a_run_judges_a_training_prediction_only_when_it_changes(self, tmp_path,
+                                                                     monkeypatch):
+        import promptopt.evaluation
+
+        judged = []
+
+        def counted(task, gold, prediction):
+            judged.append((gold, prediction))
+            return _judge(task, gold, prediction)
+
+        monkeypatch.setattr(promptopt.evaluation, "_judge", counted)
+        data = cls_dataset(110)
+        train_set, test_set = data[:100], data[100:]
+        backend = Graded(data)
+        cfg = small_config(iterations=3, beam_init=3, pairs_per_epoch=3,
+                           operators=("refine", "rewrite"), output_dir=str(tmp_path))
+        trainer = _Trainer(cfg, train_set, test_set, base_template(), backend)
+        trainer.run()
+
+        # replay the batches in (candidate, example) order: a training
+        # prediction is judged when it is not the object last judged for
+        # its example, which is when the reply changes, as the parse memo
+        # hands out one object per distinct consecutive reply; each test
+        # prediction is judged once
+        last, expected, eval_requests = {}, [], 0
+        for call in backend.calls:
+            if OPERATOR_TARGET.search(call[0][0]):
+                continue
+            eval_requests += len(call)
+            for text, reply in call:
+                ex = next(ex for ex in data if ex.input in text)
+                if ex in test_set or last.get(ex.id) != reply:
+                    last[ex.id] = reply
+                    expected.append((ex.gold, parse_prediction(ex.task, reply)))
+        assert judged == expected
+        assert len(test_set) < len(judged) < eval_requests
+        # one slot per training example, holding the prediction its last
+        # reply parsed to, the very object of the parse memo, and its judgement
+        assert len(trainer.judged) == len(train_set)
+        for ex, (prediction, judgement), (_, parsed) in zip(train_set, trainer.judged,
+                                                            trainer.replies):
+            assert prediction is parsed
+            assert judgement == _judge(ex.task, ex.gold, prediction)
 
 
 class TestClsAverage:

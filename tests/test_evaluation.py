@@ -21,8 +21,10 @@ from promptopt.evaluation import (
     BadCase,
     ExampleRecord,
     Tally,
+    _judge,
     _mrc_best_prf,
     evaluate,
+    judgement_memo,
     load_dataset,
     loss,
     parse_prediction,
@@ -441,6 +443,14 @@ class TestLoadDataset:
         ("NER", '{"text": "ab", "label": {"x": {"ab": [[0, 5]]}}}', "line 2: bad span (0,5)"),
         ("NER", '{"text": "ab", "label": {"x": {"ab": [[0]]}}}', "line 2: "),
         ("NER", '{"text": "ab", "label": ["x"]}', "line 2: "),
+        ("CLS", '{"text": "x", "label": 5}', 'line 2: "label" must be a string, not 5'),
+        ("CLS", '{"text": "x", "label": null}', 'line 2: "label" must be a string, not null'),
+        ("CLS", '{"text": ["x"], "label": "A"}', '"text" must be a string, not ["x"]'),
+        ("NER", '{"text": 5, "label": {"PER": {}}}', 'line 2: "text" must be a string'),
+        ("MRC", '{"context": "c", "question": 5, "answers": ["a"]}',
+         'line 2: "question" must be a string, not 5'),
+        ("MRC", '{"context": null, "question": "q", "answers": ["a"]}',
+         'line 2: "context" must be a string, not null'),
     ])
     def test_malformed_line_names_file_and_line(self, tmp_path, task, line, needle):
         good = {"CLS": {"text": "t", "label": "A"},
@@ -747,3 +757,72 @@ class TestParseMemo:
         cands = [prompt_candidate("Prompt %d:" % c) for c in range(k)]
         for want in expected:
             assert predict_many(cands, examples, backend, memo=memo) == want
+
+
+@st.composite
+def judged_streams(draw):
+    """A task, its CLS average, gold per key, and runs of (tally, key,
+    prediction) items: a few prediction objects per key, FORMAT_FAILURE
+    among them, each possibly repeated, and copies of them, so a key's slot
+    sees its own object again, another object, and an equal one."""
+    task, average = draw(st.sampled_from([("NER", "micro"), ("CLS", "micro"),
+                                          ("CLS", "macro"), ("MRC", "micro")]))
+    n = draw(st.integers(1, 5))
+    gold = [draw(GOLD[task]) for _ in range(n)]
+    pool = []
+    for _ in range(n):
+        preds = draw(st.lists(st.one_of(st.just(FORMAT_FAILURE), PREDICTION[task]),
+                              min_size=1, max_size=3))
+        # equal values, distinct objects where CPython does not share them
+        pool.append(preds + [dict(p) if isinstance(p, dict) else "".join(list(p))
+                             for p in preds if p is not FORMAT_FAILURE])
+    runs = draw(st.lists(st.tuples(
+        st.integers(0, 2),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 5)), max_size=2 * n)),
+        min_size=1, max_size=8))
+    return task, average, gold, [(t, [(key, gold[key], pool[key][c % len(pool[key])])
+                                      for key, c in items]) for t, items in runs]
+
+
+class TestJudgementMemo:
+    @given(judged_streams())
+    @settings(max_examples=300, deadline=None)
+    def test_memo_backed_tallies_equal_plain_ones(self, stream):
+        task, average, gold, runs = stream
+        memo = judgement_memo(len(gold))
+        for objective in ("f1", "precision", "recall"):
+            plain = [Tally(task, objective, average) for _ in range(3)]
+            memoized = [Tally(task, objective, average, memo=memo) for _ in range(3)]
+            for t, items in runs:
+                plain[t].add(iter(items))
+                memoized[t].add(iter(items))
+                assert memoized[t].report() == plain[t].report()
+                assert memoized[t].misses == plain[t].misses
+                assert memoized[t].objective_value() == plain[t].objective_value()
+        # each slot holds the last prediction added under its key
+        last = {key: pred for _, items in runs for key, _, pred in items}
+        for key, (pred, judgement) in enumerate(memo):
+            if key in last:
+                assert pred is last[key]
+                assert judgement == _judge(task, gold[key], pred)
+
+    def test_a_prediction_is_judged_only_when_its_object_changes(self, monkeypatch):
+        judged = []
+
+        def counted(task, gold, pred):
+            judged.append(pred)
+            return _judge(task, gold, pred)
+
+        monkeypatch.setattr(promptopt.evaluation, "_judge", counted)
+        a, b = {"PER": frozenset({(0, 1)})}, {"PER": frozenset({(0, 1)})}
+        memo = judgement_memo(2)
+        tally = Tally("NER", memo=memo)
+        tally.add([(0, a, a), (1, a, FORMAT_FAILURE)])
+        tally.add([(0, a, a), (1, a, FORMAT_FAILURE), (0, a, b), (0, a, b)])
+        # b equals a but is another object: judged again, once
+        assert [id(p) for p in judged] == [id(a), id(FORMAT_FAILURE), id(b)]
+        assert memo[0][0] is b and memo[1][0] is FORMAT_FAILURE
+        assert memo == [[b, (True, [("PER", 1, 0, 0)])],
+                        [FORMAT_FAILURE, (False, [("PER", 0, 0, 1)])]]
+        assert tally.misses == [1, 1]
+        assert (tally.report().per_label["PER"].tp, tally.report().per_label["PER"].fn) == (4, 2)
