@@ -12,11 +12,12 @@ and the training set has at least RACE_PREFIX_DIVISOR * RACE_MIN_PREFIX
 examples: successive halving (as in ProTeGi and APE) over three rungs, the
 first quarter of the training set, the first half, then the whole set, in at
 most three batches. Otherwise one batch scores them on the whole set. Each
-prompt's predictions go into one running tally as their batches return, each
+prompt's judgements go into one running tally as their batches return, each
 once, and its objective on a rung's prefix is read off the tally when the
 examples added reach that rung, whether it raced there or skipped it. The
-tallies share one judgement per training example, so a repeated reply is
-neither parsed nor judged again."""
+trainer keeps one memo slot per training example, its last reply with that
+reply's prediction and judgement, so a repeated reply is neither parsed nor
+judged again."""
 
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ import logging
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -42,7 +44,6 @@ from .evaluation import (
     MetricReport,
     Tally,
     evaluate,
-    judgement_memo,
     predict_many,
     reply_memo,
     sample_bad_cases,
@@ -142,8 +143,12 @@ class RunConfig:
             raise ConfigError("objective must be one of f1/precision/recall")
         if not 0 < self.eval_fraction <= 1:
             raise ConfigError("eval_fraction must be in (0, 1]")
-        if self.learning_rate_alpha <= 0:
-            raise ConfigError("learning_rate_alpha must be positive")
+        if not 0 < self.learning_rate_alpha < math.inf:
+            raise ConfigError("learning_rate_alpha must be positive and finite")
+        if not 0 <= self.operator_temperature < math.inf:
+            raise ConfigError("operator_temperature must be >= 0 and finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not 0 < self.sarsa_alpha <= 1:
             raise ConfigError("sarsa_alpha must be in (0, 1]")
         if not 0 <= self.sarsa_gamma <= 1:
@@ -326,14 +331,10 @@ class _Trainer:
         # every fully scored prompt by fingerprint: its report, its bad cases
         # and its objective on train_set[:rung] for each rung
         self.scored: dict[str, tuple[MetricReport, list[BadCase], tuple[float, ...]]] = {}
-        # the last reply to each training example and its prediction: most
-        # edits change few predictions, so most replies repeat and are not
-        # parsed again
+        # the last reply to each training example, its prediction and its
+        # judgement: most edits change few predictions, so most replies
+        # repeat and are neither parsed nor judged again
         self.replies = reply_memo(n)
-        # the last prediction each training example was judged on and its
-        # judgement: a repeated reply repeats its prediction object, so it
-        # is not scored again either
-        self.judged = judgement_memo(n)
         self.eval_requests = 0
         sections = tuple(s.id for s in template.ordered_sections())
         operators = cfg.effective_operators()
@@ -351,16 +352,17 @@ class _Trainer:
         self.eligible = mask
         self.epochs_trained = 0
 
-    def _slice(self, examples):
-        examples = list(examples)
+    def _slice(self, examples) -> tuple[ExampleRecord, ...]:
+        examples = tuple(examples)
         if self.cfg.eval_fraction >= 1.0:
             return examples
         n = max(1, int(round(len(examples) * self.cfg.eval_fraction)))
         return examples[:n]
 
     def _predict(self, cands: Sequence[Candidate], start: int,
-                 stop: Optional[int] = None) -> list[list]:
-        """Predictions of each candidate on train_set[start:stop]."""
+                 stop: Optional[int] = None) -> list[tuple[list, list]]:
+        """Predictions and judgements of each candidate on
+        train_set[start:stop]."""
         examples = self.train_set[start:stop]
         self.eval_requests += len(cands) * len(examples)
         return predict_many(cands, examples, self.backend, model=self.cfg.model,
@@ -385,26 +387,24 @@ class _Trainer:
         Otherwise one batch scores them on the whole set. Returns the rung
         index and the rung objective of each candidate raced out.
 
-        Each candidate has one tally, and each of its predictions is added
+        Each candidate has one tally, and each of its judgements is added
         to it once, in runs that end at the rungs, so every rung objective,
         raced or skipped, is read off the tally as its run ends."""
         cfg = self.cfg
         live = list(range(len(cands)))
         # the examples' task, as `evaluate` scores; an empty set fails in _predict
         task = self.train_set[0].task if self.train_set else cfg.task
-        tallies = [Tally(task, cfg.objective, cfg.cls_average, memo=self.judged)
-                   for _ in cands]
+        tallies = [Tally(task, cfg.objective, cfg.cls_average) for _ in cands]
         predictions = [[] for _ in cands]
         objectives = [[] for _ in cands]  # on train_set[:rung], per rung reached
 
-        def add(i: int, preds: list) -> None:
+        def add(i: int, preds: list, judgements: list) -> None:
             start = len(predictions[i])
             predictions[i] += preds
             stop = len(predictions[i])
+            keyed = enumerate(judgements, start)
             for cut in [c for c in self.rungs if start < c < stop] + [stop]:
-                tallies[i].add(zip(range(start, cut),
-                                   (ex.gold for ex in self.train_set[start:cut]),
-                                   predictions[i][start:cut]))
+                tallies[i].add(islice(keyed, cut - start))
                 if cut in self.rungs:
                     objectives[i].append(tallies[i].objective_value())
                 start = cut
@@ -412,8 +412,8 @@ class _Trainer:
         losers = {}
         seen = 0
         for r, cut in enumerate(self.rungs if len(cands) >= 2 else ()):
-            for i, preds in zip(live, self._predict([cands[i] for i in live], seen, cut)):
-                add(i, preds)
+            for i, judged in zip(live, self._predict([cands[i] for i in live], seen, cut)):
+                add(i, *judged)
             seen = cut
             ranked = sorted(live, key=lambda i: (-objectives[i][r], i))
             live = sorted(ranked[:math.ceil(len(live) / 2)])
@@ -422,7 +422,7 @@ class _Trainer:
             if len(live) == 1:
                 break
         for i, tail in zip(live, self._predict([cands[i] for i in live], seen)):
-            add(i, tail)
+            add(i, *tail)
             bad_cases = sample_bad_cases(self.train_set, predictions[i], tallies[i].misses,
                                          seed=cfg.seed + iteration)
             self.scored[cands[i].fingerprint] = (
@@ -437,7 +437,7 @@ class _Trainer:
             prompt=base.prompt,
             sibling_candidates=tuple(pool),
             bad_cases=tuple(bad_cases),
-            dataset=tuple(self.train_set),
+            dataset=self.train_set,
             rng_seed=self.cfg.seed * 1_000_003 + iteration * 101 + pair_index,
             model=self.cfg.model,
             temperature=self.cfg.operator_temperature,

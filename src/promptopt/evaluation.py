@@ -6,18 +6,16 @@ Tasks: NER (span-level exact match, half-open character spans), CLS
 (single-label classification, micro- or macro-averaged overall), MRC
 (SQuAD-style token-level F1 averaged over examples).
 
-`predict_many` parses replies through a memo of one slot per example, so a
-caller that keeps the memo (the trainer keeps one for its training set)
-parses an example's reply only when it differs from that example's previous
-reply, and a repeated reply gives the very same prediction object. Scoring
-is one `Tally` per prompt: examples are added in order, each scored once,
-and the score of everything added so far can be read at any point, which is
-the score of that prefix on its own. The same pass lists the examples that
-are not exactly right, from which the bad cases are sampled. Each example's
-judgement (its counts or token P/R/F1, and whether it is exactly right) is
-a pure function of its gold and its prediction, so tallies that share a
-judgement memo (the trainer keeps one beside its parse memo) judge an
-example again only when its prediction object changes.
+Each example's judgement (what it adds to the score, and whether it is
+exactly right) is a pure function of its task, gold and reply text.
+`predict_many` keeps one memo slot per example holding its last reply, that
+reply's prediction and its judgement, so a caller that keeps the memo (the
+trainer keeps one for its training set) parses and judges an example's reply
+only when it differs from that example's previous reply. Scoring is one
+`Tally` per prompt: judgements are added in order, each once, and the score
+of everything added so far can be read at any point, which is the score of
+that prefix on its own. The same pass lists the examples that are not
+exactly right, from which the bad cases are sampled.
 """
 
 from __future__ import annotations
@@ -230,9 +228,12 @@ def _mrc_best_prf(gold, pred_text: str) -> tuple[float, float, float]:
 
 
 def _judge(task: str, gold, pred) -> tuple[bool, object]:
-    """One example's judgement: whether `pred` is exactly right (see Tally),
-    and what it adds to the score, the (label, tp, fp, fn) deltas for NER
-    and CLS or the (p, r, f) for MRC. A pure function of its arguments."""
+    """One example's judgement: whether `pred` is exactly right, and what it
+    adds to the score, the (label, tp, fp, fn) deltas for NER and CLS or the
+    (p, r, f) for MRC. A pure function of its arguments. A format failure,
+    a CLS label other than gold, NER spans other than gold (a label with no
+    spans counts as absent) and an MRC answer with token F1 below 1 are not
+    exactly right."""
     if task == "NER":
         right = isinstance(pred, dict)
         pred_map = pred if right else {}
@@ -267,56 +268,27 @@ def _judge(task: str, gold, pred) -> tuple[bool, object]:
     return prf[2] == 1.0 and pred is not FORMAT_FAILURE, prf
 
 
-_NOT_JUDGED = object()  # the prediction of a judgement slot that holds none yet
-
-
-def judgement_memo(n: int) -> list[list]:
-    """A judgement memo for Tally: n empty [prediction, judgement] slots,
-    one per example key."""
-    return [[_NOT_JUDGED, None] for _ in range(n)]
-
-
 class Tally:
-    """The running score of a task's examples, each scored once, as they are
-    added in order. At any point `objective_value` and `report` are what
-    scoring the examples added so far on their own would give, and `misses`
-    lists, in order, the key of every one of them whose prediction is not
-    exactly right: a format failure, a CLS label other than gold, NER spans
-    other than gold (a label with no spans counts as absent), or an MRC
-    answer with token F1 below 1.
+    """The running score of a task's examples, as their judgements (see
+    _judge) are added in order. At any point `objective_value` and `report`
+    are what scoring the examples added so far on their own would give, and
+    `misses` lists, in order, the key of every one of them that is not
+    exactly right."""
 
-    `memo` (see judgement_memo), when given, holds one slot per integer key
-    and may be shared by many tallies over the same examples. A prediction
-    that is the very object in its key's slot takes the slot's judgement;
-    any other is judged and replaces the slot. A judgement is a pure
-    function of (task, gold, prediction), and a key's gold never changes,
-    so the memo changes no score."""
-
-    def __init__(self, task: str, objective: str = "f1", cls_average: str = "micro",
-                 memo: Optional[list[list]] = None):
+    def __init__(self, task: str, objective: str = "f1", cls_average: str = "micro"):
         if task not in ("NER", "CLS", "MRC"):
             raise ValueError("unknown task %r" % task)
         self.task = task
         self.objective = objective
         self.cls_average = cls_average
-        self.memo = memo
         self.counts: dict[str, list[int]] = {}  # NER, CLS: label -> [tp, fp, fn]
         self.prfs: list[tuple[float, float, float]] = []  # MRC: per example
         self.misses: list = []
 
     def add(self, items) -> None:
-        """Score (key, gold, prediction) triples, in order."""
-        task, memo, counts, prfs, misses = (self.task, self.memo, self.counts, self.prfs,
-                                            self.misses)
-        for key, gold, pred in items:
-            if memo is None:
-                right, scored = _judge(task, gold, pred)
-            else:
-                slot = memo[key]
-                if slot[0] is not pred:
-                    slot[0] = pred
-                    slot[1] = _judge(task, gold, pred)
-                right, scored = slot[1]
+        """Add (key, judgement) pairs, in order."""
+        task, counts, prfs, misses = self.task, self.counts, self.prfs, self.misses
+        for key, (right, scored) in items:
             if not right:
                 misses.append(key)
             if task == "MRC":
@@ -366,7 +338,7 @@ def score(task: str, gold: Mapping[object, object], predictions: Mapping[object,
             % (sorted(gold)[:5], sorted(predictions)[:5])
         )
     tally = Tally(task, objective, cls_average)
-    tally.add((key, g, predictions[key]) for key, g in gold.items())
+    tally.add((key, _judge(task, g, predictions[key])) for key, g in gold.items())
     return tally.report()
 
 
@@ -444,26 +416,27 @@ _NO_REPLY = object()  # the text of a memo slot that holds no reply yet
 
 
 def reply_memo(n: int) -> list[list]:
-    """A parse memo for predict_many: n empty [reply text, prediction]
+    """A memo for predict_many: n empty [reply text, prediction, judgement]
     slots, one per example."""
-    return [[_NO_REPLY, None] for _ in range(n)]
+    return [[_NO_REPLY, None, None] for _ in range(n)]
 
 
 def predict_many(candidates: Sequence[Candidate], examples: Sequence[ExampleRecord],
                  backend: Backend, model: str = "default",
-                 memo: Optional[list[list]] = None) -> list[list]:
+                 memo: Optional[list[list]] = None) -> list[tuple[list, list]]:
     """Send one backend batch of len(candidates) x len(examples) requests in
     (candidate, example) order. Returns, for each candidate, its parsed
-    predictions in example order. A failed request predicts a format
-    failure, except an AuthError, which is raised: the first one in the
-    batch ends the evaluation.
+    predictions and their judgements (see _judge), each in example order. A
+    failed request predicts a format failure, except an AuthError, which is
+    raised: the first one in the batch ends the evaluation.
 
     `memo` (see reply_memo; a fresh one when not given) holds one slot per
     example. A reply equal to its example's slot text takes the slot's
-    prediction; any other reply is parsed and replaces the slot. Parsing is
-    a pure function of (task, text), so the memo changes no prediction, and
-    a caller that keeps one across calls parses each example's reply again
-    only when it changes."""
+    prediction and judgement; any other reply is parsed and judged and
+    replaces the slot, which a failed request leaves as it is. Parsing and
+    judging are pure functions of the task, the gold and the text, so the
+    memo changes no result, and a caller that keeps one across calls parses
+    and judges each example's reply again only when it changes."""
     if not examples:
         raise EmptyDataset("cannot evaluate on an empty dataset")
     if not candidates:
@@ -478,18 +451,20 @@ def predict_many(candidates: Sequence[Candidate], examples: Sequence[ExampleReco
     slots = reply_memo(n) if memo is None else memo
     out = []
     for i in range(len(candidates)):
-        predictions = []
-        for slot, res in zip(slots, results[i * n:(i + 1) * n]):
+        predictions, judgements = [], []
+        for ex, slot, res in zip(examples, slots, results[i * n:(i + 1) * n]):
             if isinstance(res, GenerationResponse):
                 if slot[0] != res.text:
-                    slot[0] = res.text
-                    slot[1] = parse_prediction(task, res.text)
+                    prediction = parse_prediction(task, res.text)
+                    slot[:] = res.text, prediction, _judge(task, ex.gold, prediction)
                 predictions.append(slot[1])
+                judgements.append(slot[2])
             elif isinstance(res, AuthError):
                 raise res  # no later request can succeed: end the run
             else:
                 predictions.append(FORMAT_FAILURE)
-        out.append(predictions)
+                judgements.append(_judge(task, ex.gold, FORMAT_FAILURE))
+        out.append((predictions, judgements))
     return out
 
 
@@ -511,8 +486,9 @@ def report_predictions(examples: Sequence[ExampleRecord], predictions: Sequence,
     collect a seeded uniform sample of up to `bad_case_cap` of its failures
     as bad cases. Examples are keyed by position, so examples that share an
     id are all scored."""
-    tally = Tally(examples[0].task, objective, cls_average)
-    tally.add(zip(range(len(examples)), (ex.gold for ex in examples), predictions))
+    task = examples[0].task
+    tally = Tally(task, objective, cls_average)
+    tally.add(enumerate(_judge(task, ex.gold, pred) for ex, pred in zip(examples, predictions)))
     return tally.report(), sample_bad_cases(examples, predictions, tally.misses,
                                             bad_case_cap, seed)
 
@@ -525,6 +501,8 @@ def evaluate(candidate: Candidate, examples: Sequence[ExampleRecord], backend: B
     score, and collect a seeded uniform sample of failures as bad cases. A
     failed request scores as a format failure, except an AuthError, which is
     raised."""
-    [predictions] = predict_many([candidate], examples, backend, model=model)
-    return report_predictions(examples, predictions, objective=objective,
-                              cls_average=cls_average, bad_case_cap=bad_case_cap, seed=seed)
+    [(predictions, judgements)] = predict_many([candidate], examples, backend, model=model)
+    tally = Tally(examples[0].task, objective, cls_average)
+    tally.add(enumerate(judgements))
+    return tally.report(), sample_bad_cases(examples, predictions, tally.misses,
+                                            bad_case_cap, seed)

@@ -275,6 +275,9 @@ class TestTrain:
         ('operators="refine"', 'operators must be a list of strings, not "refine"'),
         ("anneal_temperature_start=0", "anneal_temperature_start must be positive"),
         ("anneal_temperature_decay=0", "anneal_temperature_decay must be in (0, 1]"),
+        ("seed=-1", "seed must be >= 0"),
+        ("operator_temperature=NaN", "operator_temperature must be >= 0 and finite"),
+        ("learning_rate_alpha=Infinity", "learning_rate_alpha must be positive and finite"),
     ])
     def test_bad_config_value_exits_one_before_any_request(self, workspace, monkeypatch,
                                                           capsys, override, needle):

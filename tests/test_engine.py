@@ -231,7 +231,12 @@ class TestConfig:
                    dict(operators=("sparkle",)), dict(task="QA"),
                    dict(sarsa_gamma=1.5), dict(anneal_temperature_start=0),
                    dict(anneal_temperature_start=-1), dict(anneal_temperature_decay=0),
-                   dict(anneal_temperature_decay=-2), dict(anneal_temperature_decay=1.5)):
+                   dict(anneal_temperature_decay=-2), dict(anneal_temperature_decay=1.5),
+                   dict(seed=-1), dict(operator_temperature=-0.1),
+                   dict(operator_temperature=float("nan")),
+                   dict(operator_temperature=float("inf")),
+                   dict(learning_rate_alpha=float("inf")),
+                   dict(learning_rate_alpha=float("nan"))):
             with pytest.raises(ConfigError):
                 small_config(**kw).validate()
 
@@ -777,7 +782,7 @@ class TestScoreProperties:
             if cand.fingerprint not in trainer.scored:
                 continue
             report, bad, rung_objectives = trainer.scored[cand.fingerprint]
-            [predictions] = predict_many([cand], data, Graded(data))
+            [(predictions, _)] = predict_many([cand], data, Graded(data))
             assert (report, bad) == report_predictions(data, predictions, seed=0)
             assert rung_objectives == tuple(f1_of(data[:c], predictions[:c])
                                             for c in trainer.rungs)
@@ -785,14 +790,14 @@ class TestScoreProperties:
     @pytest.mark.parametrize("n", [99, 100, 200])
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_each_prediction_is_scored_once(self, k, n, monkeypatch):
-        """No rung rescans a prefix: the (prompt, example) pairs fed to the
-        tallies are the requests sent, each once."""
+        """No rung rescans a prefix: the (prompt, example) judgements fed to
+        the tallies are the requests sent, each once."""
         fed = []
         add = Tally.add
 
         def counted(self, items):
             items = list(items)
-            fed.extend((id(self), key) for key, _, _ in items)
+            fed.extend((id(self), key) for key, _ in items)
             return add(self, items)
 
         monkeypatch.setattr(Tally, "add", counted)
@@ -842,11 +847,13 @@ class TestReplyMemo:
                     last[ex.id] = reply
                     expected += 1
         assert len(calls) == expected < eval_requests
-        # one slot per training example, holding its last reply
+        # one slot per training example, holding its last reply, that
+        # reply's prediction and its judgement
         assert len(trainer.replies) == len(train_set) == len(last)
-        for ex, (text, prediction) in zip(train_set, trainer.replies):
+        for ex, (text, prediction, judgement) in zip(train_set, trainer.replies):
             assert text == last[ex.id]
             assert prediction == parse(ex.task, text)
+            assert judgement == _judge(ex.task, ex.gold, prediction)
 
 
 class TestJudgementMemo:
@@ -870,10 +877,8 @@ class TestJudgementMemo:
         trainer.run()
 
         # replay the batches in (candidate, example) order: a training
-        # prediction is judged when it is not the object last judged for
-        # its example, which is when the reply changes, as the parse memo
-        # hands out one object per distinct consecutive reply; each test
-        # prediction is judged once
+        # prediction is judged when its example's reply differs from the
+        # previous one, and each test prediction is judged once
         last, expected, eval_requests = {}, [], 0
         for call in backend.calls:
             if OPERATOR_TARGET.search(call[0][0]):
@@ -886,13 +891,6 @@ class TestJudgementMemo:
                     expected.append((ex.gold, parse_prediction(ex.task, reply)))
         assert judged == expected
         assert len(test_set) < len(judged) < eval_requests
-        # one slot per training example, holding the prediction its last
-        # reply parsed to, the very object of the parse memo, and its judgement
-        assert len(trainer.judged) == len(train_set)
-        for ex, (prediction, judgement), (_, parsed) in zip(train_set, trainer.judged,
-                                                            trainer.replies):
-            assert prediction is parsed
-            assert judgement == _judge(ex.task, ex.gold, prediction)
 
 
 class TestClsAverage:

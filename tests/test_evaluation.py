@@ -24,7 +24,6 @@ from promptopt.evaluation import (
     _judge,
     _mrc_best_prf,
     evaluate,
-    judgement_memo,
     load_dataset,
     loss,
     parse_prediction,
@@ -348,7 +347,7 @@ class TestOracleEquivalence:
             else:
                 gold = {str(i): rng.choice(answers) for i in range(rng.randint(1, 12))}
                 preds = {i: rng.choice(answers + [FORMAT_FAILURE]) for i in gold}
-            items = [(i, gold[i], preds[i]) for i in gold]
+            items = [(i, _judge(task, gold[i], preds[i])) for i in gold]
             # a run is empty where a cut is 0 or the end
             cuts = sorted(rng.sample(range(len(items) + 1), min(3, len(items) + 1)))
             bounds = [0, *cuts, len(items)]
@@ -358,7 +357,7 @@ class TestOracleEquivalence:
                 tally = Tally(task, objective, average)
                 for a, b in zip(bounds, bounds[1:]):
                     tally.add(iter(items[a:b]))
-                    prefix = [i for i, _, _ in items[:b]]
+                    prefix = [i for i, _ in items[:b]]
                     alone = score(task, {i: gold[i] for i in prefix},
                                   {i: preds[i] for i in prefix},
                                   objective=objective, cls_average=average)
@@ -535,10 +534,13 @@ class TestEvaluate:
         cands = [self._candidate(),
                  Candidate(prompt=make_prompt(["Label the text."], placeholder_in=0))]
         predicted = predict_many(cands, cls_examples, backend)
-        assert predicted[0] == [ex.gold for ex in cls_examples]
-        assert predicted[1][3] is FORMAT_FAILURE
+        assert predicted[0][0] == [ex.gold for ex in cls_examples]
+        assert predicted[1][0][3] is FORMAT_FAILURE
+        assert [judgements for _, judgements in predicted] == [
+            [_judge("CLS", ex.gold, pred) for ex, pred in zip(cls_examples, preds)]
+            for preds, _ in predicted]
         # the two steps give what one evaluation of each candidate gives
-        assert [report_predictions(cls_examples, preds, seed=5) for preds in predicted] \
+        assert [report_predictions(cls_examples, preds, seed=5) for preds, _ in predicted] \
             == [evaluate(cand, cls_examples, backend, seed=5) for cand in cands]
 
     def test_auth_error_is_raised(self, cls_examples):
@@ -662,21 +664,21 @@ class TestBadCasesFromTheScoringPass:
         gold = {"x": "A", "y": "B", "z": "A"}
         preds = {"z": "B", "x": "A", "y": FORMAT_FAILURE}
         tally = Tally("CLS")
-        tally.add((key, g, preds[key]) for key, g in gold.items())
+        tally.add((key, _judge("CLS", g, preds[key])) for key, g in gold.items())
         assert tally.misses == ["y", "z"]
 
 
-def count_parses(monkeypatch) -> list:
-    """Count calls of promptopt.evaluation.parse_prediction; returns the
-    list of (task, text) it was called with."""
+def count_calls(monkeypatch, name: str) -> list:
+    """Count calls of the function promptopt.evaluation.<name>; returns the
+    list of the argument tuples it was called with."""
     calls = []
-    parse = promptopt.evaluation.parse_prediction
+    function = getattr(promptopt.evaluation, name)
 
-    def counted(task, raw):
-        calls.append((task, raw))
-        return parse(task, raw)
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
 
-    monkeypatch.setattr(promptopt.evaluation, "parse_prediction", counted)
+    monkeypatch.setattr(promptopt.evaluation, name, counted)
     return calls
 
 
@@ -698,40 +700,65 @@ class ByExample(MockBackend):
         return json.dumps({"label": ex.gold})
 
 
+class Scripted(MockBackend):
+    """Answers the i-th batch with the i-th list of `batches`: a reply text,
+    or an exception for a failed request."""
+
+    def __init__(self, batches):
+        super().__init__([])
+        self.batches = list(batches)
+
+    def generate_batch(self, reqs):
+        items = self.batches.pop(0)[:len(reqs)]
+        return [item if isinstance(item, Exception) else GenerationResponse(item)
+                for item in items]
+
+
 def prompt_candidate(word):
     return Candidate(prompt=make_prompt([word + " the text."], placeholder_in=0))
 
 
+def judged(examples, predictions):
+    """predict_many's result for one candidate with these predictions."""
+    return predictions, [_judge(ex.task, ex.gold, pred)
+                         for ex, pred in zip(examples, predictions)]
+
+
 class TestParseMemo:
     def test_same_reply_under_two_prompts_is_parsed_once(self, cls_examples, monkeypatch):
-        calls = count_parses(monkeypatch)
+        parses = count_calls(monkeypatch, "parse_prediction")
+        judges = count_calls(monkeypatch, "_judge")
         backend = ByExample(cls_examples)
         memo = reply_memo(len(cls_examples))
         first = predict_many([prompt_candidate("Classify")], cls_examples, backend, memo=memo)
         second = predict_many([prompt_candidate("Label")], cls_examples, backend, memo=memo)
-        assert first == second == [[ex.gold for ex in cls_examples]]
-        assert len(calls) == len(cls_examples)
+        assert first == second == [judged(cls_examples, [ex.gold for ex in cls_examples])]
+        assert len(parses) == len(judges) == len(cls_examples)
         # within one batch too, with a memo of its own
-        del calls[:]
+        del parses[:], judges[:]
         predict_many([prompt_candidate("Classify"), prompt_candidate("Label")],
                      cls_examples, backend)
-        assert len(calls) == len(cls_examples)
+        assert len(parses) == len(judges) == len(cls_examples)
 
     def test_a_changed_reply_is_parsed_again(self, cls_examples, monkeypatch):
-        calls = count_parses(monkeypatch)
+        parses = count_calls(monkeypatch, "parse_prediction")
+        judges = count_calls(monkeypatch, "_judge")
         ex = cls_examples[3]
         changed = json.dumps({"label": "C"})
         backend = ByExample(cls_examples, {("Label", ex.input): changed})
         memo = reply_memo(len(cls_examples))
-        predictions = [predict_many([prompt_candidate(word)], cls_examples, backend, memo=memo)[0]
+        predictions = [predict_many([prompt_candidate(word)], cls_examples, backend,
+                                    memo=memo)[0][0]
                        for word in ("Classify", "Label", "Classify")]
         assert [p[3] for p in predictions] == [ex.gold, "C", ex.gold]
         assert all(p[:3] + p[4:] == [e.gold for e in cls_examples[:3] + cls_examples[4:]]
                    for p in predictions)
         # the other examples once, example 3 on each change
-        assert len(calls) == len(cls_examples) + 2
-        assert calls[-2:] == [("CLS", changed), ("CLS", json.dumps({"label": ex.gold}))]
-        assert memo[3] == [json.dumps({"label": ex.gold}), ex.gold]
+        assert len(parses) == len(judges) == len(cls_examples) + 2
+        assert parses[-2:] == [("CLS", changed), ("CLS", json.dumps({"label": ex.gold}))]
+        assert judges[-2:] == [("CLS", ex.gold, "C"), ("CLS", ex.gold, ex.gold)]
+        assert memo[3] == [json.dumps({"label": ex.gold}), ex.gold,
+                           _judge("CLS", ex.gold, ex.gold)]
 
     @given(st.lists(st.lists(st.sampled_from([
         '{"label": "A"}', '{"label": "B"}', 'Sure: {"label": "A"}', "no answer", "",
@@ -739,90 +766,125 @@ class TestParseMemo:
         st.integers(1, 3))
     @settings(max_examples=200, deadline=None)
     def test_memoized_predictions_equal_parsing_every_reply(self, batches, n):
-        examples = [ExampleRecord(str(i), "CLS", "text %d" % i, "A") for i in range(n)]
+        """Memoized results are those of parsing and judging every reply.
+        A reply is parsed and judged when it differs from the last reply its
+        example got, and a failed request is judged every time and leaves
+        the slot as it was."""
+        examples = [ExampleRecord(str(i), "CLS", "text %d" % i, "AB"[i % 2]) for i in range(n)]
         k = 6 // n
-
-        class Scripted(MockBackend):
-            def generate_batch(self, reqs):
-                items = batches.pop(0)[:len(reqs)]
-                return [item if isinstance(item, Exception) else GenerationResponse(item)
-                        for item in items]
-
-        expected = [[[FORMAT_FAILURE if isinstance(item, Exception)
-                      else parse_prediction("CLS", item)
-                      for item in batch[c * n:(c + 1) * n]] for c in range(k)]
+        expected = [[judged(examples, [FORMAT_FAILURE if isinstance(item, Exception)
+                                       else parse_prediction("CLS", item)
+                                       for item in batch[c * n:(c + 1) * n]])
+                     for c in range(k)]
                     for batch in batches]
-        backend = Scripted([])
-        memo = reply_memo(n)
-        cands = [prompt_candidate("Prompt %d:" % c) for c in range(k)]
-        for want in expected:
-            assert predict_many(cands, examples, backend, memo=memo) == want
+        last, n_parses, n_judges = {}, 0, 0
+        for batch in batches:
+            for j, item in enumerate(batch[:k * n]):
+                if isinstance(item, Exception):
+                    n_judges += 1
+                elif last.get(j % n) != item:
+                    last[j % n] = item
+                    n_parses += 1
+                    n_judges += 1
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            parses = count_calls(monkeypatch, "parse_prediction")
+            judges = count_calls(monkeypatch, "_judge")
+            backend = Scripted(batches)
+            memo = reply_memo(n)
+            cands = [prompt_candidate("Prompt %d:" % c) for c in range(k)]
+            for want in expected:
+                assert predict_many(cands, examples, backend, memo=memo) == want
+        assert (len(parses), len(judges)) == (n_parses, n_judges)
+        for i, ex in enumerate(examples):
+            if i in last:
+                pred = parse_prediction("CLS", last[i])
+                assert memo[i] == [last[i], pred, _judge("CLS", ex.gold, pred)]
+
+
+REPLIES = {
+    "NER": [json.dumps({"PER": {"a": [[0, 1]]}}), '{"PER": {"a": [[0, 1]], "b": [[2, 3]]}}',
+            'Here: {"LOC": {"b": [[2, 3]]}}', '{"PER": {"x": [[0, 1]]}}', "{}", "none"],
+    "CLS": ['{"label": "A"}', '{"label": "B"}', 'Sure: {"label": "A"}', "no answer"],
+    "MRC": ['{"answer": "a b"}', '{"answer": "b a"}', '"a"', '{"answer": ""}', "[]"],
+}
 
 
 @st.composite
-def judged_streams(draw):
-    """A task, its CLS average, gold per key, and runs of (tally, key,
-    prediction) items: a few prediction objects per key, FORMAT_FAILURE
-    among them, each possibly repeated, and copies of them, so a key's slot
-    sees its own object again, another object, and an equal one."""
+def reply_streams(draw):
+    """A task, its CLS average, examples, and batches of replies (or
+    failures) to k candidates x n examples."""
     task, average = draw(st.sampled_from([("NER", "micro"), ("CLS", "micro"),
                                           ("CLS", "macro"), ("MRC", "micro")]))
-    n = draw(st.integers(1, 5))
-    gold = [draw(GOLD[task]) for _ in range(n)]
-    pool = []
-    for _ in range(n):
-        preds = draw(st.lists(st.one_of(st.just(FORMAT_FAILURE), PREDICTION[task]),
-                              min_size=1, max_size=3))
-        # equal values, distinct objects where CPython does not share them
-        pool.append(preds + [dict(p) if isinstance(p, dict) else "".join(list(p))
-                             for p in preds if p is not FORMAT_FAILURE])
-    runs = draw(st.lists(st.tuples(
-        st.integers(0, 2),
-        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 5)), max_size=2 * n)),
-        min_size=1, max_size=8))
-    return task, average, gold, [(t, [(key, gold[key], pool[key][c % len(pool[key])])
-                                      for key, c in items]) for t, items in runs]
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 2))
+    examples = [ExampleRecord(str(i), task, "a b c", draw(GOLD[task])) for i in range(n)]
+    item = st.one_of(st.sampled_from(REPLIES[task]), st.just(BackendTimeout("timed out")))
+    batches = draw(st.lists(st.lists(item, min_size=k * n, max_size=k * n),
+                            min_size=1, max_size=6))
+    return task, average, examples, k, batches
 
 
 class TestJudgementMemo:
-    @given(judged_streams())
-    @settings(max_examples=300, deadline=None)
+    @given(reply_streams())
+    @settings(max_examples=200, deadline=None)
     def test_memo_backed_tallies_equal_plain_ones(self, stream):
-        task, average, gold, runs = stream
-        memo = judgement_memo(len(gold))
-        for objective in ("f1", "precision", "recall"):
-            plain = [Tally(task, objective, average) for _ in range(3)]
-            memoized = [Tally(task, objective, average, memo=memo) for _ in range(3)]
-            for t, items in runs:
-                plain[t].add(iter(items))
-                memoized[t].add(iter(items))
-                assert memoized[t].report() == plain[t].report()
-                assert memoized[t].misses == plain[t].misses
-                assert memoized[t].objective_value() == plain[t].objective_value()
-        # each slot holds the last prediction added under its key
-        last = {key: pred for _, items in runs for key, _, pred in items}
-        for key, (pred, judgement) in enumerate(memo):
-            if key in last:
-                assert pred is last[key]
-                assert judgement == _judge(task, gold[key], pred)
+        """Tallies of the judgements predict_many returns through a memo
+        kept across calls equal scoring every parsed reply afresh."""
+        task, average, examples, k, batches = stream
+        n = len(examples)
+        backend = Scripted(batches)
+        memo = reply_memo(n)
+        cands = [prompt_candidate("Prompt %d:" % c) for c in range(k)]
+        for batch in batches:
+            results = predict_many(cands, examples, backend, memo=memo)
+            for c, (predictions, judgements) in enumerate(results):
+                replies = batch[c * n:(c + 1) * n]
+                assert predictions == [FORMAT_FAILURE if isinstance(r, Exception)
+                                       else parse_prediction(task, r) for r in replies]
+                for objective in ("f1", "precision", "recall"):
+                    tally = Tally(task, objective, average)
+                    tally.add(enumerate(judgements))
+                    plain, bad = report_predictions(examples, predictions, objective,
+                                                    average, bad_case_cap=n)
+                    assert tally.report() == plain
+                    assert [examples[i].id for i in tally.misses] == [b.example_id for b in bad]
 
-    def test_a_prediction_is_judged_only_when_its_object_changes(self, monkeypatch):
-        judged = []
+    def test_a_reply_is_judged_only_when_its_text_changes(self, monkeypatch):
+        judges = count_calls(monkeypatch, "_judge")
+        gold = {"PER": frozenset({(0, 1)})}
+        examples = [ExampleRecord("e", "NER", "a b", gold)]
+        # two texts that parse to equal predictions
+        a, b = '{"PER": {"a": [[0, 1]]}}', 'Found: {"PER": {"a": [[0, 1]]}}'
+        backend = Scripted([[a, a], [a], [b, b]])
+        memo = reply_memo(1)
+        one, two = prompt_candidate("Find"), prompt_candidate("List")
+        results = [predict_many([one, two], examples, backend, memo=memo),
+                   predict_many([one], examples, backend, memo=memo),
+                   predict_many([one, two], examples, backend, memo=memo)]
+        # b parses to a prediction equal to a's, but its text differs: judged again, once
+        assert judges == [("NER", gold, gold), ("NER", gold, gold)]
+        assert [r for result in results for r in result] == \
+            [([gold], [(True, [("PER", 1, 0, 0)])])] * 5
+        assert memo == [[b, gold, (True, [("PER", 1, 0, 0)])]]
 
-        def counted(task, gold, pred):
-            judged.append(pred)
-            return _judge(task, gold, pred)
-
-        monkeypatch.setattr(promptopt.evaluation, "_judge", counted)
-        a, b = {"PER": frozenset({(0, 1)})}, {"PER": frozenset({(0, 1)})}
-        memo = judgement_memo(2)
-        tally = Tally("NER", memo=memo)
-        tally.add([(0, a, a), (1, a, FORMAT_FAILURE)])
-        tally.add([(0, a, a), (1, a, FORMAT_FAILURE), (0, a, b), (0, a, b)])
-        # b equals a but is another object: judged again, once
-        assert [id(p) for p in judged] == [id(a), id(FORMAT_FAILURE), id(b)]
-        assert memo[0][0] is b and memo[1][0] is FORMAT_FAILURE
-        assert memo == [[b, (True, [("PER", 1, 0, 0)])],
-                        [FORMAT_FAILURE, (False, [("PER", 0, 0, 1)])]]
-        assert tally.misses == [1, 1]
-        assert (tally.report().per_label["PER"].tp, tally.report().per_label["PER"].fn) == (4, 2)
+    def test_a_failed_request_leaves_the_slot_untouched(self, monkeypatch):
+        parses = count_calls(monkeypatch, "parse_prediction")
+        judges = count_calls(monkeypatch, "_judge")
+        gold = {"PER": frozenset({(0, 1)})}
+        examples = [ExampleRecord("e", "NER", "a b", gold)]
+        reply = json.dumps({"PER": {"a": [[0, 1]]}})
+        backend = Scripted([[reply], [BackendTimeout("timed out")], [reply]])
+        memo = reply_memo(1)
+        cands = [prompt_candidate("Find")]
+        [(first, first_judgements)] = predict_many(cands, examples, backend, memo=memo)
+        slot = list(memo[0])
+        assert slot == [reply, gold, _judge("NER", gold, gold)]
+        failed = predict_many(cands, examples, backend, memo=memo)
+        assert failed == [([FORMAT_FAILURE], [_judge("NER", gold, FORMAT_FAILURE)])]
+        assert failed[0][1] == [(False, [("PER", 0, 0, 1)])]
+        assert memo[0] == slot and memo[0][1] is slot[1]
+        # the reply equal to the slot text is neither parsed nor judged again
+        [(again, again_judgements)] = predict_many(cands, examples, backend, memo=memo)
+        assert again[0] is first[0] and again_judgements[0] is first_judgements[0]
+        assert parses == [("NER", reply)]
+        assert judges == [("NER", gold, first[0]), ("NER", gold, FORMAT_FAILURE)]
