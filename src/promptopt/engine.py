@@ -37,7 +37,7 @@ import numpy as np
 
 from . import operators as ops
 from .backend import Backend
-from .errors import BackendError, ConfigError
+from .errors import BackendError, ConfigError, EmptyDataset
 from .evaluation import (
     BadCase,
     ExampleRecord,
@@ -69,7 +69,7 @@ from .prompt_model import (
     Candidate,
     MetaPrompt,
     candidate_to_dict,
-    reorder,
+    reorder,  # noqa: F401  not called here; perfbench/tracer.py patches this name
 )
 from .settings import from_fields
 
@@ -275,10 +275,11 @@ def initialize_candidates(template: MetaPrompt, backend: Backend, beam_init: int
             for _ in range(beam_init)
         ]
         edits = ops.apply_operators(jobs, backend)
-        for k, edit in enumerate(edits):
-            if isinstance(edit, ops.EditResult) and edit.kind == "body":
+        for k, ((_, ctx), edit) in enumerate(zip(jobs, edits)):
+            if isinstance(edit, MetaPrompt):
+                sid = ctx.target_section.id
                 i = k % beam_init
-                prompts[i] = prompts[i].with_body(edit.section_id, edit.new_body)
+                prompts[i] = prompts[i].with_body(sid, edit.section_by_id(sid).body)
     pool = [Candidate(prompt=prompt) for prompt in prompts]
     deduped: dict[str, Candidate] = {}
     for cand in pool:
@@ -322,6 +323,8 @@ class _Trainer:
         self.template = template
         self.rng = np.random.default_rng(cfg.seed)
         self.train_set = self._slice(train_set)
+        if not self.train_set:
+            raise EmptyDataset("the training set is empty")
         self.test_set = list(test_set)
         self.run_dir = Path(run_dir) if run_dir else Path(cfg.output_dir) / run_id_for(cfg)
         self.report = RunReport()
@@ -392,9 +395,8 @@ class _Trainer:
         raced or skipped, is read off the tally as its run ends."""
         cfg = self.cfg
         live = list(range(len(cands)))
-        # the examples' task, as `evaluate` scores; an empty set fails in _predict
-        task = self.train_set[0].task if self.train_set else cfg.task
-        tallies = [Tally(task, cfg.objective, cfg.cls_average) for _ in cands]
+        # the examples' task, as `evaluate` scores
+        tallies = [Tally(self.train_set[0].task, cfg.objective, cfg.cls_average) for _ in cands]
         predictions = [[] for _ in cands]
         objectives = [[] for _ in cands]  # on train_set[:rung], per rung reached
 
@@ -448,21 +450,14 @@ class _Trainer:
         )
 
     @staticmethod
-    def _edited(base: Candidate, edit: ops.EditResult, pair: SelectionPair,
+    def _edited(base: Candidate, edited: Optional[MetaPrompt], pair: SelectionPair,
                 iteration: int) -> Optional[Candidate]:
-        """The candidate an edit of the base makes, or None when the prompt
-        does not change."""
-        if edit.kind == "noop":
+        """The candidate the operator's edited prompt makes of the base, or
+        None for a no-op: the one place where an edit that leaves the prompt
+        as it was, by fingerprint, becomes a no-op."""
+        if edited is None or edited.fingerprint() == base.prompt.fingerprint():
             return None
-        if edit.kind == "body":
-            new_prompt = base.prompt.with_body(edit.section_id, edit.new_body)
-        elif edit.kind == "order":
-            new_prompt = reorder(base.prompt, edit.new_order)
-        else:
-            new_prompt = edit.new_prompt
-        if new_prompt.fingerprint() == base.prompt.fingerprint():
-            return None
-        return replace(base, prompt=new_prompt).with_edit(iteration, pair.section, pair.operator)
+        return replace(base, prompt=edited).with_edit(iteration, pair.section, pair.operator)
 
     def run(self) -> tuple[Candidate, RunReport, ExperienceStore]:
         cfg = self.cfg

@@ -1,6 +1,6 @@
 """Section-by-operator value table driving operator selection.
 
-The table holds nonnegative values Q[section, operator]; normalizing the
+The table holds finite nonnegative values Q[section, operator]; normalizing the
 whole table gives the probability of picking operator j to edit section i.
 """
 
@@ -23,7 +23,7 @@ Q_FLOOR = 1e-4
 class TransitionMatrix:
     sections: tuple[str, ...]
     operators: tuple[str, ...]
-    q: np.ndarray  # shape (len(sections), len(operators)), nonnegative
+    q: np.ndarray  # shape (len(sections), len(operators)), finite and nonnegative
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=np.float64)
@@ -33,6 +33,8 @@ class TransitionMatrix:
             raise ValueError("duplicate section labels")
         if len(set(self.operators)) != len(self.operators):
             raise ValueError("duplicate operator labels")
+        if not np.isfinite(self.q).all():
+            raise ValueError("q entries must be finite")
         if (self.q < 0).any():
             raise ValueError("q entries must be nonnegative")
 

@@ -1,10 +1,14 @@
 """Prompt-edit operator catalog.
 
-An operator runs in two steps. `plan_operator` either finishes a local
+An operator returns the prompt its edit makes, a `MetaPrompt`, or None for
+a no-op. It runs in two steps. `plan_operator` either finishes a local
 operator (cot, few_shot, repeat_instructions, merge) without a model call,
 or returns the requests a backend operator needs, and it alone makes an
 operator with missing context a no-op; `finish_operator` turns the replies
-into an edit. `apply_operators` runs many operators in one round trip, and
+into the edited prompt, and it alone makes an unparseable reply a no-op. An
+edit that leaves the prompt as it was still comes back as a prompt:
+`engine._Trainer._edited` alone, by fingerprint, treats it as a no-op.
+`apply_operators` runs many operators in one round trip, and
 `apply_operator` is its one-operator form. Template-backed operators build
 a chat request from a text template and parse a JSON response. The manifest
 maps each of them to its template file; a new operator needs its id in
@@ -30,12 +34,13 @@ from ..errors import (
     KTooLarge,
     MissingContext,
     NonEditableSection,
+    NotAPermutation,
     SectionSetMismatch,
     UnknownOperator,
 )
 from ..evaluation import ExampleRecord, MetricReport
 from ..jsontools import extract_first_json
-from ..prompt_model import Candidate, MetaPrompt, Section
+from ..prompt_model import Candidate, MetaPrompt, Section, reorder
 
 TEMPLATE_DIR = Path(__file__).parent / "templates"
 
@@ -89,7 +94,7 @@ def _registry() -> dict[str, str]:
 @dataclass(frozen=True)
 class OperatorContext:
     target_section: Section
-    prompt: Optional[MetaPrompt] = None
+    prompt: MetaPrompt  # the prompt that holds target_section
     sibling_candidates: tuple[Candidate, ...] = ()
     bad_cases: tuple = ()
     dataset: tuple[ExampleRecord, ...] = ()
@@ -160,8 +165,6 @@ def build_request(op: str, ctx: OperatorContext) -> GenerationRequest:
             raise IdenticalParents("parents share the same %r body" % section.id)
         subs["Parent_List"] = _parent_list(ctx.sibling_candidates, section.id, ctx.objective)
     elif op == "define_sort":
-        if ctx.prompt is None:
-            raise MissingContext("define_sort needs the full prompt")
         lines = [
             "- id: %s | name: %s | starts: %s" % (s.id, s.name, s.body[:60].replace("\n", " "))
             for s in ctx.prompt.ordered_sections()
@@ -410,67 +413,48 @@ def _last_positive_edit(cand: Candidate, section_id: str, objective: str):
 # ---------------------------------------------------------------------------
 # unified application
 
-@dataclass(frozen=True)
-class EditResult:
-    """What an operator did: a single-section body change, a reordering, a
-    whole-prompt composition (merge), or a no-op."""
-
-    kind: str  # body | order | prompt | noop
-    section_id: Optional[str] = None
-    new_body: Optional[str] = None
-    new_order: Optional[tuple[str, ...]] = None
-    new_prompt: Optional[MetaPrompt] = None
-
-
-NOOP = EditResult(kind="noop")
-
-
 # context an operator cannot work with makes it a no-op
 NO_CONTEXT = (MissingContext, IdenticalParents, SectionSetMismatch, EmptyDataset,
               KTooLarge, NonEditableSection)
 
 
-def plan_operator(op: str, ctx: OperatorContext) -> Union[EditResult, tuple[GenerationRequest, ...]]:
+def plan_operator(op: str, ctx: OperatorContext
+                  ) -> Union[MetaPrompt, None, tuple[GenerationRequest, ...]]:
     """First step of an operator. A local operator comes back finished, as
-    an EditResult; a backend operator comes back as the requests it needs
-    (one, or CONSISTENCY_SAMPLES for self_consistency), whose replies go to
-    `finish_operator`. Missing context (any of NO_CONTEXT) makes the operator
-    a no-op; an unknown operator id raises."""
+    the edited prompt; a backend operator comes back as the requests it
+    needs (one, or CONSISTENCY_SAMPLES for self_consistency), whose replies
+    go to `finish_operator`. Missing context (any of NO_CONTEXT) makes the
+    operator a no-op, None; an unknown operator id raises."""
     if op not in OPERATOR_IDS:
         raise UnknownOperator(op)
     section = ctx.target_section
     try:
         if op == "cot":
-            return EditResult("body", section_id=section.id, new_body=cot_scaffold(section))
+            return ctx.prompt.with_body(section.id, cot_scaffold(section))
         if op == "few_shot":
             block = few_shot_sample(
                 tuple(ctx.dataset), ctx.few_shot_strategy, ctx.few_shot_k,
                 ctx.rng_seed, report=ctx.metric_report,
             )
-            return EditResult("body", section_id=section.id, new_body=block)
+            return ctx.prompt.with_body(section.id, block)
         if op == "repeat_instructions":
-            if ctx.prompt is None:
-                raise MissingContext("repeat_instructions needs the full prompt")
-            host_id, new_body = repeat_instructions(ctx.prompt, section)
-            if ctx.prompt.section_by_id(host_id).body == new_body:
-                return NOOP
-            return EditResult("body", section_id=host_id, new_body=new_body)
+            return ctx.prompt.with_body(*repeat_instructions(ctx.prompt, section))
         if op == "merge":
-            merged = merge_deterministic(ctx.sibling_candidates, ctx.objective)
-            return EditResult("prompt", new_prompt=merged)
+            return merge_deterministic(ctx.sibling_candidates, ctx.objective)
         if op == "self_consistency":
             return (build_request("refine", ctx),) * CONSISTENCY_SAMPLES
         return (build_request(op, ctx),)
     except NO_CONTEXT:
-        return NOOP
+        return None
 
 
 def finish_operator(op: str, ctx: OperatorContext,
-                    replies: Sequence[BatchItem]) -> EditResult:
+                    replies: Sequence[BatchItem]) -> Optional[MetaPrompt]:
     """Second step of a backend operator: turn the replies to the requests
-    `plan_operator` returned, in the same order, into an edit. Unparseable
-    replies come back as a no-op. A failed reply is raised when it is an
-    AuthError, or when no reply arrived at all."""
+    `plan_operator` returned, in the same order, into the edited prompt.
+    Unparseable replies, and an order that is not a permutation of the
+    prompt's sections, come back as a no-op, None. A failed reply is raised
+    when it is an AuthError, or when no reply arrived at all."""
     errors = [r for r in replies if isinstance(r, BackendError)]
     for err in errors:
         if isinstance(err, AuthError):
@@ -487,30 +471,27 @@ def finish_operator(op: str, ctx: OperatorContext,
             if outcome.parse_ok:
                 bodies.append(outcome.new_body)
         if not bodies:
-            return NOOP
-        return EditResult("body", section_id=section.id, new_body=self_consistency(bodies))
+            return None
+        return ctx.prompt.with_body(section.id, self_consistency(bodies))
 
     outcome = parse_operator_response(op, texts[0], section.name)
     if not outcome.parse_ok:
-        return NOOP
+        return None
     if op == "define_sort":
-        if ctx.prompt is None:
-            return NOOP
-        ids = {s.id for s in ctx.prompt.sections}
-        if set(outcome.new_order) != ids or len(outcome.new_order) != len(ids):
-            return NOOP
-        return EditResult("order", new_order=outcome.new_order)
-    if outcome.new_body == section.body:
-        return NOOP
-    return EditResult("body", section_id=section.id, new_body=outcome.new_body)
+        try:
+            return reorder(ctx.prompt, outcome.new_order)
+        except NotAPermutation:
+            return None
+    return ctx.prompt.with_body(section.id, outcome.new_body)
 
 
 def apply_operators(jobs: Sequence[tuple[str, OperatorContext]],
-                    backend: Optional[Backend]) -> list[Union[EditResult, BackendError]]:
+                    backend: Optional[Backend]) -> list[Union[MetaPrompt, None, BackendError]]:
     """Run (operator id, context) jobs in one round trip: plan every job,
     send the requests of all of them as one batch in job order (none when no
-    job needs a request), and finish each job with its own replies. A job
-    whose replies all failed comes back as its BackendError; an AuthError is
+    job needs a request), and finish each job with its own replies. Each job
+    comes back as its edited prompt, or None for a no-op; a job whose
+    replies all failed comes back as its BackendError, and an AuthError is
     raised. Without a backend, a job that needs requests raises
     MissingContext."""
     plans = [plan_operator(op, ctx) for op, ctx in jobs]
@@ -531,7 +512,8 @@ def apply_operators(jobs: Sequence[tuple[str, OperatorContext]],
     return results
 
 
-def apply_operator(op: str, ctx: OperatorContext, backend: Optional[Backend] = None) -> EditResult:
+def apply_operator(op: str, ctx: OperatorContext,
+                   backend: Optional[Backend] = None) -> Optional[MetaPrompt]:
     """Run one operator end to end with `apply_operators`; a failed reply is
     raised."""
     [result] = apply_operators([(op, ctx)], backend)

@@ -22,7 +22,8 @@ NEVER_CALLED = {
         "patched in msgd_rl, but engine.update_matrix calls engine's own binding",
     "operators:apply_operator": "training edits through operators.apply_operators",
     "msgd_rl:load_experience": "neither run has `experience_in`",
-    "prompt_model:reorder": "neither run's operators reorder sections",
+    "prompt_model:reorder":
+        "engine binds reorder only for the tracer; define_sort reorders inside operators",
 }
 
 

@@ -292,6 +292,24 @@ class TestTrain:
             assert err.startswith("error: ") and needle in err
         assert not (workspace / "runs").exists()
 
+    def test_empty_training_set_exits_two_before_any_request(self, workspace, monkeypatch,
+                                                             capsys):
+        sent = []
+        generate = MockBackend.generate
+
+        def counting(self, req):
+            sent.append(req)
+            return generate(self, req)
+
+        monkeypatch.setattr(MockBackend, "generate", counting)
+        (workspace / "train.jsonl").write_text("")
+        # beam_init 4 would send 4 refine requests per editable section first
+        assert main(["train", "--config", str(workspace / "config.json"),
+                     "--set", "beam_init=4"]) == 2
+        assert capsys.readouterr().err == "error: the training set is empty\n"
+        assert sent == []
+        assert not (workspace / "runs").exists()
+
     @pytest.mark.parametrize("line, needle", [
         ('{"text": "item 99", "label": "A"', "line 3: not valid JSON"),
         ('{"label": "A"}', "line 3: missing field 'text'"),
@@ -449,7 +467,14 @@ class TestReportAndExperience:
 
     def test_import_rejects_corrupt(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{nope")
         out = tmp_path / "out.json"
-        assert main(["experience-import", "--file", str(bad), "--out", str(out)]) == 2
-        assert not out.exists()
+        doc = ('{"version": 1, "sections": ["s0"], "operators": ["cot", "refine"], '
+               '"q": [[%s, 0.5]]}')
+        for text in ("{nope", doc % "NaN", doc % "Infinity", doc % "-Infinity"):
+            bad.write_text(text)
+            assert main(["experience-import", "--file", str(bad), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("error: cannot read experience file")
+            assert not out.exists()
+        bad.write_text(doc % "0.5")
+        assert main(["experience-import", "--file", str(bad), "--out", str(out)]) == 0
+        assert out.exists()

@@ -547,6 +547,62 @@ class TestOperatorFailure:
             train(cfg, data, data, base_template(), backend)
 
 
+class EchoEdits(MockBackend):
+    """Answers each operator request with an edit that leaves `prompt` as it
+    was: refine repeats the section's body, define_sort gives the current
+    order. Evaluation requests are answered from the script and counted."""
+
+    def __init__(self, script, prompt):
+        super().__init__(script)
+        self.prompt = prompt
+        self.operator_requests = self.evaluations = 0
+
+    def generate(self, req):
+        text = req.messages[-1][1]
+        target = OPERATOR_TARGET.search(text)
+        if target:
+            reply = body_json(target.group(1), self.prompt.section_by_id(target.group(1)).body)
+        elif "Reorder the sections" in text:
+            reply = json.dumps({"order": [s.id for s in self.prompt.ordered_sections()]})
+        else:
+            self.evaluations += 1
+            return super().generate(req)
+        self.operator_requests += 1
+        res = GenerationResponse(text=reply)
+        self.usage.add(res)
+        return res
+
+
+class TestUnchangedEdit:
+    """An edit that leaves the prompt as it was is a no-op, whether a backend
+    operator or a local one made it: no score, no pool entry, no gradient."""
+
+    @pytest.mark.parametrize("op, operator_requests", [
+        ("refine", 2),  # the reply repeats the section's body
+        ("define_sort", 2),  # the reply gives the current order
+        ("repeat_instructions", 0),  # the host section already holds the sentence
+    ])
+    def test_unchanged_edit_is_a_noop(self, tmp_path, op, operator_requests):
+        data = cls_dataset(8)
+        template = make_prompt(["Rule one. More.", "Rule one.", 'Return JSON: {"label": ""}'],
+                               editable=[True, True, False])
+        cfg = small_config(iterations=2, pairs_per_epoch=1, operators=(op,),
+                           output_dir=str(tmp_path))
+        backend = EchoEdits(oracle_script(data, wrong_ids={"00"}), template)
+        _, report, _ = train(cfg, data, data, template, backend, run_dir=tmp_path / "run")
+        assert backend.operator_requests == operator_requests
+        # the initial pool and the test set, and nothing for the edits
+        assert backend.evaluations == 2 * len(data)
+        assert report.init_eval_requests == len(data)
+        for row in report.iterations:
+            [sel] = row["selections"]
+            assert sel["operator"] == op
+            assert (sel["gradient"], sel["scored_on"], sel["raced_out"]) == (0.0, 0, False)
+            assert row["eval_requests"] == 0 and row["pool_size"] == 1
+        pool = json.loads((tmp_path / "run" / "iter_002" / "candidates.json").read_text())
+        assert [c["lineage"] for c in pool] == [[]]
+
+
 def graded_label(skeleton, ex):
     """The label Graded answers for an example under a prompt skeleton (the
     rendered prompt with the input put back as {{Input}})."""

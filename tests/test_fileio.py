@@ -5,6 +5,7 @@ import pytest
 
 from promptopt import engine
 from promptopt.backend import MockBackend
+from promptopt.evaluation import ExampleRecord
 from promptopt.fileio import write_text_atomic
 from promptopt.matrix import init_uniform, save_matrix
 from promptopt.msgd_rl import ExperienceStore, save_experience
@@ -41,7 +42,8 @@ def fail_replace(monkeypatch, path):
 
 def write_report(tmp_path, path):
     cfg = engine.RunConfig(iterations=1, beam_init=1, operators=("cot",), task="CLS")
-    trainer = engine._Trainer(cfg, [], [], make_prompt(["x"]), MockBackend([]),
+    train_set = [ExampleRecord("0", "CLS", "x", "A")]
+    trainer = engine._Trainer(cfg, train_set, [], make_prompt(["x"]), MockBackend([]),
                               run_dir=tmp_path)
     trainer.report.iterations.append(
         {"iteration": 1, "best": 0.5, "mean": 0.25, "selections": []})

@@ -252,9 +252,14 @@ class TestExperienceStore:
 
     def test_corrupt_file(self, tmp_path):
         path = tmp_path / "exp.json"
-        path.write_text("{not json")
-        with pytest.raises(CorruptFile):
-            read_experience(path)
+        save_experience(ExperienceStore.new(prior_matrix(), "NER"), path)
+        valid = path.read_text()
+        # Python's json reads NaN and Infinity, so the matrix must reject them
+        for text in ("{not json", valid.replace("0.0647", "NaN", 1),
+                     valid.replace("0.0647", "Infinity", 1)):
+            path.write_text(text)
+            with pytest.raises(CorruptFile):
+                read_experience(path)
 
     def test_cross_task_load_warns(self, tmp_path, caplog):
         path = tmp_path / "exp.json"

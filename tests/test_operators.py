@@ -19,9 +19,7 @@ from promptopt.evaluation import BadCase, ExampleRecord, LabelMetrics, MetricRep
 from promptopt.operators import (
     COT_SCAFFOLD,
     OPERATOR_IDS,
-    NOOP,
     TEMPLATE_DIR,
-    EditResult,
     OperatorContext,
     apply_operator,
     apply_operators,
@@ -36,7 +34,7 @@ from promptopt.operators import (
     repeat_instructions,
     self_consistency,
 )
-from promptopt.prompt_model import Candidate, Section
+from promptopt.prompt_model import Candidate, MetaPrompt, Section
 
 from helpers import body_json, make_prompt
 
@@ -47,7 +45,20 @@ def section(name="horoscope", body="Focus on astrology, horoscope analysis, cons
 
 
 def ctx_for(sec, **kw):
+    """A context for `sec`; without a `prompt`, the one-section prompt that
+    holds it."""
+    if "prompt" not in kw:
+        kw["prompt"] = MetaPrompt(sections=(sec,))
     return OperatorContext(target_section=sec, **kw)
+
+
+def body_edit(prompt, edited):
+    """(section id, new body) of an edited prompt that differs from `prompt`
+    in one section's body and nothing else."""
+    [sid] = [s.id for s in prompt.sections if edited.section_by_id(s.id) != s]
+    body = edited.section_by_id(sid).body
+    assert edited == prompt.with_body(sid, body)
+    return sid, body
 
 
 def scored_candidate(bodies, score, iteration=1, objective="f1"):
@@ -101,9 +112,8 @@ class TestCatalogReachability:
     def test_every_operator_is_local_or_sends_requests(self, planned):
         _, plans = planned
         for op, plan in plans.items():
-            if isinstance(plan, EditResult):
-                assert plan.kind != "noop", op
-            else:
+            assert plan is not None, op
+            if not isinstance(plan, MetaPrompt):
                 assert plan and all(isinstance(r, GenerationRequest) for r in plan), op
 
     def test_every_template_file_is_in_the_manifest_and_reached(self, planned):
@@ -403,44 +413,41 @@ class TestMergeDeterministic:
 class TestApplyOperator:
     def test_cot_is_local(self):
         sec = section(body="Classify.")
-        edit = apply_operator("cot", ctx_for(sec))
-        assert edit.kind == "body" and COT_SCAFFOLD in edit.new_body
+        ctx = ctx_for(sec)
+        sid, body = body_edit(ctx.prompt, apply_operator("cot", ctx))
+        assert sid == sec.id and COT_SCAFFOLD in body
 
     def test_few_shot_fills_target(self, cls_examples):
         prompt = make_prompt(["task", "", "{{Input}}"], editable=[True, True, False])
         ctx = ctx_for(prompt.section_by_id("s1"), prompt=prompt,
                       dataset=tuple(cls_examples), few_shot_k=2)
-        edit = apply_operator("few_shot", ctx)
-        assert edit.kind == "body" and edit.new_body.count("Input:") == 2
+        sid, body = body_edit(prompt, apply_operator("few_shot", ctx))
+        assert sid == "s1" and body.count("Input:") == 2
 
     def test_refine_round_trip(self):
         sec = section()
         backend = MockBackend([{"response": body_json(sec.name, "new text")}])
-        edit = apply_operator("refine", ctx_for(sec), backend)
-        assert edit.kind == "body"
-        assert edit.section_id == sec.id and edit.new_body == "new text"
+        ctx = ctx_for(sec)
+        edit = apply_operator("refine", ctx, backend)
+        assert body_edit(ctx.prompt, edit) == (sec.id, "new text")
 
     def test_unparseable_is_noop(self):
         backend = MockBackend([{"response": "no json at all"}])
-        assert apply_operator("refine", ctx_for(section()), backend) is NOOP
-
-    def test_unchanged_body_is_noop(self):
-        sec = section()
-        backend = MockBackend([{"response": body_json(sec.name, sec.body)}])
-        assert apply_operator("refine", ctx_for(sec), backend) is NOOP
+        assert apply_operator("refine", ctx_for(section()), backend) is None
 
     def test_define_sort_valid_order(self):
         prompt = make_prompt(["a", "b", "{{Input}}"])
         backend = MockBackend([{"response": '{"order": ["s2", "s1", "s0"]}'}])
         ctx = ctx_for(prompt.section_by_id("s0"), prompt=prompt)
         edit = apply_operator("define_sort", ctx, backend)
-        assert edit.kind == "order" and edit.new_order == ("s2", "s1", "s0")
+        assert [s.id for s in edit.ordered_sections()] == ["s2", "s1", "s0"]
+        assert [(s.id, s.body) for s in edit.sections] == [(s.id, s.body) for s in prompt.sections]
 
     def test_define_sort_invalid_order_is_noop(self):
         prompt = make_prompt(["a", "b", "{{Input}}"])
         backend = MockBackend([{"response": '{"order": ["s0", "s0", "s1"]}'}])
         ctx = ctx_for(prompt.section_by_id("s0"), prompt=prompt)
-        assert apply_operator("define_sort", ctx, backend) is NOOP
+        assert apply_operator("define_sort", ctx, backend) is None
 
     def test_self_consistency_picks_majority(self):
         sec = section()
@@ -449,15 +456,16 @@ class TestApplyOperator:
             {"response": body_json(sec.name, "abc")},
             {"response": body_json(sec.name, "xyz")},
         ])
-        edit = apply_operator("self_consistency", ctx_for(sec), backend)
-        assert edit.new_body == "abc"
+        ctx = ctx_for(sec)
+        assert body_edit(ctx.prompt, apply_operator("self_consistency", ctx, backend)) == \
+            (sec.id, "abc")
 
     def test_identical_parents_become_noop(self):
         a = scored_candidate(["same", "{{Input}}"], 0.5)
         b = scored_candidate(["same", "{{Input}}"], 0.6)
         backend = MockBackend([{"response": "unused"}])
         ctx = ctx_for(section("s0", "same"), sibling_candidates=(a, b))
-        assert apply_operator("diff_evolution", ctx, backend) is NOOP
+        assert apply_operator("diff_evolution", ctx, backend) is None
 
     def test_llm_op_without_backend(self):
         with pytest.raises(MissingContext):
@@ -466,8 +474,9 @@ class TestApplyOperator:
 
 class TestPlanAndFinish:
     def test_local_operator_is_finished_by_plan(self):
-        edit = plan_operator("cot", ctx_for(section(body="Classify.")))
-        assert edit.kind == "body" and COT_SCAFFOLD in edit.new_body
+        ctx = ctx_for(section(body="Classify."))
+        _, body = body_edit(ctx.prompt, plan_operator("cot", ctx))
+        assert COT_SCAFFOLD in body
 
     def test_self_consistency_plans_identical_samples(self):
         sec = section()
@@ -478,7 +487,9 @@ class TestPlanAndFinish:
         sec = section()
         replies = [GenerationResponse(body_json(sec.name, "abc")), BackendTimeout("slow"),
                    GenerationResponse(body_json(sec.name, "abc"))]
-        assert finish_operator("self_consistency", ctx_for(sec), replies).new_body == "abc"
+        ctx = ctx_for(sec)
+        assert body_edit(ctx.prompt, finish_operator("self_consistency", ctx, replies)) == \
+            (sec.id, "abc")
 
     def test_no_reply_arrived_raises(self):
         for op, n in (("refine", 1), ("self_consistency", 3)):
@@ -529,11 +540,12 @@ class TestApplyOperators:
         results = apply_operators(jobs, backend)
         assert backend.batches == [list(plan_operator(*jobs[1]) + plan_operator(*jobs[3]))]
         assert len(backend.batches[0]) == 1 + 3
-        assert [r.kind for r in results] == ["body", "body", "body", "body", "noop"]
-        assert COT_SCAFFOLD in results[0].new_body
-        assert (results[1].section_id, results[1].new_body) == ("s1", "s1 refined")
-        assert results[2].new_body.count("Input:") == 2
-        assert (results[3].section_id, results[3].new_body) == ("s0", "s0 refined")
+        edits = [body_edit(prompt, r) for r in results[:4]]
+        assert results[4] is None
+        assert edits[0][0] == "s0" and COT_SCAFFOLD in edits[0][1]
+        assert edits[1] == ("s1", "s1 refined")
+        assert edits[2][0] == "s1" and edits[2][1].count("Input:") == 2
+        assert edits[3] == ("s0", "s0 refined")
 
     def test_timed_out_slot_comes_back_as_its_error(self):
         secs = [section(name, "%s body" % name) for name in ("alpha", "beta", "gamma")]
@@ -545,7 +557,8 @@ class TestApplyOperators:
         results = apply_operators([("refine", ctx_for(sec)) for sec in secs], backend)
         assert len(backend.batches) == 1 and len(backend.batches[0]) == 3
         assert isinstance(results[1], BackendTimeout)
-        assert [results[0].new_body, results[2].new_body] == ["new alpha", "new gamma"]
+        assert [results[0].section_by_id("alpha").body, results[2].section_by_id("gamma").body] \
+            == ["new alpha", "new gamma"]
 
     def test_auth_error_reply_is_raised(self):
         secs = [section(name, "%s body" % name) for name in ("alpha", "beta")]
@@ -559,8 +572,8 @@ class TestApplyOperators:
     def test_jobs_without_requests_send_no_batch(self):
         backend = RecordingBackend([])
         ctx = ctx_for(section())
-        assert plan_operator("reflect", ctx) is NOOP
-        assert apply_operators([("reflect", ctx), ("cot", ctx)], backend)[0] is NOOP
+        assert plan_operator("reflect", ctx) is None
+        assert apply_operators([("reflect", ctx), ("cot", ctx)], backend)[0] is None
         assert apply_operators([], backend) == []
         assert backend.batches == []
 
@@ -590,8 +603,8 @@ class TestNoOpRule:
     def test_missing_context_is_a_noop(self, cls_examples, op, build):
         ctx = build(cls_examples)
         backend = RecordingBackend([])
-        assert plan_operator(op, ctx) is NOOP
-        assert apply_operators([(op, ctx)], backend) == [NOOP]
+        assert plan_operator(op, ctx) is None
+        assert apply_operators([(op, ctx)], backend) == [None]
         assert backend.batches == []
 
     def test_unknown_operator_still_raises(self):
