@@ -9,6 +9,7 @@ import http.client
 import json
 import logging
 import os
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -145,6 +146,9 @@ class Backend:
     def generate(self, req: GenerationRequest) -> GenerationResponse:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release what the backend holds between requests; it stays usable."""
+
     def generate_batch(self, reqs: Sequence[GenerationRequest]) -> list[BatchItem]:
         """Run requests with at most `max_parallel` in flight; results come
         back in input order and per-item failures do not poison the batch."""
@@ -165,17 +169,30 @@ class Backend:
         return results
 
 
+# Set before every read of a response (Linux only; the kernel clears it):
+# a server that writes headers and body in two sends with Nagle's algorithm
+# on would otherwise hold the body back until a delayed ACK of the headers,
+# about 40 ms on every request of a reused connection.
+_TCP_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
+
+
 class HttpBackend(Backend):
     """POSTs to {base_url}/chat/completions with bearer auth; retries 429/5xx,
     timeouts and connection failures with exponential backoff.
 
-    Each attempt opens its own connection and closes it once the whole reply
-    is read. The client closes first, so a server that answers that close
-    with a reset leaves no TIME_WAIT socket behind; a reused connection
-    would stall on a server that writes headers and body in two sends with
-    Nagle's algorithm on."""
+    Connections are kept alive: an idle one goes back to a pool once its
+    reply is read in full, and the next request takes it, so the pool holds
+    at most as many connections as there were requests in flight. A reply
+    the server marks as its last, and any failure, closes the connection.
+    A pooled connection the server has closed meanwhile fails before any
+    reply byte arrives; the request is then sent once more, at once, on a
+    new connection, which is not a retry attempt. `close` closes the idle
+    connections."""
 
     RETRYABLE_STATUS = {429, 500, 502, 503, 504}
+    # how a pooled connection the server has closed fails on its next use
+    # (http.client.RemoteDisconnected is a ConnectionResetError)
+    STALE_ERRORS = (ConnectionResetError, BrokenPipeError)
 
     def __init__(self, config: BackendConfig):
         self.config = config
@@ -188,20 +205,54 @@ class HttpBackend(Backend):
         )
         self._host, self._port = url.hostname, url.port
         self._path = url.path.rstrip("/") + "/chat/completions"
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
 
     def _api_key(self) -> str:
         key = os.environ.get(self.config.api_key_env_name, "")
         return key
 
+    def close(self) -> None:
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
     def _post(self, body: bytes, headers: dict) -> tuple[int, bytes]:
-        conn = self._connection_class(self._host, self._port,
-                                      timeout=self.config.timeout_ms / 1000.0)
+        with self._idle_lock:
+            conn = self._idle.pop() if self._idle else None
+        try:
+            resp = self._send(conn, body, headers) if conn else None
+        except self.STALE_ERRORS:
+            resp = None  # closed by the server while idle: once more on a new one
+        if resp is None:
+            conn = self._connection_class(self._host, self._port,
+                                          timeout=self.config.timeout_ms / 1000.0)
+            resp = self._send(conn, body, headers)
+        try:
+            data = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(conn)
+        return resp.status, data
+
+    def _send(self, conn: http.client.HTTPConnection, body: bytes,
+              headers: dict) -> http.client.HTTPResponse:
+        """Send the request on `conn` and read the reply's status line and
+        headers; any failure closes `conn`."""
         try:
             conn.request("POST", self._path, body=body, headers=headers)
-            resp = conn.getresponse()
-            return resp.status, resp.read()
-        finally:
+            if _TCP_QUICKACK is not None:
+                conn.sock.setsockopt(socket.IPPROTO_TCP, _TCP_QUICKACK, 1)
+            return conn.getresponse()
+        except BaseException:
             conn.close()
+            raise
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
         body = json.dumps({

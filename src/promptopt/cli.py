@@ -161,8 +161,11 @@ def cmd_train(args) -> int:
     inputs = _inputs_digest([extra["template"], extra["train_data"], extra.get("test_data"),
                              args.mock_script or extra.get("mock_script")])
     run_dir = Path(cfg.output_dir) / run_id_for(cfg, inputs=inputs)
-    best, report, _store = train(cfg, train_set, test_set, template, backend,
-                                 run_dir=run_dir)
+    try:
+        best, report, _store = train(cfg, train_set, test_set, template, backend,
+                                     run_dir=run_dir)
+    finally:
+        backend.close()
     summary = {
         "run_dir": str(run_dir),
         "iterations_run": len(report.iterations),
@@ -182,9 +185,12 @@ def cmd_evaluate(args) -> int:
     prompt = load_template(args.prompt)
     dataset = load_dataset(args.dataset, task)
     backend = build_backend(cfg, extra, args.mock_script)
-    report, bad = evaluate(Candidate(prompt=prompt), dataset, backend,
-                           objective=cfg.objective, model=cfg.model, seed=cfg.seed,
-                           cls_average=cfg.cls_average)
+    try:
+        report, bad = evaluate(Candidate(prompt=prompt), dataset, backend,
+                               objective=cfg.objective, model=cfg.model, seed=cfg.seed,
+                               cls_average=cfg.cls_average)
+    finally:
+        backend.close()
     out = report.as_dict()
     out["bad_case_count"] = len(bad)
     print(json.dumps(out, indent=2))

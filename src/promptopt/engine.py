@@ -37,7 +37,13 @@ import numpy as np
 
 from . import operators as ops
 from .backend import Backend
-from .errors import BackendError, ConfigError, EmptyDataset
+from .errors import (
+    BackendError,
+    ConfigError,
+    DuplicatePlaceholder,
+    EmptyDataset,
+    MissingPlaceholder,
+)
 from .evaluation import (
     BadCase,
     ExampleRecord,
@@ -69,6 +75,7 @@ from .prompt_model import (
     Candidate,
     MetaPrompt,
     candidate_to_dict,
+    render,
     reorder,  # noqa: F401  not called here; perfbench/tracer.py patches this name
 )
 from .settings import from_fields
@@ -314,6 +321,21 @@ def update_matrix(m: TransitionMatrix, observations: Sequence[GradientObservatio
 # ---------------------------------------------------------------------------
 # training
 
+def _contract_breach(base: MetaPrompt, edited: MetaPrompt) -> str:
+    """Why `edited` breaks the contract of `base`, or "" when it keeps it:
+    it must render, with its input placeholder exactly once, and keep the
+    body of every section that `base` marks non-editable."""
+    try:
+        render(edited, "")
+    except (MissingPlaceholder, DuplicatePlaceholder) as e:
+        return str(e)
+    bodies = {s.id: s.body for s in edited.sections}
+    changed = [s.id for s in base.sections if not s.editable and bodies.get(s.id) != s.body]
+    if changed:
+        return "non-editable section %s changed" % ", ".join(changed)
+    return ""
+
+
 class _Trainer:
     def __init__(self, cfg: RunConfig, train_set, test_set, template: MetaPrompt,
                  backend: Backend, run_dir=None):
@@ -453,9 +475,14 @@ class _Trainer:
     def _edited(base: Candidate, edited: Optional[MetaPrompt], pair: SelectionPair,
                 iteration: int) -> Optional[Candidate]:
         """The candidate the operator's edited prompt makes of the base, or
-        None for a no-op: the one place where an edit that leaves the prompt
-        as it was, by fingerprint, becomes a no-op."""
+        None for a no-op: the one place that judges an edit. An edit that
+        leaves the prompt as it was, by fingerprint, is a no-op, and so is
+        one that breaks the prompt's contract (see _contract_breach)."""
         if edited is None or edited.fingerprint() == base.prompt.fingerprint():
+            return None
+        breach = _contract_breach(base.prompt, edited)
+        if breach:
+            log.warning("%s on %s is a no-op: %s", pair.operator, pair.section, breach)
             return None
         return replace(base, prompt=edited).with_edit(iteration, pair.section, pair.operator)
 

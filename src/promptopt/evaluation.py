@@ -478,21 +478,6 @@ def sample_bad_cases(examples: Sequence[ExampleRecord], predictions: Sequence,
     return [BadCase(examples[i].id, examples[i].gold, predictions[i]) for i in misses]
 
 
-def report_predictions(examples: Sequence[ExampleRecord], predictions: Sequence,
-                       objective: str = "f1", cls_average: str = "micro",
-                       bad_case_cap: int = BAD_CASE_CAP, seed: int = 0,
-                       ) -> tuple[MetricReport, list[BadCase]]:
-    """Score one candidate's predictions, aligned with `examples`, and
-    collect a seeded uniform sample of up to `bad_case_cap` of its failures
-    as bad cases. Examples are keyed by position, so examples that share an
-    id are all scored."""
-    task = examples[0].task
-    tally = Tally(task, objective, cls_average)
-    tally.add(enumerate(_judge(task, ex.gold, pred) for ex, pred in zip(examples, predictions)))
-    return tally.report(), sample_bad_cases(examples, predictions, tally.misses,
-                                            bad_case_cap, seed)
-
-
 def evaluate(candidate: Candidate, examples: Sequence[ExampleRecord], backend: Backend,
              objective: str = "f1", bad_case_cap: int = BAD_CASE_CAP, seed: int = 0,
              model: str = "default", cls_average: str = "micro",

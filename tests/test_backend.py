@@ -375,32 +375,120 @@ class TestHttpFailurePaths:
             assert _backend(url + prefix).generate(req("x")).text == "ok"
         assert [p for p, _ in log] == [path]
 
-    def test_one_connection_per_request_closed_by_client(self):
-        lock = threading.Lock()
-        conns = {"opened": 0, "closed_by_client": 0}
-        log = []
 
-        class Counting(_handler(lambda: (200, OK_REPLY), log, keep_alive=True)):
-            def handle(self):
-                with lock:
-                    conns["opened"] += 1
-                super().handle()
-                if not self.raw_requestline:  # EOF before a next request
-                    with lock:
-                        conns["closed_by_client"] += 1
+class _Connections:
+    """What a counting handler saw: connections opened, and those the client
+    closed (the handler read EOF where the next request would start)."""
 
-        n = 24
+    def __init__(self):
+        self.changed = threading.Condition()
+        self.opened = self.closed_by_client = 0
+
+    def wait_closed(self, n, timeout=5.0):
+        with self.changed:
+            return self.changed.wait_for(lambda: self.closed_by_client >= n, timeout)
+
+
+def _counting(conns, log, keep_alive=True, close_after_reply=False):
+    """A handler answering OK_REPLY, keep-alive unless `keep_alive` is false,
+    that counts into `conns`. With `close_after_reply` it closes each
+    connection after one reply, without telling the client."""
+
+    class Counting(_handler(lambda: (200, OK_REPLY), log, keep_alive=keep_alive)):
+        def do_POST(self):
+            super().do_POST()
+            if close_after_reply:
+                self.close_connection = True
+
+        def handle(self):
+            with conns.changed:
+                conns.opened += 1
+            super().handle()
+            if not self.raw_requestline:  # EOF before a next request
+                with conns.changed:
+                    conns.closed_by_client += 1
+                    conns.changed.notify_all()
+
+    return Counting
+
+
+class TestKeepAlive:
+    def test_a_batch_opens_at_most_max_parallel_connections(self):
+        conns, log, n = _Connections(), [], 24
+        with _serving(_counting(conns, log)) as url:
+            backend = _backend(url, max_parallel=4)
+            out = backend.generate_batch([req(str(i)) for i in range(n)])
+            backend.close()
+        assert [r.text for r in out] == ["ok"] * n
+        assert len(log) == n
+        assert 1 <= conns.opened <= 4
+        assert all(h.get("Connection", "").lower() != "close" for _, h in log)
+
+    def test_close_closes_every_connection(self):
+        conns = _Connections()
         with warnings.catch_warnings(record=True) as caught:
             # record, not "error": a warning raised in __del__ cannot propagate
             warnings.simplefilter("always", ResourceWarning)
-            with _serving(Counting) as url:
-                out = _backend(url, max_parallel=4).generate_batch(
-                    [req(str(i)) for i in range(n)])
+            with _serving(_counting(conns, [])) as url:
+                backend = _backend(url, max_parallel=4)
+                backend.generate_batch([req(str(i)) for i in range(24)])
+                backend.close()
+                assert conns.wait_closed(conns.opened)
+            del backend
             gc.collect()
-        assert [r.text for r in out] == ["ok"] * n
-        assert conns == {"opened": n, "closed_by_client": n}
-        assert all(h.get("Connection", "").lower() != "close" for _, h in log)
+        assert conns.closed_by_client == conns.opened >= 1
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_stale_connection_is_replaced_without_backoff(self):
+        conns, log = _Connections(), []
+        with _serving(_counting(conns, log, close_after_reply=True)) as url:
+            backend = HttpBackend(BackendConfig(
+                base_url=url, timeout_ms=5000,
+                retry=RetryPolicy(max_attempts=3, base_backoff_ms=10_000.0)))
+            assert backend.generate(req("first")).text == "ok"
+            # the server has closed the pooled connection by the time it is reused
+            start = time.monotonic()
+            assert backend.generate(req("second")).text == "ok"
+            elapsed = time.monotonic() - start
+            backend.close()
+        assert elapsed < 5.0  # a counted retry would first sleep 10 s
+        assert len(log) == 2  # each request reached the server once
+        assert conns.opened == 2
+        assert backend.usage.requests == 2
+
+    @pytest.mark.parametrize("keep_alive", [False, True])
+    def test_a_closing_server_gets_no_pooled_connection(self, keep_alive):
+        """An HTTP/1.0 server, or one that sends `Connection: close`, gets a
+        new connection for every request."""
+        conns, log = _Connections(), []
+
+        class Closing(_counting(conns, log, keep_alive=keep_alive)):
+            def end_headers(self):
+                if keep_alive:
+                    self.send_header("Connection", "close")
+                super().end_headers()
+
+        with _serving(Closing) as url:
+            backend = _backend(url)
+            assert [backend.generate(req(str(i))).text for i in range(3)] == ["ok"] * 3
+            assert not backend._idle
+        assert conns.opened == len(log) == 3
+
+    @pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="needs TCP_QUICKACK")
+    def test_reused_connection_does_not_wait_for_a_delayed_ack(self):
+        """The handler writes headers and body in two sends with Nagle's
+        algorithm on: without a quick ACK of the headers each reused request
+        would wait about 40 ms for the body."""
+        conns, n = _Connections(), 50
+        with _serving(_counting(conns, [])) as url:
+            backend = _backend(url)
+            start = time.monotonic()
+            for i in range(n):
+                backend.generate(req(str(i)))
+            elapsed = time.monotonic() - start
+            backend.close()
+        assert conns.opened == 1
+        assert elapsed < n * 0.040 / 2
 
 
 class TestBoundedParallelism:

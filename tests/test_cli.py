@@ -329,6 +329,33 @@ class TestTrain:
         assert not (workspace / "runs").exists()
 
 
+class TestBackendIsClosed:
+    """train and evaluate close the backend when they end, also on an error."""
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("revoked, code", [(False, 0), (True, 2)])
+    def test_closed(self, workspace, monkeypatch, command, revoked, code):
+        closed = []
+
+        class Closing(MockBackend):
+            def generate(self, req):
+                if revoked and "please" in req.messages[-1][1]:
+                    raise AuthError("HTTP 401")
+                return super().generate(req)
+
+            def close(self):
+                closed.append(True)
+
+        monkeypatch.setattr(cli, "build_backend",
+                            lambda *args: Closing.from_file(workspace / "mock.json"))
+        argv = [command, "--config", str(workspace / "config.json")]
+        if command == "evaluate":
+            argv += ["--prompt", str(workspace / "template.json"),
+                     "--dataset", str(workspace / "test.jsonl")]
+        assert main(argv) == code
+        assert closed == [True]
+
+
 class TestEvaluate:
     def test_oracle_scores_clean_subset(self, workspace, capsys):
         # drop the one deliberately wrong line so the oracle is perfect

@@ -12,6 +12,7 @@ from promptopt.engine import (
     RACE_MIN_PREFIX,
     RACE_PREFIX_DIVISOR,
     RunConfig,
+    _contract_breach,
     config_from_dict,
     config_to_dict,
     initialize_candidates,
@@ -28,12 +29,12 @@ from promptopt.evaluation import (
     evaluate,
     parse_prediction,
     predict_many,
-    report_predictions,
+    score,
 )
 from promptopt.matrix import TransitionMatrix, load_matrix
 from promptopt.msgd_rl import ExperienceStore, read_experience, save_experience
 from promptopt.operators import COT_SCAFFOLD, OPERATOR_IDS
-from promptopt.prompt_model import Candidate, candidate_from_dict
+from promptopt.prompt_model import Candidate, MetaPrompt, Section, candidate_from_dict
 
 from helpers import body_json, make_prompt
 
@@ -603,6 +604,46 @@ class TestUnchangedEdit:
         assert [c["lineage"] for c in pool] == [[]]
 
 
+class TestBrokenEdit:
+    """An edit that breaks the prompt's contract is a no-op, not the end of
+    the run: no evaluation request, no score, gradient 0."""
+
+    @pytest.mark.parametrize("op, script", [
+        ("few_shot", []),  # the examples replace the body that holds {{Input}}
+        ("refine", [{"match": {"contains": "Below is a s1 of"},
+                     "response": body_json("s1", "Read the input.")}]),
+    ])
+    def test_edit_that_drops_the_placeholder(self, tmp_path, op, script):
+        data = cls_dataset(10)
+        template = make_prompt(["Classify the item as A or B.", "Input:"],
+                               editable=[True, True])
+        cfg = small_config(operators=(op,), output_dir=str(tmp_path))
+        backend = MockBackend(script + oracle_script(data, wrong_ids={"00"}))
+        _, report, _ = train(cfg, data, [], template, backend)
+        assert len(report.iterations) == cfg.iterations
+        broken = [sel for row in report.iterations for sel in row["selections"]
+                  if sel["section"] == "s1"]
+        assert broken
+        assert all((sel["gradient"], sel["scored_on"]) == (0.0, 0) for sel in broken)
+        for row in report.iterations:
+            assert row["eval_requests"] == len(data) * sum(
+                sel["scored_on"] > 0 for sel in row["selections"])
+
+    @pytest.mark.parametrize("bodies, breach", [
+        (["Rule.", "{{Input}}", "Fixed."], ""),
+        (["Rule.", "Input:", "Fixed."], "not found"),
+        (["Rule. {{Input}}", "{{Input}}", "Fixed."], "occurs 2 times"),
+        (["Rule.", "{{Input}}", "Fixed!"], "non-editable section s2 changed"),
+    ])
+    def test_contract(self, bodies, breach):
+        def prompt(bodies):
+            return MetaPrompt(tuple(Section("s%d" % i, "s%d" % i, body, editable=i < 2,
+                                            position=i) for i, body in enumerate(bodies)))
+
+        found = _contract_breach(prompt(["Rule.", "{{Input}}", "Fixed."]), prompt(bodies))
+        assert (breach in found) if breach else found == ""
+
+
 def graded_label(skeleton, ex):
     """The label Graded answers for an example under a prompt skeleton (the
     rendered prompt with the input put back as {{Input}})."""
@@ -654,7 +695,8 @@ def eval_blocks(call, examples):
 
 
 def f1_of(examples, predictions):
-    return report_predictions(examples, predictions, bad_case_cap=0)[0].f1
+    return score("CLS", {i: ex.gold for i, ex in enumerate(examples)},
+                 dict(enumerate(predictions))).f1
 
 
 class SameBody(Graded):
@@ -839,7 +881,7 @@ class TestScoreProperties:
                 continue
             report, bad, rung_objectives = trainer.scored[cand.fingerprint]
             [(predictions, _)] = predict_many([cand], data, Graded(data))
-            assert (report, bad) == report_predictions(data, predictions, seed=0)
+            assert (report, bad) == evaluate(cand, data, Graded(data), seed=0)
             assert rung_objectives == tuple(f1_of(data[:c], predictions[:c])
                                             for c in trainer.rungs)
 

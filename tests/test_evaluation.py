@@ -17,6 +17,7 @@ from promptopt.errors import (
     OutOfRange,
 )
 from promptopt.evaluation import (
+    BAD_CASE_CAP,
     FORMAT_FAILURE,
     BadCase,
     ExampleRecord,
@@ -29,7 +30,7 @@ from promptopt.evaluation import (
     parse_prediction,
     predict_many,
     reply_memo,
-    report_predictions,
+    sample_bad_cases,
     score,
 )
 from promptopt.prompt_model import Candidate
@@ -539,14 +540,22 @@ class TestEvaluate:
         assert [judgements for _, judgements in predicted] == [
             [_judge("CLS", ex.gold, pred) for ex, pred in zip(cls_examples, preds)]
             for preds, _ in predicted]
-        # the two steps give what one evaluation of each candidate gives
-        assert [report_predictions(cls_examples, preds, seed=5) for preds, _ in predicted] \
-            == [evaluate(cand, cls_examples, backend, seed=5) for cand in cands]
+        # tallied, the judgements give what one evaluation of each candidate gives
+        for cand, (preds, judgements) in zip(cands, predicted):
+            tally = Tally("CLS")
+            tally.add(enumerate(judgements))
+            bad = sample_bad_cases(cls_examples, preds, tally.misses, seed=5)
+            assert (tally.report(), bad) == evaluate(cand, cls_examples, backend, seed=5)
 
     def test_auth_error_is_raised(self, cls_examples):
         backend = self._failing_on("text 3", AuthError, cls_examples)
         with pytest.raises(AuthError):
             evaluate(self._candidate(), cls_examples, backend)
+
+
+def answering_a():
+    """A backend whose every reply predicts label A."""
+    return MockBackend([{"response": json.dumps({"label": "A"})}])
 
 
 class TestRepeatedIds:
@@ -557,7 +566,7 @@ class TestRepeatedIds:
         examples = [ExampleRecord(ex_id, "CLS", "text %d" % i, gold)
                     for i, (ex_id, gold) in enumerate([("a", "A"), ("a", "B"),
                                                        ("b", "A"), ("b", "B")])]
-        report, bad = report_predictions(examples, ["A"] * 4)
+        report, bad = evaluate(prompt_candidate("Label"), examples, answering_a())
         assert report.support == 4
         assert report.f1 == pytest.approx(0.5)
         assert [b.example_id for b in bad] == ["a", "b"]
@@ -568,14 +577,14 @@ class TestRepeatedIds:
                         '{"id": "0", "text": "second", "label": "B"}\n')
         examples = load_dataset(path, "CLS")
         assert [ex.id for ex in examples] == ["0", "0"]
-        report, _ = report_predictions(examples, ["A", "A"])
+        report, _ = evaluate(prompt_candidate("Label"), examples, answering_a())
         assert report.support == 2
         assert report.f1 == pytest.approx(0.5)
 
 
 def second_pass_is_correct(task: str, gold, pred) -> bool:
-    """The per-example rule report_predictions applied in a second pass
-    before the scoring pass collected the misses, kept as the reference."""
+    """The per-example rule that once found bad cases in a second pass,
+    before the scoring pass collected the misses; kept as the reference."""
     if pred is FORMAT_FAILURE:
         return False
     if task == "NER":
@@ -618,9 +627,17 @@ def scored_examples(draw):
     return examples, [pred for _, pred in pairs]
 
 
+def bad_cases_of(examples, predictions, cap=BAD_CASE_CAP, seed=0):
+    """The bad cases evaluate collects for these predictions: a sample of
+    the misses of the tally that scores them."""
+    tally = Tally(examples[0].task)
+    tally.add(enumerate(_judge(ex.task, ex.gold, pred) for ex, pred in zip(examples, predictions)))
+    return sample_bad_cases(examples, predictions, tally.misses, cap, seed)
+
+
 class TestBadCasesFromTheScoringPass:
-    """report_predictions takes its bad cases from the misses `score`
-    collects; they must be the examples the old second pass found."""
+    """evaluate takes its bad cases from the misses its Tally collects; they
+    must be the examples the old second pass found."""
 
     @pytest.mark.parametrize("task, gold, pred, bad", [
         # empty gold and a format failure: a bad case
@@ -640,7 +657,7 @@ class TestBadCasesFromTheScoringPass:
     def test_edge_cases(self, task, gold, pred, bad):
         assert second_pass_is_correct(task, gold, pred) is not bad
         examples = [ExampleRecord("e", task, "some text", gold)]
-        _, bad_cases = report_predictions(examples, [pred])
+        bad_cases = bad_cases_of(examples, [pred])
         assert bad_cases == ([BadCase("e", gold, pred)] if bad else [])
 
     @given(scored_examples(), st.integers(0, 3))
@@ -648,17 +665,13 @@ class TestBadCasesFromTheScoringPass:
     def test_same_bad_cases_as_the_old_rule(self, case, seed):
         examples, predictions = case
         expected = reference_bad_cases(examples, predictions)
-        report, bad_cases = report_predictions(examples, predictions,
-                                               bad_case_cap=len(examples), seed=seed)
-        assert bad_cases == expected
+        assert bad_cases_of(examples, predictions, len(examples), seed) == expected
         # a cap below the number of misses samples them as before
-        _, sampled = report_predictions(examples, predictions, bad_case_cap=2, seed=seed)
+        sampled = bad_cases_of(examples, predictions, 2, seed)
         if len(expected) > 2:
             assert sampled == random.Random(seed).sample(expected, 2)
         else:
             assert sampled == expected
-        # collecting misses changes nothing in the report
-        assert report == report_predictions(examples, predictions, bad_case_cap=0)[0]
 
     def test_score_lists_misses_in_gold_order(self):
         gold = {"x": "A", "y": "B", "z": "A"}
@@ -844,10 +857,11 @@ class TestJudgementMemo:
                 for objective in ("f1", "precision", "recall"):
                     tally = Tally(task, objective, average)
                     tally.add(enumerate(judgements))
-                    plain, bad = report_predictions(examples, predictions, objective,
-                                                    average, bad_case_cap=n)
+                    plain = score(task, {i: ex.gold for i, ex in enumerate(examples)},
+                                  dict(enumerate(predictions)), objective, average)
                     assert tally.report() == plain
-                    assert [examples[i].id for i in tally.misses] == [b.example_id for b in bad]
+                    assert [examples[i].id for i in tally.misses] == [
+                        b.example_id for b in reference_bad_cases(examples, predictions)]
 
     def test_a_reply_is_judged_only_when_its_text_changes(self, monkeypatch):
         judges = count_calls(monkeypatch, "_judge")
