@@ -5,11 +5,11 @@ execution and run-level token accounting."""
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import logging
 import os
 import socket
+import ssl
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -101,8 +101,13 @@ class BackendConfig:
             raise ValueError("base_url %r has no host" % self.base_url)
         try:
             url.port  # raises on a port that is not a number in 0-65535
+            url.hostname.encode("idna")  # raises on a label that is empty or too long
         except ValueError as e:
             raise ValueError("base_url %r: %s" % (self.base_url, e)) from None
+        # the path goes into the request line as it is
+        if not (url.path.isascii() and url.path.isprintable()) or " " in url.path:
+            raise ValueError("base_url %r: the path must be printable ASCII "
+                             "without spaces" % self.base_url)
 
 
 class UsageCounter:
@@ -175,41 +180,179 @@ class Backend:
 # about 40 ms on every request of a reused connection.
 _TCP_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
+_MAX_LINE = 65536  # bytes in a status, header, chunk-size or trailer line
+_MAX_HEADERS = 100  # header lines of one reply, or trailer lines of a chunked body
+
+
+class ProtocolError(Exception):
+    """A reply that breaks HTTP/1.1: a bad status line, header or chunk,
+    too long a line, too many headers, or a body shorter than its framing."""
+
+
+class _Connection:
+    """One client connection to an HTTP/1.1 server. A request goes out in
+    one write; replies are read through a buffered reader on the socket."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+    def send(self, request: bytes) -> bool:
+        """Send `request` and wait for the first byte of the reply; False
+        when the server closed the connection before sending one."""
+        try:
+            self.sock.sendall(request)
+            if _TCP_QUICKACK is not None:
+                self.sock.setsockopt(socket.IPPROTO_TCP, _TCP_QUICKACK, 1)
+            return bool(self.reader.peek(1))
+        except (ConnectionResetError, BrokenPipeError):
+            return False
+
+    def read_reply(self) -> tuple[int, bytes, bool]:
+        """Read one reply: (status, body, whether the connection may carry
+        another request). Interim 1xx replies are skipped."""
+        status = 0
+        while status < 200:
+            line = self._line()
+            parts = line.split(None, 2)
+            status = (int(parts[1]) if len(parts) > 1 and len(parts[1]) == 3
+                      and parts[1].isdigit() else 0)
+            if status < 100 or not parts[0].startswith(b"HTTP/"):
+                raise ProtocolError("bad status line %r" % line[:80])
+            headers = self._headers()
+        reusable = parts[0] == b"HTTP/1.1"
+        length = chunked = None
+        for line in headers:
+            name, _, value = line.partition(b":")
+            name = name.strip().lower()
+            if name == b"content-length":
+                length = value.strip()
+            elif name == b"transfer-encoding":
+                chunked = value.strip().lower() == b"chunked"
+            elif name == b"connection" and b"close" in value.lower():
+                reusable = False
+        if status in (204, 304):
+            body = b""
+        elif chunked:
+            body = self._chunked()
+        elif length is not None:
+            if not length.isdigit():
+                raise ProtocolError("bad Content-Length %r" % length[:40])
+            body = self._exactly(int(length))
+        else:  # framed by the server closing the connection
+            body, reusable = self.reader.read(), False
+        return status, body, reusable
+
+    def _line(self) -> bytes:
+        line = self.reader.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise ProtocolError("line longer than %d bytes" % _MAX_LINE)
+        if not line:
+            raise ProtocolError("connection closed in the middle of a reply")
+        return line
+
+    def _headers(self) -> list[bytes]:
+        """Header (or trailer) lines up to the blank line that ends them."""
+        lines: list[bytes] = []
+        while True:
+            line = self._line()
+            if line in (b"\r\n", b"\n"):
+                return lines
+            if len(lines) == _MAX_HEADERS:
+                raise ProtocolError("more than %d header lines" % _MAX_HEADERS)
+            lines.append(line)
+
+    def _chunked(self) -> bytes:
+        chunks = []
+        while True:
+            size = self._line().split(b";", 1)[0].strip()
+            try:
+                n = int(size, 16)
+            except ValueError:
+                n = -1
+            if n < 0:
+                raise ProtocolError("bad chunk size %r" % size[:40])
+            if not n:
+                break
+            chunks.append(self._exactly(n))
+            if self._exactly(2) != b"\r\n":
+                raise ProtocolError("chunk not followed by CRLF")
+        self._headers()  # trailers
+        return b"".join(chunks)
+
+    def _exactly(self, n: int) -> bytes:
+        data = self.reader.read(n)
+        if len(data) < n:
+            raise ProtocolError("reply cut short: %d of %d bytes" % (len(data), n))
+        return data
+
+
+def _token_count(usage: dict, name: str) -> int:
+    """A usage count: absent or null counts 0; any other value that is not
+    a non-negative integer makes the completion malformed."""
+    n = usage.get(name)
+    if n is None:
+        return 0
+    if type(n) is not int or n < 0:
+        raise MalformedResponse("usage %s is %.40r, not a non-negative integer"
+                                % (name, n))
+    return n
+
 
 class HttpBackend(Backend):
     """POSTs to {base_url}/chat/completions with bearer auth; retries 429/5xx,
-    timeouts and connection failures with exponential backoff.
+    timeouts, connection failures and malformed HTTP with exponential
+    backoff.
+
+    Each request goes out in one write: the request line, `Host`,
+    `Accept-Encoding: identity`, `Content-Length`, `Content-Type`,
+    `Authorization` when a key is set, and the JSON body. A reply's body is
+    framed by `Content-Length`, by chunked transfer coding, or else by the
+    server closing the connection; 1xx replies are skipped and 204 and 304
+    replies have no body. A status line or header line longer than 64 KiB,
+    or more than 100 header lines, is a `ProtocolError`.
 
     Connections are kept alive: an idle one goes back to a pool once its
     reply is read in full, and the next request takes it, so the pool holds
-    at most as many connections as there were requests in flight. A reply
-    the server marks as its last, and any failure, closes the connection.
-    A pooled connection the server has closed meanwhile fails before any
-    reply byte arrives; the request is then sent once more, at once, on a
-    new connection, which is not a retry attempt. `close` closes the idle
-    connections."""
+    at most as many connections as there were requests in flight. An
+    HTTP/1.0 reply, `Connection: close`, a reply framed by the connection
+    closing, and any failure close the connection. A pooled connection the
+    server has closed meanwhile fails before the first byte of a reply; the
+    request is then sent once more, at once, on a new connection, which is
+    not a retry attempt. `close` closes the idle connections."""
 
     RETRYABLE_STATUS = {429, 500, 502, 503, 504}
-    # how a pooled connection the server has closed fails on its next use
-    # (http.client.RemoteDisconnected is a ConnectionResetError)
-    STALE_ERRORS = (ConnectionResetError, BrokenPipeError)
 
     def __init__(self, config: BackendConfig):
         self.config = config
         self.max_parallel = config.max_parallel
         self.usage = UsageCounter()
         url = urlsplit(config.base_url)
-        self._connection_class = (
-            http.client.HTTPSConnection if url.scheme == "https"
-            else http.client.HTTPConnection
-        )
-        self._host, self._port = url.hostname, url.port
-        self._path = url.path.rstrip("/") + "/chat/completions"
-        self._idle: list[http.client.HTTPConnection] = []
+        self._tls = None
+        if url.scheme == "https":
+            self._tls = ssl.create_default_context()
+            self._tls.set_alpn_protocols(["http/1.1"])
+        default_port = 443 if self._tls else 80
+        self._host, self._port = url.hostname, url.port or default_port
+        host = "[%s]" % self._host if ":" in self._host else self._host
+        if self._port != default_port:
+            host += ":%d" % self._port
+        path = url.path.rstrip("/") + "/chat/completions"
+        self._head = b"POST %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n" % (
+            path.encode("ascii"), host.encode("idna"))
+        self._idle: list[_Connection] = []
         self._idle_lock = threading.Lock()
 
     def _api_key(self) -> str:
         key = os.environ.get(self.config.api_key_env_name, "")
+        if not (key.isascii() and key.isprintable()):
+            # never echo the key: it is a secret
+            raise AuthError("the API key in $%s has a control or non-ASCII "
+                            "character" % self.config.api_key_env_name)
         return key
 
     def close(self) -> None:
@@ -218,41 +361,40 @@ class HttpBackend(Backend):
         for conn in idle:
             conn.close()
 
-    def _post(self, body: bytes, headers: dict) -> tuple[int, bytes]:
+    def _connect(self) -> _Connection:
+        sock = socket.create_connection((self._host, self._port),
+                                        timeout=self.config.timeout_ms / 1000.0)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._host)
+        except BaseException:
+            sock.close()
+            raise
+        return _Connection(sock)
+
+    def _post(self, request: bytes) -> tuple[int, bytes]:
         with self._idle_lock:
             conn = self._idle.pop() if self._idle else None
         try:
-            resp = self._send(conn, body, headers) if conn else None
-        except self.STALE_ERRORS:
-            resp = None  # closed by the server while idle: once more on a new one
-        if resp is None:
-            conn = self._connection_class(self._host, self._port,
-                                          timeout=self.config.timeout_ms / 1000.0)
-            resp = self._send(conn, body, headers)
-        try:
-            data = resp.read()
+            if conn is not None and not conn.send(request):
+                conn.close()  # closed by the server while idle: once more on a new one
+                conn = None
+            if conn is None:
+                conn = self._connect()
+                if not conn.send(request):
+                    raise ProtocolError("connection closed before a reply")
+            status, data, reusable = conn.read_reply()
         except BaseException:
-            conn.close()
+            if conn is not None:
+                conn.close()
             raise
-        if resp.will_close:
-            conn.close()
-        else:
+        if reusable:
             with self._idle_lock:
                 self._idle.append(conn)
-        return resp.status, data
-
-    def _send(self, conn: http.client.HTTPConnection, body: bytes,
-              headers: dict) -> http.client.HTTPResponse:
-        """Send the request on `conn` and read the reply's status line and
-        headers; any failure closes `conn`."""
-        try:
-            conn.request("POST", self._path, body=body, headers=headers)
-            if _TCP_QUICKACK is not None:
-                conn.sock.setsockopt(socket.IPPROTO_TCP, _TCP_QUICKACK, 1)
-            return conn.getresponse()
-        except BaseException:
+        else:
             conn.close()
-            raise
+        return status, data
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
         body = json.dumps({
@@ -261,10 +403,10 @@ class HttpBackend(Backend):
             "temperature": req.temperature,
             "max_tokens": req.max_tokens,
         }).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
         key = self._api_key()
-        if key:
-            headers["Authorization"] = "Bearer " + key
+        auth = b"Authorization: Bearer %s\r\n" % key.encode("ascii") if key else b""
+        request = b"%sContent-Length: %d\r\nContent-Type: application/json\r\n%s\r\n%s" % (
+            self._head, len(body), auth, body)
 
         policy = self.config.retry
         start = time.monotonic()
@@ -273,11 +415,11 @@ class HttpBackend(Backend):
             if attempt:
                 time.sleep(policy.base_backoff_ms * (2 ** (attempt - 1)) / 1000.0)
             try:
-                status, data = self._post(body, headers)
+                status, data = self._post(request)
             except TimeoutError:  # socket.timeout is an alias since Python 3.10
                 last_err = BackendTimeout("request timed out (attempt %d)" % (attempt + 1))
                 continue
-            except (OSError, http.client.HTTPException) as e:
+            except (OSError, ProtocolError) as e:
                 last_err = BackendError("%s: %s" % (type(e).__name__, e))
                 continue
             if status in (401, 403):
@@ -298,8 +440,8 @@ class HttpBackend(Backend):
             doc = json.loads(data)
             text = doc["choices"][0]["message"]["content"]
             usage = doc.get("usage") or {}
-            prompt_tokens = int(usage.get("prompt_tokens", 0) or 0)
-            completion_tokens = int(usage.get("completion_tokens", 0) or 0)
+            prompt_tokens = _token_count(usage, "prompt_tokens")
+            completion_tokens = _token_count(usage, "completion_tokens")
         except (ValueError, KeyError, IndexError, TypeError, AttributeError) as e:
             raise MalformedResponse("cannot parse completion: %s" % e)
         if not isinstance(text, str):

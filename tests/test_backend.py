@@ -2,8 +2,10 @@ import contextlib
 import gc
 import json
 import socket
+import struct
 import threading
 import time
+import types
 import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
@@ -126,6 +128,8 @@ class TestRequestValidation:
     @pytest.mark.parametrize("base_url", [
         "localhost:8000/v1", "ftp://localhost/v1", "http:///v1",
         "http://localhost:99999/v1", "http://localhost:port/v1",
+        "http://localhost/my models/v1", "http://localhost/v1\x01", "http://localhost/m\u00fc/v1",
+        "http://%s.example.com/v1" % ("a" * 64),
     ])
     def test_unusable_base_url_rejected(self, base_url):
         with pytest.raises(ValueError):
@@ -227,6 +231,12 @@ class TestHttpBackend:
         {"choices": [{"message": {"content": None}}]},
         {"choices": [{"message": {"content": "ok"}}], "usage": "x"},
         {"choices": [{"message": {"content": "ok"}}], "usage": {"prompt_tokens": "abc"}},
+        {"choices": [{"message": {"content": "ok"}}], "usage": {"prompt_tokens": "12"}},
+        {"choices": [{"message": {"content": "ok"}}], "usage": {"prompt_tokens": 2.5}},
+        {"choices": [{"message": {"content": "ok"}}],
+         "usage": {"prompt_tokens": -7, "completion_tokens": True}},
+        {"choices": [{"message": {"content": "ok"}}],
+         "usage": {"prompt_tokens": 3, "completion_tokens": False}},
     ])
     def test_malformed_completion(self, stub_server, payload):
         server, handler = stub_server
@@ -239,6 +249,21 @@ class TestHttpBackend:
         assert isinstance(item, MalformedResponse)
         assert len(handler.calls) == 2
         assert backend.usage.requests == 0
+
+    @pytest.mark.parametrize("key", ["abc\n", "abc\r\nX-Injected: 1", "a\tb", "ab\x7f", "cl\u00e9"])
+    def test_api_key_with_a_control_or_non_ascii_character(self, stub_server, monkeypatch, key):
+        server, handler = stub_server
+        monkeypatch.setenv("PROMPTOPT_TEST_KEY", key)
+        backend = HttpBackend(BackendConfig(
+            base_url="http://127.0.0.1:%d" % server.server_address[1],
+            api_key_env_name="PROMPTOPT_TEST_KEY"))
+        with pytest.raises(AuthError) as info:
+            backend.generate(req("x"))
+        assert "PROMPTOPT_TEST_KEY" in str(info.value)
+        assert key not in str(info.value)
+        [item] = backend.generate_batch([req("y")])
+        assert isinstance(item, AuthError)
+        assert handler.calls == []
 
     def test_wire_shape(self, stub_server):
         server, handler = stub_server
@@ -489,6 +514,209 @@ class TestKeepAlive:
             backend.close()
         assert conns.opened == 1
         assert elapsed < n * 0.040 / 2
+
+
+OK_RAW = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(OK_REPLY), OK_REPLY)
+
+
+def _read_request(rfile, log):
+    """Read one request from `rfile` and append its bytes to `log`; False
+    when the client closed the connection instead."""
+    lines = [rfile.readline()]
+    if not lines[0]:
+        return False
+    while lines[-1] not in (b"\r\n", b""):
+        lines.append(rfile.readline())
+    length = next((int(line.split(b":")[1]) for line in lines
+                   if line.lower().startswith(b"content-length:")), 0)
+    log.append(b"".join(lines) + rfile.read(length))
+    return True
+
+
+def _replies(*replies, end="wait"):
+    """A connection script: answer each request with the next raw reply,
+    then wait for the client to close (`end="wait"`), close, or reset."""
+
+    def script(sock, rfile, log):
+        for reply in replies:
+            if not _read_request(rfile, log):
+                return
+            sock.sendall(reply)
+        if end == "wait":
+            rfile.read()
+        elif end == "reset":
+            time.sleep(0.05)  # the reply's first bytes reach the client first
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+    return script
+
+
+@contextlib.contextmanager
+def _raw_serving(*scripts):
+    """A loopback server for replies that http.server cannot send: its i-th
+    connection runs scripts[i] (the last script once they run out). Yields
+    the server's url, `log` of raw requests and `threads`, one per
+    connection. On exit it checks that the garbage collector found no
+    socket left open, on either side."""
+    srv = types.SimpleNamespace(log=[], threads=[])
+    stop = threading.Event()
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    srv.url = "http://127.0.0.1:%d" % listener.getsockname()[1]
+
+    def run(sock, script):
+        with sock, sock.makefile("rb") as rfile:
+            sock.settimeout(5)
+            try:
+                script(sock, rfile, srv.log)
+            except OSError:
+                pass  # the client went away
+
+    def accept():
+        while not stop.is_set():
+            try:
+                sock, _ = listener.accept()
+            except TimeoutError:
+                continue
+            script = scripts[min(len(srv.threads), len(scripts) - 1)]
+            srv.threads.append(threading.Thread(target=run, args=(sock, script)))
+            srv.threads[-1].start()
+
+    with warnings.catch_warnings(record=True) as caught:
+        # record, not "error": a warning raised in __del__ cannot propagate
+        warnings.simplefilter("always", ResourceWarning)
+        acceptor = threading.Thread(target=accept)
+        acceptor.start()
+        try:
+            yield srv
+        finally:
+            stop.set()
+            acceptor.join(5)
+            listener.close()
+            for thread in srv.threads:
+                thread.join(5)
+        assert not acceptor.is_alive()
+        assert not any(thread.is_alive() for thread in srv.threads)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def _outcome(backend, text="x"):
+    """The reply text, or the name and message of the BackendError raised.
+    It keeps no traceback, so a socket the client failed to close is
+    collected, and warned about, inside `_raw_serving`."""
+    try:
+        return backend.generate(req(text)).text
+    except BackendError as e:
+        return type(e).__name__, str(e)
+
+
+class TestWire:
+    """Reply framings and failures against hand-written replies."""
+
+    def test_request_is_one_write(self, monkeypatch):
+        monkeypatch.setenv("PROMPTFLOW_API_KEY", "sk-test")
+        with _raw_serving(_replies(OK_RAW, OK_RAW, OK_RAW)) as srv:
+            port = int(srv.url.rsplit(":", 1)[1])
+            writes = []
+
+            def spy(name):
+                real = getattr(socket.socket, name)
+
+                def write(sock, *args):
+                    if sock.getpeername()[1] == port:
+                        writes.append(name)
+                    return real(sock, *args)
+                return write
+
+            for name in ("send", "sendall", "sendmsg"):
+                monkeypatch.setattr(socket.socket, name, spy(name))
+            backend = _backend(srv.url, attempts=1)
+            assert [_outcome(backend, "x" * 4000 * i) for i in range(3)] == ["ok"] * 3
+            backend.close()
+            monkeypatch.undo()
+        assert writes == ["sendall"] * 3
+        assert len(srv.threads) == 1
+        head, body = srv.log[0].split(b"\r\n\r\n")
+        assert head.split(b"\r\n") == [
+            b"POST /chat/completions HTTP/1.1", b"Host: 127.0.0.1:%d" % port,
+            b"Accept-Encoding: identity", b"Content-Length: %d" % len(body),
+            b"Content-Type: application/json", b"Authorization: Bearer sk-test"]
+
+    def test_chunked_reply_with_trailers(self):
+        reply = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                 + b"%x;ext=1\r\n%s\r\n" % (9, OK_REPLY[:9])
+                 + b"%X\r\n%s\r\n" % (len(OK_REPLY) - 9, OK_REPLY[9:])
+                 + b"0\r\nX-Trailer: 1\r\n\r\n")
+        with _raw_serving(_replies(reply, reply)) as srv:
+            backend = _backend(srv.url, attempts=1)
+            assert [_outcome(backend), _outcome(backend)] == ["ok", "ok"]
+            backend.close()
+        assert len(srv.threads) == 1  # the trailers were read: the connection was reused
+
+    def test_reply_framed_by_the_connection_closing(self):
+        reply = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + OK_REPLY
+        with _raw_serving(_replies(reply, end="close")) as srv:
+            backend = _backend(srv.url, attempts=1)
+            assert _outcome(backend) == "ok"
+            assert not backend._idle
+            assert _outcome(backend) == "ok"
+            backend.close()
+        assert len(srv.threads) == 2
+
+    @pytest.mark.parametrize("status", [204, 304])
+    def test_reply_without_a_body(self, status):
+        # no Content-Length: a client that read a body would wait for a close
+        reply = b"HTTP/1.1 %d Nothing\r\nContent-Type: application/json\r\n\r\n" % status
+        with _raw_serving(_replies(reply, OK_RAW)) as srv:
+            backend = _backend(srv.url, attempts=1, timeout_ms=2000)
+            assert _outcome(backend) == ("BackendError", "HTTP %d: " % status)
+            assert _outcome(backend) == "ok"
+            backend.close()
+        assert len(srv.threads) == 1
+
+    @pytest.mark.parametrize("interim", [
+        b"HTTP/1.1 100 Continue\r\n\r\n",
+        b"HTTP/1.1 103 Early Hints\r\nLink: </style.css>; rel=preload\r\n\r\n",
+    ], ids=["100", "103"])
+    def test_interim_reply_is_skipped(self, interim):
+        with _raw_serving(_replies(interim + OK_RAW)) as srv:
+            backend = _backend(srv.url, attempts=1)
+            assert _outcome(backend) == "ok"
+            backend.close()
+
+    @pytest.mark.parametrize("attempts", [1, 2])
+    @pytest.mark.parametrize("broken, end", [
+        (OK_RAW[:-10], "close"),  # the body cut short
+        (b"HTTP/1.1 200 OK\r\n", "reset"),  # a reset after the status line
+    ], ids=["cut short", "reset"])
+    def test_reply_that_fails_after_it_started_is_a_counted_attempt(self, broken, end, attempts):
+        """Only a pooled connection that fails before the first byte of a
+        reply is resent for free; this one fails on its second reply."""
+        with _raw_serving(_replies(OK_RAW, broken, end=end), _replies(OK_RAW)) as srv:
+            backend = _backend(srv.url, attempts=attempts)
+            outcomes = [_outcome(backend, "first"), _outcome(backend, "second")]
+            backend.close()
+        assert outcomes[0] == "ok"
+        assert (outcomes[1] == "ok") == (attempts == 2)
+        assert outcomes[1] == "ok" or outcomes[1][0] == "BackendError"
+        assert len(srv.log) == 1 + attempts
+        assert len(srv.threads) == attempts
+
+    @pytest.mark.parametrize("reply, ok", [
+        (OK_RAW.replace(b"OK\r\n", b"OK\r\n" + b"X: 1\r\n" * 99, 1), True),
+        (OK_RAW.replace(b"OK\r\n", b"OK\r\n" + b"X: 1\r\n" * 100, 1), False),
+        (b"HTTP/1.1 200 OK\r\nX: " + b"a" * 70_000, False),  # a line that never ends
+    ], ids=["100 headers", "101 headers", "long line"])
+    def test_header_limits(self, reply, ok):
+        with _raw_serving(_replies(reply)) as srv:
+            backend = _backend(srv.url, attempts=1, timeout_ms=2000)
+            outcome = _outcome(backend)
+            backend.close()
+        if ok:
+            assert outcome == "ok"
+        else:
+            assert outcome[0] == "BackendError" and "ProtocolError" in outcome[1]
 
 
 class TestBoundedParallelism:
