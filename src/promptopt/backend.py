@@ -14,8 +14,9 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 from urllib.parse import urlsplit
 
 from .errors import (
@@ -32,18 +33,31 @@ log = logging.getLogger(__name__)
 DEFAULT_API_KEY_ENV = "PROMPTFLOW_API_KEY"
 
 
-@dataclass(frozen=True)
-class GenerationRequest:
+class _RequestFields(NamedTuple):
     messages: tuple[tuple[str, str], ...]  # (role, text)
     model: str = "default"
     temperature: float = 0.0
     max_tokens: int = 2048
 
-    def __post_init__(self):
-        if not self.messages:
+
+class GenerationRequest(_RequestFields):
+    """One chat request, an immutable tuple (messages, model, temperature,
+    max_tokens). Every way of making one checks that there is a message and
+    that the temperature is finite, `_make` and `_replace` included."""
+
+    __slots__ = ()
+
+    def __new__(cls, messages, model="default", temperature=0.0, max_tokens=2048):
+        if not messages:
             raise ValueError("request needs at least one message")
-        if not (self.temperature == self.temperature and abs(self.temperature) != float("inf")):
+        if not isfinite(temperature):
             raise ValueError("temperature must be finite")
+        return tuple.__new__(cls, (messages, model, temperature, max_tokens))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited one builds the tuple without __new__; _replace calls this
+        return cls(*iterable)
 
     def content_hash(self) -> str:
         canon = json.dumps(
@@ -54,14 +68,10 @@ class GenerationRequest:
 
 def user_request(text: str, model: str = "default", temperature: float = 0.0,
                  max_tokens: int = 2048) -> GenerationRequest:
-    return GenerationRequest(
-        messages=(("user", text),), model=model,
-        temperature=temperature, max_tokens=max_tokens,
-    )
+    return GenerationRequest((("user", text),), model, temperature, max_tokens)
 
 
-@dataclass(frozen=True)
-class GenerationResponse:
+class GenerationResponse(NamedTuple):
     text: str
     prompt_tokens: int = 0
     completion_tokens: int = 0
@@ -182,11 +192,18 @@ _TCP_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
 _MAX_LINE = 65536  # bytes in a status, header, chunk-size or trailer line
 _MAX_HEADERS = 100  # header lines of one reply, or trailer lines of a chunked body
+_MAX_BODY = 64 << 20  # bytes in a reply body, however it is framed
 
 
 class ProtocolError(Exception):
     """A reply that breaks HTTP/1.1: a bad status line, header or chunk,
-    too long a line, too many headers, or a body shorter than its framing."""
+    too long a line, too many headers, a body shorter than its framing, or
+    a body longer than _MAX_BODY."""
+
+
+def _check_body_size(n: int) -> None:
+    if n > _MAX_BODY:
+        raise ProtocolError("reply body over %d bytes" % _MAX_BODY)
 
 
 class _Connection:
@@ -242,9 +259,11 @@ class _Connection:
         elif length is not None:
             if not length.isdigit():
                 raise ProtocolError("bad Content-Length %r" % length[:40])
-            body = self._exactly(int(length))
+            # 20 digits are over the bound, and int() refuses more than 4300
+            digits = length.lstrip(b"0") or b"0"
+            body = self._exactly(int(digits) if len(digits) < 20 else _MAX_BODY + 1)
         else:  # framed by the server closing the connection
-            body, reusable = self.reader.read(), False
+            body, reusable = self._until_close(), False
         return status, body, reusable
 
     def _line(self) -> bytes:
@@ -267,7 +286,7 @@ class _Connection:
             lines.append(line)
 
     def _chunked(self) -> bytes:
-        chunks = []
+        chunks, total = [], 0
         while True:
             size = self._line().split(b";", 1)[0].strip()
             try:
@@ -278,13 +297,26 @@ class _Connection:
                 raise ProtocolError("bad chunk size %r" % size[:40])
             if not n:
                 break
+            total += n
+            _check_body_size(total)
             chunks.append(self._exactly(n))
             if self._exactly(2) != b"\r\n":
                 raise ProtocolError("chunk not followed by CRLF")
         self._headers()  # trailers
         return b"".join(chunks)
 
+    def _until_close(self) -> bytes:
+        parts, total = [], 0
+        while True:
+            part = self.reader.read1(_MAX_LINE)
+            if not part:
+                return b"".join(parts)
+            total += len(part)
+            _check_body_size(total)
+            parts.append(part)
+
     def _exactly(self, n: int) -> bytes:
+        _check_body_size(n)  # a read of n bytes allocates n bytes at once
         data = self.reader.read(n)
         if len(data) < n:
             raise ProtocolError("reply cut short: %d of %d bytes" % (len(data), n))
@@ -314,7 +346,7 @@ class HttpBackend(Backend):
     framed by `Content-Length`, by chunked transfer coding, or else by the
     server closing the connection; 1xx replies are skipped and 204 and 304
     replies have no body. A status line or header line longer than 64 KiB,
-    or more than 100 header lines, is a `ProtocolError`.
+    more than 100 header lines, or a body over 64 MiB is a `ProtocolError`.
 
     Connections are kept alive: an idle one goes back to a pool once its
     reply is read in full, and the next request takes it, so the pool holds

@@ -7,10 +7,11 @@ Exit codes: 0 success, 1 validation error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import logging
-import shutil
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -19,6 +20,7 @@ from .backend import BackendConfig, HttpBackend, MockBackend
 from .engine import RunConfig, config_from_dict, config_to_dict, run_id_for, train
 from .errors import ConfigError, PromptOptError
 from .evaluation import evaluate, load_dataset
+from .fileio import write_text_atomic
 from .matrix import load_matrix
 from .msgd_rl import ExperienceStore, read_experience, save_experience
 from .prompt_model import Candidate, load_template, save_template, scratch_prompt
@@ -132,9 +134,7 @@ def cmd_init(args) -> int:
         "backend": asdict(BackendConfig()),
         "mock_script": None,
     })
-    (out / "config.json").write_text(
-        json.dumps(doc, indent=2) + "\n", encoding="utf-8", newline="\n"
-    )
+    write_text_atomic(out / "config.json", json.dumps(doc, indent=2) + "\n")
     print("wrote %s and %s" % (out / "config.json", out / "template.json"))
     return 0
 
@@ -207,17 +207,16 @@ def cmd_report(args) -> int:
         report_file = iters[-1]
     doc = json.loads(report_file.read_text(encoding="utf-8"))
     rows = doc.get("iterations", [])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["iteration", "best", "mean", "selections"])
+    for row in rows:
+        sels = ";".join(
+            "%s:%s" % (s["section"], s["operator"]) for s in row["selections"]
+        )
+        writer.writerow([row["iteration"], row["best"], row["mean"], sels])
     out_csv = run_dir / "summary.csv"
-    with open(out_csv, "w", newline="", encoding="utf-8") as fh:
-        import csv as _csv
-
-        writer = _csv.writer(fh)
-        writer.writerow(["iteration", "best", "mean", "selections"])
-        for row in rows:
-            sels = ";".join(
-                "%s:%s" % (s["section"], s["operator"]) for s in row["selections"]
-            )
-            writer.writerow([row["iteration"], row["best"], row["mean"], sels])
+    write_text_atomic(out_csv, buf.getvalue())
     print(json.dumps({
         "iterations": len(rows),
         "best": max((r["best"] for r in rows), default=None),
@@ -243,8 +242,8 @@ def cmd_experience_export(args) -> int:
 
 
 def cmd_experience_import(args) -> int:
-    read_experience(args.file)  # validates version and shape
-    shutil.copyfile(args.file, args.out)
+    read_experience(args.file)  # validates version and shape, and that it is UTF-8
+    write_text_atomic(args.out, Path(args.file).read_bytes().decode("utf-8"))
     print("imported %s -> %s" % (args.file, args.out))
     return 0
 

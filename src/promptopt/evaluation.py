@@ -27,7 +27,7 @@ import string
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .backend import Backend, GenerationResponse, user_request
+from .backend import Backend, GenerationRequest, GenerationResponse
 from .errors import AlignmentError, AuthError, CorruptFile, EmptyDataset, OutOfRange
 from .jsontools import extract_first_json
 from .prompt_model import Candidate, render
@@ -442,7 +442,7 @@ def predict_many(candidates: Sequence[Candidate], examples: Sequence[ExampleReco
     if not candidates:
         return []
     reqs = [
-        user_request(render(cand.prompt, ex.input), model=model)
+        GenerationRequest((("user", render(cand.prompt, ex.input)),), model)
         for cand in candidates for ex in examples
     ]
     results = backend.generate_batch(reqs)

@@ -21,6 +21,7 @@ from .errors import (
     TemplateParseError,
     UnknownTaskKind,
 )
+from .fileio import write_text_atomic
 
 DEFAULT_PLACEHOLDER = "{{Input}}"
 
@@ -277,7 +278,7 @@ def prompt_to_dict(prompt: MetaPrompt) -> dict:
 
 def save_template(prompt: MetaPrompt, path) -> None:
     text = json.dumps(prompt_to_dict(prompt), ensure_ascii=False, indent=2) + "\n"
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    write_text_atomic(path, text)
 
 
 def candidate_to_dict(cand: Candidate) -> dict:

@@ -11,6 +11,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 
+from promptopt import backend as backend_module
 from promptopt.backend import (
     BackendConfig,
     GenerationRequest,
@@ -108,10 +109,71 @@ class TestMockBackend:
         assert snap["total_tokens"] == snap["prompt_tokens"] + snap["completion_tokens"]
 
 
+MSGS = (("user", "hi"),)
+
+# every way of making a request, each given (messages, temperature)
+MAKERS = {
+    "positional": lambda m, t: GenerationRequest(m, "default", t),
+    "keyword": lambda m, t: GenerationRequest(messages=m, temperature=t),
+    "_make": lambda m, t: GenerationRequest._make((m, "default", t, 2048)),
+    "_replace": lambda m, t: req("x")._replace(messages=m, temperature=t),
+    "user_request": lambda m, t: user_request(m[-1][1], temperature=t),
+}
+
+
 class TestRequestValidation:
     def test_needs_messages(self):
         with pytest.raises(ValueError):
             GenerationRequest(messages=())
+
+    @pytest.mark.parametrize("make", list(MAKERS.values()), ids=list(MAKERS))
+    def test_every_constructor_checks(self, make):
+        assert make(MSGS, 0.5) == (MSGS, "default", 0.5, 2048)
+        if make is not MAKERS["user_request"]:  # it always sends one message
+            with pytest.raises(ValueError, match="at least one message"):
+                make((), 0.0)
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                make(MSGS, bad)
+
+    def test_fields_are_read_only(self):
+        r = req("abc")
+        for name in GenerationRequest._fields:
+            with pytest.raises(AttributeError):
+                setattr(r, name, "x")
+        with pytest.raises(AttributeError):
+            r.extra = 1
+        with pytest.raises(AttributeError):
+            GenerationResponse("t").text = "u"
+
+    def test_equal_requests_hash_and_compare_equal(self):
+        a, b = req("abc", model="m"), GenerationRequest((("user", "abc"),), "m")
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != req("abc") and a != req("abd", model="m")
+
+    def test_repr_and_unpacking(self):
+        r = req("hi")
+        assert repr(r) == ("GenerationRequest(messages=(('user', 'hi'),), model='default', "
+                           "temperature=0.0, max_tokens=2048)")
+        messages, model, temperature, max_tokens = r
+        assert messages == MSGS and model == "default" and max_tokens == 2048
+
+    def test_content_hash_is_pinned(self):
+        # mock scripts match requests by this digest: it must not change
+        assert req("hi").content_hash() == (
+            "675b797826f34c78b4322399d22d69a6f202258ae75ac2a2b1ad9573ad7b1dab")
+        r = GenerationRequest(messages=(("system", "Sei breve."), ("user", 'héllo "x"')),
+                              model="m", temperature=0.7)
+        assert r.content_hash() == (
+            "32937e81f4c78e8437f3e5d86beb3f8b619286131982e35183d5c4da5d71b118")
+
+    def test_response_defaults(self):
+        r = GenerationResponse("t")
+        assert r == ("t", 0, 0, 0.0)
+        assert GenerationResponse._fields == (
+            "text", "prompt_tokens", "completion_tokens", "latency_ms")
+        assert repr(r) == ("GenerationResponse(text='t', prompt_tokens=0, "
+                           "completion_tokens=0, latency_ms=0.0)")
 
     def test_hash_stable(self):
         assert req("abc").content_hash() == req("abc").content_hash()
@@ -717,6 +779,57 @@ class TestWire:
             assert outcome == "ok"
         else:
             assert outcome[0] == "BackendError" and "ProtocolError" in outcome[1]
+
+
+FRAMED_OK = {
+    "length": OK_RAW,
+    "chunked": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                + b"%x\r\n%s\r\n" % (9, OK_REPLY[:9])
+                + b"%x\r\n%s\r\n" % (len(OK_REPLY) - 9, OK_REPLY[9:]) + b"0\r\n\r\n"),
+    "close": b"HTTP/1.1 200 OK\r\n\r\n" + OK_REPLY,
+}
+
+
+class TestBodyBound:
+    """A reply body over backend._MAX_BODY fails the attempt, whatever its
+    framing, before the client allocates room for it."""
+
+    @pytest.mark.parametrize("framing", list(FRAMED_OK))
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_bound_in_every_framing(self, monkeypatch, framing, over):
+        # both chunks fit a bound one byte short of the body: only the total does not
+        monkeypatch.setattr(backend_module, "_MAX_BODY", len(OK_REPLY) - over)
+        end = "close" if framing == "close" else "wait"
+        with _raw_serving(_replies(FRAMED_OK[framing], end=end)) as srv:
+            backend = _backend(srv.url, attempts=1)
+            outcome = _outcome(backend)
+            backend.close()
+        if over:
+            assert outcome == ("BackendError", "ProtocolError: reply body over %d bytes"
+                               % (len(OK_REPLY) - 1))
+        else:
+            assert outcome == "ok"
+
+    @pytest.mark.parametrize("head", [
+        b"Content-Length: 100000000000000\r\n\r\n",
+        b"Content-Length: %s\r\n\r\n" % (b"9" * 5000),  # more digits than int() takes
+        b"Transfer-Encoding: chunked\r\n\r\n5af3107a4000\r\n",
+    ], ids=["huge length", "5000-digit length", "huge chunk"])
+    def test_huge_body_is_a_counted_retried_attempt(self, head):
+        oversized = b"HTTP/1.1 200 OK\r\n" + head
+        with _raw_serving(_replies(oversized, end="close"), _replies(OK_RAW)) as srv:
+            backend = _backend(srv.url, attempts=2)
+            outcome = _outcome(backend)
+            backend.close()
+        assert outcome == "ok"
+        assert len(srv.log) == 2 and len(srv.threads) == 2
+
+    def test_leading_zeros_are_not_digits_over_the_bound(self):
+        reply = OK_RAW.replace(b"Content-Length: ", b"Content-Length: " + b"0" * 30)
+        with _raw_serving(_replies(reply)) as srv:
+            backend = _backend(srv.url, attempts=1)
+            assert _outcome(backend) == "ok"
+            backend.close()
 
 
 class TestBoundedParallelism:

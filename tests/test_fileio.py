@@ -5,6 +5,7 @@ import pytest
 
 from promptopt import engine
 from promptopt.backend import MockBackend
+from promptopt.cli import main
 from promptopt.evaluation import ExampleRecord
 from promptopt.fileio import write_text_atomic
 from promptopt.matrix import init_uniform, save_matrix
@@ -106,4 +107,62 @@ class TestWriters:
         else:
             assert data.endswith(b"}\n") and b"\r" not in data
             json.loads(data)
+        assert temp_files(tmp_path) == []
+
+
+def init_project(tmp_path):
+    return main(["init", "--task", "NER", "--labels", "straße", "--out", str(tmp_path)])
+
+
+def report_run(tmp_path):
+    (tmp_path / "report.json").write_text(json.dumps({"iterations": [
+        {"iteration": 1, "best": 0.5, "mean": 0.25, "selections": [
+            {"section": "s0", "operator": "cot"}, {"section": "s1", "operator": "refine"}]}]}))
+    return main(["report", str(tmp_path)])
+
+
+# CRLF line ends and a non-ASCII name: the import must copy the bytes as they are
+EXPERIENCE = ('{"version": 1,\r\n "sections": ["séance"], "operators": ["cot", "refine"],'
+              '\r\n "q": [[0.5, 0.25]]}\r\n').encode("utf-8")
+
+
+def import_experience(tmp_path):
+    source = tmp_path / "exported.json"
+    source.write_bytes(EXPERIENCE)
+    return main(["experience-import", "--file", str(source),
+                 "--out", str(tmp_path / "installed.json")])
+
+
+# each file a CLI command writes: the command, and the bytes it must write
+CLI_WRITERS = {
+    "init config.json": ("config.json", init_project,
+                         lambda data: json.dumps(json.loads(data), indent=2) + "\n"),
+    "init template.json": ("template.json", init_project,
+                           lambda data: json.dumps(json.loads(data), ensure_ascii=False,
+                                                   indent=2) + "\n"),
+    "report summary.csv": ("summary.csv", report_run,
+                           lambda data: "iteration,best,mean,selections\r\n"
+                                        "1,0.5,0.25,s0:cot;s1:refine\r\n"),
+    "experience-import": ("installed.json", import_experience,
+                          lambda data: EXPERIENCE.decode("utf-8")),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(CLI_WRITERS))
+class TestCliWriters:
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, capsys, writer):
+        name, run, _ = CLI_WRITERS[writer]
+        path = tmp_path / name
+        path.write_text(OLD, encoding="utf-8")
+        fail_replace(monkeypatch, path)
+        assert run(tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error: cannot replace")
+        assert path.read_text(encoding="utf-8") == OLD
+        assert temp_files(tmp_path) == []
+
+    def test_bytes(self, tmp_path, capsys, writer):
+        name, run, expected = CLI_WRITERS[writer]
+        assert run(tmp_path) == 0
+        data = (tmp_path / name).read_bytes()
+        assert data == expected(data).encode("utf-8")
         assert temp_files(tmp_path) == []
