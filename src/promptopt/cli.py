@@ -13,12 +13,13 @@ import io
 import json
 import logging
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Optional
 
 from .backend import BackendConfig, HttpBackend, MockBackend
 from .engine import RunConfig, config_from_dict, config_to_dict, run_id_for, train
-from .errors import ConfigError, PromptOptError
+from .errors import ConfigError, CorruptFile, PromptOptError
 from .evaluation import evaluate, load_dataset
 from .fileio import write_text_atomic
 from .matrix import load_matrix
@@ -28,8 +29,19 @@ from .settings import from_fields
 
 log = logging.getLogger(__name__)
 
+
+@dataclass(frozen=True)
+class Inputs:
+    """The config keys that are not run settings; a null value leaves one unset."""
+    template: Optional[str] = None
+    train_data: Optional[str] = None
+    test_data: Optional[str] = None
+    mock_script: Optional[str] = None
+    backend: BackendConfig = field(default_factory=BackendConfig)
+
+
 RUN_KEYS = set(RunConfig.__dataclass_fields__)
-EXTRA_KEYS = {"template", "train_data", "test_data", "backend", "mock_script", "labels"}
+CONFIG_KEYS = RUN_KEYS | set(Inputs.__dataclass_fields__)
 
 
 def _parse_value(text: str):
@@ -53,7 +65,7 @@ def apply_overrides(doc: dict, overrides) -> dict:
                 raise ConfigError("override path %r does not exist" % key)
             node = node[part]
         leaf = parts[-1]
-        if leaf not in node and not (node is doc and leaf in RUN_KEYS | EXTRA_KEYS):
+        if leaf not in node and not (node is doc and leaf in CONFIG_KEYS):
             raise ConfigError("override key %r not found in config" % key)
         node[leaf] = _parse_value(value)
     return doc
@@ -66,34 +78,32 @@ def load_config(path, overrides=None, seed=None) -> dict:
         raise ConfigError("cannot read config %s: %s" % (path, e))
     except json.JSONDecodeError as e:
         raise ConfigError("config %s is not valid JSON: %s" % (path, e))
+    if not isinstance(doc, dict):
+        raise ConfigError("config %s is not a JSON object" % path)
     apply_overrides(doc, overrides)
     if seed is not None:
         doc["seed"] = seed
     return doc
 
 
-def split_config(doc: dict) -> tuple[RunConfig, dict]:
-    unknown = set(doc) - RUN_KEYS - EXTRA_KEYS
-    if unknown:
-        raise ConfigError("unknown config keys: %s" % sorted(unknown))
-    run_doc = {k: v for k, v in doc.items() if k in RUN_KEYS}
-    extra = {k: v for k, v in doc.items() if k in EXTRA_KEYS}
-    cfg = config_from_dict(run_doc)
+def split_config(doc: dict) -> tuple[RunConfig, Inputs]:
+    inputs = from_fields(Inputs, {k: v for k, v in doc.items()
+                                  if k not in RUN_KEYS and v is not None})
+    cfg = config_from_dict({k: v for k, v in doc.items() if k in RUN_KEYS})
     cfg.validate()
-    return cfg, extra
+    return cfg, inputs
 
 
-def build_backend(cfg: RunConfig, extra: dict, mock_script=None):
-    """The run's backend; settings it cannot use raise ConfigError before any
-    request is sent."""
+def build_backend(inputs: Inputs, mock_script=None):
+    """The run's backend; a mock script it cannot use raises ConfigError
+    before any request is sent."""
+    script_path = mock_script or inputs.mock_script
     try:
-        backend_cfg = from_fields(BackendConfig, extra.get("backend") or {})
-        script_path = mock_script or extra.get("mock_script")
         if script_path:
-            return MockBackend.from_file(script_path, max_parallel=backend_cfg.max_parallel)
+            return MockBackend.from_file(script_path, max_parallel=inputs.backend.max_parallel)
     except (ValueError, ConfigError) as e:
         raise ConfigError("backend: %s" % e) from None
-    return HttpBackend(backend_cfg)
+    return HttpBackend(inputs.backend)
 
 
 def _inputs_digest(paths) -> str:
@@ -141,26 +151,25 @@ def cmd_init(args) -> int:
 
 def cmd_validate_config(args) -> int:
     doc = load_config(args.config, args.set, args.seed)
-    cfg, extra = split_config(doc)
-    build_backend(cfg, extra, args.mock_script)
+    _cfg, inputs = split_config(doc)
+    build_backend(inputs, args.mock_script)
     print("config OK")
     return 0
 
 
 def cmd_train(args) -> int:
     doc = load_config(args.config, args.set, args.seed)
-    cfg, extra = split_config(doc)
+    cfg, inputs = split_config(doc)
     for key in ("template", "train_data"):
-        if key not in extra:
+        if getattr(inputs, key) is None:
             raise ConfigError("config must set %r" % key)
-    template = load_template(extra["template"], task_kind=cfg.task,
-                             labels=extra.get("labels", []))
-    train_set = load_dataset(extra["train_data"], cfg.task)
-    test_set = load_dataset(extra["test_data"], cfg.task) if extra.get("test_data") else []
-    backend = build_backend(cfg, extra, args.mock_script)
-    inputs = _inputs_digest([extra["template"], extra["train_data"], extra.get("test_data"),
-                             args.mock_script or extra.get("mock_script")])
-    run_dir = Path(cfg.output_dir) / run_id_for(cfg, inputs=inputs)
+    template = load_template(inputs.template)
+    train_set = load_dataset(inputs.train_data, cfg.task)
+    test_set = load_dataset(inputs.test_data, cfg.task) if inputs.test_data else []
+    backend = build_backend(inputs, args.mock_script)
+    digest = _inputs_digest([inputs.template, inputs.train_data, inputs.test_data,
+                             args.mock_script or inputs.mock_script])
+    run_dir = Path(cfg.output_dir) / run_id_for(cfg, inputs=digest)
     try:
         best, report, _store = train(cfg, train_set, test_set, template, backend,
                                      run_dir=run_dir)
@@ -180,11 +189,11 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     doc = load_config(args.config, args.set, args.seed) if args.config else {}
-    cfg, extra = split_config(doc) if doc else (RunConfig(), {})
+    cfg, inputs = split_config(doc)
     task = args.task or cfg.task
     prompt = load_template(args.prompt)
     dataset = load_dataset(args.dataset, task)
-    backend = build_backend(cfg, extra, args.mock_script)
+    backend = build_backend(inputs, args.mock_script)
     try:
         report, bad = evaluate(Candidate(prompt=prompt), dataset, backend,
                                objective=cfg.objective, model=cfg.model, seed=cfg.seed,
@@ -205,27 +214,30 @@ def cmd_report(args) -> int:
         if not iters:
             raise ConfigError("no report.json under %s" % run_dir)
         report_file = iters[-1]
-    doc = json.loads(report_file.read_text(encoding="utf-8"))
-    rows = doc.get("iterations", [])
+    try:
+        doc = json.loads(report_file.read_text(encoding="utf-8"))
+        rows = doc.get("iterations", [])
+        table = [[row["iteration"], row["best"], row["mean"],
+                  ";".join("%s:%s" % (s["section"], s["operator"]) for s in row["selections"])]
+                 for row in rows]
+        summary = {
+            "iterations": len(rows),
+            "best": max((r["best"] for r in rows), default=None),
+            "final_test_objective": doc.get("final_test_objective"),
+            "init_eval_requests": doc.get("init_eval_requests"),
+            "eval_requests": sum(r.get("eval_requests", 0) for r in rows),
+            "raced_out": sum(bool(s.get("raced_out")) for r in rows for s in r["selections"]),
+        }
+    except (ValueError, AttributeError, KeyError, TypeError) as e:
+        raise CorruptFile("cannot read report file %s: %s" % (report_file, e)) from None
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["iteration", "best", "mean", "selections"])
-    for row in rows:
-        sels = ";".join(
-            "%s:%s" % (s["section"], s["operator"]) for s in row["selections"]
-        )
-        writer.writerow([row["iteration"], row["best"], row["mean"], sels])
+    writer.writerows(table)
     out_csv = run_dir / "summary.csv"
     write_text_atomic(out_csv, buf.getvalue())
-    print(json.dumps({
-        "iterations": len(rows),
-        "best": max((r["best"] for r in rows), default=None),
-        "final_test_objective": doc.get("final_test_objective"),
-        "init_eval_requests": doc.get("init_eval_requests"),
-        "eval_requests": sum(r.get("eval_requests", 0) for r in rows),
-        "raced_out": sum(bool(s.get("raced_out")) for r in rows for s in r["selections"]),
-        "summary_csv": str(out_csv),
-    }, indent=2))
+    summary["summary_csv"] = str(out_csv)
+    print(json.dumps(summary, indent=2))
     return 0
 
 

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CountTooLarge, EmptyAxis, ZeroMass
+from .errors import CorruptFile, CountTooLarge, EmptyAxis, ZeroMass
 from .fileio import write_text_atomic
 
 Q_FLOOR = 1e-4
@@ -137,4 +137,8 @@ def save_matrix(m: TransitionMatrix, path):
 
 
 def load_matrix(path) -> TransitionMatrix:
-    return matrix_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """The matrix saved at `path`; CorruptFile if the file does not hold one."""
+    try:
+        return matrix_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (ValueError, KeyError, TypeError) as e:
+        raise CorruptFile("cannot read matrix file %s: %s" % (path, e)) from None

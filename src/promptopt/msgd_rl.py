@@ -30,6 +30,8 @@ from .matrix import (
     GradientObservation,
     SelectionPair,
     TransitionMatrix,
+    matrix_from_dict,
+    matrix_to_dict,
     select_pairs,
 )
 
@@ -151,9 +153,7 @@ def save_experience(store: ExperienceStore, path) -> None:
     doc = {
         "version": store.version,
         "task_kind": store.task_kind,
-        "sections": list(store.matrix.sections),
-        "operators": list(store.matrix.operators),
-        "q": [[float(x) for x in row] for row in store.matrix.q],
+        **matrix_to_dict(store.matrix),
         "epochs_trained": store.epochs_trained,
         "created_at": store.created_at,
         "updated_at": store.updated_at,
@@ -165,10 +165,7 @@ def read_experience(path) -> ExperienceStore:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         version = doc["version"]
-        sections = tuple(doc["sections"])
-        operators = tuple(doc["operators"])
-        q = np.array(doc["q"], dtype=np.float64)
-        matrix = TransitionMatrix(sections, operators, q)
+        matrix = matrix_from_dict(doc)
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise CorruptFile("cannot read experience file %s: %s" % (path, e))
     if version != EXPERIENCE_VERSION:

@@ -209,16 +209,8 @@ def scratch_prompt(task_kind: str, labels: Iterable[str] = ()) -> MetaPrompt:
     return MetaPrompt(sections=tuple(sections), output_contract=contract)
 
 
-def load_template(source, task_kind: str | None = None, labels: Iterable[str] = ()) -> MetaPrompt:
-    """Load a prompt from a JSON template file, or build one from scratch.
-
-    `source` is a file path, or the literal string "scratch" together with a
-    task kind (NER/CLS/MRC) and optional label set.
-    """
-    if source == "scratch":
-        if task_kind is None:
-            raise UnknownTaskKind("scratch prompts require a task kind")
-        return scratch_prompt(task_kind, labels)
+def load_template(source) -> MetaPrompt:
+    """Load a prompt from the JSON template file at `source`."""
     path = Path(source)
     try:
         raw = path.read_text(encoding="utf-8")

@@ -50,7 +50,7 @@ def from_fields(cls, doc):
         if is_dataclass(hint):
             try:
                 value = from_fields(hint, value)
-            except ConfigError as e:
+            except (ConfigError, ValueError) as e:  # ValueError: the dataclass's own checks
                 raise ConfigError("%s: %s" % (key, e)) from None
         elif not _fits(value, hint):
             raise ConfigError("%s must be %s, not %s"

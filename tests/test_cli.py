@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import promptopt
 from promptopt import cli
 from promptopt.backend import MockBackend
 from promptopt.cli import main
@@ -66,6 +71,15 @@ def workspace(tmp_path):
     }
     (tmp_path / "config.json").write_text(json.dumps(config, indent=2))
     return tmp_path
+
+
+def write_config(workspace, **changes):
+    """Rewrite the workspace's config.json with `changes` applied."""
+    path = workspace / "config.json"
+    doc = json.loads(path.read_text())
+    doc.update(changes)
+    path.write_text(json.dumps(doc, indent=2))
+    return path
 
 
 class TestInit:
@@ -228,6 +242,73 @@ class TestTrain:
         path.write_text(json.dumps(doc))
         assert main(["train", "--config", str(path)]) == 1
         assert capsys.readouterr().err == "error: config must set 'train_data'\n"
+
+    @pytest.mark.parametrize("key, value", [
+        ("template", 123),
+        ("train_data", ["a"]),
+        ("train_data", 0),
+        ("test_data", 5),
+        ("mock_script", 7),
+    ])
+    def test_mistyped_input_key_exits_one_before_any_file_is_read(
+            self, workspace, monkeypatch, capsys, key, value):
+        def no_request(self, req):
+            raise AssertionError("request sent")
+
+        monkeypatch.setattr(MockBackend, "generate", no_request)
+        monkeypatch.setattr(cli.HttpBackend, "generate", no_request)
+        path = write_config(workspace, **{key: value})
+        for cmd in ("validate-config", "train"):
+            assert main([cmd, "--config", str(path)]) == 1
+            assert capsys.readouterr().err == (
+                "error: %s must be a string or null, not %s\n" % (key, json.dumps(value)))
+        assert not (workspace / "runs").exists()
+
+    def test_train_data_zero_does_not_read_stdin(self, workspace):
+        # the number 0 once opened file descriptor 0 and trained on standard input
+        path = write_config(workspace, train_data=0)
+        env = dict(os.environ, PYTHONPATH=str(Path(promptopt.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from promptopt.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "train", "--config", str(path)],
+            input=json.dumps(cls_lines(1)[0]) + "\n", env=env, capture_output=True,
+            text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: train_data must be a string or null, not 0\n"
+        assert not (workspace / "runs").exists()
+
+    def test_labels_is_an_unknown_key(self, workspace, capsys):
+        path = write_config(workspace, labels=["A", "B"])
+        for cmd in ("validate-config", "train"):
+            assert main([cmd, "--config", str(path)]) == 1
+            assert capsys.readouterr().err == "error: unknown config keys: ['labels']\n"
+        assert not (workspace / "runs").exists()
+
+    def test_config_that_is_not_an_object_exits_one(self, workspace, capsys):
+        path = workspace / "list.json"
+        path.write_text("[1]")
+        for cmd in ("validate-config", "train"):
+            assert main([cmd, "--config", str(path)]) == 1
+            assert capsys.readouterr().err == "error: config %s is not a JSON object\n" % path
+
+    def test_null_input_key_is_unset(self, workspace, capsys):
+        path = write_config(workspace, test_data=None, mock_script=None, backend=None)
+        assert main(["validate-config", "--config", str(path)]) == 0
+        capsys.readouterr()
+        argv = ["train", "--config", str(path), "--mock-script", str(workspace / "mock.json")]
+        assert main(argv) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["final_test_objective"] is None
+        # a null key names the same run as a missing one
+        doc = json.loads(path.read_text())
+        for key in ("test_data", "mock_script", "backend"):
+            del doc[key]
+        path.write_text(json.dumps(doc))
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["run_dir"] == summary["run_dir"]
+        write_config(workspace, template=None)
+        assert main(["train", "--config", str(workspace / "config.json")]) == 1
+        assert capsys.readouterr().err == "error: config must set 'template'\n"
 
     @pytest.mark.parametrize("script, needle", [
         ([{"match": {}}], 'entry 0: "response" must be a string'),
@@ -491,6 +572,39 @@ class TestReportAndExperience:
         assert info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
         assert not exported.exists()
+
+    @pytest.mark.parametrize("text, needle", [
+        ('{"sections": ["s0"], "operators": ["cot"], "q": [[-0.5]]}',
+         "q entries must be nonnegative"),
+        ("{nope", "Expecting property name"),
+        ('{"sections": ["s0"], "operators": ["cot"]}', "'q'"),
+    ], ids=["negative-cell", "not-json", "no-q"])
+    def test_experience_export_rejects_a_corrupt_matrix(self, tmp_path, capsys, text, needle):
+        (tmp_path / "iter_000").mkdir()
+        matrix = tmp_path / "iter_000" / "matrix.json"
+        matrix.write_text(text)
+        exported = tmp_path / "exp.json"
+        assert main(["experience-export", "--run-dir", str(tmp_path),
+                     "--out", str(exported)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read matrix file %s: " % matrix) and needle in err
+        assert not exported.exists()
+
+    @pytest.mark.parametrize("text, needle", [
+        ("[1]", "'list' object has no attribute 'get'"),
+        ('{"iterations": [{"iteration": 0, "best": 0.5, "mean": 0.5}]}', "'selections'"),
+        ('{"iterations": 5}', "not iterable"),
+        ('{"iterations": [{"iteration": 0, "best": 0.5, "mean": 0.5, "selections": [1]}]}',
+         "not subscriptable"),
+        ("{nope", "Expecting property name"),
+    ], ids=["list", "no-selections", "number-iterations", "number-selection", "not-json"])
+    def test_report_rejects_a_corrupt_report(self, tmp_path, capsys, text, needle):
+        report = tmp_path / "report.json"
+        report.write_text(text)
+        assert main(["report", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read report file %s: " % report) and needle in err
+        assert not (tmp_path / "summary.csv").exists()
 
     def test_import_rejects_corrupt(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -196,6 +196,17 @@ class TestExperienceStore:
         save_experience(again, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_file_layout(self, tmp_path):
+        store = ExperienceStore(init_uniform(("s",), ("a", "b")), "CLS", epochs_trained=2,
+                                created_at="t0", updated_at="t1")
+        path = tmp_path / "exp.json"
+        save_experience(store, path)
+        assert path.read_text() == (
+            '{\n  "version": 1,\n  "task_kind": "CLS",\n  "sections": [\n    "s"\n  ],\n'
+            '  "operators": [\n    "a",\n    "b"\n  ],\n  "q": [\n    [\n      0.5,\n'
+            '      0.5\n    ]\n  ],\n  "epochs_trained": 2,\n  "created_at": "t0",\n'
+            '  "updated_at": "t1"\n}\n')
+
     def test_load_identical_vocab(self, tmp_path):
         path = tmp_path / "exp.json"
         save_experience(ExperienceStore.new(prior_matrix(), "NER"), path)

@@ -148,7 +148,7 @@ class TestLoadTemplate:
 
     def test_unknown_task_kind(self):
         with pytest.raises(UnknownTaskKind):
-            load_template("scratch", task_kind="POETRY")
+            scratch_prompt("POETRY")
 
     def test_round_trip(self, tmp_path, ner_prompt):
         path = tmp_path / "p.json"
