@@ -526,10 +526,12 @@ class MockBackend(Backend):
     deterministic (or ScriptExhausted is raised if `strict` is set). A script
     of any other shape raises ValueError, as does a `match` with an unknown
     key, with more than one key or with a value of the wrong type.
+    It serves a batch one request at a time, in order, so `max_parallel`,
+    which sets the racing cuts (see engine.first_rung), defaults to 1.
     """
 
     def __init__(self, script: Sequence[dict] = (), strict: bool = False,
-                 max_parallel: int = 8):
+                 max_parallel: int = 1):
         self.usage = UsageCounter()
         self.max_parallel = max_parallel
         self.strict = strict

@@ -100,7 +100,7 @@ def build_backend(inputs: Inputs, mock_script=None):
     script_path = mock_script or inputs.mock_script
     try:
         if script_path:
-            return MockBackend.from_file(script_path, max_parallel=inputs.backend.max_parallel)
+            return MockBackend.from_file(script_path)
     except (ValueError, ConfigError) as e:
         raise ConfigError("backend: %s" % e) from None
     return HttpBackend(inputs.backend)

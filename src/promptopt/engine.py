@@ -9,15 +9,19 @@ trips: one batch with every pair's operator requests in pair order, then the
 evaluation of the distinct edited prompts. Every scoring of a set of prompts,
 the initial pool's included, is a race when there are at least two of them
 and the training set has at least RACE_PREFIX_DIVISOR * RACE_MIN_PREFIX
-examples: successive halving (as in ProTeGi and APE) over three rungs, the
-first quarter of the training set, the first half, then the whole set, in at
-most three batches. Otherwise one batch scores them on the whole set. Each
-prompt's judgements go into one running tally as their batches return, each
-once, and its objective on a rung's prefix is read off the tally when the
-examples added reach that rung, whether it raced there or skipped it. The
-trainer keeps one memo slot per training example, its last reply with that
-reply's prediction and judgement, so a repeated reply is neither parsed nor
-judged again."""
+examples: successive halving (as in ProTeGi and APE) over three rungs, a
+first prefix of at most a quarter of the training set, the first half, then
+the whole set, in at most three batches. The first prefix is the longest
+whose batch of the k prompts fills whole waves of the backend's max_parallel
+requests (see first_rung), so at max_parallel 1 it is the first quarter.
+Otherwise one batch scores them on the whole set. Each prompt's judgements
+go into one running tally as their batches return, each once, and its
+objective on a rung's prefix is read off the tally when its batch returns.
+A prompt that finishes keeps its judgements in example order, so its
+objective on any prefix can be compared with that of a prompt raced out on
+it. The trainer keeps one memo slot per training example, its last reply
+with that reply's prediction and judgement, so a repeated reply is neither
+parsed nor judged again."""
 
 from __future__ import annotations
 
@@ -29,7 +33,6 @@ import logging
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
-from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -86,12 +89,25 @@ CONVERGENCE_EPS = 1e-4
 CONVERGENCE_WINDOW = 3
 # racing: the rungs are the first len(train_set) // RACE_PREFIX_DIVISOR
 # examples, then the first half, then the whole set, so the evaluation budget
-# doubles from one rung to the next as the field halves. A training set whose
-# first rung is shorter than RACE_MIN_PREFIX keeps the single full evaluation
-# batch, so runs on under 100 examples send the batches they sent before
-# racing existed
+# doubles from one rung to the next as the field halves. The first rung is
+# then cut back to fill whole waves of the backend's max_parallel requests
+# (see first_rung); the half-set rung is not, since cutting both lost
+# quality. A training set whose first rung is shorter than RACE_MIN_PREFIX
+# keeps the single full evaluation batch, so runs on under 100 examples send
+# the batches they sent before racing existed
 RACE_PREFIX_DIVISOR = 4
 RACE_MIN_PREFIX = 25
+
+
+def first_rung(quarter: int, k: int, parallel: int) -> int:
+    """The first rung's prefix length for k live prompts: the longest prefix
+    of at most `quarter` examples whose batch of k * prefix requests fits in
+    the whole waves of `parallel` requests that k * quarter fills, so no last
+    wave goes out part-full. `quarter` itself when k * quarter is under one
+    wave, and at parallel 1."""
+    if k * quarter < parallel:
+        return quarter
+    return k * quarter // parallel * parallel // k
 
 
 @dataclass
@@ -352,10 +368,12 @@ class _Trainer:
         self.report = RunReport()
         n = len(self.train_set)
         first = n // RACE_PREFIX_DIVISOR
+        # the rungs before the first is cut to whole waves (see first_rung)
         self.rungs: tuple[int, ...] = (first, n // 2) if first >= RACE_MIN_PREFIX else ()
-        # every fully scored prompt by fingerprint: its report, its bad cases
-        # and its objective on train_set[:rung] for each rung
-        self.scored: dict[str, tuple[MetricReport, list[BadCase], tuple[float, ...]]] = {}
+        # each prompt that finished, by fingerprint, until it leaves the
+        # pool: its report, its bad cases and its judgements of train_set,
+        # in example order
+        self.scored: dict[str, tuple[MetricReport, list[BadCase], tuple]] = {}
         # the last reply to each training example, its prediction and its
         # judgement: most edits change few predictions, so most replies
         # repeat and are neither parsed nor judged again
@@ -401,56 +419,64 @@ class _Trainer:
             "f1": report.f1,
         })
 
+    def _tally(self) -> Tally:
+        # the examples' task, as `evaluate` scores
+        return Tally(self.train_set[0].task, self.cfg.objective, self.cfg.cls_average)
+
+    def _objective_on(self, fingerprint: str, cut: int) -> float:
+        """The objective of a finished prompt on train_set[:cut]."""
+        tally = self._tally()
+        tally.add(enumerate(self.scored[fingerprint][2][:cut]))
+        return tally.objective_value()
+
     def _score(self, cands: Sequence[Candidate], iteration: int) -> dict[str, tuple[int, float]]:
         """Score distinct candidates, given in pair order, on the training
         set and record each one that finishes in `scored`. With at least two
         candidates and a training set long enough to have rungs, they race:
         at each rung every live candidate is scored on the examples it has
         not seen, and ceil(k / 2) of the k live ones, ranked by objective on
-        the rung's prefix with ties going to the earlier pair, go on. Once
-        one is left it is finished on the rest of the set in one batch.
-        Otherwise one batch scores them on the whole set. Returns the rung
-        index and the rung objective of each candidate raced out.
+        the rung's prefix with ties going to the earlier pair, go on. The
+        first rung is cut to whole waves for the len(cands) prompts (see
+        first_rung). Once one is left it is finished on the rest of the set
+        in one batch. Otherwise one batch scores them on the whole set.
+        Returns the prefix length and the objective on it of each candidate
+        raced out.
 
         Each candidate has one tally, and each of its judgements is added
-        to it once, in runs that end at the rungs, so every rung objective,
-        raced or skipped, is read off the tally as its run ends."""
-        cfg = self.cfg
+        to it once, as its batch returns."""
         live = list(range(len(cands)))
-        # the examples' task, as `evaluate` scores
-        tallies = [Tally(self.train_set[0].task, cfg.objective, cfg.cls_average) for _ in cands]
+        tallies = [self._tally() for _ in cands]
         predictions = [[] for _ in cands]
-        objectives = [[] for _ in cands]  # on train_set[:rung], per rung reached
+        judgements = [[] for _ in cands]
 
-        def add(i: int, preds: list, judgements: list) -> None:
-            start = len(predictions[i])
+        def add(i: int, start: int, preds: list, judged: list) -> None:
             predictions[i] += preds
-            stop = len(predictions[i])
-            keyed = enumerate(judgements, start)
-            for cut in [c for c in self.rungs if start < c < stop] + [stop]:
-                tallies[i].add(islice(keyed, cut - start))
-                if cut in self.rungs:
-                    objectives[i].append(tallies[i].objective_value())
-                start = cut
+            judgements[i] += judged
+            tallies[i].add(enumerate(judged, start))
 
+        cuts = ()
+        if len(cands) >= 2 and self.rungs:
+            quarter, half = self.rungs
+            cuts = (first_rung(quarter, len(cands), self.backend.max_parallel), half)
         losers = {}
         seen = 0
-        for r, cut in enumerate(self.rungs if len(cands) >= 2 else ()):
+        for cut in cuts:
             for i, judged in zip(live, self._predict([cands[i] for i in live], seen, cut)):
-                add(i, *judged)
+                add(i, seen, *judged)
             seen = cut
-            ranked = sorted(live, key=lambda i: (-objectives[i][r], i))
+            objectives = {i: tallies[i].objective_value() for i in live}
+            ranked = sorted(live, key=lambda i: (-objectives[i], i))
             live = sorted(ranked[:math.ceil(len(live) / 2)])
             for i in ranked[len(live):]:
-                losers[cands[i].fingerprint] = (r, objectives[i][r])
+                losers[cands[i].fingerprint] = (cut, objectives[i])
             if len(live) == 1:
                 break
         for i, tail in zip(live, self._predict([cands[i] for i in live], seen)):
-            add(i, *tail)
+            add(i, seen, *tail)
             bad_cases = sample_bad_cases(self.train_set, predictions[i], tallies[i].misses,
-                                         seed=cfg.seed + iteration)
+                                         seed=self.cfg.seed + iteration)
             self.scored[cands[i].fingerprint] = (
-                tallies[i].report(), bad_cases, tuple(objectives[i]))
+                tallies[i].report(), bad_cases, tuple(judgements[i]))
         return losers
 
     def _context(self, pair: SelectionPair, base: Candidate, iteration: int,
@@ -568,10 +594,9 @@ class _Trainer:
             lost = cand is not None and cand.fingerprint in losers
             scored_on = 0  # the training examples behind the gradient
             if lost:
-                # compare like with like: both scores on the rung's prefix
-                r, cur = losers[cand.fingerprint]
-                prev = self.scored[base.fingerprint][2][r]
-                scored_on = self.rungs[r]
+                # compare like with like: both scores on the prefix it lost on
+                scored_on, cur = losers[cand.fingerprint]
+                prev = self._objective_on(base.fingerprint, scored_on)
             elif cand is not None:
                 cand = self._scored(cand, iteration)
                 new_candidates.append(cand)
@@ -597,6 +622,8 @@ class _Trainer:
             list(merged.values()), cfg.top_k, cfg.anneal_count, temperature,
             self.rng, objective=cfg.objective,
         )
+        # only a pool prompt's record is read again, when it is the base
+        self.scored = {c.fingerprint: self.scored[c.fingerprint] for c in pool}
         scores = [_latest(c, cfg.objective) for c in pool]
         self.report.iterations.append({
             "iteration": iteration,

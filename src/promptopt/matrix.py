@@ -29,6 +29,12 @@ class TransitionMatrix:
         self.q = np.asarray(self.q, dtype=np.float64)
         if self.q.shape != (len(self.sections), len(self.operators)):
             raise ValueError("q shape %r does not match axes" % (self.q.shape,))
+        # a label that is not a string can never match a prompt's section id
+        # or an operator id
+        if not all(isinstance(s, str) for s in self.sections):
+            raise ValueError("section labels must be strings")
+        if not all(isinstance(o, str) for o in self.operators):
+            raise ValueError("operator labels must be strings")
         if len(set(self.sections)) != len(self.sections):
             raise ValueError("duplicate section labels")
         if len(set(self.operators)) != len(self.operators):

@@ -166,6 +166,11 @@ def read_experience(path) -> ExperienceStore:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         version = doc["version"]
         matrix = matrix_from_dict(doc)
+        epochs_trained = doc.get("epochs_trained", 0)
+        if (isinstance(epochs_trained, bool) or not isinstance(epochs_trained, int)
+                or epochs_trained < 0):
+            raise ValueError("epochs_trained must be a non-negative integer, not %s"
+                             % json.dumps(epochs_trained))
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise CorruptFile("cannot read experience file %s: %s" % (path, e))
     if version != EXPERIENCE_VERSION:
@@ -173,7 +178,7 @@ def read_experience(path) -> ExperienceStore:
     return ExperienceStore(
         matrix=matrix,
         task_kind=doc.get("task_kind", ""),
-        epochs_trained=int(doc.get("epochs_trained", 0)),
+        epochs_trained=epochs_trained,
         created_at=doc.get("created_at", ""),
         updated_at=doc.get("updated_at", ""),
         version=version,

@@ -409,6 +409,15 @@ class TestTrain:
         assert err.startswith("error: %s " % (workspace / "test.jsonl")) and needle in err
         assert not (workspace / "runs").exists()
 
+    def test_a_mock_script_serves_one_request_at_a_time(self, workspace):
+        # whatever backend.max_parallel says, so a scripted run races on the
+        # first quarter of the training set
+        doc = json.loads((workspace / "config.json").read_text())
+        doc["backend"] = {"max_parallel": 64}
+        _, inputs = cli.split_config(doc)
+        assert inputs.mock_script and inputs.backend.max_parallel == 64
+        assert cli.build_backend(inputs).max_parallel == 1
+
 
 class TestBackendIsClosed:
     """train and evaluate close the backend when they end, also on an error."""
@@ -578,7 +587,11 @@ class TestReportAndExperience:
          "q entries must be nonnegative"),
         ("{nope", "Expecting property name"),
         ('{"sections": ["s0"], "operators": ["cot"]}', "'q'"),
-    ], ids=["negative-cell", "not-json", "no-q"])
+        ('{"sections": [1, 2], "operators": ["cot"], "q": [[0.5], [0.5]]}',
+         "section labels must be strings"),
+        ('{"sections": ["s0"], "operators": [null], "q": [[0.5]]}',
+         "operator labels must be strings"),
+    ], ids=["negative-cell", "not-json", "no-q", "number-sections", "null-operator"])
     def test_experience_export_rejects_a_corrupt_matrix(self, tmp_path, capsys, text, needle):
         (tmp_path / "iter_000").mkdir()
         matrix = tmp_path / "iter_000" / "matrix.json"
@@ -619,3 +632,15 @@ class TestReportAndExperience:
         bad.write_text(doc % "0.5")
         assert main(["experience-import", "--file", str(bad), "--out", str(out)]) == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("value", ['"x"', "-1", "1.5", "true", "null"])
+    def test_import_rejects_a_bad_epoch_count(self, tmp_path, capsys, value):
+        bad = tmp_path / "bad.json"
+        out = tmp_path / "out.json"
+        bad.write_text('{"version": 1, "sections": ["s0"], "operators": ["cot"], '
+                       '"q": [[0.5]], "epochs_trained": %s}' % value)
+        assert main(["experience-import", "--file", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: cannot read experience file %s: epochs_trained must be a "
+            "non-negative integer, not %s" % (bad, value))
+        assert not out.exists()

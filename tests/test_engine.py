@@ -15,6 +15,7 @@ from promptopt.engine import (
     _contract_breach,
     config_from_dict,
     config_to_dict,
+    first_rung,
     initialize_candidates,
     retain,
     _Trainer,
@@ -656,8 +657,8 @@ class Graded(MockBackend):
     evaluation reply is right depends on a hash of the prompt and the example
     id, so edits differ in score."""
 
-    def __init__(self, examples):
-        super().__init__([])
+    def __init__(self, examples, max_parallel=1):
+        super().__init__([], max_parallel=max_parallel)
         self.examples = examples
         self.calls = []  # [(request text, reply text)] per batch
         self.variants = 0
@@ -709,12 +710,20 @@ class SameBody(Graded):
         return super()._reply(text)
 
 
-def halving_requests(k, n):
+def record_f1(record, cut):
+    """The f1 of a `scored` record's judgements of the first `cut` examples."""
+    tally = Tally("CLS")
+    tally.add(enumerate(record[2][:cut]))
+    return tally.objective_value()
+
+
+def halving_requests(k, n, parallel=1):
     """The evaluation requests successive halving sends for k distinct
-    prompts on n training examples."""
+    prompts on n training examples, `parallel` requests to a wave."""
     q, h = n // RACE_PREFIX_DIVISOR, n // 2
     if k < 2 or q < RACE_MIN_PREFIX:
         return k * n
+    q = first_rung(q, k, parallel)
     k1 = -(-k // 2)
     if k1 == 1:
         return k * q + (n - q)
@@ -735,17 +744,28 @@ class TestRacing:
 
     @pytest.mark.parametrize("n", [100, 200])
     @pytest.mark.parametrize("pairs", [2, 3, 4, 5])
-    def test_three_rungs(self, tmp_path, pairs, n):
+    def test_three_rungs_on_whole_waves(self, tmp_path, pairs, n):
+        """The same race with 64 requests to a wave, which cuts the first
+        rung of all but 2 prompts on 100 examples."""
+        self.test_three_rungs(tmp_path, pairs, n, parallel=64)
+
+    @pytest.mark.parametrize("n", [100, 200])
+    @pytest.mark.parametrize("pairs", [2, 3, 4, 5])
+    def test_three_rungs(self, tmp_path, pairs, n, parallel=1):
         data = cls_dataset(n)
-        rungs = (n // 4, n // 2)
-        backend = Graded(data)
+        # the first rung is cut to whole waves of `parallel` requests
+        rungs = (first_rung(n // 4, pairs, parallel), n // 2)
+        backend = Graded(data, max_parallel=parallel)
         trainer, pool = self._trainer(tmp_path, data, backend, pairs,
                                       operators=("refine", "rewrite", "short_instruction"))
-        assert trainer.rungs == rungs and RACE_MIN_PREFIX == 25
+        assert trainer.rungs == (n // 4, n // 2) and RACE_MIN_PREFIX == 25
         [(base_skeleton, base_preds)] = eval_blocks(backend.calls[0], data)
         base_rungs = tuple(f1_of(data[:c], base_preds[:c]) for c in rungs)
-        # a prompt scored alone gets its rung objectives from its full pass
-        assert trainer.scored[pool[0].fingerprint][2] == base_rungs
+        # a prompt scored alone keeps the judgements of its full pass, which
+        # give its objective on any prefix
+        base_record = trainer.scored[pool[0].fingerprint]
+        assert base_record[2] == tuple(_judge("CLS", ex.gold, p) for ex, p in zip(data, base_preds))
+        assert tuple(record_f1(base_record, c) for c in rungs) == base_rungs
         del backend.calls[:]
         new_pool = trainer._iteration(1, pool)
         row = trainer.report.iterations[0]
@@ -761,7 +781,7 @@ class TestRacing:
         assert [len(b) for b in batches] == sizes
         assert row["eval_requests"] == sum(
             k * (b - a) for k, a, b in zip(sizes, bounds, bounds[1:]))
-        assert row["eval_requests"] == halving_requests(pairs, n)
+        assert row["eval_requests"] == halving_requests(pairs, n, parallel)
 
         # replay the race from each edit's predictions on the whole set
         skeletons = [s for s, _ in batches[0]]
@@ -778,6 +798,8 @@ class TestRacing:
 
         in_pool = {c.prompt.skeleton(): c for c in new_pool}
         assert len(trainer.scored) == 1 + len(live)
+        # only the pool's records are kept
+        assert set(trainer.scored) == {c.fingerprint for c in new_pool}
         for i, sel in enumerate(row["selections"]):
             assert sel["raced_out"] == (i in out)
             if i in out:
@@ -788,8 +810,11 @@ class TestRacing:
                 continue
             cand = in_pool[skeletons[i]]
             report, bad = evaluate(cand, data, Graded(data), seed=1)
-            assert trainer.scored[cand.fingerprint] == (
-                report, bad, tuple(f1_of(data[:c], full[i][:c]) for c in rungs))
+            [(_, judgements)] = predict_many([cand], data, Graded(data))
+            record = trainer.scored[cand.fingerprint]
+            assert record == (report, bad, tuple(judgements))
+            assert tuple(record_f1(record, c) for c in rungs) == tuple(
+                f1_of(data[:c], full[i][:c]) for c in rungs)
             assert cand.latest_score("f1") == report.f1
             assert sel["scored_on"] == n
             assert sel["gradient"] == report.f1 - pool[0].latest_score("f1")
@@ -861,29 +886,47 @@ class TestRacing:
 
 
 class TestScoreProperties:
-    @given(k=st.integers(1, 6), n=st.sampled_from([99, 100, 150, 200, 401]))
+    @given(k=st.integers(1, 300), quarter=st.integers(RACE_MIN_PREFIX, 3000),
+           parallel=st.integers(1, 512))
+    def test_first_rung_fills_whole_waves(self, k, quarter, parallel):
+        cut = first_rung(quarter, k, parallel)
+        assert 1 <= cut <= quarter
+        if parallel == 1 or k * quarter < parallel:
+            assert cut == quarter
+            return
+        # the longest prefix whose batch fits in the whole waves that k
+        # prompts on the quarter fill: no last wave goes out part-full
+        waves = k * quarter // parallel
+        assert k * cut <= waves * parallel < k * (cut + 1)
+        if k <= parallel:
+            assert -(-k * cut // parallel) == waves
+
+    @given(k=st.integers(1, 6), n=st.sampled_from([99, 100, 150, 200, 401]),
+           parallel=st.sampled_from([1, 7, 64]))
     @settings(max_examples=25, deadline=None)
-    def test_successive_halving(self, k, n):
+    def test_successive_halving(self, k, n, parallel):
         data = cls_dataset(n)
-        backend = Graded(data)
+        backend = Graded(data, max_parallel=parallel)
         trainer = _Trainer(small_config(), data, [], base_template(), backend)
         cands = [Candidate(prompt=make_prompt(
             ["Classify variant %d as A or B." % j, "", 'Return JSON: {"label": ""}'],
             editable=[True, True, False])) for j in range(k)]
         losers = trainer._score(cands, 0)
-        assert trainer.eval_requests == halving_requests(k, n)
-        assert sum(len(call) for call in backend.calls) == halving_requests(k, n)
+        assert trainer.eval_requests == halving_requests(k, n, parallel)
+        assert sum(len(call) for call in backend.calls) == halving_requests(k, n, parallel)
         assert len(backend.calls) <= 3
         assert len(trainer.scored) + len(losers) == k
         assert set(trainer.scored).isdisjoint(losers)
         for cand in cands:
             if cand.fingerprint not in trainer.scored:
                 continue
-            report, bad, rung_objectives = trainer.scored[cand.fingerprint]
-            [(predictions, _)] = predict_many([cand], data, Graded(data))
+            record = trainer.scored[cand.fingerprint]
+            report, bad, judgements = record
+            [(predictions, expected)] = predict_many([cand], data, Graded(data))
             assert (report, bad) == evaluate(cand, data, Graded(data), seed=0)
-            assert rung_objectives == tuple(f1_of(data[:c], predictions[:c])
-                                            for c in trainer.rungs)
+            assert judgements == tuple(expected)
+            assert tuple(record_f1(record, c) for c in trainer.rungs) == tuple(
+                f1_of(data[:c], predictions[:c]) for c in trainer.rungs)
 
     @pytest.mark.parametrize("n", [99, 100, 200])
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
