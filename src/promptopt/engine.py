@@ -14,14 +14,24 @@ first prefix of at most a quarter of the training set, the first half, then
 the whole set, in at most three batches. The first prefix is the longest
 whose batch of the k prompts fills whole waves of the backend's max_parallel
 requests (see first_rung), so at max_parallel 1 it is the first quarter.
-Otherwise one batch scores them on the whole set. Each prompt's judgements
-go into one running tally as their batches return, each once, and its
-objective on a rung's prefix is read off the tally when its batch returns.
-A prompt that finishes keeps its judgements in example order, so its
-objective on any prefix can be compared with that of a prompt raced out on
-it. The trainer keeps one memo slot per training example, its last reply
-with that reply's prediction and judgement, so a repeated reply is neither
-parsed nor judged again."""
+Otherwise one batch scores them on the whole set.
+
+A local operator (cot, few_shot, repeat_instructions, merge) makes its
+prompt before the operator batch is sent. In an iteration that races, the
+distinct local edits ride that batch: each sends its first examples in the
+free slots of the batch's last wave, after the operator requests (see
+_Trainer._riders), and the first rung then counts what they were sent.
+Every live prompt is still ranked on the same prefix, and no (prompt,
+example) request is sent twice. At max_parallel 1 the batch has no free
+slots, so nothing rides.
+
+Each prompt's judgements go into one running tally, each once, in example
+order, and its objective on a rung's prefix is read off the tally. A prompt
+that finishes keeps its judgements in example order, so its objective on
+any prefix can be compared with that of a prompt raced out on it. The
+trainer keeps one memo slot per training example, its last reply with that
+reply's prediction and judgement, so a repeated reply is neither parsed nor
+judged again."""
 
 from __future__ import annotations
 
@@ -52,8 +62,9 @@ from .evaluation import (
     ExampleRecord,
     MetricReport,
     Tally,
+    eval_requests,
     evaluate,
-    predict_many,
+    judge_replies,
     reply_memo,
     sample_bad_cases,
 )
@@ -99,15 +110,29 @@ RACE_PREFIX_DIVISOR = 4
 RACE_MIN_PREFIX = 25
 
 
-def first_rung(quarter: int, k: int, parallel: int) -> int:
-    """The first rung's prefix length for k live prompts: the longest prefix
-    of at most `quarter` examples whose batch of k * prefix requests fits in
-    the whole waves of `parallel` requests that k * quarter fills, so no last
-    wave goes out part-full. `quarter` itself when k * quarter is under one
-    wave, and at parallel 1."""
+def first_rung(quarter: int, k: int, parallel: int, seen: Sequence[int] = ()) -> int:
+    """The first rung's prefix length for k live prompts, of which the i-th
+    was already sent its first seen[i] examples (`seen` is empty, or holds
+    one count per prompt).
+
+    With nothing sent, it is F: the longest prefix of at most `quarter`
+    examples whose batch of k * F requests fits in the whole waves of
+    `parallel` requests that k * quarter fills, so no last wave goes out
+    part-full; `quarter` itself when k * quarter is under one wave, and at
+    parallel 1. With requests sent, the requests still due, k * F -
+    sum(seen), are cut the same way: it is the longest prefix of at most F
+    whose unsent requests, the sum of max(0, prefix - seen[i]), fit in the
+    whole waves (at least one) that those due requests fill."""
     if k * quarter < parallel:
-        return quarter
-    return k * quarter // parallel * parallel // k
+        cut = quarter
+    else:
+        cut = k * quarter // parallel * parallel // k
+    if not any(seen):
+        return cut
+    room = max(1, (k * cut - sum(seen)) // parallel) * parallel
+    while sum(max(0, cut - s) for s in seen) > room:
+        cut -= 1
+    return cut
 
 
 @dataclass
@@ -402,14 +427,34 @@ class _Trainer:
         n = max(1, int(round(len(examples) * self.cfg.eval_fraction)))
         return examples[:n]
 
-    def _predict(self, cands: Sequence[Candidate], start: int,
-                 stop: Optional[int] = None) -> list[tuple[list, list]]:
-        """Predictions and judgements of each candidate on
-        train_set[start:stop]."""
-        examples = self.train_set[start:stop]
-        self.eval_requests += len(cands) * len(examples)
-        return predict_many(cands, examples, self.backend, model=self.cfg.model,
-                            memo=self.replies[start:stop])
+    def _requests(self, segments: Sequence[tuple[Candidate, int, int]]) -> list:
+        """The evaluation requests of each (candidate, start, stop) segment,
+        the candidate on train_set[start:stop], in segment order; they
+        count in eval_requests."""
+        reqs = [req for cand, start, stop in segments
+                for req in eval_requests(cand, self.train_set[start:stop], self.cfg.model)]
+        self.eval_requests += len(reqs)
+        return reqs
+
+    def _judged(self, segments: Sequence[tuple[Candidate, int, int]],
+                results: Sequence) -> list[tuple[list, list]]:
+        """Predictions and judgements of each segment from the results of
+        its requests (see _requests), which `results` holds in order."""
+        out = []
+        at = 0
+        for _, start, stop in segments:
+            out.append(judge_replies(self.train_set[start:stop], results[at:at + stop - start],
+                                     self.replies[start:stop]))
+            at += stop - start
+        return out
+
+    def _predict(self, segments: Sequence[tuple[Candidate, int, int]]
+                 ) -> list[tuple[list, list]]:
+        """Send the segments' requests in one batch, none when there are no
+        segments, and judge them."""
+        if not segments:
+            return []
+        return self._judged(segments, self.backend.generate_batch(self._requests(segments)))
 
     def _scored(self, cand: Candidate, iteration: int) -> Candidate:
         report = self.scored[cand.fingerprint][0]
@@ -429,41 +474,55 @@ class _Trainer:
         tally.add(enumerate(self.scored[fingerprint][2][:cut]))
         return tally.objective_value()
 
-    def _score(self, cands: Sequence[Candidate], iteration: int) -> dict[str, tuple[int, float]]:
+    def _score(self, cands: Sequence[Candidate], iteration: int,
+               judged: Optional[dict[str, tuple[list, list]]] = None,
+               ) -> dict[str, tuple[int, float]]:
         """Score distinct candidates, given in pair order, on the training
-        set and record each one that finishes in `scored`. With at least two
-        candidates and a training set long enough to have rungs, they race:
-        at each rung every live candidate is scored on the examples it has
-        not seen, and ceil(k / 2) of the k live ones, ranked by objective on
-        the rung's prefix with ties going to the earlier pair, go on. The
-        first rung is cut to whole waves for the len(cands) prompts (see
+        set and record each one that finishes in `scored`. `judged` maps the
+        fingerprint of a candidate already sent a prefix of the set (a rider,
+        see _riders) to its predictions and judgements on that prefix.
+
+        With at least two candidates and a training set long enough to have
+        rungs, they race: at each rung every live candidate is sent the
+        examples of the rung's prefix it has not seen, and ceil(k / 2) of the
+        k live ones, ranked by objective on the prefix with ties going to the
+        earlier pair, go on. The first rung is cut to whole waves for the
+        len(cands) prompts and the requests they were already sent (see
         first_rung). Once one is left it is finished on the rest of the set
         in one batch. Otherwise one batch scores them on the whole set.
         Returns the prefix length and the objective on it of each candidate
         raced out.
 
         Each candidate has one tally, and each of its judgements is added
-        to it once, as its batch returns."""
+        to it once, in example order, as far as the rung being ranked: a
+        rider that saw more than the first rung keeps the rest for later."""
+        judged = judged or {}
         live = list(range(len(cands)))
         tallies = [self._tally() for _ in cands]
-        predictions = [[] for _ in cands]
-        judgements = [[] for _ in cands]
+        prior = [judged.get(cand.fingerprint, ((), ())) for cand in cands]
+        predictions = [list(preds) for preds, _ in prior]
+        judgements = [list(judgs) for _, judgs in prior]
+        fed = [0] * len(cands)
 
-        def add(i: int, start: int, preds: list, judged: list) -> None:
-            predictions[i] += preds
-            judgements[i] += judged
-            tallies[i].add(enumerate(judged, start))
+        def send(stop: int) -> None:
+            # each live candidate's unseen examples before `stop`, one batch
+            todo = [i for i in live if len(judgements[i]) < stop]
+            segments = [(cands[i], len(judgements[i]), stop) for i in todo]
+            for i, (preds, judgs) in zip(todo, self._predict(segments)):
+                predictions[i] += preds
+                judgements[i] += judgs
+            for i in live:
+                tallies[i].add(enumerate(judgements[i][fed[i]:stop], fed[i]))
+                fed[i] = stop
 
         cuts = ()
         if len(cands) >= 2 and self.rungs:
             quarter, half = self.rungs
-            cuts = (first_rung(quarter, len(cands), self.backend.max_parallel), half)
+            cuts = (first_rung(quarter, len(cands), self.backend.max_parallel,
+                               [len(j) for j in judgements]), half)
         losers = {}
-        seen = 0
         for cut in cuts:
-            for i, judged in zip(live, self._predict([cands[i] for i in live], seen, cut)):
-                add(i, seen, *judged)
-            seen = cut
+            send(cut)
             objectives = {i: tallies[i].objective_value() for i in live}
             ranked = sorted(live, key=lambda i: (-objectives[i], i))
             live = sorted(ranked[:math.ceil(len(live) / 2)])
@@ -471,13 +530,31 @@ class _Trainer:
                 losers[cands[i].fingerprint] = (cut, objectives[i])
             if len(live) == 1:
                 break
-        for i, tail in zip(live, self._predict([cands[i] for i in live], seen)):
-            add(i, seen, *tail)
+        send(len(self.train_set))
+        for i in live:
             bad_cases = sample_bad_cases(self.train_set, predictions[i], tallies[i].misses,
                                          seed=self.cfg.seed + iteration)
             self.scored[cands[i].fingerprint] = (
                 tallies[i].report(), bad_cases, tuple(judgements[i]))
         return losers
+
+    def _riders(self, local: Sequence[Candidate], n_requests: int, n_plans: int
+                ) -> list[tuple[Candidate, int, int]]:
+        """The segments (see _requests) that the distinct local edits send
+        in the iteration's operator batch of `n_requests` requests, made by
+        `n_plans` backend operators: the first r examples of each, in the
+        free slots of the batch's last wave of max_parallel requests, with
+        r = min(free slots // len(local), first_rung(quarter, len(local) +
+        n_plans, max_parallel)). None when the iteration does not race, or
+        when the batch has no free slots, as at max_parallel 1 or when it
+        holds no requests, so those iterations send the batches they sent
+        before local edits rode."""
+        if not (local and self.rungs):
+            return []
+        parallel = self.backend.max_parallel
+        r = min(-n_requests % parallel // len(local),
+                first_rung(self.rungs[0], len(local) + n_plans, parallel))
+        return [(cand, 0, r) for cand in local] if r else []
 
     def _context(self, pair: SelectionPair, base: Candidate, iteration: int,
                  pool: Sequence[Candidate], pair_index: int) -> ops.OperatorContext:
@@ -564,18 +641,37 @@ class _Trainer:
         base_score = _latest(base, cfg.objective)
         n_pairs = min(cfg.effective_pairs_per_epoch(), int(self.eligible.sum()))
         pairs = select_pairs(self.matrix, n_pairs, self.rng, eligible=self.eligible)
-        # round trip 1: every backend operator's requests, in pair order
-        results = ops.apply_operators(
-            [(pair.operator, self._context(pair, base, iteration, pool, k))
-             for k, pair in enumerate(pairs)], self.backend)
+        jobs = [(pair.operator, self._context(pair, base, iteration, pool, k))
+                for k, pair in enumerate(pairs)]
+        plans, reqs = ops.plan_operators(jobs)
+        # the local edits, by pair index, are made before any request, and
+        # the distinct ones ride the operator batch (see _riders)
+        local = {k: self._edited(base, plan, pair, iteration)
+                 for k, (pair, plan) in enumerate(zip(pairs, plans))
+                 if not isinstance(plan, tuple)}
+        distinct: dict[str, Candidate] = {}
+        for cand in local.values():
+            if cand is not None:
+                distinct.setdefault(cand.fingerprint, cand)
+        riders = self._riders(list(distinct.values()), len(reqs),
+                              sum(isinstance(plan, tuple) for plan in plans))
+        eval_requests = self.eval_requests
+        # round trip 1: every backend operator's requests, in pair order,
+        # then the riders' evaluation requests
+        replies = self.backend.generate_batch(reqs + self._requests(riders)) if reqs else []
+        judged = {cand.fingerprint: out
+                  for (cand, _, _), out in zip(riders, self._judged(riders, replies[len(reqs):]))}
+        results = ops.finish_operators(jobs, plans, replies[:len(reqs)])
         edits: list[tuple[SelectionPair, Optional[Candidate]]] = []
         failed = []
-        for pair, result in zip(pairs, results):
+        for k, (pair, result) in enumerate(zip(pairs, results)):
             if isinstance(result, BackendError):
                 # infrastructure noise, not prompt quality: no observation
                 log.warning("operator %s on %s failed: %s", pair.operator, pair.section, result)
                 failed.append({"section": pair.section, "operator": pair.operator,
                                "error": type(result).__name__})
+            elif k in local:
+                edits.append((pair, local[k]))
             else:
                 edits.append((pair, self._edited(base, result, pair, iteration)))
 
@@ -584,8 +680,7 @@ class _Trainer:
         for _, cand in edits:
             if cand is not None:
                 fresh.setdefault(cand.fingerprint, cand)
-        eval_requests = self.eval_requests
-        losers = self._score(list(fresh.values()), iteration)
+        losers = self._score(list(fresh.values()), iteration, judged)
         observations: list[GradientObservation] = []
         selections = []
         new_candidates: list[Candidate] = []

@@ -171,18 +171,16 @@ def read_experience(path) -> ExperienceStore:
                 or epochs_trained < 0):
             raise ValueError("epochs_trained must be a non-negative integer, not %s"
                              % json.dumps(epochs_trained))
+        texts = {key: doc.get(key, "") for key in ("task_kind", "created_at", "updated_at")}
+        for key, value in texts.items():
+            if not isinstance(value, str):
+                raise ValueError("%s must be a string, not %s" % (key, json.dumps(value)))
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise CorruptFile("cannot read experience file %s: %s" % (path, e))
     if version != EXPERIENCE_VERSION:
         raise VersionMismatch("unsupported experience version %r" % version)
-    return ExperienceStore(
-        matrix=matrix,
-        task_kind=doc.get("task_kind", ""),
-        epochs_trained=epochs_trained,
-        created_at=doc.get("created_at", ""),
-        updated_at=doc.get("updated_at", ""),
-        version=version,
-    )
+    return ExperienceStore(matrix=matrix, epochs_trained=epochs_trained, version=version,
+                           **texts)
 
 
 def load_experience(path, sections: Sequence[str], operators: Sequence[str],

@@ -9,12 +9,14 @@ into the edited prompt, and it alone makes an unparseable reply a no-op. An
 edit that leaves the prompt as it was still comes back as a prompt:
 `engine._Trainer._edited` alone, by fingerprint, treats it as a no-op.
 `apply_operators` runs many operators in one round trip, and
-`apply_operator` is its one-operator form. Template-backed operators build
-a chat request from a text template and parse a JSON response. The manifest
-maps each of them to its template file; a new operator needs its id in
-`OPERATOR_IDS` (`load_registry` rejects any other) and its own branch in
-`build_request` when the template takes more than the section's name and
-body.
+`apply_operator` is its one-operator form. `plan_operators` and
+`finish_operators` are its steps before and after that round trip, for a
+caller that sends more requests in the same batch. Template-backed
+operators build a chat request from a text template and parse a JSON
+response. The manifest maps each of them to its template file; a new
+operator needs its id in `OPERATOR_IDS` (`load_registry` rejects any
+other) and its own branch in `build_request` when the template takes more
+than the section's name and body.
 """
 
 from __future__ import annotations
@@ -485,20 +487,22 @@ def finish_operator(op: str, ctx: OperatorContext,
     return ctx.prompt.with_body(section.id, outcome.new_body)
 
 
-def apply_operators(jobs: Sequence[tuple[str, OperatorContext]],
-                    backend: Optional[Backend]) -> list[Union[MetaPrompt, None, BackendError]]:
-    """Run (operator id, context) jobs in one round trip: plan every job,
-    send the requests of all of them as one batch in job order (none when no
-    job needs a request), and finish each job with its own replies. Each job
-    comes back as its edited prompt, or None for a no-op; a job whose
-    replies all failed comes back as its BackendError, and an AuthError is
-    raised. Without a backend, a job that needs requests raises
-    MissingContext."""
+def plan_operators(jobs: Sequence[tuple[str, OperatorContext]]
+                   ) -> tuple[list, list[GenerationRequest]]:
+    """Plan every (operator id, context) job (see `plan_operator`). Returns
+    the plans, in job order, and the requests of all of them as one batch,
+    in job order."""
     plans = [plan_operator(op, ctx) for op, ctx in jobs]
-    reqs = [req for plan in plans if isinstance(plan, tuple) for req in plan]
-    if reqs and backend is None:
-        raise MissingContext("operators that send requests need a backend")
-    replies = iter(backend.generate_batch(reqs) if reqs else ())
+    return plans, [req for plan in plans if isinstance(plan, tuple) for req in plan]
+
+
+def finish_operators(jobs: Sequence[tuple[str, OperatorContext]], plans: Sequence,
+                     replies: Sequence[BatchItem]) -> list[Union[MetaPrompt, None, BackendError]]:
+    """Finish each job of `plan_operators` with its own replies, taken in
+    order from `replies`, the replies to its batch. Each job comes back as
+    its edited prompt, or None for a no-op; a job whose replies all failed
+    comes back as its BackendError, and an AuthError is raised."""
+    replies = iter(replies)
     results = []
     for (op, ctx), plan in zip(jobs, plans):
         if isinstance(plan, tuple):
@@ -510,6 +514,19 @@ def apply_operators(jobs: Sequence[tuple[str, OperatorContext]],
                 plan = e
         results.append(plan)
     return results
+
+
+def apply_operators(jobs: Sequence[tuple[str, OperatorContext]],
+                    backend: Optional[Backend]) -> list[Union[MetaPrompt, None, BackendError]]:
+    """Run (operator id, context) jobs in one round trip: plan every job,
+    send the requests of all of them as one batch in job order (none when no
+    job needs a request), and finish each job with its own replies (see
+    `finish_operators`). Without a backend, a job that needs requests raises
+    MissingContext."""
+    plans, reqs = plan_operators(jobs)
+    if reqs and backend is None:
+        raise MissingContext("operators that send requests need a backend")
+    return finish_operators(jobs, plans, backend.generate_batch(reqs) if reqs else ())
 
 
 def apply_operator(op: str, ctx: OperatorContext,

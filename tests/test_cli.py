@@ -633,6 +633,17 @@ class TestReportAndExperience:
         assert main(["experience-import", "--file", str(bad), "--out", str(out)]) == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("key", ["task_kind", "created_at", "updated_at"])
+    def test_import_rejects_a_text_field_that_is_not_a_string(self, tmp_path, capsys, key):
+        bad = tmp_path / "bad.json"
+        out = tmp_path / "out.json"
+        bad.write_text('{"version": 1, "sections": ["s0"], "operators": ["cot"], '
+                       '"q": [[0.5]], "%s": [1]}' % key)
+        assert main(["experience-import", "--file", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: cannot read experience file %s: %s must be a string, not [1]" % (bad, key))
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ['"x"', "-1", "1.5", "true", "null"])
     def test_import_rejects_a_bad_epoch_count(self, tmp_path, capsys, value):
         bad = tmp_path / "bad.json"

@@ -717,17 +717,66 @@ def record_f1(record, cut):
     return tally.objective_value()
 
 
-def halving_requests(k, n, parallel=1):
-    """The evaluation requests successive halving sends for k distinct
-    prompts on n training examples, `parallel` requests to a wave."""
+def halving_batches(k, n, parallel=1):
+    """(live prompts, start, stop) of each batch that successive halving
+    sends for k distinct prompts on n training examples, `parallel`
+    requests to a wave, with nothing sent before."""
     q, h = n // RACE_PREFIX_DIVISOR, n // 2
     if k < 2 or q < RACE_MIN_PREFIX:
-        return k * n
+        return [(k, 0, n)]
     q = first_rung(q, k, parallel)
     k1 = -(-k // 2)
     if k1 == 1:
-        return k * q + (n - q)
-    return k * q + k1 * (h - q) + -(-k1 // 2) * (n - h)
+        return [(k, 0, q), (1, q, n)]
+    return [(k, 0, q), (k1, q, h), (-(-k1 // 2), h, n)]
+
+
+def halving_requests(k, n, parallel=1):
+    """The evaluation requests of halving_batches(k, n, parallel)."""
+    return sum(live * (stop - start) for live, start, stop in halving_batches(k, n, parallel))
+
+
+class Riding(Graded):
+    """Graded, but it finds the example by the request's last line, where the
+    template puts the input: a few_shot prompt quotes other examples'
+    inputs, so the first input found in the text may not be the one asked
+    about."""
+
+    def __init__(self, examples, max_parallel=1):
+        super().__init__(examples, max_parallel=max_parallel)
+        self.by_input = {ex.input: ex for ex in examples}
+
+    def _reply(self, text):
+        if OPERATOR_TARGET.search(text):
+            return super()._reply(text)
+        inp = text.rsplit("\n", 1)[-1]
+        return json.dumps({"label": graded_label(text[:-len(inp)] + "{{Input}}",
+                                                 self.by_input[inp])})
+
+
+def split_call(call, by_input):
+    """The operator requests of a batch, then its evaluation requests as
+    (prompt skeleton, example) pairs, in batch order."""
+    operator = [text for text, _ in call if OPERATOR_TARGET.search(text)]
+    evals = []
+    for text, _ in call[len(operator):]:
+        inp = text.rsplit("\n", 1)[-1]
+        evals.append((text[:-len(inp)] + "{{Input}}", by_input[inp]))
+    return operator, evals
+
+
+LOCAL = ("cot", "few_shot", "repeat_instructions")
+RIDING_OPERATORS = ("cot", "few_shot", "repeat_instructions", "refine", "rewrite")
+
+
+def riding_trainer(tmp_path, data, parallel, operators=RIDING_OPERATORS, seed=0):
+    cfg = small_config(iterations=4, top_k=3, anneal_count=0, pairs_per_epoch=5, seed=seed,
+                       operators=operators, output_dir=str(tmp_path))
+    backend = Riding(data, max_parallel=parallel)
+    trainer = _Trainer(cfg, data, [], base_template(), backend)
+    pool = [Candidate(prompt=base_template())]
+    trainer._score(pool, 0)
+    return trainer, backend, [trainer._scored(cand, 0) for cand in pool]
 
 
 class TestRacing:
@@ -819,6 +868,52 @@ class TestRacing:
             assert sel["scored_on"] == n
             assert sel["gradient"] == report.f1 - pool[0].latest_score("f1")
 
+    @pytest.mark.parametrize("parallel, n, operators", [
+        (1, 200, RIDING_OPERATORS),  # local operators at the mock's max_parallel
+        (64, 200, ("refine", "rewrite", "short_instruction")),  # no local operator
+        (64, 99, RIDING_OPERATORS),  # a training set too short to race
+    ])
+    def test_iterations_that_nothing_rides(self, tmp_path, monkeypatch, parallel, n,
+                                           operators):
+        """These iterations send the batches they sent before local edits
+        rode the operator batch: the operator requests alone, then each
+        rung's batch with every live prompt on the same examples."""
+        data = cls_dataset(n)
+        by_input = {ex.input: ex for ex in data}
+        trainer, backend, pool = riding_trainer(tmp_path, data, parallel, operators)
+        scorings = []
+        score = _Trainer._score
+
+        def spy(self, cands, iteration, judged=None):
+            scorings.append((len(cands), judged))
+            return score(self, cands, iteration, judged)
+
+        monkeypatch.setattr(_Trainer, "_score", spy)
+        saw_local = False
+        for iteration in range(1, 5):
+            del backend.calls[:]
+            del scorings[:]
+            pool = trainer._iteration(iteration, pool)
+            row = trainer.report.iterations[-1]
+            ops = [s["operator"] for s in row["selections"]]
+            saw_local |= any(op in LOCAL for op in ops)
+            [(k, judged)] = scorings
+            assert not judged
+            calls = backend.calls
+            n_operator = sum(op not in LOCAL for op in ops)
+            if n_operator:
+                operator, evals = split_call(calls[0], by_input)
+                assert len(operator) == n_operator and not evals
+                calls = calls[1:]
+            assert len(calls) == len(halving_batches(k, n, parallel))
+            for call, (live, start, stop) in zip(calls, halving_batches(k, n, parallel)):
+                assert len(call) == live * (stop - start)
+                for at in range(0, len(call), stop - start):
+                    assert [by_input[text.rsplit("\n", 1)[-1]] for text, _ in
+                            call[at:at + stop - start]] == data[start:stop]
+            assert row["eval_requests"] == halving_requests(k, n, parallel)
+        assert saw_local == (operators == RIDING_OPERATORS)
+
     def test_initial_pool_races(self, tmp_path, monkeypatch):
         data = cls_dataset(100)
         backend = Graded(data)
@@ -885,6 +980,149 @@ class TestRacing:
         assert row["eval_requests"] == 2 * k + (len(data) - k)
 
 
+class TestRiding:
+    """At max_parallel > 1, the distinct local edits of a racing iteration
+    send their first examples in the free slots of the operator batch."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_local_edits_ride_the_operator_batch(self, tmp_path, monkeypatch, seed):
+        data = cls_dataset(200)
+        by_input = {ex.input: ex for ex in data}
+        quarter = len(data) // 4
+        trainer, backend, pool = riding_trainer(tmp_path, data, 64, seed=seed)
+        races = []
+        score = _Trainer._score
+
+        def spy(self, cands, iteration, judged=None):
+            losers = score(self, cands, iteration, judged)
+            finished = {c.fingerprint: self.scored[c.fingerprint] for c in cands
+                        if c.fingerprint not in losers}
+            races.append((list(cands), dict(judged or {}), losers, finished))
+            return losers
+
+        monkeypatch.setattr(_Trainer, "_score", spy)
+        rode = 0
+        for iteration in range(1, 5):
+            del backend.calls[:]
+            del races[:]
+            base = max(pool, key=lambda c: (c.latest_score("f1"), -len(c.lineage)))
+            base_skeleton = base.prompt.skeleton()
+            pool = trainer._iteration(iteration, pool)
+            row = trainer.report.iterations[-1]
+            [(cands, judged, losers, finished)] = races
+            pairs = [(s["section"], s["operator"]) for s in row["selections"]]
+            backend_pairs = [(sec, op) for sec, op in pairs if op not in LOCAL]
+            assert backend_pairs  # so the first batch is the operator batch
+
+            # the operator requests in pair order, then the riders' requests
+            operator, riders = split_call(backend.calls[0], by_input)
+            assert [OPERATOR_TARGET.search(t).group(1) for t in operator] == \
+                [sec for sec, _ in backend_pairs]
+            if riders:
+                rode += 1
+                local = len(judged)
+                r = len(riders) // local
+                assert local * r == len(riders)
+                assert r == min(-len(operator) % 64 // local,
+                                first_rung(quarter, local + len(backend_pairs), 64))
+                blocks = [riders[i:i + r] for i in range(0, len(riders), r)]
+                by_fp = {c.fingerprint: c for c in cands}
+                # one block per distinct local edit, in pair order, each on
+                # the first r examples
+                assert [block[0][0] for block in blocks] == \
+                    [by_fp[fp].prompt.skeleton() for fp in judged]
+                assert all(ex is data[i] for block in blocks for i, (_, ex) in enumerate(block))
+                first_pair = [pairs.index(by_fp[fp].lineage[-1][1:]) for fp in judged]
+                assert first_pair == sorted(first_pair)
+                assert all(by_fp[fp].lineage[-1][2] in LOCAL for fp in judged)
+            else:
+                assert not judged
+
+            # no (prompt, example) request twice in the iteration, and the
+            # row counts every evaluation request, the riders' included
+            sent = [pair for call in backend.calls for pair in split_call(call, by_input)[1]]
+            assert len(set((s, ex.id) for s, ex in sent)) == len(sent)
+            assert row["eval_requests"] == len(sent)
+
+            # each finished prompt is scored as one full evaluation
+            assert len(finished) + len(losers) == len(cands)
+            for cand in cands:
+                if cand.fingerprint in finished:
+                    report, bad = evaluate(cand, data, Riding(data), seed=seed + iteration)
+                    [(_, judgements)] = predict_many([cand], data, Riding(data))
+                    assert finished[cand.fingerprint] == (report, bad, tuple(judgements))
+
+            # a raced-out edit's gradient compares it and the base on the
+            # prefix it lost on
+            base_labels = [graded_label(base_skeleton, ex) for ex in data]
+            want = set()
+            for cand in cands:
+                if cand.fingerprint in losers:
+                    cut, objective = losers[cand.fingerprint]
+                    labels = [graded_label(cand.prompt.skeleton(), ex) for ex in data[:cut]]
+                    assert objective == f1_of(data[:cut], labels)
+                    want.add((cut, objective - f1_of(data[:cut], base_labels[:cut])))
+            got = {(s["scored_on"], s["gradient"]) for s in row["selections"] if s["raced_out"]}
+            assert got == want
+        assert rode
+
+    @pytest.mark.parametrize("riding, sizes", [(True, [125, 189, 200]),
+                                               (False, [190, 186, 200])])
+    def test_three_riders_of_five_prompts(self, tmp_path, riding, sizes):
+        """Five prompts on 200 examples at 64 requests to a wave, three of
+        them local edits beside an operator batch of 2 requests: they ride
+        with 20 examples each, and the race then takes one wave fewer."""
+        data = cls_dataset(200)
+        trainer, backend, _ = riding_trainer(tmp_path, data, 64)
+        cands = [Candidate(prompt=make_prompt(
+            ["Classify variant %d as A or B." % j, "", 'Return JSON: {"label": ""}'],
+            editable=[True, True, False])) for j in range(5)]
+        riders = trainer._riders(cands[:3], 2, 2) if riding else []
+        assert [stop for _, _, stop in riders] == ([20] * 3 if riding else [])
+        results = backend.generate_batch(trainer._requests(riders))
+        judged = {cand.fingerprint: out
+                  for (cand, _, _), out in zip(riders, trainer._judged(riders, results))}
+        del backend.calls[:]
+        trainer._score(cands, 1, judged)
+        assert [len(call) for call in backend.calls] == sizes
+        waves = sum(-(-n // 64) for n in [2 + len(results), *sizes])
+        assert waves == (10 if riding else 11)
+
+    def test_rider_sent_past_the_first_rung_keeps_its_judgements(self, tmp_path):
+        """A rider sent more examples than the first rung is ranked on the
+        rung's prefix, and none of its examples is sent again."""
+        data = cls_dataset(200)
+        by_input = {ex.input: ex for ex in data}
+        trainer, backend, _ = riding_trainer(tmp_path, data, 64)
+        cands = [Candidate(prompt=make_prompt(
+            ["Classify variant %d as A or B." % j, "", 'Return JSON: {"label": ""}'],
+            editable=[True, True, False])) for j in range(3)]
+        del backend.calls[:]
+        riders = [(cands[0], 0, 45)]
+        results = backend.generate_batch(trainer._requests(riders))
+        judged = {cands[0].fingerprint: trainer._judged(riders, results)[0]}
+        losers = trainer._score(cands, 1, judged)
+        # 3 * 42 requests would fill 2 waves; 126 - 45 due requests fill 1,
+        # which 2 * 32 unsent requests fit
+        assert first_rung(50, 3, 64) == 42
+        assert first_rung(50, 3, 64, [45, 0, 0]) == 32
+        rider, rung1, *_ = [split_call(call, by_input)[1] for call in backend.calls]
+        assert len(rider) == 45
+        assert len(rung1) == 64
+        assert {s for s, _ in rung1} == {c.prompt.skeleton() for c in cands[1:]}
+        sent = [(s, ex.id) for call in backend.calls for s, ex in split_call(call, by_input)[1]]
+        assert len(set(sent)) == len(sent) == trainer.eval_requests - 200
+        for cand in cands:
+            labels = [graded_label(cand.prompt.skeleton(), ex) for ex in data]
+            if cand.fingerprint in losers:
+                cut, objective = losers[cand.fingerprint]
+                assert cut in (32, 100) and objective == f1_of(data[:cut], labels[:cut])
+                continue
+            [(_, judgements)] = predict_many([cand], data, Riding(data))
+            assert trainer.scored[cand.fingerprint] == (
+                *evaluate(cand, data, Riding(data), seed=1), tuple(judgements))
+
+
 class TestScoreProperties:
     @given(k=st.integers(1, 300), quarter=st.integers(RACE_MIN_PREFIX, 3000),
            parallel=st.integers(1, 512))
@@ -900,6 +1138,34 @@ class TestScoreProperties:
         assert k * cut <= waves * parallel < k * (cut + 1)
         if k <= parallel:
             assert -(-k * cut // parallel) == waves
+
+    @given(data=st.data(), k=st.integers(1, 12), quarter=st.integers(RACE_MIN_PREFIX, 400),
+           parallel=st.sampled_from([1, 2, 7, 16, 64, 100]))
+    def test_first_rung_after_requests_were_sent(self, data, k, quarter, parallel):
+        seen = data.draw(st.lists(st.integers(0, quarter), min_size=k, max_size=k))
+        full = first_rung(quarter, k, parallel)
+        cut = first_rung(quarter, k, parallel, seen)
+        assert 0 <= cut <= full
+        if not any(seen):
+            assert cut == full
+            return
+
+        def unsent(c):
+            return sum(max(0, c - s) for s in seen)
+
+        # brute force: the longest prefix whose unsent requests fit in the
+        # whole waves (at least one) that the requests still due fill
+        waves = max(1, (k * full - sum(seen)) // parallel)
+        assert cut == max(c for c in range(full + 1) if unsent(c) <= waves * parallel)
+        assert unsent(cut) <= waves * parallel
+        assert cut == full or unsent(cut + 1) > waves * parallel
+        if k <= parallel:
+            assert cut >= 1
+
+    @given(k=st.integers(1, 12), quarter=st.integers(RACE_MIN_PREFIX, 400),
+           parallel=st.integers(1, 128))
+    def test_first_rung_with_nothing_sent(self, k, quarter, parallel):
+        assert first_rung(quarter, k, parallel, [0] * k) == first_rung(quarter, k, parallel)
 
     @given(k=st.integers(1, 6), n=st.sampled_from([99, 100, 150, 200, 401]),
            parallel=st.sampled_from([1, 7, 64]))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -271,6 +272,25 @@ class TestExperienceStore:
             path.write_text(text)
             with pytest.raises(CorruptFile):
                 read_experience(path)
+
+    @pytest.mark.parametrize("key", ["task_kind", "created_at", "updated_at"])
+    @pytest.mark.parametrize("value", [5, [1], None, {"a": "b"}, True])
+    def test_text_field_that_is_not_a_string(self, tmp_path, key, value):
+        path = tmp_path / "exp.json"
+        save_experience(ExperienceStore.new(prior_matrix(), "NER"), path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptFile, match="%s must be a string, not %s"
+                           % (key, re.escape(json.dumps(value)))):
+            read_experience(path)
+
+    def test_text_fields_default_to_empty(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text('{"version": 1, "sections": ["s0"], "operators": ["cot"], '
+                        '"q": [[0.5]]}')
+        store = read_experience(path)
+        assert (store.task_kind, store.created_at, store.updated_at) == ("", "", "")
 
     def test_cross_task_load_warns(self, tmp_path, caplog):
         path = tmp_path / "exp.json"
