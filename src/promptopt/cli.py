@@ -76,6 +76,8 @@ def load_config(path, overrides=None, seed=None) -> dict:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise ConfigError("cannot read config %s: %s" % (path, e))
+    except UnicodeDecodeError as e:
+        raise ConfigError("config %s is not UTF-8 text: %s" % (path, e)) from None
     except json.JSONDecodeError as e:
         raise ConfigError("config %s is not valid JSON: %s" % (path, e))
     if not isinstance(doc, dict):

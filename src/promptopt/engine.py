@@ -25,7 +25,10 @@ Every live prompt is still ranked on the same prefix, and no (prompt,
 example) request is sent twice. At max_parallel 1 the batch has no free
 slots, so nothing rides.
 
-Each prompt's judgements go into one running tally, each once, in example
+Every evaluation batch is a list of (candidate, start, stop) segments of the
+training set, whose layout `evaluation` owns: `eval_requests` lists their
+requests and `judge_replies` splits the replies back per segment. Each
+prompt's judgements go into one running tally, each once, in example
 order, and its objective on a rung's prefix is read off the tally. A prompt
 that finishes keeps its judgements in example order, so its objective on
 any prefix can be compared with that of a prompt raced out on it. The
@@ -428,33 +431,11 @@ class _Trainer:
         return examples[:n]
 
     def _requests(self, segments: Sequence[tuple[Candidate, int, int]]) -> list:
-        """The evaluation requests of each (candidate, start, stop) segment,
-        the candidate on train_set[start:stop], in segment order; they
-        count in eval_requests."""
-        reqs = [req for cand, start, stop in segments
-                for req in eval_requests(cand, self.train_set[start:stop], self.cfg.model)]
+        """The segments' requests on train_set (see eval_requests), counted
+        in eval_requests."""
+        reqs = eval_requests(segments, self.train_set, self.cfg.model)
         self.eval_requests += len(reqs)
         return reqs
-
-    def _judged(self, segments: Sequence[tuple[Candidate, int, int]],
-                results: Sequence) -> list[tuple[list, list]]:
-        """Predictions and judgements of each segment from the results of
-        its requests (see _requests), which `results` holds in order."""
-        out = []
-        at = 0
-        for _, start, stop in segments:
-            out.append(judge_replies(self.train_set[start:stop], results[at:at + stop - start],
-                                     self.replies[start:stop]))
-            at += stop - start
-        return out
-
-    def _predict(self, segments: Sequence[tuple[Candidate, int, int]]
-                 ) -> list[tuple[list, list]]:
-        """Send the segments' requests in one batch, none when there are no
-        segments, and judge them."""
-        if not segments:
-            return []
-        return self._judged(segments, self.backend.generate_batch(self._requests(segments)))
 
     def _scored(self, cand: Candidate, iteration: int) -> Candidate:
         report = self.scored[cand.fingerprint][0]
@@ -508,9 +489,12 @@ class _Trainer:
             # each live candidate's unseen examples before `stop`, one batch
             todo = [i for i in live if len(judgements[i]) < stop]
             segments = [(cands[i], len(judgements[i]), stop) for i in todo]
-            for i, (preds, judgs) in zip(todo, self._predict(segments)):
-                predictions[i] += preds
-                judgements[i] += judgs
+            if segments:
+                results = self.backend.generate_batch(self._requests(segments))
+                for i, (preds, judgs) in zip(todo, judge_replies(
+                        segments, self.train_set, results, self.replies)):
+                    predictions[i] += preds
+                    judgements[i] += judgs
             for i in live:
                 tallies[i].add(enumerate(judgements[i][fed[i]:stop], fed[i]))
                 fed[i] = stop
@@ -540,7 +524,7 @@ class _Trainer:
 
     def _riders(self, local: Sequence[Candidate], n_requests: int, n_plans: int
                 ) -> list[tuple[Candidate, int, int]]:
-        """The segments (see _requests) that the distinct local edits send
+        """The segments (see eval_requests) that the distinct local edits send
         in the iteration's operator batch of `n_requests` requests, made by
         `n_plans` backend operators: the first r examples of each, in the
         free slots of the batch's last wave of max_parallel requests, with
@@ -659,8 +643,8 @@ class _Trainer:
         # round trip 1: every backend operator's requests, in pair order,
         # then the riders' evaluation requests
         replies = self.backend.generate_batch(reqs + self._requests(riders)) if reqs else []
-        judged = {cand.fingerprint: out
-                  for (cand, _, _), out in zip(riders, self._judged(riders, replies[len(reqs):]))}
+        judged = {cand.fingerprint: out for (cand, _, _), out in zip(
+            riders, judge_replies(riders, self.train_set, replies[len(reqs):], self.replies))}
         results = ops.finish_operators(jobs, plans, replies[:len(reqs)])
         edits: list[tuple[SelectionPair, Optional[Candidate]]] = []
         failed = []

@@ -8,13 +8,15 @@ Tasks: NER (span-level exact match, half-open character spans), CLS
 
 Each example's judgement (what it adds to the score, and whether it is
 exactly right) is a pure function of its task, gold and reply text.
-`predict_many` sends a batch of evaluation requests and judges the replies,
-in two steps that a caller can also take apart: `eval_requests` builds a
-prompt's requests, and `judge_replies` turns its replies into predictions
-and judgements. Judging keeps one memo slot per example holding its last
-reply, that reply's prediction and its judgement, so a caller that keeps the
-memo (the trainer keeps one for its training set) parses and judges an
-example's reply only when it differs from that example's previous reply.
+This module owns the layout of an evaluation batch: a batch is a list of
+(candidate, start, stop) segments, each the candidate on examples[start:stop].
+`eval_requests` lists the segments' requests in order, and `judge_replies`
+splits the batch's replies back into each segment's predictions and
+judgements; `evaluate` is the one-segment case. Judging keeps one memo slot
+per example holding its last reply, that reply's prediction and its
+judgement, so a caller that keeps the memo (the trainer keeps one for its
+training set) parses and judges an example's reply only when it differs
+from that example's previous reply.
 Scoring is one `Tally` per prompt: judgements are added in order, each
 once, and the score of everything added so far can be read at any point,
 which is the score of that prefix on its own. The same pass lists the
@@ -28,7 +30,7 @@ import logging
 import random
 import string
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .backend import Backend, GenerationRequest, GenerationResponse
 from .errors import AlignmentError, AuthError, CorruptFile, EmptyDataset, OutOfRange
@@ -419,67 +421,56 @@ _NO_REPLY = object()  # the text of a memo slot that holds no reply yet
 
 
 def reply_memo(n: int) -> list[list]:
-    """A memo for predict_many: n empty [reply text, prediction, judgement]
+    """A memo for judge_replies: n empty [reply text, prediction, judgement]
     slots, one per example."""
     return [[_NO_REPLY, None, None] for _ in range(n)]
 
 
-def eval_requests(candidate: Candidate, examples: Sequence[ExampleRecord],
+def eval_requests(segments: Sequence[tuple[Candidate, int, int]],
+                  examples: Sequence[ExampleRecord],
                   model: str = "default") -> list[GenerationRequest]:
-    """The candidate's evaluation request for each example, in example
-    order."""
-    return [GenerationRequest((("user", render(candidate.prompt, ex.input)),), model)
-            for ex in examples]
+    """The evaluation requests of each (candidate, start, stop) segment, the
+    candidate on examples[start:stop] in example order, in segment order."""
+    return [GenerationRequest((("user", render(cand.prompt, ex.input)),), model)
+            for cand, start, stop in segments for ex in examples[start:stop]]
 
 
-def judge_replies(examples: Sequence[ExampleRecord], results: Sequence,
-                  memo: list[list]) -> tuple[list, list]:
-    """One candidate's parsed predictions and their judgements (see _judge),
-    in example order, from its batch results for `examples`. A failed
-    request predicts a format failure, except an AuthError, which is raised.
+def judge_replies(segments: Sequence[tuple[Candidate, int, int]],
+                  examples: Sequence[ExampleRecord], results: Sequence,
+                  memo: list[list]) -> list[tuple[list, list]]:
+    """Each segment's parsed predictions and their judgements (see _judge),
+    in example order, from the results of its requests (see eval_requests),
+    which `results` holds in order. A failed request predicts a format
+    failure, except an AuthError, which is raised.
 
-    `memo` (see reply_memo) holds one slot per example. A reply equal to its
-    example's slot text takes the slot's prediction and judgement; any other
-    reply is parsed and judged and replaces the slot, which a failed request
-    leaves as it is. Parsing and judging are pure functions of the task, the
-    gold and the text, so the memo changes no result, and a caller that
-    keeps one across calls parses and judges each example's reply again
-    only when it changes."""
+    `memo` (see reply_memo) holds one slot per example, shared by the
+    segments. A reply equal to its example's slot text takes the slot's
+    prediction and judgement; any other reply is parsed and judged and
+    replaces the slot, which a failed request leaves as it is. Parsing and
+    judging are pure functions of the task, the gold and the text, so the
+    memo changes no result, and a caller that keeps one across calls parses
+    and judges each example's reply again only when it changes."""
     task = examples[0].task
-    predictions, judgements = [], []
-    for ex, slot, res in zip(examples, memo, results):
-        if isinstance(res, GenerationResponse):
-            if slot[0] != res.text:
-                prediction = parse_prediction(task, res.text)
-                slot[:] = res.text, prediction, _judge(task, ex.gold, prediction)
-            predictions.append(slot[1])
-            judgements.append(slot[2])
-        elif isinstance(res, AuthError):
-            raise res  # no later request can succeed: end the run
-        else:
-            predictions.append(FORMAT_FAILURE)
-            judgements.append(_judge(task, ex.gold, FORMAT_FAILURE))
-    return predictions, judgements
-
-
-def predict_many(candidates: Sequence[Candidate], examples: Sequence[ExampleRecord],
-                 backend: Backend, model: str = "default",
-                 memo: Optional[list[list]] = None) -> list[tuple[list, list]]:
-    """Send one backend batch of len(candidates) x len(examples) requests in
-    (candidate, example) order (see eval_requests). Returns, for each
-    candidate, its predictions and judgements (see judge_replies, which
-    shares `memo`, a fresh one when not given, across the candidates); the
-    first AuthError in the batch ends the evaluation."""
-    if not examples:
-        raise EmptyDataset("cannot evaluate on an empty dataset")
-    if not candidates:
-        return []
-    results = backend.generate_batch(
-        [req for cand in candidates for req in eval_requests(cand, examples, model)])
-    n = len(examples)
-    slots = reply_memo(n) if memo is None else memo
-    return [judge_replies(examples, results[i * n:(i + 1) * n], slots)
-            for i in range(len(candidates))]
+    out = []
+    at = 0
+    for _, start, stop in segments:
+        predictions, judgements = [], []
+        for ex, slot, res in zip(examples[start:stop], memo[start:stop],
+                                 results[at:at + stop - start]):
+            if isinstance(res, GenerationResponse):
+                if slot[0] != res.text:
+                    prediction = parse_prediction(task, res.text)
+                    slot[:] = res.text, prediction, _judge(task, ex.gold, prediction)
+                predictions.append(slot[1])
+                judgements.append(slot[2])
+            elif isinstance(res, AuthError):
+                raise res  # no later request can succeed: end the run
+            else:
+                predictions.append(FORMAT_FAILURE)
+                judgements.append(_judge(task, ex.gold, FORMAT_FAILURE))
+        out.append((predictions, judgements))
+        at += stop - start
+    return out
 
 
 def sample_bad_cases(examples: Sequence[ExampleRecord], predictions: Sequence,
@@ -500,7 +491,12 @@ def evaluate(candidate: Candidate, examples: Sequence[ExampleRecord], backend: B
     score, and collect a seeded uniform sample of failures as bad cases. A
     failed request scores as a format failure, except an AuthError, which is
     raised."""
-    [(predictions, judgements)] = predict_many([candidate], examples, backend, model=model)
+    if not examples:
+        raise EmptyDataset("cannot evaluate on an empty dataset")
+    segments = [(candidate, 0, len(examples))]
+    results = backend.generate_batch(eval_requests(segments, examples, model))
+    [(predictions, judgements)] = judge_replies(segments, examples, results,
+                                                reply_memo(len(examples)))
     tally = Tally(examples[0].task, objective, cls_average)
     tally.add(enumerate(judgements))
     return tally.report(), sample_bad_cases(examples, predictions, tally.misses,

@@ -216,6 +216,8 @@ def load_template(source) -> MetaPrompt:
         raw = path.read_text(encoding="utf-8")
     except OSError as e:
         raise TemplateParseError("cannot read template %s: %s" % (path, e))
+    except UnicodeDecodeError as e:
+        raise TemplateParseError("template %s is not UTF-8 text: %s" % (path, e)) from None
     if not raw.strip():
         raise TemplateParseError("empty template file: %s" % path)
     try:
@@ -225,7 +227,17 @@ def load_template(source) -> MetaPrompt:
     return prompt_from_dict(doc)
 
 
+def _text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise TemplateParseError("%s must be a string, not %s" % (where, json.dumps(value)))
+    return value
+
+
 def prompt_from_dict(doc: Mapping) -> MetaPrompt:
+    """The prompt a template document describes. Section `name`, `id` and
+    `body`, and the document's `input_placeholder` and `output_contract`,
+    must be strings, and a section's `editable` a boolean; a missing or
+    mistyped field raises TemplateParseError."""
     try:
         raw_sections = doc["sections"]
     except (KeyError, TypeError):
@@ -239,19 +251,25 @@ def prompt_from_dict(doc: Mapping) -> MetaPrompt:
             body = sec["body"]
         except (KeyError, TypeError):
             raise TemplateParseError("section %d missing name/body" % i)
+        name = _text(name, "section %d name" % i)
+        editable = sec.get("editable", True)
+        if not isinstance(editable, bool):
+            raise TemplateParseError("section %d editable must be true or false, not %s"
+                                     % (i, json.dumps(editable)))
         sections.append(
             Section(
-                id=sec.get("id", name),
+                id=_text(sec.get("id", name), "section %d id" % i),
                 name=name,
-                body=body,
-                editable=bool(sec.get("editable", True)),
+                body=_text(body, "section %d body" % i),
+                editable=editable,
                 position=i,
             )
         )
     return MetaPrompt(
         sections=tuple(sections),
-        input_placeholder=doc.get("input_placeholder", DEFAULT_PLACEHOLDER),
-        output_contract=doc.get("output_contract", ""),
+        input_placeholder=_text(doc.get("input_placeholder", DEFAULT_PLACEHOLDER),
+                                "input_placeholder"),
+        output_contract=_text(doc.get("output_contract", ""), "output_contract"),
     )
 
 

@@ -120,6 +120,14 @@ class TestValidateConfig:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate-config", "--config", str(tmp_path / "nope.json")]) == 1
 
+    def test_config_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'\xff\xfe{"task": "CLS"}')
+        assert main(["validate-config", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config %s is not UTF-8 text" % path)
+        assert err.count("\n") == 1
+
     def test_unknown_override_path(self, workspace, capsys):
         code = main(["validate-config", "--config", str(workspace / "config.json"),
                      "--set", "backend.nested.key=1"])
@@ -486,6 +494,17 @@ class TestEvaluate:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith('error: %s line 3: "label" must be a string, not 7' % data)
+
+    def test_template_that_is_not_utf8_exits_two(self, workspace, capsys):
+        path = workspace / "latin1.json"
+        path.write_bytes(b'\xff{"sections": []}')
+        code = main(["evaluate", "--prompt", str(path),
+                     "--dataset", str(workspace / "train.jsonl"), "--task", "CLS",
+                     "--mock-script", str(workspace / "mock.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: template %s is not UTF-8 text" % path)
+        assert err.count("\n") == 1
 
     def test_wrong_case_reported(self, workspace, capsys):
         code = main(["evaluate",

@@ -27,9 +27,11 @@ from promptopt.evaluation import (
     ExampleRecord,
     Tally,
     _judge,
+    eval_requests,
     evaluate,
+    judge_replies,
     parse_prediction,
-    predict_many,
+    reply_memo,
     score,
 )
 from promptopt.matrix import TransitionMatrix, load_matrix
@@ -710,6 +712,14 @@ class SameBody(Graded):
         return super()._reply(text)
 
 
+def judged_alone(cand, data, backend):
+    """The predictions and judgements of one evaluation of `cand` on data."""
+    segments = [(cand, 0, len(data))]
+    results = backend.generate_batch(eval_requests(segments, data))
+    [out] = judge_replies(segments, data, results, reply_memo(len(data)))
+    return out
+
+
 def record_f1(record, cut):
     """The f1 of a `scored` record's judgements of the first `cut` examples."""
     tally = Tally("CLS")
@@ -859,7 +869,7 @@ class TestRacing:
                 continue
             cand = in_pool[skeletons[i]]
             report, bad = evaluate(cand, data, Graded(data), seed=1)
-            [(_, judgements)] = predict_many([cand], data, Graded(data))
+            _, judgements = judged_alone(cand, data, Graded(data))
             record = trainer.scored[cand.fingerprint]
             assert record == (report, bad, tuple(judgements))
             assert tuple(record_f1(record, c) for c in rungs) == tuple(
@@ -1049,7 +1059,7 @@ class TestRiding:
             for cand in cands:
                 if cand.fingerprint in finished:
                     report, bad = evaluate(cand, data, Riding(data), seed=seed + iteration)
-                    [(_, judgements)] = predict_many([cand], data, Riding(data))
+                    _, judgements = judged_alone(cand, data, Riding(data))
                     assert finished[cand.fingerprint] == (report, bad, tuple(judgements))
 
             # a raced-out edit's gradient compares it and the base on the
@@ -1080,8 +1090,8 @@ class TestRiding:
         riders = trainer._riders(cands[:3], 2, 2) if riding else []
         assert [stop for _, _, stop in riders] == ([20] * 3 if riding else [])
         results = backend.generate_batch(trainer._requests(riders))
-        judged = {cand.fingerprint: out
-                  for (cand, _, _), out in zip(riders, trainer._judged(riders, results))}
+        judged = {cand.fingerprint: out for (cand, _, _), out in zip(
+            riders, judge_replies(riders, trainer.train_set, results, trainer.replies))}
         del backend.calls[:]
         trainer._score(cands, 1, judged)
         assert [len(call) for call in backend.calls] == sizes
@@ -1100,7 +1110,8 @@ class TestRiding:
         del backend.calls[:]
         riders = [(cands[0], 0, 45)]
         results = backend.generate_batch(trainer._requests(riders))
-        judged = {cands[0].fingerprint: trainer._judged(riders, results)[0]}
+        judged = {cands[0].fingerprint:
+                  judge_replies(riders, trainer.train_set, results, trainer.replies)[0]}
         losers = trainer._score(cands, 1, judged)
         # 3 * 42 requests would fill 2 waves; 126 - 45 due requests fill 1,
         # which 2 * 32 unsent requests fit
@@ -1118,7 +1129,7 @@ class TestRiding:
                 cut, objective = losers[cand.fingerprint]
                 assert cut in (32, 100) and objective == f1_of(data[:cut], labels[:cut])
                 continue
-            [(_, judgements)] = predict_many([cand], data, Riding(data))
+            _, judgements = judged_alone(cand, data, Riding(data))
             assert trainer.scored[cand.fingerprint] == (
                 *evaluate(cand, data, Riding(data), seed=1), tuple(judgements))
 
@@ -1188,7 +1199,7 @@ class TestScoreProperties:
                 continue
             record = trainer.scored[cand.fingerprint]
             report, bad, judgements = record
-            [(predictions, expected)] = predict_many([cand], data, Graded(data))
+            predictions, expected = judged_alone(cand, data, Graded(data))
             assert (report, bad) == evaluate(cand, data, Graded(data), seed=0)
             assert judgements == tuple(expected)
             assert tuple(record_f1(record, c) for c in trainer.rungs) == tuple(

@@ -24,11 +24,12 @@ from promptopt.evaluation import (
     Tally,
     _judge,
     _mrc_best_prf,
+    eval_requests,
     evaluate,
+    judge_replies,
     load_dataset,
     loss,
     parse_prediction,
-    predict_many,
     reply_memo,
     sample_bad_cases,
     score,
@@ -534,7 +535,7 @@ class TestEvaluate:
         backend = self._failing_on("Label the text.\ntext 3", BackendTimeout, cls_examples)
         cands = [self._candidate(),
                  Candidate(prompt=make_prompt(["Label the text."], placeholder_in=0))]
-        predicted = predict_many(cands, cls_examples, backend)
+        predicted = judge_batch(whole(cands, cls_examples), cls_examples, backend)
         assert predicted[0][0] == [ex.gold for ex in cls_examples]
         assert predicted[1][0][3] is FORMAT_FAILURE
         assert [judgements for _, judgements in predicted] == [
@@ -731,8 +732,21 @@ def prompt_candidate(word):
     return Candidate(prompt=make_prompt([word + " the text."], placeholder_in=0))
 
 
+def whole(cands, examples):
+    """One segment per candidate, each on every example."""
+    return [(cand, 0, len(examples)) for cand in cands]
+
+
+def judge_batch(segments, examples, backend, memo=None):
+    """Send the segments' requests in one batch and judge the replies
+    through `memo`, a fresh one when not given."""
+    results = backend.generate_batch(eval_requests(segments, examples))
+    return judge_replies(segments, examples, results,
+                         reply_memo(len(examples)) if memo is None else memo)
+
+
 def judged(examples, predictions):
-    """predict_many's result for one candidate with these predictions."""
+    """judge_replies' result for one segment with these predictions."""
     return predictions, [_judge(ex.task, ex.gold, pred)
                          for ex, pred in zip(examples, predictions)]
 
@@ -743,14 +757,16 @@ class TestParseMemo:
         judges = count_calls(monkeypatch, "_judge")
         backend = ByExample(cls_examples)
         memo = reply_memo(len(cls_examples))
-        first = predict_many([prompt_candidate("Classify")], cls_examples, backend, memo=memo)
-        second = predict_many([prompt_candidate("Label")], cls_examples, backend, memo=memo)
+        first = judge_batch(whole([prompt_candidate("Classify")], cls_examples), cls_examples,
+                            backend, memo)
+        second = judge_batch(whole([prompt_candidate("Label")], cls_examples), cls_examples,
+                             backend, memo)
         assert first == second == [judged(cls_examples, [ex.gold for ex in cls_examples])]
         assert len(parses) == len(judges) == len(cls_examples)
         # within one batch too, with a memo of its own
         del parses[:], judges[:]
-        predict_many([prompt_candidate("Classify"), prompt_candidate("Label")],
-                     cls_examples, backend)
+        judge_batch(whole([prompt_candidate("Classify"), prompt_candidate("Label")],
+                          cls_examples), cls_examples, backend)
         assert len(parses) == len(judges) == len(cls_examples)
 
     def test_a_changed_reply_is_parsed_again(self, cls_examples, monkeypatch):
@@ -760,8 +776,8 @@ class TestParseMemo:
         changed = json.dumps({"label": "C"})
         backend = ByExample(cls_examples, {("Label", ex.input): changed})
         memo = reply_memo(len(cls_examples))
-        predictions = [predict_many([prompt_candidate(word)], cls_examples, backend,
-                                    memo=memo)[0][0]
+        predictions = [judge_batch(whole([prompt_candidate(word)], cls_examples), cls_examples,
+                                   backend, memo)[0][0]
                        for word in ("Classify", "Label", "Classify")]
         assert [p[3] for p in predictions] == [ex.gold, "C", ex.gold]
         assert all(p[:3] + p[4:] == [e.gold for e in cls_examples[:3] + cls_examples[4:]]
@@ -806,7 +822,7 @@ class TestParseMemo:
             memo = reply_memo(n)
             cands = [prompt_candidate("Prompt %d:" % c) for c in range(k)]
             for want in expected:
-                assert predict_many(cands, examples, backend, memo=memo) == want
+                assert judge_batch(whole(cands, examples), examples, backend, memo) == want
         assert (len(parses), len(judges)) == (n_parses, n_judges)
         for i, ex in enumerate(examples):
             if i in last:
@@ -837,11 +853,73 @@ def reply_streams(draw):
     return task, average, examples, k, batches
 
 
+@st.composite
+def ragged_segments(draw):
+    """A task, examples, segments of distinct candidates, each with its own
+    start and stop, and a reply (or failure) to every (candidate, example)
+    request, keyed by its text."""
+    task = draw(st.sampled_from(["NER", "CLS", "MRC"]))
+    n = draw(st.integers(1, 6))
+    examples = [ExampleRecord(str(i), task, "a b c %d" % i, draw(GOLD[task])) for i in range(n)]
+    segments = []
+    for c in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, n - 1))
+        stop = draw(st.integers(start + 1, n))
+        segments.append((prompt_candidate("Prompt %d:" % c), start, stop))
+    item = st.one_of(st.sampled_from(REPLIES[task]), st.just(BackendTimeout("timed out")))
+    texts = [req.messages[-1][1] for req in eval_requests(whole([cand for cand, _, _ in segments],
+                                                                examples), examples)]
+    return examples, segments, {text: draw(item) for text in texts}
+
+
+class ByText(MockBackend):
+    """Answers each request with the item `replies` maps its text to: a
+    reply text, or an exception for a failed request."""
+
+    def __init__(self, replies):
+        super().__init__([])
+        self.replies = replies
+
+    def generate_batch(self, reqs):
+        items = [self.replies[req.messages[-1][1]] for req in reqs]
+        return [item if isinstance(item, Exception) else GenerationResponse(item)
+                for item in items]
+
+
 class TestJudgementMemo:
+    @given(ragged_segments())
+    @settings(max_examples=200, deadline=None)
+    def test_ragged_segments_in_one_batch_equal_each_segment_alone(self, drawn):
+        """Segments with their own start and stop, as riders send, judged in
+        one batch through a shared memo give what judging each segment in a
+        batch of its own through another shared memo gives: the same
+        predictions, judgements, memo, and parses."""
+        examples, segments, replies = drawn
+        task = examples[0].task
+        backend = ByText(replies)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            parses = count_calls(monkeypatch, "parse_prediction")
+            memo = reply_memo(len(examples))
+            together = judge_batch(segments, examples, backend, memo)
+            n_parses = len(parses)
+            alone_memo = reply_memo(len(examples))
+            alone = [judge_batch([segment], examples, backend, alone_memo)[0]
+                     for segment in segments]
+        assert together == alone
+        assert memo == alone_memo
+        assert len(parses) == 2 * n_parses
+        for (cand, start, stop), (predictions, judgements) in zip(segments, together):
+            sent = [replies[req.messages[-1][1]]
+                    for req in eval_requests([(cand, start, stop)], examples)]
+            assert predictions == [FORMAT_FAILURE if isinstance(r, Exception)
+                                   else parse_prediction(task, r) for r in sent]
+            assert judgements == [_judge(task, ex.gold, pred)
+                                  for ex, pred in zip(examples[start:stop], predictions)]
+
     @given(reply_streams())
     @settings(max_examples=200, deadline=None)
     def test_memo_backed_tallies_equal_plain_ones(self, stream):
-        """Tallies of the judgements predict_many returns through a memo
+        """Tallies of the judgements judge_replies returns through a memo
         kept across calls equal scoring every parsed reply afresh."""
         task, average, examples, k, batches = stream
         n = len(examples)
@@ -849,7 +927,7 @@ class TestJudgementMemo:
         memo = reply_memo(n)
         cands = [prompt_candidate("Prompt %d:" % c) for c in range(k)]
         for batch in batches:
-            results = predict_many(cands, examples, backend, memo=memo)
+            results = judge_batch(whole(cands, examples), examples, backend, memo)
             for c, (predictions, judgements) in enumerate(results):
                 replies = batch[c * n:(c + 1) * n]
                 assert predictions == [FORMAT_FAILURE if isinstance(r, Exception)
@@ -872,9 +950,8 @@ class TestJudgementMemo:
         backend = Scripted([[a, a], [a], [b, b]])
         memo = reply_memo(1)
         one, two = prompt_candidate("Find"), prompt_candidate("List")
-        results = [predict_many([one, two], examples, backend, memo=memo),
-                   predict_many([one], examples, backend, memo=memo),
-                   predict_many([one, two], examples, backend, memo=memo)]
+        results = [judge_batch(whole(cands, examples), examples, backend, memo)
+                   for cands in ([one, two], [one], [one, two])]
         # b parses to a prediction equal to a's, but its text differs: judged again, once
         assert judges == [("NER", gold, gold), ("NER", gold, gold)]
         assert [r for result in results for r in result] == \
@@ -890,15 +967,17 @@ class TestJudgementMemo:
         backend = Scripted([[reply], [BackendTimeout("timed out")], [reply]])
         memo = reply_memo(1)
         cands = [prompt_candidate("Find")]
-        [(first, first_judgements)] = predict_many(cands, examples, backend, memo=memo)
+        [(first, first_judgements)] = judge_batch(whole(cands, examples), examples, backend,
+                                                  memo)
         slot = list(memo[0])
         assert slot == [reply, gold, _judge("NER", gold, gold)]
-        failed = predict_many(cands, examples, backend, memo=memo)
+        failed = judge_batch(whole(cands, examples), examples, backend, memo)
         assert failed == [([FORMAT_FAILURE], [_judge("NER", gold, FORMAT_FAILURE)])]
         assert failed[0][1] == [(False, [("PER", 0, 0, 1)])]
         assert memo[0] == slot and memo[0][1] is slot[1]
         # the reply equal to the slot text is neither parsed nor judged again
-        [(again, again_judgements)] = predict_many(cands, examples, backend, memo=memo)
+        [(again, again_judgements)] = judge_batch(whole(cands, examples), examples, backend,
+                                                  memo)
         assert again[0] is first[0] and again_judgements[0] is first_judgements[0]
         assert parses == [("NER", reply)]
         assert judges == [("NER", gold, first[0]), ("NER", gold, FORMAT_FAILURE)]

@@ -146,6 +146,27 @@ class TestLoadTemplate:
         with pytest.raises(TemplateParseError):
             load_template(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("editable", "false", 'section 1 editable must be true or false, not "false"'),
+        ("editable", 1, "section 1 editable must be true or false, not 1"),
+        ("body", 5, "section 1 body must be a string, not 5"),
+        ("name", 5, "section 1 name must be a string, not 5"),
+        ("id", [1], "section 1 id must be a string, not [1]"),
+        ("input_placeholder", 3, "input_placeholder must be a string, not 3"),
+        ("output_contract", None, "output_contract must be a string, not null"),
+    ])
+    def test_mistyped_field(self, field, value, message):
+        sections = [{"name": "task", "body": "Label it."},
+                    {"name": "input", "body": "Input: {{Input}}"}]
+        doc = {"sections": sections}
+        if field in ("input_placeholder", "output_contract"):
+            doc[field] = value
+        else:
+            sections[1][field] = value
+        with pytest.raises(TemplateParseError) as e:
+            prompt_from_dict(doc)
+        assert str(e.value) == message
+
     def test_unknown_task_kind(self):
         with pytest.raises(UnknownTaskKind):
             scratch_prompt("POETRY")
