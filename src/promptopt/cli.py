@@ -208,11 +208,18 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _checkpoints(run_dir: Path, name: str) -> list[Path]:
+    """The `name` file of each iter_<n> checkpoint in run_dir, by n."""
+    found = [(int(p.parent.name[5:]), p) for p in run_dir.glob("iter_*/" + name)
+             if p.parent.name[5:].isdecimal()]
+    return [p for _, p in sorted(found)]
+
+
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     report_file = run_dir / "report.json"
     if not report_file.exists():
-        iters = sorted(run_dir.glob("iter_*/report.json"))
+        iters = _checkpoints(run_dir, "report.json")
         if not iters:
             raise ConfigError("no report.json under %s" % run_dir)
         report_file = iters[-1]
@@ -245,7 +252,7 @@ def cmd_report(args) -> int:
 
 def cmd_experience_export(args) -> int:
     run_dir = Path(args.run_dir)
-    matrices = sorted(run_dir.glob("iter_*/matrix.json"))
+    matrices = _checkpoints(run_dir, "matrix.json")
     if not matrices:
         raise ConfigError("no matrix checkpoints under %s" % run_dir)
     matrix = load_matrix(matrices[-1])

@@ -106,9 +106,9 @@ CONVERGENCE_WINDOW = 3
 # doubles from one rung to the next as the field halves. The first rung is
 # then cut back to fill whole waves of the backend's max_parallel requests
 # (see first_rung); the half-set rung is not, since cutting both lost
-# quality. A training set whose first rung is shorter than RACE_MIN_PREFIX
-# keeps the single full evaluation batch, so runs on under 100 examples send
-# the batches they sent before racing existed
+# quality. A training set whose first rung is shorter than RACE_MIN_PREFIX,
+# one of under 100 examples, does not race: each scoring is one batch on the
+# whole set
 RACE_PREFIX_DIVISOR = 4
 RACE_MIN_PREFIX = 25
 
@@ -531,8 +531,8 @@ class _Trainer:
         r = min(free slots // len(local), first_rung(quarter, len(local) +
         n_plans, max_parallel)). None when the iteration does not race, or
         when the batch has no free slots, as at max_parallel 1 or when it
-        holds no requests, so those iterations send the batches they sent
-        before local edits rode."""
+        holds no requests; the local edits are then first sent in the
+        scoring, with the other edited prompts."""
         if not (local and self.rungs):
             return []
         parallel = self.backend.max_parallel

@@ -357,8 +357,8 @@ def load_dataset(path, task: str, inclusive_end: bool = False) -> list[ExampleRe
     {"text", "label"}; MRC lines are {"context", "question", "answers"}, and
     every entry of "answers" is kept as gold. A file that is not UTF-8, or a
     line that is not a JSON object of that layout (text, question, context
-    and a CLS label must be strings), raises CorruptFile naming the file and
-    the line."""
+    and a CLS label must be strings, span offsets integers), raises
+    CorruptFile naming the file and the line."""
     if task not in ("NER", "CLS", "MRC"):
         raise ValueError("unknown task %r" % task)
     try:
@@ -401,6 +401,9 @@ def _record(doc: dict, task: str, ex_id: str, inclusive_end: bool) -> ExampleRec
             spans = set()
             for _, span_list in mentions.items():
                 for s, e in span_list:
+                    if type(s) is not int or type(e) is not int:  # bool is an int too
+                        raise ValueError("span offsets must be integers, not %s"
+                                         % json.dumps([s, e]))
                     spans.add((s, e + 1) if inclusive_end else (s, e))
             gold[label] = frozenset(spans)
         return ExampleRecord(ex_id, "NER", _string(doc, "text"), gold)

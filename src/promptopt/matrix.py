@@ -51,10 +51,6 @@ class TransitionMatrix:
         i, j = self.index(section, operator)
         return float(self.q[i, j])
 
-    def set_value(self, section: str, operator: str, value: float):
-        i, j = self.index(section, operator)
-        self.q[i, j] = value
-
     def copy(self) -> "TransitionMatrix":
         return TransitionMatrix(self.sections, self.operators, self.q.copy())
 

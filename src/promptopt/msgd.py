@@ -20,10 +20,9 @@ def norm_delta(score_prev: float, score_cur: float) -> float:
 
 
 def msgd_update(m: TransitionMatrix, pair: SelectionPair, norm: float,
-                alpha: float = 1.0, mode: str = "multiplicative",
-                q_floor: float = Q_FLOOR) -> TransitionMatrix:
+                alpha: float = 1.0, mode: str = "multiplicative") -> TransitionMatrix:
     """Return a copy of the matrix with the pair's cell updated; the cell is
-    clamped below at q_floor so it can always be re-explored."""
+    clamped below at Q_FLOOR so it can always be re-explored."""
     if alpha <= 0:
         raise InvalidAlpha("alpha must be positive, got %r" % alpha)
     out = m.copy()
@@ -34,5 +33,5 @@ def msgd_update(m: TransitionMatrix, pair: SelectionPair, norm: float,
         new = out.q[i, j] + alpha * norm
     else:
         raise ValueError("unknown update mode %r" % mode)
-    out.q[i, j] = max(new, q_floor)
+    out.q[i, j] = max(new, Q_FLOOR)
     return out

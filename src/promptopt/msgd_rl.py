@@ -75,7 +75,6 @@ def rl_epoch(
     sarsa_gamma: float = 0.5,
     eligible: Optional[np.ndarray] = None,
     reward_mode: str = "mean",
-    q_floor: float = Q_FLOOR,
 ) -> tuple[TransitionMatrix, list[GradientObservation], list[object]]:
     """Run one optimization epoch.
 
@@ -100,10 +99,7 @@ def rl_epoch(
         observations.append(GradientObservation(pair, base_score, cur))
         candidates.append(cand)
 
-    out = apply_sarsa_updates(
-        m, observations, sarsa_alpha, sarsa_gamma,
-        reward_mode=reward_mode, q_floor=q_floor,
-    )
+    out = apply_sarsa_updates(m, observations, sarsa_alpha, sarsa_gamma, reward_mode)
     return out, observations, candidates
 
 
@@ -113,7 +109,6 @@ def apply_sarsa_updates(
     sarsa_alpha: float = 0.5,
     sarsa_gamma: float = 0.5,
     reward_mode: str = "mean",
-    q_floor: float = Q_FLOOR,
 ) -> TransitionMatrix:
     """Apply one epoch's Sarsa updates to the sampled cells, in pair order,
     leaving every other cell untouched."""
@@ -125,9 +120,7 @@ def apply_sarsa_updates(
         q = float(out.q[i, j])
         reward = shared_reward if reward_mode == "mean" else obs.gradient
         q_next = provisional_next_q(q, obs.gradient)
-        out.q[i, j] = max(
-            sarsa_update(q, reward, q_next, sarsa_alpha, sarsa_gamma), q_floor
-        )
+        out.q[i, j] = max(sarsa_update(q, reward, q_next, sarsa_alpha, sarsa_gamma), Q_FLOOR)
     return out
 
 

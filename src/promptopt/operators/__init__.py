@@ -12,15 +12,16 @@ edit that leaves the prompt as it was still comes back as a prompt:
 `apply_operator` is its one-operator form. `plan_operators` and
 `finish_operators` are its steps before and after that round trip, for a
 caller that sends more requests in the same batch. Template-backed
-operators build a chat request from a text template and parse a JSON
-response. The manifest maps each of them to its template file; a new
-operator needs its id in `OPERATOR_IDS` (`load_registry` rejects any
-other) and its own branch in `build_request` when the template takes more
-than the section's name and body.
+operators, `TEMPLATE_OPERATORS`, build a chat request from the text
+template `templates/<id>.txt` and parse a JSON response. A new one needs
+its id in `OPERATOR_IDS` and in `TEMPLATE_OPERATORS`, its template file,
+and its own branch in `build_request` when the template takes more than
+the section's name and body.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -60,6 +61,10 @@ OPERATOR_IDS = (
     "repeat_instructions",
 )
 
+# the operators that build a chat request from templates/<id>.txt
+TEMPLATE_OPERATORS = ("rewrite", "refine", "reflect", "short_instruction",
+                      "define_sort", "diff_evolution")
+
 # self_consistency asks refine this many times and keeps the most typical body
 CONSISTENCY_SAMPLES = 3
 
@@ -70,27 +75,13 @@ COT_SCAFFOLD = (
 )
 
 
-def load_registry(manifest_path=None) -> dict[str, str]:
-    """Map operator id -> template text for template-backed operators;
-    unknown ids in the manifest are rejected."""
-    path = Path(manifest_path) if manifest_path else TEMPLATE_DIR / "manifest.json"
-    manifest = json.loads(path.read_text(encoding="utf-8"))
-    registry = {}
-    for op_id, template_file in manifest.items():
-        if op_id not in OPERATOR_IDS:
-            raise UnknownOperator("manifest references unknown operator %r" % op_id)
-        registry[op_id] = (path.parent / template_file).read_text(encoding="utf-8")
-    return registry
-
-
-_REGISTRY: Optional[dict[str, str]] = None
-
-
-def _registry() -> dict[str, str]:
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = load_registry()
-    return _REGISTRY
+@functools.cache
+def template(op: str) -> str:
+    """The text of a template-backed operator's template, templates/<op>.txt;
+    any other id raises UnknownOperator."""
+    if op not in TEMPLATE_OPERATORS:
+        raise UnknownOperator("operator %r has no template; apply it locally" % op)
+    return (TEMPLATE_DIR / ("%s.txt" % op)).read_text(encoding="utf-8")
 
 
 @dataclass(frozen=True)
@@ -143,15 +134,10 @@ def _parent_list(parents: Sequence[Candidate], section_id: str, objective: str) 
 def build_request(op: str, ctx: OperatorContext) -> GenerationRequest:
     """Build the chat request for a template-backed operator, substituting
     the section name, body, and any operator-specific context blocks."""
-    if op not in OPERATOR_IDS:
-        raise UnknownOperator(op)
     section = ctx.target_section
     if op in ("rewrite", "refine", "reflect", "short_instruction") and not section.editable:
         raise NonEditableSection(section.id)
-    registry = _registry()
-    if op not in registry:
-        raise UnknownOperator("operator %r has no template; apply it locally" % op)
-    template = registry[op]
+    text = template(op)
     subs = {"Module": section.name, "Module_Desc": section.body}
 
     if op == "reflect":
@@ -173,8 +159,7 @@ def build_request(op: str, ctx: OperatorContext) -> GenerationRequest:
         ]
         subs["Section_List"] = "\n".join(lines)
 
-    text = _fill(template, **subs)
-    return user_request(text, model=ctx.model, temperature=ctx.temperature)
+    return user_request(_fill(text, **subs), model=ctx.model, temperature=ctx.temperature)
 
 
 def _default_reason(bc) -> str:

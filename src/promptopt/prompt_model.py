@@ -301,12 +301,3 @@ def candidate_to_dict(cand: Candidate) -> dict:
         "fingerprint": cand.fingerprint,
     }
 
-
-def candidate_from_dict(doc: Mapping) -> Candidate:
-    prompt = prompt_from_dict(doc["prompt"])
-    scores = tuple(
-        (entry["iteration"], tuple(sorted(entry["metrics"].items())))
-        for entry in doc.get("scores", [])
-    )
-    lineage = tuple(tuple(e) for e in doc.get("lineage", []))
-    return Candidate(prompt=prompt, scores=scores, lineage=lineage)

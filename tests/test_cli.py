@@ -601,6 +601,24 @@ class TestReportAndExperience:
         assert "invalid choice" in capsys.readouterr().err
         assert not exported.exists()
 
+    def test_latest_checkpoint_is_the_highest_iteration(self, tmp_path, capsys):
+        # iter_1000 sorts before iter_999 as a string
+        for n, q in ((999, 0.25), (1000, 0.75)):
+            it_dir = tmp_path / ("iter_%03d" % n)
+            it_dir.mkdir()
+            (it_dir / "matrix.json").write_text(
+                '{"sections": ["s0"], "operators": ["cot"], "q": [[%s]]}' % q)
+            rows = [{"iteration": i, "best": 0.5, "mean": 0.5, "selections": []}
+                    for i in range(1, n + 1)]
+            (it_dir / "report.json").write_text(json.dumps({"iterations": rows}))
+        exported = tmp_path / "exp.json"
+        assert main(["experience-export", "--run-dir", str(tmp_path),
+                     "--out", str(exported)]) == 0
+        assert read_experience(exported).matrix.q.tolist() == [[0.75]]
+        capsys.readouterr()
+        assert main(["report", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["iterations"] == 1000
+
     @pytest.mark.parametrize("text, needle", [
         ('{"sections": ["s0"], "operators": ["cot"], "q": [[-0.5]]}',
          "q entries must be nonnegative"),

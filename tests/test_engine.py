@@ -37,7 +37,7 @@ from promptopt.evaluation import (
 from promptopt.matrix import TransitionMatrix, load_matrix
 from promptopt.msgd_rl import ExperienceStore, read_experience, save_experience
 from promptopt.operators import COT_SCAFFOLD, OPERATOR_IDS
-from promptopt.prompt_model import Candidate, MetaPrompt, Section, candidate_from_dict
+from promptopt.prompt_model import Candidate, MetaPrompt, Section, prompt_from_dict
 
 from helpers import body_json, make_prompt
 
@@ -287,9 +287,9 @@ class TestTrain:
             assert (it_dir / "report.json").exists()
         assert (run_dir / "report.json").exists()
         assert (run_dir / "report.csv").read_text().startswith("iteration,best,mean")
-        # candidates round-trip through their serialized form
+        # a candidate's prompt round-trips through its serialized form
         doc = json.loads((run_dir / "iter_001" / "candidates.json").read_text())
-        cand = candidate_from_dict(doc[0])
+        cand = Candidate(prompt=prompt_from_dict(doc[0]["prompt"]))
         assert cand.fingerprint == doc[0]["fingerprint"]
 
     def test_wall_clock_not_serialized(self, tmp_path):
@@ -1337,5 +1337,5 @@ def load_matrix_like(sections, operators, dominant):
 
     m = init_uniform(sections, operators)
     sec, op, value = dominant
-    m.set_value(sec, op, value)
+    m.q[m.index(sec, op)] = value
     return m

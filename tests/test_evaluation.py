@@ -443,6 +443,15 @@ class TestLoadDataset:
          'line 2: "answers" must be a list of strings'),
         ("NER", '{"text": "ab", "label": {"x": {"ab": [[0, 5]]}}}', "line 2: bad span (0,5)"),
         ("NER", '{"text": "ab", "label": {"x": {"ab": [[0]]}}}', "line 2: "),
+        # a gold span with an offset that is not an int never equals a parsed one
+        ("NER", '{"text": "ab", "label": {"x": {"ab": [[0.0, 1.5]]}}}',
+         "line 2: span offsets must be integers, not [0.0, 1.5]"),
+        ("NER", '{"text": "ab", "label": {"x": {"ab": [[0, 2.0]]}}}',
+         "line 2: span offsets must be integers, not [0, 2.0]"),
+        ("NER", '{"text": "ab", "label": {"x": {"ab": [[true, 2]]}}}',
+         "line 2: span offsets must be integers, not [true, 2]"),
+        ("NER", '{"text": "ab", "label": {"x": {"ab": [["0", 2]]}}}',
+         'line 2: span offsets must be integers, not ["0", 2]'),
         ("NER", '{"text": "ab", "label": ["x"]}', "line 2: "),
         ("CLS", '{"text": "x", "label": 5}', 'line 2: "label" must be a string, not 5'),
         ("CLS", '{"text": "x", "label": null}', 'line 2: "label" must be a string, not null'),

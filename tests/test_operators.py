@@ -20,6 +20,7 @@ from promptopt.operators import (
     COT_SCAFFOLD,
     OPERATOR_IDS,
     TEMPLATE_DIR,
+    TEMPLATE_OPERATORS,
     OperatorContext,
     apply_operator,
     apply_operators,
@@ -27,7 +28,6 @@ from promptopt.operators import (
     cot_scaffold,
     few_shot_sample,
     finish_operator,
-    load_registry,
     merge_deterministic,
     parse_operator_response,
     plan_operator,
@@ -68,18 +68,13 @@ def scored_candidate(bodies, score, iteration=1, objective="f1"):
 
 class TestRegistry:
     def test_all_template_ops_load(self):
-        registry = load_registry()
-        assert set(registry) == {
-            "rewrite", "refine", "reflect", "short_instruction",
-            "define_sort", "diff_evolution",
-        }
-        for text in registry.values():
-            assert text.strip()
+        for op in TEMPLATE_OPERATORS:
+            assert operators.template(op).strip(), op
 
-    def test_unknown_id_rejected(self, tmp_path):
-        (tmp_path / "m.json").write_text(json.dumps({"sparkle": "refine.txt"}))
-        with pytest.raises(UnknownOperator):
-            load_registry(tmp_path / "m.json")
+    @pytest.mark.parametrize("op", ["cot", "self_consistency", "sparkle"])
+    def test_no_template(self, op):
+        with pytest.raises(UnknownOperator, match="has no template"):
+            operators.template(op)
 
     def test_catalog_size(self):
         assert len(OPERATOR_IDS) == 11
@@ -93,9 +88,9 @@ class TestCatalogReachability:
     def planned(self, cls_examples, monkeypatch):
         # tag every template with its file name so each request shows which
         # template it was built from
-        manifest = json.loads((TEMPLATE_DIR / "manifest.json").read_text(encoding="utf-8"))
-        tagged = {op: "<%s>\n%s" % (manifest[op], text) for op, text in load_registry().items()}
-        monkeypatch.setattr(operators, "_REGISTRY", tagged)
+        template = operators.template
+        monkeypatch.setattr(operators, "template",
+                            lambda op: "<%s.txt>\n%s" % (op, template(op)))
         prompt = make_prompt(["Classify the item.", "Be careful.", 'Return {"label": ""}'],
                              editable=[True, True, False])
         siblings = (
@@ -107,22 +102,25 @@ class TestCatalogReachability:
             sibling_candidates=siblings, bad_cases=(BadCase("0", "A", "B"),),
             dataset=tuple(cls_examples),
         )
-        return manifest, {op: plan_operator(op, ctx) for op in OPERATOR_IDS}
+        return {op: plan_operator(op, ctx) for op in OPERATOR_IDS}
 
     def test_every_operator_is_local_or_sends_requests(self, planned):
-        _, plans = planned
-        for op, plan in plans.items():
+        for op, plan in planned.items():
             assert plan is not None, op
             if not isinstance(plan, MetaPrompt):
                 assert plan and all(isinstance(r, GenerationRequest) for r in plan), op
 
-    def test_every_template_file_is_in_the_manifest_and_reached(self, planned):
-        manifest, plans = planned
-        files = {p.name for p in TEMPLATE_DIR.iterdir()} - {"manifest.json"}
-        assert files == set(manifest.values())
+    def test_every_operator_is_local_self_consistency_or_has_a_template(self, planned):
+        for op, plan in planned.items():
+            local = isinstance(plan, MetaPrompt)
+            assert local + (op == "self_consistency") + (op in TEMPLATE_OPERATORS) == 1, op
+
+    def test_every_template_file_is_an_operator_and_reached(self, planned):
+        files = {p.name for p in TEMPLATE_DIR.iterdir()}
+        assert files == {"%s.txt" % op for op in TEMPLATE_OPERATORS}
         reached = {
             req.messages[-1][1].split("\n", 1)[0][1:-1]
-            for plan in plans.values() if isinstance(plan, tuple) for req in plan
+            for plan in planned.values() if isinstance(plan, tuple) for req in plan
         }
         assert reached == files
 
