@@ -10,11 +10,20 @@ evaluation of the distinct edited prompts. Every scoring of a set of prompts,
 the initial pool's included, is a race when there are at least two of them
 and the training set has at least RACE_PREFIX_DIVISOR * RACE_MIN_PREFIX
 examples: successive halving (as in ProTeGi and APE) over three rungs, a
-first prefix of at most a quarter of the training set, the first half, then
-the whole set, in at most three batches. The first prefix is the longest
-whose batch of the k prompts fills whole waves of the backend's max_parallel
-requests (see first_rung), so at max_parallel 1 it is the first quarter.
+first prefix of at most a quarter of the training set, a second of at most
+the first half, then the whole set, in at most three batches. The first
+prefix is the longest whose batch of the k prompts fills whole waves of the
+backend's max_parallel requests (see first_rung), and the second is cut the
+same way for the prompts still live, unless that cut would not go past the
+first; so at max_parallel 1 they are the first quarter and the first half.
 Otherwise one batch scores them on the whole set.
+
+An edit raced out on a half-set rung that the cut made shorter, whose
+objective there is not below the base's, is kept for the next iteration
+only, as a sibling that merge and diff_evolution may take as a parent, with
+its objective on that prefix as its score. It is never the base, and never
+enters the pool, the checkpoints, the report or the experience: the cut
+rung ranks on fewer examples, and these siblings win back what that costs.
 
 A local operator (cot, few_shot, repeat_instructions, merge) makes its
 prompt before the operator batch is sent. In an iteration that races, the
@@ -59,6 +68,7 @@ from .errors import (
     DuplicatePlaceholder,
     EmptyDataset,
     MissingPlaceholder,
+    ZeroMass,
 )
 from .evaluation import (
     BadCase,
@@ -103,20 +113,23 @@ CONVERGENCE_EPS = 1e-4
 CONVERGENCE_WINDOW = 3
 # racing: the rungs are the first len(train_set) // RACE_PREFIX_DIVISOR
 # examples, then the first half, then the whole set, so the evaluation budget
-# doubles from one rung to the next as the field halves. The first rung is
-# then cut back to fill whole waves of the backend's max_parallel requests
-# (see first_rung); the half-set rung is not, since cutting both lost
-# quality. A training set whose first rung is shorter than RACE_MIN_PREFIX,
-# one of under 100 examples, does not race: each scoring is one batch on the
-# whole set
+# doubles from one rung to the next as the field halves. Each of the first two
+# rungs is then cut back to fill whole waves of the backend's max_parallel
+# requests (see first_rung); the edits a cut half-set rung races out while
+# not worse than their base are kept as siblings, since without them the cut
+# lost quality. A training set whose first rung is shorter than
+# RACE_MIN_PREFIX, one of under 100 examples, does not race: each scoring is
+# one batch on the whole set
 RACE_PREFIX_DIVISOR = 4
 RACE_MIN_PREFIX = 25
 
 
 def first_rung(quarter: int, k: int, parallel: int, seen: Sequence[int] = ()) -> int:
-    """The first rung's prefix length for k live prompts, of which the i-th
+    """A racing rung's prefix length for k live prompts, of which the i-th
     was already sent its first seen[i] examples (`seen` is empty, or holds
-    one count per prompt).
+    one count per prompt). `quarter` is the rung's uncut prefix: the first
+    quarter of the training set for the first rung, the first half for the
+    half-set rung.
 
     With nothing sent, it is F: the longest prefix of at most `quarter`
     examples whose batch of k * F requests fits in the whole waves of
@@ -396,7 +409,7 @@ class _Trainer:
         self.report = RunReport()
         n = len(self.train_set)
         first = n // RACE_PREFIX_DIVISOR
-        # the rungs before the first is cut to whole waves (see first_rung)
+        # the rungs before they are cut to whole waves (see first_rung)
         self.rungs: tuple[int, ...] = (first, n // 2) if first >= RACE_MIN_PREFIX else ()
         # each prompt that finished, by fingerprint, until it leaves the
         # pool: its report, its bad cases and its judgements of train_set,
@@ -407,6 +420,12 @@ class _Trainer:
         # repeat and are neither parsed nor judged again
         self.replies = reply_memo(n)
         self.eval_requests = 0
+        # the half-set rung's prefix in the last scoring (see _score)
+        self.cut_half = 0
+        # the edits the last iteration raced out on a cut half-set rung that
+        # were not worse than the base there: parents for merge and
+        # diff_evolution in the next iteration only (see _context)
+        self.siblings: tuple[Candidate, ...] = ()
         sections = tuple(s.id for s in template.ordered_sections())
         operators = cfg.effective_operators()
         if cfg.experience_in:
@@ -420,6 +439,12 @@ class _Trainer:
         for i, sid in enumerate(sections):
             if sid in editable_ids:
                 mask[i, :] = True
+        # select_pairs normalizes the matrix and draws each iteration's pairs
+        # from the editable cells: with no mass there (or anywhere, for a
+        # template without them) it fails, so fail before any request
+        drawn = self.matrix.q[mask] if mask.any() else self.matrix.q
+        if not drawn.sum() > 0:
+            raise ZeroMass("the matrix has no mass on the editable sections' cells")
         self.eligible = mask
         self.epochs_trained = 0
 
@@ -469,10 +494,14 @@ class _Trainer:
         k live ones, ranked by objective on the prefix with ties going to the
         earlier pair, go on. The first rung is cut to whole waves for the
         len(cands) prompts and the requests they were already sent (see
-        first_rung). Once one is left it is finished on the rest of the set
-        in one batch. Otherwise one batch scores them on the whole set.
-        Returns the prefix length and the objective on it of each candidate
-        raced out.
+        first_rung), and the half-set rung the same way for the prompts
+        still live and what each was sent; a half-set rung so cut that it
+        would not go past the first stays at the first half. Once one is
+        left it is finished on the rest of the set in one batch. Otherwise
+        one batch scores them on the whole set. Returns the prefix length
+        and the objective on it of each candidate raced out, and sets
+        cut_half to the half-set rung's prefix if the cut made it shorter
+        than the first half, else to 0.
 
         Each candidate has one tally, and each of its judgements is added
         to it once, in example order, as far as the rung being ranked: a
@@ -499,21 +528,31 @@ class _Trainer:
                 tallies[i].add(enumerate(judgements[i][fed[i]:stop], fed[i]))
                 fed[i] = stop
 
-        cuts = ()
-        if len(cands) >= 2 and self.rungs:
-            quarter, half = self.rungs
-            cuts = (first_rung(quarter, len(cands), self.backend.max_parallel,
-                               [len(j) for j in judgements]), half)
         losers = {}
-        for cut in cuts:
+
+        def rank(cut: int) -> None:
+            # send the rung's prefix, then keep the better half of the field
+            nonlocal live
             send(cut)
             objectives = {i: tallies[i].objective_value() for i in live}
             ranked = sorted(live, key=lambda i: (-objectives[i], i))
             live = sorted(ranked[:math.ceil(len(live) / 2)])
             for i in ranked[len(live):]:
                 losers[cands[i].fingerprint] = (cut, objectives[i])
-            if len(live) == 1:
-                break
+
+        self.cut_half = 0
+        if len(cands) >= 2 and self.rungs:
+            quarter, half = self.rungs
+            parallel = self.backend.max_parallel
+            first = first_rung(quarter, len(cands), parallel, [len(j) for j in judgements])
+            rank(first)
+            if len(live) > 1:
+                cut = first_rung(half, len(live), parallel, [len(judgements[i]) for i in live])
+                if cut <= first:
+                    cut = half
+                elif cut < half:
+                    self.cut_half = cut
+                rank(cut)
         send(len(self.train_set))
         for i in live:
             bad_cases = sample_bad_cases(self.train_set, predictions[i], tallies[i].misses,
@@ -546,7 +585,7 @@ class _Trainer:
         return ops.OperatorContext(
             target_section=base.prompt.section_by_id(pair.section),
             prompt=base.prompt,
-            sibling_candidates=tuple(pool),
+            sibling_candidates=tuple(pool) + self.siblings,
             bad_cases=tuple(bad_cases),
             dataset=self.train_set,
             rng_seed=self.cfg.seed * 1_000_003 + iteration * 101 + pair_index,
@@ -668,6 +707,7 @@ class _Trainer:
         observations: list[GradientObservation] = []
         selections = []
         new_candidates: list[Candidate] = []
+        siblings: dict[str, Candidate] = {}
         for pair, cand in edits:
             prev = cur = base_score  # a no-op edit cannot move the score
             lost = cand is not None and cand.fingerprint in losers
@@ -683,11 +723,17 @@ class _Trainer:
                 scored_on = len(self.train_set)
             obs = GradientObservation(pair, prev, cur)
             observations.append(obs)
+            if lost and scored_on == self.cut_half and obs.gradient >= 0:
+                # a parent for the next iteration's merge and diff_evolution,
+                # scored on the prefix it lost on
+                siblings.setdefault(cand.fingerprint,
+                                    cand.with_score(iteration, {cfg.objective: cur}))
             selections.append({"section": pair.section, "operator": pair.operator,
                                "gradient": obs.gradient, "raced_out": lost,
                                "scored_on": scored_on})
         if observations:
             self.matrix = update_matrix(self.matrix, observations, cfg)
+        self.siblings = tuple(siblings.values())
 
         self.epochs_trained += 1
         # a prompt already in the pool keeps its pool entry; one reached by

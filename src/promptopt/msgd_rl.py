@@ -159,6 +159,8 @@ def read_experience(path) -> ExperienceStore:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         version = doc["version"]
         matrix = matrix_from_dict(doc)
+        if not matrix.q.sum() > 0:
+            raise ValueError("q has no mass: every cell is 0")
         epochs_trained = doc.get("epochs_trained", 0)
         if (isinstance(epochs_trained, bool) or not isinstance(epochs_trained, int)
                 or epochs_trained < 0):

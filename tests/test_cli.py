@@ -399,6 +399,34 @@ class TestTrain:
         assert sent == []
         assert not (workspace / "runs").exists()
 
+    @pytest.mark.parametrize("q, needle", [
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+         "cannot read experience file %s: q has no mass: every cell is 0"),
+        # only the non-editable section's cells have mass
+        ([[0, 0, 0], [0, 0, 0], [1, 1, 1]],
+         "the matrix has no mass on the editable sections' cells"),
+    ])
+    def test_zero_mass_experience_exits_two_before_any_request(self, workspace, monkeypatch,
+                                                               capsys, q, needle):
+        sent = []
+        generate = MockBackend.generate
+
+        def counting(self, req):
+            sent.append(req)
+            return generate(self, req)
+
+        monkeypatch.setattr(MockBackend, "generate", counting)
+        experience = workspace / "experience.json"
+        experience.write_text(json.dumps({
+            "version": 1, "task_kind": "CLS", "sections": ["s0", "s1", "s2"],
+            "operators": ["refine", "cot", "few_shot"], "q": q}))
+        config = write_config(workspace, experience_in=str(experience), beam_init=2)
+        assert main(["train", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % (
+            needle % experience if "%s" in needle else needle)
+        assert sent == []
+        assert not (workspace / "runs").exists()
+
     @pytest.mark.parametrize("line, needle", [
         ('{"text": "item 99", "label": "A"', "line 3: not valid JSON"),
         ('{"label": "A"}', "line 3: missing field 'text'"),
@@ -669,6 +697,16 @@ class TestReportAndExperience:
         bad.write_text(doc % "0.5")
         assert main(["experience-import", "--file", str(bad), "--out", str(out)]) == 0
         assert out.exists()
+
+    def test_import_rejects_a_matrix_without_mass(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        out = tmp_path / "out.json"
+        bad.write_text('{"version": 1, "sections": ["s0"], "operators": ["cot", "refine"], '
+                       '"q": [[0, 0.0]]}')
+        assert main(["experience-import", "--file", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot read experience file %s: q has no mass: every cell is 0\n" % bad)
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["task_kind", "created_at", "updated_at"])
     def test_import_rejects_a_text_field_that_is_not_a_string(self, tmp_path, capsys, key):

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from promptopt import operators as ops
 from promptopt.backend import GenerationResponse, MockBackend
 from promptopt.engine import (
     RACE_MIN_PREFIX,
@@ -727,17 +729,26 @@ def record_f1(record, cut):
     return tally.objective_value()
 
 
+def half_rung(first, seen, n, parallel):
+    """The half-set rung's prefix on n examples after a first rung of
+    `first`, for live prompts sent seen[i] examples each: cut to whole
+    waves, unless that cut would not go past the first rung."""
+    cut = first_rung(n // 2, len(seen), parallel, seen)
+    return cut if cut > first else n // 2
+
+
 def halving_batches(k, n, parallel=1):
     """(live prompts, start, stop) of each batch that successive halving
     sends for k distinct prompts on n training examples, `parallel`
     requests to a wave, with nothing sent before."""
-    q, h = n // RACE_PREFIX_DIVISOR, n // 2
+    q = n // RACE_PREFIX_DIVISOR
     if k < 2 or q < RACE_MIN_PREFIX:
         return [(k, 0, n)]
     q = first_rung(q, k, parallel)
     k1 = -(-k // 2)
     if k1 == 1:
         return [(k, 0, q), (1, q, n)]
+    h = half_rung(q, [q] * k1, n, parallel)
     return [(k, 0, q), (k1, q, h), (-(-k1 // 2), h, n)]
 
 
@@ -812,8 +823,9 @@ class TestRacing:
     @pytest.mark.parametrize("pairs", [2, 3, 4, 5])
     def test_three_rungs(self, tmp_path, pairs, n, parallel=1):
         data = cls_dataset(n)
-        # the first rung is cut to whole waves of `parallel` requests
-        rungs = (first_rung(n // 4, pairs, parallel), n // 2)
+        # the first two rungs are cut to whole waves of `parallel` requests
+        first = first_rung(n // 4, pairs, parallel)
+        rungs = (first, half_rung(first, [first] * -(-pairs // 2), n, parallel))
         backend = Graded(data, max_parallel=parallel)
         trainer, pool = self._trainer(tmp_path, data, backend, pairs,
                                       operators=("refine", "rewrite", "short_instruction"))
@@ -1076,12 +1088,14 @@ class TestRiding:
             assert got == want
         assert rode
 
-    @pytest.mark.parametrize("riding, sizes", [(True, [125, 189, 200]),
-                                               (False, [190, 186, 200])])
+    @pytest.mark.parametrize("riding, sizes", [(True, [125, 126, 242]),
+                                               (False, [190, 126, 240])])
     def test_three_riders_of_five_prompts(self, tmp_path, riding, sizes):
         """Five prompts on 200 examples at 64 requests to a wave, three of
         them local edits beside an operator batch of 2 requests: they ride
-        with 20 examples each, and the race then takes one wave fewer."""
+        with 20 examples each, and the race then takes one wave fewer. The
+        three prompts left after the first rung of 37 (38 without riders)
+        are sent 3 * 42 requests, two whole waves, on the half-set rung."""
         data = cls_dataset(200)
         trainer, backend, _ = riding_trainer(tmp_path, data, 64)
         cands = [Candidate(prompt=make_prompt(
@@ -1095,8 +1109,10 @@ class TestRiding:
         del backend.calls[:]
         trainer._score(cands, 1, judged)
         assert [len(call) for call in backend.calls] == sizes
+        first = 37 if riding else 38
+        assert half_rung(first, [first] * 3, 200, 64) == first + 42
         waves = sum(-(-n // 64) for n in [2 + len(results), *sizes])
-        assert waves == (10 if riding else 11)
+        assert waves == (9 if riding else 10)
 
     def test_rider_sent_past_the_first_rung_keeps_its_judgements(self, tmp_path):
         """A rider sent more examples than the first rung is ranked on the
@@ -1123,15 +1139,133 @@ class TestRiding:
         assert {s for s, _ in rung1} == {c.prompt.skeleton() for c in cands[1:]}
         sent = [(s, ex.id) for call in backend.calls for s, ex in split_call(call, by_input)[1]]
         assert len(set(sent)) == len(sent) == trainer.eval_requests - 200
+        # the half-set rung is cut for the two prompts left and what each saw
+        seen = [45 if cand is cands[0] else 32 for cand in cands
+                if losers.get(cand.fingerprint, (0,))[0] != 32]
+        half = half_rung(32, seen, 200, 64)
         for cand in cands:
             labels = [graded_label(cand.prompt.skeleton(), ex) for ex in data]
             if cand.fingerprint in losers:
                 cut, objective = losers[cand.fingerprint]
-                assert cut in (32, 100) and objective == f1_of(data[:cut], labels[:cut])
+                assert cut in (32, half) and objective == f1_of(data[:cut], labels[:cut])
                 continue
             _, judgements = judged_alone(cand, data, Riding(data))
             assert trainer.scored[cand.fingerprint] == (
                 *evaluate(cand, data, Riding(data), seed=1), tuple(judgements))
+
+
+class Planted(MockBackend):
+    """Each operator request, in order, gets the body "quality NN" for the
+    next of `qualities`, and any later one a reply that does not parse. An
+    evaluation reply is right when the example's fixed draw is below the
+    prompt's planted quality (0.6 without one), so a better prompt is right
+    on a superset of examples. Records every batch."""
+
+    def __init__(self, examples, qualities, max_parallel=1):
+        super().__init__([], max_parallel=max_parallel)
+        self.by_input = {ex.input: (i, ex) for i, ex in enumerate(examples)}
+        self.n = len(examples)
+        self.qualities = list(qualities)
+        self.calls = []
+
+    def _reply(self, text):
+        if OPERATOR_TARGET.search(text):
+            return "pass" if not self.qualities else json.dumps(
+                {"body": "quality %d" % self.qualities.pop(0)})
+        i, ex = self.by_input[text.rsplit("\n", 1)[-1]]
+        planted = re.findall(r"quality (\d+)", text)
+        p = int(planted[-1]) / 100 if planted else 0.6
+        right = (i * 73 % self.n + 0.5) / self.n < p
+        return json.dumps({"label": ex.gold if right else "AB".replace(ex.gold, "")})
+
+    def generate_batch(self, reqs):
+        self.calls.append(len(reqs))
+        out = [GenerationResponse(text=self._reply(r.messages[-1][1])) for r in reqs]
+        for res in out:
+            self.usage.add(res)
+        return out
+
+
+class TestSiblings:
+    """At max_parallel > 1 the half-set rung is cut to whole waves, and an
+    edit it races out that is not worse than the base on its prefix is a
+    sibling, a parent for merge and diff_evolution, in the next iteration
+    only."""
+
+    @pytest.mark.parametrize("parallel, qualities, half, kept", [
+        # 4 edits: two lose on the first rung of 48, one of them (60) as
+        # good as the base there; 75 loses to 90 on the half-set rung
+        (64, [90, 75, 60, 30], 80, True),
+        (64, [90, 50, 40, 30], 80, False),  # 50 is worse than the base
+        (1, [90, 75, 60, 30], 100, False),  # rungs of 50 and 100: nothing cut
+    ])
+    def test_edits_raced_out_on_the_half_set_rung(self, tmp_path, monkeypatch, parallel,
+                                                  qualities, half, kept):
+        data = cls_dataset(200)
+        contexts = {}
+        context = _Trainer._context
+
+        def spy(self, pair, base, iteration, pool, pair_index):
+            ctx = context(self, pair, base, iteration, pool, pair_index)
+            contexts.setdefault(iteration, []).append((base, list(pool), ctx))
+            return ctx
+
+        monkeypatch.setattr(_Trainer, "_context", spy)
+        cfg = small_config(iterations=3, top_k=3, anneal_count=0, pairs_per_epoch=4,
+                           operators=("refine", "rewrite", "short_instruction"),
+                           output_dir=str(tmp_path))
+        backend = Planted(data, qualities, max_parallel=parallel)
+        run_dir = tmp_path / "run"
+        best, report, _ = train(cfg, data, [], base_template(), backend, run_dir=run_dir)
+        first = first_rung(50, 4, parallel)
+        # the init scoring, then iteration 1: operators, 3 rungs, the finish
+        assert backend.calls[1:5] == [4, 4 * first, 2 * (half - first), 200 - half]
+        assert best.prompt.section_by_id("s0").body == "quality 90" or \
+            best.prompt.section_by_id("s1").body == "quality 90"
+
+        def accuracy(quality, cut):
+            return sum((i * 73 % 200 + 0.5) / 200 < quality / 100 for i in range(cut)) / cut
+
+        selections = report.iterations[0]["selections"]
+        assert [(s["raced_out"], s["scored_on"]) for s in selections] == [
+            (False, 200), (True, half), (True, first), (True, first)]
+        gradients = [s["gradient"] for s in selections]
+        assert gradients[1] == accuracy(qualities[1], half) - accuracy(60, half)
+        assert gradients[2] == accuracy(qualities[2], first) - accuracy(60, first)
+        assert (gradients[1] >= 0) == (qualities[1] >= 60)
+        assert (gradients[2] == 0) == (qualities[2] == 60)
+
+        # the edit that lost on the cut half-set rung follows the pool in
+        # iteration 2's contexts, scored on that rung; iteration 3's have none
+        [pool_2] = {tuple(c.fingerprint for c in pool) for _, pool, _ in contexts[2]}
+        siblings = set()
+        for base, pool, ctx in contexts[2]:
+            assert base.fingerprint == best.fingerprint
+            extra = ctx.sibling_candidates[len(pool):]
+            assert [c.fingerprint for c in ctx.sibling_candidates[:len(pool)]] == list(pool_2)
+            assert len(extra) == kept
+            for sib in extra:
+                body = "quality %d" % qualities[1]
+                assert body in (sib.prompt.section_by_id("s0").body,
+                                sib.prompt.section_by_id("s1").body)
+                [(iteration, section, _)] = sib.lineage
+                assert iteration == 1
+                assert sib.scores[-1] == (1, (("f1", accuracy(qualities[1], half)),))
+                # diff_evolution lists it as a parent, with that score
+                request = ops.plan_operator("diff_evolution", replace(
+                    ctx, target_section=sib.prompt.section_by_id(section)))
+                text = request[0].messages[-1][1]
+                assert "%s\n%s" % ("score %.5f):" % accuracy(qualities[1], half), body) in text
+                siblings.add(sib.fingerprint)
+        assert all(ctx.sibling_candidates == tuple(pool) for _, pool, ctx in contexts[3])
+
+        # a sibling is never kept: no run file names or holds it
+        kept_fps = {doc["fingerprint"] for p in run_dir.rglob("candidates.json")
+                    for doc in json.loads(p.read_text())}
+        assert best.fingerprint in kept_fps and kept_fps.isdisjoint(siblings)
+        texts = [p.read_text() for p in run_dir.rglob("*") if p.is_file()]
+        assert not any(fp in text for text in texts for fp in siblings)
+        assert not any("quality %d" % qualities[1] in text for text in texts)
 
 
 class TestScoreProperties:
@@ -1177,6 +1311,70 @@ class TestScoreProperties:
            parallel=st.integers(1, 128))
     def test_first_rung_with_nothing_sent(self, k, quarter, parallel):
         assert first_rung(quarter, k, parallel, [0] * k) == first_rung(quarter, k, parallel)
+
+    @given(data=st.data(), k=st.integers(3, 8), n=st.sampled_from([100, 150, 200, 401]),
+           parallel=st.sampled_from([1, 2, 7, 16, 64]))
+    @settings(max_examples=40, deadline=None)
+    def test_half_rung_fills_whole_waves(self, data, k, n, parallel):
+        """The half-set rung's prefix, for k prompts of which some were sent
+        up to a quarter of the set before, as riders are: longer than the
+        first rung, at most n // 2, exactly n // 2 at parallel 1, and when
+        cut, its batch fits in the whole waves that the live prompts'
+        requests still owed to the first half fill."""
+        examples = cls_dataset(n)
+        backend = Graded(examples, max_parallel=parallel)
+        trainer = _Trainer(small_config(), examples, [], base_template(), backend)
+        cands = [Candidate(prompt=make_prompt(
+            ["Classify variant %d as A or B." % j, "", 'Return JSON: {"label": ""}'],
+            editable=[True, True, False])) for j in range(k)]
+        sent = data.draw(st.lists(st.integers(0, n // 4), min_size=k, max_size=k))
+        riders = [(cand, 0, r) for cand, r in zip(cands, sent) if r]
+        results = backend.generate_batch(trainer._requests(riders))
+        judged = {cand.fingerprint: out for (cand, _, _), out in zip(
+            riders, judge_replies(riders, trainer.train_set, results, trainer.replies))}
+        del backend.calls[:]
+        losers = trainer._score(cands, 1, judged)
+
+        first = first_rung(n // 4, k, parallel, sent)
+        [half] = {cut for cut, _ in losers.values()} - {first}
+        assert first < half <= n // 2
+        if parallel == 1:
+            assert half == n // 2
+        live = [i for i, cand in enumerate(cands)
+                if losers.get(cand.fingerprint, (0,))[0] != first]
+        seen = [max(sent[i], first) for i in live]
+        cut = first_rung(n // 2, len(live), parallel, seen)
+        assert half == (cut if cut > first else n // 2)
+        assert trainer.cut_half == (half if half < n // 2 else 0)
+        rung2 = sum(max(0, half - s) for s in seen)
+        if half < n // 2:
+            owed = sum(n // 2 - s for s in seen)
+            assert -(-rung2 // parallel) <= max(1, owed // parallel)
+        finish = sum(n - max(sent[i], half) for i in live if cands[i].fingerprint not in losers)
+        batches = [sum(max(0, first - s) for s in sent), rung2, finish]
+        assert [len(call) for call in backend.calls] == [b for b in batches if b]
+
+    def test_half_rung_that_would_not_go_past_the_first_stays_at_the_half(self):
+        """Prompts sent past the first half before the race can leave the
+        half-set rung's cut no room past the first rung: it stays at n // 2."""
+        data = cls_dataset(200)
+        backend = Planted(data, [], max_parallel=1)
+        trainer = _Trainer(small_config(), data, [], base_template(), backend)
+        qualities, sent = [84, 71, 35, 88, 67], [50, 50, 100, 200, 88]
+        cands = [Candidate(prompt=make_prompt(
+            ["quality %d" % q, "", 'Return JSON: {"label": ""}'],
+            editable=[True, True, False])) for q in qualities]
+        riders = [(cand, 0, r) for cand, r in zip(cands, sent)]
+        results = backend.generate_batch(trainer._requests(riders))
+        judged = {cand.fingerprint: out for (cand, _, _), out in zip(
+            riders, judge_replies(riders, trainer.train_set, results, trainer.replies))}
+        losers = trainer._score(cands, 1, judged)
+        # 88, 84 and 71 go on from the first rung of 50, sent 200, 50 and 50
+        assert first_rung(50, 5, 1, sent) == 50
+        assert first_rung(100, 3, 1, [200, 50, 50]) == 50
+        assert {q: losers[c.fingerprint][0] for q, c in zip(qualities, cands)
+                if c.fingerprint in losers} == {35: 50, 67: 50, 71: 100}
+        assert trainer.cut_half == 0
 
     @given(k=st.integers(1, 6), n=st.sampled_from([99, 100, 150, 200, 401]),
            parallel=st.sampled_from([1, 7, 64]))
