@@ -164,24 +164,21 @@ class Backend:
     def close(self) -> None:
         """Release what the backend holds between requests; it stays usable."""
 
+    def _attempt(self, req: GenerationRequest) -> BatchItem:
+        """One request of a batch: its response, or the BackendError it
+        failed with, so one failure does not poison the batch."""
+        try:
+            return self.generate(req)
+        except BackendError as e:
+            return e
+
     def generate_batch(self, reqs: Sequence[GenerationRequest]) -> list[BatchItem]:
         """Run requests with at most `max_parallel` in flight; results come
         back in input order and per-item failures do not poison the batch."""
         if not reqs:
             return []
-        results: list[BatchItem] = [None] * len(reqs)  # type: ignore[list-item]
-
-        def run_one(i_req):
-            i, req = i_req
-            try:
-                return i, self.generate(req)
-            except BackendError as e:
-                return i, e
-
         with ThreadPoolExecutor(max_workers=self.max_parallel) as pool:
-            for i, res in pool.map(run_one, enumerate(reqs)):
-                results[i] = res
-        return results
+            return list(pool.map(self._attempt, reqs))
 
 
 # Set before every read of a response (Linux only; the kernel clears it):
@@ -596,10 +593,4 @@ class MockBackend(Backend):
     def generate_batch(self, reqs: Sequence[GenerationRequest]) -> list[BatchItem]:
         # Serial, in input order: FIFO consumption must not depend on thread
         # scheduling.
-        results: list[BatchItem] = []
-        for req in reqs:
-            try:
-                results.append(self.generate(req))
-            except BackendError as e:
-                results.append(e)
-        return results
+        return [self._attempt(req) for req in reqs]

@@ -14,8 +14,8 @@ first prefix of at most a quarter of the training set, a second of at most
 the first half, then the whole set, in at most three batches. The first
 prefix is the longest whose batch of the k prompts fills whole waves of the
 backend's max_parallel requests (see first_rung), and the second is cut the
-same way for the prompts still live, unless that cut would not go past the
-first; so at max_parallel 1 they are the first quarter and the first half.
+same way for the prompts still live; so at max_parallel 1 they are the first
+quarter and the first half.
 Otherwise one batch scores them on the whole set.
 
 An edit raced out on a half-set rung that the cut made shorter, whose
@@ -115,34 +115,33 @@ CONVERGENCE_WINDOW = 3
 # examples, then the first half, then the whole set, so the evaluation budget
 # doubles from one rung to the next as the field halves. Each of the first two
 # rungs is then cut back to fill whole waves of the backend's max_parallel
-# requests (see first_rung); the edits a cut half-set rung races out while
-# not worse than their base are kept as siblings, since without them the cut
-# lost quality. A training set whose first rung is shorter than
-# RACE_MIN_PREFIX, one of under 100 examples, does not race: each scoring is
-# one batch on the whole set
+# requests for the prompts still live (see first_rung); the edits a cut
+# half-set rung races out while not worse than their base are kept as
+# siblings, since without them the cut lost quality. A training set whose
+# first rung is shorter than RACE_MIN_PREFIX, one of under 100 examples, does
+# not race: each scoring is one batch on the whole set
 RACE_PREFIX_DIVISOR = 4
 RACE_MIN_PREFIX = 25
 
 
-def first_rung(quarter: int, k: int, parallel: int, seen: Sequence[int] = ()) -> int:
+def first_rung(uncut: int, k: int, parallel: int, seen: Sequence[int] = ()) -> int:
     """A racing rung's prefix length for k live prompts, of which the i-th
     was already sent its first seen[i] examples (`seen` is empty, or holds
-    one count per prompt). `quarter` is the rung's uncut prefix: the first
-    quarter of the training set for the first rung, the first half for the
-    half-set rung.
+    one count per prompt). `uncut` is any rung's uncut prefix, as in
+    _Trainer.rungs.
 
-    With nothing sent, it is F: the longest prefix of at most `quarter`
+    With nothing sent, it is F: the longest prefix of at most `uncut`
     examples whose batch of k * F requests fits in the whole waves of
-    `parallel` requests that k * quarter fills, so no last wave goes out
-    part-full; `quarter` itself when k * quarter is under one wave, and at
+    `parallel` requests that k * uncut fills, so no last wave goes out
+    part-full; `uncut` itself when k * uncut is under one wave, and at
     parallel 1. With requests sent, the requests still due, k * F -
     sum(seen), are cut the same way: it is the longest prefix of at most F
     whose unsent requests, the sum of max(0, prefix - seen[i]), fit in the
     whole waves (at least one) that those due requests fill."""
-    if k * quarter < parallel:
-        cut = quarter
+    if k * uncut < parallel:
+        cut = uncut
     else:
-        cut = k * quarter // parallel * parallel // k
+        cut = k * uncut // parallel * parallel // k
     if not any(seen):
         return cut
     room = max(1, (k * cut - sum(seen)) // parallel) * parallel
@@ -420,8 +419,6 @@ class _Trainer:
         # repeat and are neither parsed nor judged again
         self.replies = reply_memo(n)
         self.eval_requests = 0
-        # the half-set rung's prefix in the last scoring (see _score)
-        self.cut_half = 0
         # the edits the last iteration raced out on a cut half-set rung that
         # were not worse than the base there: parents for merge and
         # diff_evolution in the next iteration only (see _context)
@@ -446,6 +443,11 @@ class _Trainer:
         if not drawn.sum() > 0:
             raise ZeroMass("the matrix has no mass on the editable sections' cells")
         self.eligible = mask
+        # each iteration draws this many distinct cells with mass, and no cell
+        # gains or loses mass in a run: a cell without it is never drawn, and
+        # every update clamps at Q_FLOOR
+        self.n_pairs = min(cfg.effective_pairs_per_epoch(),
+                           int(np.count_nonzero(self.matrix.q[mask] > 0)))
         self.epochs_trained = 0
 
     def _slice(self, examples) -> tuple[ExampleRecord, ...]:
@@ -482,7 +484,7 @@ class _Trainer:
 
     def _score(self, cands: Sequence[Candidate], iteration: int,
                judged: Optional[dict[str, tuple[list, list]]] = None,
-               ) -> dict[str, tuple[int, float]]:
+               ) -> dict[str, tuple[int, float, bool]]:
         """Score distinct candidates, given in pair order, on the training
         set and record each one that finishes in `scored`. `judged` maps the
         fingerprint of a candidate already sent a prefix of the set (a rider,
@@ -492,16 +494,13 @@ class _Trainer:
         rungs, they race: at each rung every live candidate is sent the
         examples of the rung's prefix it has not seen, and ceil(k / 2) of the
         k live ones, ranked by objective on the prefix with ties going to the
-        earlier pair, go on. The first rung is cut to whole waves for the
-        len(cands) prompts and the requests they were already sent (see
-        first_rung), and the half-set rung the same way for the prompts
-        still live and what each was sent; a half-set rung so cut that it
-        would not go past the first stays at the first half. Once one is
-        left it is finished on the rest of the set in one batch. Otherwise
-        one batch scores them on the whole set. Returns the prefix length
-        and the objective on it of each candidate raced out, and sets
-        cut_half to the half-set rung's prefix if the cut made it shorter
-        than the first half, else to 0.
+        earlier pair, go on. Each rung is cut to whole waves for the prompts
+        still live and the examples each was already sent (see first_rung).
+        Once one is left it is finished on the rest of the set in one batch.
+        Otherwise one batch scores them on the whole set. Returns, for each
+        candidate raced out, the prefix length it lost on, its objective
+        there, and whether it lost on a half-set rung that the cut made
+        shorter than the first half.
 
         Each candidate has one tally, and each of its judgements is added
         to it once, in example order, as far as the rung being ranked: a
@@ -529,30 +528,18 @@ class _Trainer:
                 fed[i] = stop
 
         losers = {}
-
-        def rank(cut: int) -> None:
+        for rung, uncut in enumerate(self.rungs):
+            if len(live) < 2:
+                break
             # send the rung's prefix, then keep the better half of the field
-            nonlocal live
+            cut = first_rung(uncut, len(live), self.backend.max_parallel,
+                             [len(judgements[i]) for i in live])
             send(cut)
             objectives = {i: tallies[i].objective_value() for i in live}
             ranked = sorted(live, key=lambda i: (-objectives[i], i))
             live = sorted(ranked[:math.ceil(len(live) / 2)])
             for i in ranked[len(live):]:
-                losers[cands[i].fingerprint] = (cut, objectives[i])
-
-        self.cut_half = 0
-        if len(cands) >= 2 and self.rungs:
-            quarter, half = self.rungs
-            parallel = self.backend.max_parallel
-            first = first_rung(quarter, len(cands), parallel, [len(j) for j in judgements])
-            rank(first)
-            if len(live) > 1:
-                cut = first_rung(half, len(live), parallel, [len(judgements[i]) for i in live])
-                if cut <= first:
-                    cut = half
-                elif cut < half:
-                    self.cut_half = cut
-                rank(cut)
+                losers[cands[i].fingerprint] = (cut, objectives[i], rung > 0 and cut < uncut)
         send(len(self.train_set))
         for i in live:
             bad_cases = sample_bad_cases(self.train_set, predictions[i], tallies[i].misses,
@@ -662,8 +649,7 @@ class _Trainer:
         cfg = self.cfg
         base = max(pool, key=lambda c: (_latest(c, cfg.objective), -len(c.lineage)))
         base_score = _latest(base, cfg.objective)
-        n_pairs = min(cfg.effective_pairs_per_epoch(), int(self.eligible.sum()))
-        pairs = select_pairs(self.matrix, n_pairs, self.rng, eligible=self.eligible)
+        pairs = select_pairs(self.matrix, self.n_pairs, self.rng, eligible=self.eligible)
         jobs = [(pair.operator, self._context(pair, base, iteration, pool, k))
                 for k, pair in enumerate(pairs)]
         plans, reqs = ops.plan_operators(jobs)
@@ -712,9 +698,10 @@ class _Trainer:
             prev = cur = base_score  # a no-op edit cannot move the score
             lost = cand is not None and cand.fingerprint in losers
             scored_on = 0  # the training examples behind the gradient
+            shortened = False
             if lost:
                 # compare like with like: both scores on the prefix it lost on
-                scored_on, cur = losers[cand.fingerprint]
+                scored_on, cur, shortened = losers[cand.fingerprint]
                 prev = self._objective_on(base.fingerprint, scored_on)
             elif cand is not None:
                 cand = self._scored(cand, iteration)
@@ -723,7 +710,7 @@ class _Trainer:
                 scored_on = len(self.train_set)
             obs = GradientObservation(pair, prev, cur)
             observations.append(obs)
-            if lost and scored_on == self.cut_half and obs.gradient >= 0:
+            if shortened and obs.gradient >= 0:
                 # a parent for the next iteration's merge and diff_evolution,
                 # scored on the prefix it lost on
                 siblings.setdefault(cand.fingerprint,

@@ -427,6 +427,22 @@ class TestTrain:
         assert sent == []
         assert not (workspace / "runs").exists()
 
+    def test_warm_start_with_fewer_cells_with_mass_than_pairs(self, workspace, capsys):
+        """Each iteration draws as many pairs as there are editable cells with
+        mass, here one, when that is fewer than pairs_per_epoch."""
+        experience = workspace / "experience.json"
+        experience.write_text(json.dumps({
+            "version": 1, "task_kind": "CLS", "sections": ["s0", "s1", "s2"],
+            "operators": ["refine", "cot", "few_shot"],
+            "q": [[0, 0, 0], [0, 1, 0], [1, 1, 1]]}))
+        config = write_config(workspace, experience_in=str(experience), beam_init=2,
+                              pairs_per_epoch=2)
+        assert main(["train", "--config", str(config)]) == 0
+        report = json.loads(Path(json.loads(capsys.readouterr().out)["run_dir"],
+                                 "report.json").read_text())
+        assert [[(s["section"], s["operator"]) for s in row["selections"]]
+                for row in report["iterations"]] == [[("s1", "cot")]] * 2
+
     @pytest.mark.parametrize("line, needle", [
         ('{"text": "item 99", "label": "A"', "line 3: not valid JSON"),
         ('{"label": "A"}', "line 3: missing field 'text'"),

@@ -732,9 +732,10 @@ def record_f1(record, cut):
 def half_rung(first, seen, n, parallel):
     """The half-set rung's prefix on n examples after a first rung of
     `first`, for live prompts sent seen[i] examples each: cut to whole
-    waves, unless that cut would not go past the first rung."""
+    waves, which goes past the first rung."""
     cut = first_rung(n // 2, len(seen), parallel, seen)
-    return cut if cut > first else n // 2
+    assert cut > first
+    return cut
 
 
 def halving_batches(k, n, parallel=1):
@@ -1080,7 +1081,7 @@ class TestRiding:
             want = set()
             for cand in cands:
                 if cand.fingerprint in losers:
-                    cut, objective = losers[cand.fingerprint]
+                    cut, objective, _ = losers[cand.fingerprint]
                     labels = [graded_label(cand.prompt.skeleton(), ex) for ex in data[:cut]]
                     assert objective == f1_of(data[:cut], labels)
                     want.add((cut, objective - f1_of(data[:cut], base_labels[:cut])))
@@ -1146,7 +1147,7 @@ class TestRiding:
         for cand in cands:
             labels = [graded_label(cand.prompt.skeleton(), ex) for ex in data]
             if cand.fingerprint in losers:
-                cut, objective = losers[cand.fingerprint]
+                cut, objective, _ = losers[cand.fingerprint]
                 assert cut in (32, half) and objective == f1_of(data[:cut], labels[:cut])
                 continue
             _, judgements = judged_alone(cand, data, Riding(data))
@@ -1336,7 +1337,7 @@ class TestScoreProperties:
         losers = trainer._score(cands, 1, judged)
 
         first = first_rung(n // 4, k, parallel, sent)
-        [half] = {cut for cut, _ in losers.values()} - {first}
+        [half] = {cut for cut, _, _ in losers.values()} - {first}
         assert first < half <= n // 2
         if parallel == 1:
             assert half == n // 2
@@ -1344,8 +1345,9 @@ class TestScoreProperties:
                 if losers.get(cand.fingerprint, (0,))[0] != first]
         seen = [max(sent[i], first) for i in live]
         cut = first_rung(n // 2, len(live), parallel, seen)
-        assert half == (cut if cut > first else n // 2)
-        assert trainer.cut_half == (half if half < n // 2 else 0)
+        assert half == cut
+        assert [shortened for _, _, shortened in losers.values()] == [
+            c == half and half < n // 2 for c, _, _ in losers.values()]
         rung2 = sum(max(0, half - s) for s in seen)
         if half < n // 2:
             owed = sum(n // 2 - s for s in seen)
@@ -1354,27 +1356,20 @@ class TestScoreProperties:
         batches = [sum(max(0, first - s) for s in sent), rung2, finish]
         assert [len(call) for call in backend.calls] == [b for b in batches if b]
 
-    def test_half_rung_that_would_not_go_past_the_first_stays_at_the_half(self):
-        """Prompts sent past the first half before the race can leave the
-        half-set rung's cut no room past the first rung: it stays at n // 2."""
-        data = cls_dataset(200)
-        backend = Planted(data, [], max_parallel=1)
-        trainer = _Trainer(small_config(), data, [], base_template(), backend)
-        qualities, sent = [84, 71, 35, 88, 67], [50, 50, 100, 200, 88]
-        cands = [Candidate(prompt=make_prompt(
-            ["quality %d" % q, "", 'Return JSON: {"label": ""}'],
-            editable=[True, True, False])) for q in qualities]
-        riders = [(cand, 0, r) for cand, r in zip(cands, sent)]
-        results = backend.generate_batch(trainer._requests(riders))
-        judged = {cand.fingerprint: out for (cand, _, _), out in zip(
-            riders, judge_replies(riders, trainer.train_set, results, trainer.replies))}
-        losers = trainer._score(cands, 1, judged)
-        # 88, 84 and 71 go on from the first rung of 50, sent 200, 50 and 50
-        assert first_rung(50, 5, 1, sent) == 50
-        assert first_rung(100, 3, 1, [200, 50, 50]) == 50
-        assert {q: losers[c.fingerprint][0] for q, c in zip(qualities, cands)
-                if c.fingerprint in losers} == {35: 50, 67: 50, 71: 100}
-        assert trainer.cut_half == 0
+    @given(data=st.data(), n=st.integers(100, 4000), k=st.integers(3, 64),
+           parallel=st.integers(1, 4096))
+    @settings(max_examples=300)
+    def test_half_rung_goes_past_the_first(self, data, n, k, parallel):
+        """The half-set rung's cut goes past the first rung's for k prompts
+        each sent up to a quarter of the set before the race, which bounds
+        what a rider is sent (see _riders), and for any ceil(k / 2) of them
+        still live after the first rung."""
+        quarter = n // RACE_PREFIX_DIVISOR
+        sent = data.draw(st.lists(st.integers(0, quarter), min_size=k, max_size=k))
+        first = first_rung(quarter, k, parallel, sent)
+        live = data.draw(st.permutations(range(k)))[:-(-k // 2)]
+        seen = [max(sent[i], first) for i in live]
+        assert first_rung(n // 2, len(live), parallel, seen) > first
 
     @given(k=st.integers(1, 6), n=st.sampled_from([99, 100, 150, 200, 401]),
            parallel=st.sampled_from([1, 7, 64]))
