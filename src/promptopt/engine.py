@@ -43,7 +43,13 @@ that finishes keeps its judgements in example order, so its objective on
 any prefix can be compared with that of a prompt raced out on it. The
 trainer keeps one memo slot per training example, its last reply with that
 reply's prediction and judgement, so a repeated reply is neither parsed nor
-judged again."""
+judged again.
+
+Each scoring returns one record per scored prompt: its scores, the prefix
+they were taken on (the whole set for a prompt that finishes) and whether
+it lost on a cut half-set rung. The initial pool and each iteration's edits
+take their scores from it; an iteration builds its edits, one per pair that
+did not fail, in one dict by pair index and reads it back in pair order."""
 
 from __future__ import annotations
 
@@ -56,7 +62,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -286,6 +292,20 @@ def _latest(cand: Candidate, objective: str) -> float:
     return s if s is not None else 0.0
 
 
+def _best(pool: Sequence[Candidate], objective: str) -> Candidate:
+    # ties go to the shorter lineage, then to the earlier candidate
+    return max(pool, key=lambda c: (_latest(c, objective), -len(c.lineage)))
+
+
+def _distinct(cands: Iterable[Optional[Candidate]]) -> list[Candidate]:
+    """The first candidate of each fingerprint, in order, skipping None."""
+    first: dict[str, Candidate] = {}
+    for cand in cands:
+        if cand is not None:
+            first.setdefault(cand.fingerprint, cand)
+    return list(first.values())
+
+
 def retain(candidates: Sequence[Candidate], top_k: int, anneal_count: int,
            temperature: float, rng: np.random.Generator,
            objective: str = "f1") -> list[Candidate]:
@@ -327,8 +347,9 @@ def initialize_candidates(template: MetaPrompt, backend: Backend, beam_init: int
     editable section (refine at elevated temperature) and assemble the i-th
     candidate from the i-th variant of every section. A variant whose reply
     does not parse, or failed with a backend error, keeps the template's
-    body; an AuthError ends the run. Duplicate fingerprints are collapsed
-    with a warning."""
+    body, and so does one that breaks the template's contract (see
+    _contract_breach); an AuthError ends the run. Duplicate fingerprints are
+    collapsed with a warning."""
     prompts = [template] * beam_init
     if beam_init > 1:
         jobs = [
@@ -341,18 +362,20 @@ def initialize_candidates(template: MetaPrompt, backend: Backend, beam_init: int
         for k, ((_, ctx), edit) in enumerate(zip(jobs, edits)):
             if isinstance(edit, MetaPrompt):
                 sid = ctx.target_section.id
-                i = k % beam_init
-                prompts[i] = prompts[i].with_body(sid, edit.section_by_id(sid).body)
+                breach = _contract_breach(template, edit)
+                if breach:
+                    log.warning("refine on %s keeps the template's body: %s", sid, breach)
+                else:
+                    i = k % beam_init
+                    prompts[i] = prompts[i].with_body(sid, edit.section_by_id(sid).body)
     pool = [Candidate(prompt=prompt) for prompt in prompts]
-    deduped: dict[str, Candidate] = {}
-    for cand in pool:
-        deduped.setdefault(cand.fingerprint, cand)
-    if len(deduped) < len(pool):
+    distinct = _distinct(pool)
+    if len(distinct) < len(pool):
         log.warning(
             "initial pool collapsed from %d to %d distinct candidates",
-            len(pool), len(deduped),
+            len(pool), len(distinct),
         )
-    return list(deduped.values())
+    return distinct
 
 
 def update_matrix(m: TransitionMatrix, observations: Sequence[GradientObservation],
@@ -448,7 +471,6 @@ class _Trainer:
         # every update clamps at Q_FLOOR
         self.n_pairs = min(cfg.effective_pairs_per_epoch(),
                            int(np.count_nonzero(self.matrix.q[mask] > 0)))
-        self.epochs_trained = 0
 
     def _slice(self, examples) -> tuple[ExampleRecord, ...]:
         examples = tuple(examples)
@@ -464,14 +486,6 @@ class _Trainer:
         self.eval_requests += len(reqs)
         return reqs
 
-    def _scored(self, cand: Candidate, iteration: int) -> Candidate:
-        report = self.scored[cand.fingerprint][0]
-        return cand.with_score(iteration, {
-            "precision": report.precision,
-            "recall": report.recall,
-            "f1": report.f1,
-        })
-
     def _tally(self) -> Tally:
         # the examples' task, as `evaluate` scores
         return Tally(self.train_set[0].task, self.cfg.objective, self.cfg.cls_average)
@@ -484,7 +498,7 @@ class _Trainer:
 
     def _score(self, cands: Sequence[Candidate], iteration: int,
                judged: Optional[dict[str, tuple[list, list]]] = None,
-               ) -> dict[str, tuple[int, float, bool]]:
+               ) -> dict[str, tuple[dict[str, float], int, bool]]:
         """Score distinct candidates, given in pair order, on the training
         set and record each one that finishes in `scored`. `judged` maps the
         fingerprint of a candidate already sent a prefix of the set (a rider,
@@ -497,10 +511,14 @@ class _Trainer:
         earlier pair, go on. Each rung is cut to whole waves for the prompts
         still live and the examples each was already sent (see first_rung).
         Once one is left it is finished on the rest of the set in one batch.
-        Otherwise one batch scores them on the whole set. Returns, for each
-        candidate raced out, the prefix length it lost on, its objective
-        there, and whether it lost on a half-set rung that the cut made
-        shorter than the first half.
+        Otherwise one batch scores them on the whole set.
+
+        Returns a record for every candidate, by fingerprint: (scores,
+        scored_on, shortened). A candidate that finishes has its precision,
+        recall and f1 on the whole set, scored_on = len(train_set) and
+        shortened False. One raced out has its objective on the prefix it
+        lost on, that prefix's length, and whether it lost on a half-set
+        rung that the cut made shorter than the first half.
 
         Each candidate has one tally, and each of its judgements is added
         to it once, in example order, as far as the rung being ranked: a
@@ -527,7 +545,7 @@ class _Trainer:
                 tallies[i].add(enumerate(judgements[i][fed[i]:stop], fed[i]))
                 fed[i] = stop
 
-        losers = {}
+        records = {}
         for rung, uncut in enumerate(self.rungs):
             if len(live) < 2:
                 break
@@ -539,14 +557,18 @@ class _Trainer:
             ranked = sorted(live, key=lambda i: (-objectives[i], i))
             live = sorted(ranked[:math.ceil(len(live) / 2)])
             for i in ranked[len(live):]:
-                losers[cands[i].fingerprint] = (cut, objectives[i], rung > 0 and cut < uncut)
+                records[cands[i].fingerprint] = (
+                    {self.cfg.objective: objectives[i]}, cut, rung > 0 and cut < uncut)
         send(len(self.train_set))
         for i in live:
+            report = tallies[i].report()
             bad_cases = sample_bad_cases(self.train_set, predictions[i], tallies[i].misses,
                                          seed=self.cfg.seed + iteration)
-            self.scored[cands[i].fingerprint] = (
-                tallies[i].report(), bad_cases, tuple(judgements[i]))
-        return losers
+            self.scored[cands[i].fingerprint] = (report, bad_cases, tuple(judgements[i]))
+            records[cands[i].fingerprint] = (
+                {"precision": report.precision, "recall": report.recall, "f1": report.f1},
+                len(self.train_set), False)
+        return records
 
     def _riders(self, local: Sequence[Candidate], n_requests: int, n_plans: int
                 ) -> list[tuple[Candidate, int, int]]:
@@ -607,30 +629,23 @@ class _Trainer:
             self.template, self.backend, cfg.beam_init, cfg.seed,
             model=cfg.model, temperature=max(cfg.operator_temperature, 0.9),
         )
-        self._score(pool, 0)
-        pool = [self._scored(cand, 0) for cand in pool if cand.fingerprint in self.scored]
+        records = self._score(pool, 0)
+        pool = [cand.with_score(0, records[cand.fingerprint][0]) for cand in pool
+                if cand.fingerprint in self.scored]
         self.report.init_eval_requests = self.eval_requests
         stall = 0
         prev_best = max(_latest(c, cfg.objective) for c in pool)
-        stopped_early = False
         for iteration in range(1, cfg.iterations + 1):
             pool = self._iteration(iteration, pool)
             best = max(_latest(c, cfg.objective) for c in pool)
             self._checkpoint(iteration, pool)
-            if best >= 1.0 - 1e-12:
-                stopped_early = True
-            elif best - prev_best < CONVERGENCE_EPS:
-                stall += 1
-                if stall >= CONVERGENCE_WINDOW:
-                    stopped_early = True
-            else:
-                stall = 0
+            stall = stall + 1 if best - prev_best < CONVERGENCE_EPS else 0
             prev_best = max(prev_best, best)
-            if stopped_early:
+            if best >= 1 - 1e-12 or stall >= CONVERGENCE_WINDOW:
                 log.info("converged at iteration %d (best=%.5f)", iteration, best)
                 break
 
-        best_cand = max(pool, key=lambda c: (_latest(c, cfg.objective), -len(c.lineage)))
+        best_cand = _best(pool, cfg.objective)
         if self.test_set:
             test_report, _ = evaluate(
                 best_cand, self.test_set, self.backend, objective=cfg.objective,
@@ -640,30 +655,27 @@ class _Trainer:
         self.report.usage = self.backend.usage.snapshot()
         self.report.wall_clock_s = time.monotonic() - start
         self._write_report()
-        store = ExperienceStore.new(self.matrix, cfg.task, self.epochs_trained)
+        store = ExperienceStore.new(self.matrix, cfg.task, len(self.report.iterations))
         if cfg.experience_out:
             save_experience(store, cfg.experience_out)
         return best_cand, self.report, store
 
     def _iteration(self, iteration: int, pool: list[Candidate]) -> list[Candidate]:
         cfg = self.cfg
-        base = max(pool, key=lambda c: (_latest(c, cfg.objective), -len(c.lineage)))
+        n = len(self.train_set)
+        base = _best(pool, cfg.objective)
         base_score = _latest(base, cfg.objective)
         pairs = select_pairs(self.matrix, self.n_pairs, self.rng, eligible=self.eligible)
         jobs = [(pair.operator, self._context(pair, base, iteration, pool, k))
                 for k, pair in enumerate(pairs)]
         plans, reqs = ops.plan_operators(jobs)
-        # the local edits, by pair index, are made before any request, and
-        # the distinct ones ride the operator batch (see _riders)
-        local = {k: self._edited(base, plan, pair, iteration)
+        # each pair's edit by pair index, None for a no-op: the local edits
+        # are made before any request, and the distinct ones ride the
+        # operator batch (see _riders)
+        edits = {k: self._edited(base, plan, pair, iteration)
                  for k, (pair, plan) in enumerate(zip(pairs, plans))
                  if not isinstance(plan, tuple)}
-        distinct: dict[str, Candidate] = {}
-        for cand in local.values():
-            if cand is not None:
-                distinct.setdefault(cand.fingerprint, cand)
-        riders = self._riders(list(distinct.values()), len(reqs),
-                              sum(isinstance(plan, tuple) for plan in plans))
+        riders = self._riders(_distinct(edits.values()), len(reqs), len(pairs) - len(edits))
         eval_requests = self.eval_requests
         # round trip 1: every backend operator's requests, in pair order,
         # then the riders' evaluation requests
@@ -671,7 +683,6 @@ class _Trainer:
         judged = {cand.fingerprint: out for (cand, _, _), out in zip(
             riders, judge_replies(riders, self.train_set, replies[len(reqs):], self.replies))}
         results = ops.finish_operators(jobs, plans, replies[:len(reqs)])
-        edits: list[tuple[SelectionPair, Optional[Candidate]]] = []
         failed = []
         for k, (pair, result) in enumerate(zip(pairs, results)):
             if isinstance(result, BackendError):
@@ -679,50 +690,45 @@ class _Trainer:
                 log.warning("operator %s on %s failed: %s", pair.operator, pair.section, result)
                 failed.append({"section": pair.section, "operator": pair.operator,
                                "error": type(result).__name__})
-            elif k in local:
-                edits.append((pair, local[k]))
-            else:
-                edits.append((pair, self._edited(base, result, pair, iteration)))
+            elif k not in edits:
+                edits[k] = self._edited(base, result, pair, iteration)
+        # back in pair order, by which the race breaks ties
+        edits = {k: edits[k] for k in sorted(edits)}
 
         # round trips 2 to 4: the edited prompts, once each
-        fresh: dict[str, Candidate] = {}
-        for _, cand in edits:
-            if cand is not None:
-                fresh.setdefault(cand.fingerprint, cand)
-        losers = self._score(list(fresh.values()), iteration, judged)
+        records = self._score(_distinct(edits.values()), iteration, judged)
         observations: list[GradientObservation] = []
         selections = []
         new_candidates: list[Candidate] = []
-        siblings: dict[str, Candidate] = {}
-        for pair, cand in edits:
+        siblings: list[Candidate] = []
+        for k, cand in edits.items():
+            pair = pairs[k]
             prev = cur = base_score  # a no-op edit cannot move the score
-            lost = cand is not None and cand.fingerprint in losers
             scored_on = 0  # the training examples behind the gradient
             shortened = False
-            if lost:
-                # compare like with like: both scores on the prefix it lost on
-                scored_on, cur, shortened = losers[cand.fingerprint]
-                prev = self._objective_on(base.fingerprint, scored_on)
-            elif cand is not None:
-                cand = self._scored(cand, iteration)
-                new_candidates.append(cand)
-                cur = _latest(cand, cfg.objective)
-                scored_on = len(self.train_set)
+            if cand is not None:
+                scores, scored_on, shortened = records[cand.fingerprint]
+                cand = cand.with_score(iteration, scores)
+                cur = scores[cfg.objective]
+                if scored_on < n:
+                    # compare like with like: both scores on the prefix it lost on
+                    prev = self._objective_on(base.fingerprint, scored_on)
+                else:
+                    new_candidates.append(cand)
             obs = GradientObservation(pair, prev, cur)
             observations.append(obs)
             if shortened and obs.gradient >= 0:
                 # a parent for the next iteration's merge and diff_evolution,
                 # scored on the prefix it lost on
-                siblings.setdefault(cand.fingerprint,
-                                    cand.with_score(iteration, {cfg.objective: cur}))
+                siblings.append(cand)
             selections.append({"section": pair.section, "operator": pair.operator,
-                               "gradient": obs.gradient, "raced_out": lost,
+                               "gradient": obs.gradient,
+                               "raced_out": cand is not None and scored_on < n,
                                "scored_on": scored_on})
         if observations:
             self.matrix = update_matrix(self.matrix, observations, cfg)
-        self.siblings = tuple(siblings.values())
+        self.siblings = tuple(_distinct(siblings))
 
-        self.epochs_trained += 1
         # a prompt already in the pool keeps its pool entry; one reached by
         # several edits of this iteration keeps the last of them
         merged = {c.fingerprint: c for c in new_candidates}
@@ -736,11 +742,11 @@ class _Trainer:
         )
         # only a pool prompt's record is read again, when it is the base
         self.scored = {c.fingerprint: self.scored[c.fingerprint] for c in pool}
-        scores = [_latest(c, cfg.objective) for c in pool]
+        pool_scores = [_latest(c, cfg.objective) for c in pool]
         self.report.iterations.append({
             "iteration": iteration,
-            "best": max(scores),
-            "mean": sum(scores) / len(scores),
+            "best": max(pool_scores),
+            "mean": sum(pool_scores) / len(pool_scores),
             "selections": selections,
             "failed": failed,
             "eval_requests": self.eval_requests - eval_requests,

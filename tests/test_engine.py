@@ -214,6 +214,22 @@ class TestInitializeCandidates:
             assert pool[0].fingerprint == template.fingerprint()
             assert any("collapsed" in r.message for r in caplog.records)
 
+    def test_variant_that_breaks_the_contract_keeps_the_template_body(self, caplog):
+        import logging
+
+        template = make_prompt(["Classify the item as A or B.", "Input:", "Fixed."],
+                               editable=[True, True, False], placeholder_in=1)
+        fifo = [body_json("s0", "task v0"), body_json("s0", "task v1"),
+                body_json("s1", "Read the input."), body_json("s1", "Read:\n{{Input}}")]
+        with caplog.at_level(logging.WARNING):
+            pool = initialize_candidates(
+                template, MockBackend([{"response": r} for r in fifo]), 2, seed=0)
+        assert [(c.prompt.section_by_id("s0").body, c.prompt.section_by_id("s1").body)
+                for c in pool] == [("task v0", "Input:\n{{Input}}"),
+                                   ("task v1", "Read:\n{{Input}}")]
+        assert any("keeps the template's body" in r.message and "not found" in r.message
+                   for r in caplog.records)
+
 
 class TestConfig:
     def test_run_id_shape_and_stability(self):
@@ -634,6 +650,21 @@ class TestBrokenEdit:
             assert row["eval_requests"] == len(data) * sum(
                 sel["scored_on"] > 0 for sel in row["selections"])
 
+    def test_initial_variant_that_drops_the_placeholder(self, tmp_path):
+        """The initial pool's refine variants are held to the same contract:
+        one that drops the placeholder keeps the template's body."""
+        data = cls_dataset(10)
+        template = make_prompt(["Classify the item as A or B.", "Input:", "Fixed."],
+                               editable=[True, True, False], placeholder_in=1)
+        cfg = small_config(beam_init=2, operators=("refine",), output_dir=str(tmp_path))
+        backend = MockBackend([{"match": {"contains": "Below is a s1 of"},
+                                "response": body_json("s1", "Read the input.")}]
+                              + oracle_script(data, wrong_ids={"00"}))
+        best, report, _ = train(cfg, data, [], template, backend)
+        assert len(report.iterations) == cfg.iterations
+        assert best.prompt.section_by_id("s1").body == "Input:\n{{Input}}"
+        assert report.init_eval_requests == len(data)
+
     @pytest.mark.parametrize("bodies, breach", [
         (["Rule.", "{{Input}}", "Fixed."], ""),
         (["Rule.", "Input:", "Fixed."], "not found"),
@@ -797,8 +828,8 @@ def riding_trainer(tmp_path, data, parallel, operators=RIDING_OPERATORS, seed=0)
     backend = Riding(data, max_parallel=parallel)
     trainer = _Trainer(cfg, data, [], base_template(), backend)
     pool = [Candidate(prompt=base_template())]
-    trainer._score(pool, 0)
-    return trainer, backend, [trainer._scored(cand, 0) for cand in pool]
+    records = trainer._score(pool, 0)
+    return trainer, backend, [cand.with_score(0, records[cand.fingerprint][0]) for cand in pool]
 
 
 class TestRacing:
@@ -807,8 +838,8 @@ class TestRacing:
                            operators=operators, output_dir=str(tmp_path))
         trainer = _Trainer(cfg, data, [], base_template(), backend)
         pool = [Candidate(prompt=base_template())]
-        trainer._score(pool, 0)
-        return trainer, [trainer._scored(cand, 0) for cand in pool]
+        records = trainer._score(pool, 0)
+        return trainer, [cand.with_score(0, records[cand.fingerprint][0]) for cand in pool]
 
     # live prompts at each rung, then the prompts finished on the rest
     RUNG_SIZES = {2: [2, 1], 3: [3, 2, 1], 4: [4, 2, 1], 5: [5, 3, 2]}
@@ -1017,11 +1048,13 @@ class TestRiding:
         score = _Trainer._score
 
         def spy(self, cands, iteration, judged=None):
-            losers = score(self, cands, iteration, judged)
-            finished = {c.fingerprint: self.scored[c.fingerprint] for c in cands
-                        if c.fingerprint not in losers}
+            records = score(self, cands, iteration, judged)
+            n = len(self.train_set)
+            losers = {fp: (cut, scores["f1"], shortened)
+                      for fp, (scores, cut, shortened) in records.items() if cut < n}
+            finished = {fp: self.scored[fp] for fp, (_, cut, _) in records.items() if cut == n}
             races.append((list(cands), dict(judged or {}), losers, finished))
-            return losers
+            return records
 
         monkeypatch.setattr(_Trainer, "_score", spy)
         rode = 0
@@ -1129,7 +1162,8 @@ class TestRiding:
         results = backend.generate_batch(trainer._requests(riders))
         judged = {cands[0].fingerprint:
                   judge_replies(riders, trainer.train_set, results, trainer.replies)[0]}
-        losers = trainer._score(cands, 1, judged)
+        losers = {fp: (cut, scores["f1"], shortened) for fp, (scores, cut, shortened)
+                  in trainer._score(cands, 1, judged).items() if cut < len(data)}
         # 3 * 42 requests would fill 2 waves; 126 - 45 due requests fill 1,
         # which 2 * 32 unsent requests fit
         assert first_rung(50, 3, 64) == 42
@@ -1334,7 +1368,8 @@ class TestScoreProperties:
         judged = {cand.fingerprint: out for (cand, _, _), out in zip(
             riders, judge_replies(riders, trainer.train_set, results, trainer.replies))}
         del backend.calls[:]
-        losers = trainer._score(cands, 1, judged)
+        losers = {fp: (cut, scores["f1"], shortened) for fp, (scores, cut, shortened)
+                  in trainer._score(cands, 1, judged).items() if cut < n}
 
         first = first_rung(n // 4, k, parallel, sent)
         [half] = {cut for cut, _, _ in losers.values()} - {first}
@@ -1381,17 +1416,26 @@ class TestScoreProperties:
         cands = [Candidate(prompt=make_prompt(
             ["Classify variant %d as A or B." % j, "", 'Return JSON: {"label": ""}'],
             editable=[True, True, False])) for j in range(k)]
-        losers = trainer._score(cands, 0)
+        records = trainer._score(cands, 0)
+        losers = {fp for fp, (_, cut, _) in records.items() if cut < n}
         assert trainer.eval_requests == halving_requests(k, n, parallel)
         assert sum(len(call) for call in backend.calls) == halving_requests(k, n, parallel)
         assert len(backend.calls) <= 3
+        # one record per candidate; the finished ones are those in `scored`
+        assert sorted(records) == sorted(cand.fingerprint for cand in cands)
+        assert set(records) - losers == set(trainer.scored)
         assert len(trainer.scored) + len(losers) == k
         assert set(trainer.scored).isdisjoint(losers)
         for cand in cands:
-            if cand.fingerprint not in trainer.scored:
+            scores, cut, shortened = records[cand.fingerprint]
+            if cand.fingerprint in losers:
+                assert list(scores) == ["f1"]
                 continue
             record = trainer.scored[cand.fingerprint]
             report, bad, judgements = record
+            assert (scores, cut, shortened) == (
+                {"precision": report.precision, "recall": report.recall, "f1": report.f1},
+                n, False)
             predictions, expected = judged_alone(cand, data, Graded(data))
             assert (report, bad) == evaluate(cand, data, Graded(data), seed=0)
             assert judgements == tuple(expected)

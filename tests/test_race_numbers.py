@@ -1,9 +1,10 @@
 """The race, pinned run by run: the requests, latency units, test F1, true
-prompt quality and request digest (see tools/race_numbers.py) of each
-cls_rl_latency training run at workload seeds 101-102, at 64 and at 8
-slots. A change to what racing sends, such as a rung cut, the rider rule or
-the order of a batch, fails here; a change that means to move these numbers
-updates the rows and says why."""
+prompt quality and request digest (see tools/race_numbers.py) of training
+runs of every benchmark workload: cls_rl_latency at workload seeds 101-102,
+at 64 and at 8 slots; ner_msgd_cpu at seed 9001 at 64 slots; mrc_http at
+seed 9001 at 64 and at 2 slots. A change to what any workload sends, such
+as a rung cut, the rider rule or the order of a batch, fails here; a change
+that means to move these numbers updates the rows and says why."""
 
 from pathlib import Path
 
@@ -36,11 +37,27 @@ ROWS = {
 }
 
 
-@pytest.mark.parametrize("slots", sorted(ROWS))
-def test_cls_race_numbers(monkeypatch, slots):
+# the other workloads at seed 9001, one run each, by (workload, slots)
+SEED_9001_ROWS = {
+    ("ner_msgd_cpu", 64): [(9001, 13124, 212, 0.66599, 0.61, "bc2b869521131a93")],
+    ("mrc_http", 64): [(9001, 664, 15, 0.8, 0.57, "d6505e8ad1a19548")],
+    ("mrc_http", 2): [(9001, 746, 374, 0.8, 0.57, "dba4f612b21a605d")],
+}
+
+
+def pinned(monkeypatch, workload, seeds, slots):
     monkeypatch.syspath_prepend(str(TOOLS))
     from race_numbers import race_numbers
 
-    rows = race_numbers("cls_rl_latency", [101, 102], slots)
-    assert [(r.seed, r.requests, r.units, round(r.test_f1, 5), round(r.true_p, 4),
-             r.sha256[:16]) for r in rows] == ROWS[slots]
+    return [(r.seed, r.requests, r.units, round(r.test_f1, 5), round(r.true_p, 4),
+             r.sha256[:16]) for r in race_numbers(workload, seeds, slots)]
+
+
+@pytest.mark.parametrize("slots", sorted(ROWS))
+def test_cls_race_numbers(monkeypatch, slots):
+    assert pinned(monkeypatch, "cls_rl_latency", [101, 102], slots) == ROWS[slots]
+
+
+@pytest.mark.parametrize("workload, slots", sorted(SEED_9001_ROWS))
+def test_race_numbers_at_seed_9001(monkeypatch, workload, slots):
+    assert pinned(monkeypatch, workload, [9001], slots) == SEED_9001_ROWS[workload, slots]
