@@ -1,6 +1,11 @@
 """Generation backends: an OpenAI-compatible HTTP client and a deterministic
 scripted mock, both behind one interface, with bounded-parallel batch
-execution and run-level token accounting."""
+execution and run-level token accounting.
+
+This module alone decides which backend failures end a run. An AuthError
+is raised out of `generate_batch`, since no later request can succeed.
+Every other BackendError comes back as a value, that request's batch item,
+so one failed request never ends a batch or a run."""
 
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import isfinite
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 from urllib.parse import urlsplit
 
 from .errors import (
@@ -149,6 +154,8 @@ class UsageCounter:
             }
 
 
+# One request's outcome in a batch: its response, or the BackendError it
+# failed with. Never an AuthError, which generate_batch raises.
 BatchItem = Union[GenerationResponse, BackendError]
 
 
@@ -166,15 +173,20 @@ class Backend:
 
     def _attempt(self, req: GenerationRequest) -> BatchItem:
         """One request of a batch: its response, or the BackendError it
-        failed with, so one failure does not poison the batch."""
+        failed with, so one failure does not poison the batch. An AuthError
+        is raised: no later request can succeed, so it ends the run."""
         try:
             return self.generate(req)
+        except AuthError:
+            raise
         except BackendError as e:
             return e
 
     def generate_batch(self, reqs: Sequence[GenerationRequest]) -> list[BatchItem]:
         """Run requests with at most `max_parallel` in flight; results come
-        back in input order and per-item failures do not poison the batch."""
+        back in input order and per-item failures do not poison the batch.
+        An AuthError is raised, and the requests not yet started are not
+        sent."""
         if not reqs:
             return []
         with ThreadPoolExecutor(max_workers=self.max_parallel) as pool:
@@ -439,7 +451,6 @@ class HttpBackend(Backend):
 
         policy = self.config.retry
         start = time.monotonic()
-        last_err: Optional[BackendError] = None
         for attempt in range(policy.max_attempts):
             if attempt:
                 time.sleep(policy.base_backoff_ms * (2 ** (attempt - 1)) / 1000.0)
@@ -462,7 +473,7 @@ class HttpBackend(Backend):
                 raise BackendError("HTTP %d: %s" % (
                     status, data[:500].decode("utf-8", "replace")))
             return self._parse(data, start)
-        raise last_err if last_err is not None else BackendError("retries exhausted")
+        raise last_err  # RetryPolicy makes at least one attempt
 
     def _parse(self, data: bytes, start) -> GenerationResponse:
         try:

@@ -66,6 +66,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import msgd_rl
 from . import operators as ops
 from .backend import Backend
 from .errors import (
@@ -99,7 +100,6 @@ from .matrix import (
 from .msgd import msgd_update, norm_delta
 from .msgd_rl import (
     ExperienceStore,
-    apply_sarsa_updates,
     load_experience,
     rl_epoch,  # noqa: F401  not called here; perfbench/tracer.py patches this name
     save_experience,
@@ -383,7 +383,8 @@ def update_matrix(m: TransitionMatrix, observations: Sequence[GradientObservatio
     """The configured optimizer's update for one iteration's observations:
     one msgd update per observation, in pair order, or one Sarsa epoch."""
     if cfg.optimizer == "msgd_rl":
-        return apply_sarsa_updates(
+        # through the module, where perfbench/tracer.py patches it to time it
+        return msgd_rl.apply_sarsa_updates(
             m, observations, cfg.sarsa_alpha, cfg.sarsa_gamma, reward_mode=cfg.reward_mode,
         )
     for obs in observations:

@@ -16,7 +16,9 @@ judgements; `evaluate` is the one-segment case. Judging keeps one memo slot
 per example holding its last reply, that reply's prediction and its
 judgement, so a caller that keeps the memo (the trainer keeps one for its
 training set) parses and judges an example's reply only when it differs
-from that example's previous reply.
+from that example's previous reply. A failed request reaches judging as a
+value, the BackendError the backend returned for it, and predicts a format
+failure; the backend raises the one failure that ends a run, an AuthError.
 Scoring is one `Tally` per prompt: judgements are added in order, each
 once, and the score of everything added so far can be read at any point,
 which is the score of that prefix on its own. The same pass lists the
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .backend import Backend, GenerationRequest, GenerationResponse
-from .errors import AlignmentError, AuthError, CorruptFile, EmptyDataset, OutOfRange
+from .errors import AlignmentError, CorruptFile, EmptyDataset, OutOfRange
 from .jsontools import extract_first_json
 from .prompt_model import Candidate, render
 
@@ -443,8 +445,8 @@ def judge_replies(segments: Sequence[tuple[Candidate, int, int]],
                   memo: list[list]) -> list[tuple[list, list]]:
     """Each segment's parsed predictions and their judgements (see _judge),
     in example order, from the results of its requests (see eval_requests),
-    which `results` holds in order. A failed request predicts a format
-    failure, except an AuthError, which is raised.
+    which `results` holds in order. A failed request, a BackendError in
+    `results`, predicts a format failure.
 
     `memo` (see reply_memo) holds one slot per example, shared by the
     segments. A reply equal to its example's slot text takes the slot's
@@ -466,8 +468,6 @@ def judge_replies(segments: Sequence[tuple[Candidate, int, int]],
                     slot[:] = res.text, prediction, _judge(task, ex.gold, prediction)
                 predictions.append(slot[1])
                 judgements.append(slot[2])
-            elif isinstance(res, AuthError):
-                raise res  # no later request can succeed: end the run
             else:
                 predictions.append(FORMAT_FAILURE)
                 judgements.append(_judge(task, ex.gold, FORMAT_FAILURE))
@@ -492,8 +492,8 @@ def evaluate(candidate: Candidate, examples: Sequence[ExampleRecord], backend: B
              ) -> tuple[MetricReport, list[BadCase]]:
     """Render the candidate prompt over every example, batch-generate, parse,
     score, and collect a seeded uniform sample of failures as bad cases. A
-    failed request scores as a format failure, except an AuthError, which is
-    raised."""
+    failed request scores as a format failure; an AuthError, which the
+    backend raises, ends the evaluation."""
     if not examples:
         raise EmptyDataset("cannot evaluate on an empty dataset")
     segments = [(candidate, 0, len(examples))]

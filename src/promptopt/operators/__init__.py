@@ -8,6 +8,10 @@ operator with missing context a no-op; `finish_operator` turns the replies
 into the edited prompt, and it alone makes an unparseable reply a no-op. An
 edit that leaves the prompt as it was still comes back as a prompt:
 `engine._Trainer._edited` alone, by fingerprint, treats it as a no-op.
+A failed request reaches `finish_operator` as a value, the BackendError
+the backend returned for it, and an operator none of whose replies arrived
+comes back as its first failure; the backend raises the one failure that
+ends a run, an AuthError.
 `apply_operators` runs many operators in one round trip, and
 `apply_operator` is its one-operator form. `plan_operators` and
 `finish_operators` are its steps before and after that round trip, for a
@@ -30,7 +34,6 @@ from typing import Optional, Sequence, Union
 
 from ..backend import Backend, BatchItem, GenerationRequest, GenerationResponse, user_request
 from ..errors import (
-    AuthError,
     BackendError,
     EmptyDataset,
     IdenticalParents,
@@ -274,10 +277,12 @@ def _format_example(ex: ExampleRecord) -> str:
     if ex.task == "CLS":
         gold = json.dumps({"label": ex.gold}, ensure_ascii=False)
     elif ex.task == "NER":
-        doc = {
-            label: {ex.input[s:e]: [[s, e]] for s, e in sorted(spans)}
-            for label, spans in sorted(ex.gold.items())
-        }
+        # each mention with all of its spans: a repeated mention keeps them all
+        doc = {}
+        for label, spans in sorted(ex.gold.items()):
+            mentions = doc[label] = {}
+            for s, e in sorted(spans):
+                mentions.setdefault(ex.input[s:e], []).append([s, e])
         gold = json.dumps(doc, ensure_ascii=False)
     else:
         # an example with several gold answers shows the first
@@ -383,15 +388,7 @@ def _last_positive_edit(cand: Candidate, section_id: str, objective: str):
         after = cand.score_at(iteration, objective)
         if after is None:
             continue
-        before = None
-        for it, metrics in reversed(cand.scores):
-            if it < iteration:
-                for k, v in metrics:
-                    if k == objective:
-                        before = v
-                        break
-            if before is not None:
-                break
+        before = cand.latest_score(objective, before=iteration)
         if before is not None and after > before:
             return iteration
     return None
@@ -435,20 +432,16 @@ def plan_operator(op: str, ctx: OperatorContext
         return None
 
 
-def finish_operator(op: str, ctx: OperatorContext,
-                    replies: Sequence[BatchItem]) -> Optional[MetaPrompt]:
+def finish_operator(op: str, ctx: OperatorContext, replies: Sequence[BatchItem]
+                    ) -> Union[MetaPrompt, None, BackendError]:
     """Second step of a backend operator: turn the replies to the requests
     `plan_operator` returned, in the same order, into the edited prompt.
     Unparseable replies, and an order that is not a permutation of the
-    prompt's sections, come back as a no-op, None. A failed reply is raised
-    when it is an AuthError, or when no reply arrived at all."""
-    errors = [r for r in replies if isinstance(r, BackendError)]
-    for err in errors:
-        if isinstance(err, AuthError):
-            raise err
+    prompt's sections, come back as a no-op, None. When no reply arrived,
+    the first failure comes back, as a value."""
     texts = [r.text for r in replies if isinstance(r, GenerationResponse)]
-    if errors and not texts:
-        raise errors[0]
+    if not texts:
+        return replies[0]
     section = ctx.target_section
 
     if op == "self_consistency":
@@ -486,17 +479,12 @@ def finish_operators(jobs: Sequence[tuple[str, OperatorContext]], plans: Sequenc
     """Finish each job of `plan_operators` with its own replies, taken in
     order from `replies`, the replies to its batch. Each job comes back as
     its edited prompt, or None for a no-op; a job whose replies all failed
-    comes back as its BackendError, and an AuthError is raised."""
+    comes back as its first BackendError."""
     replies = iter(replies)
     results = []
     for (op, ctx), plan in zip(jobs, plans):
         if isinstance(plan, tuple):
-            try:
-                plan = finish_operator(op, ctx, [next(replies) for _ in plan])
-            except AuthError:
-                raise
-            except BackendError as e:
-                plan = e
+            plan = finish_operator(op, ctx, [next(replies) for _ in plan])
         results.append(plan)
     return results
 

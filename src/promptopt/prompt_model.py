@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     DuplicatePlaceholder,
@@ -157,8 +157,12 @@ class Candidate:
     def with_edit(self, iteration: int, section_id: str, operator_id: str) -> "Candidate":
         return replace(self, lineage=self.lineage + ((iteration, section_id, operator_id),))
 
-    def latest_score(self, metric: str):
-        for _, metrics in reversed(self.scores):
+    def latest_score(self, metric: str, before: Optional[int] = None):
+        """The metric's most recent score, or None; with `before`, only
+        scores of iterations before it count."""
+        for it, metrics in reversed(self.scores):
+            if before is not None and it >= before:
+                continue
             for k, v in metrics:
                 if k == metric:
                     return v

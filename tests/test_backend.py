@@ -80,6 +80,21 @@ class TestMockBackend:
         assert out[1].text == "y"
         assert isinstance(out[2], ScriptExhausted)
 
+    def test_batch_raises_an_auth_error_and_sends_nothing_after_it(self):
+        class Revoked(MockBackend):
+            def generate(self, r):
+                if r.messages[-1][1] == "3":
+                    raise BackendTimeout("slow")
+                if r.messages[-1][1] == "2":
+                    raise AuthError("HTTP 401")
+                return super().generate(r)
+
+        backend = Revoked([{"response": "x"}])
+        assert isinstance(backend.generate_batch([req("1"), req("3")])[1], BackendTimeout)
+        with pytest.raises(AuthError):
+            backend.generate_batch([req("1"), req("2"), req("4")])
+        assert backend.usage.requests == 2  # "1" twice, and never "4"
+
     @pytest.mark.parametrize("match, needle", [
         ({"contains": 5}, 'entry 0: "contains" must be a string'),
         ({"hash": ["abc"]}, 'entry 0: "hash" must be a string'),
@@ -323,8 +338,8 @@ class TestHttpBackend:
             backend.generate(req("x"))
         assert "PROMPTOPT_TEST_KEY" in str(info.value)
         assert key not in str(info.value)
-        [item] = backend.generate_batch([req("y")])
-        assert isinstance(item, AuthError)
+        with pytest.raises(AuthError):
+            backend.generate_batch([req("y")])
         assert handler.calls == []
 
     def test_wire_shape(self, stub_server):
@@ -854,3 +869,22 @@ class TestBoundedParallelism:
         out = backend.generate_batch([req(str(i)) for i in range(100)])
         assert len(out) == 100
         assert state["peak"] <= 8
+
+    def test_auth_error_ends_a_threaded_batch(self):
+        sent = []
+
+        class Revoked(MockBackend):
+            def generate(self, r):
+                if r.messages[-1][1] == "0":
+                    raise AuthError("HTTP 401")
+                time.sleep(0.02)
+                sent.append(r)
+                return GenerationResponse(text="ok")
+
+            # exercise the threaded default path
+            generate_batch = MockBackend.__mro__[1].generate_batch
+
+        with pytest.raises(AuthError):
+            Revoked([], max_parallel=2).generate_batch([req(str(i)) for i in range(20)])
+        # the requests not yet started when the AuthError came back are not sent
+        assert len(sent) < 19

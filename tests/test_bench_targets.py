@@ -18,8 +18,6 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 NEVER_CALLED = {
     "evaluation:score": "training and `evaluate` score through evaluation.Tally",
     "msgd_rl:rl_epoch": "training applies Sarsa through engine.update_matrix",
-    "msgd_rl:apply_sarsa_updates":
-        "patched in msgd_rl, but engine.update_matrix calls engine's own binding",
     "operators:apply_operator": "training edits through operators.apply_operators",
     "msgd_rl:load_experience": "neither run has `experience_in`",
     "prompt_model:reorder":

@@ -1189,6 +1189,88 @@ class TestRiding:
                 *evaluate(cand, data, Riding(data), seed=1), tuple(judgements))
 
 
+class Revoked(Riding):
+    """Riding, but each batch goes through MockBackend's own generate_batch,
+    one request at a time, so a failure raised by `generate` meets the
+    backend's batch rule. `batches` holds the text of every request served,
+    per batch; the request at `at`, a (batch, position) pair, fails with an
+    AuthError."""
+
+    def __init__(self, examples, max_parallel, at=None):
+        super().__init__(examples, max_parallel=max_parallel)
+        self.at = at
+        self.batches = []
+
+    def generate_batch(self, reqs):
+        self.batches.append([])
+        return MockBackend.generate_batch(self, reqs)
+
+    def generate(self, req):
+        if (len(self.batches) - 1, len(self.batches[-1])) == self.at:
+            raise AuthError("key revoked")
+        text = req.messages[-1][1]
+        self.batches[-1].append(text)
+        res = GenerationResponse(text=self._reply(text))
+        self.usage.add(res)
+        return res
+
+
+def batch_kinds(batches, train_set, test_set):
+    """(kind, batch, position of its first request of that kind) for each
+    part of a run's batches: the initial refine batch, the operator requests
+    and the riders of an operator batch, each racing rung by how far into
+    the training set it reaches, and the test set."""
+    n = len(train_set)
+    where = {ex.input: i for i, ex in enumerate(train_set)}
+    tests = {ex.input for ex in test_set}
+    kinds = []
+    for b, texts in enumerate(batches):
+        n_operator = sum(bool(OPERATOR_TARGET.search(text)) for text in texts)
+        inputs = [text.rsplit("\n", 1)[-1] for text in texts[n_operator:]]
+        if b == 0:
+            kinds.append(("init", b, 0))
+        elif n_operator:
+            kinds.append(("operator", b, 0))
+            if inputs:
+                kinds.append(("rider", b, n_operator))
+        elif inputs[0] in tests:
+            kinds.append(("test", b, 0))
+        else:
+            stop = 1 + max(where[inp] for inp in inputs)
+            kinds.append(("rung 1" if stop <= n // 4 else "rung 2" if stop <= n // 2
+                          else "whole set", b, 0))
+    return kinds
+
+
+class TestAuthErrorEndsTheRun:
+    """An AuthError on any batch of a run ends the run: the backend raises it
+    out of generate_batch, sends nothing after it, and no report is written."""
+
+    TRAIN = cls_dataset(200)
+    TEST = [ExampleRecord("t%02d" % i, "CLS", "test item %02d please" % i, "AB"[i % 2])
+            for i in range(20)]
+
+    def _train(self, backend, run_dir):
+        cfg = small_config(iterations=4, beam_init=4, top_k=3, anneal_count=0,
+                           pairs_per_epoch=5, operators=RIDING_OPERATORS,
+                           output_dir=str(run_dir.parent))
+        train(cfg, self.TRAIN, self.TEST, base_template(), backend, run_dir=run_dir)
+
+    @pytest.mark.parametrize("kind", ["init", "operator", "rider", "rung 1", "rung 2",
+                                      "whole set", "test"])
+    def test_auth_error_ends_train(self, tmp_path, kind):
+        clean = Revoked(self.TRAIN + self.TEST, 64)
+        self._train(clean, tmp_path / "clean")
+        # the last batch of that kind, at its first request of that kind
+        *_, (b, i) = [(b, i) for k, b, i in batch_kinds(clean.batches, self.TRAIN, self.TEST)
+                      if k == kind]
+        revoked = Revoked(self.TRAIN + self.TEST, 64, at=(b, i))
+        with pytest.raises(AuthError):
+            self._train(revoked, tmp_path / "revoked")
+        assert revoked.batches == clean.batches[:b] + [clean.batches[b][:i]]
+        assert not (tmp_path / "revoked" / "report.json").exists()
+
+
 class Planted(MockBackend):
     """Each operator request, in order, gets the body "quality NN" for the
     next of `qualities`, and any later one a reply that does not parse. An

@@ -15,8 +15,16 @@ from promptopt.errors import (
     SectionSetMismatch,
     UnknownOperator,
 )
-from promptopt.evaluation import BadCase, ExampleRecord, LabelMetrics, MetricReport
+from promptopt.engine import RunConfig, train
+from promptopt.evaluation import (
+    BadCase,
+    ExampleRecord,
+    LabelMetrics,
+    MetricReport,
+    parse_prediction,
+)
 from promptopt.operators import (
+    CONSISTENCY_SAMPLES,
     COT_SCAFFOLD,
     OPERATOR_IDS,
     TEMPLATE_DIR,
@@ -320,6 +328,28 @@ class TestFewShot:
         block = few_shot_sample([ex], "uniform", 1, seed=0)
         assert '"Anna": [[0, 4]]' in block
 
+    @pytest.mark.parametrize("ex, gold", [
+        (ExampleRecord("0", "CLS", "a fine film", "POS"), "POS"),
+        (ExampleRecord("1", "MRC", "Question: who?\nContext: Ann met Bo.", "Ann"), "Ann"),
+        # an example with several gold answers shows the first
+        (ExampleRecord("2", "MRC", "Question: who?\nContext: Ann met Bo.", ("Bo", "Ann")), "Bo"),
+        (ExampleRecord("3", "NER", "Anna went home", {"PER": frozenset({(0, 4)}),
+                                                      "LOC": frozenset()}), None),
+        # a repeated mention keeps every span
+        (ExampleRecord("4", "NER", "Anna met Anna in Rome", {
+            "PER": frozenset({(0, 4), (9, 13)}), "LOC": frozenset({(17, 21)})}), None),
+    ])
+    def test_example_output_parses_back_to_the_gold(self, ex, gold):
+        head = "Input: %s\nOutput: " % ex.input
+        text = operators._format_example(ex)
+        assert text.startswith(head)
+        assert parse_prediction(ex.task, text[len(head):]) == (ex.gold if gold is None else gold)
+
+    def test_repeated_mention_lists_its_spans_in_order(self):
+        ex = ExampleRecord("0", "NER", "Anna met Anna", {"PER": frozenset({(9, 13), (0, 4)})})
+        assert operators._format_example(ex).endswith(
+            'Output: {"PER": {"Anna": [[0, 4], [9, 13]]}}')
+
 
 class TestLocalOperators:
     def test_cot_appends_scaffold(self):
@@ -489,16 +519,10 @@ class TestPlanAndFinish:
         assert body_edit(ctx.prompt, finish_operator("self_consistency", ctx, replies)) == \
             (sec.id, "abc")
 
-    def test_no_reply_arrived_raises(self):
+    def test_no_reply_arrived_returns_the_first_failure(self):
         for op, n in (("refine", 1), ("self_consistency", 3)):
-            with pytest.raises(BackendTimeout):
-                finish_operator(op, ctx_for(section()), [BackendTimeout("slow")] * n)
-
-    def test_auth_error_raises(self):
-        sec = section()
-        replies = [GenerationResponse(body_json(sec.name, "abc")), AuthError("401")]
-        with pytest.raises(AuthError):
-            finish_operator("self_consistency", ctx_for(sec), replies)
+            failures = [BackendTimeout("slow %d" % i) for i in range(n)]
+            assert finish_operator(op, ctx_for(section()), failures) is failures[0]
 
 
 class RecordingBackend(MockBackend):
@@ -517,6 +541,22 @@ class RecordingBackend(MockBackend):
     def generate(self, req):
         if self.failing and self.failing in req.messages[-1][1]:
             raise self.error("failed on %s" % self.failing)
+        return super().generate(req)
+
+
+class RevokedOnSecondSample(RecordingBackend):
+    """A RecordingBackend whose second refine request, the second sample of
+    a self_consistency job, fails with an AuthError."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.samples = 0
+
+    def generate(self, req):
+        if '"Refine" method' in req.messages[-1][1]:
+            self.samples += 1
+            if self.samples == 2:
+                raise AuthError("HTTP 401")
         return super().generate(req)
 
 
@@ -566,6 +606,31 @@ class TestApplyOperators:
         with pytest.raises(AuthError):
             apply_operators([("refine", ctx_for(sec)) for sec in secs], backend)
         assert len(backend.batches) == 1
+
+    def test_auth_error_on_a_self_consistency_sample_ends_the_run(self, tmp_path,
+                                                                 cls_examples):
+        sec = section()
+        backend = RevokedOnSecondSample([{"response": body_json(sec.name, "abc")}])
+        with pytest.raises(AuthError):
+            apply_operators([("self_consistency", ctx_for(sec))], backend)
+        assert [len(batch) for batch in backend.batches] == [CONSISTENCY_SAMPLES]
+        assert backend.samples == 2  # the third sample is never sent
+
+        template = make_prompt(["Label the text.", 'Return JSON: {"label": ""}'],
+                               editable=[True, False])
+        backend = RevokedOnSecondSample(
+            [{"match": {"contains": ex.input},
+              "response": json.dumps({"label": "B" if ex.id == "0" else ex.gold})}
+             for ex in cls_examples] + [{"response": body_json("s0", "abc")}])
+        cfg = RunConfig(iterations=2, beam_init=1, pairs_per_epoch=1, task="CLS",
+                        operators=("self_consistency",), output_dir=str(tmp_path))
+        with pytest.raises(AuthError):
+            train(cfg, cls_examples, cls_examples, template, backend, run_dir=tmp_path / "run")
+        # the initial pool's evaluation, then the operator batch that ends the run
+        assert [len(batch) for batch in backend.batches] == [len(cls_examples),
+                                                              CONSISTENCY_SAMPLES]
+        assert backend.samples == 2
+        assert not (tmp_path / "run" / "report.json").exists()
 
     def test_jobs_without_requests_send_no_batch(self):
         backend = RecordingBackend([])

@@ -196,6 +196,15 @@ class TestCandidate:
         assert c.score_at(0, "f1") == 0.5
         assert c.latest_score("precision") is None
 
+    def test_latest_score_before_an_iteration(self, ner_prompt):
+        c = (Candidate(prompt=ner_prompt).with_score(0, {"f1": 0.5})
+             .with_score(1, {"precision": 0.9}).with_score(2, {"f1": 0.7}))
+        assert c.latest_score("f1", before=3) == 0.7
+        # iteration 1 holds no f1, so the score before 2 is iteration 0's
+        assert c.latest_score("f1", before=2) == 0.5
+        assert c.latest_score("precision", before=2) == 0.9
+        assert c.latest_score("f1", before=0) is None
+
 
 class TestInvariants:
     @given(st.integers(min_value=0, max_value=10_000))
