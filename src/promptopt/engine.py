@@ -49,7 +49,11 @@ Each scoring returns one record per scored prompt: its scores, the prefix
 they were taken on (the whole set for a prompt that finishes) and whether
 it lost on a cut half-set rung. The initial pool and each iteration's edits
 take their scores from it; an iteration builds its edits, one per pair that
-did not fail, in one dict by pair index and reads it back in pair order."""
+did not fail, in one dict by pair index and reads it back in pair order.
+
+numpy is imported inside the functions that use it (retain and the
+trainer's set-up, which builds the matrix and the rng), so importing the
+program loads no numpy until a run starts."""
 
 from __future__ import annotations
 
@@ -62,9 +66,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import msgd_rl
 from . import operators as ops
@@ -112,6 +114,9 @@ from .prompt_model import (
     reorder,  # noqa: F401  not called here; perfbench/tracer.py patches this name
 )
 from .settings import from_fields
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -314,6 +319,8 @@ def retain(candidates: Sequence[Candidate], top_k: int, anneal_count: int,
     best candidate always survives. When fewer weights than survivors to
     draw are above zero (a temperature so small that they underflow), the
     leading ones in rank order survive, the limit as T goes to 0."""
+    import numpy as np
+
     if not candidates:
         return []
 
@@ -419,6 +426,8 @@ def _contract_breach(base: MetaPrompt, edited: MetaPrompt) -> str:
 class _Trainer:
     def __init__(self, cfg: RunConfig, train_set, test_set, template: MetaPrompt,
                  backend: Backend, run_dir=None):
+        import numpy as np
+
         cfg.validate()
         self.cfg = cfg
         self.backend = backend

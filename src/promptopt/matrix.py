@@ -2,6 +2,10 @@
 
 The table holds finite nonnegative values Q[section, operator]; normalizing the
 whole table gives the probability of picking operator j to edit section i.
+
+numpy is imported inside the functions that build or sample the table, so
+importing this module (and every command that never builds a matrix) does
+not pay numpy's import time.
 """
 
 from __future__ import annotations
@@ -9,12 +13,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import CorruptFile, CountTooLarge, EmptyAxis, ZeroMass
 from .fileio import write_text_atomic
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Q_FLOOR = 1e-4
 
@@ -23,9 +28,13 @@ Q_FLOOR = 1e-4
 class TransitionMatrix:
     sections: tuple[str, ...]
     operators: tuple[str, ...]
-    q: np.ndarray  # shape (len(sections), len(operators)), finite and nonnegative
+    # shape (len(sections), len(operators)), finite and nonnegative; nested
+    # lists are converted to a float64 array
+    q: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         self.q = np.asarray(self.q, dtype=np.float64)
         if self.q.shape != (len(self.sections), len(self.operators)):
             raise ValueError("q shape %r does not match axes" % (self.q.shape,))
@@ -78,7 +87,7 @@ def init_uniform(sections: Sequence[str], operators: Sequence[str]) -> Transitio
     if not sections or not operators:
         raise EmptyAxis("need at least one section and one operator")
     n, m = len(sections), len(operators)
-    q = np.full((n, m), 1.0 / (n * m))
+    q = [[1.0 / (n * m)] * m for _ in range(n)]
     return TransitionMatrix(tuple(sections), tuple(operators), q)
 
 
@@ -97,6 +106,8 @@ def select_pairs(m: TransitionMatrix, count: int, rng: np.random.Generator,
     proportional to the current distribution restricted to the remaining
     cells. `eligible` is an optional boolean mask (e.g. editable sections
     only)."""
+    import numpy as np
+
     probs = selection_distribution(m).copy()
     if eligible is not None:
         probs = np.where(eligible, probs, 0.0)
@@ -130,7 +141,7 @@ def matrix_from_dict(doc: dict) -> TransitionMatrix:
     return TransitionMatrix(
         tuple(doc["sections"]),
         tuple(doc["operators"]),
-        np.array(doc["q"], dtype=np.float64),
+        doc["q"],
     )
 
 

@@ -14,9 +14,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import (
     CorruptFile,
@@ -34,6 +32,9 @@ from .matrix import (
     matrix_to_dict,
     select_pairs,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -187,6 +188,8 @@ def load_experience(path, sections: Sequence[str], operators: Sequence[str],
     per-column mean over matched sections; cells new on both axes get the
     prior's global mean. With no overlap at all the result is uniform.
     """
+    import numpy as np
+
     store = read_experience(path)
     if task_kind and store.task_kind and task_kind != store.task_kind:
         log.warning(

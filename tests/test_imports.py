@@ -1,5 +1,6 @@
-"""The program runs on the standard library and numpy: no promptopt module
-may pull in `requests` or `urllib3`."""
+"""The program runs on the standard library, and numpy once a run builds its
+matrix: no promptopt module may pull in `requests` or `urllib3`, and
+importing one loads no numpy."""
 
 import ast
 import json
@@ -31,6 +32,37 @@ def test_importing_every_module_loads_neither():
     doc = json.loads(proc.stdout)
     assert {"promptopt.backend", "promptopt.cli", "promptopt.engine"} <= set(doc["modules"])
     assert BANNED.isdisjoint(doc["loaded"])
+    assert "numpy" not in doc["loaded"]
+
+
+# a fresh process scaffolds and checks a project without numpy, then trains
+# it for two iterations against a FIFO mock whose replies cycle A, A, B
+INIT_THEN_TRAIN = """
+import json, sys
+from promptopt.cli import main
+assert main(["init", "--task", "CLS", "--labels", "A", "B", "--out", "w"]) == 0
+for name in ("train.jsonl", "test.jsonl"):
+    with open(name, "w") as f:
+        for i in range(8):
+            f.write(json.dumps({"text": "item %d" % i, "label": "AB"[i % 2]}) + "\\n")
+with open("fifo.json", "w") as f:
+    json.dump([{"response": json.dumps({"label": "AAB"[i % 3]})} for i in range(64)], f)
+assert main(["validate-config", "--config", "w/config.json"]) == 0
+assert main(["evaluate", "--prompt", "w/template.json", "--dataset", "test.jsonl",
+             "--task", "CLS", "--mock-script", "fifo.json"]) == 0
+assert "numpy" not in sys.modules
+assert main(["train", "--config", "w/config.json", "--mock-script", "fifo.json",
+             "--set", "iterations=2"]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_commands_before_train_load_no_numpy_and_train_loads_it(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", INIT_THEN_TRAIN], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert '"run_dir"' in proc.stdout
 
 
 def test_no_import_statement_names_either():
