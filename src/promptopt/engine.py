@@ -49,11 +49,7 @@ Each scoring returns one record per scored prompt: its scores, the prefix
 they were taken on (the whole set for a prompt that finishes) and whether
 it lost on a cut half-set rung. The initial pool and each iteration's edits
 take their scores from it; an iteration builds its edits, one per pair that
-did not fail, in one dict by pair index and reads it back in pair order.
-
-numpy is imported inside the functions that use it (retain and the
-trainer's set-up, which builds the matrix and the rng), so importing the
-program loads no numpy until a run starts."""
+did not fail, in one dict by pair index and reads it back in pair order."""
 
 from __future__ import annotations
 
@@ -66,7 +62,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import msgd_rl
 from . import operators as ops
@@ -113,10 +109,8 @@ from .prompt_model import (
     render,
     reorder,  # noqa: F401  not called here; perfbench/tracer.py patches this name
 )
+from .rng import Random, choice_distinct, default_rng, fsum_pairwise
 from .settings import from_fields
-
-if TYPE_CHECKING:
-    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -312,15 +306,13 @@ def _distinct(cands: Iterable[Optional[Candidate]]) -> list[Candidate]:
 
 
 def retain(candidates: Sequence[Candidate], top_k: int, anneal_count: int,
-           temperature: float, rng: np.random.Generator,
+           temperature: float, rng: Random,
            objective: str = "f1") -> list[Candidate]:
     """Keep the top_k candidates by objective plus up to anneal_count
     lower-scoring survivors sampled with weight exp((score - best)/T). The
     best candidate always survives. When fewer weights than survivors to
     draw are above zero (a temperature so small that they underflow), the
     leading ones in rank order survive, the limit as T goes to 0."""
-    import numpy as np
-
     if not candidates:
         return []
 
@@ -333,16 +325,14 @@ def retain(candidates: Sequence[Candidate], top_k: int, anneal_count: int,
     if rest and anneal_count > 0:
         best_score = _latest(ordered[0], objective)
         t = max(temperature, 1e-9)
-        weights = np.array(
-            [math.exp((_latest(c, objective) - best_score) / t) for c in rest]
-        )
+        weights = [math.exp((_latest(c, objective) - best_score) / t) for c in rest]
         n_extra = min(anneal_count, len(rest))
-        if np.count_nonzero(weights) < n_extra:
+        if sum(1 for w in weights if w > 0) < n_extra:
             # the weights fall with rank, so the positive ones lead
             picked = range(n_extra)
         else:
-            picked = rng.choice(len(rest), size=n_extra, replace=False,
-                                p=weights / weights.sum())
+            total = fsum_pairwise(weights)
+            picked = choice_distinct(rng, [w / total for w in weights], n_extra)
         survivors.extend(rest[i] for i in sorted(picked))
     return survivors
 
@@ -426,13 +416,11 @@ def _contract_breach(base: MetaPrompt, edited: MetaPrompt) -> str:
 class _Trainer:
     def __init__(self, cfg: RunConfig, train_set, test_set, template: MetaPrompt,
                  backend: Backend, run_dir=None):
-        import numpy as np
-
         cfg.validate()
         self.cfg = cfg
         self.backend = backend
         self.template = template
-        self.rng = np.random.default_rng(cfg.seed)
+        self.rng = default_rng(cfg.seed)
         self.train_set = self._slice(train_set)
         if not self.train_set:
             raise EmptyDataset("the training set is empty")
@@ -465,22 +453,20 @@ class _Trainer:
         else:
             self.matrix = init_uniform(sections, operators)
         editable_ids = {s.id for s in template.editable_sections()}
-        mask = np.zeros(self.matrix.q.shape, dtype=bool)
-        for i, sid in enumerate(sections):
-            if sid in editable_ids:
-                mask[i, :] = True
+        editable = [sid in editable_ids for sid in sections]
+        self.eligible = [[ok] * len(operators) for ok in editable]
+        cells = [x for row, ok in zip(self.matrix.q, editable) if ok for x in row]
         # select_pairs normalizes the matrix and draws each iteration's pairs
         # from the editable cells: with no mass there (or anywhere, for a
         # template without them) it fails, so fail before any request
-        drawn = self.matrix.q[mask] if mask.any() else self.matrix.q
-        if not drawn.sum() > 0:
+        drawn = cells or [x for row in self.matrix.q for x in row]
+        if not any(x > 0 for x in drawn):
             raise ZeroMass("the matrix has no mass on the editable sections' cells")
-        self.eligible = mask
         # each iteration draws this many distinct cells with mass, and no cell
         # gains or loses mass in a run: a cell without it is never drawn, and
         # every update clamps at Q_FLOOR
         self.n_pairs = min(cfg.effective_pairs_per_epoch(),
-                           int(np.count_nonzero(self.matrix.q[mask] > 0)))
+                           sum(1 for x in cells if x > 0))
 
     def _slice(self, examples) -> tuple[ExampleRecord, ...]:
         examples = tuple(examples)

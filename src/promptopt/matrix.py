@@ -2,42 +2,65 @@
 
 The table holds finite nonnegative values Q[section, operator]; normalizing the
 whole table gives the probability of picking operator j to edit section i.
-
-numpy is imported inside the functions that build or sample the table, so
-importing this module (and every command that never builds a matrix) does
-not pay numpy's import time.
+It is one list of floats per section, and its sums and draws follow numpy's
+arithmetic and random stream bit for bit (see promptopt.rng).
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import CorruptFile, CountTooLarge, EmptyAxis, ZeroMass
 from .fileio import write_text_atomic
-
-if TYPE_CHECKING:
-    import numpy as np
+from .rng import Random, choice, fsum_pairwise
 
 Q_FLOOR = 1e-4
+
+
+def _as_table(q, n_rows: int, n_cols: int) -> list[list[float]]:
+    """`q` copied into n_rows lists of n_cols floats; ValueError unless it
+    is a table of that shape of finite nonnegative real numbers."""
+    try:
+        table = [list(row) for row in q]
+    except TypeError:
+        raise ValueError("q must be a table of rows, one per section") from None
+    if len(table) != n_rows:
+        raise ValueError("q has %d rows for %d sections" % (len(table), n_rows))
+    for i, row in enumerate(table):
+        if len(row) != n_cols:
+            raise ValueError("q row %d has %d cells for %d operators" % (i, len(row), n_cols))
+        if set(map(type, row)) - {float}:
+            for x in row:
+                if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                    raise ValueError("q entries must be numbers, not %s" % type(x).__name__)
+            try:
+                table[i] = [float(x) for x in row]
+            except OverflowError:
+                raise ValueError("q entries must be finite") from None
+    cells = list(chain.from_iterable(table))
+    if not all(map(math.isfinite, cells)):
+        raise ValueError("q entries must be finite")
+    if cells and min(cells) < 0:
+        raise ValueError("q entries must be nonnegative")
+    return table
 
 
 @dataclass
 class TransitionMatrix:
     sections: tuple[str, ...]
     operators: tuple[str, ...]
-    # shape (len(sections), len(operators)), finite and nonnegative; nested
-    # lists are converted to a float64 array
-    q: np.ndarray
+    # one row per section, one cell per operator, finite and nonnegative;
+    # any table of real numbers (nested lists, a 2-D array) is copied into
+    # lists of floats
+    q: list[list[float]]
 
     def __post_init__(self):
-        import numpy as np
-
-        self.q = np.asarray(self.q, dtype=np.float64)
-        if self.q.shape != (len(self.sections), len(self.operators)):
-            raise ValueError("q shape %r does not match axes" % (self.q.shape,))
         # a label that is not a string can never match a prompt's section id
         # or an operator id
         if not all(isinstance(s, str) for s in self.sections):
@@ -48,20 +71,18 @@ class TransitionMatrix:
             raise ValueError("duplicate section labels")
         if len(set(self.operators)) != len(self.operators):
             raise ValueError("duplicate operator labels")
-        if not np.isfinite(self.q).all():
-            raise ValueError("q entries must be finite")
-        if (self.q < 0).any():
-            raise ValueError("q entries must be nonnegative")
+        self.q = _as_table(self.q, len(self.sections), len(self.operators))
 
     def index(self, section: str, operator: str) -> tuple[int, int]:
         return self.sections.index(section), self.operators.index(operator)
 
     def value(self, section: str, operator: str) -> float:
         i, j = self.index(section, operator)
-        return float(self.q[i, j])
+        return self.q[i][j]
 
     def copy(self) -> "TransitionMatrix":
-        return TransitionMatrix(self.sections, self.operators, self.q.copy())
+        # __post_init__ copies the rows, so the two tables share none
+        return TransitionMatrix(self.sections, self.operators, self.q)
 
 
 @dataclass(frozen=True)
@@ -91,38 +112,36 @@ def init_uniform(sections: Sequence[str], operators: Sequence[str]) -> Transitio
     return TransitionMatrix(tuple(sections), tuple(operators), q)
 
 
-def selection_distribution(m: TransitionMatrix) -> np.ndarray:
+def selection_distribution(m: TransitionMatrix) -> list[list[float]]:
     """Probability of each (section, operator) cell: the q table normalized
     by its sum."""
-    total = m.q.sum()
+    total = fsum_pairwise([x for row in m.q for x in row])
     if total <= 0:
         raise ZeroMass("matrix sum is zero; cannot normalize")
-    return m.q / total
+    return [[x / total for x in row] for row in m.q]
 
 
-def select_pairs(m: TransitionMatrix, count: int, rng: np.random.Generator,
-                 eligible: Optional[np.ndarray] = None) -> list[SelectionPair]:
+def select_pairs(m: TransitionMatrix, count: int, rng: Random,
+                 eligible: Optional[Sequence[Sequence[bool]]] = None) -> list[SelectionPair]:
     """Sample `count` distinct cells without replacement, each draw
     proportional to the current distribution restricted to the remaining
-    cells. `eligible` is an optional boolean mask (e.g. editable sections
-    only)."""
-    import numpy as np
-
-    probs = selection_distribution(m).copy()
+    cells. `eligible` is an optional boolean mask shaped like q (e.g.
+    editable sections only)."""
+    probs = selection_distribution(m)
     if eligible is not None:
-        probs = np.where(eligible, probs, 0.0)
-    flat = probs.ravel()
-    available = int((flat > 0).sum())
+        probs = [[p if ok else 0.0 for p, ok in zip(row, mask_row)]
+                 for row, mask_row in zip(probs, eligible)]
+    weights = [p for row in probs for p in row]
+    available = sum(1 for w in weights if w > 0)
     if count > available:
         raise CountTooLarge(
             "requested %d pairs but only %d eligible cells" % (count, available)
         )
     n_ops = len(m.operators)
     chosen = []
-    weights = flat.copy()
     for _ in range(count):
-        total = weights.sum()
-        idx = int(rng.choice(len(weights), p=weights / total))
+        total = fsum_pairwise(weights)
+        idx = choice(rng, [w / total for w in weights])
         weights[idx] = 0.0
         i, j = divmod(idx, n_ops)
         chosen.append(SelectionPair(m.sections[i], m.operators[j]))
@@ -133,7 +152,7 @@ def matrix_to_dict(m: TransitionMatrix) -> dict:
     return {
         "sections": list(m.sections),
         "operators": list(m.operators),
-        "q": [[float(x) for x in row] for row in m.q],
+        "q": [list(row) for row in m.q],
     }
 
 

@@ -28,10 +28,10 @@ def msgd_update(m: TransitionMatrix, pair: SelectionPair, norm: float,
     out = m.copy()
     i, j = out.index(pair.section, pair.operator)
     if mode == "multiplicative":
-        new = out.q[i, j] * (1.0 + alpha * norm)
+        new = out.q[i][j] * (1.0 + alpha * norm)
     elif mode == "additive":
-        new = out.q[i, j] + alpha * norm
+        new = out.q[i][j] + alpha * norm
     else:
         raise ValueError("unknown update mode %r" % mode)
-    out.q[i, j] = max(new, Q_FLOOR)
+    out.q[i][j] = max(new, Q_FLOOR)
     return out

@@ -14,7 +14,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     CorruptFile,
@@ -28,13 +28,12 @@ from .matrix import (
     GradientObservation,
     SelectionPair,
     TransitionMatrix,
+    init_uniform,
     matrix_from_dict,
     matrix_to_dict,
     select_pairs,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
+from .rng import Random, mean
 
 log = logging.getLogger(__name__)
 
@@ -69,12 +68,12 @@ def rl_epoch(
     m: TransitionMatrix,
     base_score: float,
     pairs_per_epoch: int,
-    rng: np.random.Generator,
+    rng: Random,
     apply_pair: Callable[[SelectionPair], object],
     evaluate_candidate: Callable[[object], float],
     sarsa_alpha: float = 0.5,
     sarsa_gamma: float = 0.5,
-    eligible: Optional[np.ndarray] = None,
+    eligible: Optional[Sequence[Sequence[bool]]] = None,
     reward_mode: str = "mean",
 ) -> tuple[TransitionMatrix, list[GradientObservation], list[object]]:
     """Run one optimization epoch.
@@ -118,10 +117,10 @@ def apply_sarsa_updates(
     out = m.copy()
     for obs in observations:
         i, j = out.index(obs.pair.section, obs.pair.operator)
-        q = float(out.q[i, j])
+        q = out.q[i][j]
         reward = shared_reward if reward_mode == "mean" else obs.gradient
         q_next = provisional_next_q(q, obs.gradient)
-        out.q[i, j] = max(sarsa_update(q, reward, q_next, sarsa_alpha, sarsa_gamma), Q_FLOOR)
+        out.q[i][j] = max(sarsa_update(q, reward, q_next, sarsa_alpha, sarsa_gamma), Q_FLOOR)
     return out
 
 
@@ -160,7 +159,7 @@ def read_experience(path) -> ExperienceStore:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         version = doc["version"]
         matrix = matrix_from_dict(doc)
-        if not matrix.q.sum() > 0:
+        if not any(x > 0 for row in matrix.q for x in row):
             raise ValueError("q has no mass: every cell is 0")
         epochs_trained = doc.get("epochs_trained", 0)
         if (isinstance(epochs_trained, bool) or not isinstance(epochs_trained, int)
@@ -187,9 +186,8 @@ def load_experience(path, sections: Sequence[str], operators: Sequence[str],
     the per-row mean over matched operators; a new section row gets the
     per-column mean over matched sections; cells new on both axes get the
     prior's global mean. With no overlap at all the result is uniform.
+    Means add in numpy's pairwise order (see promptopt.rng.mean).
     """
-    import numpy as np
-
     store = read_experience(path)
     if task_kind and store.task_kind and task_kind != store.task_kind:
         log.warning(
@@ -201,20 +199,19 @@ def load_experience(path, sections: Sequence[str], operators: Sequence[str],
     op_map = {o: j for j, o in enumerate(prior.operators)}
     matched_secs = [s for s in sections if s in sec_map]
     matched_ops = [o for o in operators if o in op_map]
-    n, m = len(sections), len(operators)
     if not matched_secs and not matched_ops:
-        q = np.full((n, m), 1.0 / (n * m))
-        return TransitionMatrix(tuple(sections), tuple(operators), q)
-    global_mean = float(prior.q.mean())
-    q = np.empty((n, m))
-    for i, s in enumerate(sections):
-        for j, o in enumerate(operators):
-            if s in sec_map and o in op_map:
-                q[i, j] = prior.q[sec_map[s], op_map[o]]
-            elif s in sec_map and matched_ops:
-                q[i, j] = np.mean([prior.q[sec_map[s], op_map[o2]] for o2 in matched_ops])
-            elif o in op_map and matched_secs:
-                q[i, j] = np.mean([prior.q[sec_map[s2], op_map[o]] for s2 in matched_secs])
-            else:
-                q[i, j] = global_mean
+        return init_uniform(sections, operators)
+    pq = prior.q
+    global_mean = mean([x for row in pq for x in row])
+
+    def cell(s: str, o: str) -> float:
+        if s in sec_map and o in op_map:
+            return pq[sec_map[s]][op_map[o]]
+        if s in sec_map and matched_ops:
+            return mean([pq[sec_map[s]][op_map[o2]] for o2 in matched_ops])
+        if o in op_map and matched_secs:
+            return mean([pq[sec_map[s2]][op_map[o]] for s2 in matched_secs])
+        return global_mean
+
+    q = [[cell(s, o) for o in operators] for s in sections]
     return TransitionMatrix(tuple(sections), tuple(operators), q)

@@ -55,7 +55,7 @@ class TestCriterion1:
     def test_msgd_golden(self):
         start = time.monotonic()
         m = init_uniform(SECTIONS, OPERATORS)
-        before = m.q.copy()
+        before = np.array(m.q)
 
         norm_up = norm_delta(0.64513, 0.66812)
         norm_down = norm_delta(0.64513, 0.62440)
@@ -71,7 +71,7 @@ class TestCriterion1:
         for i in range(4):
             for j in range(4):
                 if (i, j) not in touched:
-                    assert m.q[i, j] == before[i, j]  # bit-identical
+                    assert m.q[i][j] == before[i, j]  # bit-identical
         assert time.monotonic() - start < 1.0
         report(1, "msgd golden update")
 
@@ -211,7 +211,7 @@ class TestCriterion6:
 
     def _magic_prob(self, m):
         i, j = m.index(*self.MAGIC)
-        return selection_distribution(m)[i, j]
+        return selection_distribution(m)[i][j]
 
     def test_msgd_rl_learns_policy(self):
         start = time.monotonic()
@@ -350,12 +350,12 @@ class TestCriterion9:
         assert again.task_kind == "NER" and again.epochs_trained == 3
 
         extended = load_experience(path, SECTIONS + ("Scene",), OPERATORS + ("merge",))
-        assert np.array_equal(extended.q[:4, :4], PRIOR_Q)
+        assert np.array_equal(np.array(extended.q)[:4, :4], PRIOR_Q)
         for i in range(4):
-            assert extended.q[i, 4] == pytest.approx(PRIOR_Q[i].mean())
+            assert extended.q[i][4] == pytest.approx(PRIOR_Q[i].mean())
         for j in range(4):
-            assert extended.q[4, j] == pytest.approx(PRIOR_Q[:, j].mean())
-        assert extended.q[4, 4] == pytest.approx(PRIOR_Q.mean())
+            assert extended.q[4][j] == pytest.approx(PRIOR_Q[:, j].mean())
+        assert extended.q[4][4] == pytest.approx(PRIOR_Q.mean())
         report(9, "experience recycling")
 
 

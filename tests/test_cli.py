@@ -658,7 +658,7 @@ class TestReportAndExperience:
         exported = tmp_path / "exp.json"
         assert main(["experience-export", "--run-dir", str(tmp_path),
                      "--out", str(exported)]) == 0
-        assert read_experience(exported).matrix.q.tolist() == [[0.75]]
+        assert read_experience(exported).matrix.q == [[0.75]]
         capsys.readouterr()
         assert main(["report", str(tmp_path)]) == 0
         assert json.loads(capsys.readouterr().out)["iterations"] == 1000

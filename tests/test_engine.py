@@ -387,7 +387,7 @@ class TestTrain:
         m = trainer.matrix
         assert m.sections == sections and m.operators == OPERATOR_IDS
         for j, op in enumerate(OPERATOR_IDS):
-            assert np.array_equal(m.q[:, j], q[:, old_ops.index(op)])
+            assert np.array_equal(np.array(m.q)[:, j], q[:, old_ops.index(op)])
 
     def test_matrix_checkpoint_matches_store(self, tmp_path):
         data = cls_dataset(8)
@@ -538,7 +538,7 @@ class TestOperatorFailure:
             assert sorted((f["section"], f["operator"], f["error"]) for f in row["failed"]) == [
                 ("s0", "refine", "BackendTimeout"), ("s1", "refine", "BackendTimeout")]
             assert [s["operator"] for s in row["selections"]] == ["cot", "cot"]
-        q = store.matrix.q
+        q = np.array(store.matrix.q)
         assert np.all(q[:, store.matrix.operators.index("refine")] == 1.0 / 6)
         if optimizer == "msgd_rl":
             assert np.all(q[:2, store.matrix.operators.index("cot")] != 1.0 / 6)
@@ -551,7 +551,7 @@ class TestOperatorFailure:
         _, report, store = train(cfg, data, data, base_template(), backend)
         assert [len(row["failed"]) for row in report.iterations] == [2, 2]
         assert all(row["selections"] == [] for row in report.iterations)
-        assert np.all(store.matrix.q == 1.0 / 3)
+        assert np.all(np.array(store.matrix.q) == 1.0 / 3)
 
     def test_auth_error_ends_run(self, tmp_path):
         data = cls_dataset(8)
@@ -1656,5 +1656,6 @@ def load_matrix_like(sections, operators, dominant):
 
     m = init_uniform(sections, operators)
     sec, op, value = dominant
-    m.q[m.index(sec, op)] = value
+    i, j = m.index(sec, op)
+    m.q[i][j] = value
     return m

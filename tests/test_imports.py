@@ -1,6 +1,5 @@
-"""The program runs on the standard library, and numpy once a run builds its
-matrix: no promptopt module may pull in `requests` or `urllib3`, and
-importing one loads no numpy."""
+"""The program runs on the standard library alone: no promptopt module may
+pull in `requests`, `urllib3` or numpy, and no command loads them."""
 
 import ast
 import json
@@ -11,7 +10,7 @@ from pathlib import Path
 
 import promptopt
 
-BANNED = {"requests", "urllib3"}
+BANNED = {"numpy", "requests", "urllib3"}
 PACKAGE = Path(promptopt.__file__).resolve().parent
 
 IMPORT_ALL = """
@@ -32,13 +31,14 @@ def test_importing_every_module_loads_neither():
     doc = json.loads(proc.stdout)
     assert {"promptopt.backend", "promptopt.cli", "promptopt.engine"} <= set(doc["modules"])
     assert BANNED.isdisjoint(doc["loaded"])
-    assert "numpy" not in doc["loaded"]
 
 
-# a fresh process scaffolds and checks a project without numpy, then trains
-# it for two iterations against a FIFO mock whose replies cycle A, A, B
-INIT_THEN_TRAIN = """
-import json, sys
+# a fresh process scaffolds and checks a project, trains it for two
+# iterations against a FIFO mock whose replies cycle A, A, B, exports the
+# run's matrix and imports it, and warm-starts one more iteration from it,
+# all without loading numpy
+EVERY_COMMAND = """
+import json, pathlib, sys
 from promptopt.cli import main
 assert main(["init", "--task", "CLS", "--labels", "A", "B", "--out", "w"]) == 0
 for name in ("train.jsonl", "test.jsonl"):
@@ -50,19 +50,24 @@ with open("fifo.json", "w") as f:
 assert main(["validate-config", "--config", "w/config.json"]) == 0
 assert main(["evaluate", "--prompt", "w/template.json", "--dataset", "test.jsonl",
              "--task", "CLS", "--mock-script", "fifo.json"]) == 0
-assert "numpy" not in sys.modules
 assert main(["train", "--config", "w/config.json", "--mock-script", "fifo.json",
              "--set", "iterations=2"]) == 0
-assert "numpy" in sys.modules
+[run_dir] = [str(p) for p in pathlib.Path("runs").iterdir()]
+assert main(["experience-export", "--run-dir", run_dir, "--task", "CLS",
+             "--out", "exported.json"]) == 0
+assert main(["experience-import", "--file", "exported.json", "--out", "prior.json"]) == 0
+assert main(["train", "--config", "w/config.json", "--mock-script", "fifo.json",
+             "--set", "iterations=1", "--set", "experience_in=prior.json"]) == 0
+assert "numpy" not in sys.modules
 """
 
 
-def test_commands_before_train_load_no_numpy_and_train_loads_it(tmp_path):
+def test_train_and_experience_commands_load_no_numpy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    proc = subprocess.run([sys.executable, "-c", INIT_THEN_TRAIN], env=env, cwd=tmp_path,
+    proc = subprocess.run([sys.executable, "-c", EVERY_COMMAND], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert '"run_dir"' in proc.stdout
+    assert (tmp_path / "prior.json").is_file()
 
 
 def test_no_import_statement_names_either():

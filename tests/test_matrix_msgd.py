@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promptopt.errors import (
+    CorruptFile,
     CountTooLarge,
     EmptyAxis,
     InvalidAlpha,
@@ -36,12 +37,12 @@ class TestInitUniform:
 
     def test_1x1(self):
         m = init_uniform(["s"], ["o"])
-        assert m.q[0, 0] == 1.0
+        assert m.q[0][0] == 1.0
 
     def test_2x5(self):
         m = init_uniform(["a", "b"], list("vwxyz"))
         assert np.allclose(m.q, 0.1)
-        assert m.q.sum() == pytest.approx(1.0)
+        assert np.sum(m.q) == pytest.approx(1.0)
 
     def test_empty_axis(self):
         with pytest.raises(EmptyAxis):
@@ -58,7 +59,7 @@ class TestSelectionDistribution:
         q[1, 0] = 0.3
         m = TransitionMatrix(("a", "b"), ("x", "y"), q)
         p = selection_distribution(m)
-        assert p[1, 0] == 1.0
+        assert p[1][0] == 1.0
 
     def test_zero_mass(self):
         m = TransitionMatrix(("a",), ("x",), np.zeros((1, 1)))
@@ -72,7 +73,7 @@ class TestSelectionDistribution:
             i, j = rng.integers(0, 4, 2)
             pair = SelectionPair(SECTIONS[i], OPERATORS[j])
             m = msgd_update(m, pair, float(rng.uniform(-0.5, 0.5)))
-            p = selection_distribution(m)
+            p = np.array(selection_distribution(m))
             assert abs(p.sum() - 1.0) < 1e-12
             assert (p >= 0).all()
 
@@ -149,9 +150,9 @@ class TestMsgdUpdate:
     def test_only_one_cell_changes(self, uniform):
         pair = SelectionPair("Address", "rewrite")
         m = msgd_update(uniform, pair, 0.2)
-        diff = m.q != uniform.q
+        diff = np.array(m.q) != np.array(uniform.q)
         assert diff.sum() == 1 and diff[0, 0]
-        assert m.q[~diff].sum() == uniform.q[~diff].sum()
+        assert np.array(m.q)[~diff].sum() == np.array(uniform.q)[~diff].sum()
 
     def test_invalid_alpha(self, uniform):
         with pytest.raises(InvalidAlpha):
@@ -181,8 +182,45 @@ class TestMsgdUpdate:
 
     def test_argmax_invariant_under_rescale(self, uniform):
         m = msgd_update(uniform, SelectionPair("Name", "reflect"), 0.4)
-        scaled = TransitionMatrix(m.sections, m.operators, m.q * 7.3)
+        scaled = TransitionMatrix(m.sections, m.operators, np.array(m.q) * 7.3)
         assert np.argmax(m.q) == np.argmax(scaled.q)
+
+
+class TestTableChecks:
+    @pytest.mark.parametrize("q, needle", [
+        ([[0.1, 0.2], [0.3]], "row 1 has 1 cells for 2 operators"),
+        ([[0.1, 0.2]], "1 rows for 2 sections"),
+        (0.5, "table of rows"),
+        ([[0.1, "0.2"], [0.3, 0.4]], "numbers, not str"),
+        ([[0.1, None], [0.3, 0.4]], "numbers, not NoneType"),
+        ([[0.1, True], [0.3, 0.4]], "numbers, not bool"),
+        ([[0.1, [0.2]], [0.3, 0.4]], "numbers, not list"),
+        ([[0.1, float("nan")], [0.3, 0.4]], "finite"),
+        ([[0.1, float("-inf")], [0.3, 0.4]], "finite"),
+        ([[0.1, 10 ** 400], [0.3, 0.4]], "finite"),
+        ([[0.1, -0.2], [0.3, 0.4]], "nonnegative"),
+    ], ids=["ragged", "missing-row", "not-a-table", "text-cell", "null-cell", "bool-cell",
+            "nested-cell", "nan", "inf", "huge-int", "negative"])
+    def test_rejects_a_bad_table(self, q, needle):
+        with pytest.raises(ValueError, match=needle):
+            TransitionMatrix(("a", "b"), ("x", "y"), q)
+
+    def test_cells_become_floats(self):
+        m = TransitionMatrix(("a", "b"), ("x", "y"), np.array([[1, 2], [3, 0]]))
+        assert m.q == [[1.0, 2.0], [3.0, 0.0]]
+        assert {type(x) for row in m.q for x in row} == {float}
+
+    def test_keeps_its_own_rows(self):
+        q = [[0.1, 0.2], [0.3, 0.4]]
+        m = TransitionMatrix(("a", "b"), ("x", "y"), q)
+        q[0][0] = 5.0
+        assert m.value("a", "x") == 0.1 and m.copy().q is not m.q
+
+    def test_bad_table_on_disk_is_corrupt(self, tmp_path):
+        path = tmp_path / "matrix.json"
+        path.write_text('{"sections": ["a", "b"], "operators": ["x"], "q": [[0.1], []]}')
+        with pytest.raises(CorruptFile, match="row 1 has 0 cells for 1 operators"):
+            load_matrix(path)
 
 
 class TestSnapshot:

@@ -138,7 +138,7 @@ class TestApplySarsaUpdates:
         for i, section in enumerate(SECTIONS):
             for j, op in enumerate(OPERATORS):
                 if (section, op) not in touched:
-                    assert after.q[i, j] == before.q[i, j]
+                    assert after.q[i][j] == before.q[i][j]
 
     def test_identical_scores_move_to_discounted_self_target(self):
         m = init_uniform(SECTIONS, OPERATORS)
@@ -147,7 +147,7 @@ class TestApplySarsaUpdates:
         q = 0.0625
         # r = 0, q_next = q: q <- q + alpha (gamma - 1) q
         assert out.value("Book", "sort") == pytest.approx(q + 0.5 * (0.5 - 1) * q)
-        assert np.sum(out.q != m.q) == 1
+        assert np.sum(np.array(out.q) != np.array(m.q)) == 1
 
 
 class TestRlEpoch:
@@ -165,7 +165,7 @@ class TestRlEpoch:
         assert cands == ["cand"]
         # reward equals the single gradient
         expected = sarsa_update(1.0, 0.1, provisional_next_q(1.0, 0.1), 0.5, 0.5)
-        assert out.q[0, 0] == pytest.approx(expected)
+        assert out.q[0][0] == pytest.approx(expected)
 
     def test_noop_pair_scores_zero_gradient(self):
         m = init_uniform(("s",), ("a",))
@@ -220,9 +220,9 @@ class TestExperienceStore:
         m = load_experience(path, SECTIONS, OPERATORS + ("merge",))
         j = m.operators.index("merge")
         for i in range(len(SECTIONS)):
-            assert m.q[i, j] == pytest.approx(PRIOR_Q[i].mean())
+            assert m.q[i][j] == pytest.approx(PRIOR_Q[i].mean())
         # matched cells copied exactly
-        assert np.array_equal(m.q[:, :4], PRIOR_Q)
+        assert np.array_equal(np.array(m.q)[:, :4], PRIOR_Q)
 
     def test_new_section_row_is_column_mean(self, tmp_path):
         path = tmp_path / "exp.json"
@@ -230,7 +230,7 @@ class TestExperienceStore:
         m = load_experience(path, SECTIONS + ("Scene",), OPERATORS)
         i = m.sections.index("Scene")
         for j in range(len(OPERATORS)):
-            assert m.q[i, j] == pytest.approx(PRIOR_Q[:, j].mean())
+            assert m.q[i][j] == pytest.approx(PRIOR_Q[:, j].mean())
 
     def test_both_new_gets_global_mean(self, tmp_path):
         path = tmp_path / "exp.json"
@@ -238,7 +238,7 @@ class TestExperienceStore:
         m = load_experience(path, SECTIONS + ("Scene",), OPERATORS + ("merge",))
         i = m.sections.index("Scene")
         j = m.operators.index("merge")
-        assert m.q[i, j] == pytest.approx(PRIOR_Q.mean())
+        assert m.q[i][j] == pytest.approx(PRIOR_Q.mean())
 
     def test_no_overlap_uniform(self, tmp_path):
         path = tmp_path / "exp.json"
@@ -251,7 +251,7 @@ class TestExperienceStore:
         save_experience(ExperienceStore.new(prior_matrix(), "NER"), path)
         m = load_experience(path, SECTIONS + ("Scene",), OPERATORS + ("merge",))
         p = selection_distribution(m)
-        assert p.sum() == pytest.approx(1.0)
+        assert np.sum(p) == pytest.approx(1.0)
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "exp.json"
@@ -272,6 +272,23 @@ class TestExperienceStore:
             path.write_text(text)
             with pytest.raises(CorruptFile):
                 read_experience(path)
+
+    @pytest.mark.parametrize("q, needle", [
+        ([[0.1, 0.2], [0.3]], "row 1 has 1 cells for 2 operators"),
+        ([[0.1, "x"], [0.3, 0.4]], "numbers, not str"),
+        ([[0.1, float("nan")], [0.3, 0.4]], "finite"),
+        ([[0.1, float("inf")], [0.3, 0.4]], "finite"),
+        ([[0.1, -0.2], [0.3, 0.4]], "nonnegative"),
+    ], ids=["ragged", "text-cell", "nan", "inf", "negative"])
+    def test_bad_table_is_corrupt(self, tmp_path, q, needle):
+        path = tmp_path / "exp.json"
+        # json writes NaN and Infinity, and reads them back
+        path.write_text(json.dumps({"version": 1, "sections": ["s0", "s1"],
+                                    "operators": ["cot", "refine"], "q": q}))
+        with pytest.raises(CorruptFile, match=needle):
+            read_experience(path)
+        with pytest.raises(CorruptFile, match=needle):
+            load_experience(path, ("s0", "s1"), ("cot", "refine"))
 
     @pytest.mark.parametrize("key", ["task_kind", "created_at", "updated_at"])
     @pytest.mark.parametrize("value", [5, [1], None, {"a": "b"}, True])

@@ -1,11 +1,12 @@
 """What promptopt costs a process before it does any work: over fresh
-interpreters, the time to `import promptopt.cli` and the wall time of
-`promptopt --help`, with a bare interpreter for the floor, and whether each
+interpreters, the time to `import promptopt.cli`, the wall time of
+`promptopt --help` and of `promptopt experience-import` on a 7 x 11
+experience file, with a bare interpreter for the floor, and whether each
 loaded numpy.
 
 Each round starts one interpreter per row, in turn, so a drift in machine
 load reaches every row alike. The import row is timed inside the child,
-around the import alone; the other two are the child's whole wall time,
+around the import alone; the others are the child's whole wall time,
 interpreter start-up and `site` included, timed by this process.
 
     PYTHONPATH=src python tools/startup.py --runs 15
@@ -19,10 +20,16 @@ import argparse
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
-# each child ends its stderr with one line: the seconds it timed itself, or
-# "-" for its whole wall time, and whether numpy was loaded
+from promptopt.matrix import init_uniform
+from promptopt.msgd_rl import ExperienceStore, save_experience
+
+# each child runs with a scratch directory as its one argument and ends its
+# stderr with one line: the seconds it timed itself, or "-" for its whole
+# wall time, and whether numpy was loaded
 BARE = """
 import sys
 print("-", "numpy" in sys.modules, file=sys.stderr)
@@ -45,15 +52,24 @@ except SystemExit:
 print("-", "numpy" in sys.modules, file=sys.stderr)
 """
 
+EXPERIENCE_IMPORT = """
+import os, sys
+from promptopt.cli import main
+work = sys.argv[1]
+assert main(["experience-import", "--file", os.path.join(work, "exp.json"),
+             "--out", os.path.join(work, "prior.json")]) == 0
+print("-", "numpy" in sys.modules, file=sys.stderr)
+"""
+
 ROWS = {"bare interpreter": BARE, "import promptopt.cli": IMPORT_CLI,
-        "promptopt --help": HELP}
+        "promptopt --help": HELP, "experience-import": EXPERIENCE_IMPORT}
 
 
-def _child(code: str) -> tuple[float, str]:
+def _child(code: str, work: str) -> tuple[float, str]:
     """The seconds a fresh interpreter running `code` took (its own timing
     if it gave one) and whether it loaded numpy."""
     t = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code, work], capture_output=True,
                           text=True, check=True)
     wall = time.perf_counter() - t
     seconds, numpy = proc.stderr.splitlines()[-1].split()
@@ -63,11 +79,15 @@ def _child(code: str) -> tuple[float, str]:
 def measure(runs: int) -> dict[str, tuple[list[float], set[str]]]:
     """Each row's times over `runs` rounds, and the set of its numpy flags."""
     rows: dict[str, tuple[list[float], set[str]]] = {name: ([], set()) for name in ROWS}
-    for _ in range(runs):
-        for name, code in ROWS.items():
-            seconds, numpy = _child(code)
-            rows[name][0].append(seconds)
-            rows[name][1].add(numpy)
+    with tempfile.TemporaryDirectory() as work:
+        # the size of the cls_rl_latency workload's table
+        matrix = init_uniform(["s%d" % i for i in range(7)], ["o%d" % j for j in range(11)])
+        save_experience(ExperienceStore.new(matrix, "CLS"), Path(work) / "exp.json")
+        for _ in range(runs):
+            for name, code in ROWS.items():
+                seconds, numpy = _child(code, work)
+                rows[name][0].append(seconds)
+                rows[name][1].add(numpy)
     return rows
 
 
