@@ -197,9 +197,11 @@ def cmd_evaluate(args) -> int:
     dataset = load_dataset(args.dataset, task)
     backend = build_backend(inputs, args.mock_script)
     try:
+        # a cap of the whole dataset keeps every example that is not exactly
+        # right, so the count is not capped at BAD_CASE_CAP
         report, bad = evaluate(Candidate(prompt=prompt), dataset, backend,
-                               objective=cfg.objective, model=cfg.model, seed=cfg.seed,
-                               cls_average=cfg.cls_average)
+                               objective=cfg.objective, bad_case_cap=len(dataset),
+                               model=cfg.model, seed=cfg.seed, cls_average=cfg.cls_average)
     finally:
         backend.close()
     out = report.as_dict()

@@ -16,14 +16,9 @@ prefix is the longest whose batch of the k prompts fills whole waves of the
 backend's max_parallel requests (see first_rung), and the second is cut the
 same way for the prompts still live; so at max_parallel 1 they are the first
 quarter and the first half.
-Otherwise one batch scores them on the whole set.
-
-An edit raced out on a half-set rung that the cut made shorter, whose
-objective there is not below the base's, is kept for the next iteration
-only, as a sibling that merge and diff_evolution may take as a parent, with
-its objective on that prefix as its score. It is never the base, and never
-enters the pool, the checkpoints, the report or the experience: the cut
-rung ranks on fewer examples, and these siblings win back what that costs.
+Otherwise one batch scores them on the whole set. An edit raced out never
+reaches the next iteration: the parents that merge and diff_evolution take
+are the pool's.
 
 A local operator (cot, few_shot, repeat_instructions, merge) makes its
 prompt before the operator batch is sent. In an iteration that races, the
@@ -45,11 +40,11 @@ trainer keeps one memo slot per training example, its last reply with that
 reply's prediction and judgement, so a repeated reply is neither parsed nor
 judged again.
 
-Each scoring returns one record per scored prompt: its scores, the prefix
-they were taken on (the whole set for a prompt that finishes) and whether
-it lost on a cut half-set rung. The initial pool and each iteration's edits
-take their scores from it; an iteration builds its edits, one per pair that
-did not fail, in one dict by pair index and reads it back in pair order."""
+Each scoring returns one record per scored prompt: its scores and the
+prefix they were taken on (the whole set for a prompt that finishes). The
+initial pool and each iteration's edits take their scores from it; an
+iteration builds its edits, one per pair that did not fail, in one dict by
+pair index and reads it back in pair order."""
 
 from __future__ import annotations
 
@@ -120,9 +115,7 @@ CONVERGENCE_WINDOW = 3
 # examples, then the first half, then the whole set, so the evaluation budget
 # doubles from one rung to the next as the field halves. Each of the first two
 # rungs is then cut back to fill whole waves of the backend's max_parallel
-# requests for the prompts still live (see first_rung); the edits a cut
-# half-set rung races out while not worse than their base are kept as
-# siblings, since without them the cut lost quality. A training set whose
+# requests for the prompts still live (see first_rung). A training set whose
 # first rung is shorter than RACE_MIN_PREFIX, one of under 100 examples, does
 # not race: each scoring is one batch on the whole set
 RACE_PREFIX_DIVISOR = 4
@@ -440,10 +433,6 @@ class _Trainer:
         # repeat and are neither parsed nor judged again
         self.replies = reply_memo(n)
         self.eval_requests = 0
-        # the edits the last iteration raced out on a cut half-set rung that
-        # were not worse than the base there: parents for merge and
-        # diff_evolution in the next iteration only (see _context)
-        self.siblings: tuple[Candidate, ...] = ()
         sections = tuple(s.id for s in template.ordered_sections())
         operators = cfg.effective_operators()
         if cfg.experience_in:
@@ -494,7 +483,7 @@ class _Trainer:
 
     def _score(self, cands: Sequence[Candidate], iteration: int,
                judged: Optional[dict[str, tuple[list, list]]] = None,
-               ) -> dict[str, tuple[dict[str, float], int, bool]]:
+               ) -> dict[str, tuple[dict[str, float], int]]:
         """Score distinct candidates, given in pair order, on the training
         set and record each one that finishes in `scored`. `judged` maps the
         fingerprint of a candidate already sent a prefix of the set (a rider,
@@ -510,11 +499,9 @@ class _Trainer:
         Otherwise one batch scores them on the whole set.
 
         Returns a record for every candidate, by fingerprint: (scores,
-        scored_on, shortened). A candidate that finishes has its precision,
-        recall and f1 on the whole set, scored_on = len(train_set) and
-        shortened False. One raced out has its objective on the prefix it
-        lost on, that prefix's length, and whether it lost on a half-set
-        rung that the cut made shorter than the first half.
+        scored_on). A candidate that finishes has its precision, recall and
+        f1 on the whole set and scored_on = len(train_set). One raced out
+        has its objective on the prefix it lost on and that prefix's length.
 
         Each candidate has one tally, and each of its judgements is added
         to it once, in example order, as far as the rung being ranked: a
@@ -542,7 +529,7 @@ class _Trainer:
                 fed[i] = stop
 
         records = {}
-        for rung, uncut in enumerate(self.rungs):
+        for uncut in self.rungs:
             if len(live) < 2:
                 break
             # send the rung's prefix, then keep the better half of the field
@@ -553,8 +540,7 @@ class _Trainer:
             ranked = sorted(live, key=lambda i: (-objectives[i], i))
             live = sorted(ranked[:math.ceil(len(live) / 2)])
             for i in ranked[len(live):]:
-                records[cands[i].fingerprint] = (
-                    {self.cfg.objective: objectives[i]}, cut, rung > 0 and cut < uncut)
+                records[cands[i].fingerprint] = ({self.cfg.objective: objectives[i]}, cut)
         send(len(self.train_set))
         for i in live:
             report = tallies[i].report()
@@ -563,7 +549,7 @@ class _Trainer:
             self.scored[cands[i].fingerprint] = (report, bad_cases, tuple(judgements[i]))
             records[cands[i].fingerprint] = (
                 {"precision": report.precision, "recall": report.recall, "f1": report.f1},
-                len(self.train_set), False)
+                len(self.train_set))
         return records
 
     def _riders(self, local: Sequence[Candidate], n_requests: int, n_plans: int
@@ -590,7 +576,7 @@ class _Trainer:
         return ops.OperatorContext(
             target_section=base.prompt.section_by_id(pair.section),
             prompt=base.prompt,
-            sibling_candidates=tuple(pool) + self.siblings,
+            sibling_candidates=tuple(pool),
             bad_cases=tuple(bad_cases),
             dataset=self.train_set,
             rng_seed=self.cfg.seed * 1_000_003 + iteration * 101 + pair_index,
@@ -696,14 +682,12 @@ class _Trainer:
         observations: list[GradientObservation] = []
         selections = []
         new_candidates: list[Candidate] = []
-        siblings: list[Candidate] = []
         for k, cand in edits.items():
             pair = pairs[k]
             prev = cur = base_score  # a no-op edit cannot move the score
             scored_on = 0  # the training examples behind the gradient
-            shortened = False
             if cand is not None:
-                scores, scored_on, shortened = records[cand.fingerprint]
+                scores, scored_on = records[cand.fingerprint]
                 cand = cand.with_score(iteration, scores)
                 cur = scores[cfg.objective]
                 if scored_on < n:
@@ -713,17 +697,12 @@ class _Trainer:
                     new_candidates.append(cand)
             obs = GradientObservation(pair, prev, cur)
             observations.append(obs)
-            if shortened and obs.gradient >= 0:
-                # a parent for the next iteration's merge and diff_evolution,
-                # scored on the prefix it lost on
-                siblings.append(cand)
             selections.append({"section": pair.section, "operator": pair.operator,
                                "gradient": obs.gradient,
                                "raced_out": cand is not None and scored_on < n,
                                "scored_on": scored_on})
         if observations:
             self.matrix = update_matrix(self.matrix, observations, cfg)
-        self.siblings = tuple(_distinct(siblings))
 
         # a prompt already in the pool keeps its pool entry; one reached by
         # several edits of this iteration keeps the last of them

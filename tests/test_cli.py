@@ -11,6 +11,7 @@ from promptopt import cli
 from promptopt.backend import MockBackend
 from promptopt.cli import main
 from promptopt.errors import AuthError
+from promptopt.evaluation import BAD_CASE_CAP
 from promptopt.msgd_rl import read_experience
 from promptopt.prompt_model import load_template, save_template
 
@@ -560,6 +561,22 @@ class TestEvaluate:
         out = json.loads(capsys.readouterr().out)
         assert out["f1"] == pytest.approx(11 / 12)
         assert out["bad_case_count"] == 1
+
+    def test_every_wrong_case_counted(self, workspace, capsys):
+        """More misses than BAD_CASE_CAP: the count is every example that is
+        not exactly right, not the size of the bad-case sample."""
+        lines = cls_lines(40)
+        wrong = {d["id"] for d in lines[:BAD_CASE_CAP + 10]}
+        (workspace / "d.jsonl").write_text("\n".join(json.dumps(d) for d in lines) + "\n")
+        (workspace / "wrong.json").write_text(json.dumps(oracle_script(lines, wrong)))
+        code = main(["evaluate", "--prompt", str(workspace / "template.json"),
+                     "--dataset", str(workspace / "d.jsonl"), "--task", "CLS",
+                     "--mock-script", str(workspace / "wrong.json")])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["support"] == 40
+        assert out["f1"] == pytest.approx(10 / 40)
+        assert out["bad_case_count"] == BAD_CASE_CAP + 10 == 30
 
 
 class TestReportAndExperience:

@@ -1050,9 +1050,8 @@ class TestRiding:
         def spy(self, cands, iteration, judged=None):
             records = score(self, cands, iteration, judged)
             n = len(self.train_set)
-            losers = {fp: (cut, scores["f1"], shortened)
-                      for fp, (scores, cut, shortened) in records.items() if cut < n}
-            finished = {fp: self.scored[fp] for fp, (_, cut, _) in records.items() if cut == n}
+            losers = {fp: (cut, scores["f1"]) for fp, (scores, cut) in records.items() if cut < n}
+            finished = {fp: self.scored[fp] for fp, (_, cut) in records.items() if cut == n}
             races.append((list(cands), dict(judged or {}), losers, finished))
             return records
 
@@ -1114,7 +1113,7 @@ class TestRiding:
             want = set()
             for cand in cands:
                 if cand.fingerprint in losers:
-                    cut, objective, _ = losers[cand.fingerprint]
+                    cut, objective = losers[cand.fingerprint]
                     labels = [graded_label(cand.prompt.skeleton(), ex) for ex in data[:cut]]
                     assert objective == f1_of(data[:cut], labels)
                     want.add((cut, objective - f1_of(data[:cut], base_labels[:cut])))
@@ -1162,7 +1161,7 @@ class TestRiding:
         results = backend.generate_batch(trainer._requests(riders))
         judged = {cands[0].fingerprint:
                   judge_replies(riders, trainer.train_set, results, trainer.replies)[0]}
-        losers = {fp: (cut, scores["f1"], shortened) for fp, (scores, cut, shortened)
+        losers = {fp: (cut, scores["f1"]) for fp, (scores, cut)
                   in trainer._score(cands, 1, judged).items() if cut < len(data)}
         # 3 * 42 requests would fill 2 waves; 126 - 45 due requests fill 1,
         # which 2 * 32 unsent requests fit
@@ -1181,7 +1180,7 @@ class TestRiding:
         for cand in cands:
             labels = [graded_label(cand.prompt.skeleton(), ex) for ex in data]
             if cand.fingerprint in losers:
-                cut, objective, _ = losers[cand.fingerprint]
+                cut, objective = losers[cand.fingerprint]
                 assert cut in (32, half) and objective == f1_of(data[:cut], labels[:cut])
                 continue
             _, judgements = judged_alone(cand, data, Riding(data))
@@ -1304,12 +1303,12 @@ class Planted(MockBackend):
 
 
 class TestSiblings:
-    """At max_parallel > 1 the half-set rung is cut to whole waves, and an
-    edit it races out that is not worse than the base on its prefix is a
-    sibling, a parent for merge and diff_evolution, in the next iteration
-    only."""
+    """At max_parallel > 1 the half-set rung is cut to whole waves. An edit
+    any rung races out, on a cut rung or not, and whether or not it is worse
+    than the base there, never reaches an operator context: the parents that
+    merge and diff_evolution take are exactly the pool."""
 
-    @pytest.mark.parametrize("parallel, qualities, half, kept", [
+    @pytest.mark.parametrize("parallel, qualities, half, not_worse_on_cut_rung", [
         # 4 edits: two lose on the first rung of 48, one of them (60) as
         # good as the base there; 75 loses to 90 on the half-set rung
         (64, [90, 75, 60, 30], 80, True),
@@ -1317,7 +1316,7 @@ class TestSiblings:
         (1, [90, 75, 60, 30], 100, False),  # rungs of 50 and 100: nothing cut
     ])
     def test_edits_raced_out_on_the_half_set_rung(self, tmp_path, monkeypatch, parallel,
-                                                  qualities, half, kept):
+                                                  qualities, half, not_worse_on_cut_rung):
         data = cls_dataset(200)
         contexts = {}
         context = _Trainer._context
@@ -1351,38 +1350,21 @@ class TestSiblings:
         assert gradients[2] == accuracy(qualities[2], first) - accuracy(60, first)
         assert (gradients[1] >= 0) == (qualities[1] >= 60)
         assert (gradients[2] == 0) == (qualities[2] == 60)
+        assert (gradients[1] >= 0 and half < 100) == not_worse_on_cut_rung
 
-        # the edit that lost on the cut half-set rung follows the pool in
-        # iteration 2's contexts, scored on that rung; iteration 3's have none
-        [pool_2] = {tuple(c.fingerprint for c in pool) for _, pool, _ in contexts[2]}
-        siblings = set()
-        for base, pool, ctx in contexts[2]:
-            assert base.fingerprint == best.fingerprint
-            extra = ctx.sibling_candidates[len(pool):]
-            assert [c.fingerprint for c in ctx.sibling_candidates[:len(pool)]] == list(pool_2)
-            assert len(extra) == kept
-            for sib in extra:
-                body = "quality %d" % qualities[1]
-                assert body in (sib.prompt.section_by_id("s0").body,
-                                sib.prompt.section_by_id("s1").body)
-                [(iteration, section, _)] = sib.lineage
-                assert iteration == 1
-                assert sib.scores[-1] == (1, (("f1", accuracy(qualities[1], half)),))
-                # diff_evolution lists it as a parent, with that score
-                request = ops.plan_operator("diff_evolution", replace(
-                    ctx, target_section=sib.prompt.section_by_id(section)))
-                text = request[0].messages[-1][1]
-                assert "%s\n%s" % ("score %.5f):" % accuracy(qualities[1], half), body) in text
-                siblings.add(sib.fingerprint)
-        assert all(ctx.sibling_candidates == tuple(pool) for _, pool, ctx in contexts[3])
+        # every operator context of every iteration takes its parents from
+        # the pool alone, and no context holds a raced-out edit
+        raced_out = {"quality %d" % q for q in qualities[1:]}
+        assert sorted(contexts) == [1, 2, 3]
+        for base, pool, ctx in (c for row in contexts.values() for c in row):
+            assert ctx.sibling_candidates == tuple(pool)
+            bodies = {c.prompt.section_by_id(sid).body for c in (base, *pool)
+                      for sid in ("s0", "s1")}
+            assert bodies.isdisjoint(raced_out)
 
-        # a sibling is never kept: no run file names or holds it
-        kept_fps = {doc["fingerprint"] for p in run_dir.rglob("candidates.json")
-                    for doc in json.loads(p.read_text())}
-        assert best.fingerprint in kept_fps and kept_fps.isdisjoint(siblings)
+        # a raced-out edit is never kept: no run file holds it
         texts = [p.read_text() for p in run_dir.rglob("*") if p.is_file()]
-        assert not any(fp in text for text in texts for fp in siblings)
-        assert not any("quality %d" % qualities[1] in text for text in texts)
+        assert not any(body in text for text in texts for body in raced_out)
 
 
 class TestScoreProperties:
@@ -1450,11 +1432,11 @@ class TestScoreProperties:
         judged = {cand.fingerprint: out for (cand, _, _), out in zip(
             riders, judge_replies(riders, trainer.train_set, results, trainer.replies))}
         del backend.calls[:]
-        losers = {fp: (cut, scores["f1"], shortened) for fp, (scores, cut, shortened)
+        losers = {fp: (cut, scores["f1"]) for fp, (scores, cut)
                   in trainer._score(cands, 1, judged).items() if cut < n}
 
         first = first_rung(n // 4, k, parallel, sent)
-        [half] = {cut for cut, _, _ in losers.values()} - {first}
+        [half] = {cut for cut, _ in losers.values()} - {first}
         assert first < half <= n // 2
         if parallel == 1:
             assert half == n // 2
@@ -1463,8 +1445,6 @@ class TestScoreProperties:
         seen = [max(sent[i], first) for i in live]
         cut = first_rung(n // 2, len(live), parallel, seen)
         assert half == cut
-        assert [shortened for _, _, shortened in losers.values()] == [
-            c == half and half < n // 2 for c, _, _ in losers.values()]
         rung2 = sum(max(0, half - s) for s in seen)
         if half < n // 2:
             owed = sum(n // 2 - s for s in seen)
@@ -1499,7 +1479,7 @@ class TestScoreProperties:
             ["Classify variant %d as A or B." % j, "", 'Return JSON: {"label": ""}'],
             editable=[True, True, False])) for j in range(k)]
         records = trainer._score(cands, 0)
-        losers = {fp for fp, (_, cut, _) in records.items() if cut < n}
+        losers = {fp for fp, (_, cut) in records.items() if cut < n}
         assert trainer.eval_requests == halving_requests(k, n, parallel)
         assert sum(len(call) for call in backend.calls) == halving_requests(k, n, parallel)
         assert len(backend.calls) <= 3
@@ -1509,15 +1489,14 @@ class TestScoreProperties:
         assert len(trainer.scored) + len(losers) == k
         assert set(trainer.scored).isdisjoint(losers)
         for cand in cands:
-            scores, cut, shortened = records[cand.fingerprint]
+            scores, cut = records[cand.fingerprint]
             if cand.fingerprint in losers:
                 assert list(scores) == ["f1"]
                 continue
             record = trainer.scored[cand.fingerprint]
             report, bad, judgements = record
-            assert (scores, cut, shortened) == (
-                {"precision": report.precision, "recall": report.recall, "f1": report.f1},
-                n, False)
+            assert (scores, cut) == (
+                {"precision": report.precision, "recall": report.recall, "f1": report.f1}, n)
             predictions, expected = judged_alone(cand, data, Graded(data))
             assert (report, bad) == evaluate(cand, data, Graded(data), seed=0)
             assert judgements == tuple(expected)

@@ -15,24 +15,24 @@ TOOLS = Path(__file__).resolve().parents[1] / "tools"
 # (training seed, requests, units, test F1, true p, sha256[:16])
 ROWS = {
     64: [
-        (404, 2855, 48, 0.67005, 0.66, "3f921e4d9df20f28"),
-        (405, 2515, 42, 0.68020, 0.67, "b3566f6fc8838061"),
-        (406, 3091, 51, 0.73096, 0.72, "ca85e822cbcc60a5"),
-        (407, 2401, 41, 0.65990, 0.65, "132814add18eb9a0"),
-        (408, 2679, 47, 0.65990, 0.65, "ae93e848c8004381"),
+        (404, 2690, 46, 0.69036, 0.68, "985c55ca3cc2fad1"),
+        (405, 2467, 42, 0.68020, 0.67, "80175bf578e64776"),
+        (406, 3091, 51, 0.73096, 0.72, "8bb6a6e16e919368"),
+        (407, 1734, 29, 0.61929, 0.61, "cbc918d5922265ff"),
+        (408, 2610, 46, 0.65990, 0.65, "8fdbf0161844ac65"),
         (409, 2102, 39, 0.68020, 0.67, "e3f3e53554ee0317"),
-        (410, 2694, 45, 0.69036, 0.68, "591f41efb02d9b5a"),
-        (411, 2764, 47, 0.69036, 0.68, "a3a2f56591ff0169"),
+        (410, 2539, 43, 0.69036, 0.68, "b91a154b7905c771"),
+        (411, 2413, 42, 0.69036, 0.68, "a37bed5f10b57f80"),
     ],
     8: [
-        (404, 2677, 338, 0.71066, 0.70, "4ac176d6d672eb1d"),
-        (405, 2714, 342, 0.69036, 0.68, "8093e376d48b9f1a"),
+        (404, 2822, 357, 0.71066, 0.70, "94721a5f4162ccd6"),
+        (405, 2667, 337, 0.69036, 0.68, "54b03610bcee5cb3"),
         (406, 3299, 416, 0.70051, 0.69, "f903fc38e9c82e4f"),
         (407, 2116, 267, 0.62944, 0.62, "2eaea78592468524"),
-        (408, 3265, 411, 0.70051, 0.69, "736efb63e1a814ff"),
-        (409, 2669, 336, 0.72081, 0.71, "0c7e3060f6cd1793"),
-        (410, 2914, 368, 0.69036, 0.68, "787a8c5f3e2ba8d8"),
-        (411, 3057, 385, 0.69036, 0.68, "0ff4f5d4263c17b3"),
+        (408, 3065, 386, 0.68020, 0.67, "947bbfeb79e35029"),
+        (409, 2328, 294, 0.69036, 0.68, "4866537e57daee5f"),
+        (410, 2718, 342, 0.69036, 0.68, "a799e18bfabb8c3a"),
+        (411, 2667, 337, 0.69036, 0.68, "408d300ff461e0df"),
     ],
 }
 
