@@ -24,7 +24,7 @@ from .evaluation import evaluate, load_dataset
 from .fileio import write_text_atomic
 from .matrix import load_matrix
 from .msgd_rl import ExperienceStore, read_experience, save_experience
-from .prompt_model import Candidate, load_template, save_template, scratch_prompt
+from .prompt_model import TASK_KINDS, Candidate, load_template, save_template, scratch_prompt
 from .settings import from_fields
 
 log = logging.getLogger(__name__)
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mock-script", help="path to a mock backend script")
 
     p = sub.add_parser("init", help="scaffold a config and template skeleton")
-    p.add_argument("--task", choices=["NER", "CLS", "MRC"], default="CLS")
+    p.add_argument("--task", choices=TASK_KINDS, default="CLS")
     p.add_argument("--labels", nargs="*", default=[])
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_init)
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--prompt", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--task", choices=["NER", "CLS", "MRC"], default=None)
+    p.add_argument("--task", choices=TASK_KINDS, default=None)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("report", help="summarize a checkpoint directory")
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experience-export", help="export a run's learned matrix")
     p.add_argument("--run-dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--task", choices=["NER", "CLS", "MRC"], default="CLS")
+    p.add_argument("--task", choices=TASK_KINDS, default="CLS")
     p.set_defaults(func=cmd_experience_export)
 
     p = sub.add_parser("experience-import", help="validate and install an experience file")

@@ -54,6 +54,7 @@ import io
 import json
 import logging
 import math
+import random
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -98,13 +99,14 @@ from .msgd_rl import (
     save_experience,
 )
 from .prompt_model import (
+    TASK_KINDS,
     Candidate,
     MetaPrompt,
     candidate_to_dict,
     render,
     reorder,  # noqa: F401  not called here; perfbench/tracer.py patches this name
 )
-from .rng import Random, choice_distinct, default_rng, fsum_pairwise
+from .rng import Random, choice_distinct
 from .settings import from_fields
 
 log = logging.getLogger(__name__)
@@ -230,7 +232,7 @@ class RunConfig:
                 raise ConfigError("unknown operator %r" % op)
             if op in operators[:i]:
                 raise ConfigError("duplicate operator %r" % op)
-        if self.task not in ("NER", "CLS", "MRC"):
+        if self.task not in TASK_KINDS:
             raise ConfigError("task must be NER/CLS/MRC")
         if self.cls_average not in ("micro", "macro"):
             raise ConfigError("cls_average must be micro or macro")
@@ -324,8 +326,7 @@ def retain(candidates: Sequence[Candidate], top_k: int, anneal_count: int,
             # the weights fall with rank, so the positive ones lead
             picked = range(n_extra)
         else:
-            total = fsum_pairwise(weights)
-            picked = choice_distinct(rng, [w / total for w in weights], n_extra)
+            picked = choice_distinct(rng, weights, n_extra)
         survivors.extend(rest[i] for i in sorted(picked))
     return survivors
 
@@ -413,7 +414,7 @@ class _Trainer:
         self.cfg = cfg
         self.backend = backend
         self.template = template
-        self.rng = default_rng(cfg.seed)
+        self.rng = random.Random(cfg.seed)
         self.train_set = self._slice(train_set)
         if not self.train_set:
             raise EmptyDataset("the training set is empty")
@@ -651,13 +652,13 @@ class _Trainer:
         jobs = [(pair.operator, self._context(pair, base, iteration, pool, k))
                 for k, pair in enumerate(pairs)]
         plans, reqs = ops.plan_operators(jobs)
-        # each pair's edit by pair index, None for a no-op: the local edits
-        # are made before any request, and the distinct ones ride the
-        # operator batch (see _riders)
-        edits = {k: self._edited(base, plan, pair, iteration)
+        # each local edit by pair index, None for a no-op: they are made
+        # before any request, and the distinct ones ride the operator batch
+        # (see _riders)
+        local = {k: self._edited(base, plan, pair, iteration)
                  for k, (pair, plan) in enumerate(zip(pairs, plans))
                  if not isinstance(plan, tuple)}
-        riders = self._riders(_distinct(edits.values()), len(reqs), len(pairs) - len(edits))
+        riders = self._riders(_distinct(local.values()), len(reqs), len(pairs) - len(local))
         eval_requests = self.eval_requests
         # round trip 1: every backend operator's requests, in pair order,
         # then the riders' evaluation requests
@@ -665,6 +666,9 @@ class _Trainer:
         judged = {cand.fingerprint: out for (cand, _, _), out in zip(
             riders, judge_replies(riders, self.train_set, replies[len(reqs):], self.replies))}
         results = ops.finish_operators(jobs, plans, replies[:len(reqs)])
+        # every pair's edit that did not fail, by pair index in pair order,
+        # by which the race breaks ties
+        edits: dict[int, Optional[Candidate]] = {}
         failed = []
         for k, (pair, result) in enumerate(zip(pairs, results)):
             if isinstance(result, BackendError):
@@ -672,10 +676,8 @@ class _Trainer:
                 log.warning("operator %s on %s failed: %s", pair.operator, pair.section, result)
                 failed.append({"section": pair.section, "operator": pair.operator,
                                "error": type(result).__name__})
-            elif k not in edits:
-                edits[k] = self._edited(base, result, pair, iteration)
-        # back in pair order, by which the race breaks ties
-        edits = {k: edits[k] for k in sorted(edits)}
+            else:
+                edits[k] = local[k] if k in local else self._edited(base, result, pair, iteration)
 
         # round trips 2 to 4: the edited prompts, once each
         records = self._score(_distinct(edits.values()), iteration, judged)
@@ -721,7 +723,7 @@ class _Trainer:
         self.report.iterations.append({
             "iteration": iteration,
             "best": max(pool_scores),
-            "mean": sum(pool_scores) / len(pool_scores),
+            "mean": math.fsum(pool_scores) / len(pool_scores),
             "selections": selections,
             "failed": failed,
             "eval_requests": self.eval_requests - eval_requests,

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 import string
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from typing import Mapping, Sequence
 from .backend import Backend, GenerationRequest, GenerationResponse
 from .errors import AlignmentError, CorruptFile, EmptyDataset, OutOfRange
 from .jsontools import extract_first_json
-from .prompt_model import Candidate, render
+from .prompt_model import TASK_KINDS, Candidate, render
 
 log = logging.getLogger(__name__)
 
@@ -283,7 +284,7 @@ class Tally:
     exactly right."""
 
     def __init__(self, task: str, objective: str = "f1", cls_average: str = "micro"):
-        if task not in ("NER", "CLS", "MRC"):
+        if task not in TASK_KINDS:
             raise ValueError("unknown task %r" % task)
         self.task = task
         self.objective = objective
@@ -313,12 +314,13 @@ class Tally:
     def _overall(self) -> tuple[float, float, float]:
         if self.task == "MRC":
             n = len(self.prfs)
-            return tuple(sum(prf[j] for prf in self.prfs) / n if n else 0.0 for j in range(3))
+            return tuple(math.fsum(prf[j] for prf in self.prfs) / n if n else 0.0
+                         for j in range(3))
         if self.task == "CLS" and self.cls_average == "macro" and self.counts:
             # labels in sorted order, so the float sums do not depend on the
             # order the labels were first seen in
             seen = [_prf(*self.counts[label]) for label in sorted(self.counts)]
-            return tuple(sum(m[j] for m in seen) / len(seen) for j in range(3))
+            return tuple(math.fsum(m[j] for m in seen) / len(seen) for j in range(3))
         return _prf(*_micro(self.counts))
 
     def objective_value(self) -> float:
@@ -361,7 +363,7 @@ def load_dataset(path, task: str, inclusive_end: bool = False) -> list[ExampleRe
     line that is not a JSON object of that layout (text, question, context
     and a CLS label must be strings, span offsets integers), raises
     CorruptFile naming the file and the line."""
-    if task not in ("NER", "CLS", "MRC"):
+    if task not in TASK_KINDS:
         raise ValueError("unknown task %r" % task)
     try:
         with open(path, encoding="utf-8") as fh:

@@ -2,8 +2,8 @@
 
 The table holds finite nonnegative values Q[section, operator]; normalizing the
 whole table gives the probability of picking operator j to edit section i.
-It is one list of floats per section, and its sums and draws follow numpy's
-arithmetic and random stream bit for bit (see promptopt.rng).
+It is one list of floats per section; its sum is math.fsum's, and its draws
+come from one seeded `random.Random` (see promptopt.rng).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .errors import CorruptFile, CountTooLarge, EmptyAxis, ZeroMass
 from .fileio import write_text_atomic
-from .rng import Random, choice, fsum_pairwise
+from .rng import Random, choice_distinct
 
 Q_FLOOR = 1e-4
 
@@ -115,7 +115,7 @@ def init_uniform(sections: Sequence[str], operators: Sequence[str]) -> Transitio
 def selection_distribution(m: TransitionMatrix) -> list[list[float]]:
     """Probability of each (section, operator) cell: the q table normalized
     by its sum."""
-    total = fsum_pairwise([x for row in m.q for x in row])
+    total = math.fsum(x for row in m.q for x in row)
     if total <= 0:
         raise ZeroMass("matrix sum is zero; cannot normalize")
     return [[x / total for x in row] for row in m.q]
@@ -138,14 +138,8 @@ def select_pairs(m: TransitionMatrix, count: int, rng: Random,
             "requested %d pairs but only %d eligible cells" % (count, available)
         )
     n_ops = len(m.operators)
-    chosen = []
-    for _ in range(count):
-        total = fsum_pairwise(weights)
-        idx = choice(rng, [w / total for w in weights])
-        weights[idx] = 0.0
-        i, j = divmod(idx, n_ops)
-        chosen.append(SelectionPair(m.sections[i], m.operators[j]))
-    return chosen
+    cells = [divmod(idx, n_ops) for idx in choice_distinct(rng, weights, count)]
+    return [SelectionPair(m.sections[i], m.operators[j]) for i, j in cells]
 
 
 def matrix_to_dict(m: TransitionMatrix) -> dict:

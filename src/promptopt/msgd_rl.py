@@ -12,6 +12,7 @@ from __future__ import annotations
 import datetime
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -33,7 +34,7 @@ from .matrix import (
     matrix_to_dict,
     select_pairs,
 )
-from .rng import Random, mean
+from .rng import Random
 
 log = logging.getLogger(__name__)
 
@@ -51,7 +52,7 @@ def mean_reward(gradients: Sequence[float]) -> float:
     gradients."""
     if not gradients:
         raise EmptySample("need at least one gradient")
-    return float(sum(gradients)) / len(gradients)
+    return math.fsum(gradients) / len(gradients)
 
 
 def sarsa_update(q: float, reward: float, q_next: float,
@@ -186,7 +187,7 @@ def load_experience(path, sections: Sequence[str], operators: Sequence[str],
     the per-row mean over matched operators; a new section row gets the
     per-column mean over matched sections; cells new on both axes get the
     prior's global mean. With no overlap at all the result is uniform.
-    Means add in numpy's pairwise order (see promptopt.rng.mean).
+    Each mean is math.fsum's sum over the count.
     """
     store = read_experience(path)
     if task_kind and store.task_kind and task_kind != store.task_kind:
@@ -202,6 +203,10 @@ def load_experience(path, sections: Sequence[str], operators: Sequence[str],
     if not matched_secs and not matched_ops:
         return init_uniform(sections, operators)
     pq = prior.q
+
+    def mean(values: Sequence[float]) -> float:
+        return math.fsum(values) / len(values)
+
     global_mean = mean([x for row in pq for x in row])
 
     def cell(s: str, o: str) -> float:

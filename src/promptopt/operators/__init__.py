@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -343,7 +344,7 @@ def self_consistency(bodies: Sequence[str]) -> str:
     best = None
     for i, body in enumerate(bodies):
         sims = [jaccard(body, other) for j, other in enumerate(bodies) if j != i]
-        mean_sim = sum(sims) / len(sims)
+        mean_sim = math.fsum(sims) / len(sims)
         key = (-mean_sim, len(body), body)
         if best is None or key < best[0]:
             best = (key, body)

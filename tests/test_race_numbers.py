@@ -15,33 +15,33 @@ TOOLS = Path(__file__).resolve().parents[1] / "tools"
 # (training seed, requests, units, test F1, true p, sha256[:16])
 ROWS = {
     64: [
-        (404, 2690, 46, 0.69036, 0.68, "985c55ca3cc2fad1"),
-        (405, 2467, 42, 0.68020, 0.67, "80175bf578e64776"),
-        (406, 3091, 51, 0.73096, 0.72, "8bb6a6e16e919368"),
-        (407, 1734, 29, 0.61929, 0.61, "cbc918d5922265ff"),
-        (408, 2610, 46, 0.65990, 0.65, "8fdbf0161844ac65"),
-        (409, 2102, 39, 0.68020, 0.67, "e3f3e53554ee0317"),
-        (410, 2539, 43, 0.69036, 0.68, "b91a154b7905c771"),
-        (411, 2413, 42, 0.69036, 0.68, "a37bed5f10b57f80"),
+        (404, 2736, 48, 0.69036, 0.68, "6cac0f04f97663e0"),
+        (405, 2558, 43, 0.71066, 0.70, "24eed7bbad00a375"),
+        (406, 2636, 45, 0.69036, 0.68, "94b063073cf164fd"),
+        (407, 2689, 46, 0.65990, 0.65, "ab62a907ddc2f151"),
+        (408, 2116, 37, 0.62944, 0.62, "b732e771af06adf7"),
+        (409, 2268, 39, 0.71066, 0.70, "d5611528fccd4a63"),
+        (410, 3272, 55, 0.67005, 0.66, "5323bde7edef13ce"),
+        (411, 2509, 43, 0.71066, 0.70, "7dba8b0ee46c6c95"),
     ],
     8: [
-        (404, 2822, 357, 0.71066, 0.70, "94721a5f4162ccd6"),
-        (405, 2667, 337, 0.69036, 0.68, "54b03610bcee5cb3"),
-        (406, 3299, 416, 0.70051, 0.69, "f903fc38e9c82e4f"),
-        (407, 2116, 267, 0.62944, 0.62, "2eaea78592468524"),
-        (408, 3065, 386, 0.68020, 0.67, "947bbfeb79e35029"),
-        (409, 2328, 294, 0.69036, 0.68, "4866537e57daee5f"),
-        (410, 2718, 342, 0.69036, 0.68, "a799e18bfabb8c3a"),
-        (411, 2667, 337, 0.69036, 0.68, "408d300ff461e0df"),
+        (404, 2912, 368, 0.67005, 0.66, "cf744943ec331800"),
+        (405, 2716, 342, 0.71066, 0.70, "aa078f95cb848084"),
+        (406, 2858, 360, 0.69036, 0.68, "c76daa72e71e92c4"),
+        (407, 2865, 362, 0.65990, 0.65, "be870c42ba73f6ca"),
+        (408, 2266, 286, 0.62944, 0.62, "1c3cd291cf430f99"),
+        (409, 2418, 306, 0.71066, 0.70, "23484d02ab1a536c"),
+        (410, 3309, 416, 0.69036, 0.68, "cdf9355fdb0da886"),
+        (411, 2365, 299, 0.71066, 0.70, "f4af6aa5b271eaf1"),
     ],
 }
 
 
 # the other workloads at seed 9001, one run each, by (workload, slots)
 SEED_9001_ROWS = {
-    ("ner_msgd_cpu", 64): [(9001, 13124, 212, 0.66599, 0.61, "bc2b869521131a93")],
-    ("mrc_http", 64): [(9001, 664, 15, 0.8, 0.57, "d6505e8ad1a19548")],
-    ("mrc_http", 2): [(9001, 746, 374, 0.8, 0.57, "dba4f612b21a605d")],
+    ("ner_msgd_cpu", 64): [(9001, 13124, 212, 0.66599, 0.61, "de32f48ed2b1e40f")],
+    ("mrc_http", 64): [(9001, 664, 15, 0.8, 0.57, "797c5df22048b6e4")],
+    ("mrc_http", 2): [(9001, 746, 374, 0.8, 0.57, "9f0f228b4a81a901")],
 }
 
 

@@ -12,7 +12,9 @@ runs that send the same requests have the same digest.
 
     PYTHONPATH=src python tools/race_numbers.py --seeds 101-110 --slots 64 8
 
-prints one row per run and the mean of each column per slot count.
+prints one row per run and, per slot count, the mean of each column with
+its standard error (the sample standard deviation over the square root of
+the number of runs) on the row below.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import statistics
 import sys
 import tempfile
 from pathlib import Path
@@ -89,6 +92,13 @@ def _seeds(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+def _se(values: Sequence[float]) -> float:
+    """The standard error of the mean of `values`; 0 for a single run."""
+    if len(values) < 2:
+        return 0.0
+    return statistics.stdev(values) / math.sqrt(len(values))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", default="cls_rl_latency")
@@ -104,10 +114,11 @@ def main(argv=None) -> int:
             print("%-6d %5d %8d %6d %8.5f %7.4f  %s" % (
                 row.seed, slots, row.requests, row.units, row.test_f1, row.true_p,
                 row.sha256[:16]))
-        n = len(rows)
-        print("%-6s %5d %8.3f %6.3f %8.5f %7.4f  (%d runs)\n" % (
-            "mean", slots, sum(r.requests for r in rows) / n, sum(r.units for r in rows) / n,
-            sum(r.test_f1 for r in rows) / n, sum(r.true_p for r in rows) / n, n))
+        columns = [[r.requests for r in rows], [r.units for r in rows],
+                   [r.test_f1 for r in rows], [r.true_p for r in rows]]
+        print("%-6s %5d %8.3f %6.3f %8.5f %7.4f  (%d runs)" % (
+            "mean", slots, *map(statistics.fmean, columns), len(rows)))
+        print("%-6s %5d %8.3f %6.3f %8.5f %7.4f\n" % ("se", slots, *map(_se, columns)))
     return 0
 
 
