@@ -531,18 +531,17 @@ class MockBackend(Backend):
     FIFO; n is a non-negative integer the backend does not read). Hash and
     contains entries are reusable; fallback entries are consumed once each.
     When fallback entries run out the last one is replayed so long runs stay
-    deterministic (or ScriptExhausted is raised if `strict` is set). A script
-    of any other shape raises ValueError, as does a `match` with an unknown
-    key, with more than one key or with a value of the wrong type.
+    deterministic, so ScriptExhausted is raised only for a request that
+    matches no hash or contains entry when the script has no fallback entry.
+    A script of any other shape raises ValueError, as does a `match` with an
+    unknown key, with more than one key or with a value of the wrong type.
     It serves a batch one request at a time, in order, so `max_parallel`,
     which sets the racing cuts (see engine.first_rung), defaults to 1.
     """
 
-    def __init__(self, script: Sequence[dict] = (), strict: bool = False,
-                 max_parallel: int = 1):
+    def __init__(self, script: Sequence[dict] = (), max_parallel: int = 1):
         self.usage = UsageCounter()
         self.max_parallel = max_parallel
-        self.strict = strict
         self._lock = threading.Lock()
         self._by_hash: dict[str, str] = {}
         self._contains: list[tuple[str, str]] = []
@@ -569,9 +568,8 @@ class MockBackend(Backend):
                 self._fifo.append(response)
 
     @classmethod
-    def from_file(cls, path, **kwargs) -> "MockBackend":
-        script = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(script, **kwargs)
+    def from_file(cls, path) -> "MockBackend":
+        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def _lookup(self, req: GenerationRequest) -> str:
         h = req.content_hash()
@@ -586,7 +584,7 @@ class MockBackend(Backend):
                 resp = self._fifo[self._fifo_pos]
                 self._fifo_pos += 1
                 return resp
-            if self._fifo and not self.strict:
+            if self._fifo:
                 return self._fifo[-1]
         raise ScriptExhausted("no script entry matches request %s" % h[:12])
 

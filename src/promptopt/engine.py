@@ -411,6 +411,13 @@ class _Trainer:
     def __init__(self, cfg: RunConfig, train_set, test_set, template: MetaPrompt,
                  backend: Backend, run_dir=None):
         cfg.validate()
+        # fail before any request is sent and before the run directory is
+        # made: a template that does not render fails every evaluation, and
+        # the experience is written only after the last one
+        render(template, "")
+        if cfg.experience_out and not Path(cfg.experience_out).parent.is_dir():
+            raise FileNotFoundError("experience_out %s: directory %s does not exist"
+                                    % (cfg.experience_out, Path(cfg.experience_out).parent))
         self.cfg = cfg
         self.backend = backend
         self.template = template
@@ -460,8 +467,6 @@ class _Trainer:
 
     def _slice(self, examples) -> tuple[ExampleRecord, ...]:
         examples = tuple(examples)
-        if self.cfg.eval_fraction >= 1.0:
-            return examples
         n = max(1, int(round(len(examples) * self.cfg.eval_fraction)))
         return examples[:n]
 
@@ -690,13 +695,12 @@ class _Trainer:
             scored_on = 0  # the training examples behind the gradient
             if cand is not None:
                 scores, scored_on = records[cand.fingerprint]
-                cand = cand.with_score(iteration, scores)
                 cur = scores[cfg.objective]
                 if scored_on < n:
                     # compare like with like: both scores on the prefix it lost on
                     prev = self._objective_on(base.fingerprint, scored_on)
                 else:
-                    new_candidates.append(cand)
+                    new_candidates.append(cand.with_score(iteration, scores))
             obs = GradientObservation(pair, prev, cur)
             observations.append(obs)
             selections.append({"section": pair.section, "operator": pair.operator,

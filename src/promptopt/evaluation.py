@@ -45,14 +45,8 @@ log = logging.getLogger(__name__)
 
 class FormatFailure:
     """Sentinel for model output that could not be parsed into an answer.
-    Scored as an all-miss prediction."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    Scored as an all-miss prediction. FORMAT_FAILURE is its one instance,
+    and code tests for it by identity."""
 
     def __repr__(self):
         return "FormatFailure"
@@ -127,7 +121,6 @@ class BadCase:
     example_id: str
     expected: object
     predicted: object
-    reason: str = ""
 
 
 BAD_CASE_CAP = 20  # the bad cases kept per scored prompt, by default

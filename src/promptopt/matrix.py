@@ -35,14 +35,13 @@ def _as_table(q, n_rows: int, n_cols: int) -> list[list[float]]:
     for i, row in enumerate(table):
         if len(row) != n_cols:
             raise ValueError("q row %d has %d cells for %d operators" % (i, len(row), n_cols))
-        if set(map(type, row)) - {float}:
-            for x in row:
-                if isinstance(x, bool) or not isinstance(x, numbers.Real):
-                    raise ValueError("q entries must be numbers, not %s" % type(x).__name__)
-            try:
-                table[i] = [float(x) for x in row]
-            except OverflowError:
-                raise ValueError("q entries must be finite") from None
+        for x in row:
+            if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                raise ValueError("q entries must be numbers, not %s" % type(x).__name__)
+        try:
+            table[i] = [float(x) for x in row]
+        except OverflowError:
+            raise ValueError("q entries must be finite") from None
     cells = list(chain.from_iterable(table))
     if not all(map(math.isfinite, cells)):
         raise ValueError("q entries must be finite")

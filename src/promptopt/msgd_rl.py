@@ -135,7 +135,6 @@ class ExperienceStore:
     epochs_trained: int = 0
     created_at: str = ""
     updated_at: str = ""
-    version: int = EXPERIENCE_VERSION
 
     @classmethod
     def new(cls, matrix: TransitionMatrix, task_kind: str, epochs_trained: int = 0):
@@ -145,7 +144,7 @@ class ExperienceStore:
 
 def save_experience(store: ExperienceStore, path) -> None:
     doc = {
-        "version": store.version,
+        "version": EXPERIENCE_VERSION,
         "task_kind": store.task_kind,
         **matrix_to_dict(store.matrix),
         "epochs_trained": store.epochs_trained,
@@ -175,8 +174,7 @@ def read_experience(path) -> ExperienceStore:
         raise CorruptFile("cannot read experience file %s: %s" % (path, e))
     if version != EXPERIENCE_VERSION:
         raise VersionMismatch("unsupported experience version %r" % version)
-    return ExperienceStore(matrix=matrix, epochs_trained=epochs_trained, version=version,
-                           **texts)
+    return ExperienceStore(matrix=matrix, epochs_trained=epochs_trained, **texts)
 
 
 def load_experience(path, sections: Sequence[str], operators: Sequence[str],

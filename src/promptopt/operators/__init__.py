@@ -147,7 +147,7 @@ def build_request(op: str, ctx: OperatorContext) -> GenerationRequest:
     if op == "reflect":
         if not ctx.bad_cases:
             raise MissingContext("reflect requires at least one bad case")
-        reasons = [bc.reason or _default_reason(bc) for bc in ctx.bad_cases]
+        reasons = [_default_reason(bc) for bc in ctx.bad_cases]
         subs["Bad_Case_Reason_List"] = json.dumps(reasons, ensure_ascii=False)
     elif op == "diff_evolution":
         if len(ctx.sibling_candidates) < 2:
@@ -170,7 +170,7 @@ def _default_reason(bc) -> str:
     return "expected %r but the model produced %r" % (bc.expected, bc.predicted)
 
 
-def parse_operator_response(op: str, raw: str, section_name: Optional[str] = None) -> OperatorOutcome:
+def parse_operator_response(op: str, raw: str, section_name: str) -> OperatorOutcome:
     """Extract the operator's result from a model response. Failures never
     raise; they come back with parse_ok=False and the caller treats the edit
     as a no-op."""
@@ -187,13 +187,9 @@ def parse_operator_response(op: str, raw: str, section_name: Optional[str] = Non
 
     if not isinstance(doc, dict):
         return OperatorOutcome(parse_ok=False)
-    key = None
-    if op == "reflect" and section_name is not None:
-        key = "Improved %s description" % section_name
-    elif section_name is not None:
-        key = section_name
+    key = "Improved %s description" % section_name if op == "reflect" else section_name
     body = None
-    if key is not None and isinstance(doc.get(key), str):
+    if isinstance(doc.get(key), str):
         body = doc[key]
     elif op == "reflect":
         for k, v in doc.items():

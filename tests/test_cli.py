@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,20 @@ def workspace(tmp_path):
     }
     (tmp_path / "config.json").write_text(json.dumps(config, indent=2))
     return tmp_path
+
+
+@pytest.fixture
+def sent(monkeypatch):
+    """Every request a MockBackend serves, in order."""
+    requests = []
+    generate = MockBackend.generate
+
+    def counting(self, req):
+        requests.append(req)
+        return generate(self, req)
+
+    monkeypatch.setattr(MockBackend, "generate", counting)
+    return requests
 
 
 def write_config(workspace, **changes):
@@ -399,6 +414,44 @@ class TestTrain:
         assert capsys.readouterr().err == "error: the training set is empty\n"
         assert sent == []
         assert not (workspace / "runs").exists()
+
+    @pytest.mark.parametrize("placeholders, needle", [
+        ("", "placeholder '{{Input}}' not found in prompt"),
+        ("{{Input}} {{Input}}", "placeholder '{{Input}}' occurs 2 times"),
+    ])
+    def test_template_without_one_placeholder_exits_two_before_any_request(
+            self, workspace, sent, capsys, placeholders, needle):
+        path = workspace / "template.json"
+        # the last section's body ends in the placeholder
+        path.write_text(path.read_text().replace('\\n{{Input}}"', '\\n%s"' % placeholders))
+        # beam_init 4 would send 4 refine requests per editable section first
+        assert main(["train", "--config", str(workspace / "config.json"),
+                     "--set", "beam_init=4"]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % needle
+        assert sent == []
+        assert not (workspace / "runs").exists()
+
+    def test_experience_out_in_a_missing_directory_exits_two_before_any_request(
+            self, workspace, sent, capsys):
+        out = workspace / "nodir" / "exp.json"
+        assert main(["train", "--config", str(workspace / "config.json"),
+                     "--set", "experience_out=%s" % out]) == 2
+        assert capsys.readouterr().err == (
+            "error: experience_out %s: directory %s does not exist\n" % (out, out.parent))
+        assert sent == []
+        assert not (workspace / "runs").exists()
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("fraction, kept", [(0.25, 3), (0.3, 4), (0.5, 6), (1.0, 12)])
+    def test_eval_fraction_sends_only_the_first_training_examples(
+            self, workspace, sent, fraction, kept):
+        """A run sends only the first max(1, round(n * eval_fraction)) of
+        the n training examples, in evaluations and few-shot samples alike."""
+        config = write_config(workspace, test_data=None, eval_fraction=fraction)
+        assert main(["train", "--config", str(config)]) == 0
+        seen = {m for req in sent for _, text in req.messages
+                for m in re.findall(r"item (\d\d) please", text)}
+        assert seen == {"%02d" % i for i in range(kept)}
 
     @pytest.mark.parametrize("q, needle", [
         ([[0, 0, 0], [0, 0, 0], [0, 0, 0]],

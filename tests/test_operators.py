@@ -143,19 +143,6 @@ class TestBuildRequest:
         assert '"horoscope":""' in text
         assert "{{Module" not in text
 
-    def test_reflect_reasons_verbatim(self):
-        sec = section()
-        bad = (
-            BadCase("1", "a", "b", reason="the label scope is ambiguous"),
-            BadCase("2", "c", "d", reason="boundary characters were dropped"),
-        )
-        req = build_request("reflect", ctx_for(sec, bad_cases=bad))
-        text = req.messages[0][1]
-        start = text.index("[")
-        reasons = json.loads(text[start:text.index("]") + 1])
-        assert reasons == [bad[0].reason, bad[1].reason]
-        assert "Common problem extraction" in text
-
     def test_reflect_without_bad_cases(self):
         with pytest.raises(MissingContext):
             build_request("reflect", ctx_for(section()))
@@ -252,11 +239,11 @@ class TestParseResponse:
         assert not out.parse_ok
 
     def test_define_sort_bare_array(self):
-        out = parse_operator_response("define_sort", '["s2", "s0", "s1"]')
+        out = parse_operator_response("define_sort", '["s2", "s0", "s1"]', "horoscope")
         assert out.parse_ok and out.new_order == ("s2", "s0", "s1")
 
     def test_define_sort_order_object(self):
-        out = parse_operator_response("define_sort", '{"order": ["s1", "s0"]}')
+        out = parse_operator_response("define_sort", '{"order": ["s1", "s0"]}', "horoscope")
         assert out.parse_ok and out.new_order == ("s1", "s0")
 
     def test_garbage_never_raises(self):
