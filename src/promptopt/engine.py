@@ -12,13 +12,15 @@ and the training set has at least RACE_PREFIX_DIVISOR * RACE_MIN_PREFIX
 examples: successive halving (as in ProTeGi and APE) over three rungs, a
 first prefix of at most a quarter of the training set, a second of at most
 the first half, then the whole set, in at most three batches. The first
-prefix is the longest whose batch of the k prompts fills whole waves of the
-backend's max_parallel requests (see first_rung), and the second is cut the
-same way for the prompts still live; so at max_parallel 1 they are the first
-quarter and the first half.
-Otherwise one batch scores them on the whole set. An edit raced out never
-reaches the next iteration: the parents that merge and diff_evolution take
-are the pool's.
+rung keeps the better half of the field and the second its best prompt
+alone, so one prompt finishes, as the last round of successive halving
+(Jamieson and Talwalkar, 2016) ends with one arm. The first prefix is the
+longest whose batch of the k prompts fills whole waves of the backend's
+max_parallel requests (see first_rung), and the second is cut the same way
+for the prompts still live; so at max_parallel 1 they are the first quarter
+and the first half. Otherwise one batch scores them on the whole set. An
+edit raced out never reaches the next iteration: the parents that merge and
+diff_evolution take are the pool's.
 
 A local operator (cot, few_shot, repeat_instructions, merge) makes its
 prompt before the operator batch is sent. In an iteration that races, the
@@ -114,12 +116,12 @@ log = logging.getLogger(__name__)
 CONVERGENCE_EPS = 1e-4
 CONVERGENCE_WINDOW = 3
 # racing: the rungs are the first len(train_set) // RACE_PREFIX_DIVISOR
-# examples, then the first half, then the whole set, so the evaluation budget
-# doubles from one rung to the next as the field halves. Each of the first two
-# rungs is then cut back to fill whole waves of the backend's max_parallel
-# requests for the prompts still live (see first_rung). A training set whose
-# first rung is shorter than RACE_MIN_PREFIX, one of under 100 examples, does
-# not race: each scoring is one batch on the whole set
+# examples, then the first half, then the whole set: the field halves on the
+# first rung, and only the best prompt on the second goes on. Each of the
+# first two rungs is then cut back to fill whole waves of the backend's
+# max_parallel requests for the prompts still live (see first_rung). A
+# training set whose first rung is shorter than RACE_MIN_PREFIX, one of under
+# 100 examples, does not race: each scoring is one batch on the whole set
 RACE_PREFIX_DIVISOR = 4
 RACE_MIN_PREFIX = 25
 
@@ -415,9 +417,13 @@ class _Trainer:
         # made: a template that does not render fails every evaluation, and
         # the experience is written only after the last one
         render(template, "")
-        if cfg.experience_out and not Path(cfg.experience_out).parent.is_dir():
-            raise FileNotFoundError("experience_out %s: directory %s does not exist"
-                                    % (cfg.experience_out, Path(cfg.experience_out).parent))
+        if cfg.experience_out:
+            out = Path(cfg.experience_out)
+            if not out.parent.is_dir():
+                raise FileNotFoundError("experience_out %s: directory %s does not exist"
+                                        % (out, out.parent))
+            if out.is_dir():
+                raise IsADirectoryError("experience_out %s is a directory" % out)
         self.cfg = cfg
         self.backend = backend
         self.template = template
@@ -497,12 +503,14 @@ class _Trainer:
 
         With at least two candidates and a training set long enough to have
         rungs, they race: at each rung every live candidate is sent the
-        examples of the rung's prefix it has not seen, and ceil(k / 2) of the
-        k live ones, ranked by objective on the prefix with ties going to the
-        earlier pair, go on. Each rung is cut to whole waves for the prompts
-        still live and the examples each was already sent (see first_rung).
-        Once one is left it is finished on the rest of the set in one batch.
-        Otherwise one batch scores them on the whole set.
+        examples of the rung's prefix it has not seen, and the live ones are
+        ranked by objective on the prefix, ties going to the earlier pair.
+        On the first rung ceil(k / 2) of the k live ones go on; on the last
+        only the first ranked does, so at most one candidate finishes. Each
+        rung is cut to whole waves for the prompts still live and the
+        examples each was already sent (see first_rung). Once one is left it
+        is finished on the rest of the set in one batch. Otherwise one batch
+        scores them on the whole set.
 
         Returns a record for every candidate, by fingerprint: (scores,
         scored_on). A candidate that finishes has its precision, recall and
@@ -535,16 +543,18 @@ class _Trainer:
                 fed[i] = stop
 
         records = {}
-        for uncut in self.rungs:
+        for r, uncut in enumerate(self.rungs):
             if len(live) < 2:
                 break
-            # send the rung's prefix, then keep the better half of the field
+            # send the rung's prefix, then keep the better half of the field,
+            # or on the last rung its best prompt alone
             cut = first_rung(uncut, len(live), self.backend.max_parallel,
                              [len(judgements[i]) for i in live])
             send(cut)
             objectives = {i: tallies[i].objective_value() for i in live}
             ranked = sorted(live, key=lambda i: (-objectives[i], i))
-            live = sorted(ranked[:math.ceil(len(live) / 2)])
+            keep = 1 if r == len(self.rungs) - 1 else math.ceil(len(live) / 2)
+            live = sorted(ranked[:keep])
             for i in ranked[len(live):]:
                 records[cands[i].fingerprint] = ({self.cfg.objective: objectives[i]}, cut)
         send(len(self.train_set))

@@ -172,8 +172,9 @@ def read_experience(path) -> ExperienceStore:
                 raise ValueError("%s must be a string, not %s" % (key, json.dumps(value)))
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise CorruptFile("cannot read experience file %s: %s" % (path, e))
-    if version != EXPERIENCE_VERSION:
-        raise VersionMismatch("unsupported experience version %r" % version)
+    # by type too: true and 1.0 equal 1, but neither is a version
+    if type(version) is not int or version != EXPERIENCE_VERSION:
+        raise VersionMismatch("unsupported experience version %s" % json.dumps(version))
     return ExperienceStore(matrix=matrix, epochs_trained=epochs_trained, **texts)
 
 

@@ -442,6 +442,17 @@ class TestTrain:
         assert not (workspace / "runs").exists()
         assert not out.parent.exists()
 
+    def test_experience_out_that_is_a_directory_exits_two_before_any_request(
+            self, workspace, sent, capsys):
+        out = workspace / "adir"
+        out.mkdir()
+        assert main(["train", "--config", str(workspace / "config.json"),
+                     "--set", "experience_out=%s" % out]) == 2
+        assert capsys.readouterr().err == "error: experience_out %s is a directory\n" % out
+        assert sent == []
+        assert not (workspace / "runs").exists()
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("fraction, kept", [(0.25, 3), (0.3, 4), (0.5, 6), (1.0, 12)])
     def test_eval_fraction_sends_only_the_first_training_examples(
             self, workspace, sent, fraction, kept):
@@ -783,6 +794,17 @@ class TestReportAndExperience:
         bad.write_text(doc % "0.5")
         assert main(["experience-import", "--file", str(bad), "--out", str(out)]) == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("value", ["true", "1.0", '"1"', "null", "2"])
+    def test_import_rejects_a_version_that_is_not_the_integer_one(self, tmp_path, capsys,
+                                                                  value):
+        bad = tmp_path / "bad.json"
+        out = tmp_path / "out.json"
+        bad.write_text('{"version": %s, "sections": ["s0"], "operators": ["cot"], '
+                       '"q": [[0.5]]}' % value)
+        assert main(["experience-import", "--file", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: unsupported experience version %s\n" % value
+        assert not out.exists()
 
     def test_import_rejects_a_matrix_without_mass(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

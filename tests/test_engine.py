@@ -772,7 +772,9 @@ def half_rung(first, seen, n, parallel):
 def halving_batches(k, n, parallel=1):
     """(live prompts, start, stop) of each batch that successive halving
     sends for k distinct prompts on n training examples, `parallel`
-    requests to a wave, with nothing sent before."""
+    requests to a wave, with nothing sent before: the better half of the
+    field goes on from the first rung, and the best prompt alone from the
+    second."""
     q = n // RACE_PREFIX_DIVISOR
     if k < 2 or q < RACE_MIN_PREFIX:
         return [(k, 0, n)]
@@ -781,7 +783,7 @@ def halving_batches(k, n, parallel=1):
     if k1 == 1:
         return [(k, 0, q), (1, q, n)]
     h = half_rung(q, [q] * k1, n, parallel)
-    return [(k, 0, q), (k1, q, h), (-(-k1 // 2), h, n)]
+    return [(k, 0, q), (k1, q, h), (1, h, n)]
 
 
 def halving_requests(k, n, parallel=1):
@@ -841,8 +843,8 @@ class TestRacing:
         records = trainer._score(pool, 0)
         return trainer, [cand.with_score(0, records[cand.fingerprint][0]) for cand in pool]
 
-    # live prompts at each rung, then the prompts finished on the rest
-    RUNG_SIZES = {2: [2, 1], 3: [3, 2, 1], 4: [4, 2, 1], 5: [5, 3, 2]}
+    # live prompts at each rung, then the prompt finished on the rest
+    RUNG_SIZES = {2: [2, 1], 3: [3, 2, 1], 4: [4, 2, 1], 5: [5, 3, 1]}
 
     @pytest.mark.parametrize("n", [100, 200])
     @pytest.mark.parametrize("pairs", [2, 3, 4, 5])
@@ -1121,14 +1123,15 @@ class TestRiding:
             assert got == want
         assert rode
 
-    @pytest.mark.parametrize("riding, sizes", [(True, [125, 126, 242]),
-                                               (False, [190, 126, 240])])
+    @pytest.mark.parametrize("riding, sizes", [(True, [125, 126, 121]),
+                                               (False, [190, 126, 120])])
     def test_three_riders_of_five_prompts(self, tmp_path, riding, sizes):
         """Five prompts on 200 examples at 64 requests to a wave, three of
         them local edits beside an operator batch of 2 requests: they ride
         with 20 examples each, and the race then takes one wave fewer. The
         three prompts left after the first rung of 37 (38 without riders)
-        are sent 3 * 42 requests, two whole waves, on the half-set rung."""
+        are sent 3 * 42 requests, two whole waves, on the half-set rung, and
+        the best of them alone finishes on the other 121 (120) examples."""
         data = cls_dataset(200)
         trainer, backend, _ = riding_trainer(tmp_path, data, 64)
         cands = [Candidate(prompt=make_prompt(
@@ -1145,7 +1148,7 @@ class TestRiding:
         first = 37 if riding else 38
         assert half_rung(first, [first] * 3, 200, 64) == first + 42
         waves = sum(-(-n // 64) for n in [2 + len(results), *sizes])
-        assert waves == (9 if riding else 10)
+        assert waves == (7 if riding else 8)
 
     def test_rider_sent_past_the_first_rung_keeps_its_judgements(self, tmp_path):
         """A rider sent more examples than the first rung is ranked on the
@@ -1468,6 +1471,49 @@ class TestScoreProperties:
         seen = [max(sent[i], first) for i in live]
         assert first_rung(n // 2, len(live), parallel, seen) > first
 
+    @given(data=st.data(), k=st.integers(2, 8), n=st.integers(100, 400),
+           parallel=st.integers(1, 256))
+    @settings(max_examples=60, deadline=None)
+    def test_one_prompt_finishes(self, data, k, n, parallel):
+        """Whatever the field, the set, the wave and the prefix each prompt
+        was sent as a rider: exactly one prompt finishes, the first ranked on
+        the last rung's prefix, ties going to the earlier prompt; every other
+        prompt is scored on a rung's cut; and no (prompt, example) request is
+        sent twice."""
+        examples = cls_dataset(n)
+        backend = Graded(examples, max_parallel=parallel)
+        trainer = _Trainer(small_config(), examples, [], base_template(), backend)
+        cands = [Candidate(prompt=make_prompt(
+            ["Classify variant %d as A or B." % j, "", 'Return JSON: {"label": ""}'],
+            editable=[True, True, False])) for j in range(k)]
+        sent = data.draw(st.lists(st.integers(0, n // 4), min_size=k, max_size=k))
+        riders = [(cand, 0, r) for cand, r in zip(cands, sent) if r]
+        results = backend.generate_batch(trainer._requests(riders))
+        judged = {cand.fingerprint: out for (cand, _, _), out in zip(
+            riders, judge_replies(riders, trainer.train_set, results, trainer.replies))}
+        by_fp = trainer._score(cands, 1, judged)
+        records = [by_fp[cand.fingerprint] for cand in cands]
+
+        cuts = [cut for _, cut in records]
+        [winner] = [i for i, cut in enumerate(cuts) if cut == n]
+        assert list(trainer.scored) == [cands[winner].fingerprint]
+        first = first_rung(n // 4, k, parallel, sent)
+        live = [i for i, cut in enumerate(cuts) if cut != first]
+        assert len(live) == -(-k // 2)
+        last = first
+        if len(live) > 1:
+            last = first_rung(n // 2, len(live), parallel, [max(sent[i], first) for i in live])
+        assert set(cuts) - {n} <= {first, last}
+        # the winner's objective on the last rung's prefix, against every
+        # prompt raced out there
+        won = record_f1(trainer.scored[cands[winner].fingerprint], last)
+        for i, (scores, cut) in enumerate(records):
+            if cut == last:
+                assert (won, -winner) > (scores["f1"], -i)
+
+        texts = [text for call in backend.calls for text, _ in call]
+        assert len(set(texts)) == len(texts) == trainer.eval_requests
+
     @given(k=st.integers(1, 6), n=st.sampled_from([99, 100, 150, 200, 401]),
            parallel=st.sampled_from([1, 7, 64]))
     @settings(max_examples=25, deadline=None)
@@ -1480,6 +1526,8 @@ class TestScoreProperties:
             editable=[True, True, False])) for j in range(k)]
         records = trainer._score(cands, 0)
         losers = {fp for fp, (_, cut) in records.items() if cut < n}
+        # a race finishes one prompt; without one, each prompt finishes
+        assert len(records) - len(losers) == (1 if trainer.rungs else k)
         assert trainer.eval_requests == halving_requests(k, n, parallel)
         assert sum(len(call) for call in backend.calls) == halving_requests(k, n, parallel)
         assert len(backend.calls) <= 3
