@@ -8,19 +8,20 @@ the same base candidate, so an iteration makes at most four backend round
 trips: one batch with every pair's operator requests in pair order, then the
 evaluation of the distinct edited prompts. Every scoring of a set of prompts,
 the initial pool's included, is a race when there are at least two of them
-and the training set has at least RACE_PREFIX_DIVISOR * RACE_MIN_PREFIX
-examples: successive halving (as in ProTeGi and APE) over three rungs, a
-first prefix of at most a quarter of the training set, a second of at most
-the first half, then the whole set, in at most three batches. The first
-rung keeps the better half of the field and the second its best prompt
-alone, so one prompt finishes, as the last round of successive halving
-(Jamieson and Talwalkar, 2016) ends with one arm. The first prefix is the
-longest whose batch of the k prompts fills whole waves of the backend's
-max_parallel requests (see first_rung), and the second is cut the same way
-for the prompts still live; so at max_parallel 1 they are the first quarter
-and the first half. Otherwise one batch scores them on the whole set. An
-edit raced out never reaches the next iteration: the parents that merge and
-diff_evolution take are the pool's.
+and the training set has at least RACE_MIN_SET examples: successive halving
+(as in ProTeGi and APE) over three rungs, a first prefix of an eighth of
+the training set but at least RACE_MIN_PREFIX examples, so at most a
+quarter, a second of at most the first half, then the whole set, in at most
+three batches. The first rung keeps the better half of the field and the
+second its best prompt alone, so one prompt finishes, as the last round of
+successive halving (Jamieson and Talwalkar, 2016) ends with one arm. The
+first prefix is then cut back to the longest whose batch of the k prompts
+fills whole waves of the backend's max_parallel requests (see first_rung),
+which can take it below RACE_MIN_PREFIX, and the second is cut the same
+way for the prompts still live; so at max_parallel 1 they are the uncut
+first prefix and the first half. Otherwise one batch scores them on the
+whole set. An edit raced out never reaches the next iteration: the parents
+that merge and diff_evolution take are the pool's.
 
 A local operator (cot, few_shot, repeat_instructions, merge) makes its
 prompt before the operator batch is sent. In an iteration that races, the
@@ -115,15 +116,19 @@ log = logging.getLogger(__name__)
 
 CONVERGENCE_EPS = 1e-4
 CONVERGENCE_WINDOW = 3
-# racing: the rungs are the first len(train_set) // RACE_PREFIX_DIVISOR
-# examples, then the first half, then the whole set: the field halves on the
-# first rung, and only the best prompt on the second goes on. Each of the
-# first two rungs is then cut back to fill whole waves of the backend's
-# max_parallel requests for the prompts still live (see first_rung). A
-# training set whose first rung is shorter than RACE_MIN_PREFIX, one of under
-# 100 examples, does not race: each scoring is one batch on the whole set
-RACE_PREFIX_DIVISOR = 4
+# racing: a training set of n >= RACE_MIN_SET examples races over the first
+# max(n // RACE_PREFIX_DIVISOR, RACE_MIN_PREFIX) examples, then the first
+# half, then the whole set: the field halves on the first rung, and only the
+# best prompt on the second goes on. So the uncut first rung is at most a
+# quarter of the set and shorter than the second. Each of the first two rungs
+# is then cut back to fill whole waves of the backend's max_parallel requests
+# for the prompts still live (see first_rung), and that cut can take the
+# first below RACE_MIN_PREFIX: 12 examples at n = 100, 5 prompts and 64
+# slots. A smaller set does not race: each scoring is one batch on the whole
+# set
+RACE_PREFIX_DIVISOR = 8
 RACE_MIN_PREFIX = 25
+RACE_MIN_SET = 4 * RACE_MIN_PREFIX
 
 
 def first_rung(uncut: int, k: int, parallel: int, seen: Sequence[int] = ()) -> int:
@@ -435,9 +440,9 @@ class _Trainer:
         self.run_dir = Path(run_dir) if run_dir else Path(cfg.output_dir) / run_id_for(cfg)
         self.report = RunReport()
         n = len(self.train_set)
-        first = n // RACE_PREFIX_DIVISOR
         # the rungs before they are cut to whole waves (see first_rung)
-        self.rungs: tuple[int, ...] = (first, n // 2) if first >= RACE_MIN_PREFIX else ()
+        self.rungs: tuple[int, ...] = (
+            (max(n // RACE_PREFIX_DIVISOR, RACE_MIN_PREFIX), n // 2) if n >= RACE_MIN_SET else ())
         # each prompt that finished, by fingerprint, until it leaves the
         # pool: its report, its bad cases and its judgements of train_set,
         # in example order
@@ -574,11 +579,12 @@ class _Trainer:
         in the iteration's operator batch of `n_requests` requests, made by
         `n_plans` backend operators: the first r examples of each, in the
         free slots of the batch's last wave of max_parallel requests, with
-        r = min(free slots // len(local), first_rung(quarter, len(local) +
-        n_plans, max_parallel)). None when the iteration does not race, or
-        when the batch has no free slots, as at max_parallel 1 or when it
-        holds no requests; the local edits are then first sent in the
-        scoring, with the other edited prompts."""
+        r = min(free slots // len(local), first_rung(rungs[0], len(local) +
+        n_plans, max_parallel)); the wave cut of the uncut first rung,
+        rungs[0], can take r below RACE_MIN_PREFIX. None when the iteration
+        does not race, or when the batch has no free slots, as at
+        max_parallel 1 or when it holds no requests; the local edits are
+        then first sent in the scoring, with the other edited prompts."""
         if not (local and self.rungs):
             return []
         parallel = self.backend.max_parallel

@@ -528,7 +528,7 @@ class TestTrain:
 
     def test_a_mock_script_serves_one_request_at_a_time(self, workspace):
         # whatever backend.max_parallel says, so a scripted run races on the
-        # first quarter of the training set
+        # uncut first rung of the training set
         doc = json.loads((workspace / "config.json").read_text())
         doc["backend"] = {"max_parallel": 64}
         _, inputs = cli.split_config(doc)
@@ -669,8 +669,8 @@ class TestReportAndExperience:
         assert main(["report", run_dir]) == 0
         out = json.loads(capsys.readouterr().out)
         rows = json.loads((workspace / run_dir / "report.json").read_text())["iterations"]
-        # two edits in the first iteration: both on the first quarter, one
-        # of them on the rest
+        # two edits in the first iteration: both on the first 25 examples,
+        # one of them on the rest
         assert [s["raced_out"] for s in rows[0]["selections"]] == [False, True]
         assert rows[0]["eval_requests"] == 2 * 25 + 75
         assert out["eval_requests"] == sum(r["eval_requests"] for r in rows)

@@ -12,6 +12,7 @@ from promptopt import operators as ops
 from promptopt.backend import GenerationResponse, MockBackend
 from promptopt.engine import (
     RACE_MIN_PREFIX,
+    RACE_MIN_SET,
     RACE_PREFIX_DIVISOR,
     RunConfig,
     _contract_breach,
@@ -760,6 +761,12 @@ def record_f1(record, cut):
     return tally.objective_value()
 
 
+def uncut_first(n):
+    """The first racing rung's prefix on n training examples before it is
+    cut to whole waves."""
+    return max(n // RACE_PREFIX_DIVISOR, RACE_MIN_PREFIX)
+
+
 def half_rung(first, seen, n, parallel):
     """The half-set rung's prefix on n examples after a first rung of
     `first`, for live prompts sent seen[i] examples each: cut to whole
@@ -775,10 +782,9 @@ def halving_batches(k, n, parallel=1):
     requests to a wave, with nothing sent before: the better half of the
     field goes on from the first rung, and the best prompt alone from the
     second."""
-    q = n // RACE_PREFIX_DIVISOR
-    if k < 2 or q < RACE_MIN_PREFIX:
+    if k < 2 or n < RACE_MIN_SET:
         return [(k, 0, n)]
-    q = first_rung(q, k, parallel)
+    q = first_rung(uncut_first(n), k, parallel)
     k1 = -(-k // 2)
     if k1 == 1:
         return [(k, 0, q), (1, q, n)]
@@ -850,7 +856,7 @@ class TestRacing:
     @pytest.mark.parametrize("pairs", [2, 3, 4, 5])
     def test_three_rungs_on_whole_waves(self, tmp_path, pairs, n):
         """The same race with 64 requests to a wave, which cuts the first
-        rung of all but 2 prompts on 100 examples."""
+        rung of 25 for all but 2 prompts."""
         self.test_three_rungs(tmp_path, pairs, n, parallel=64)
 
     @pytest.mark.parametrize("n", [100, 200])
@@ -858,12 +864,12 @@ class TestRacing:
     def test_three_rungs(self, tmp_path, pairs, n, parallel=1):
         data = cls_dataset(n)
         # the first two rungs are cut to whole waves of `parallel` requests
-        first = first_rung(n // 4, pairs, parallel)
+        first = first_rung(uncut_first(n), pairs, parallel)
         rungs = (first, half_rung(first, [first] * -(-pairs // 2), n, parallel))
         backend = Graded(data, max_parallel=parallel)
         trainer, pool = self._trainer(tmp_path, data, backend, pairs,
                                       operators=("refine", "rewrite", "short_instruction"))
-        assert trainer.rungs == (n // 4, n // 2) and RACE_MIN_PREFIX == 25
+        assert trainer.rungs == (uncut_first(n), n // 2) and RACE_MIN_PREFIX == 25
         [(base_skeleton, base_preds)] = eval_blocks(backend.calls[0], data)
         base_rungs = tuple(f1_of(data[:c], base_preds[:c]) for c in rungs)
         # a prompt scored alone keeps the judgements of its full pass, which
@@ -987,8 +993,8 @@ class TestRacing:
         refine_call, *pool_calls = backend.calls[:4]
         assert len(refine_call) == 4 * 2  # beam_init per editable section
         assert all(OPERATOR_TARGET.search(text) for text, _ in refine_call)
-        # four distinct variants on the first quarter, two on the second,
-        # one on the second half
+        # four distinct variants on the first 25 examples, two on the next
+        # 25, one on the second half
         assert [len(call) for call in pool_calls] == [100, 50, 50]
         first, _, last = [eval_blocks(call, examples) for call, examples in
                           zip(pool_calls, [data[:25], data[25:50], data[50:]])]
@@ -1015,9 +1021,9 @@ class TestRacing:
 
     def test_pairs_that_make_the_same_prompt_share_its_evaluation(self, tmp_path):
         data = cls_dataset(100)
-        k = len(data) // RACE_PREFIX_DIVISOR
         backend = SameBody(data)
         trainer, pool = self._trainer(tmp_path, data, backend)
+        k = trainer.rungs[0]
         del backend.calls[:]
         trainer._iteration(1, pool)
         row = trainer.report.iterations[0]
@@ -1044,7 +1050,6 @@ class TestRiding:
     def test_local_edits_ride_the_operator_batch(self, tmp_path, monkeypatch, seed):
         data = cls_dataset(200)
         by_input = {ex.input: ex for ex in data}
-        quarter = len(data) // 4
         trainer, backend, pool = riding_trainer(tmp_path, data, 64, seed=seed)
         races = []
         score = _Trainer._score
@@ -1081,7 +1086,7 @@ class TestRiding:
                 r = len(riders) // local
                 assert local * r == len(riders)
                 assert r == min(-len(operator) % 64 // local,
-                                first_rung(quarter, local + len(backend_pairs), 64))
+                                first_rung(trainer.rungs[0], local + len(backend_pairs), 64))
                 blocks = [riders[i:i + r] for i in range(0, len(riders), r)]
                 by_fp = {c.fingerprint: c for c in cands}
                 # one block per distinct local edit, in pair order, each on
@@ -1123,16 +1128,17 @@ class TestRiding:
             assert got == want
         assert rode
 
-    @pytest.mark.parametrize("riding, sizes", [(True, [125, 126, 121]),
-                                               (False, [190, 126, 120])])
+    @pytest.mark.parametrize("riding, sizes", [(True, [125, 447, 214]),
+                                               (False, [190, 447, 213])])
     def test_three_riders_of_five_prompts(self, tmp_path, riding, sizes):
-        """Five prompts on 200 examples at 64 requests to a wave, three of
-        them local edits beside an operator batch of 2 requests: they ride
-        with 20 examples each, and the race then takes one wave fewer. The
-        three prompts left after the first rung of 37 (38 without riders)
-        are sent 3 * 42 requests, two whole waves, on the half-set rung, and
-        the best of them alone finishes on the other 121 (120) examples."""
-        data = cls_dataset(200)
+        """Five prompts on 400 examples, whose uncut first rung is 50, at 64
+        requests to a wave, three of them local edits beside an operator
+        batch of 2 requests: they ride with 20 examples each, and the race
+        then takes one wave fewer. The three prompts left after the first
+        rung of 37 (38 without riders) are sent 3 * 149 requests, seven
+        whole waves, on the half-set rung, and the best of them alone
+        finishes on the other 214 (213) examples."""
+        data = cls_dataset(400)
         trainer, backend, _ = riding_trainer(tmp_path, data, 64)
         cands = [Candidate(prompt=make_prompt(
             ["Classify variant %d as A or B." % j, "", 'Return JSON: {"label": ""}'],
@@ -1146,14 +1152,15 @@ class TestRiding:
         trainer._score(cands, 1, judged)
         assert [len(call) for call in backend.calls] == sizes
         first = 37 if riding else 38
-        assert half_rung(first, [first] * 3, 200, 64) == first + 42
+        assert half_rung(first, [first] * 3, 400, 64) == first + 149
         waves = sum(-(-n // 64) for n in [2 + len(results), *sizes])
-        assert waves == (7 if riding else 8)
+        assert waves == (14 if riding else 15)
 
     def test_rider_sent_past_the_first_rung_keeps_its_judgements(self, tmp_path):
         """A rider sent more examples than the first rung is ranked on the
-        rung's prefix, and none of its examples is sent again."""
-        data = cls_dataset(200)
+        rung's prefix, and none of its examples is sent again. On 400
+        examples the uncut first rung is 50."""
+        data = cls_dataset(400)
         by_input = {ex.input: ex for ex in data}
         trainer, backend, _ = riding_trainer(tmp_path, data, 64)
         cands = [Candidate(prompt=make_prompt(
@@ -1175,11 +1182,11 @@ class TestRiding:
         assert len(rung1) == 64
         assert {s for s, _ in rung1} == {c.prompt.skeleton() for c in cands[1:]}
         sent = [(s, ex.id) for call in backend.calls for s, ex in split_call(call, by_input)[1]]
-        assert len(set(sent)) == len(sent) == trainer.eval_requests - 200
+        assert len(set(sent)) == len(sent) == trainer.eval_requests - 400
         # the half-set rung is cut for the two prompts left and what each saw
         seen = [45 if cand is cands[0] else 32 for cand in cands
                 if losers.get(cand.fingerprint, (0,))[0] != 32]
-        half = half_rung(32, seen, 200, 64)
+        half = half_rung(32, seen, 400, 64)
         for cand in cands:
             labels = [graded_label(cand.prompt.skeleton(), ex) for ex in data]
             if cand.fingerprint in losers:
@@ -1239,7 +1246,7 @@ def batch_kinds(batches, train_set, test_set):
             kinds.append(("test", b, 0))
         else:
             stop = 1 + max(where[inp] for inp in inputs)
-            kinds.append(("rung 1" if stop <= n // 4 else "rung 2" if stop <= n // 2
+            kinds.append(("rung 1" if stop <= uncut_first(n) else "rung 2" if stop <= n // 2
                           else "whole set", b, 0))
     return kinds
 
@@ -1312,11 +1319,11 @@ class TestSiblings:
     merge and diff_evolution take are exactly the pool."""
 
     @pytest.mark.parametrize("parallel, qualities, half, not_worse_on_cut_rung", [
-        # 4 edits: two lose on the first rung of 48, one of them (60) as
+        # 4 edits: two lose on the first rung of 16, one of them (60) as
         # good as the base there; 75 loses to 90 on the half-set rung
         (64, [90, 75, 60, 30], 80, True),
         (64, [90, 50, 40, 30], 80, False),  # 50 is worse than the base
-        (1, [90, 75, 60, 30], 100, False),  # rungs of 50 and 100: nothing cut
+        (1, [90, 75, 60, 30], 100, False),  # rungs of 25 and 100: nothing cut
     ])
     def test_edits_raced_out_on_the_half_set_rung(self, tmp_path, monkeypatch, parallel,
                                                   qualities, half, not_worse_on_cut_rung):
@@ -1336,7 +1343,7 @@ class TestSiblings:
         backend = Planted(data, qualities, max_parallel=parallel)
         run_dir = tmp_path / "run"
         best, report, _ = train(cfg, data, [], base_template(), backend, run_dir=run_dir)
-        first = first_rung(50, 4, parallel)
+        first = first_rung(25, 4, parallel)
         # the init scoring, then iteration 1: operators, 3 rungs, the finish
         assert backend.calls[1:5] == [4, 4 * first, 2 * (half - first), 200 - half]
         assert best.prompt.section_by_id("s0").body == "quality 90" or \
@@ -1371,27 +1378,27 @@ class TestSiblings:
 
 
 class TestScoreProperties:
-    @given(k=st.integers(1, 300), quarter=st.integers(RACE_MIN_PREFIX, 3000),
+    @given(k=st.integers(1, 300), uncut=st.integers(RACE_MIN_PREFIX, 3000),
            parallel=st.integers(1, 512))
-    def test_first_rung_fills_whole_waves(self, k, quarter, parallel):
-        cut = first_rung(quarter, k, parallel)
-        assert 1 <= cut <= quarter
-        if parallel == 1 or k * quarter < parallel:
-            assert cut == quarter
+    def test_first_rung_fills_whole_waves(self, k, uncut, parallel):
+        cut = first_rung(uncut, k, parallel)
+        assert 1 <= cut <= uncut
+        if parallel == 1 or k * uncut < parallel:
+            assert cut == uncut
             return
         # the longest prefix whose batch fits in the whole waves that k
-        # prompts on the quarter fill: no last wave goes out part-full
-        waves = k * quarter // parallel
+        # prompts on the uncut prefix fill: no last wave goes out part-full
+        waves = k * uncut // parallel
         assert k * cut <= waves * parallel < k * (cut + 1)
         if k <= parallel:
             assert -(-k * cut // parallel) == waves
 
-    @given(data=st.data(), k=st.integers(1, 12), quarter=st.integers(RACE_MIN_PREFIX, 400),
+    @given(data=st.data(), k=st.integers(1, 12), uncut=st.integers(RACE_MIN_PREFIX, 400),
            parallel=st.sampled_from([1, 2, 7, 16, 64, 100]))
-    def test_first_rung_after_requests_were_sent(self, data, k, quarter, parallel):
-        seen = data.draw(st.lists(st.integers(0, quarter), min_size=k, max_size=k))
-        full = first_rung(quarter, k, parallel)
-        cut = first_rung(quarter, k, parallel, seen)
+    def test_first_rung_after_requests_were_sent(self, data, k, uncut, parallel):
+        seen = data.draw(st.lists(st.integers(0, uncut), min_size=k, max_size=k))
+        full = first_rung(uncut, k, parallel)
+        cut = first_rung(uncut, k, parallel, seen)
         assert 0 <= cut <= full
         if not any(seen):
             assert cut == full
@@ -1409,17 +1416,52 @@ class TestScoreProperties:
         if k <= parallel:
             assert cut >= 1
 
-    @given(k=st.integers(1, 12), quarter=st.integers(RACE_MIN_PREFIX, 400),
+    @given(k=st.integers(1, 12), uncut=st.integers(RACE_MIN_PREFIX, 400),
            parallel=st.integers(1, 128))
-    def test_first_rung_with_nothing_sent(self, k, quarter, parallel):
-        assert first_rung(quarter, k, parallel, [0] * k) == first_rung(quarter, k, parallel)
+    def test_first_rung_with_nothing_sent(self, k, uncut, parallel):
+        assert first_rung(uncut, k, parallel, [0] * k) == first_rung(uncut, k, parallel)
+
+    @given(n=st.integers(1, 5000))
+    @settings(max_examples=200, deadline=None)
+    def test_uncut_rungs(self, n):
+        """From 100 training examples on, the rungs before any wave cut are
+        an eighth of the set but at least 25 examples, then the first half:
+        the first is at most a quarter and shorter than the second. A
+        smaller set does not race."""
+        data = cls_dataset(n)
+        trainer = _Trainer(small_config(), data, [], base_template(), Graded(data))
+        if n < 100:
+            assert trainer.rungs == ()
+            return
+        first, second = trainer.rungs
+        assert (first, second) == (max(n // 8, 25), n // 2)
+        assert first <= n // 4 and first < second
+
+    def test_wave_cut_goes_below_the_min_prefix(self):
+        """RACE_MIN_PREFIX bounds the uncut first rung alone: on 100
+        examples, 5 prompts at 64 requests to a wave race on a first rung of
+        12, whose 60 requests fill one wave where 5 * 25 would spill into a
+        second."""
+        data = cls_dataset(100)
+        backend = Graded(data, max_parallel=64)
+        trainer = _Trainer(small_config(), data, [], base_template(), backend)
+        cands = [Candidate(prompt=make_prompt(
+            ["Classify variant %d as A or B." % j, "", 'Return JSON: {"label": ""}'],
+            editable=[True, True, False])) for j in range(5)]
+        assert trainer.rungs[0] == RACE_MIN_PREFIX == 25
+        assert first_rung(trainer.rungs[0], 5, 64) == 12
+        records = trainer._score(cands, 0)
+        assert len(backend.calls[0]) == 5 * 12
+        # two raced out on the first rung's cut, two on the half-set rung's
+        # cut (3 * 33 - 36 requests, one wave), and one finished
+        assert sorted(cut for _, cut in records.values()) == [12, 12, 33, 33, 100]
 
     @given(data=st.data(), k=st.integers(3, 8), n=st.sampled_from([100, 150, 200, 401]),
            parallel=st.sampled_from([1, 2, 7, 16, 64]))
     @settings(max_examples=40, deadline=None)
     def test_half_rung_fills_whole_waves(self, data, k, n, parallel):
         """The half-set rung's prefix, for k prompts of which some were sent
-        up to a quarter of the set before, as riders are: longer than the
+        up to the uncut first rung before, as riders are: longer than the
         first rung, at most n // 2, exactly n // 2 at parallel 1, and when
         cut, its batch fits in the whole waves that the live prompts'
         requests still owed to the first half fill."""
@@ -1429,7 +1471,7 @@ class TestScoreProperties:
         cands = [Candidate(prompt=make_prompt(
             ["Classify variant %d as A or B." % j, "", 'Return JSON: {"label": ""}'],
             editable=[True, True, False])) for j in range(k)]
-        sent = data.draw(st.lists(st.integers(0, n // 4), min_size=k, max_size=k))
+        sent = data.draw(st.lists(st.integers(0, uncut_first(n)), min_size=k, max_size=k))
         riders = [(cand, 0, r) for cand, r in zip(cands, sent) if r]
         results = backend.generate_batch(trainer._requests(riders))
         judged = {cand.fingerprint: out for (cand, _, _), out in zip(
@@ -1438,7 +1480,7 @@ class TestScoreProperties:
         losers = {fp: (cut, scores["f1"]) for fp, (scores, cut)
                   in trainer._score(cands, 1, judged).items() if cut < n}
 
-        first = first_rung(n // 4, k, parallel, sent)
+        first = first_rung(uncut_first(n), k, parallel, sent)
         [half] = {cut for cut, _ in losers.values()} - {first}
         assert first < half <= n // 2
         if parallel == 1:
@@ -1461,12 +1503,12 @@ class TestScoreProperties:
     @settings(max_examples=300)
     def test_half_rung_goes_past_the_first(self, data, n, k, parallel):
         """The half-set rung's cut goes past the first rung's for k prompts
-        each sent up to a quarter of the set before the race, which bounds
+        each sent up to the uncut first rung before the race, which bounds
         what a rider is sent (see _riders), and for any ceil(k / 2) of them
         still live after the first rung."""
-        quarter = n // RACE_PREFIX_DIVISOR
-        sent = data.draw(st.lists(st.integers(0, quarter), min_size=k, max_size=k))
-        first = first_rung(quarter, k, parallel, sent)
+        uncut = uncut_first(n)
+        sent = data.draw(st.lists(st.integers(0, uncut), min_size=k, max_size=k))
+        first = first_rung(uncut, k, parallel, sent)
         live = data.draw(st.permutations(range(k)))[:-(-k // 2)]
         seen = [max(sent[i], first) for i in live]
         assert first_rung(n // 2, len(live), parallel, seen) > first
@@ -1486,7 +1528,7 @@ class TestScoreProperties:
         cands = [Candidate(prompt=make_prompt(
             ["Classify variant %d as A or B." % j, "", 'Return JSON: {"label": ""}'],
             editable=[True, True, False])) for j in range(k)]
-        sent = data.draw(st.lists(st.integers(0, n // 4), min_size=k, max_size=k))
+        sent = data.draw(st.lists(st.integers(0, uncut_first(n)), min_size=k, max_size=k))
         riders = [(cand, 0, r) for cand, r in zip(cands, sent) if r]
         results = backend.generate_batch(trainer._requests(riders))
         judged = {cand.fingerprint: out for (cand, _, _), out in zip(
@@ -1497,7 +1539,7 @@ class TestScoreProperties:
         cuts = [cut for _, cut in records]
         [winner] = [i for i, cut in enumerate(cuts) if cut == n]
         assert list(trainer.scored) == [cands[winner].fingerprint]
-        first = first_rung(n // 4, k, parallel, sent)
+        first = first_rung(uncut_first(n), k, parallel, sent)
         live = [i for i, cut in enumerate(cuts) if cut != first]
         assert len(live) == -(-k // 2)
         last = first

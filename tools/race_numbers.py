@@ -1,16 +1,20 @@
 """What racing costs and what it finds, run by run: in-process training runs
-of a benchmark workload, each with its requests, latency units, test F1,
-true prompt quality and a digest of every request it sent.
+of a benchmark workload, each with its requests, latency units, tokens,
+round trips, test F1, true prompt quality and a digest of every request it
+sent.
 
 Each run drives the training loop of `promptopt.engine` (its trainer,
 subclassed as `Marking` to record the budget curve) on one of perfbench's
 workload specs against its `OracleBackend` at latency 0, with `slots`
 requests to a wave.
 perfbench's modules are imported, never edited. A unit is one wave: a batch
-of b requests costs ceil(b / slots). True p is `oracle.accuracy_level` of
-the returned prompt, the quality the oracle planted in it. The digest is a
-sha256 over the content hash of each request, in the order sent, so two
-runs that send the same requests have the same digest.
+of b requests costs ceil(b / slots). A round trip is one generate_batch
+call, whatever its size; round trips run one after another. Tokens are the
+prompt and completion tokens of every reply. True p is
+`oracle.accuracy_level` of the returned prompt, the quality the oracle
+planted in it. The digest is a sha256 over the content hash of each
+request, in the order sent, so two runs that send the same requests have
+the same digest.
 
     PYTHONPATH=src python tools/race_numbers.py --seeds 101-110 --slots 64 8
 
@@ -29,14 +33,22 @@ fresh draw. So the quality per request of 12-iteration runs under noise is
     PYTHONPATH=src python tools/race_numbers.py --iterations 12 \
         --budgets 2000 3000 4000 5000 --noise 0.5 --slots 64
 
-Two versions of the program are compared run by run by pointing PYTHONPATH
-at each one's `src` and pairing the rows by seed and slot count.
+`--json FILE` also writes the settings, every row, and each slot count's
+means and standard errors to FILE. Two versions of the program are compared
+run by run by pointing PYTHONPATH at each one's `src`, writing one such file
+for each, and pairing their rows by seed and slot count with
+`tools/race_pairs.py`:
+
+    PYTHONPATH=../parent/src python tools/race_numbers.py --slots 64 --json parent.json
+    PYTHONPATH=src python tools/race_numbers.py --slots 64 --json change.json
+    python tools/race_pairs.py parent.json change.json
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import math
 import statistics
 import sys
@@ -55,6 +67,7 @@ from oracle import (  # noqa: E402
     count_tokens,
     unit,
 )
+from race_pairs import se  # noqa: E402
 from workloads import build  # noqa: E402
 
 from promptopt.backend import Backend, GenerationResponse, UsageCounter  # noqa: E402
@@ -66,6 +79,8 @@ class Row(NamedTuple):
     seed: int  # the training run's seed, one of the workload seed's sub-seeds
     requests: int
     units: int
+    tokens: int
+    round_trips: int  # generate_batch calls
     test_f1: float
     true_p: float
     sha256: str
@@ -74,11 +89,13 @@ class Row(NamedTuple):
 
 
 class Counting(OracleBackend):
-    """OracleBackend that counts units and digests the requests it serves."""
+    """OracleBackend that counts units and round trips and digests the
+    requests it serves."""
 
     def __init__(self, oracle, slots: int):
         super().__init__(oracle, 0.0, slots)
         self.units = 0
+        self.round_trips = 0
         self.digest = hashlib.sha256()
 
     def _serve(self, req):
@@ -87,6 +104,7 @@ class Counting(OracleBackend):
 
     def generate_batch(self, reqs):
         self.units += math.ceil(len(reqs) / self.max_parallel)
+        self.round_trips += 1
         return super().generate_batch(reqs)
 
 
@@ -185,6 +203,7 @@ def race_numbers(workload: str, seeds: Sequence[int], slots: int,
                                   run_dir=Path(tmp) / ("run-%d-%d" % (seed, j)))
                 best, report, _ = trainer.run()
                 rows.append(Row(cfg.seed, backend.usage.requests, counting.units,
+                                backend.usage.total_tokens, counting.round_trips,
                                 report.final_test_objective, true_p(best.prompt),
                                 counting.digest.hexdigest(), trainer.curve(budgets)))
     return rows
@@ -195,11 +214,14 @@ def _seeds(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
-def _se(values: Sequence[float]) -> float:
-    """The standard error of the mean of `values`; 0 for a single run."""
-    if len(values) < 2:
-        return 0.0
-    return statistics.stdev(values) / math.sqrt(len(values))
+def columns(rows: Sequence[Row], budgets: Sequence[int]) -> dict[str, list]:
+    """Each numeric column of `rows` by name, the true p within each budget
+    B as p@B."""
+    out = {name: [getattr(r, name) for r in rows]
+           for name in ("requests", "units", "tokens", "round_trips", "test_f1", "true_p")}
+    for i, b in enumerate(budgets):
+        out["p@%d" % b] = [r.curve[i] for r in rows]
+    return out
 
 
 def main(argv=None) -> int:
@@ -214,25 +236,39 @@ def main(argv=None) -> int:
                         help="add the true p reached within B training requests")
     parser.add_argument("--noise", type=float, default=0.0, metavar="W",
                         help="answer this share of evaluation requests by a fresh draw")
+    parser.add_argument("--json", metavar="FILE",
+                        help="also write the settings, every row and the means and SEs here")
     args = parser.parse_args(argv)
     budgets = "".join(" %7s" % ("p@%d" % b) for b in args.budgets)
-    print("%-6s %5s %8s %6s %8s %7s%s  %s" % (
-        "seed", "slots", "requests", "units", "test_f1", "true_p", budgets, "sha256"))
+    print("%-6s %5s %8s %6s %9s %5s %8s %7s%s  %s" % (
+        "seed", "slots", "requests", "units", "tokens", "trips", "test_f1", "true_p", budgets,
+        "sha256"))
+    doc = {"workload": args.workload, "seeds": args.seeds, "slots": args.slots,
+           "iterations": args.iterations, "noise": args.noise, "budgets": args.budgets,
+           "columns": list(columns([], args.budgets)), "rows": [], "summary": []}
+    curve = " %7.4f" * len(args.budgets)
     for slots in args.slots:
         rows = race_numbers(args.workload, args.seeds, slots, args.iterations, args.budgets,
                             args.noise)
         for row in rows:
-            print("%-6d %5d %8d %6d %8.5f %7.4f%s  %s" % (
-                row.seed, slots, row.requests, row.units, row.test_f1, row.true_p,
-                "".join(" %7.4f" % p for p in row.curve), row.sha256[:16]))
-        columns = [[r.requests for r in rows], [r.units for r in rows],
-                   [r.test_f1 for r in rows], [r.true_p for r in rows],
-                   *([r.curve[i] for r in rows] for i in range(len(args.budgets)))]
-        curve = " %7.4f" * len(args.budgets)
-        print(("%-6s %5d %8.3f %6.3f %8.5f %7.4f" + curve + "  (%d runs)") % (
-            "mean", slots, *map(statistics.fmean, columns), len(rows)))
-        print(("%-6s %5d %8.3f %6.3f %8.5f %7.4f" + curve + "\n") % (
-            "se", slots, *map(_se, columns)))
+            print(("%-6d %5d %8d %6d %9d %5d %8.5f %7.4f" + curve + "  %s") % (
+                row.seed, slots, row.requests, row.units, row.tokens, row.round_trips,
+                row.test_f1, row.true_p, *row.curve, row.sha256[:16]))
+        table = columns(rows, args.budgets)
+        for i, row in enumerate(rows):
+            doc["rows"].append({"seed": row.seed, "slots": slots,
+                                **{name: values[i] for name, values in table.items()},
+                                "sha256": row.sha256})
+        means = {name: statistics.fmean(values) for name, values in table.items()}
+        ses = {name: se(values) for name, values in table.items()}
+        doc["summary"].append({"slots": slots, "runs": len(rows), "mean": means, "se": ses})
+        line = "%-6s %5d %8.3f %6.3f %9.1f %5.2f %8.5f %7.4f" + curve
+        print((line + "  (%d runs)") % ("mean", slots, *means.values(), len(rows)))
+        print((line + "\n") % ("se", slots, *ses.values()))
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as f:
+            json.dump(doc, f, indent=1)
+            f.write("\n")
     return 0
 
 
