@@ -21,16 +21,9 @@ which can take it below RACE_MIN_PREFIX, and the second is cut the same
 way for the prompts still live; so at max_parallel 1 they are the uncut
 first prefix and the first half. Otherwise one batch scores them on the
 whole set. An edit raced out never reaches the next iteration: the parents
-that merge and diff_evolution take are the pool's.
-
-A local operator (cot, few_shot, repeat_instructions, merge) makes its
-prompt before the operator batch is sent. In an iteration that races, the
-distinct local edits ride that batch: each sends its first examples in the
-free slots of the batch's last wave, after the operator requests (see
-_Trainer._riders), and the first rung then counts what they were sent.
-Every live prompt is still ranked on the same prefix, and no (prompt,
-example) request is sent twice. At max_parallel 1 the batch has no free
-slots, so nothing rides.
+that merge and diff_evolution take are the pool's. Every evaluation request
+of an iteration goes out in its scoring, so every live prompt has been sent
+the same prefix, and no (prompt, example) request is sent twice.
 
 Every evaluation batch is a list of (candidate, start, stop) segments of the
 training set, whose layout `evaluation` owns: `eval_requests` lists their
@@ -131,30 +124,27 @@ RACE_MIN_PREFIX = 25
 RACE_MIN_SET = 4 * RACE_MIN_PREFIX
 
 
-def first_rung(uncut: int, k: int, parallel: int, seen: Sequence[int] = ()) -> int:
-    """A racing rung's prefix length for k live prompts, of which the i-th
-    was already sent its first seen[i] examples (`seen` is empty, or holds
-    one count per prompt). `uncut` is any rung's uncut prefix, as in
+def first_rung(uncut: int, k: int, parallel: int, seen: int = 0) -> int:
+    """A racing rung's prefix length for k live prompts, each already sent
+    its first `seen` examples. `uncut` is any rung's uncut prefix, as in
     _Trainer.rungs.
 
     With nothing sent, it is F: the longest prefix of at most `uncut`
     examples whose batch of k * F requests fits in the whole waves of
     `parallel` requests that k * uncut fills, so no last wave goes out
     part-full; `uncut` itself when k * uncut is under one wave, and at
-    parallel 1. With requests sent, the requests still due, k * F -
-    sum(seen), are cut the same way: it is the longest prefix of at most F
-    whose unsent requests, the sum of max(0, prefix - seen[i]), fit in the
-    whole waves (at least one) that those due requests fill."""
+    parallel 1. With examples sent, the requests still due, k * (F -
+    seen), are cut the same way: it is the longest prefix of at most F
+    whose unsent requests, k * (prefix - seen), fit in the whole waves (at
+    least one) that those due requests fill."""
     if k * uncut < parallel:
         cut = uncut
     else:
         cut = k * uncut // parallel * parallel // k
-    if not any(seen):
+    if not seen:
         return cut
-    room = max(1, (k * cut - sum(seen)) // parallel) * parallel
-    while sum(max(0, cut - s) for s in seen) > room:
-        cut -= 1
-    return cut
+    room = max(1, k * (cut - seen) // parallel) * parallel
+    return min(cut, seen + room // k)
 
 
 @dataclass
@@ -498,24 +488,21 @@ class _Trainer:
         tally.add(enumerate(self.scored[fingerprint][2][:cut]))
         return tally.objective_value()
 
-    def _score(self, cands: Sequence[Candidate], iteration: int,
-               judged: Optional[dict[str, tuple[list, list]]] = None,
+    def _score(self, cands: Sequence[Candidate], iteration: int
                ) -> dict[str, tuple[dict[str, float], int]]:
         """Score distinct candidates, given in pair order, on the training
-        set and record each one that finishes in `scored`. `judged` maps the
-        fingerprint of a candidate already sent a prefix of the set (a rider,
-        see _riders) to its predictions and judgements on that prefix.
+        set and record each one that finishes in `scored`.
 
         With at least two candidates and a training set long enough to have
         rungs, they race: at each rung every live candidate is sent the
-        examples of the rung's prefix it has not seen, and the live ones are
-        ranked by objective on the prefix, ties going to the earlier pair.
-        On the first rung ceil(k / 2) of the k live ones go on; on the last
-        only the first ranked does, so at most one candidate finishes. Each
-        rung is cut to whole waves for the prompts still live and the
-        examples each was already sent (see first_rung). Once one is left it
-        is finished on the rest of the set in one batch. Otherwise one batch
-        scores them on the whole set.
+        examples of the rung's prefix that it has not been sent, the same
+        ones for each, and the live ones are ranked by objective on the
+        prefix, ties going to the earlier pair. On the first rung ceil(k /
+        2) of the k live ones go on; on the last only the first ranked
+        does, so at most one candidate finishes. Each rung is cut to whole
+        waves for the prompts still live and the examples already sent (see
+        first_rung). Once one is left it is finished on the rest of the set
+        in one batch. Otherwise one batch scores them on the whole set.
 
         Returns a record for every candidate, by fingerprint: (scores,
         scored_on). A candidate that finishes has its precision, recall and
@@ -523,29 +510,25 @@ class _Trainer:
         has its objective on the prefix it lost on and that prefix's length.
 
         Each candidate has one tally, and each of its judgements is added
-        to it once, in example order, as far as the rung being ranked: a
-        rider that saw more than the first rung keeps the rest for later."""
-        judged = judged or {}
+        to it once, in example order."""
         live = list(range(len(cands)))
         tallies = [self._tally() for _ in cands]
-        prior = [judged.get(cand.fingerprint, ((), ())) for cand in cands]
-        predictions = [list(preds) for preds, _ in prior]
-        judgements = [list(judgs) for _, judgs in prior]
-        fed = [0] * len(cands)
+        predictions = [[] for _ in cands]
+        judgements = [[] for _ in cands]
+        sent = 0  # the prefix every live candidate has been sent
 
         def send(stop: int) -> None:
-            # each live candidate's unseen examples before `stop`, one batch
-            todo = [i for i in live if len(judgements[i]) < stop]
-            segments = [(cands[i], len(judgements[i]), stop) for i in todo]
+            # each live candidate's examples from `sent` to `stop`, one batch
+            nonlocal sent
+            segments = [(cands[i], sent, stop) for i in live]
             if segments:
                 results = self.backend.generate_batch(self._requests(segments))
-                for i, (preds, judgs) in zip(todo, judge_replies(
+                for i, (preds, judgs) in zip(live, judge_replies(
                         segments, self.train_set, results, self.replies)):
                     predictions[i] += preds
                     judgements[i] += judgs
-            for i in live:
-                tallies[i].add(enumerate(judgements[i][fed[i]:stop], fed[i]))
-                fed[i] = stop
+                    tallies[i].add(enumerate(judgs, sent))
+            sent = stop
 
         records = {}
         for r, uncut in enumerate(self.rungs):
@@ -553,8 +536,7 @@ class _Trainer:
                 break
             # send the rung's prefix, then keep the better half of the field,
             # or on the last rung its best prompt alone
-            cut = first_rung(uncut, len(live), self.backend.max_parallel,
-                             [len(judgements[i]) for i in live])
+            cut = first_rung(uncut, len(live), self.backend.max_parallel, sent)
             send(cut)
             objectives = {i: tallies[i].objective_value() for i in live}
             ranked = sorted(live, key=lambda i: (-objectives[i], i))
@@ -572,25 +554,6 @@ class _Trainer:
                 {"precision": report.precision, "recall": report.recall, "f1": report.f1},
                 len(self.train_set))
         return records
-
-    def _riders(self, local: Sequence[Candidate], n_requests: int, n_plans: int
-                ) -> list[tuple[Candidate, int, int]]:
-        """The segments (see eval_requests) that the distinct local edits send
-        in the iteration's operator batch of `n_requests` requests, made by
-        `n_plans` backend operators: the first r examples of each, in the
-        free slots of the batch's last wave of max_parallel requests, with
-        r = min(free slots // len(local), first_rung(rungs[0], len(local) +
-        n_plans, max_parallel)); the wave cut of the uncut first rung,
-        rungs[0], can take r below RACE_MIN_PREFIX. None when the iteration
-        does not race, or when the batch has no free slots, as at
-        max_parallel 1 or when it holds no requests; the local edits are
-        then first sent in the scoring, with the other edited prompts."""
-        if not (local and self.rungs):
-            return []
-        parallel = self.backend.max_parallel
-        r = min(-n_requests % parallel // len(local),
-                first_rung(self.rungs[0], len(local) + n_plans, parallel))
-        return [(cand, 0, r) for cand in local] if r else []
 
     def _context(self, pair: SelectionPair, base: Candidate, iteration: int,
                  pool: Sequence[Candidate], pair_index: int) -> ops.OperatorContext:
@@ -672,21 +635,9 @@ class _Trainer:
         pairs = select_pairs(self.matrix, self.n_pairs, self.rng, eligible=self.eligible)
         jobs = [(pair.operator, self._context(pair, base, iteration, pool, k))
                 for k, pair in enumerate(pairs)]
-        plans, reqs = ops.plan_operators(jobs)
-        # each local edit by pair index, None for a no-op: they are made
-        # before any request, and the distinct ones ride the operator batch
-        # (see _riders)
-        local = {k: self._edited(base, plan, pair, iteration)
-                 for k, (pair, plan) in enumerate(zip(pairs, plans))
-                 if not isinstance(plan, tuple)}
-        riders = self._riders(_distinct(local.values()), len(reqs), len(pairs) - len(local))
         eval_requests = self.eval_requests
-        # round trip 1: every backend operator's requests, in pair order,
-        # then the riders' evaluation requests
-        replies = self.backend.generate_batch(reqs + self._requests(riders)) if reqs else []
-        judged = {cand.fingerprint: out for (cand, _, _), out in zip(
-            riders, judge_replies(riders, self.train_set, replies[len(reqs):], self.replies))}
-        results = ops.finish_operators(jobs, plans, replies[:len(reqs)])
+        # round trip 1: every backend operator's requests, in pair order
+        results = ops.apply_operators(jobs, self.backend)
         # every pair's edit that did not fail, by pair index in pair order,
         # by which the race breaks ties
         edits: dict[int, Optional[Candidate]] = {}
@@ -698,10 +649,10 @@ class _Trainer:
                 failed.append({"section": pair.section, "operator": pair.operator,
                                "error": type(result).__name__})
             else:
-                edits[k] = local[k] if k in local else self._edited(base, result, pair, iteration)
+                edits[k] = self._edited(base, result, pair, iteration)
 
         # round trips 2 to 4: the edited prompts, once each
-        records = self._score(_distinct(edits.values()), iteration, judged)
+        records = self._score(_distinct(edits.values()), iteration)
         observations: list[GradientObservation] = []
         selections = []
         new_candidates: list[Candidate] = []

@@ -767,12 +767,30 @@ def uncut_first(n):
     return max(n // RACE_PREFIX_DIVISOR, RACE_MIN_PREFIX)
 
 
-def half_rung(first, seen, n, parallel):
+def half_rung(first, k, n, parallel):
     """The half-set rung's prefix on n examples after a first rung of
-    `first`, for live prompts sent seen[i] examples each: cut to whole
+    `first`, for k live prompts, each sent the first rung: cut to whole
     waves, which goes past the first rung."""
-    cut = first_rung(n // 2, len(seen), parallel, seen)
+    cut = first_rung(n // 2, k, parallel, first)
     assert cut > first
+    return cut
+
+
+def first_rung_by_loop(uncut, k, parallel, seen):
+    """engine.first_rung as a loop over the prompts, prompt i already sent
+    its first seen[i] examples: the wave cut of the uncut rung, then, with
+    examples sent, the longest prefix of at most that cut whose unsent
+    requests fit in the whole waves (at least one) that the requests still
+    due fill. first_rung must agree with it when every count is the same."""
+    if k * uncut < parallel:
+        cut = uncut
+    else:
+        cut = k * uncut // parallel * parallel // k
+    if not any(seen):
+        return cut
+    room = max(1, (k * cut - sum(seen)) // parallel) * parallel
+    while sum(max(0, cut - s) for s in seen) > room:
+        cut -= 1
     return cut
 
 
@@ -788,7 +806,7 @@ def halving_batches(k, n, parallel=1):
     k1 = -(-k // 2)
     if k1 == 1:
         return [(k, 0, q), (1, q, n)]
-    h = half_rung(q, [q] * k1, n, parallel)
+    h = half_rung(q, k1, n, parallel)
     return [(k, 0, q), (k1, q, h), (1, h, n)]
 
 
@@ -797,7 +815,7 @@ def halving_requests(k, n, parallel=1):
     return sum(live * (stop - start) for live, start, stop in halving_batches(k, n, parallel))
 
 
-class Riding(Graded):
+class LastLine(Graded):
     """Graded, but it finds the example by the request's last line, where the
     template puts the input: a few_shot prompt quotes other examples'
     inputs, so the first input found in the text may not be the one asked
@@ -827,13 +845,13 @@ def split_call(call, by_input):
 
 
 LOCAL = ("cot", "few_shot", "repeat_instructions")
-RIDING_OPERATORS = ("cot", "few_shot", "repeat_instructions", "refine", "rewrite")
+MIXED_OPERATORS = ("cot", "few_shot", "repeat_instructions", "refine", "rewrite")
 
 
-def riding_trainer(tmp_path, data, parallel, operators=RIDING_OPERATORS, seed=0):
-    cfg = small_config(iterations=4, top_k=3, anneal_count=0, pairs_per_epoch=5, seed=seed,
+def mixed_trainer(tmp_path, data, parallel, operators=MIXED_OPERATORS):
+    cfg = small_config(iterations=4, top_k=3, anneal_count=0, pairs_per_epoch=5,
                        operators=operators, output_dir=str(tmp_path))
-    backend = Riding(data, max_parallel=parallel)
+    backend = LastLine(data, max_parallel=parallel)
     trainer = _Trainer(cfg, data, [], base_template(), backend)
     pool = [Candidate(prompt=base_template())]
     records = trainer._score(pool, 0)
@@ -865,7 +883,7 @@ class TestRacing:
         data = cls_dataset(n)
         # the first two rungs are cut to whole waves of `parallel` requests
         first = first_rung(uncut_first(n), pairs, parallel)
-        rungs = (first, half_rung(first, [first] * -(-pairs // 2), n, parallel))
+        rungs = (first, half_rung(first, -(-pairs // 2), n, parallel))
         backend = Graded(data, max_parallel=parallel)
         trainer, pool = self._trainer(tmp_path, data, backend, pairs,
                                       operators=("refine", "rewrite", "short_instruction"))
@@ -931,24 +949,25 @@ class TestRacing:
             assert sel["gradient"] == report.f1 - pool[0].latest_score("f1")
 
     @pytest.mark.parametrize("parallel, n, operators", [
-        (1, 200, RIDING_OPERATORS),  # local operators at the mock's max_parallel
+        (1, 200, MIXED_OPERATORS),  # local operators at the mock's max_parallel
         (64, 200, ("refine", "rewrite", "short_instruction")),  # no local operator
-        (64, 99, RIDING_OPERATORS),  # a training set too short to race
+        (64, 99, MIXED_OPERATORS),  # a training set too short to race
+        (64, 200, MIXED_OPERATORS),  # local operators with free slots to fill
     ])
     def test_iterations_that_nothing_rides(self, tmp_path, monkeypatch, parallel, n,
                                            operators):
-        """These iterations send the batches they sent before local edits
-        rode the operator batch: the operator requests alone, then each
+        """No evaluation request rides the operator batch, whatever its free
+        slots: each iteration sends the operator requests alone, then each
         rung's batch with every live prompt on the same examples."""
         data = cls_dataset(n)
         by_input = {ex.input: ex for ex in data}
-        trainer, backend, pool = riding_trainer(tmp_path, data, parallel, operators)
+        trainer, backend, pool = mixed_trainer(tmp_path, data, parallel, operators)
         scorings = []
         score = _Trainer._score
 
-        def spy(self, cands, iteration, judged=None):
-            scorings.append((len(cands), judged))
-            return score(self, cands, iteration, judged)
+        def spy(self, cands, iteration):
+            scorings.append(len(cands))
+            return score(self, cands, iteration)
 
         monkeypatch.setattr(_Trainer, "_score", spy)
         saw_local = False
@@ -959,8 +978,7 @@ class TestRacing:
             row = trainer.report.iterations[-1]
             ops = [s["operator"] for s in row["selections"]]
             saw_local |= any(op in LOCAL for op in ops)
-            [(k, judged)] = scorings
-            assert not judged
+            [k] = scorings
             calls = backend.calls
             n_operator = sum(op not in LOCAL for op in ops)
             if n_operator:
@@ -974,7 +992,7 @@ class TestRacing:
                     assert [by_input[text.rsplit("\n", 1)[-1]] for text, _ in
                             call[at:at + stop - start]] == data[start:stop]
             assert row["eval_requests"] == halving_requests(k, n, parallel)
-        assert saw_local == (operators == RIDING_OPERATORS)
+        assert saw_local == (operators == MIXED_OPERATORS)
 
     def test_initial_pool_races(self, tmp_path, monkeypatch):
         data = cls_dataset(100)
@@ -1041,165 +1059,27 @@ class TestRacing:
         assert sorted(out for [(out, _)] in by_section.values()) == [False, True]
         assert row["eval_requests"] == 2 * k + (len(data) - k)
 
-
-class TestRiding:
-    """At max_parallel > 1, the distinct local edits of a racing iteration
-    send their first examples in the free slots of the operator batch."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_local_edits_ride_the_operator_batch(self, tmp_path, monkeypatch, seed):
-        data = cls_dataset(200)
-        by_input = {ex.input: ex for ex in data}
-        trainer, backend, pool = riding_trainer(tmp_path, data, 64, seed=seed)
-        races = []
-        score = _Trainer._score
-
-        def spy(self, cands, iteration, judged=None):
-            records = score(self, cands, iteration, judged)
-            n = len(self.train_set)
-            losers = {fp: (cut, scores["f1"]) for fp, (scores, cut) in records.items() if cut < n}
-            finished = {fp: self.scored[fp] for fp, (_, cut) in records.items() if cut == n}
-            races.append((list(cands), dict(judged or {}), losers, finished))
-            return records
-
-        monkeypatch.setattr(_Trainer, "_score", spy)
-        rode = 0
-        for iteration in range(1, 5):
-            del backend.calls[:]
-            del races[:]
-            base = max(pool, key=lambda c: (c.latest_score("f1"), -len(c.lineage)))
-            base_skeleton = base.prompt.skeleton()
-            pool = trainer._iteration(iteration, pool)
-            row = trainer.report.iterations[-1]
-            [(cands, judged, losers, finished)] = races
-            pairs = [(s["section"], s["operator"]) for s in row["selections"]]
-            backend_pairs = [(sec, op) for sec, op in pairs if op not in LOCAL]
-            assert backend_pairs  # so the first batch is the operator batch
-
-            # the operator requests in pair order, then the riders' requests
-            operator, riders = split_call(backend.calls[0], by_input)
-            assert [OPERATOR_TARGET.search(t).group(1) for t in operator] == \
-                [sec for sec, _ in backend_pairs]
-            if riders:
-                rode += 1
-                local = len(judged)
-                r = len(riders) // local
-                assert local * r == len(riders)
-                assert r == min(-len(operator) % 64 // local,
-                                first_rung(trainer.rungs[0], local + len(backend_pairs), 64))
-                blocks = [riders[i:i + r] for i in range(0, len(riders), r)]
-                by_fp = {c.fingerprint: c for c in cands}
-                # one block per distinct local edit, in pair order, each on
-                # the first r examples
-                assert [block[0][0] for block in blocks] == \
-                    [by_fp[fp].prompt.skeleton() for fp in judged]
-                assert all(ex is data[i] for block in blocks for i, (_, ex) in enumerate(block))
-                first_pair = [pairs.index(by_fp[fp].lineage[-1][1:]) for fp in judged]
-                assert first_pair == sorted(first_pair)
-                assert all(by_fp[fp].lineage[-1][2] in LOCAL for fp in judged)
-            else:
-                assert not judged
-
-            # no (prompt, example) request twice in the iteration, and the
-            # row counts every evaluation request, the riders' included
-            sent = [pair for call in backend.calls for pair in split_call(call, by_input)[1]]
-            assert len(set((s, ex.id) for s, ex in sent)) == len(sent)
-            assert row["eval_requests"] == len(sent)
-
-            # each finished prompt is scored as one full evaluation
-            assert len(finished) + len(losers) == len(cands)
-            for cand in cands:
-                if cand.fingerprint in finished:
-                    report, bad = evaluate(cand, data, Riding(data), seed=seed + iteration)
-                    _, judgements = judged_alone(cand, data, Riding(data))
-                    assert finished[cand.fingerprint] == (report, bad, tuple(judgements))
-
-            # a raced-out edit's gradient compares it and the base on the
-            # prefix it lost on
-            base_labels = [graded_label(base_skeleton, ex) for ex in data]
-            want = set()
-            for cand in cands:
-                if cand.fingerprint in losers:
-                    cut, objective = losers[cand.fingerprint]
-                    labels = [graded_label(cand.prompt.skeleton(), ex) for ex in data[:cut]]
-                    assert objective == f1_of(data[:cut], labels)
-                    want.add((cut, objective - f1_of(data[:cut], base_labels[:cut])))
-            got = {(s["scored_on"], s["gradient"]) for s in row["selections"] if s["raced_out"]}
-            assert got == want
-        assert rode
-
-    @pytest.mark.parametrize("riding, sizes", [(True, [125, 447, 214]),
-                                               (False, [190, 447, 213])])
-    def test_three_riders_of_five_prompts(self, tmp_path, riding, sizes):
+    def test_five_prompts_on_400_examples(self, tmp_path):
         """Five prompts on 400 examples, whose uncut first rung is 50, at 64
-        requests to a wave, three of them local edits beside an operator
-        batch of 2 requests: they ride with 20 examples each, and the race
-        then takes one wave fewer. The three prompts left after the first
-        rung of 37 (38 without riders) are sent 3 * 149 requests, seven
-        whole waves, on the half-set rung, and the best of them alone
-        finishes on the other 214 (213) examples."""
+        requests to a wave: the first rung of 38 takes 3 waves, the three
+        prompts left are sent 3 * 149 requests, seven whole waves, on the
+        half-set rung, and the best of them alone finishes on the other 213
+        examples."""
         data = cls_dataset(400)
-        trainer, backend, _ = riding_trainer(tmp_path, data, 64)
+        trainer, backend, _ = mixed_trainer(tmp_path, data, 64)
         cands = [Candidate(prompt=make_prompt(
             ["Classify variant %d as A or B." % j, "", 'Return JSON: {"label": ""}'],
             editable=[True, True, False])) for j in range(5)]
-        riders = trainer._riders(cands[:3], 2, 2) if riding else []
-        assert [stop for _, _, stop in riders] == ([20] * 3 if riding else [])
-        results = backend.generate_batch(trainer._requests(riders))
-        judged = {cand.fingerprint: out for (cand, _, _), out in zip(
-            riders, judge_replies(riders, trainer.train_set, results, trainer.replies))}
         del backend.calls[:]
-        trainer._score(cands, 1, judged)
-        assert [len(call) for call in backend.calls] == sizes
-        first = 37 if riding else 38
-        assert half_rung(first, [first] * 3, 400, 64) == first + 149
-        waves = sum(-(-n // 64) for n in [2 + len(results), *sizes])
-        assert waves == (14 if riding else 15)
-
-    def test_rider_sent_past_the_first_rung_keeps_its_judgements(self, tmp_path):
-        """A rider sent more examples than the first rung is ranked on the
-        rung's prefix, and none of its examples is sent again. On 400
-        examples the uncut first rung is 50."""
-        data = cls_dataset(400)
-        by_input = {ex.input: ex for ex in data}
-        trainer, backend, _ = riding_trainer(tmp_path, data, 64)
-        cands = [Candidate(prompt=make_prompt(
-            ["Classify variant %d as A or B." % j, "", 'Return JSON: {"label": ""}'],
-            editable=[True, True, False])) for j in range(3)]
-        del backend.calls[:]
-        riders = [(cands[0], 0, 45)]
-        results = backend.generate_batch(trainer._requests(riders))
-        judged = {cands[0].fingerprint:
-                  judge_replies(riders, trainer.train_set, results, trainer.replies)[0]}
-        losers = {fp: (cut, scores["f1"]) for fp, (scores, cut)
-                  in trainer._score(cands, 1, judged).items() if cut < len(data)}
-        # 3 * 42 requests would fill 2 waves; 126 - 45 due requests fill 1,
-        # which 2 * 32 unsent requests fit
-        assert first_rung(50, 3, 64) == 42
-        assert first_rung(50, 3, 64, [45, 0, 0]) == 32
-        rider, rung1, *_ = [split_call(call, by_input)[1] for call in backend.calls]
-        assert len(rider) == 45
-        assert len(rung1) == 64
-        assert {s for s, _ in rung1} == {c.prompt.skeleton() for c in cands[1:]}
-        sent = [(s, ex.id) for call in backend.calls for s, ex in split_call(call, by_input)[1]]
-        assert len(set(sent)) == len(sent) == trainer.eval_requests - 400
-        # the half-set rung is cut for the two prompts left and what each saw
-        seen = [45 if cand is cands[0] else 32 for cand in cands
-                if losers.get(cand.fingerprint, (0,))[0] != 32]
-        half = half_rung(32, seen, 400, 64)
-        for cand in cands:
-            labels = [graded_label(cand.prompt.skeleton(), ex) for ex in data]
-            if cand.fingerprint in losers:
-                cut, objective = losers[cand.fingerprint]
-                assert cut in (32, half) and objective == f1_of(data[:cut], labels[:cut])
-                continue
-            _, judgements = judged_alone(cand, data, Riding(data))
-            assert trainer.scored[cand.fingerprint] == (
-                *evaluate(cand, data, Riding(data), seed=1), tuple(judgements))
+        trainer._score(cands, 1)
+        assert [len(call) for call in backend.calls] == [190, 447, 213]
+        assert first_rung(50, 5, 64) == 38
+        assert half_rung(38, 3, 400, 64) == 38 + 149
+        assert sum(-(-len(call) // 64) for call in backend.calls) == 14
 
 
-class Revoked(Riding):
-    """Riding, but each batch goes through MockBackend's own generate_batch,
+class Revoked(LastLine):
+    """LastLine, but each batch goes through MockBackend's own generate_batch,
     one request at a time, so a failure raised by `generate` meets the
     backend's batch rule. `batches` holds the text of every request served,
     per batch; the request at `at`, a (batch, position) pair, fails with an
@@ -1226,9 +1106,9 @@ class Revoked(Riding):
 
 def batch_kinds(batches, train_set, test_set):
     """(kind, batch, position of its first request of that kind) for each
-    part of a run's batches: the initial refine batch, the operator requests
-    and the riders of an operator batch, each racing rung by how far into
-    the training set it reaches, and the test set."""
+    part of a run's batches: the initial refine batch, an operator batch,
+    each racing rung by how far into the training set it reaches, and the
+    test set."""
     n = len(train_set)
     where = {ex.input: i for i, ex in enumerate(train_set)}
     tests = {ex.input for ex in test_set}
@@ -1240,8 +1120,6 @@ def batch_kinds(batches, train_set, test_set):
             kinds.append(("init", b, 0))
         elif n_operator:
             kinds.append(("operator", b, 0))
-            if inputs:
-                kinds.append(("rider", b, n_operator))
         elif inputs[0] in tests:
             kinds.append(("test", b, 0))
         else:
@@ -1261,12 +1139,12 @@ class TestAuthErrorEndsTheRun:
 
     def _train(self, backend, run_dir):
         cfg = small_config(iterations=4, beam_init=4, top_k=3, anneal_count=0,
-                           pairs_per_epoch=5, operators=RIDING_OPERATORS,
+                           pairs_per_epoch=5, operators=MIXED_OPERATORS,
                            output_dir=str(run_dir.parent))
         train(cfg, self.TRAIN, self.TEST, base_template(), backend, run_dir=run_dir)
 
-    @pytest.mark.parametrize("kind", ["init", "operator", "rider", "rung 1", "rung 2",
-                                      "whole set", "test"])
+    @pytest.mark.parametrize("kind", ["init", "operator", "rung 1", "rung 2", "whole set",
+                                      "test"])
     def test_auth_error_ends_train(self, tmp_path, kind):
         clean = Revoked(self.TRAIN + self.TEST, 64)
         self._train(clean, tmp_path / "clean")
@@ -1396,20 +1274,20 @@ class TestScoreProperties:
     @given(data=st.data(), k=st.integers(1, 12), uncut=st.integers(RACE_MIN_PREFIX, 400),
            parallel=st.sampled_from([1, 2, 7, 16, 64, 100]))
     def test_first_rung_after_requests_were_sent(self, data, k, uncut, parallel):
-        seen = data.draw(st.lists(st.integers(0, uncut), min_size=k, max_size=k))
+        seen = data.draw(st.integers(0, uncut))
         full = first_rung(uncut, k, parallel)
         cut = first_rung(uncut, k, parallel, seen)
         assert 0 <= cut <= full
-        if not any(seen):
+        if not seen:
             assert cut == full
             return
 
         def unsent(c):
-            return sum(max(0, c - s) for s in seen)
+            return k * max(0, c - seen)
 
         # brute force: the longest prefix whose unsent requests fit in the
         # whole waves (at least one) that the requests still due fill
-        waves = max(1, (k * full - sum(seen)) // parallel)
+        waves = max(1, k * (full - seen) // parallel)
         assert cut == max(c for c in range(full + 1) if unsent(c) <= waves * parallel)
         assert unsent(cut) <= waves * parallel
         assert cut == full or unsent(cut + 1) > waves * parallel
@@ -1419,7 +1297,16 @@ class TestScoreProperties:
     @given(k=st.integers(1, 12), uncut=st.integers(RACE_MIN_PREFIX, 400),
            parallel=st.integers(1, 128))
     def test_first_rung_with_nothing_sent(self, k, uncut, parallel):
-        assert first_rung(uncut, k, parallel, [0] * k) == first_rung(uncut, k, parallel)
+        assert first_rung(uncut, k, parallel, 0) == first_rung(uncut, k, parallel)
+
+    @given(data=st.data(), k=st.integers(1, 64), uncut=st.integers(1, 1000),
+           parallel=st.integers(1, 512))
+    def test_first_rung_closed_form_equals_the_loop(self, data, k, uncut, parallel):
+        """For k prompts each sent the same s examples, first_rung's closed
+        form gives the rung of the per-prompt loop."""
+        s = data.draw(st.integers(0, uncut))
+        assert first_rung(uncut, k, parallel, s) == \
+            first_rung_by_loop(uncut, k, parallel, [s] * k)
 
     @given(n=st.integers(1, 5000))
     @settings(max_examples=200, deadline=None)
@@ -1456,95 +1343,70 @@ class TestScoreProperties:
         # cut (3 * 33 - 36 requests, one wave), and one finished
         assert sorted(cut for _, cut in records.values()) == [12, 12, 33, 33, 100]
 
-    @given(data=st.data(), k=st.integers(3, 8), n=st.sampled_from([100, 150, 200, 401]),
+    @given(k=st.integers(3, 8), n=st.sampled_from([100, 150, 200, 401]),
            parallel=st.sampled_from([1, 2, 7, 16, 64]))
     @settings(max_examples=40, deadline=None)
-    def test_half_rung_fills_whole_waves(self, data, k, n, parallel):
-        """The half-set rung's prefix, for k prompts of which some were sent
-        up to the uncut first rung before, as riders are: longer than the
-        first rung, at most n // 2, exactly n // 2 at parallel 1, and when
-        cut, its batch fits in the whole waves that the live prompts'
-        requests still owed to the first half fill."""
+    def test_half_rung_fills_whole_waves(self, k, n, parallel):
+        """The half-set rung's prefix, for the ceil(k / 2) prompts left after
+        the first rung: longer than the first rung, at most n // 2, exactly
+        n // 2 at parallel 1, and when cut, its batch fits in the whole
+        waves that the live prompts' requests still owed to the first half
+        fill."""
         examples = cls_dataset(n)
         backend = Graded(examples, max_parallel=parallel)
         trainer = _Trainer(small_config(), examples, [], base_template(), backend)
         cands = [Candidate(prompt=make_prompt(
             ["Classify variant %d as A or B." % j, "", 'Return JSON: {"label": ""}'],
             editable=[True, True, False])) for j in range(k)]
-        sent = data.draw(st.lists(st.integers(0, uncut_first(n)), min_size=k, max_size=k))
-        riders = [(cand, 0, r) for cand, r in zip(cands, sent) if r]
-        results = backend.generate_batch(trainer._requests(riders))
-        judged = {cand.fingerprint: out for (cand, _, _), out in zip(
-            riders, judge_replies(riders, trainer.train_set, results, trainer.replies))}
-        del backend.calls[:]
         losers = {fp: (cut, scores["f1"]) for fp, (scores, cut)
-                  in trainer._score(cands, 1, judged).items() if cut < n}
+                  in trainer._score(cands, 1).items() if cut < n}
 
-        first = first_rung(uncut_first(n), k, parallel, sent)
+        first = first_rung(uncut_first(n), k, parallel)
         [half] = {cut for cut, _ in losers.values()} - {first}
         assert first < half <= n // 2
         if parallel == 1:
             assert half == n // 2
-        live = [i for i, cand in enumerate(cands)
-                if losers.get(cand.fingerprint, (0,))[0] != first]
-        seen = [max(sent[i], first) for i in live]
-        cut = first_rung(n // 2, len(live), parallel, seen)
-        assert half == cut
-        rung2 = sum(max(0, half - s) for s in seen)
+        live = -(-k // 2)
+        assert half == first_rung(n // 2, live, parallel, first)
+        rung2 = live * (half - first)
         if half < n // 2:
-            owed = sum(n // 2 - s for s in seen)
+            owed = live * (n // 2 - first)
             assert -(-rung2 // parallel) <= max(1, owed // parallel)
-        finish = sum(n - max(sent[i], half) for i in live if cands[i].fingerprint not in losers)
-        batches = [sum(max(0, first - s) for s in sent), rung2, finish]
-        assert [len(call) for call in backend.calls] == [b for b in batches if b]
+        assert [len(call) for call in backend.calls] == [k * first, rung2, n - half]
 
-    @given(data=st.data(), n=st.integers(100, 4000), k=st.integers(3, 64),
-           parallel=st.integers(1, 4096))
+    @given(n=st.integers(100, 4000), k=st.integers(3, 64), parallel=st.integers(1, 4096))
     @settings(max_examples=300)
-    def test_half_rung_goes_past_the_first(self, data, n, k, parallel):
-        """The half-set rung's cut goes past the first rung's for k prompts
-        each sent up to the uncut first rung before the race, which bounds
-        what a rider is sent (see _riders), and for any ceil(k / 2) of them
-        still live after the first rung."""
-        uncut = uncut_first(n)
-        sent = data.draw(st.lists(st.integers(0, uncut), min_size=k, max_size=k))
-        first = first_rung(uncut, k, parallel, sent)
-        live = data.draw(st.permutations(range(k)))[:-(-k // 2)]
-        seen = [max(sent[i], first) for i in live]
-        assert first_rung(n // 2, len(live), parallel, seen) > first
+    def test_half_rung_goes_past_the_first(self, n, k, parallel):
+        """The half-set rung's cut goes past the first rung's for the
+        ceil(k / 2) of k prompts still live after the first rung."""
+        first = first_rung(uncut_first(n), k, parallel)
+        assert first_rung(n // 2, -(-k // 2), parallel, first) > first
 
-    @given(data=st.data(), k=st.integers(2, 8), n=st.integers(100, 400),
-           parallel=st.integers(1, 256))
+    @given(k=st.integers(2, 8), n=st.integers(100, 400), parallel=st.integers(1, 256))
     @settings(max_examples=60, deadline=None)
-    def test_one_prompt_finishes(self, data, k, n, parallel):
-        """Whatever the field, the set, the wave and the prefix each prompt
-        was sent as a rider: exactly one prompt finishes, the first ranked on
-        the last rung's prefix, ties going to the earlier prompt; every other
-        prompt is scored on a rung's cut; and no (prompt, example) request is
-        sent twice."""
+    def test_one_prompt_finishes(self, k, n, parallel):
+        """Whatever the field, the set and the wave: exactly one prompt
+        finishes, the first ranked on the last rung's prefix, ties going to
+        the earlier prompt; every other prompt is scored on a rung's cut;
+        and no (prompt, example) request is sent twice."""
         examples = cls_dataset(n)
         backend = Graded(examples, max_parallel=parallel)
         trainer = _Trainer(small_config(), examples, [], base_template(), backend)
         cands = [Candidate(prompt=make_prompt(
             ["Classify variant %d as A or B." % j, "", 'Return JSON: {"label": ""}'],
             editable=[True, True, False])) for j in range(k)]
-        sent = data.draw(st.lists(st.integers(0, uncut_first(n)), min_size=k, max_size=k))
-        riders = [(cand, 0, r) for cand, r in zip(cands, sent) if r]
-        results = backend.generate_batch(trainer._requests(riders))
-        judged = {cand.fingerprint: out for (cand, _, _), out in zip(
-            riders, judge_replies(riders, trainer.train_set, results, trainer.replies))}
-        by_fp = trainer._score(cands, 1, judged)
+        by_fp = trainer._score(cands, 1)
         records = [by_fp[cand.fingerprint] for cand in cands]
 
         cuts = [cut for _, cut in records]
         [winner] = [i for i, cut in enumerate(cuts) if cut == n]
         assert list(trainer.scored) == [cands[winner].fingerprint]
-        first = first_rung(uncut_first(n), k, parallel, sent)
+        first = first_rung(uncut_first(n), k, parallel)
         live = [i for i, cut in enumerate(cuts) if cut != first]
         assert len(live) == -(-k // 2)
         last = first
         if len(live) > 1:
-            last = first_rung(n // 2, len(live), parallel, [max(sent[i], first) for i in live])
+            last = first_rung(n // 2, len(live), parallel, first)
         assert set(cuts) - {n} <= {first, last}
         # the winner's objective on the last rung's prefix, against every
         # prompt raced out there

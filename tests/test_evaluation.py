@@ -899,10 +899,10 @@ class TestJudgementMemo:
     @given(ragged_segments())
     @settings(max_examples=200, deadline=None)
     def test_ragged_segments_in_one_batch_equal_each_segment_alone(self, drawn):
-        """Segments with their own start and stop, as riders send, judged in
-        one batch through a shared memo give what judging each segment in a
-        batch of its own through another shared memo gives: the same
-        predictions, judgements, memo, and parses."""
+        """Segments with their own start and stop, judged in one batch
+        through a shared memo, give what judging each segment in a batch of
+        its own through another shared memo gives: the same predictions,
+        judgements, memo, and parses."""
         examples, segments, replies = drawn
         task = examples[0].task
         backend = ByText(replies)
