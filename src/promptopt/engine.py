@@ -9,17 +9,18 @@ trips: one batch with every pair's operator requests in pair order, then the
 evaluation of the distinct edited prompts. Every scoring of a set of prompts,
 the initial pool's included, is a race when there are at least two of them
 and the training set has at least RACE_MIN_SET examples: successive halving
-(as in ProTeGi and APE) over three rungs, a first prefix of an eighth of
-the training set but at least RACE_MIN_PREFIX examples, so at most a
-quarter, a second of at most the first half, then the whole set, in at most
-three batches. The first rung keeps the better half of the field and the
-second its best prompt alone, so one prompt finishes, as the last round of
-successive halving (Jamieson and Talwalkar, 2016) ends with one arm. The
-first prefix is then cut back to the longest whose batch of the k prompts
-fills whole waves of the backend's max_parallel requests (see first_rung),
-which can take it below RACE_MIN_PREFIX, and the second is cut the same
-way for the prompts still live; so at max_parallel 1 they are the uncut
-first prefix and the first half. Otherwise one batch scores them on the
+(as in ProTeGi and APE) at eta = RACE_ETA = 3, as Hyperband runs it (Li et
+al., 2018), over three rungs, each eta times longer than the one before: a
+first prefix of n / 9 examples, but at least RACE_MIN_PREFIX, then n / 3,
+then the whole set, in at most three batches. The first rung keeps the best
+third of the field, rounded up, and the second its best prompt alone, so
+one prompt finishes, as the last round of successive halving (Jamieson and
+Talwalkar, 2016) ends with one arm. The first prefix is then cut back to
+the longest whose batch of the k prompts fills whole waves of the backend's
+max_parallel requests (see first_rung), which can take it below
+RACE_MIN_PREFIX, and the second is cut the same way for the prompts still
+live, always to past the first; so at max_parallel 1 they are the uncut
+first prefix and the first third. Otherwise one batch scores them on the
 whole set. An edit raced out never reaches the next iteration: the parents
 that merge and diff_evolution take are the pool's. Every evaluation request
 of an iteration goes out in its scoring, so every live prompt has been sent
@@ -109,42 +110,47 @@ log = logging.getLogger(__name__)
 
 CONVERGENCE_EPS = 1e-4
 CONVERGENCE_WINDOW = 3
-# racing: a training set of n >= RACE_MIN_SET examples races over the first
-# max(n // RACE_PREFIX_DIVISOR, RACE_MIN_PREFIX) examples, then the first
-# half, then the whole set: the field halves on the first rung, and only the
-# best prompt on the second goes on. So the uncut first rung is at most a
-# quarter of the set and shorter than the second. Each of the first two rungs
-# is then cut back to fill whole waves of the backend's max_parallel requests
-# for the prompts still live (see first_rung), and that cut can take the
-# first below RACE_MIN_PREFIX: 12 examples at n = 100, 5 prompts and 64
-# slots. A smaller set does not race: each scoring is one batch on the whole
-# set
-RACE_PREFIX_DIVISOR = 8
+# racing: successive halving at eta = RACE_ETA. A training set of n >=
+# RACE_MIN_SET examples races over the first max(n // RACE_ETA ** 2,
+# RACE_MIN_PREFIX) examples, then the first n // RACE_ETA, then the whole
+# set: each rung but the last keeps the best ceil(live / RACE_ETA) prompts,
+# and only the best prompt on the last one goes on. So the uncut first rung
+# is at most a quarter of the set and shorter than the second. Each of the
+# first two rungs is then cut back to fill whole waves of the backend's
+# max_parallel requests for the prompts still live (see first_rung), and that
+# cut can take the first below RACE_MIN_PREFIX: 12 examples at n = 100, 5
+# prompts and 64 slots. A smaller set does not race: each scoring is one
+# batch on the whole set. RACE_ETA is not a config key
+RACE_ETA = 3
 RACE_MIN_PREFIX = 25
 RACE_MIN_SET = 4 * RACE_MIN_PREFIX
 
 
 def first_rung(uncut: int, k: int, parallel: int, seen: int = 0) -> int:
     """A racing rung's prefix length for k live prompts, each already sent
-    its first `seen` examples. `uncut` is any rung's uncut prefix, as in
-    _Trainer.rungs.
+    its first `seen` examples, with seen < uncut. `uncut` is any rung's
+    uncut prefix, as in _Trainer.rungs.
 
     With nothing sent, it is F: the longest prefix of at most `uncut`
     examples whose batch of k * F requests fits in the whole waves of
     `parallel` requests that k * uncut fills, so no last wave goes out
     part-full; `uncut` itself when k * uncut is under one wave, and at
-    parallel 1. With examples sent, the requests still due, k * (F -
-    seen), are cut the same way: it is the longest prefix of at most F
-    whose unsent requests, k * (prefix - seen), fit in the whole waves (at
-    least one) that those due requests fill."""
+    parallel 1. With examples sent, F is `uncut` when that cut would not
+    go past `seen`, and the requests still due, k * (F - seen), are cut
+    the same way: it is the longest prefix of at most F whose unsent
+    requests, k * (prefix - seen), fit in the whole waves (at least one)
+    that those due requests fill, but at least seen + 1. So a rung always
+    goes past the one before it: seen < cut <= uncut."""
     if k * uncut < parallel:
         cut = uncut
     else:
         cut = k * uncut // parallel * parallel // k
     if not seen:
         return cut
+    if cut <= seen:
+        cut = uncut
     room = max(1, k * (cut - seen) // parallel) * parallel
-    return min(cut, seen + room // k)
+    return min(cut, seen + max(1, room // k))
 
 
 @dataclass
@@ -432,7 +438,7 @@ class _Trainer:
         n = len(self.train_set)
         # the rungs before they are cut to whole waves (see first_rung)
         self.rungs: tuple[int, ...] = (
-            (max(n // RACE_PREFIX_DIVISOR, RACE_MIN_PREFIX), n // 2) if n >= RACE_MIN_SET else ())
+            (max(n // RACE_ETA ** 2, RACE_MIN_PREFIX), n // RACE_ETA) if n >= RACE_MIN_SET else ())
         # each prompt that finished, by fingerprint, until it leaves the
         # pool: its report, its bad cases and its judgements of train_set,
         # in example order
@@ -497,12 +503,14 @@ class _Trainer:
         rungs, they race: at each rung every live candidate is sent the
         examples of the rung's prefix that it has not been sent, the same
         ones for each, and the live ones are ranked by objective on the
-        prefix, ties going to the earlier pair. On the first rung ceil(k /
-        2) of the k live ones go on; on the last only the first ranked
-        does, so at most one candidate finishes. Each rung is cut to whole
-        waves for the prompts still live and the examples already sent (see
-        first_rung). Once one is left it is finished on the rest of the set
-        in one batch. Otherwise one batch scores them on the whole set.
+        prefix, ties going to the earlier pair. Successive halving at eta =
+        RACE_ETA: on each rung but the last the best ceil(k / eta) of the k
+        live ones go on; on the last only the first ranked does, so at most
+        one candidate finishes. Each rung is cut to whole waves for the
+        prompts still live and the examples already sent, always past the
+        rung before it (see first_rung). Once one is left it is finished on
+        the rest of the set in one batch. Otherwise one batch scores them on
+        the whole set.
 
         Returns a record for every candidate, by fingerprint: (scores,
         scored_on). A candidate that finishes has its precision, recall and
@@ -521,7 +529,7 @@ class _Trainer:
             # each live candidate's examples from `sent` to `stop`, one batch
             nonlocal sent
             segments = [(cands[i], sent, stop) for i in live]
-            if segments:
+            if segments and stop > sent:
                 results = self.backend.generate_batch(self._requests(segments))
                 for i, (preds, judgs) in zip(live, judge_replies(
                         segments, self.train_set, results, self.replies)):
@@ -534,13 +542,13 @@ class _Trainer:
         for r, uncut in enumerate(self.rungs):
             if len(live) < 2:
                 break
-            # send the rung's prefix, then keep the better half of the field,
+            # send the rung's prefix, then keep the best third of the field,
             # or on the last rung its best prompt alone
             cut = first_rung(uncut, len(live), self.backend.max_parallel, sent)
             send(cut)
             objectives = {i: tallies[i].objective_value() for i in live}
             ranked = sorted(live, key=lambda i: (-objectives[i], i))
-            keep = 1 if r == len(self.rungs) - 1 else math.ceil(len(live) / 2)
+            keep = 1 if r == len(self.rungs) - 1 else math.ceil(len(live) / RACE_ETA)
             live = sorted(ranked[:keep])
             for i in ranked[len(live):]:
                 records[cands[i].fingerprint] = ({self.cfg.objective: objectives[i]}, cut)

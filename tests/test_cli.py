@@ -692,14 +692,14 @@ class TestReportAndExperience:
         assert main(["report", run_dir]) == 0
         out = json.loads(capsys.readouterr().out)
         doc = json.loads((workspace / run_dir / "report.json").read_text())
-        # the pool raced: 4 prompts on 25 examples, 2 on the next 25, 1 on 50
-        assert doc["init_eval_requests"] == out["init_eval_requests"] == 4 * 25 + 2 * 25 + 50
+        # the pool raced: 4 prompts on 25 examples, 2 on the next 8, 1 on 67
+        assert doc["init_eval_requests"] == out["init_eval_requests"] == 4 * 25 + 2 * 8 + 67
         first = doc["iterations"][0]["selections"]
         assert [(s["raced_out"], s["scored_on"]) for s in first] == [(False, 100), (True, 25)]
         for row in doc["iterations"]:
             for s in row["selections"]:
-                assert s["raced_out"] == (s["scored_on"] in (25, 50))
-                assert s["scored_on"] in (0, 25, 50, 100)
+                assert s["raced_out"] == (s["scored_on"] in (25, 33))
+                assert s["scored_on"] in (0, 25, 33, 100)
 
     def test_report_missing_dir(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "ghost")]) == 1

@@ -5,15 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from promptopt import operators as ops
 from promptopt.backend import GenerationResponse, MockBackend
 from promptopt.engine import (
+    RACE_ETA,
     RACE_MIN_PREFIX,
     RACE_MIN_SET,
-    RACE_PREFIX_DIVISOR,
     RunConfig,
     _contract_breach,
     config_from_dict,
@@ -764,32 +764,36 @@ def record_f1(record, cut):
 def uncut_first(n):
     """The first racing rung's prefix on n training examples before it is
     cut to whole waves."""
-    return max(n // RACE_PREFIX_DIVISOR, RACE_MIN_PREFIX)
+    return max(n // RACE_ETA ** 2, RACE_MIN_PREFIX)
 
 
-def half_rung(first, k, n, parallel):
-    """The half-set rung's prefix on n examples after a first rung of
-    `first`, for k live prompts, each sent the first rung: cut to whole
-    waves, which goes past the first rung."""
-    cut = first_rung(n // 2, k, parallel, first)
-    assert cut > first
+def second_rung(first, k, n, parallel):
+    """The second rung's prefix on n examples after a first rung of
+    `first`, for k live prompts, each sent the first rung: the first n //
+    RACE_ETA cut to whole waves, which goes past the first rung."""
+    cut = first_rung(n // RACE_ETA, k, parallel, first)
+    assert first < cut <= n // RACE_ETA
     return cut
 
 
 def first_rung_by_loop(uncut, k, parallel, seen):
     """engine.first_rung as a loop over the prompts, prompt i already sent
-    its first seen[i] examples: the wave cut of the uncut rung, then, with
-    examples sent, the longest prefix of at most that cut whose unsent
+    its first seen[i] examples: the wave cut of the uncut rung, or the uncut
+    rung when that cut would not go past every prompt's examples sent; then,
+    with examples sent, the longest prefix of at most that cut whose unsent
     requests fit in the whole waves (at least one) that the requests still
-    due fill. first_rung must agree with it when every count is the same."""
+    due fill, but at least one example past the most sent. first_rung must
+    agree with it when every count is the same."""
     if k * uncut < parallel:
         cut = uncut
     else:
         cut = k * uncut // parallel * parallel // k
     if not any(seen):
         return cut
+    if cut <= max(seen):
+        cut = uncut
     room = max(1, (k * cut - sum(seen)) // parallel) * parallel
-    while sum(max(0, cut - s) for s in seen) > room:
+    while cut > max(seen) + 1 and sum(max(0, cut - s) for s in seen) > room:
         cut -= 1
     return cut
 
@@ -797,16 +801,16 @@ def first_rung_by_loop(uncut, k, parallel, seen):
 def halving_batches(k, n, parallel=1):
     """(live prompts, start, stop) of each batch that successive halving
     sends for k distinct prompts on n training examples, `parallel`
-    requests to a wave, with nothing sent before: the better half of the
-    field goes on from the first rung, and the best prompt alone from the
-    second."""
+    requests to a wave, with nothing sent before: the best third of the
+    field, rounded up, goes on from the first rung, and the best prompt
+    alone from the second."""
     if k < 2 or n < RACE_MIN_SET:
         return [(k, 0, n)]
     q = first_rung(uncut_first(n), k, parallel)
-    k1 = -(-k // 2)
+    k1 = -(-k // RACE_ETA)
     if k1 == 1:
         return [(k, 0, q), (1, q, n)]
-    h = half_rung(q, k1, n, parallel)
+    h = second_rung(q, k1, n, parallel)
     return [(k, 0, q), (k1, q, h), (1, h, n)]
 
 
@@ -868,7 +872,7 @@ class TestRacing:
         return trainer, [cand.with_score(0, records[cand.fingerprint][0]) for cand in pool]
 
     # live prompts at each rung, then the prompt finished on the rest
-    RUNG_SIZES = {2: [2, 1], 3: [3, 2, 1], 4: [4, 2, 1], 5: [5, 3, 1]}
+    RUNG_SIZES = {2: [2, 1], 3: [3, 1], 4: [4, 2, 1], 5: [5, 2, 1]}
 
     @pytest.mark.parametrize("n", [100, 200])
     @pytest.mark.parametrize("pairs", [2, 3, 4, 5])
@@ -883,11 +887,11 @@ class TestRacing:
         data = cls_dataset(n)
         # the first two rungs are cut to whole waves of `parallel` requests
         first = first_rung(uncut_first(n), pairs, parallel)
-        rungs = (first, half_rung(first, -(-pairs // 2), n, parallel))
+        rungs = (first, second_rung(first, -(-pairs // RACE_ETA), n, parallel))
         backend = Graded(data, max_parallel=parallel)
         trainer, pool = self._trainer(tmp_path, data, backend, pairs,
                                       operators=("refine", "rewrite", "short_instruction"))
-        assert trainer.rungs == (uncut_first(n), n // 2) and RACE_MIN_PREFIX == 25
+        assert trainer.rungs == (uncut_first(n), n // 3) and RACE_MIN_PREFIX == 25
         [(base_skeleton, base_preds)] = eval_blocks(backend.calls[0], data)
         base_rungs = tuple(f1_of(data[:c], base_preds[:c]) for c in rungs)
         # a prompt scored alone keeps the judgements of its full pass, which
@@ -1012,12 +1016,12 @@ class TestRacing:
         assert len(refine_call) == 4 * 2  # beam_init per editable section
         assert all(OPERATOR_TARGET.search(text) for text, _ in refine_call)
         # four distinct variants on the first 25 examples, two on the next
-        # 25, one on the second half
-        assert [len(call) for call in pool_calls] == [100, 50, 50]
+        # 8, to the first third, one on the other 67
+        assert [len(call) for call in pool_calls] == [100, 16, 67]
         first, _, last = [eval_blocks(call, examples) for call, examples in
-                          zip(pool_calls, [data[:25], data[25:50], data[50:]])]
+                          zip(pool_calls, [data[:25], data[25:33], data[33:]])]
         assert len({skeleton for skeleton, _ in first}) == 4
-        assert report.init_eval_requests == halving_requests(4, 100) == 200
+        assert report.init_eval_requests == halving_requests(4, 100) == 183
         # only the finished prompt enters the pool
         [(finished, _)] = last
         [[cand]] = pools
@@ -1060,10 +1064,10 @@ class TestRacing:
         assert row["eval_requests"] == 2 * k + (len(data) - k)
 
     def test_five_prompts_on_400_examples(self, tmp_path):
-        """Five prompts on 400 examples, whose uncut first rung is 50, at 64
-        requests to a wave: the first rung of 38 takes 3 waves, the three
-        prompts left are sent 3 * 149 requests, seven whole waves, on the
-        half-set rung, and the best of them alone finishes on the other 213
+        """Five prompts on 400 examples, whose uncut rungs are 44 and 133, at
+        64 requests to a wave: the first rung of 38 takes 3 waves, the two
+        prompts left are sent 2 * 64 requests, two whole waves, on the
+        second rung, and the better of them alone finishes on the other 298
         examples."""
         data = cls_dataset(400)
         trainer, backend, _ = mixed_trainer(tmp_path, data, 64)
@@ -1072,10 +1076,10 @@ class TestRacing:
             editable=[True, True, False])) for j in range(5)]
         del backend.calls[:]
         trainer._score(cands, 1)
-        assert [len(call) for call in backend.calls] == [190, 447, 213]
-        assert first_rung(50, 5, 64) == 38
-        assert half_rung(38, 3, 400, 64) == 38 + 149
-        assert sum(-(-len(call) // 64) for call in backend.calls) == 14
+        assert [len(call) for call in backend.calls] == [190, 128, 298]
+        assert first_rung(44, 5, 64) == 38
+        assert second_rung(38, 2, 400, 64) == 38 + 64
+        assert sum(-(-len(call) // 64) for call in backend.calls) == 10
 
 
 class Revoked(LastLine):
@@ -1124,7 +1128,7 @@ def batch_kinds(batches, train_set, test_set):
             kinds.append(("test", b, 0))
         else:
             stop = 1 + max(where[inp] for inp in inputs)
-            kinds.append(("rung 1" if stop <= uncut_first(n) else "rung 2" if stop <= n // 2
+            kinds.append(("rung 1" if stop <= uncut_first(n) else "rung 2" if stop <= n // 3
                           else "whole set", b, 0))
     return kinds
 
@@ -1191,20 +1195,20 @@ class Planted(MockBackend):
 
 
 class TestSiblings:
-    """At max_parallel > 1 the half-set rung is cut to whole waves. An edit
+    """At max_parallel > 1 the second rung is cut to whole waves. An edit
     any rung races out, on a cut rung or not, and whether or not it is worse
     than the base there, never reaches an operator context: the parents that
     merge and diff_evolution take are exactly the pool."""
 
-    @pytest.mark.parametrize("parallel, qualities, half, not_worse_on_cut_rung", [
+    @pytest.mark.parametrize("parallel, qualities, second, not_worse_on_cut_rung", [
         # 4 edits: two lose on the first rung of 16, one of them (60) as
-        # good as the base there; 75 loses to 90 on the half-set rung
-        (64, [90, 75, 60, 30], 80, True),
-        (64, [90, 50, 40, 30], 80, False),  # 50 is worse than the base
-        (1, [90, 75, 60, 30], 100, False),  # rungs of 25 and 100: nothing cut
+        # good as the base there; 75 loses to 90 on the second rung of 48
+        (64, [90, 75, 60, 30], 48, True),
+        (64, [90, 50, 40, 30], 48, False),  # 50 is worse than the base
+        (1, [90, 75, 60, 30], 66, False),  # rungs of 25 and 66: nothing cut
     ])
-    def test_edits_raced_out_on_the_half_set_rung(self, tmp_path, monkeypatch, parallel,
-                                                  qualities, half, not_worse_on_cut_rung):
+    def test_edits_raced_out_on_the_second_rung(self, tmp_path, monkeypatch, parallel,
+                                                qualities, second, not_worse_on_cut_rung):
         data = cls_dataset(200)
         contexts = {}
         context = _Trainer._context
@@ -1222,23 +1226,27 @@ class TestSiblings:
         run_dir = tmp_path / "run"
         best, report, _ = train(cfg, data, [], base_template(), backend, run_dir=run_dir)
         first = first_rung(25, 4, parallel)
-        # the init scoring, then iteration 1: operators, 3 rungs, the finish
-        assert backend.calls[1:5] == [4, 4 * first, 2 * (half - first), 200 - half]
+        assert second == second_rung(first, 2, 200, parallel)
+        # the init scoring, then iteration 1: operators, 2 rungs, the finish
+        assert backend.calls[1:5] == [4, 4 * first, 2 * (second - first), 200 - second]
         assert best.prompt.section_by_id("s0").body == "quality 90" or \
             best.prompt.section_by_id("s1").body == "quality 90"
 
         def accuracy(quality, cut):
-            return sum((i * 73 % 200 + 0.5) / 200 < quality / 100 for i in range(cut)) / cut
+            # the f1 on data[:cut] of Planted's replies at that quality
+            right = [(i * 73 % 200 + 0.5) / 200 < quality / 100 for i in range(cut)]
+            return f1_of(data[:cut], [ex.gold if ok else "AB".replace(ex.gold, "")
+                                      for ex, ok in zip(data, right)])
 
         selections = report.iterations[0]["selections"]
         assert [(s["raced_out"], s["scored_on"]) for s in selections] == [
-            (False, 200), (True, half), (True, first), (True, first)]
+            (False, 200), (True, second), (True, first), (True, first)]
         gradients = [s["gradient"] for s in selections]
-        assert gradients[1] == accuracy(qualities[1], half) - accuracy(60, half)
+        assert gradients[1] == accuracy(qualities[1], second) - accuracy(60, second)
         assert gradients[2] == accuracy(qualities[2], first) - accuracy(60, first)
         assert (gradients[1] >= 0) == (qualities[1] >= 60)
         assert (gradients[2] == 0) == (qualities[2] == 60)
-        assert (gradients[1] >= 0 and half < 100) == not_worse_on_cut_rung
+        assert (gradients[1] >= 0 and second < 200 // 3) == not_worse_on_cut_rung
 
         # every operator context of every iteration takes its parents from
         # the pool alone, and no context holds a raced-out edit
@@ -1274,25 +1282,27 @@ class TestScoreProperties:
     @given(data=st.data(), k=st.integers(1, 12), uncut=st.integers(RACE_MIN_PREFIX, 400),
            parallel=st.sampled_from([1, 2, 7, 16, 64, 100]))
     def test_first_rung_after_requests_were_sent(self, data, k, uncut, parallel):
-        seen = data.draw(st.integers(0, uncut))
+        seen = data.draw(st.integers(0, uncut - 1))
         full = first_rung(uncut, k, parallel)
         cut = first_rung(uncut, k, parallel, seen)
-        assert 0 <= cut <= full
         if not seen:
             assert cut == full
             return
+        # the wave cut, or the uncut rung when that cut is not past `seen`
+        top = full if full > seen else uncut
+        assert seen < cut <= top
 
         def unsent(c):
             return k * max(0, c - seen)
 
         # brute force: the longest prefix whose unsent requests fit in the
-        # whole waves (at least one) that the requests still due fill
-        waves = max(1, k * (full - seen) // parallel)
-        assert cut == max(c for c in range(full + 1) if unsent(c) <= waves * parallel)
-        assert unsent(cut) <= waves * parallel
-        assert cut == full or unsent(cut + 1) > waves * parallel
-        if k <= parallel:
-            assert cut >= 1
+        # whole waves (at least one) that the requests still due fill, but
+        # one example past `seen` when not even one fits
+        waves = max(1, k * (top - seen) // parallel)
+        fits = max(c for c in range(top + 1) if unsent(c) <= waves * parallel)
+        assert cut == max(fits, seen + 1)
+        assert unsent(cut) <= max(k, waves * parallel)
+        assert cut == top or unsent(cut + 1) > waves * parallel
 
     @given(k=st.integers(1, 12), uncut=st.integers(RACE_MIN_PREFIX, 400),
            parallel=st.integers(1, 128))
@@ -1312,7 +1322,7 @@ class TestScoreProperties:
     @settings(max_examples=200, deadline=None)
     def test_uncut_rungs(self, n):
         """From 100 training examples on, the rungs before any wave cut are
-        an eighth of the set but at least 25 examples, then the first half:
+        a ninth of the set but at least 25 examples, then the first third:
         the first is at most a quarter and shorter than the second. A
         smaller set does not race."""
         data = cls_dataset(n)
@@ -1321,7 +1331,7 @@ class TestScoreProperties:
             assert trainer.rungs == ()
             return
         first, second = trainer.rungs
-        assert (first, second) == (max(n // 8, 25), n // 2)
+        assert (first, second) == (max(n // 9, 25), n // 3)
         assert first <= n // 4 and first < second
 
     def test_wave_cut_goes_below_the_min_prefix(self):
@@ -1339,19 +1349,20 @@ class TestScoreProperties:
         assert first_rung(trainer.rungs[0], 5, 64) == 12
         records = trainer._score(cands, 0)
         assert len(backend.calls[0]) == 5 * 12
-        # two raced out on the first rung's cut, two on the half-set rung's
-        # cut (3 * 33 - 36 requests, one wave), and one finished
-        assert sorted(cut for _, cut in records.values()) == [12, 12, 33, 33, 100]
+        # three raced out on the first rung's cut, one on the second rung's
+        # cut (2 * (32 - 12) requests, one wave), and one finished
+        assert sorted(cut for _, cut in records.values()) == [12, 12, 12, 32, 100]
 
     @given(k=st.integers(3, 8), n=st.sampled_from([100, 150, 200, 401]),
            parallel=st.sampled_from([1, 2, 7, 16, 64]))
     @settings(max_examples=40, deadline=None)
     def test_half_rung_fills_whole_waves(self, k, n, parallel):
-        """The half-set rung's prefix, for the ceil(k / 2) prompts left after
-        the first rung: longer than the first rung, at most n // 2, exactly
-        n // 2 at parallel 1, and when cut, its batch fits in the whole
-        waves that the live prompts' requests still owed to the first half
-        fill."""
+        """The second rung's prefix, for the ceil(k / 3) prompts left after
+        the first rung: longer than the first rung, at most n // 3, exactly
+        n // 3 at parallel 1, and when cut, its batch fits in the whole
+        waves that the live prompts' requests still owed to the first third
+        fill. Three prompts leave one, which finishes without a second
+        rung."""
         examples = cls_dataset(n)
         backend = Graded(examples, max_parallel=parallel)
         trainer = _Trainer(small_config(), examples, [], base_template(), backend)
@@ -1362,25 +1373,53 @@ class TestScoreProperties:
                   in trainer._score(cands, 1).items() if cut < n}
 
         first = first_rung(uncut_first(n), k, parallel)
-        [half] = {cut for cut, _ in losers.values()} - {first}
-        assert first < half <= n // 2
+        live = -(-k // RACE_ETA)
+        if live == 1:
+            assert set(cut for cut, _ in losers.values()) == {first}
+            assert [len(call) for call in backend.calls] == [k * first, n - first]
+            return
+        [second] = {cut for cut, _ in losers.values()} - {first}
+        assert first < second <= n // 3
         if parallel == 1:
-            assert half == n // 2
-        live = -(-k // 2)
-        assert half == first_rung(n // 2, live, parallel, first)
-        rung2 = live * (half - first)
-        if half < n // 2:
-            owed = live * (n // 2 - first)
+            assert second == n // 3
+        assert second == first_rung(n // 3, live, parallel, first)
+        rung2 = live * (second - first)
+        if second < n // 3:
+            owed = live * (n // 3 - first)
             assert -(-rung2 // parallel) <= max(1, owed // parallel)
-        assert [len(call) for call in backend.calls] == [k * first, rung2, n - half]
+        assert [len(call) for call in backend.calls] == [k * first, rung2, n - second]
 
-    @given(n=st.integers(100, 4000), k=st.integers(3, 64), parallel=st.integers(1, 4096))
-    @settings(max_examples=300)
-    def test_half_rung_goes_past_the_first(self, n, k, parallel):
-        """The half-set rung's cut goes past the first rung's for the
-        ceil(k / 2) of k prompts still live after the first rung."""
+    @given(n=st.integers(100, 4000), k=st.integers(2, 64), parallel=st.integers(1, 4096))
+    @example(n=100, k=5, parallel=34)  # the second rung's wave cut, 17, is behind 20
+    @example(n=100, k=4, parallel=23)  # and here it is at 23, the first rung's cut
+    @settings(max_examples=1000)
+    def test_each_rung_goes_past_the_one_before(self, n, k, parallel):
+        """For the ceil(k / 3) of k prompts still live after the first rung,
+        the second rung's cut goes past the first rung's and stays within
+        its uncut prefix, wherever the wave cut of that prefix falls."""
         first = first_rung(uncut_first(n), k, parallel)
-        assert first_rung(n // 2, -(-k // 2), parallel, first) > first
+        assert 1 <= first <= uncut_first(n)
+        assert first < first_rung(n // 3, -(-k // RACE_ETA), parallel, first) <= n // 3
+
+    def test_second_rung_behind_the_first_races_uncut(self):
+        """On 100 examples at 34 requests to a wave, 5 prompts race on a
+        first rung of 20, and the wave cut of the second rung's 33 for the
+        2 left is 17, behind it: the second rung goes out uncut, 2 * 13
+        requests, so no judgement is sent or added twice."""
+        data = cls_dataset(100)
+        backend = Graded(data, max_parallel=34)
+        trainer = _Trainer(small_config(), data, [], base_template(), backend)
+        cands = [Candidate(prompt=make_prompt(
+            ["Classify variant %d as A or B." % j, "", 'Return JSON: {"label": ""}'],
+            editable=[True, True, False])) for j in range(5)]
+        assert first_rung(33, 2, 34) == 17
+        records = trainer._score(cands, 0)
+        assert [len(call) for call in backend.calls] == [100, 26, 67]
+        assert sorted(cut for _, cut in records.values()) == [20, 20, 20, 33, 100]
+        texts = [text for call in backend.calls for text, _ in call]
+        assert len(set(texts)) == len(texts) == trainer.eval_requests
+        [(_, _, judgements)] = trainer.scored.values()
+        assert len(judgements) == len(data)
 
     @given(k=st.integers(2, 8), n=st.integers(100, 400), parallel=st.integers(1, 256))
     @settings(max_examples=60, deadline=None)
@@ -1403,10 +1442,10 @@ class TestScoreProperties:
         assert list(trainer.scored) == [cands[winner].fingerprint]
         first = first_rung(uncut_first(n), k, parallel)
         live = [i for i, cut in enumerate(cuts) if cut != first]
-        assert len(live) == -(-k // 2)
+        assert len(live) == -(-k // RACE_ETA)
         last = first
         if len(live) > 1:
-            last = first_rung(n // 2, len(live), parallel, first)
+            last = first_rung(n // 3, len(live), parallel, first)
         assert set(cuts) - {n} <= {first, last}
         # the winner's objective on the last rung's prefix, against every
         # prompt raced out there

@@ -1,11 +1,11 @@
 """The race, pinned run by run: the requests, latency units, tokens, round
-trips, test F1, true prompt quality and request digest (see
-tools/race_numbers.py) of training runs of every benchmark workload:
-cls_rl_latency at workload seeds 101-102, at 64 and at 8 slots;
-ner_msgd_cpu at seed 9001 at 64 slots; mrc_http at seed 9001 at 64 and at 2
-slots. A change to what any workload sends, such
-as a rung cut or the order of a batch, fails here; a change that means to
-move these numbers updates the rows and says why.
+trips, test F1, true prompt quality, returned prompt's length in tokens and
+request digest (see tools/race_numbers.py) of training runs of every
+benchmark workload: cls_rl_latency at workload seeds 101-102, at 64 and at
+8 slots; ner_msgd_cpu at seed 9001 at 64 slots; mrc_http at seed 9001 at 64
+and at 2 slots. A change to what any workload sends, such as a rung cut or
+the order of a batch, fails here; a change that means to move these numbers
+updates the rows and says why.
 
 The quality per request is pinned too: cls_rl_latency at seeds 101-102 and
 64 slots, in 12-iteration runs read at 2000 to 5000 training requests,
@@ -20,72 +20,76 @@ TOOLS = Path(__file__).resolve().parents[1] / "tools"
 # (training seed, requests, units, test F1, true p, sha256[:16])
 ROWS = {
     64: [
-        (404, 2030, 39, 0.69036, 0.68, "b98d480337946a88"),
-        (405, 2202, 41, 0.69036, 0.68, "13dc103744a85241"),
-        (406, 2135, 40, 0.69036, 0.68, "e5fc12d4664430b7"),
-        (407, 2143, 40, 0.68020, 0.67, "2f90ea6c3ac2b9d4"),
-        (408, 1755, 33, 0.62944, 0.62, "37203b08caa78fb1"),
-        (409, 2002, 38, 0.70051, 0.69, "31432b386f512a5e"),
-        (410, 2031, 39, 0.67005, 0.66, "07252f03004e0345"),
-        (411, 1915, 37, 0.71066, 0.70, "23b9a10c2735c80e"),
+        (404, 1739, 37, 0.71066, 0.70, "7fc76da820352b84"),
+        (405, 1744, 36, 0.67005, 0.66, "a0cf4cfbe799807a"),
+        (406, 1783, 37, 0.65990, 0.65, "354b840eb2b3544a"),
+        (407, 1826, 38, 0.68020, 0.67, "c8c4dd29aa2665a8"),
+        (408, 1499, 31, 0.62944, 0.62, "bf1646d4c41d44e4"),
+        (409, 1749, 36, 0.70051, 0.69, "147014e4104ad154"),
+        (410, 1825, 38, 0.65990, 0.65, "423419233067a831"),
+        (411, 1761, 37, 0.71066, 0.70, "b687cbf499e208bd"),
     ],
     8: [
-        (404, 2360, 299, 0.67005, 0.66, "44e95cc1064d9ae5"),
-        (405, 2484, 315, 0.69036, 0.68, "ec44f173160842e1"),
-        (406, 2395, 304, 0.69036, 0.68, "aeb264257eb63e4a"),
-        (407, 2415, 307, 0.68020, 0.67, "33e5d6246469cc96"),
-        (408, 1945, 248, 0.62944, 0.62, "a9b92a26fdd4bfd0"),
-        (409, 2175, 277, 0.68020, 0.67, "1d7acb800006b98e"),
-        (410, 2405, 305, 0.67005, 0.66, "6eeef522004fece8"),
-        (411, 2101, 269, 0.71066, 0.70, "490572c3ae61e820"),
+        (404, 1947, 247, 0.69036, 0.68, "9305a1e1e64675c7"),
+        (405, 1956, 248, 0.67005, 0.66, "21017b23047f8898"),
+        (406, 2024, 256, 0.65990, 0.65, "d49e7b02a8938ec6"),
+        (407, 2063, 261, 0.68020, 0.67, "8a9c359534c4f67c"),
+        (408, 1657, 210, 0.62944, 0.62, "087de10b425a69ec"),
+        (409, 1912, 242, 0.68020, 0.67, "a93c62166749cbf5"),
+        (410, 1940, 245, 0.65990, 0.65, "1131eade35239aec"),
+        (411, 1947, 247, 0.71066, 0.70, "8e08af5c07de17bf"),
     ],
 }
 
 # the other workloads at seed 9001, one run each, by (workload, slots)
 SEED_9001_ROWS = {
     ("ner_msgd_cpu", 64): [(9001, 11972, 194, 0.66599, 0.61, "4b59d783e09bc5ef")],
-    ("mrc_http", 64): [(9001, 530, 13, 0.8, 0.57, "7c1a5241d35e7549")],
-    ("mrc_http", 2): [(9001, 646, 324, 0.8, 0.57, "2e3a65ee57901ff7")],
+    ("mrc_http", 64): [(9001, 486, 13, 0.8, 0.57, "40b7b77541404e5c")],
+    ("mrc_http", 2): [(9001, 560, 282, 0.8, 0.57, "5d56bfff2b910322")],
 }
 
-# (training seed, tokens, round trips) of each run above, by (workload, slots)
+# (training seed, tokens, round trips, the returned prompt's length in
+# tokens) of each run above, by (workload, slots)
 COSTS = {
-    ("cls_rl_latency", 64): [(404, 417961, 23), (405, 506441, 25), (406, 486402, 25),
-                             (407, 454902, 25), (408, 354103, 21), (409, 437752, 25),
-                             (410, 444704, 23), (411, 476228, 24)],
-    ("cls_rl_latency", 8): [(404, 477487, 23), (405, 571866, 25), (406, 548238, 25),
-                            (407, 512693, 25), (408, 395594, 21), (409, 442901, 24),
-                            (410, 507660, 25), (411, 522445, 24)],
-    ("ner_msgd_cpu", 64): [(9001, 4233527, 20)],
-    ("mrc_http", 64): [(9001, 92887, 10)],
-    ("mrc_http", 2): [(9001, 113156, 10)],
+    ("cls_rl_latency", 64): [(404, 388664, 23, 236), (405, 375246, 23, 190),
+                             (406, 354399, 24, 163), (407, 384233, 25, 199),
+                             (408, 293147, 20, 147), (409, 381728, 23, 212),
+                             (410, 360066, 25, 163), (411, 441561, 24, 236)],
+    ("cls_rl_latency", 8): [(404, 425689, 23, 202), (405, 420463, 23, 190),
+                            (406, 403914, 24, 163), (407, 435042, 25, 199),
+                            (408, 327257, 20, 147), (409, 386950, 23, 178),
+                            (410, 379388, 23, 163), (411, 488443, 24, 236)],
+    ("ner_msgd_cpu", 64): [(9001, 4233527, 20, 131)],
+    ("mrc_http", 64): [(9001, 84988, 10, 76)],
+    ("mrc_http", 2): [(9001, 98082, 10, 76)],
 }
 
 BUDGETS = (2000, 3000, 4000, 5000)
 
 # 12-iteration cls_rl_latency runs at 64 slots, by share of noisy evaluation
 # requests: (training seed, requests, units, tokens, round trips, true p, the
-# true p within each of BUDGETS training requests, sha256[:16])
+# returned prompt's length in tokens, the true p within each of BUDGETS
+# training requests, sha256[:16])
 BUDGET_ROWS = {
     0.0: [
-        (404, 4176, 81, 1031312, 49, 0.78, (0.68, 0.71, 0.77, 0.78), "b641f787742dbea1"),
-        (405, 4458, 84, 1218725, 53, 0.77, (0.67, 0.72, 0.75, 0.77), "dcd0cf9e66b125cc"),
-        (406, 4460, 84, 1209043, 53, 0.75, (0.67, 0.70, 0.73, 0.75), "fa87b3c9cf7b0c81"),
-        (407, 4351, 82, 1059451, 53, 0.74, (0.66, 0.70, 0.73, 0.74), "3e1c41c613a32303"),
-        (408, 1755, 33, 354103, 21, 0.62, (0.62, 0.62, 0.62, 0.62), "37203b08caa78fb1"),
-        (409, 4251, 81, 1112985, 52, 0.78, (0.69, 0.71, 0.76, 0.78), "24edfc0a52a3a1a8"),
-        (410, 4439, 84, 1225801, 51, 0.75, (0.66, 0.69, 0.73, 0.75), "c4a463f71fba9c77"),
-        (411, 4140, 80, 1234827, 50, 0.79, (0.70, 0.75, 0.78, 0.79), "156a148e3fd3265c"),
+        (404, 3544, 76, 1013359, 47, 0.79, 311, (0.71, 0.77, 0.79, 0.79), "53459fa1adc49e13"),
+        (405, 3699, 77, 897477, 50, 0.72, 230, (0.66, 0.68, 0.72, 0.72), "bc28bf7d10a75a41"),
+        (406, 3667, 77, 872853, 50, 0.73, 233, (0.68, 0.71, 0.73, 0.73), "e74ea9d50570f298"),
+        (407, 3687, 77, 907540, 50, 0.73, 230, (0.67, 0.71, 0.73, 0.73), "28bd43ca462ebf3a"),
+        (408, 1499, 31, 293147, 20, 0.62, 147, (0.62, 0.62, 0.62, 0.62), "bf1646d4c41d44e4"),
+        (409, 3641, 76, 924495, 49, 0.76, 255, (0.70, 0.74, 0.76, 0.76), "abbee4da04ac1914"),
+        (410, 3759, 79, 850154, 52, 0.70, 227, (0.65, 0.68, 0.70, 0.70), "2e2720293ae6594c"),
+        (411, 3675, 77, 1069054, 50, 0.79, 317, (0.71, 0.74, 0.79, 0.79), "7282f6c59530a71e"),
     ],
     0.5: [
-        (404, 1334, 26, 272623, 15, 0.60, (0.60, 0.60, 0.60, 0.60), "fbfc5e847c08d50c"),
-        (405, 1510, 28, 296240, 17, 0.61, (0.61, 0.61, 0.61, 0.61), "7f2a9563ec575dbb"),
-        (406, 1825, 34, 372353, 21, 0.61, (0.61, 0.61, 0.61, 0.61), "f68cf89b8c9b1eb6"),
-        (407, 3086, 58, 628831, 37, 0.64, (0.63, 0.64, 0.64, 0.64), "ef729d780e4b15fa"),
-        (408, 1815, 34, 513602, 21, 0.61, (0.61, 0.61, 0.61, 0.61), "004238ccf397439e"),
-        (409, 3405, 63, 693434, 40, 0.64, (0.63, 0.64, 0.64, 0.64), "93bb19ed481505a4"),
-        (410, 3148, 59, 646134, 37, 0.64, (0.63, 0.64, 0.64, 0.64), "966b01690e9f64c1"),
-        (411, 2139, 40, 493635, 25, 0.65, (0.65, 0.65, 0.65, 0.65), "ebdf3f940e397ed5"),
+        (404, 1174, 25, 236222, 15, 0.60, 134, (0.60, 0.60, 0.60, 0.60), "4b69c0771766d278"),
+        (405, 1197, 25, 245998, 16, 0.61, 139, (0.61, 0.61, 0.61, 0.61), "6662356b593a46bb"),
+        (406, 1505, 31, 290260, 20, 0.61, 142, (0.61, 0.61, 0.61, 0.61), "0b635a4db44808a2"),
+        (407, 1256, 26, 250032, 17, 0.60, 134, (0.60, 0.60, 0.60, 0.60), "80929983ea2f59a9"),
+        (408, 1495, 31, 412305, 20, 0.61, 238, (0.61, 0.61, 0.61, 0.61), "47eb175b4067d80b"),
+        (409, 1824, 38, 377552, 25, 0.63, 152, (0.63, 0.63, 0.63, 0.63), "a04d66b6fdb25b15"),
+        (410, 2641, 55, 556820, 36, 0.64, 158, (0.64, 0.64, 0.64, 0.64), "c2e34a83cf9d857b"),
+        (411, 2463, 51, 569211, 32, 0.66, 193, (0.66, 0.66, 0.66, 0.66), "cdc7d49a39ad359a"),
     ],
 }
 
@@ -95,7 +99,8 @@ def pinned(monkeypatch, workload, seeds, slots):
     from race_numbers import race_numbers
 
     rows = race_numbers(workload, seeds, slots)
-    assert [(r.seed, r.tokens, r.round_trips) for r in rows] == COSTS[workload, slots]
+    assert [(r.seed, r.tokens, r.round_trips, r.prompt_len) for r in rows] == \
+        COSTS[workload, slots]
     return [(r.seed, r.requests, r.units, round(r.test_f1, 5), round(r.true_p, 4),
              r.sha256[:16]) for r in rows]
 
@@ -118,7 +123,7 @@ def test_quality_per_request(monkeypatch, noise):
     rows = race_numbers("cls_rl_latency", [101, 102], 64, iterations=12, budgets=BUDGETS,
                         noise=noise)
     assert [(r.seed, r.requests, r.units, r.tokens, r.round_trips, round(r.true_p, 4),
-             tuple(round(p, 4) for p in r.curve), r.sha256[:16])
+             r.prompt_len, tuple(round(p, 4) for p in r.curve), r.sha256[:16])
             for r in rows] == BUDGET_ROWS[noise]
 
 

@@ -74,6 +74,7 @@ def test_prints_the_table(race_pairs, tmp_path, capsys):
 @pytest.mark.parametrize("setting, value", [
     ("workload", "mrc_http"), ("seeds", [101, 102]), ("slots", [64]), ("iterations", None),
     ("noise", 0.5), ("budgets", [3000]),
+    ("columns", ["requests"]),  # a file from a race_numbers.py with other columns
 ])
 def test_files_at_other_settings_are_refused(race_pairs, tmp_path, capsys, setting, value):
     other = dict(CHANGE, **{setting: value})

@@ -1,7 +1,7 @@
 """What racing costs and what it finds, run by run: in-process training runs
 of a benchmark workload, each with its requests, latency units, tokens,
-round trips, test F1, true prompt quality and a digest of every request it
-sent.
+round trips, test F1, true prompt quality, the returned prompt's length and
+a digest of every request it sent.
 
 Each run drives the training loop of `promptopt.engine` (its trainer,
 subclassed as `Marking` to record the budget curve) on one of perfbench's
@@ -12,9 +12,10 @@ of b requests costs ceil(b / slots). A round trip is one generate_batch
 call, whatever its size; round trips run one after another. Tokens are the
 prompt and completion tokens of every reply. True p is
 `oracle.accuracy_level` of the returned prompt, the quality the oracle
-planted in it. The digest is a sha256 over the content hash of each
-request, in the order sent, so two runs that send the same requests have
-the same digest.
+planted in it. Its length is `count_tokens` of its text rendered with an
+empty input, the tokens it adds to every request it is sent in. The digest
+is a sha256 over the content hash of each request, in the order sent, so
+two runs that send the same requests have the same digest.
 
     PYTHONPATH=src python tools/race_numbers.py --seeds 101-110 --slots 64 8
 
@@ -83,6 +84,7 @@ class Row(NamedTuple):
     round_trips: int  # generate_batch calls
     test_f1: float
     true_p: float
+    prompt_len: int  # the returned prompt's length in tokens (see prompt_len)
     sha256: str
     # the true p reached within each budget of training requests (see Marking)
     curve: tuple = ()
@@ -185,6 +187,11 @@ def true_p(prompt) -> float:
     return accuracy_level(text[:start] + text[start + len(INPUT_OPEN):])
 
 
+def prompt_len(prompt) -> int:
+    """The length in tokens of `prompt` rendered with an empty input."""
+    return count_tokens(render(prompt, ""))
+
+
 def race_numbers(workload: str, seeds: Sequence[int], slots: int,
                  iterations: Optional[int] = None, budgets: Sequence[int] = (),
                  noise: float = 0.0) -> list[Row]:
@@ -205,7 +212,8 @@ def race_numbers(workload: str, seeds: Sequence[int], slots: int,
                 rows.append(Row(cfg.seed, backend.usage.requests, counting.units,
                                 backend.usage.total_tokens, counting.round_trips,
                                 report.final_test_objective, true_p(best.prompt),
-                                counting.digest.hexdigest(), trainer.curve(budgets)))
+                                prompt_len(best.prompt), counting.digest.hexdigest(),
+                                trainer.curve(budgets)))
     return rows
 
 
@@ -218,7 +226,8 @@ def columns(rows: Sequence[Row], budgets: Sequence[int]) -> dict[str, list]:
     """Each numeric column of `rows` by name, the true p within each budget
     B as p@B."""
     out = {name: [getattr(r, name) for r in rows]
-           for name in ("requests", "units", "tokens", "round_trips", "test_f1", "true_p")}
+           for name in ("requests", "units", "tokens", "round_trips", "test_f1", "true_p",
+                        "prompt_len")}
     for i, b in enumerate(budgets):
         out["p@%d" % b] = [r.curve[i] for r in rows]
     return out
@@ -240,9 +249,9 @@ def main(argv=None) -> int:
                         help="also write the settings, every row and the means and SEs here")
     args = parser.parse_args(argv)
     budgets = "".join(" %7s" % ("p@%d" % b) for b in args.budgets)
-    print("%-6s %5s %8s %6s %9s %5s %8s %7s%s  %s" % (
-        "seed", "slots", "requests", "units", "tokens", "trips", "test_f1", "true_p", budgets,
-        "sha256"))
+    print("%-6s %5s %8s %6s %9s %5s %8s %7s %6s%s  %s" % (
+        "seed", "slots", "requests", "units", "tokens", "trips", "test_f1", "true_p", "length",
+        budgets, "sha256"))
     doc = {"workload": args.workload, "seeds": args.seeds, "slots": args.slots,
            "iterations": args.iterations, "noise": args.noise, "budgets": args.budgets,
            "columns": list(columns([], args.budgets)), "rows": [], "summary": []}
@@ -251,9 +260,9 @@ def main(argv=None) -> int:
         rows = race_numbers(args.workload, args.seeds, slots, args.iterations, args.budgets,
                             args.noise)
         for row in rows:
-            print(("%-6d %5d %8d %6d %9d %5d %8.5f %7.4f" + curve + "  %s") % (
+            print(("%-6d %5d %8d %6d %9d %5d %8.5f %7.4f %6d" + curve + "  %s") % (
                 row.seed, slots, row.requests, row.units, row.tokens, row.round_trips,
-                row.test_f1, row.true_p, *row.curve, row.sha256[:16]))
+                row.test_f1, row.true_p, row.prompt_len, *row.curve, row.sha256[:16]))
         table = columns(rows, args.budgets)
         for i, row in enumerate(rows):
             doc["rows"].append({"seed": row.seed, "slots": slots,
@@ -262,7 +271,7 @@ def main(argv=None) -> int:
         means = {name: statistics.fmean(values) for name, values in table.items()}
         ses = {name: se(values) for name, values in table.items()}
         doc["summary"].append({"slots": slots, "runs": len(rows), "mean": means, "se": ses})
-        line = "%-6s %5d %8.3f %6.3f %9.1f %5.2f %8.5f %7.4f" + curve
+        line = "%-6s %5d %8.3f %6.3f %9.1f %5.2f %8.5f %7.4f %6.1f" + curve
         print((line + "  (%d runs)") % ("mean", slots, *means.values(), len(rows)))
         print((line + "\n") % ("se", slots, *ses.values()))
     if args.json:

@@ -7,10 +7,10 @@ square root of the number of pairs.
 
     python tools/race_pairs.py PARENT.json CHANGE.json
 
-The files must come from the same settings: workload, seeds, slot counts,
-iterations, noise and budgets. When they do not, or when their rows do not
-pair one to one, it names what differs on stderr and exits 2. It needs
-neither the program nor the benchmark, only the two files.
+The files must come from the same settings and columns: workload, seeds,
+slot counts, iterations, noise and budgets. When they do not, or when their
+rows do not pair one to one, it names what differs on stderr and exits 2.
+It needs neither the program nor the benchmark, only the two files.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import sys
 from typing import Sequence
 
 # what a file must share with the other to be paired with it
-SETTINGS = ("workload", "seeds", "slots", "iterations", "noise", "budgets")
+SETTINGS = ("workload", "seeds", "slots", "iterations", "noise", "budgets", "columns")
 
 
 class Unpaired(ValueError):
