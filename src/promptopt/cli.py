@@ -238,6 +238,8 @@ def cmd_report(args) -> int:
             "init_eval_requests": doc.get("init_eval_requests"),
             "eval_requests": sum(r.get("eval_requests", 0) for r in rows),
             "raced_out": sum(bool(s.get("raced_out")) for r in rows for s in r["selections"]),
+            # operator requests sent ahead for a base that was not the next one
+            "dropped_requests": sum(r.get("dropped_requests", 0) for r in rows),
         }
     except (ValueError, AttributeError, KeyError, TypeError) as e:
         raise CorruptFile("cannot read report file %s: %s" % (report_file, e)) from None

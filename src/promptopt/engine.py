@@ -4,27 +4,45 @@ survivors, matrix updates via the configured optimizer, convergence
 detection, checkpoints, and reports.
 
 Both optimizers share one edit pipeline. Every pair of an iteration edits
-the same base candidate, so an iteration makes at most four backend round
-trips: one batch with every pair's operator requests in pair order, then the
-evaluation of the distinct edited prompts. Every scoring of a set of prompts,
-the initial pool's included, is a race when there are at least two of them
-and the training set has at least RACE_MIN_SET examples: successive halving
-(as in ProTeGi and APE) at eta = RACE_ETA = 3, as Hyperband runs it (Li et
-al., 2018), over three rungs, each eta times longer than the one before: a
-first prefix of n / 9 examples, but at least RACE_MIN_PREFIX, then n / 3,
-then the whole set, in at most three batches. The first rung keeps the best
-third of the field, rounded up, and the second its best prompt alone, so
-one prompt finishes, as the last round of successive halving (Jamieson and
-Talwalkar, 2016) ends with one arm. The first prefix is then cut back to
-the longest whose batch of the k prompts fills whole waves of the backend's
-max_parallel requests (see first_rung), which can take it below
-RACE_MIN_PREFIX, and the second is cut the same way for the prompts still
-live, always to past the first; so at max_parallel 1 they are the uncut
-first prefix and the first third. Otherwise one batch scores them on the
-whole set. An edit raced out never reaches the next iteration: the parents
-that merge and diff_evolution take are the pool's. Every evaluation request
-of an iteration goes out in its scoring, so every live prompt has been sent
-the same prefix, and no (prompt, example) request is sent twice.
+the same base candidate: one batch holds every pair's operator requests in
+pair order, then the distinct edited prompts are scored. Every scoring of a
+set of prompts, the initial pool's included, is a race when there are at
+least two of them and the training set has at least RACE_MIN_SET examples:
+successive halving (as in ProTeGi and APE) at eta = RACE_ETA = 3, as
+Hyperband runs it (Li et al., 2018), over three rungs, each eta times
+longer than the one before: a first prefix of n / 9 examples, but at least
+RACE_MIN_PREFIX, then n / 3, then the whole set, in at most three batches.
+The first rung keeps the best third of the field, rounded up, and the
+second its best prompt alone, so one prompt finishes, as the last round of
+successive halving (Jamieson and Talwalkar, 2016) ends with one arm. The
+first prefix is then cut back to the longest whose batch of the k prompts
+fills whole waves of the backend's max_parallel requests (see first_rung),
+which can take it below RACE_MIN_PREFIX, and the second is cut the same way
+for the prompts still live, always to past the first; so at max_parallel 1
+they are the uncut first prefix and the first third. Otherwise one batch
+scores them on the whole set. An edit raced out never reaches the next
+iteration: the parents that merge and diff_evolution take are the pool's
+(and, planned ahead, the finisher's). Every evaluation request of an
+iteration goes out in its scoring, so every live prompt has been sent the
+same prefix, and no (prompt, example) request is sent twice.
+
+The iterations are pipelined. A raced scoring's last batch, the finish,
+finishes one prompt F, and only F joins the pool, so the next base is
+either the current one or F. Before the finish, the next iteration's pairs
+are drawn from the matrix as it stands, without this iteration's update,
+and their backend operators are planned on both possible bases: the base
+with its own record, F with its report and bad cases on the prefix it was
+sent, each with the pool and F as parents. Their requests go out at the end
+of the finish batch, so the next iteration sends no operator batch of its
+own: after a raced scoring an iteration makes at most three round trips,
+and at most four otherwise. After the finish, the update is applied,
+retain runs once, the plans on the new base are kept and the other base's
+replies are dropped unread; the local operators, which send nothing, are
+planned then, on the pool that retain kept. The matrix so learns under a
+delay of one iteration, which costs a bandit little (Joulani, Gyorgy and
+Szepesvari, 2013). A scoring that does not race (one candidate, a set
+under RACE_MIN_SET, or no edit at all) and the last iteration send nothing
+ahead.
 
 Every evaluation batch is a list of (candidate, start, stop) segments of the
 training set, whose layout `evaluation` owns: `eval_requests` lists their
@@ -54,8 +72,9 @@ import math
 import random
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import msgd_rl
 from . import operators as ops
@@ -289,6 +308,10 @@ def _latest(cand: Candidate, objective: str) -> float:
     return s if s is not None else 0.0
 
 
+def _scores(report: MetricReport) -> dict[str, float]:
+    return {"precision": report.precision, "recall": report.recall, "f1": report.f1}
+
+
 def _best(pool: Sequence[Candidate], objective: str) -> Candidate:
     # ties go to the shorter lineage, then to the earlier candidate
     return max(pool, key=lambda c: (_latest(c, objective), -len(c.lineage)))
@@ -410,6 +433,28 @@ def _contract_breach(base: MetaPrompt, edited: MetaPrompt) -> str:
     return ""
 
 
+@dataclass
+class _Ahead:
+    """An iteration's operator round trip, sent at the end of the finish
+    batch of the scoring before it: the iteration's pairs and, for each
+    prompt that can be its base, by fingerprint, (jobs, plans, positions):
+    its pairs' jobs, the plans of their backend operators (None for a local
+    one), and where in `requests` those plans' requests are. A pair whose
+    plan is the same on two bases sends its requests once, for both.
+    `replies` are the replies to `requests`."""
+    pairs: list[SelectionPair]
+    bases: dict[str, tuple[list, list, list[int]]] = field(default_factory=dict)
+    requests: list = field(default_factory=list)
+    replies: Sequence = ()
+
+    def keep(self, fingerprint: str) -> int:
+        """Keep the plans on the base with this fingerprint alone, and
+        return how many of `requests` no plan kept needs."""
+        kept = self.bases.get(fingerprint)
+        self.bases = {fingerprint: kept} if kept else {}
+        return len(self.requests) - (len(kept[2]) if kept else 0)
+
+
 class _Trainer:
     def __init__(self, cfg: RunConfig, train_set, test_set, template: MetaPrompt,
                  backend: Backend, run_dir=None):
@@ -448,6 +493,9 @@ class _Trainer:
         # repeat and are neither parsed nor judged again
         self.replies = reply_memo(n)
         self.eval_requests = 0
+        # the next iteration's operator round trip, once a raced finish has
+        # sent it (see _plan_ahead)
+        self.ahead: Optional[_Ahead] = None
         sections = tuple(s.id for s in template.ordered_sections())
         operators = cfg.effective_operators()
         if cfg.experience_in:
@@ -494,7 +542,8 @@ class _Trainer:
         tally.add(enumerate(self.scored[fingerprint][2][:cut]))
         return tally.objective_value()
 
-    def _score(self, cands: Sequence[Candidate], iteration: int
+    def _score(self, cands: Sequence[Candidate], iteration: int,
+               speculate: Optional[Callable[[Candidate, tuple], _Ahead]] = None
                ) -> dict[str, tuple[dict[str, float], int]]:
         """Score distinct candidates, given in pair order, on the training
         set and record each one that finishes in `scored`.
@@ -518,19 +567,30 @@ class _Trainer:
         has its objective on the prefix it lost on and that prefix's length.
 
         Each candidate has one tally, and each of its judgements is added
-        to it once, in example order."""
+        to it once, in example order.
+
+        A raced finish, the batch that finishes the one candidate left after
+        it was sent a prefix, is where the next iteration's operator round
+        trip goes: with `speculate`, that candidate and its (report, bad
+        cases) on the prefix go to it before the batch, and the requests of
+        the `_Ahead` it returns go out at the end of the batch. Their
+        replies go into that `_Ahead`, which is kept in `self.ahead`."""
         live = list(range(len(cands)))
         tallies = [self._tally() for _ in cands]
         predictions = [[] for _ in cands]
         judgements = [[] for _ in cands]
         sent = 0  # the prefix every live candidate has been sent
 
-        def send(stop: int) -> None:
-            # each live candidate's examples from `sent` to `stop`, one batch
+        def send(stop: int, ahead: Optional[_Ahead] = None) -> None:
+            # each live candidate's examples from `sent` to `stop`, one batch,
+            # with the requests of `ahead` at its end
             nonlocal sent
             segments = [(cands[i], sent, stop) for i in live]
             if segments and stop > sent:
-                results = self.backend.generate_batch(self._requests(segments))
+                reqs = self._requests(segments)
+                results = self.backend.generate_batch(reqs + ahead.requests if ahead else reqs)
+                if ahead:
+                    ahead.replies = results[len(reqs):]
                 for i, (preds, judgs) in zip(live, judge_replies(
                         segments, self.train_set, results, self.replies)):
                     predictions[i] += preds
@@ -552,20 +612,28 @@ class _Trainer:
             live = sorted(ranked[:keep])
             for i in ranked[len(live):]:
                 records[cands[i].fingerprint] = ({self.cfg.objective: objectives[i]}, cut)
-        send(len(self.train_set))
+
+        def record(i: int) -> tuple[MetricReport, list[BadCase]]:
+            # candidate i's report and bad cases on the examples it was sent
+            return tallies[i].report(), sample_bad_cases(
+                self.train_set, predictions[i], tallies[i].misses, seed=self.cfg.seed + iteration)
+
+        ahead = None
+        if speculate and sent:
+            [i] = live
+            ahead = self.ahead = speculate(cands[i], record(i))
+        send(len(self.train_set), ahead)
         for i in live:
-            report = tallies[i].report()
-            bad_cases = sample_bad_cases(self.train_set, predictions[i], tallies[i].misses,
-                                         seed=self.cfg.seed + iteration)
+            report, bad_cases = record(i)
             self.scored[cands[i].fingerprint] = (report, bad_cases, tuple(judgements[i]))
-            records[cands[i].fingerprint] = (
-                {"precision": report.precision, "recall": report.recall, "f1": report.f1},
-                len(self.train_set))
+            records[cands[i].fingerprint] = (_scores(report), len(self.train_set))
         return records
 
-    def _context(self, pair: SelectionPair, base: Candidate, iteration: int,
+    def _context(self, pair: SelectionPair, base: Candidate, record: tuple, iteration: int,
                  pool: Sequence[Candidate], pair_index: int) -> ops.OperatorContext:
-        report, bad_cases, _ = self.scored[base.fingerprint]
+        """The context of a pair's operator on `base`, whose report and bad
+        cases are `record`, with the prompts of `pool` as its parents."""
+        report, bad_cases = record[:2]
         return ops.OperatorContext(
             target_section=base.prompt.section_by_id(pair.section),
             prompt=base.prompt,
@@ -604,7 +672,9 @@ class _Trainer:
             self.template, self.backend, cfg.beam_init, cfg.seed,
             model=cfg.model, temperature=max(cfg.operator_temperature, 0.9),
         )
-        records = self._score(pool, 0)
+        # a raced initial pool keeps its finisher alone, so iteration 1's
+        # operators are planned on it, with no other parent
+        records = self._score(pool, 0, partial(self._plan_ahead, 1, [], None))
         pool = [cand.with_score(0, records[cand.fingerprint][0]) for cand in pool
                 if cand.fingerprint in self.scored]
         self.report.init_eval_requests = self.eval_requests
@@ -613,10 +683,15 @@ class _Trainer:
         for iteration in range(1, cfg.iterations + 1):
             pool = self._iteration(iteration, pool)
             best = max(_latest(c, cfg.objective) for c in pool)
-            self._checkpoint(iteration, pool)
             stall = stall + 1 if best - prev_best < CONVERGENCE_EPS else 0
             prev_best = max(prev_best, best)
-            if best >= 1 - 1e-12 or stall >= CONVERGENCE_WINDOW:
+            converged = best >= 1 - 1e-12 or stall >= CONVERGENCE_WINDOW
+            if converged and self.ahead:
+                # the next iteration's operator requests went out, for nothing
+                self.report.iterations[-1]["dropped_requests"] = len(self.ahead.requests)
+                self.ahead = None
+            self._checkpoint(iteration, pool)
+            if converged:
                 log.info("converged at iteration %d (best=%.5f)", iteration, best)
                 break
 
@@ -635,17 +710,67 @@ class _Trainer:
             save_experience(store, cfg.experience_out)
         return best_cand, self.report, store
 
+    def _jobs(self, pairs: Sequence[SelectionPair], base: Candidate, record: tuple,
+              iteration: int, pool: Sequence[Candidate]) -> list[tuple[str, ops.OperatorContext]]:
+        """Each pair's (operator id, context) on `base` (see _context)."""
+        return [(pair.operator, self._context(pair, base, record, iteration, pool, k))
+                for k, pair in enumerate(pairs)]
+
+    def _plan_ahead(self, iteration: int, pool: Sequence[Candidate], base: Optional[Candidate],
+                    finisher: Candidate, record: tuple) -> _Ahead:
+        """Iteration `iteration`'s operator round trip, planned before the
+        batch that finishes `finisher` in the iteration before it: its pairs
+        are drawn from the matrix as it stands, without the update that
+        batch's scores make, and its backend operators are planned on each
+        prompt that can be its base. One is `finisher`, with `record`, its
+        report and bad cases on the prefix it was sent before that batch;
+        the other is `base`, unless None, with its own record. Either one's
+        parents are `pool` and the finisher, scored on that prefix. A local
+        operator sends nothing, so it is planned once the base is known."""
+        ahead = _Ahead(select_pairs(self.matrix, self.n_pairs, self.rng, eligible=self.eligible))
+        parents = _distinct([*pool, finisher.with_score(iteration - 1, _scores(record[0]))])
+        at: dict[tuple, list[int]] = {}  # the positions of each (pair, plan)'s requests
+        bases = [(base, self.scored[base.fingerprint])] if base else []
+        for cand, rec in bases + [(finisher, record)]:
+            jobs = self._jobs(ahead.pairs, cand, rec, iteration, parents)
+            plans = [None if op in ops.LOCAL_OPERATORS else ops.plan_operator(op, ctx)
+                     for op, ctx in jobs]
+            positions = []
+            for k, plan in enumerate(plans):
+                if isinstance(plan, tuple):
+                    if (k, plan) not in at:
+                        at[k, plan] = list(range(len(ahead.requests),
+                                                 len(ahead.requests) + len(plan)))
+                        ahead.requests += plan
+                    positions += at[k, plan]
+            ahead.bases[cand.fingerprint] = (jobs, plans, positions)
+        return ahead
+
     def _iteration(self, iteration: int, pool: list[Candidate]) -> list[Candidate]:
         cfg = self.cfg
         n = len(self.train_set)
         base = _best(pool, cfg.objective)
         base_score = _latest(base, cfg.objective)
-        pairs = select_pairs(self.matrix, self.n_pairs, self.rng, eligible=self.eligible)
-        jobs = [(pair.operator, self._context(pair, base, iteration, pool, k))
-                for k, pair in enumerate(pairs)]
+        ahead, self.ahead = self.ahead, None
+        pairs = ahead.pairs if ahead else select_pairs(
+            self.matrix, self.n_pairs, self.rng, eligible=self.eligible)
+        jobs = self._jobs(pairs, base, self.scored[base.fingerprint], iteration, pool)
         eval_requests = self.eval_requests
-        # round trip 1: every backend operator's requests, in pair order
-        results = ops.apply_operators(jobs, self.backend)
+        planned = ahead.bases.get(base.fingerprint) if ahead else None
+        if planned:
+            # the backend operators' requests went out in the last finish
+            # batch, planned on this base; the local operators are planned
+            # here, on the pool that retain kept
+            ahead_jobs, plans, positions = planned
+            jobs = [job if job[0] in ops.LOCAL_OPERATORS else planned_job
+                    for job, planned_job in zip(jobs, ahead_jobs)]
+            plans = [ops.plan_operator(*job) if job[0] in ops.LOCAL_OPERATORS else plan
+                     for job, plan in zip(jobs, plans)]
+            results = ops.finish_operators(jobs, plans, [ahead.replies[i] for i in positions])
+        else:
+            # a round trip of its own: every backend operator's requests, in
+            # pair order
+            results = ops.apply_operators(jobs, self.backend)
         # every pair's edit that did not fail, by pair index in pair order,
         # by which the race breaks ties
         edits: dict[int, Optional[Candidate]] = {}
@@ -659,8 +784,13 @@ class _Trainer:
             else:
                 edits[k] = self._edited(base, result, pair, iteration)
 
-        # round trips 2 to 4: the edited prompts, once each
-        records = self._score(_distinct(edits.values()), iteration)
+        # then the edited prompts, once each, in up to three batches; the
+        # last, when it finishes a raced prompt, also sends the next
+        # iteration's operator requests
+        speculate = None
+        if iteration < cfg.iterations:
+            speculate = partial(self._plan_ahead, iteration + 1, pool, base)
+        records = self._score(_distinct(edits.values()), iteration, speculate)
         observations: list[GradientObservation] = []
         selections = []
         new_candidates: list[Candidate] = []
@@ -698,6 +828,11 @@ class _Trainer:
         )
         # only a pool prompt's record is read again, when it is the base
         self.scored = {c.fingerprint: self.scored[c.fingerprint] for c in pool}
+        next_bases = dropped = 0
+        if self.ahead:
+            # the next base is the pool's best: the base, or the finisher
+            next_bases = len(self.ahead.bases)
+            dropped = self.ahead.keep(_best(pool, cfg.objective).fingerprint)
         pool_scores = [_latest(c, cfg.objective) for c in pool]
         self.report.iterations.append({
             "iteration": iteration,
@@ -707,6 +842,8 @@ class _Trainer:
             "failed": failed,
             "eval_requests": self.eval_requests - eval_requests,
             "pool_size": len(pool),
+            "next_bases": next_bases,
+            "dropped_requests": dropped,
         })
         return pool
 

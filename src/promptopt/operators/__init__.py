@@ -2,7 +2,7 @@
 
 An operator returns the prompt its edit makes, a `MetaPrompt`, or None for
 a no-op. It runs in two steps. `plan_operator` either finishes a local
-operator (cot, few_shot, repeat_instructions, merge) without a model call,
+operator (`LOCAL_OPERATORS`) without a model call,
 or returns the requests a backend operator needs, and it alone makes an
 operator with missing context a no-op; `finish_operator` turns the replies
 into the edited prompt, and it alone makes an unparseable reply a no-op. An
@@ -68,6 +68,9 @@ OPERATOR_IDS = (
 # the operators that build a chat request from templates/<id>.txt
 TEMPLATE_OPERATORS = ("rewrite", "refine", "reflect", "short_instruction",
                       "define_sort", "diff_evolution")
+
+# the operators that `plan_operator` finishes without a model call
+LOCAL_OPERATORS = ("cot", "few_shot", "repeat_instructions", "merge")
 
 # self_consistency asks refine this many times and keeps the most typical body
 CONSISTENCY_SAMPLES = 3

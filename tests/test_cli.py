@@ -701,6 +701,14 @@ class TestReportAndExperience:
                 assert s["raced_out"] == (s["scored_on"] in (25, 33))
                 assert s["scored_on"] in (0, 25, 33, 100)
 
+    def test_report_sums_the_dropped_operator_requests(self, tmp_path, capsys):
+        """A report written before rows had the field counts them as 0."""
+        rows = [{"iteration": i, "best": 0.5, "mean": 0.5, "selections": []} for i in (1, 2, 3)]
+        rows[0]["dropped_requests"], rows[1]["dropped_requests"] = 3, 4
+        (tmp_path / "report.json").write_text(json.dumps({"iterations": rows}))
+        assert main(["report", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["dropped_requests"] == 7
+
     def test_report_missing_dir(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "ghost")]) == 1
 

@@ -544,6 +544,36 @@ class TestOperatorFailure:
         if optimizer == "msgd_rl":
             assert np.all(q[:2, store.matrix.operators.index("cot")] != 1.0 / 6)
 
+    @pytest.mark.parametrize("optimizer", ["msgd", "msgd_rl"])
+    def test_failed_pair_sent_ahead_is_skipped(self, tmp_path, optimizer):
+        """An operator request that fails at the end of a finish batch fails
+        its pair in the iteration it was sent for, as in a batch of its own."""
+        data = cls_dataset(200)
+
+        class RefineDown(LastLine):
+            # every refine request fails
+            def generate_batch(self, reqs):
+                return [BackendTimeout("refine down") if '"Refine" method' in r.messages[-1][1]
+                        else res for r, res in zip(reqs, super().generate_batch(reqs))]
+
+        cfg = small_config(iterations=3, optimizer=optimizer, pairs_per_epoch=4, top_k=3,
+                           anneal_count=0,
+                           operators=("refine", "rewrite", "short_instruction"),
+                           output_dir=str(tmp_path))
+        backend = RefineDown(data, max_parallel=64)
+        trainer = _Trainer(cfg, data, [], base_template(), backend, run_dir=tmp_path / "run")
+        _, report, store = trainer.run()
+        # iteration 1's operators go alone; each later iteration's ride the
+        # finish batch before it
+        assert [row["next_bases"] for row in report.iterations] == [2, 2, 0]
+        for row in report.iterations:
+            assert row["failed"] and all(
+                (f["operator"], f["error"]) == ("refine", "BackendTimeout") for f in row["failed"])
+            assert [s["operator"] for s in row["selections"]].count("refine") == 0
+            assert len(row["failed"]) + len(row["selections"]) == 4
+        q = np.array(store.matrix.q)
+        assert np.all(q[:, store.matrix.operators.index("refine")] == 1.0 / 9)
+
     def test_iteration_with_every_pair_failed(self, tmp_path):
         data = cls_dataset(8)
         cfg = small_config(iterations=2, optimizer="msgd_rl", pairs_per_epoch=2,
@@ -960,22 +990,26 @@ class TestRacing:
     ])
     def test_iterations_that_nothing_rides(self, tmp_path, monkeypatch, parallel, n,
                                            operators):
-        """No evaluation request rides the operator batch, whatever its free
-        slots: each iteration sends the operator requests alone, then each
-        rung's batch with every live prompt on the same examples."""
+        """No evaluation request rides an operator batch, whatever its free
+        slots. An iteration's operator requests go out at the end of the
+        last iteration's finish batch when that scoring raced, and alone
+        before its rungs when it did not; each rung's batch sends every live
+        prompt the same examples, first."""
         data = cls_dataset(n)
         by_input = {ex.input: ex for ex in data}
         trainer, backend, pool = mixed_trainer(tmp_path, data, parallel, operators)
         scorings = []
         score = _Trainer._score
 
-        def spy(self, cands, iteration):
+        def spy(self, cands, iteration, speculate=None):
             scorings.append(len(cands))
-            return score(self, cands, iteration)
+            return score(self, cands, iteration, speculate)
 
         monkeypatch.setattr(_Trainer, "_score", spy)
         saw_local = False
+        rode = []  # per iteration, whether its finish batch carried the next one's operators
         for iteration in range(1, 5):
+            sent_ahead = trainer.ahead
             del backend.calls[:]
             del scorings[:]
             pool = trainer._iteration(iteration, pool)
@@ -985,18 +1019,38 @@ class TestRacing:
             [k] = scorings
             calls = backend.calls
             n_operator = sum(op not in LOCAL for op in ops)
-            if n_operator:
+            if sent_ahead:
+                # the last finish batch sent them, on this iteration's base
+                [(_, _, positions)] = sent_ahead.bases.values()
+                assert len(positions) == n_operator
+            elif n_operator:
                 operator, evals = split_call(calls[0], by_input)
                 assert len(operator) == n_operator and not evals
                 calls = calls[1:]
-            assert len(calls) == len(halving_batches(k, n, parallel))
-            for call, (live, start, stop) in zip(calls, halving_batches(k, n, parallel)):
-                assert len(call) == live * (stop - start)
-                for at in range(0, len(call), stop - start):
+            batches = halving_batches(k, n, parallel)
+            assert len(calls) == len(batches)
+            tails = []  # what each batch sends after its evaluation requests
+            for call, (live, start, stop) in zip(calls, batches):
+                evals, tail = call[:live * (stop - start)], call[live * (stop - start):]
+                tails.append(tail)
+                for at in range(0, len(evals), stop - start):
                     assert [by_input[text.rsplit("\n", 1)[-1]] for text, _ in
-                            call[at:at + stop - start]] == data[start:stop]
+                            evals[at:at + stop - start]] == data[start:stop]
+            # the next iteration's operator requests, at the end of a raced
+            # finish batch, unless this is the last iteration
+            *rungs, tail = tails
+            assert not any(rungs)
+            rode.append(bool(tail))
+            assert all(OPERATOR_TARGET.search(text) for text, _ in tail)
+            if len(batches) > 1 and iteration < 4:
+                assert row["next_bases"] == 2
+                assert len(tail) == len(trainer.ahead.requests)
+            else:
+                assert not tail and trainer.ahead is None
+                assert (row["next_bases"], row["dropped_requests"]) == (0, 0)
             assert row["eval_requests"] == halving_requests(k, n, parallel)
         assert saw_local == (operators == MIXED_OPERATORS)
+        assert any(rode) == (n >= RACE_MIN_SET)
 
     def test_initial_pool_races(self, tmp_path, monkeypatch):
         data = cls_dataset(100)
@@ -1111,18 +1165,19 @@ class Revoked(LastLine):
 def batch_kinds(batches, train_set, test_set):
     """(kind, batch, position of its first request of that kind) for each
     part of a run's batches: the initial refine batch, an operator batch,
-    each racing rung by how far into the training set it reaches, and the
-    test set."""
+    each racing rung by how far into the training set it reaches, the next
+    iteration's operator requests at the end of a finish batch, and the test
+    set."""
     n = len(train_set)
     where = {ex.input: i for i, ex in enumerate(train_set)}
     tests = {ex.input for ex in test_set}
     kinds = []
     for b, texts in enumerate(batches):
-        n_operator = sum(bool(OPERATOR_TARGET.search(text)) for text in texts)
-        inputs = [text.rsplit("\n", 1)[-1] for text in texts[n_operator:]]
+        n_eval = len(texts) - sum(bool(OPERATOR_TARGET.search(text)) for text in texts)
+        inputs = [text.rsplit("\n", 1)[-1] for text in texts[:n_eval]]
         if b == 0:
             kinds.append(("init", b, 0))
-        elif n_operator:
+        elif not n_eval:
             kinds.append(("operator", b, 0))
         elif inputs[0] in tests:
             kinds.append(("test", b, 0))
@@ -1130,6 +1185,10 @@ def batch_kinds(batches, train_set, test_set):
             stop = 1 + max(where[inp] for inp in inputs)
             kinds.append(("rung 1" if stop <= uncut_first(n) else "rung 2" if stop <= n // 3
                           else "whole set", b, 0))
+            if n_eval < len(texts):
+                # the operator requests ride at the end, after every evaluation
+                assert not any(OPERATOR_TARGET.search(text) for text in texts[:n_eval])
+                kinds.append(("ahead", b, n_eval))
     return kinds
 
 
@@ -1141,23 +1200,27 @@ class TestAuthErrorEndsTheRun:
     TEST = [ExampleRecord("t%02d" % i, "CLS", "test item %02d please" % i, "AB"[i % 2])
             for i in range(20)]
 
-    def _train(self, backend, run_dir):
-        cfg = small_config(iterations=4, beam_init=4, top_k=3, anneal_count=0,
+    def _train(self, backend, run_dir, beam_init):
+        cfg = small_config(iterations=4, beam_init=beam_init, top_k=3, anneal_count=0,
                            pairs_per_epoch=5, operators=MIXED_OPERATORS,
                            output_dir=str(run_dir.parent))
         train(cfg, self.TRAIN, self.TEST, base_template(), backend, run_dir=run_dir)
 
     @pytest.mark.parametrize("kind", ["init", "operator", "rung 1", "rung 2", "whole set",
-                                      "test"])
+                                      "ahead", "test"])
     def test_auth_error_ends_train(self, tmp_path, kind):
+        # a raced initial pool sends iteration 1's operator requests at the
+        # end of its finish batch; a pool of the template alone does not
+        # race, so they go in a batch of their own
+        beam_init = 1 if kind == "operator" else 4
         clean = Revoked(self.TRAIN + self.TEST, 64)
-        self._train(clean, tmp_path / "clean")
+        self._train(clean, tmp_path / "clean", beam_init)
         # the last batch of that kind, at its first request of that kind
         *_, (b, i) = [(b, i) for k, b, i in batch_kinds(clean.batches, self.TRAIN, self.TEST)
                       if k == kind]
         revoked = Revoked(self.TRAIN + self.TEST, 64, at=(b, i))
         with pytest.raises(AuthError):
-            self._train(revoked, tmp_path / "revoked")
+            self._train(revoked, tmp_path / "revoked", beam_init)
         assert revoked.batches == clean.batches[:b] + [clean.batches[b][:i]]
         assert not (tmp_path / "revoked" / "report.json").exists()
 
@@ -1198,7 +1261,9 @@ class TestSiblings:
     """At max_parallel > 1 the second rung is cut to whole waves. An edit
     any rung races out, on a cut rung or not, and whether or not it is worse
     than the base there, never reaches an operator context: the parents that
-    merge and diff_evolution take are exactly the pool."""
+    merge and diff_evolution take are exactly the pool, or, for the
+    operators that a finish batch sends ahead, the pool and the prompt that
+    batch finishes."""
 
     @pytest.mark.parametrize("parallel, qualities, second, not_worse_on_cut_rung", [
         # 4 edits: two lose on the first rung of 16, one of them (60) as
@@ -1211,14 +1276,22 @@ class TestSiblings:
                                                 qualities, second, not_worse_on_cut_rung):
         data = cls_dataset(200)
         contexts = {}
-        context = _Trainer._context
+        aheads = []  # (pool, finisher, its record on its prefix, the _Ahead)
+        context, plan_ahead = _Trainer._context, _Trainer._plan_ahead
 
-        def spy(self, pair, base, iteration, pool, pair_index):
-            ctx = context(self, pair, base, iteration, pool, pair_index)
-            contexts.setdefault(iteration, []).append((base, list(pool), ctx))
+        def spy(self, pair, base, record, iteration, pool, pair_index):
+            ctx = context(self, pair, base, record, iteration, pool, pair_index)
+            contexts.setdefault(iteration, []).append((base, list(pool), ctx, len(aheads)))
             return ctx
 
+        def spy_ahead(self, iteration, pool, base, finisher, record):
+            aheads.append((list(pool), finisher, record, None))
+            ahead = plan_ahead(self, iteration, pool, base, finisher, record)
+            aheads[-1] = aheads[-1][:3] + (ahead,)
+            return ahead
+
         monkeypatch.setattr(_Trainer, "_context", spy)
+        monkeypatch.setattr(_Trainer, "_plan_ahead", spy_ahead)
         cfg = small_config(iterations=3, top_k=3, anneal_count=0, pairs_per_epoch=4,
                            operators=("refine", "rewrite", "short_instruction"),
                            output_dir=str(tmp_path))
@@ -1227,8 +1300,15 @@ class TestSiblings:
         best, report, _ = train(cfg, data, [], base_template(), backend, run_dir=run_dir)
         first = first_rung(25, 4, parallel)
         assert second == second_rung(first, 2, 200, parallel)
-        # the init scoring, then iteration 1: operators, 2 rungs, the finish
-        assert backend.calls[1:5] == [4, 4 * first, 2 * (second - first), 200 - second]
+        # the init scoring of the one template, then iteration 1: operators,
+        # 2 rungs, the finish with iteration 2's operator requests at its
+        # end, planned on the base and on the finisher, which edited one
+        # section: a pair on the other section sends one request for both
+        _, finisher, _, ahead = aheads[0]
+        edited = "s0" if finisher.prompt.section_by_id("s0").body == "quality 90" else "s1"
+        assert len(ahead.requests) == 4 + sum(pair.section == edited for pair in ahead.pairs)
+        assert backend.calls[1:5] == [4, 4 * first, 2 * (second - first),
+                                      200 - second + len(ahead.requests)]
         assert best.prompt.section_by_id("s0").body == "quality 90" or \
             best.prompt.section_by_id("s1").body == "quality 90"
 
@@ -1249,10 +1329,17 @@ class TestSiblings:
         assert (gradients[1] >= 0 and second < 200 // 3) == not_worse_on_cut_rung
 
         # every operator context of every iteration takes its parents from
-        # the pool alone, and no context holds a raced-out edit
+        # the pool alone, or, planned ahead, from the pool and the finisher
+        # scored on its prefix, and no context holds a raced-out edit
         raced_out = {"quality %d" % q for q in qualities[1:]}
-        assert sorted(contexts) == [1, 2, 3]
-        for base, pool, ctx in (c for row in contexts.values() for c in row):
+        # iteration 2's operator replies do not parse, so it has no edit to
+        # race and iteration 3's operators go in a batch of their own
+        assert sorted(contexts) == [1, 2, 3] and len(aheads) == 1
+        for base, pool, ctx, planning in (c for row in contexts.values() for c in row):
+            if planning and aheads[planning - 1][3] is None:
+                ahead_pool, finisher, record, _ = aheads[planning - 1]
+                assert pool[:-1] == ahead_pool and pool[-1].prompt == finisher.prompt
+                assert pool[-1].latest_score("f1") == record[0].f1
             assert ctx.sibling_candidates == tuple(pool)
             bodies = {c.prompt.section_by_id(sid).body for c in (base, *pool)
                       for sid in ("s0", "s1")}
@@ -1261,6 +1348,204 @@ class TestSiblings:
         # a raced-out edit is never kept: no run file holds it
         texts = [p.read_text() for p in run_dir.rglob("*") if p.is_file()]
         assert not any(body in text for text in texts for body in raced_out)
+
+
+class TestPipelinedOperators:
+    """An iteration's operator requests go out at the end of the finish
+    batch of the scoring before it, when that scoring raced: planned on
+    each prompt that can be the next base, with pairs drawn from the matrix
+    as it stood before that scoring's update. The plans of the base that
+    wins are finished; the others' replies are dropped unread."""
+
+    TRAIN = cls_dataset(200)
+
+    def _run(self, tmp_path, backend, monkeypatch=None, **kw):
+        cfg = small_config(**{**dict(iterations=4, beam_init=4, top_k=3, anneal_count=0,
+                                     pairs_per_epoch=5, operators=MIXED_OPERATORS,
+                                     output_dir=str(tmp_path)), **kw})
+        trainer = _Trainer(cfg, self.TRAIN, [], base_template(), backend,
+                           run_dir=tmp_path / "run")
+        trainer.run()
+        return trainer
+
+    def test_no_operator_batch_after_a_raced_finish(self, tmp_path, monkeypatch):
+        """On 200 examples at 64 slots every scoring races, the initial
+        pool's included, so after the initial refine batch no batch holds
+        operator requests alone, and every finish batch but the last
+        iteration's carries the next iteration's, each request once. retain
+        runs once per iteration, right after that iteration's finish."""
+        import promptopt.engine as engine
+
+        backend = Revoked(self.TRAIN, 64)
+        retained_after = []  # the batches sent when each retain ran
+        retain_ = engine.retain
+
+        def spy(*args, **kwargs):
+            retained_after.append(len(backend.batches))
+            return retain_(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "retain", spy)
+        trainer = self._run(tmp_path, backend)
+        rows = trainer.report.iterations
+        kinds = batch_kinds(backend.batches, self.TRAIN, [])
+        assert "operator" not in [k for k, _, _ in kinds]
+        assert [row["next_bases"] for row in rows] == [2, 2, 2, 0]
+        assert rows[-1]["dropped_requests"] == 0
+        # every iteration's operators ride the finish batch before it: the
+        # initial pool's, then each iteration's but the last
+        finishes = [b for k, b, _ in kinds if k == "whole set"]
+        ahead = [(b, i) for k, b, i in kinds if k == "ahead"]
+        assert [b for b, _ in ahead] == finishes[:-1] and len(ahead) == len(rows) == 4
+        for b, i in ahead:
+            assert len(set(backend.batches[b][i:])) == len(backend.batches[b]) - i
+        assert retained_after == [b + 1 for b in finishes[1:]]
+
+    @pytest.mark.parametrize("qualities, winner", [
+        # the finisher (50) is worse than the base (60): the base stays
+        ([50, 40, 30, 20, 91, 92, 93, 94, 81, 82, 83, 84], "base"),
+        # the finisher (90) is better: it is the next base
+        ([90, 40, 30, 20, 91, 92, 93, 94, 81, 82, 83, 84], "finisher"),
+    ])
+    def test_only_the_winning_base_plans_are_finished(self, tmp_path, monkeypatch,
+                                                      qualities, winner):
+        parsed = []
+        parse = ops.parse_operator_response
+
+        def spy_parse(op, raw, section_name):
+            parsed.append(raw)
+            return parse(op, raw, section_name)
+
+        aheads = []
+        plan_ahead = _Trainer._plan_ahead
+
+        def spy_ahead(self, iteration, pool, base, finisher, record):
+            ahead = plan_ahead(self, iteration, pool, base, finisher, record)
+            aheads.append((base, finisher, dict(ahead.bases), ahead))
+            return ahead
+
+        class Sent(Planted):
+            # Planted, keeping the text of every request, per batch
+            def generate_batch(self, reqs):
+                self.texts.append([r.messages[-1][1] for r in reqs])
+                return super().generate_batch(reqs)
+
+        monkeypatch.setattr(ops, "parse_operator_response", spy_parse)
+        monkeypatch.setattr(_Trainer, "_plan_ahead", spy_ahead)
+        backend = Sent(self.TRAIN, qualities, max_parallel=64)
+        backend.texts = []
+        trainer = self._run(tmp_path, backend, iterations=2, beam_init=1, pairs_per_epoch=4,
+                            operators=("refine", "rewrite", "short_instruction"))
+        # iteration 1 sends its operators alone (a pool of one template does
+        # not race), then plans iteration 2 on the base and on the finisher
+        [(base, finisher, bases, ahead)] = aheads
+        assert len(bases) == 2 and len(ahead.replies) == len(ahead.requests)
+        assert finisher.prompt.skeleton().count("quality %d" % qualities[0]) == 1
+        kept = (base if winner == "base" else finisher).fingerprint
+        positions = bases[kept][2]
+        assert list(ahead.bases) == [kept]
+        row1, row2 = trainer.report.iterations
+        assert row1["next_bases"] == 2
+        assert row1["dropped_requests"] == len(ahead.requests) - len(positions) > 0
+        # iteration 2 finishes exactly the kept plans' replies, in pair order
+        kept_replies = [ahead.replies[i].text for i in positions]
+        assert parsed == parsed[:4] + kept_replies and len(kept_replies) == 4
+        bodies = [json.loads(r.text)["body"] for r in ahead.replies]
+        kept_bodies = {bodies[i] for i in positions}
+        dropped = set(bodies) - kept_bodies
+        assert dropped
+        # and its race scores the prompts they made, and never one that a
+        # dropped reply made
+        [sent_ahead] = [b for b, texts in enumerate(backend.texts)
+                        if len(texts) > len(ahead.requests)
+                        and texts[-len(ahead.requests):] == [r.messages[-1][1]
+                                                            for r in ahead.requests]]
+        later = {q for texts in backend.texts[sent_ahead + 1:] for text in texts
+                 for q in re.findall(r"quality \d+", text)}
+        assert kept_bodies <= later and later.isdisjoint(dropped)
+        assert len(row2["selections"]) == 4
+
+    def test_the_last_iteration_sends_nothing_ahead(self, tmp_path):
+        backend = Revoked(self.TRAIN, 64)
+        trainer = self._run(tmp_path, backend, iterations=2)
+        kinds = batch_kinds(backend.batches, self.TRAIN, [])
+        *_, last_finish = [b for k, b, _ in kinds if k == "whole set"]
+        assert last_finish == len(backend.batches) - 1
+        assert not any(OPERATOR_TARGET.search(text) for text in backend.batches[last_finish])
+        assert trainer.ahead is None
+        assert trainer.report.iterations[-1]["next_bases"] == 0
+
+    def test_a_run_that_converges_drops_what_it_sent_ahead(self, tmp_path, monkeypatch):
+        """A run that stops at its convergence check before its last
+        iteration has sent the next iteration's operator requests, all of
+        them dropped."""
+        monkeypatch.setattr("promptopt.engine.CONVERGENCE_WINDOW", 1)
+        monkeypatch.setattr("promptopt.engine.CONVERGENCE_EPS", 2.0)
+        backend = Revoked(self.TRAIN, 64)
+        trainer = self._run(tmp_path, backend, iterations=4)
+        [row] = trainer.report.iterations
+        assert row["next_bases"] == 2
+        sent = sum(bool(OPERATOR_TARGET.search(t)) for t in backend.batches[-1])
+        assert row["dropped_requests"] == sent > 0
+        assert trainer.ahead is None
+        saved = json.loads((tmp_path / "run" / "iter_001" / "report.json").read_text())
+        assert saved["iterations"][0]["dropped_requests"] == sent
+
+    @pytest.mark.parametrize("n, pairs", [(99, 5), (200, 1)])
+    def test_without_a_race_operators_go_alone(self, tmp_path, n, pairs):
+        """A training set too short to race, or one edit per iteration,
+        sends each iteration's operator requests in a batch of their own."""
+        data = cls_dataset(n)
+        backend = Revoked(data, 64)
+        trainer = _Trainer(small_config(iterations=3, beam_init=1, top_k=3, anneal_count=0,
+                                        pairs_per_epoch=pairs,
+                                        operators=("refine", "rewrite", "short_instruction"),
+                                        output_dir=str(tmp_path)),
+                           data, [], base_template(), backend, run_dir=tmp_path / "run")
+        trainer.run()
+        kinds = [k for k, _, _ in batch_kinds(backend.batches, data, [])]
+        assert "ahead" not in kinds
+        assert kinds == ["init"] + ["operator", "whole set"] * 3
+        assert all((row["next_bases"], row["dropped_requests"]) == (0, 0)
+                   for row in trainer.report.iterations)
+
+    def test_pairs_are_drawn_before_the_update_they_miss(self, tmp_path, monkeypatch):
+        """Iteration t + 1's pairs are select_pairs on the matrix after
+        iteration t - 1's update, with the run's rng as it stood at the draw,
+        and they are the pairs iteration t + 1 edits."""
+        import copy
+        import random
+
+        import promptopt.engine as engine
+
+        draws, updates = [], []
+        select, update = engine.select_pairs, engine.update_matrix
+
+        def spy_select(m, count, rng, eligible=None):
+            state = rng.getstate()
+            pairs = select(m, count, rng, eligible=eligible)
+            draws.append((copy.deepcopy(m), count, state, eligible, pairs))
+            return pairs
+
+        def spy_update(m, observations, cfg):
+            m = update(m, observations, cfg)
+            updates.append(copy.deepcopy(m.q))
+            return m
+
+        monkeypatch.setattr(engine, "select_pairs", spy_select)
+        monkeypatch.setattr(engine, "update_matrix", spy_update)
+        trainer = self._run(tmp_path, Revoked(self.TRAIN, 64), optimizer="msgd_rl")
+        rows = trainer.report.iterations
+        assert len(draws) == len(rows) == len(updates) == 4
+        matrices = [draws[0][0].q] + updates
+        assert len({json.dumps(q) for q in matrices}) == 5  # every update moved it
+        for t, (m, count, state, eligible, pairs) in enumerate(draws, 1):
+            # iteration t's pairs, drawn before iteration t - 1's finish
+            assert m.q == matrices[max(t - 2, 0)]
+            rng = random.Random()
+            rng.setstate(state)
+            assert select(m, count, rng, eligible=eligible) == pairs
+            assert [(s["section"], s["operator"]) for s in rows[t - 1]["selections"]] == \
+                [(p.section, p.operator) for p in pairs]
 
 
 class TestScoreProperties:
@@ -1538,21 +1823,22 @@ class TestReplyMemo:
         trainer = _Trainer(cfg, train_set, test_set, base_template(), backend)
         trainer.run()
 
-        # replay the batches: a training example's reply is parsed when it
-        # differs from that example's previous reply in the run, and each
-        # test example's reply is parsed once
+        # replay the evaluation requests of the batches, passing over the
+        # operator requests that a finish batch carries at its end: a
+        # training example's reply is parsed when it differs from that
+        # example's previous reply in the run, and each test example's reply
+        # is parsed once
         last, expected, eval_requests = {}, 0, 0
-        for call in backend.calls:
-            if OPERATOR_TARGET.search(call[0][0]):
+        for text, reply in (item for call in backend.calls for item in call):
+            if OPERATOR_TARGET.search(text):
                 continue
-            eval_requests += len(call)
-            for text, reply in call:
-                ex = next(ex for ex in data if ex.input in text)
-                if ex in test_set:
-                    expected += 1
-                elif last.get(ex.id) != reply:
-                    last[ex.id] = reply
-                    expected += 1
+            eval_requests += 1
+            ex = next(ex for ex in data if ex.input in text)
+            if ex in test_set:
+                expected += 1
+            elif last.get(ex.id) != reply:
+                last[ex.id] = reply
+                expected += 1
         assert len(calls) == expected < eval_requests
         # one slot per training example, holding its last reply, that
         # reply's prediction and its judgement
@@ -1583,19 +1869,20 @@ class TestJudgementMemo:
         trainer = _Trainer(cfg, train_set, test_set, base_template(), backend)
         trainer.run()
 
-        # replay the batches in (candidate, example) order: a training
-        # prediction is judged when its example's reply differs from the
-        # previous one, and each test prediction is judged once
+        # replay the evaluation requests of the batches in (candidate,
+        # example) order, passing over the operator requests that a finish
+        # batch carries at its end: a training prediction is judged when its
+        # example's reply differs from the previous one, and each test
+        # prediction is judged once
         last, expected, eval_requests = {}, [], 0
-        for call in backend.calls:
-            if OPERATOR_TARGET.search(call[0][0]):
+        for text, reply in (item for call in backend.calls for item in call):
+            if OPERATOR_TARGET.search(text):
                 continue
-            eval_requests += len(call)
-            for text, reply in call:
-                ex = next(ex for ex in data if ex.input in text)
-                if ex in test_set or last.get(ex.id) != reply:
-                    last[ex.id] = reply
-                    expected.append((ex.gold, parse_prediction(ex.task, reply)))
+            eval_requests += 1
+            ex = next(ex for ex in data if ex.input in text)
+            if ex in test_set or last.get(ex.id) != reply:
+                last[ex.id] = reply
+                expected.append((ex.gold, parse_prediction(ex.task, reply)))
         assert judged == expected
         assert len(test_set) < len(judged) < eval_requests
 

@@ -26,6 +26,7 @@ from promptopt.evaluation import (
 from promptopt.operators import (
     CONSISTENCY_SAMPLES,
     COT_SCAFFOLD,
+    LOCAL_OPERATORS,
     OPERATOR_IDS,
     TEMPLATE_DIR,
     TEMPLATE_OPERATORS,
@@ -122,6 +123,10 @@ class TestCatalogReachability:
         for op, plan in planned.items():
             local = isinstance(plan, MetaPrompt)
             assert local + (op == "self_consistency") + (op in TEMPLATE_OPERATORS) == 1, op
+
+    def test_local_operators_are_the_ones_planned_without_a_request(self, planned):
+        assert {op for op, plan in planned.items() if isinstance(plan, MetaPrompt)} == \
+            set(LOCAL_OPERATORS)
 
     def test_every_template_file_is_an_operator_and_reached(self, planned):
         files = {p.name for p in TEMPLATE_DIR.iterdir()}

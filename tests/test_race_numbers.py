@@ -1,9 +1,10 @@
 """The race, pinned run by run: the requests, latency units, tokens, round
-trips, test F1, true prompt quality, returned prompt's length in tokens and
-request digest (see tools/race_numbers.py) of training runs of every
-benchmark workload: cls_rl_latency at workload seeds 101-102, at 64 and at
-8 slots; ner_msgd_cpu at seed 9001 at 64 slots; mrc_http at seed 9001 at 64
-and at 2 slots. A change to what any workload sends, such as a rung cut or
+trips, test F1, true prompt quality, returned prompt's length in tokens,
+operator requests sent ahead and dropped, and request digest (see
+tools/race_numbers.py) of training runs of every benchmark workload:
+cls_rl_latency at workload seeds 101-102, at 64 and at 8 slots;
+ner_msgd_cpu at seed 9001 at 64 slots; mrc_http at seed 9001 at 64 and at
+2 slots. A change to what any workload sends, such as a rung cut or
 the order of a batch, fails here; a change that means to move these numbers
 updates the rows and says why.
 
@@ -20,48 +21,49 @@ TOOLS = Path(__file__).resolve().parents[1] / "tools"
 # (training seed, requests, units, test F1, true p, sha256[:16])
 ROWS = {
     64: [
-        (404, 1739, 37, 0.71066, 0.70, "7fc76da820352b84"),
-        (405, 1744, 36, 0.67005, 0.66, "a0cf4cfbe799807a"),
-        (406, 1783, 37, 0.65990, 0.65, "354b840eb2b3544a"),
-        (407, 1826, 38, 0.68020, 0.67, "c8c4dd29aa2665a8"),
-        (408, 1499, 31, 0.62944, 0.62, "bf1646d4c41d44e4"),
-        (409, 1749, 36, 0.70051, 0.69, "147014e4104ad154"),
-        (410, 1825, 38, 0.65990, 0.65, "423419233067a831"),
-        (411, 1761, 37, 0.71066, 0.70, "b687cbf499e208bd"),
+        (404, 1748, 33, 0.67005, 0.66, "c40679fa075ba2e9"),
+        (405, 1788, 32, 0.69036, 0.68, "f270ecbd3dcb7402"),
+        (406, 1789, 32, 0.65990, 0.65, "4fb28f2e8173214b"),
+        (407, 1817, 33, 0.67005, 0.66, "c12eb2295aa95be2"),
+        (408, 1467, 26, 0.62944, 0.62, "5f03860a73a4d128"),
+        (409, 1753, 31, 0.70051, 0.69, "22baf4040754afb5"),
+        (410, 1789, 32, 0.67005, 0.66, "493bd8d31d7f3350"),
+        (411, 1768, 32, 0.68020, 0.67, "183b9b958a14bf78"),
     ],
     8: [
-        (404, 1947, 247, 0.69036, 0.68, "9305a1e1e64675c7"),
-        (405, 1956, 248, 0.67005, 0.66, "21017b23047f8898"),
-        (406, 2024, 256, 0.65990, 0.65, "d49e7b02a8938ec6"),
-        (407, 2063, 261, 0.68020, 0.67, "8a9c359534c4f67c"),
-        (408, 1657, 210, 0.62944, 0.62, "087de10b425a69ec"),
-        (409, 1912, 242, 0.68020, 0.67, "a93c62166749cbf5"),
-        (410, 1940, 245, 0.65990, 0.65, "1131eade35239aec"),
-        (411, 1947, 247, 0.71066, 0.70, "8e08af5c07de17bf"),
+        (404, 1979, 251, 0.69036, 0.68, "58bf888034b5c58a"),
+        (405, 2026, 257, 0.69036, 0.68, "c9547fbb3d263434"),
+        (406, 1910, 242, 0.65990, 0.65, "89bb15e4db4c0d2b"),
+        (407, 2081, 264, 0.67005, 0.66, "3d24f8fcf1dab372"),
+        (408, 1663, 211, 0.62944, 0.62, "792095e6755bc9d9"),
+        (409, 1891, 239, 0.70051, 0.69, "c0a5f07379c8659e"),
+        (410, 2099, 265, 0.67005, 0.66, "0225eca87e1e7b2a"),
+        (411, 1999, 253, 0.69036, 0.68, "88203f73c40a8396"),
     ],
 }
 
 # the other workloads at seed 9001, one run each, by (workload, slots)
 SEED_9001_ROWS = {
-    ("ner_msgd_cpu", 64): [(9001, 11972, 194, 0.66599, 0.61, "4b59d783e09bc5ef")],
-    ("mrc_http", 64): [(9001, 486, 13, 0.8, 0.57, "40b7b77541404e5c")],
-    ("mrc_http", 2): [(9001, 560, 282, 0.8, 0.57, "5d56bfff2b910322")],
+    ("ner_msgd_cpu", 64): [(9001, 11978, 189, 0.66599, 0.61, "40775e0c1c0a1438")],
+    ("mrc_http", 64): [(9001, 488, 12, 0.8, 0.57, "08285d7c75ecefbc")],
+    ("mrc_http", 2): [(9001, 562, 282, 0.8, 0.57, "418dfcb76790fc4e")],
 }
 
 # (training seed, tokens, round trips, the returned prompt's length in
-# tokens) of each run above, by (workload, slots)
+# tokens, operator requests sent ahead and dropped) of each run above, by
+# (workload, slots)
 COSTS = {
-    ("cls_rl_latency", 64): [(404, 388664, 23, 236), (405, 375246, 23, 190),
-                             (406, 354399, 24, 163), (407, 384233, 25, 199),
-                             (408, 293147, 20, 147), (409, 381728, 23, 212),
-                             (410, 360066, 25, 163), (411, 441561, 24, 236)],
-    ("cls_rl_latency", 8): [(404, 425689, 23, 202), (405, 420463, 23, 190),
-                            (406, 403914, 24, 163), (407, 435042, 25, 199),
-                            (408, 327257, 20, 147), (409, 386950, 23, 178),
-                            (410, 379388, 23, 163), (411, 488443, 24, 236)],
-    ("ner_msgd_cpu", 64): [(9001, 4233527, 20, 131)],
-    ("mrc_http", 64): [(9001, 84988, 10, 76)],
-    ("mrc_http", 2): [(9001, 98082, 10, 76)],
+    ("cls_rl_latency", 64): [(404, 361449, 19, 201, 5), (405, 389990, 19, 202, 4),
+                             (406, 354351, 19, 161, 4), (407, 402677, 20, 193, 2),
+                             (408, 287528, 15, 147, 6), (409, 383625, 18, 212, 5),
+                             (410, 384814, 19, 201, 4), (411, 422941, 19, 199, 5)],
+    ("cls_rl_latency", 8): [(404, 409997, 19, 201, 4), (405, 442508, 19, 202, 4),
+                            (406, 378052, 18, 161, 2), (407, 459809, 20, 193, 2),
+                            (408, 329134, 16, 147, 6), (409, 413056, 18, 215, 2),
+                            (410, 447960, 20, 201, 7), (411, 471962, 19, 204, 5)],
+    ("ner_msgd_cpu", 64): [(9001, 4241977, 15, 131, 6)],
+    ("mrc_http", 64): [(9001, 85728, 9, 76, 2)],
+    ("mrc_http", 2): [(9001, 98840, 9, 76, 2)],
 }
 
 BUDGETS = (2000, 3000, 4000, 5000)
@@ -72,24 +74,24 @@ BUDGETS = (2000, 3000, 4000, 5000)
 # training requests, sha256[:16])
 BUDGET_ROWS = {
     0.0: [
-        (404, 3544, 76, 1013359, 47, 0.79, 311, (0.71, 0.77, 0.79, 0.79), "53459fa1adc49e13"),
-        (405, 3699, 77, 897477, 50, 0.72, 230, (0.66, 0.68, 0.72, 0.72), "bc28bf7d10a75a41"),
-        (406, 3667, 77, 872853, 50, 0.73, 233, (0.68, 0.71, 0.73, 0.73), "e74ea9d50570f298"),
-        (407, 3687, 77, 907540, 50, 0.73, 230, (0.67, 0.71, 0.73, 0.73), "28bd43ca462ebf3a"),
-        (408, 1499, 31, 293147, 20, 0.62, 147, (0.62, 0.62, 0.62, 0.62), "bf1646d4c41d44e4"),
-        (409, 3641, 76, 924495, 49, 0.76, 255, (0.70, 0.74, 0.76, 0.76), "abbee4da04ac1914"),
-        (410, 3759, 79, 850154, 52, 0.70, 227, (0.65, 0.68, 0.70, 0.70), "2e2720293ae6594c"),
-        (411, 3675, 77, 1069054, 50, 0.79, 317, (0.71, 0.74, 0.79, 0.79), "7282f6c59530a71e"),
+        (404, 3633, 65, 924437, 37, 0.75, 279, (0.67, 0.72, 0.75, 0.75), "c0a7153d3e82289a"),
+        (405, 3647, 64, 904516, 37, 0.75, 246, (0.69, 0.72, 0.75, 0.75), "e8080b86307e594f"),
+        (406, 3668, 64, 889821, 37, 0.73, 262, (0.66, 0.71, 0.73, 0.73), "34157c64d86da8dd"),
+        (407, 3736, 66, 951768, 39, 0.72, 254, (0.66, 0.71, 0.72, 0.72), "9a2440417cdfd3c9"),
+        (408, 1467, 26, 287528, 15, 0.62, 147, (0.62, 0.62, 0.62, 0.62), "5f03860a73a4d128"),
+        (409, 3705, 65, 1003138, 38, 0.77, 284, (0.72, 0.74, 0.77, 0.77), "4bfdfdba58cdf1ef"),
+        (410, 3692, 65, 1062062, 38, 0.76, 340, (0.69, 0.74, 0.76, 0.76), "e7aa87a540301f02"),
+        (411, 3628, 64, 927946, 37, 0.73, 241, (0.68, 0.70, 0.73, 0.73), "c91f39ad1ef17aee"),
     ],
     0.5: [
-        (404, 1174, 25, 236222, 15, 0.60, 134, (0.60, 0.60, 0.60, 0.60), "4b69c0771766d278"),
-        (405, 1197, 25, 245998, 16, 0.61, 139, (0.61, 0.61, 0.61, 0.61), "6662356b593a46bb"),
-        (406, 1505, 31, 290260, 20, 0.61, 142, (0.61, 0.61, 0.61, 0.61), "0b635a4db44808a2"),
-        (407, 1256, 26, 250032, 17, 0.60, 134, (0.60, 0.60, 0.60, 0.60), "80929983ea2f59a9"),
-        (408, 1495, 31, 412305, 20, 0.61, 238, (0.61, 0.61, 0.61, 0.61), "47eb175b4067d80b"),
-        (409, 1824, 38, 377552, 25, 0.63, 152, (0.63, 0.63, 0.63, 0.63), "a04d66b6fdb25b15"),
-        (410, 2641, 55, 556820, 36, 0.64, 158, (0.64, 0.64, 0.64, 0.64), "c2e34a83cf9d857b"),
-        (411, 2463, 51, 569211, 32, 0.66, 193, (0.66, 0.66, 0.66, 0.66), "cdc7d49a39ad359a"),
+        (404, 1177, 23, 226174, 13, 0.60, 134, (0.60, 0.60, 0.60, 0.60), "3c7f99c833f5399c"),
+        (405, 1219, 22, 243568, 13, 0.61, 139, (0.61, 0.61, 0.61, 0.61), "f5af9766ab605457"),
+        (406, 1467, 26, 280661, 15, 0.61, 142, (0.61, 0.61, 0.61, 0.61), "733ec961adc027f2"),
+        (407, 1260, 23, 237974, 14, 0.60, 134, (0.60, 0.60, 0.60, 0.60), "6bfd9b4cb847afa9"),
+        (408, 1506, 27, 415138, 16, 0.61, 238, (0.61, 0.61, 0.61, 0.61), "6ef31e2dc60651a2"),
+        (409, 3336, 58, 868397, 33, 0.68, 239, (0.67, 0.68, 0.68, 0.68), "ce77151b16024fe5"),
+        (410, 1835, 33, 365342, 20, 0.63, 150, (0.63, 0.63, 0.63, 0.63), "807477deaf5ce104"),
+        (411, 1734, 31, 500853, 18, 0.63, 269, (0.63, 0.63, 0.63, 0.63), "db931a26842eb74c"),
     ],
 }
 
@@ -99,7 +101,7 @@ def pinned(monkeypatch, workload, seeds, slots):
     from race_numbers import race_numbers
 
     rows = race_numbers(workload, seeds, slots)
-    assert [(r.seed, r.tokens, r.round_trips, r.prompt_len) for r in rows] == \
+    assert [(r.seed, r.tokens, r.round_trips, r.prompt_len, r.dropped) for r in rows] == \
         COSTS[workload, slots]
     return [(r.seed, r.requests, r.units, round(r.test_f1, 5), round(r.true_p, 4),
              r.sha256[:16]) for r in rows]

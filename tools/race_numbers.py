@@ -1,7 +1,8 @@
 """What racing costs and what it finds, run by run: in-process training runs
 of a benchmark workload, each with its requests, latency units, tokens,
-round trips, test F1, true prompt quality, the returned prompt's length and
-a digest of every request it sent.
+round trips, test F1, true prompt quality, the returned prompt's length,
+the operator requests it sent ahead and dropped, and a digest of every
+request it sent.
 
 Each run drives the training loop of `promptopt.engine` (its trainer,
 subclassed as `Marking` to record the budget curve) on one of perfbench's
@@ -13,7 +14,10 @@ call, whatever its size; round trips run one after another. Tokens are the
 prompt and completion tokens of every reply. True p is
 `oracle.accuracy_level` of the returned prompt, the quality the oracle
 planted in it. Its length is `count_tokens` of its text rendered with an
-empty input, the tokens it adds to every request it is sent in. The digest
+empty input, the tokens it adds to every request it is sent in. Dropped is
+the sum of the report rows' `dropped_requests`: operator requests sent in a
+finish batch for a base that did not become the next one, 0 for a program
+whose rows do not have the field. The digest
 is a sha256 over the content hash of each request, in the order sent, so
 two runs that send the same requests have the same digest.
 
@@ -85,6 +89,7 @@ class Row(NamedTuple):
     test_f1: float
     true_p: float
     prompt_len: int  # the returned prompt's length in tokens (see prompt_len)
+    dropped: int  # operator requests sent ahead and dropped
     sha256: str
     # the true p reached within each budget of training requests (see Marking)
     curve: tuple = ()
@@ -212,7 +217,9 @@ def race_numbers(workload: str, seeds: Sequence[int], slots: int,
                 rows.append(Row(cfg.seed, backend.usage.requests, counting.units,
                                 backend.usage.total_tokens, counting.round_trips,
                                 report.final_test_objective, true_p(best.prompt),
-                                prompt_len(best.prompt), counting.digest.hexdigest(),
+                                prompt_len(best.prompt),
+                                sum(row.get("dropped_requests", 0) for row in report.iterations),
+                                counting.digest.hexdigest(),
                                 trainer.curve(budgets)))
     return rows
 
@@ -227,7 +234,7 @@ def columns(rows: Sequence[Row], budgets: Sequence[int]) -> dict[str, list]:
     B as p@B."""
     out = {name: [getattr(r, name) for r in rows]
            for name in ("requests", "units", "tokens", "round_trips", "test_f1", "true_p",
-                        "prompt_len")}
+                        "prompt_len", "dropped")}
     for i, b in enumerate(budgets):
         out["p@%d" % b] = [r.curve[i] for r in rows]
     return out
@@ -249,9 +256,9 @@ def main(argv=None) -> int:
                         help="also write the settings, every row and the means and SEs here")
     args = parser.parse_args(argv)
     budgets = "".join(" %7s" % ("p@%d" % b) for b in args.budgets)
-    print("%-6s %5s %8s %6s %9s %5s %8s %7s %6s%s  %s" % (
+    print("%-6s %5s %8s %6s %9s %5s %8s %7s %6s %7s%s  %s" % (
         "seed", "slots", "requests", "units", "tokens", "trips", "test_f1", "true_p", "length",
-        budgets, "sha256"))
+        "dropped", budgets, "sha256"))
     doc = {"workload": args.workload, "seeds": args.seeds, "slots": args.slots,
            "iterations": args.iterations, "noise": args.noise, "budgets": args.budgets,
            "columns": list(columns([], args.budgets)), "rows": [], "summary": []}
@@ -260,9 +267,10 @@ def main(argv=None) -> int:
         rows = race_numbers(args.workload, args.seeds, slots, args.iterations, args.budgets,
                             args.noise)
         for row in rows:
-            print(("%-6d %5d %8d %6d %9d %5d %8.5f %7.4f %6d" + curve + "  %s") % (
+            print(("%-6d %5d %8d %6d %9d %5d %8.5f %7.4f %6d %7d" + curve + "  %s") % (
                 row.seed, slots, row.requests, row.units, row.tokens, row.round_trips,
-                row.test_f1, row.true_p, row.prompt_len, *row.curve, row.sha256[:16]))
+                row.test_f1, row.true_p, row.prompt_len, row.dropped, *row.curve,
+                row.sha256[:16]))
         table = columns(rows, args.budgets)
         for i, row in enumerate(rows):
             doc["rows"].append({"seed": row.seed, "slots": slots,
@@ -271,7 +279,7 @@ def main(argv=None) -> int:
         means = {name: statistics.fmean(values) for name, values in table.items()}
         ses = {name: se(values) for name, values in table.items()}
         doc["summary"].append({"slots": slots, "runs": len(rows), "mean": means, "se": ses})
-        line = "%-6s %5d %8.3f %6.3f %9.1f %5.2f %8.5f %7.4f %6.1f" + curve
+        line = "%-6s %5d %8.3f %6.3f %9.1f %5.2f %8.5f %7.4f %6.1f %7.2f" + curve
         print((line + "  (%d runs)") % ("mean", slots, *means.values(), len(rows)))
         print((line + "\n") % ("se", slots, *ses.values()))
     if args.json:
