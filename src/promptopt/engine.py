@@ -28,21 +28,27 @@ same prefix, and no (prompt, example) request is sent twice.
 
 The iterations are pipelined. A raced scoring's last batch, the finish,
 finishes one prompt F, and only F joins the pool, so the next base is
-either the current one or F. Before the finish, the next iteration's pairs
-are drawn from the matrix as it stands, without this iteration's update,
-and their backend operators are planned on both possible bases: the base
-with its own record, F with its report and bad cases on the prefix it was
-sent, each with the pool and F as parents. Their requests go out at the end
-of the finish batch, so the next iteration sends no operator batch of its
-own: after a raced scoring an iteration makes at most three round trips,
-and at most four otherwise. After the finish, the update is applied,
-retain runs once, the plans on the new base are kept and the other base's
-replies are dropped unread; the local operators, which send nothing, are
-planned then, on the pool that retain kept. The matrix so learns under a
-delay of one iteration, which costs a bandit little (Joulani, Gyorgy and
-Szepesvari, 2013). A scoring that does not race (one candidate, a set
-under RACE_MIN_SET, or no edit at all) and the last iteration send nothing
-ahead.
+either the current one or F: retain puts the best prompt first, F is an
+edit of the base with a lineage one step longer, so a tie keeps the base,
+and a raced initial pool keeps F alone. Before the finish, `_plan` draws
+the next iteration's pairs from the matrix as it stands, without this
+iteration's update, and plans their backend operators on both possible
+bases: the base with its own record, F with its report and bad cases on
+the prefix it was sent, each with the pool and F as parents. Their
+requests go out at the end of the finish batch, so the next iteration sends
+no operator batch of its own: after a raced scoring an iteration makes at
+most three round trips, and at most four otherwise. After the finish, the
+update is applied, retain runs once, and the new base's reply positions
+are kept; the other base's replies are dropped unread. The matrix so
+learns under a delay of one iteration, which costs a bandit little
+(Joulani, Gyorgy and Szepesvari, 2013). When nothing rode the last finish
+batch (its scoring did not race: one candidate, a set under RACE_MIN_SET,
+or no edit at all), `_plan` plans the iteration on its base alone, with
+the pool as parents, and its requests go out in a batch of their own.
+Either way one loop finishes every pair: a local operator, which sends
+nothing, is planned then, on the pool that retain kept, and a backend
+operator is finished from the replies at its positions. The last iteration
+sends nothing ahead.
 
 Every evaluation batch is a list of (candidate, start, stop) segments of the
 training set, whose layout `evaluation` owns: `eval_requests` lists their
@@ -435,24 +441,24 @@ def _contract_breach(base: MetaPrompt, edited: MetaPrompt) -> str:
 
 @dataclass
 class _Ahead:
-    """An iteration's operator round trip, sent at the end of the finish
-    batch of the scoring before it: the iteration's pairs and, for each
-    prompt that can be its base, by fingerprint, (jobs, plans, positions):
-    its pairs' jobs, the plans of their backend operators (None for a local
-    one), and where in `requests` those plans' requests are. A pair whose
-    plan is the same on two bases sends its requests once, for both.
-    `replies` are the replies to `requests`."""
+    """An iteration's operator round trip: the iteration's pairs and, for
+    each prompt that can be its base, by fingerprint, one entry per pair:
+    the range of positions in `requests` of the requests its backend
+    operator sends on that base, or None when it sends nothing (a local
+    operator, or one without the context it needs). A pair whose requests
+    are the same on two bases sends them once, for both. `replies` are the
+    replies to `requests`."""
     pairs: list[SelectionPair]
-    bases: dict[str, tuple[list, list, list[int]]] = field(default_factory=dict)
+    bases: dict[str, list[Optional[range]]] = field(default_factory=dict)
     requests: list = field(default_factory=list)
     replies: Sequence = ()
 
     def keep(self, fingerprint: str) -> int:
-        """Keep the plans on the base with this fingerprint alone, and
-        return how many of `requests` no plan kept needs."""
-        kept = self.bases.get(fingerprint)
-        self.bases = {fingerprint: kept} if kept else {}
-        return len(self.requests) - (len(kept[2]) if kept else 0)
+        """Keep the base with this fingerprint alone, and return how many of
+        `requests` its pairs do not need. It must be one of the bases."""
+        kept = self.bases[fingerprint]
+        self.bases = {fingerprint: kept}
+        return len(self.requests) - sum(len(at) for at in kept if at)
 
 
 class _Trainer:
@@ -710,72 +716,68 @@ class _Trainer:
             save_experience(store, cfg.experience_out)
         return best_cand, self.report, store
 
-    def _jobs(self, pairs: Sequence[SelectionPair], base: Candidate, record: tuple,
-              iteration: int, pool: Sequence[Candidate]) -> list[tuple[str, ops.OperatorContext]]:
-        """Each pair's (operator id, context) on `base` (see _context)."""
-        return [(pair.operator, self._context(pair, base, record, iteration, pool, k))
-                for k, pair in enumerate(pairs)]
+    def _plan(self, iteration: int, parents: Sequence[Candidate],
+              bases: Sequence[tuple[Candidate, tuple]]) -> _Ahead:
+        """Iteration `iteration`'s operator round trip: its pairs are drawn
+        from the matrix as it stands, and their backend operators are
+        planned on each (base, record) of `bases`, with `parents` as the
+        parents. A local operator sends nothing, so it is planned once the
+        base is known, on the pool that retain kept."""
+        ahead = _Ahead(select_pairs(self.matrix, self.n_pairs, self.rng, eligible=self.eligible))
+        at: dict[tuple, range] = {}  # the positions of each (pair, plan)'s requests
+        for base, record in bases:
+            entries = ahead.bases[base.fingerprint] = []
+            for k, pair in enumerate(ahead.pairs):
+                plan = None
+                if pair.operator not in ops.LOCAL_OPERATORS:
+                    plan = ops.plan_operator(
+                        pair.operator, self._context(pair, base, record, iteration, parents, k))
+                if plan is not None and (k, plan) not in at:
+                    at[k, plan] = range(len(ahead.requests), len(ahead.requests) + len(plan))
+                    ahead.requests += plan
+                entries.append(at.get((k, plan)))
+        return ahead
 
     def _plan_ahead(self, iteration: int, pool: Sequence[Candidate], base: Optional[Candidate],
                     finisher: Candidate, record: tuple) -> _Ahead:
-        """Iteration `iteration`'s operator round trip, planned before the
-        batch that finishes `finisher` in the iteration before it: its pairs
-        are drawn from the matrix as it stands, without the update that
-        batch's scores make, and its backend operators are planned on each
-        prompt that can be its base. One is `finisher`, with `record`, its
-        report and bad cases on the prefix it was sent before that batch;
-        the other is `base`, unless None, with its own record. Either one's
-        parents are `pool` and the finisher, scored on that prefix. A local
-        operator sends nothing, so it is planned once the base is known."""
-        ahead = _Ahead(select_pairs(self.matrix, self.n_pairs, self.rng, eligible=self.eligible))
+        """Iteration `iteration`'s operator round trip (see _plan), planned
+        before the batch that finishes `finisher` in the iteration before
+        it, so without the update that batch's scores make, on each prompt
+        that can be its base. One is `finisher`, with `record`, its report
+        and bad cases on the prefix it was sent before that batch; the other
+        is `base`, unless None, with its own record. Either one's parents
+        are `pool` and the finisher, scored on that prefix."""
         parents = _distinct([*pool, finisher.with_score(iteration - 1, _scores(record[0]))])
-        at: dict[tuple, list[int]] = {}  # the positions of each (pair, plan)'s requests
         bases = [(base, self.scored[base.fingerprint])] if base else []
-        for cand, rec in bases + [(finisher, record)]:
-            jobs = self._jobs(ahead.pairs, cand, rec, iteration, parents)
-            plans = [None if op in ops.LOCAL_OPERATORS else ops.plan_operator(op, ctx)
-                     for op, ctx in jobs]
-            positions = []
-            for k, plan in enumerate(plans):
-                if isinstance(plan, tuple):
-                    if (k, plan) not in at:
-                        at[k, plan] = list(range(len(ahead.requests),
-                                                 len(ahead.requests) + len(plan)))
-                        ahead.requests += plan
-                    positions += at[k, plan]
-            ahead.bases[cand.fingerprint] = (jobs, plans, positions)
-        return ahead
+        return self._plan(iteration, parents, bases + [(finisher, record)])
 
     def _iteration(self, iteration: int, pool: list[Candidate]) -> list[Candidate]:
         cfg = self.cfg
         n = len(self.train_set)
         base = _best(pool, cfg.objective)
         base_score = _latest(base, cfg.objective)
+        record = self.scored[base.fingerprint]
         ahead, self.ahead = self.ahead, None
-        pairs = ahead.pairs if ahead else select_pairs(
-            self.matrix, self.n_pairs, self.rng, eligible=self.eligible)
-        jobs = self._jobs(pairs, base, self.scored[base.fingerprint], iteration, pool)
         eval_requests = self.eval_requests
-        planned = ahead.bases.get(base.fingerprint) if ahead else None
-        if planned:
-            # the backend operators' requests went out in the last finish
-            # batch, planned on this base; the local operators are planned
-            # here, on the pool that retain kept
-            ahead_jobs, plans, positions = planned
-            jobs = [job if job[0] in ops.LOCAL_OPERATORS else planned_job
-                    for job, planned_job in zip(jobs, ahead_jobs)]
-            plans = [ops.plan_operator(*job) if job[0] in ops.LOCAL_OPERATORS else plan
-                     for job, plan in zip(jobs, plans)]
-            results = ops.finish_operators(jobs, plans, [ahead.replies[i] for i in positions])
-        else:
-            # a round trip of its own: every backend operator's requests, in
-            # pair order
-            results = ops.apply_operators(jobs, self.backend)
+        if not ahead:
+            # nothing rode the last finish batch: a round trip of its own,
+            # every backend operator's requests in pair order
+            ahead = self._plan(iteration, pool, [(base, record)])
+            if ahead.requests:
+                ahead.replies = self.backend.generate_batch(ahead.requests)
+        pairs = ahead.pairs
         # every pair's edit that did not fail, by pair index in pair order,
         # by which the race breaks ties
         edits: dict[int, Optional[Candidate]] = {}
         failed = []
-        for k, (pair, result) in enumerate(zip(pairs, results)):
+        for k, (pair, at) in enumerate(zip(pairs, ahead.bases[base.fingerprint])):
+            ctx = self._context(pair, base, record, iteration, pool, k)
+            if pair.operator in ops.LOCAL_OPERATORS:
+                result = ops.plan_operator(pair.operator, ctx)
+            elif at is not None:
+                result = ops.finish_operator(pair.operator, ctx, [ahead.replies[i] for i in at])
+            else:
+                result = None
             if isinstance(result, BackendError):
                 # infrastructure noise, not prompt quality: no observation
                 log.warning("operator %s on %s failed: %s", pair.operator, pair.section, result)

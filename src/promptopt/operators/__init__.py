@@ -12,10 +12,10 @@ A failed request reaches `finish_operator` as a value, the BackendError
 the backend returned for it, and an operator none of whose replies arrived
 comes back as its first failure; the backend raises the one failure that
 ends a run, an AuthError.
-`apply_operators` runs many operators in one round trip, and
-`apply_operator` is its one-operator form. `plan_operators` and
-`finish_operators` are its steps before and after that round trip, for a
-caller that sends more requests in the same batch. Template-backed
+`apply_operators` runs many operators in one round trip of their own, for
+initialization, and `apply_operator` is its one-operator form; the trainer
+sends its operators' requests itself, with `plan_operator` and
+`finish_operator`, so that they can share a batch. Template-backed
 operators, `TEMPLATE_OPERATORS`, build a chat request from the text
 template `templates/<id>.txt` and parse a JSON response. A new one needs
 its id in `OPERATOR_IDS` and in `TEMPLATE_OPERATORS`, its template file,
@@ -465,41 +465,22 @@ def finish_operator(op: str, ctx: OperatorContext, replies: Sequence[BatchItem]
     return ctx.prompt.with_body(section.id, outcome.new_body)
 
 
-def plan_operators(jobs: Sequence[tuple[str, OperatorContext]]
-                   ) -> tuple[list, list[GenerationRequest]]:
-    """Plan every (operator id, context) job (see `plan_operator`). Returns
-    the plans, in job order, and the requests of all of them as one batch,
-    in job order."""
-    plans = [plan_operator(op, ctx) for op, ctx in jobs]
-    return plans, [req for plan in plans if isinstance(plan, tuple) for req in plan]
-
-
-def finish_operators(jobs: Sequence[tuple[str, OperatorContext]], plans: Sequence,
-                     replies: Sequence[BatchItem]) -> list[Union[MetaPrompt, None, BackendError]]:
-    """Finish each job of `plan_operators` with its own replies, taken in
-    order from `replies`, the replies to its batch. Each job comes back as
-    its edited prompt, or None for a no-op; a job whose replies all failed
-    comes back as its first BackendError."""
-    replies = iter(replies)
-    results = []
-    for (op, ctx), plan in zip(jobs, plans):
-        if isinstance(plan, tuple):
-            plan = finish_operator(op, ctx, [next(replies) for _ in plan])
-        results.append(plan)
-    return results
-
-
 def apply_operators(jobs: Sequence[tuple[str, OperatorContext]],
                     backend: Optional[Backend]) -> list[Union[MetaPrompt, None, BackendError]]:
     """Run (operator id, context) jobs in one round trip: plan every job,
     send the requests of all of them as one batch in job order (none when no
-    job needs a request), and finish each job with its own replies (see
-    `finish_operators`). Without a backend, a job that needs requests raises
-    MissingContext."""
-    plans, reqs = plan_operators(jobs)
+    job needs a request), and finish each job with its own replies. Each job
+    comes back as its edited prompt, or None for a no-op; a job whose
+    replies all failed comes back as its first BackendError. Without a
+    backend, a job that needs requests raises MissingContext."""
+    plans = [plan_operator(op, ctx) for op, ctx in jobs]
+    reqs = [req for plan in plans if isinstance(plan, tuple) for req in plan]
     if reqs and backend is None:
         raise MissingContext("operators that send requests need a backend")
-    return finish_operators(jobs, plans, backend.generate_batch(reqs) if reqs else ())
+    replies = iter(backend.generate_batch(reqs) if reqs else ())
+    return [finish_operator(op, ctx, [next(replies) for _ in plan])
+            if isinstance(plan, tuple) else plan
+            for (op, ctx), plan in zip(jobs, plans)]
 
 
 def apply_operator(op: str, ctx: OperatorContext,

@@ -18,7 +18,9 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 NEVER_CALLED = {
     "evaluation:score": "training and `evaluate` score through evaluation.Tally",
     "msgd_rl:rl_epoch": "training applies Sarsa through engine.update_matrix",
-    "operators:apply_operator": "training edits through operators.apply_operators",
+    "operators:apply_operator":
+        "iterations finish through plan_operator and finish_operator, and only "
+        "initialization calls apply_operators",
     "msgd_rl:load_experience": "neither run has `experience_in`",
     "prompt_model:reorder":
         "engine binds reorder only for the tracer; define_sort reorders inside operators",

@@ -1021,7 +1021,8 @@ class TestRacing:
             n_operator = sum(op not in LOCAL for op in ops)
             if sent_ahead:
                 # the last finish batch sent them, on this iteration's base
-                [(_, _, positions)] = sent_ahead.bases.values()
+                [entries] = sent_ahead.bases.values()
+                positions = [i for at in entries if at for i in at]
                 assert len(positions) == n_operator
             elif n_operator:
                 operator, evals = split_call(calls[0], by_input)
@@ -1441,7 +1442,7 @@ class TestPipelinedOperators:
         assert len(bases) == 2 and len(ahead.replies) == len(ahead.requests)
         assert finisher.prompt.skeleton().count("quality %d" % qualities[0]) == 1
         kept = (base if winner == "base" else finisher).fingerprint
-        positions = bases[kept][2]
+        positions = [i for at in bases[kept] if at for i in at]
         assert list(ahead.bases) == [kept]
         row1, row2 = trainer.report.iterations
         assert row1["next_bases"] == 2
@@ -1546,6 +1547,138 @@ class TestPipelinedOperators:
             assert select(m, count, rng, eligible=eligible) == pairs
             assert [(s["section"], s["operator"]) for s in rows[t - 1]["selections"]] == \
                 [(p.section, p.operator) for p in pairs]
+
+
+class TestOnePlan:
+    """Every iteration finishes its operators from one plan (_Trainer._plan),
+    whether it was sent ahead, on two possible bases, or alone, on the base.
+    A base's entries hold, per pair, the positions of the requests its
+    operator sends on that base, or None when it sends nothing."""
+
+    TRAIN = cls_dataset(200)
+    # every cell of the template's two editable sections is drawn: backend
+    # operators with one request and with three, one that needs bad cases,
+    # one that needs two parents, and local ones
+    OPERATORS = ("refine", "reflect", "self_consistency", "diff_evolution", "cot", "merge")
+
+    class Replying(MockBackend):
+        """Records every batch and answers the request at position i with a
+        body that every template-backed operator parses: "edit i"."""
+
+        def __init__(self):
+            super().__init__([], max_parallel=64)
+            self.batches = []
+
+        def generate_batch(self, reqs):
+            self.batches.append(list(reqs))
+            return [GenerationResponse(text=json.dumps({"Improved": "edit %d" % i}))
+                    for i in range(len(reqs))]
+
+    def _setup(self, tmp_path):
+        cfg = small_config(iterations=2, top_k=3, anneal_count=0,
+                           pairs_per_epoch=2 * len(self.OPERATORS), operators=self.OPERATORS,
+                           output_dir=str(tmp_path))
+        trainer = _Trainer(cfg, self.TRAIN, [], base_template(), LastLine(self.TRAIN, 64))
+        base = Candidate(prompt=base_template())
+        # the finisher edited s0 alone, so an operator on s1 may send the
+        # same requests on either base
+        finisher = replace(base, prompt=base.prompt.with_body("s0", "Label it A or B.")
+                           ).with_edit(1, "s0", "refine")
+        bases = []
+        for cand in (base, finisher):
+            scores, _ = trainer._score([cand], 1)[cand.fingerprint]
+            bases.append((cand.with_score(1, scores), trainer.scored[cand.fingerprint][:2]))
+        return trainer, bases
+
+    @staticmethod
+    def _plan_from(trainer, state, parents, bases):
+        # _plan with the run's rng as it stood at `state`, so every plan
+        # draws the same pairs
+        trainer.rng.setstate(state)
+        return trainer._plan(2, parents, bases)
+
+    @staticmethod
+    def _sent(ahead, fingerprint):
+        # the requests at a base's positions, in pair order
+        return [ahead.requests[i] for at in ahead.bases[fingerprint] if at for i in at]
+
+    def test_each_base_holds_the_requests_its_own_plan_sends(self, tmp_path):
+        trainer, bases = self._setup(tmp_path)
+        parents = [cand for cand, _ in bases]
+        state = trainer.rng.getstate()
+        both = self._plan_from(trainer, state, parents, bases)
+        assert len(both.pairs) == 2 * len(self.OPERATORS)
+        entries = []
+        for cand, record in bases:
+            alone = self._plan_from(trainer, state, parents, [(cand, record)])
+            assert alone.pairs == both.pairs
+            assert list(alone.bases) == [cand.fingerprint]
+            assert self._sent(both, cand.fingerprint) == alone.requests
+            # a pair sends nothing on a base where it sends nothing alone
+            assert [at is None for at in both.bases[cand.fingerprint]] == \
+                [at is None for at in alone.bases[cand.fingerprint]]
+            entries.append(both.bases[cand.fingerprint])
+        # a pair whose requests are the same on both bases sends them once:
+        # the two bases' ranges are equal or disjoint, and they tile the
+        # requests
+        ranges = {at for row in entries for at in row if at}
+        shared = {at for at in entries[0] if at} & {at for at in entries[1] if at}
+        assert shared and len(shared) < len(ranges)
+        assert [i for at in sorted(ranges, key=lambda at: at.start) for i in at] == \
+            list(range(len(both.requests)))
+
+    def test_a_plan_alone_sends_and_finishes_what_apply_operators_does(self, tmp_path):
+        trainer, bases = self._setup(tmp_path)
+        parents = [cand for cand, _ in bases]
+        for base, record in bases:
+            alone = self._plan_from(trainer, trainer.rng.getstate(), parents, [(base, record)])
+            jobs = [(pair.operator, trainer._context(pair, base, record, 2, parents, k))
+                    for k, pair in enumerate(alone.pairs)]
+            backend = self.Replying()
+            results = ops.apply_operators(jobs, backend)
+            [batch] = backend.batches
+            assert batch == alone.requests
+            # the loop of _iteration, on the replies to that batch
+            alone.replies = backend.generate_batch(alone.requests)
+            finished = [ops.plan_operator(op, ctx) if op in ops.LOCAL_OPERATORS
+                        else None if at is None
+                        else ops.finish_operator(op, ctx, [alone.replies[i] for i in at])
+                        for (op, ctx), at in zip(jobs, alone.bases[base.fingerprint])]
+            assert finished == results
+            assert any(isinstance(r, MetaPrompt) for r in results) and None in results
+
+    @pytest.mark.parametrize("parallel", [64, 1])
+    def test_every_kept_base_was_planned(self, tmp_path, monkeypatch, parallel):
+        """Every edit ties its base ("quality 60" is the template's own
+        quality), so retain's order falls to lineage, then fingerprint:
+        the base, one step shorter than the finisher, is the next base each
+        time, and it is always one of the two planned."""
+        import promptopt.engine as engine
+
+        kept = []  # (the fingerprint kept, the bases planned)
+        keep = engine._Ahead.keep
+
+        def spy(self, fingerprint):
+            kept.append((fingerprint, list(self.bases)))
+            return keep(self, fingerprint)
+
+        monkeypatch.setattr(engine._Ahead, "keep", spy)
+        # nothing improves, so only the iteration budget ends the run
+        monkeypatch.setattr(engine, "CONVERGENCE_WINDOW", 100)
+        cfg = small_config(iterations=5, beam_init=1, top_k=3, anneal_count=0,
+                           pairs_per_epoch=4,
+                           operators=("refine", "rewrite", "short_instruction"),
+                           output_dir=str(tmp_path))
+        backend = Planted(self.TRAIN, [60] * 100, max_parallel=parallel)
+        trainer = _Trainer(cfg, self.TRAIN, [], base_template(), backend,
+                           run_dir=tmp_path / "run")
+        trainer.run()
+        rows = trainer.report.iterations
+        assert len(rows) == 5 and all(row["best"] == rows[0]["best"] for row in rows)
+        assert all(s["gradient"] == 0 for row in rows for s in row["selections"])
+        assert len(kept) == 4
+        base = Candidate(prompt=base_template()).fingerprint
+        assert kept == [(base, [base, finisher]) for _, [_, finisher] in kept]
 
 
 class TestScoreProperties:

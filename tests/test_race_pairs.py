@@ -1,7 +1,8 @@
 """tools/race_pairs.py on two hand-written race_numbers.py --json files: rows
 pair by (seed, slots) whatever their order, each column's paired difference
 has the sample standard deviation over the square root of the pairs as its
-standard error, and files run at other settings are refused."""
+standard error, the runs that sent byte-identical requests are counted per
+slot count, and files run at other settings are refused."""
 
 import json
 import math
@@ -69,6 +70,20 @@ def test_prints_the_table(race_pairs, tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "cls_rl_latency, seeds 101, iterations 12, noise 0.0"
     assert out[2].split() == ["64", "requests", "3", "20.0000", "18.0000", "-2.0000", "0.5774"]
+
+
+def test_counts_the_runs_that_sent_byte_identical_requests(race_pairs, tmp_path, capsys):
+    # seed 405 at 64 slots sent other requests; every other pair sent the same
+    change = dict(CHANGE, rows=[dict(row, sha256="1" * 64)
+                                if (row["seed"], row["slots"]) == (405, 64) else row
+                                for row in CHANGE["rows"]])
+    assert race_pairs.identical(PARENT, change) == [(64, 2, 3), (8, 3, 3)]
+    assert race_pairs.identical(PARENT, CHANGE) == [(64, 3, 3), (8, 3, 3)]
+    assert race_pairs.main([write(tmp_path, "a.json", PARENT),
+                            write(tmp_path, "b.json", change)]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "64 slots: 2 of 3 paired runs sent byte-identical requests",
+        "8 slots: 3 of 3 paired runs sent byte-identical requests"]
 
 
 @pytest.mark.parametrize("setting, value", [

@@ -3,7 +3,9 @@
 (training seed, slot count), and print for each slot count and column the
 two means, the mean paired difference (second file minus first) and its
 standard error, the sample standard deviation of the differences over the
-square root of the number of pairs.
+square root of the number of pairs. Below the table it prints, per slot
+count, how many paired runs sent byte-identical requests (equal sha256), so
+a refactor that should send the same requests shows that it does.
 
     python tools/race_pairs.py PARENT.json CHANGE.json
 
@@ -37,10 +39,8 @@ def se(values: Sequence[float]) -> float:
     return statistics.stdev(values) / math.sqrt(len(values))
 
 
-def pairs(parent: dict, change: dict) -> list[dict]:
-    """One record per slot count and column, in the files' order: slots,
-    column, the number of pairs, each side's mean, and the mean paired
-    difference with its standard error. Raises Unpaired when the files'
+def paired_rows(parent: dict, change: dict) -> tuple[dict, dict]:
+    """Each file's rows by (seed, slots). Raises Unpaired when the files'
     settings or the keys of their rows differ."""
     differ = [key for key in SETTINGS if parent[key] != change[key]]
     if differ:
@@ -55,6 +55,14 @@ def pairs(parent: dict, change: dict) -> list[dict]:
     a, b = by_key(parent), by_key(change)
     if a.keys() != b.keys():
         raise Unpaired("the files' rows differ in (seed, slots)")
+    return a, b
+
+
+def pairs(parent: dict, change: dict) -> list[dict]:
+    """One record per slot count and column, in the files' order: slots,
+    column, the number of pairs, each side's mean, and the mean paired
+    difference with its standard error. Raises Unpaired as paired_rows."""
+    a, b = paired_rows(parent, change)
     out = []
     for slots in parent["slots"]:
         keys = [key for key in a if key[1] == slots]
@@ -65,6 +73,18 @@ def pairs(parent: dict, change: dict) -> list[dict]:
             out.append({"slots": slots, "column": column, "runs": len(keys),
                         "parent": statistics.fmean(before), "change": statistics.fmean(after),
                         "diff": statistics.fmean(diffs), "se": se(diffs)})
+    return out
+
+
+def identical(parent: dict, change: dict) -> list[tuple[int, int, int]]:
+    """Per slot count, in the files' order: (slots, the paired runs whose
+    requests have equal sha256 digests, the paired runs). Raises Unpaired
+    as paired_rows."""
+    a, b = paired_rows(parent, change)
+    out = []
+    for slots in parent["slots"]:
+        keys = [key for key in a if key[1] == slots]
+        out.append((slots, sum(a[key]["sha256"] == b[key]["sha256"] for key in keys), len(keys)))
     return out
 
 
@@ -79,6 +99,7 @@ def main(argv=None) -> int:
             docs.append(json.load(f))
     try:
         records = pairs(*docs)
+        same = identical(*docs)
     except Unpaired as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
@@ -94,6 +115,8 @@ def main(argv=None) -> int:
     for r in records:
         print("%5d %-12s %5d %12.4f %12.4f %+12.4f %10.4f" % (
             r["slots"], r["column"], r["runs"], r["parent"], r["change"], r["diff"], r["se"]))
+    for slots, equal, runs in same:
+        print("%d slots: %d of %d paired runs sent byte-identical requests" % (slots, equal, runs))
     return 0
 
 
