@@ -41,7 +41,6 @@ class Inputs:
 
 
 RUN_KEYS = set(RunConfig.__dataclass_fields__)
-CONFIG_KEYS = RUN_KEYS | set(Inputs.__dataclass_fields__)
 
 
 def _parse_value(text: str):
@@ -52,21 +51,24 @@ def _parse_value(text: str):
 
 
 def apply_overrides(doc: dict, overrides) -> dict:
-    """Apply dotted-key overrides in place; keys must already exist (or be a
-    known top-level config key)."""
+    """Write each KEY=VALUE override into `doc` in place. VALUE is read as
+    JSON, or taken as a string when it is not JSON. A dotted KEY reaches
+    into nested objects, and each object on its path that is missing or
+    null is created. Whether the key exists is for from_fields to check, as
+    for a key in the file. ConfigError for an item without "=" and for a
+    path through a value that is not an object."""
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError("override %r is not key=value" % item)
         key, _, value = item.partition("=")
-        parts = key.split(".")
+        *path, leaf = key.split(".")
         node = doc
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ConfigError("override path %r does not exist" % key)
+        for part in path:
+            if node.get(part) is None:
+                node[part] = {}
             node = node[part]
-        leaf = parts[-1]
-        if leaf not in node and not (node is doc and leaf in CONFIG_KEYS):
-            raise ConfigError("override key %r not found in config" % key)
+            if not isinstance(node, dict):
+                raise ConfigError("override %r: %s is not an object" % (key, part))
         node[leaf] = _parse_value(value)
     return doc
 
@@ -89,8 +91,7 @@ def load_config(path, overrides=None, seed=None) -> dict:
 
 
 def split_config(doc: dict) -> tuple[RunConfig, Inputs]:
-    inputs = from_fields(Inputs, {k: v for k, v in doc.items()
-                                  if k not in RUN_KEYS and v is not None})
+    inputs = from_fields(Inputs, {k: v for k, v in doc.items() if k not in RUN_KEYS})
     cfg = config_from_dict({k: v for k, v in doc.items() if k in RUN_KEYS})
     cfg.validate()
     return cfg, inputs

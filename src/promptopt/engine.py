@@ -80,7 +80,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Literal, Optional, Sequence
 
 from . import msgd_rl
 from . import operators as ops
@@ -186,26 +186,26 @@ class RunConfig:
     anneal_count: int = 2
     anneal_temperature_start: float = 1.0
     anneal_temperature_decay: float = 0.9
-    optimizer: str = "msgd"  # msgd | msgd_rl
+    optimizer: Literal["msgd", "msgd_rl"] = "msgd"
     learning_rate_alpha: float = 1.0
-    msgd_update_mode: str = "multiplicative"  # or "additive"
+    msgd_update_mode: Literal["multiplicative", "additive"] = "multiplicative"
     sarsa_alpha: float = 0.5
     sarsa_gamma: float = 0.5
-    reward_mode: str = "mean"  # mean | per_pair
+    reward_mode: Literal["mean", "per_pair"] = "mean"
     pairs_per_epoch: int = 0  # 0 -> optimizer default (2 msgd / 5 msgd_rl)
-    objective: str = "f1"
+    objective: Literal["f1", "precision", "recall"] = "f1"
     seed: int = 0
     model: str = "default"
     operator_temperature: float = 0.7
     operators: tuple[str, ...] = ()
     eval_fraction: float = 1.0
     few_shot_k: int = 3
-    few_shot_strategy: str = "uniform"
+    few_shot_strategy: Literal["uniform", "stratified", "hard_case"] = "uniform"
     experience_in: Optional[str] = None
     experience_out: Optional[str] = None
     output_dir: str = "runs"
-    task: str = "CLS"
-    cls_average: str = "micro"
+    task: Literal[TASK_KINDS] = "CLS"
+    cls_average: Literal["micro", "macro"] = "micro"
 
     def effective_pairs_per_epoch(self) -> int:
         if self.pairs_per_epoch > 0:
@@ -216,6 +216,9 @@ class RunConfig:
         return tuple(self.operators) or ops.OPERATOR_IDS
 
     def validate(self) -> None:
+        """ConfigError unless each field has its type, checked as a config
+        file's values are, and lies in its range."""
+        from_fields(RunConfig, asdict(self))
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
         if self.top_k < 1:
@@ -228,10 +231,6 @@ class RunConfig:
             raise ConfigError("anneal_temperature_decay must be in (0, 1]")
         if self.beam_init < 1:
             raise ConfigError("beam_init must be >= 1")
-        if self.optimizer not in ("msgd", "msgd_rl"):
-            raise ConfigError("optimizer must be msgd or msgd_rl")
-        if self.objective not in ("f1", "precision", "recall"):
-            raise ConfigError("objective must be one of f1/precision/recall")
         if not 0 < self.eval_fraction <= 1:
             raise ConfigError("eval_fraction must be in (0, 1]")
         if not 0 < self.learning_rate_alpha < math.inf:
@@ -244,12 +243,6 @@ class RunConfig:
             raise ConfigError("sarsa_alpha must be in (0, 1]")
         if not 0 <= self.sarsa_gamma <= 1:
             raise ConfigError("sarsa_gamma must be in [0, 1]")
-        if self.reward_mode not in ("mean", "per_pair"):
-            raise ConfigError("reward_mode must be mean or per_pair")
-        if self.msgd_update_mode not in ("multiplicative", "additive"):
-            raise ConfigError("msgd_update_mode must be multiplicative or additive")
-        if self.few_shot_strategy not in ("uniform", "stratified", "hard_case"):
-            raise ConfigError("few_shot_strategy must be uniform, stratified or hard_case")
         if self.few_shot_k < 0:
             raise ConfigError("few_shot_k must be >= 0")
         if self.pairs_per_epoch < 0:
@@ -260,10 +253,6 @@ class RunConfig:
                 raise ConfigError("unknown operator %r" % op)
             if op in operators[:i]:
                 raise ConfigError("duplicate operator %r" % op)
-        if self.task not in TASK_KINDS:
-            raise ConfigError("task must be NER/CLS/MRC")
-        if self.cls_average not in ("micro", "macro"):
-            raise ConfigError("cls_average must be micro or macro")
 
 
 def config_from_dict(doc: dict) -> RunConfig:

@@ -589,6 +589,7 @@ class TestKeepAlive:
 
 
 OK_RAW = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(OK_REPLY), OK_REPLY)
+CHUNKED_HEAD = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
 
 
 def _read_request(rfile, log):
@@ -774,6 +775,47 @@ class TestWire:
         assert outcomes[1] == "ok" or outcomes[1][0] == "BackendError"
         assert len(srv.log) == 1 + attempts
         assert len(srv.threads) == attempts
+
+    @pytest.mark.parametrize("attempts", [1, 2])
+    @pytest.mark.parametrize("broken, message", [
+        (b"HTTP/1.1 2000 OK\r\n\r\n", "bad status line b'HTTP/1.1 2000 OK\\r\\n'"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 0x10\r\n\r\n", "bad Content-Length b'0x10'"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n",
+         "connection closed in the middle of a reply"),
+        (CHUNKED_HEAD + b"zz\r\n", "bad chunk size b'zz'"),
+        (CHUNKED_HEAD + b"3\r\nabcXY", "chunk not followed by CRLF"),
+        (b"", "connection closed before a reply"),  # on a new connection
+    ], ids=["status line", "content length", "closed in headers", "chunk size",
+            "chunk end", "no reply"])
+    def test_malformed_reply_is_a_counted_retried_attempt(self, broken, message, attempts):
+        """A reply that breaks HTTP/1.1 fails its attempt, closes its
+        connection and is retried while attempts remain."""
+        with _raw_serving(_replies(broken, end="close"), _replies(OK_RAW)) as srv:
+            backend = _backend(srv.url, attempts=attempts)
+            outcome = _outcome(backend)
+            idle = len(backend._idle)
+            backend.close()
+        if attempts == 1:
+            assert outcome == ("BackendError", "ProtocolError: " + message)
+        else:
+            assert outcome == "ok"
+        assert idle == attempts - 1  # only the connection that replied well is pooled
+        assert len(srv.log) == len(srv.threads) == attempts
+
+    def test_pooled_connection_reset_before_a_reply_is_sent_again_for_free(self):
+        def answer_then_reset(sock, rfile, log):
+            if _read_request(rfile, log):
+                sock.sendall(OK_RAW)
+            if _read_request(rfile, log):  # the second request gets a reset
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+        with _raw_serving(answer_then_reset, _replies(OK_RAW)) as srv:
+            backend = _backend(srv.url, attempts=1)
+            outcomes = [_outcome(backend, "first"), _outcome(backend, "second")]
+            backend.close()
+        assert outcomes == ["ok", "ok"]  # one attempt: the resend was not counted
+        assert [b"second" in r for r in srv.log] == [False, True, True]
+        assert len(srv.threads) == 2
 
     @pytest.mark.parametrize("reply, ok", [
         (OK_RAW.replace(b"OK\r\n", b"OK\r\n" + b"X: 1\r\n" * 99, 1), True),

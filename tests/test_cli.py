@@ -16,7 +16,7 @@ from promptopt.evaluation import BAD_CASE_CAP
 from promptopt.msgd_rl import read_experience
 from promptopt.prompt_model import load_template, save_template
 
-from helpers import make_prompt
+from helpers import MALFORMED_TEMPLATES, make_prompt
 
 
 def cls_lines(n=12):
@@ -148,6 +148,38 @@ class TestValidateConfig:
         code = main(["validate-config", "--config", str(workspace / "config.json"),
                      "--set", "backend.nested.key=1"])
         assert code == 1
+
+    @pytest.mark.parametrize("changes, overrides, want", [
+        ({}, ["backend.max_parallel=4"], (4, 3)),
+        ({"backend": None}, ["backend.max_parallel=4"], (4, 3)),
+        ({"backend": {"max_parallel": 2}}, ["backend.retry.max_attempts=5"], (2, 5)),
+        ({"backend": {"retry": None}}, ["backend.retry.max_attempts=5"], (8, 5)),
+        ({}, ["backend.max_parallel=2", "backend.retry.max_attempts=2"], (2, 2)),
+    ])
+    def test_override_creates_missing_backend_objects(self, workspace, capsys, changes,
+                                                      overrides, want):
+        # the workspace's config has no backend key
+        path = write_config(workspace, **changes)
+        argv = ["validate-config", "--config", str(path)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "config OK\n"
+        _cfg, inputs = cli.split_config(cli.load_config(path, overrides))
+        assert (inputs.backend.max_parallel, inputs.backend.retry.max_attempts) == want
+
+    def test_override_through_a_value_that_is_not_an_object(self, workspace, capsys):
+        code = main(["validate-config", "--config", str(workspace / "config.json"),
+                     "--set", "seed.x=1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: override 'seed.x': seed is not an object\n"
+
+    def test_unknown_key_set_to_null_exits_one(self, workspace, capsys):
+        path = write_config(workspace, sparkle=None)
+        for cmd in ("validate-config", "train"):
+            assert main([cmd, "--config", str(path)]) == 1
+            assert capsys.readouterr().err == "error: unknown config keys: ['sparkle']\n"
+        assert not (workspace / "runs").exists()
 
     def test_json_errors_machine_readable(self, workspace, capsys):
         code = main(["--json", "validate-config",
@@ -368,6 +400,12 @@ class TestTrain:
 
     @pytest.mark.parametrize("override, needle", [
         ("reward_mode=per-pair", "reward_mode must be mean or per_pair"),
+        ("optimizer=sgd", 'optimizer must be msgd or msgd_rl, not "sgd"'),
+        ("cls_average=weighted", 'cls_average must be micro or macro, not "weighted"'),
+        ("objective=accuracy", 'objective must be f1, precision or recall, not "accuracy"'),
+        ("task=QA", 'task must be NER, CLS or MRC, not "QA"'),
+        ("beam_int=3", "unknown config keys: ['beam_int']"),
+        ("backend.max_paralel=3", "backend: unknown config keys: ['max_paralel']"),
         ("msgd_update_mode=exponential", "msgd_update_mode must be"),
         ("few_shot_strategy=random", "few_shot_strategy must be"),
         ('operators=["cot", "refine", "cot"]', "duplicate operator 'cot'"),
@@ -428,6 +466,20 @@ class TestTrain:
         assert main(["train", "--config", str(workspace / "config.json"),
                      "--set", "beam_init=4"]) == 2
         assert capsys.readouterr().err == "error: %s\n" % needle
+        assert sent == []
+        assert not (workspace / "runs").exists()
+
+    @pytest.mark.parametrize("text, message", MALFORMED_TEMPLATES)
+    def test_malformed_template_exits_two_before_any_request(self, workspace, sent, capsys,
+                                                            text, message):
+        path = workspace / "template.json"
+        path.unlink()
+        if text is not None:
+            path.write_text(text)
+        assert main(["train", "--config", str(workspace / "config.json"),
+                     "--set", "beam_init=4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert sent == []
         assert not (workspace / "runs").exists()
 

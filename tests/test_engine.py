@@ -263,6 +263,26 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 small_config(**kw).validate()
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(top_k=2.5), "top_k must be an integer, not 2.5"),
+        (dict(seed=True), "seed must be an integer, not true"),
+        (dict(iterations="5"), 'iterations must be an integer, not "5"'),
+        (dict(operators="refine"), 'operators must be a list of strings, not "refine"'),
+        (dict(task="QA"), 'task must be NER, CLS or MRC, not "QA"'),
+    ])
+    def test_python_built_config_is_checked_as_a_config_file(self, tmp_path, kw, message):
+        # the checks a config file's values get, before any request is sent
+        with pytest.raises(ConfigError) as err:
+            small_config(**kw).validate()
+        assert str(err.value) == message
+        data = cls_dataset()
+        backend = Recording(data)
+        cfg = small_config(output_dir=str(tmp_path / "runs"), **kw)
+        with pytest.raises(ConfigError) as err:
+            train(cfg, data, data, base_template(), backend)
+        assert str(err.value) == message
+        assert backend.calls == [] and not (tmp_path / "runs").exists()
+
     def test_default_operators_exclude_rag(self):
         ops = RunConfig().effective_operators()
         assert "rag" not in ops and "refine" in ops and len(ops) == 11

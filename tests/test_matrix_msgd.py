@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,6 +206,19 @@ class TestTableChecks:
     def test_rejects_a_bad_table(self, q, needle):
         with pytest.raises(ValueError, match=needle):
             TransitionMatrix(("a", "b"), ("x", "y"), q)
+
+    @pytest.mark.parametrize("sections, operators, message", [
+        (("a", "a"), ("x", "y"), "duplicate section labels"),
+        (("a", "b"), ("x", "x"), "duplicate operator labels"),
+    ], ids=["sections", "operators"])
+    def test_rejects_duplicate_labels(self, tmp_path, sections, operators, message):
+        q = [[0.1, 0.2], [0.3, 0.4]]
+        with pytest.raises(ValueError, match=message):
+            TransitionMatrix(sections, operators, q)
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"sections": sections, "operators": operators, "q": q}))
+        with pytest.raises(CorruptFile, match=message):
+            load_matrix(path)
 
     def test_cells_become_floats(self):
         m = TransitionMatrix(("a", "b"), ("x", "y"), np.array([[1, 2], [3, 0]]))

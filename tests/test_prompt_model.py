@@ -24,7 +24,7 @@ from promptopt.prompt_model import (
     scratch_prompt,
 )
 
-from helpers import make_prompt
+from helpers import MALFORMED_TEMPLATES, make_prompt
 
 
 class TestRender:
@@ -166,6 +166,15 @@ class TestLoadTemplate:
         with pytest.raises(TemplateParseError) as e:
             prompt_from_dict(doc)
         assert str(e.value) == message
+
+    @pytest.mark.parametrize("text, message", MALFORMED_TEMPLATES)
+    def test_malformed_template_file(self, tmp_path, text, message):
+        path = tmp_path / "template.json"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        with pytest.raises(TemplateParseError) as e:
+            load_template(path)
+        assert message in str(e.value)
 
     def test_unknown_task_kind(self):
         with pytest.raises(UnknownTaskKind):
