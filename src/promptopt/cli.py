@@ -20,7 +20,7 @@ from typing import Optional
 from .backend import BackendConfig, HttpBackend, MockBackend
 from .engine import RunConfig, config_from_dict, config_to_dict, run_id_for, train
 from .errors import ConfigError, CorruptFile, PromptOptError
-from .evaluation import evaluate, load_dataset
+from .evaluation import load_dataset, tally_candidate
 from .fileio import write_text_atomic
 from .matrix import load_matrix
 from .msgd_rl import ExperienceStore, read_experience, save_experience
@@ -198,15 +198,14 @@ def cmd_evaluate(args) -> int:
     dataset = load_dataset(args.dataset, task)
     backend = build_backend(inputs, args.mock_script)
     try:
-        # a cap of the whole dataset keeps every example that is not exactly
-        # right, so the count is not capped at BAD_CASE_CAP
-        report, bad = evaluate(Candidate(prompt=prompt), dataset, backend,
-                               objective=cfg.objective, bad_case_cap=len(dataset),
-                               model=cfg.model, seed=cfg.seed, cls_average=cfg.cls_average)
+        tally, _ = tally_candidate(Candidate(prompt=prompt), dataset, backend,
+                                   objective=cfg.objective, model=cfg.model,
+                                   cls_average=cfg.cls_average)
     finally:
         backend.close()
-    out = report.as_dict()
-    out["bad_case_count"] = len(bad)
+    out = tally.report().as_dict()
+    # every example that is not exactly right, not a capped sample of them
+    out["bad_case_count"] = len(tally.misses)
     print(json.dumps(out, indent=2))
     return 0
 

@@ -57,9 +57,10 @@ prompt's judgements go into one running tally, each once, in example
 order, and its objective on a rung's prefix is read off the tally. A prompt
 that finishes keeps its judgements in example order, so its objective on
 any prefix can be compared with that of a prompt raced out on it. The
-trainer keeps one memo slot per training example, its last reply with that
-reply's prediction and judgement, so a repeated reply is neither parsed nor
-judged again.
+trainer keeps one memo slot per training example, its last reply and that
+reply's judgement, so a repeated reply is neither parsed nor judged again.
+A scored prompt keeps its reply texts, and only the replies sampled as its
+bad cases are parsed again.
 
 Each scoring returns one record per scored prompt: its scores and the
 prefix they were taken on (the whole set for a prompt that finishes). The
@@ -483,9 +484,9 @@ class _Trainer:
         # pool: its report, its bad cases and its judgements of train_set,
         # in example order
         self.scored: dict[str, tuple[MetricReport, list[BadCase], tuple]] = {}
-        # the last reply to each training example, its prediction and its
-        # judgement: most edits change few predictions, so most replies
-        # repeat and are neither parsed nor judged again
+        # the last reply to each training example and its judgement: most
+        # edits change few predictions, so most replies repeat and are
+        # neither parsed nor judged again
         self.replies = reply_memo(n)
         self.eval_requests = 0
         # the next iteration's operator round trip, once a raced finish has
@@ -572,7 +573,7 @@ class _Trainer:
         replies go into that `_Ahead`, which is kept in `self.ahead`."""
         live = list(range(len(cands)))
         tallies = [self._tally() for _ in cands]
-        predictions = [[] for _ in cands]
+        texts = [[] for _ in cands]
         judgements = [[] for _ in cands]
         sent = 0  # the prefix every live candidate has been sent
 
@@ -586,9 +587,9 @@ class _Trainer:
                 results = self.backend.generate_batch(reqs + ahead.requests if ahead else reqs)
                 if ahead:
                     ahead.replies = results[len(reqs):]
-                for i, (preds, judgs) in zip(live, judge_replies(
+                for i, (replies, judgs) in zip(live, judge_replies(
                         segments, self.train_set, results, self.replies)):
-                    predictions[i] += preds
+                    texts[i] += replies
                     judgements[i] += judgs
                     tallies[i].add(enumerate(judgs, sent))
             sent = stop
@@ -611,7 +612,7 @@ class _Trainer:
         def record(i: int) -> tuple[MetricReport, list[BadCase]]:
             # candidate i's report and bad cases on the examples it was sent
             return tallies[i].report(), sample_bad_cases(
-                self.train_set, predictions[i], tallies[i].misses, seed=self.cfg.seed + iteration)
+                self.train_set, texts[i], tallies[i].misses, seed=self.cfg.seed + iteration)
 
         ahead = None
         if speculate and sent:

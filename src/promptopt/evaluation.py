@@ -11,18 +11,19 @@ exactly right) is a pure function of its task, gold and reply text.
 This module owns the layout of an evaluation batch: a batch is a list of
 (candidate, start, stop) segments, each the candidate on examples[start:stop].
 `eval_requests` lists the segments' requests in order, and `judge_replies`
-splits the batch's replies back into each segment's predictions and
+splits the batch's replies back into each segment's reply texts and
 judgements; `evaluate` is the one-segment case. Judging keeps one memo slot
-per example holding its last reply, that reply's prediction and its
-judgement, so a caller that keeps the memo (the trainer keeps one for its
-training set) parses and judges an example's reply only when it differs
-from that example's previous reply. A failed request reaches judging as a
-value, the BackendError the backend returned for it, and predicts a format
-failure; the backend raises the one failure that ends a run, an AuthError.
-Scoring is one `Tally` per prompt: judgements are added in order, each
-once, and the score of everything added so far can be read at any point,
-which is the score of that prefix on its own. The same pass lists the
-examples that are not exactly right, from which the bad cases are sampled.
+per example holding its last reply and that reply's judgement, so a caller
+that keeps the memo (the trainer keeps one for its training set) parses and
+judges an example's reply only when it differs from that example's
+previous reply. A failed request reaches judging as a value, the
+BackendError the backend returned for it, and predicts a format failure;
+the backend raises the one failure that ends a run, an AuthError. Scoring
+is one `Tally` per prompt: judgements are added in order, each once, and
+the score of everything added so far can be read at any point, which is
+the score of that prefix on its own. The same pass lists the examples that
+are not exactly right, from which the bad cases are sampled; only the
+sampled replies are parsed again, to give each bad case its prediction.
 """
 
 from __future__ import annotations
@@ -421,9 +422,9 @@ _NO_REPLY = object()  # the text of a memo slot that holds no reply yet
 
 
 def reply_memo(n: int) -> list[list]:
-    """A memo for judge_replies: n empty [reply text, prediction, judgement]
-    slots, one per example."""
-    return [[_NO_REPLY, None, None] for _ in range(n)]
+    """A memo for judge_replies: n empty [reply text, judgement] slots, one
+    per example."""
+    return [[_NO_REPLY, None] for _ in range(n)]
 
 
 def eval_requests(segments: Sequence[tuple[Candidate, int, int]],
@@ -438,64 +439,77 @@ def eval_requests(segments: Sequence[tuple[Candidate, int, int]],
 def judge_replies(segments: Sequence[tuple[Candidate, int, int]],
                   examples: Sequence[ExampleRecord], results: Sequence,
                   memo: list[list]) -> list[tuple[list, list]]:
-    """Each segment's parsed predictions and their judgements (see _judge),
-    in example order, from the results of its requests (see eval_requests),
+    """Each segment's reply texts and their judgements (see _judge), in
+    example order, from the results of its requests (see eval_requests),
     which `results` holds in order. A failed request, a BackendError in
-    `results`, predicts a format failure.
+    `results`, has the text None and is judged a format failure.
 
     `memo` (see reply_memo) holds one slot per example, shared by the
     segments. A reply equal to its example's slot text takes the slot's
-    prediction and judgement; any other reply is parsed and judged and
-    replaces the slot, which a failed request leaves as it is. Parsing and
-    judging are pure functions of the task, the gold and the text, so the
-    memo changes no result, and a caller that keeps one across calls parses
-    and judges each example's reply again only when it changes."""
+    judgement; any other reply is parsed and judged and replaces the slot,
+    which a failed request leaves as it is. Parsing and judging are pure
+    functions of the task, the gold and the text, so the memo changes no
+    result, and a caller that keeps one across calls parses and judges each
+    example's reply again only when it changes."""
     task = examples[0].task
     out = []
     at = 0
     for _, start, stop in segments:
-        predictions, judgements = [], []
+        texts, judgements = [], []
         for ex, slot, res in zip(examples[start:stop], memo[start:stop],
                                  results[at:at + stop - start]):
             if isinstance(res, GenerationResponse):
                 if slot[0] != res.text:
-                    prediction = parse_prediction(task, res.text)
-                    slot[:] = res.text, prediction, _judge(task, ex.gold, prediction)
-                predictions.append(slot[1])
-                judgements.append(slot[2])
+                    slot[:] = res.text, _judge(task, ex.gold, parse_prediction(task, res.text))
+                # the slot's string, so a repeated reply is held once
+                texts.append(slot[0])
+                judgements.append(slot[1])
             else:
-                predictions.append(FORMAT_FAILURE)
+                texts.append(None)
                 judgements.append(_judge(task, ex.gold, FORMAT_FAILURE))
-        out.append((predictions, judgements))
+        out.append((texts, judgements))
         at += stop - start
     return out
 
 
-def sample_bad_cases(examples: Sequence[ExampleRecord], predictions: Sequence,
+def sample_bad_cases(examples: Sequence[ExampleRecord], texts: Sequence,
                      misses: Sequence[int], cap: int = BAD_CASE_CAP,
                      seed: int = 0) -> list[BadCase]:
     """Bad cases for a seeded uniform sample of up to `cap` of the positions
-    in `misses`, which index both `examples` and `predictions`."""
+    in `misses`, which index both `examples` and `texts`, the reply texts
+    judge_replies gives. Each sampled reply is parsed into its bad case's
+    prediction, a text of None (a failed request) into a format failure."""
     if len(misses) > cap:
         misses = random.Random(seed).sample(misses, cap)
-    return [BadCase(examples[i].id, examples[i].gold, predictions[i]) for i in misses]
+    return [BadCase(examples[i].id, examples[i].gold,
+                    FORMAT_FAILURE if texts[i] is None
+                    else parse_prediction(examples[i].task, texts[i]))
+            for i in misses]
+
+
+def tally_candidate(candidate: Candidate, examples: Sequence[ExampleRecord], backend: Backend,
+                    objective: str = "f1", model: str = "default",
+                    cls_average: str = "micro") -> tuple[Tally, list]:
+    """Render the candidate prompt over every example, batch-generate, then
+    parse and judge each reply once: the tally of the judgements and the
+    reply texts (see judge_replies). A failed request scores as a format
+    failure; an AuthError, which the backend raises, ends the evaluation."""
+    if not examples:
+        raise EmptyDataset("cannot evaluate on an empty dataset")
+    segments = [(candidate, 0, len(examples))]
+    results = backend.generate_batch(eval_requests(segments, examples, model))
+    [(texts, judgements)] = judge_replies(segments, examples, results,
+                                          reply_memo(len(examples)))
+    tally = Tally(examples[0].task, objective, cls_average)
+    tally.add(enumerate(judgements))
+    return tally, texts
 
 
 def evaluate(candidate: Candidate, examples: Sequence[ExampleRecord], backend: Backend,
              objective: str = "f1", bad_case_cap: int = BAD_CASE_CAP, seed: int = 0,
              model: str = "default", cls_average: str = "micro",
              ) -> tuple[MetricReport, list[BadCase]]:
-    """Render the candidate prompt over every example, batch-generate, parse,
-    score, and collect a seeded uniform sample of failures as bad cases. A
-    failed request scores as a format failure; an AuthError, which the
-    backend raises, ends the evaluation."""
-    if not examples:
-        raise EmptyDataset("cannot evaluate on an empty dataset")
-    segments = [(candidate, 0, len(examples))]
-    results = backend.generate_batch(eval_requests(segments, examples, model))
-    [(predictions, judgements)] = judge_replies(segments, examples, results,
-                                                reply_memo(len(examples)))
-    tally = Tally(examples[0].task, objective, cls_average)
-    tally.add(enumerate(judgements))
-    return tally.report(), sample_bad_cases(examples, predictions, tally.misses,
-                                            bad_case_cap, seed)
+    """The candidate's report on every example (see tally_candidate) and a
+    seeded uniform sample of its failures as bad cases."""
+    tally, texts = tally_candidate(candidate, examples, backend, objective, model, cls_average)
+    return tally.report(), sample_bad_cases(examples, texts, tally.misses, bad_case_cap, seed)

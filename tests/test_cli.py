@@ -694,6 +694,24 @@ class TestEvaluate:
         assert out["f1"] == pytest.approx(10 / 40)
         assert out["bad_case_count"] == BAD_CASE_CAP + 10 == 30
 
+    def test_each_reply_parsed_once(self, workspace, capsys, monkeypatch):
+        """Counting 30 misses of 40 parses each of the 40 replies once: the
+        count comes from the scoring, not from building bad cases."""
+        parses = []
+        parse = promptopt.evaluation.parse_prediction
+        monkeypatch.setattr(promptopt.evaluation, "parse_prediction",
+                            lambda task, raw: parses.append(raw) or parse(task, raw))
+        lines = cls_lines(40)
+        wrong = {d["id"] for d in lines[:BAD_CASE_CAP + 10]}
+        (workspace / "d.jsonl").write_text("\n".join(json.dumps(d) for d in lines) + "\n")
+        (workspace / "wrong.json").write_text(json.dumps(oracle_script(lines, wrong)))
+        code = main(["evaluate", "--prompt", str(workspace / "template.json"),
+                     "--dataset", str(workspace / "d.jsonl"), "--task", "CLS",
+                     "--mock-script", str(workspace / "wrong.json")])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["bad_case_count"] == 30
+        assert len(parses) == 40
+
 
 class TestReportAndExperience:
     @pytest.fixture

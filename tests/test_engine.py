@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import re
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from promptopt.engine import (
 )
 from promptopt.errors import AuthError, BackendTimeout, ConfigError
 from promptopt.evaluation import (
+    BAD_CASE_CAP,
     ExampleRecord,
     Tally,
     _judge,
@@ -786,6 +788,27 @@ def f1_of(examples, predictions):
                  dict(enumerate(predictions))).f1
 
 
+def ner_dataset(n):
+    return [ExampleRecord("%03d" % i, "NER", "item %03d please" % i,
+                          {"PER": frozenset({(0, 4)}), "NUM": frozenset({(5, 8)})})
+            for i in range(n)]
+
+
+class NerGraded(Graded):
+    """Graded on NER: an evaluation reply finds both gold spans, or, under
+    the prompts Graded would answer wrongly, a wrong number span."""
+
+    def _reply(self, text):
+        if OPERATOR_TARGET.search(text):
+            return super()._reply(text)
+        ex = next(ex for ex in self.examples if ex.input in text)
+        skeleton = text.replace(ex.input, "{{Input}}")
+        wrong = int(hashlib.sha256((skeleton + ex.id).encode()).hexdigest(), 16) % 3 == 0
+        return "Entities:\n" + json.dumps({
+            "PER": {"item": [[0, 4]]},
+            "NUM": {ex.input[5:9]: [[5, 9]]} if wrong else {ex.input[5:8]: [[5, 8]]}})
+
+
 class SameBody(Graded):
     """Every operator request gets the same body, so refine and rewrite of
     one section make one prompt."""
@@ -797,7 +820,7 @@ class SameBody(Graded):
 
 
 def judged_alone(cand, data, backend):
-    """The predictions and judgements of one evaluation of `cand` on data."""
+    """The reply texts and judgements of one evaluation of `cand` on data."""
     segments = [(cand, 0, len(data))]
     results = backend.generate_batch(eval_requests(segments, data))
     [out] = judge_replies(segments, data, results, reply_memo(len(data)))
@@ -1926,7 +1949,8 @@ class TestScoreProperties:
             report, bad, judgements = record
             assert (scores, cut) == (
                 {"precision": report.precision, "recall": report.recall, "f1": report.f1}, n)
-            predictions, expected = judged_alone(cand, data, Graded(data))
+            texts, expected = judged_alone(cand, data, Graded(data))
+            predictions = [parse_prediction("CLS", text) for text in texts]
             assert (report, bad) == evaluate(cand, data, Graded(data), seed=0)
             assert judgements == tuple(expected)
             assert tuple(record_f1(record, c) for c in trainer.rungs) == tuple(
@@ -1956,18 +1980,35 @@ class TestScoreProperties:
         assert len(set(fed)) == len(fed)
 
 
+def count_bad_case_parses(monkeypatch) -> tuple[list, list]:
+    """Count the calls of parse_prediction, and record each call of the
+    trainer's sample_bad_cases: its (texts, misses, cap, seed) and the raw
+    replies parsed during it. Returns (parsed replies, sample calls)."""
+    import promptopt.engine
+    import promptopt.evaluation
+
+    calls, samples = [], []
+    parse = promptopt.evaluation.parse_prediction
+    sample = promptopt.engine.sample_bad_cases
+
+    def counted(task, raw):
+        calls.append(raw)
+        return parse(task, raw)
+
+    def sampled(examples, texts, misses, cap=BAD_CASE_CAP, seed=0):
+        before = len(calls)
+        out = sample(examples, texts, misses, cap, seed)
+        samples.append(((list(texts), list(misses), cap, seed), calls[before:]))
+        return out
+
+    monkeypatch.setattr(promptopt.evaluation, "parse_prediction", counted)
+    monkeypatch.setattr(promptopt.engine, "sample_bad_cases", sampled)
+    return calls, samples
+
+
 class TestReplyMemo:
     def test_a_run_parses_a_training_reply_only_when_it_changes(self, tmp_path, monkeypatch):
-        import promptopt.evaluation
-
-        calls = []
-        parse = promptopt.evaluation.parse_prediction
-
-        def counted(task, raw):
-            calls.append(raw)
-            return parse(task, raw)
-
-        monkeypatch.setattr(promptopt.evaluation, "parse_prediction", counted)
+        calls, samples = count_bad_case_parses(monkeypatch)
         data = cls_dataset(110)
         train_set, test_set = data[:100], data[100:]
         backend = Graded(data)
@@ -1992,14 +2033,47 @@ class TestReplyMemo:
             elif last.get(ex.id) != reply:
                 last[ex.id] = reply
                 expected += 1
-        assert len(calls) == expected < eval_requests
-        # one slot per training example, holding its last reply, that
-        # reply's prediction and its judgement
+        # and each bad case sampled with the scoring's seed is parsed again
+        bad_case_parses = []
+        for (texts, misses, cap, seed), parsed in samples:
+            if len(misses) > cap:
+                misses = random.Random(seed).sample(misses, cap)
+            assert parsed == [texts[i] for i in misses if texts[i] is not None]
+            bad_case_parses += parsed
+        assert bad_case_parses
+        assert len(calls) == expected + len(bad_case_parses)
+        assert expected < eval_requests
+        # one slot per training example, holding its last reply and that
+        # reply's judgement
         assert len(trainer.replies) == len(train_set) == len(last)
-        for ex, (text, prediction, judgement) in zip(train_set, trainer.replies):
+        for ex, (text, judgement) in zip(train_set, trainer.replies):
             assert text == last[ex.id]
-            assert prediction == parse(ex.task, text)
-            assert judgement == _judge(ex.task, ex.gold, prediction)
+            assert judgement == _judge(ex.task, ex.gold, parse_prediction(ex.task, text))
+
+    def test_an_ner_run_keeps_texts_and_judgements_only(self, tmp_path, monkeypatch):
+        """On NER, where a parsed prediction is a dict of span sets, every
+        memo slot holds a reply text and its judgement, and each scoring
+        parses only the replies it samples as bad cases."""
+        calls, samples = count_bad_case_parses(monkeypatch)
+        data = ner_dataset(130)
+        train_set, test_set = data[:120], data[120:]
+        backend = NerGraded(data, max_parallel=16)
+        cfg = small_config(task="NER", iterations=3, beam_init=3, pairs_per_epoch=3,
+                           operators=("refine", "rewrite"), output_dir=str(tmp_path))
+        trainer = _Trainer(cfg, train_set, test_set, base_template(), backend)
+        trainer.run()
+
+        assert len(trainer.replies) == len(train_set)
+        for ex, slot in zip(train_set, trainer.replies):
+            assert isinstance(slot, list) and len(slot) == 2
+            text, judgement = slot
+            assert isinstance(text, str)
+            assert judgement == _judge("NER", ex.gold, parse_prediction("NER", text))
+        assert samples
+        for (_, misses, cap, _), parsed in samples:
+            assert cap == BAD_CASE_CAP
+            assert len(parsed) == min(cap, len(misses))
+        assert any(len(misses) > cap for (_, misses, cap, _), _ in samples)
 
 
 class TestJudgementMemo:

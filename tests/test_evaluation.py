@@ -545,16 +545,17 @@ class TestEvaluate:
         cands = [self._candidate(),
                  Candidate(prompt=make_prompt(["Label the text."], placeholder_in=0))]
         predicted = judge_batch(whole(cands, cls_examples), cls_examples, backend)
-        assert predicted[0][0] == [ex.gold for ex in cls_examples]
-        assert predicted[1][0][3] is FORMAT_FAILURE
+        assert parsed("CLS", predicted[0][0]) == [ex.gold for ex in cls_examples]
+        assert predicted[1][0][3] is None
+        assert parsed("CLS", predicted[1][0])[3] is FORMAT_FAILURE
         assert [judgements for _, judgements in predicted] == [
-            [_judge("CLS", ex.gold, pred) for ex, pred in zip(cls_examples, preds)]
-            for preds, _ in predicted]
+            [_judge("CLS", ex.gold, pred) for ex, pred in zip(cls_examples, parsed("CLS", texts))]
+            for texts, _ in predicted]
         # tallied, the judgements give what one evaluation of each candidate gives
-        for cand, (preds, judgements) in zip(cands, predicted):
+        for cand, (texts, judgements) in zip(cands, predicted):
             tally = Tally("CLS")
             tally.add(enumerate(judgements))
-            bad = sample_bad_cases(cls_examples, preds, tally.misses, seed=5)
+            bad = sample_bad_cases(cls_examples, texts, tally.misses, seed=5)
             assert (tally.report(), bad) == evaluate(cand, cls_examples, backend, seed=5)
 
     def test_auth_error_is_raised(self, cls_examples):
@@ -637,12 +638,26 @@ def scored_examples(draw):
     return examples, [pred for _, pred in pairs]
 
 
+def reply_to(task: str, pred):
+    """A reply text that parses to `pred`, or None, the text of a failed
+    request, for a format failure."""
+    if pred is FORMAT_FAILURE:
+        return None
+    if task == "NER":
+        return json.dumps({label: {"m%d" % j: [list(span)] for j, span in enumerate(sorted(spans))}
+                           for label, spans in pred.items()})
+    return json.dumps({"label" if task == "CLS" else "answer": pred})
+
+
 def bad_cases_of(examples, predictions, cap=BAD_CASE_CAP, seed=0):
-    """The bad cases evaluate collects for these predictions: a sample of
-    the misses of the tally that scores them."""
+    """The bad cases evaluate collects for replies with these predictions: a
+    sample of the misses of the tally that scores them, each sampled reply
+    parsed into its prediction."""
+    texts = [reply_to(ex.task, pred) for ex, pred in zip(examples, predictions)]
+    assert parsed(examples[0].task, texts) == predictions
     tally = Tally(examples[0].task)
     tally.add(enumerate(_judge(ex.task, ex.gold, pred) for ex, pred in zip(examples, predictions)))
-    return sample_bad_cases(examples, predictions, tally.misses, cap, seed)
+    return sample_bad_cases(examples, texts, tally.misses, cap, seed)
 
 
 class TestBadCasesFromTheScoringPass:
@@ -682,6 +697,20 @@ class TestBadCasesFromTheScoringPass:
             assert sampled == random.Random(seed).sample(expected, 2)
         else:
             assert sampled == expected
+
+    @pytest.mark.parametrize("cap", [0, 3, 10, 40])
+    def test_only_the_sampled_replies_are_parsed(self, cls_examples, cap, monkeypatch):
+        """Each sampled reply is parsed once, a failed request's not at all,
+        and no other reply is parsed."""
+        texts = [None if i % 4 == 0 else json.dumps({"label": "C"}) + " " * i
+                 for i, _ in enumerate(cls_examples)]
+        misses = list(range(len(cls_examples)))
+        sample = misses if cap >= len(misses) else random.Random(3).sample(misses, cap)
+        parses = count_calls(monkeypatch, "parse_prediction")
+        bad = sample_bad_cases(cls_examples, texts, misses, cap, seed=3)
+        assert parses == [("CLS", texts[i]) for i in sample if texts[i] is not None]
+        assert bad == [BadCase(cls_examples[i].id, cls_examples[i].gold,
+                               FORMAT_FAILURE if texts[i] is None else "C") for i in sample]
 
     def test_score_lists_misses_in_gold_order(self):
         gold = {"x": "A", "y": "B", "z": "A"}
@@ -754,10 +783,16 @@ def judge_batch(segments, examples, backend, memo=None):
                          reply_memo(len(examples)) if memo is None else memo)
 
 
-def judged(examples, predictions):
-    """judge_replies' result for one segment with these predictions."""
-    return predictions, [_judge(ex.task, ex.gold, pred)
-                         for ex, pred in zip(examples, predictions)]
+def parsed(task, texts):
+    """The predictions of reply texts as judge_replies gives them: a text of
+    None, a failed request, predicts a format failure."""
+    return [FORMAT_FAILURE if text is None else parse_prediction(task, text) for text in texts]
+
+
+def judged(examples, texts):
+    """judge_replies' result for one segment with these reply texts."""
+    return texts, [_judge(ex.task, ex.gold, pred)
+                   for ex, pred in zip(examples, parsed(examples[0].task, texts))]
 
 
 class TestParseMemo:
@@ -770,7 +805,8 @@ class TestParseMemo:
                             backend, memo)
         second = judge_batch(whole([prompt_candidate("Label")], cls_examples), cls_examples,
                              backend, memo)
-        assert first == second == [judged(cls_examples, [ex.gold for ex in cls_examples])]
+        assert first == second == [judged(cls_examples, [json.dumps({"label": ex.gold})
+                                                         for ex in cls_examples])]
         assert len(parses) == len(judges) == len(cls_examples)
         # within one batch too, with a memo of its own
         del parses[:], judges[:]
@@ -785,18 +821,17 @@ class TestParseMemo:
         changed = json.dumps({"label": "C"})
         backend = ByExample(cls_examples, {("Label", ex.input): changed})
         memo = reply_memo(len(cls_examples))
-        predictions = [judge_batch(whole([prompt_candidate(word)], cls_examples), cls_examples,
-                                   backend, memo)[0][0]
-                       for word in ("Classify", "Label", "Classify")]
-        assert [p[3] for p in predictions] == [ex.gold, "C", ex.gold]
-        assert all(p[:3] + p[4:] == [e.gold for e in cls_examples[:3] + cls_examples[4:]]
-                   for p in predictions)
+        texts = [judge_batch(whole([prompt_candidate(word)], cls_examples), cls_examples,
+                             backend, memo)[0][0]
+                 for word in ("Classify", "Label", "Classify")]
+        assert [parsed("CLS", t)[3] for t in texts] == [ex.gold, "C", ex.gold]
+        others = cls_examples[:3] + cls_examples[4:]
+        assert all(parsed("CLS", t[:3] + t[4:]) == [e.gold for e in others] for t in texts)
         # the other examples once, example 3 on each change
         assert len(parses) == len(judges) == len(cls_examples) + 2
         assert parses[-2:] == [("CLS", changed), ("CLS", json.dumps({"label": ex.gold}))]
         assert judges[-2:] == [("CLS", ex.gold, "C"), ("CLS", ex.gold, ex.gold)]
-        assert memo[3] == [json.dumps({"label": ex.gold}), ex.gold,
-                           _judge("CLS", ex.gold, ex.gold)]
+        assert memo[3] == [json.dumps({"label": ex.gold}), _judge("CLS", ex.gold, ex.gold)]
 
     @given(st.lists(st.lists(st.sampled_from([
         '{"label": "A"}', '{"label": "B"}', 'Sure: {"label": "A"}', "no answer", "",
@@ -810,8 +845,7 @@ class TestParseMemo:
         the slot as it was."""
         examples = [ExampleRecord(str(i), "CLS", "text %d" % i, "AB"[i % 2]) for i in range(n)]
         k = 6 // n
-        expected = [[judged(examples, [FORMAT_FAILURE if isinstance(item, Exception)
-                                       else parse_prediction("CLS", item)
+        expected = [[judged(examples, [None if isinstance(item, Exception) else item
                                        for item in batch[c * n:(c + 1) * n]])
                      for c in range(k)]
                     for batch in batches]
@@ -836,7 +870,7 @@ class TestParseMemo:
         for i, ex in enumerate(examples):
             if i in last:
                 pred = parse_prediction("CLS", last[i])
-                assert memo[i] == [last[i], pred, _judge("CLS", ex.gold, pred)]
+                assert memo[i] == [last[i], _judge("CLS", ex.gold, pred)]
 
 
 REPLIES = {
@@ -901,7 +935,7 @@ class TestJudgementMemo:
     def test_ragged_segments_in_one_batch_equal_each_segment_alone(self, drawn):
         """Segments with their own start and stop, judged in one batch
         through a shared memo, give what judging each segment in a batch of
-        its own through another shared memo gives: the same predictions,
+        its own through another shared memo gives: the same reply texts,
         judgements, memo, and parses."""
         examples, segments, replies = drawn
         task = examples[0].task
@@ -917,13 +951,12 @@ class TestJudgementMemo:
         assert together == alone
         assert memo == alone_memo
         assert len(parses) == 2 * n_parses
-        for (cand, start, stop), (predictions, judgements) in zip(segments, together):
+        for (cand, start, stop), (texts, judgements) in zip(segments, together):
             sent = [replies[req.messages[-1][1]]
                     for req in eval_requests([(cand, start, stop)], examples)]
-            assert predictions == [FORMAT_FAILURE if isinstance(r, Exception)
-                                   else parse_prediction(task, r) for r in sent]
+            assert texts == [None if isinstance(r, Exception) else r for r in sent]
             assert judgements == [_judge(task, ex.gold, pred)
-                                  for ex, pred in zip(examples[start:stop], predictions)]
+                                  for ex, pred in zip(examples[start:stop], parsed(task, texts))]
 
     @given(reply_streams())
     @settings(max_examples=200, deadline=None)
@@ -937,10 +970,10 @@ class TestJudgementMemo:
         cands = [prompt_candidate("Prompt %d:" % c) for c in range(k)]
         for batch in batches:
             results = judge_batch(whole(cands, examples), examples, backend, memo)
-            for c, (predictions, judgements) in enumerate(results):
+            for c, (texts, judgements) in enumerate(results):
                 replies = batch[c * n:(c + 1) * n]
-                assert predictions == [FORMAT_FAILURE if isinstance(r, Exception)
-                                       else parse_prediction(task, r) for r in replies]
+                assert texts == [None if isinstance(r, Exception) else r for r in replies]
+                predictions = parsed(task, texts)
                 for objective in ("f1", "precision", "recall"):
                     tally = Tally(task, objective, average)
                     tally.add(enumerate(judgements))
@@ -964,8 +997,8 @@ class TestJudgementMemo:
         # b parses to a prediction equal to a's, but its text differs: judged again, once
         assert judges == [("NER", gold, gold), ("NER", gold, gold)]
         assert [r for result in results for r in result] == \
-            [([gold], [(True, [("PER", 1, 0, 0)])])] * 5
-        assert memo == [[b, gold, (True, [("PER", 1, 0, 0)])]]
+            [([a], [(True, [("PER", 1, 0, 0)])])] * 3 + [([b], [(True, [("PER", 1, 0, 0)])])] * 2
+        assert memo == [[b, (True, [("PER", 1, 0, 0)])]]
 
     def test_a_failed_request_leaves_the_slot_untouched(self, monkeypatch):
         parses = count_calls(monkeypatch, "parse_prediction")
@@ -979,9 +1012,9 @@ class TestJudgementMemo:
         [(first, first_judgements)] = judge_batch(whole(cands, examples), examples, backend,
                                                   memo)
         slot = list(memo[0])
-        assert slot == [reply, gold, _judge("NER", gold, gold)]
+        assert slot == [reply, _judge("NER", gold, gold)]
         failed = judge_batch(whole(cands, examples), examples, backend, memo)
-        assert failed == [([FORMAT_FAILURE], [_judge("NER", gold, FORMAT_FAILURE)])]
+        assert failed == [([None], [_judge("NER", gold, FORMAT_FAILURE)])]
         assert failed[0][1] == [(False, [("PER", 0, 0, 1)])]
         assert memo[0] == slot and memo[0][1] is slot[1]
         # the reply equal to the slot text is neither parsed nor judged again
@@ -989,4 +1022,5 @@ class TestJudgementMemo:
                                                   memo)
         assert again[0] is first[0] and again_judgements[0] is first_judgements[0]
         assert parses == [("NER", reply)]
-        assert judges == [("NER", gold, first[0]), ("NER", gold, FORMAT_FAILURE)]
+        assert judges == [("NER", gold, parse_prediction("NER", first[0])),
+                          ("NER", gold, FORMAT_FAILURE)]
